@@ -60,6 +60,8 @@ class Bump:
     ramp_width: float = 0.125
     tolerance: float = DEFAULT_TOLERANCE
     _memo: dict[str, tuple[complex, bool]] = field(default_factory=dict, repr=False)
+    # Decay constants on the moments decay grid, by nu (filled by moments).
+    _decay_memo: dict[int, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.ramp_width <= 0.25:

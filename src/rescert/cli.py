@@ -32,6 +32,7 @@ from .dirichlet import grid_sup, resonance_guided_search
 from .moments import (
     DEFAULT_NU,
     DEFAULT_TERM_BUDGET,
+    EXACT_AUTO_MAX_T,
     diagonal_sum,
     ratio_and_bounds,
 )
@@ -133,15 +134,23 @@ def _parse_toy(text: str) -> ToyResonator:
     return ToyResonator(values=values)
 
 
-def _build_table(cfg: RunConfig, t: float, x: float):
+def _build_table(cfg: RunConfig, x: float, cover_n: bool = True):
+    """Factor table over the prime window of X, and up to N + 1 when
+    `cover_n` (coefficient values f(n), n <= N, are needed)."""
     if cfg.sieve_limit is not None:
         limit = cfg.sieve_limit
     else:
-        limit = max(1024, cfg.n + 1)
+        limit = max(1024, cfg.n + 1) if cover_n else 1024
         if x >= MIN_X:
             _, hi = window_bounds(x)
             limit = max(limit, math.ceil(hi) + 16)
     return build_factor_table(limit)
+
+
+def _may_need_exact_moments(cfg: RunConfig, t: float) -> bool:
+    """Whether ratio_and_bounds can compute exact moments, the only part
+    of a certificate that evaluates f(n) for n <= N."""
+    return cfg.exact == "always" or (cfg.exact == "auto" and t <= EXACT_AUTO_MAX_T)
 
 
 def _resonator_for(cfg: RunConfig, x: float, table) -> Resonator:
@@ -202,7 +211,7 @@ def _emit(payload, cfg: RunConfig, csv_rows=None) -> None:
 def cmd_certify(cfg: RunConfig) -> int:
     t = cfg.resolve_t()
     x = cfg.resolve_x(t)
-    table = _build_table(cfg, t, x)
+    table = _build_table(cfg, x, _may_need_exact_moments(cfg, t))
     res = _resonator_for(cfg, x, table)
     f = _parse_f(cfg.f, cfg.seed, table.limit)
     report = ratio_and_bounds(
@@ -225,7 +234,7 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 def cmd_search(cfg: RunConfig) -> int:
     t = cfg.resolve_t()
-    table = _build_table(cfg, t, 1.0)
+    table = _build_table(cfg, 1.0)
     f = _parse_f(cfg.f, cfg.seed, table.limit)
     lo = cfg.window_lo if cfg.window_lo is not None else -t
     hi = cfg.window_hi if cfg.window_hi is not None else t
@@ -268,7 +277,7 @@ def cmd_resonator(cfg: RunConfig) -> int:
         x = float(cfg.x)
     else:
         x = cfg.resolve_x(cfg.resolve_t())
-    table = _build_table(cfg, 1.0, x)
+    table = _build_table(cfg, x)
     res = _resonator_for(cfg, x, table)
     rep = {
         "x": res.x,
@@ -326,7 +335,7 @@ def cmd_sweep(cfg: RunConfig, n_list: list[int], seed_list: list[int]) -> int:
             sub = RunConfig(**{**asdict(cfg), "n": n, "seed": seed})
             t = sub.resolve_t()
             x = sub.resolve_x(t)
-            table = _build_table(sub, t, x)
+            table = _build_table(sub, x, _may_need_exact_moments(sub, t))
             res = _resonator_for(sub, x, table)
             f = _parse_f(sub.f, sub.seed, table.limit)
             report = ratio_and_bounds(

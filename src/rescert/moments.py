@@ -17,13 +17,23 @@ The diagonal collapses through the coprime parametrization
 
 to sums over coprime pairs (a', b') that this module evaluates exactly
 (with compensated summation) or brackets rigorously.
+
+For window resonators every such sum runs through one vectorized pass
+over coprime support pairs: the support is held as sorted arrays of
+integers, weights and prime bitmasks, and for each larger element of a
+pair its coprime partners come out of one bitmask comparison.  The inner
+g-sums of the diagonal, sum of r(g)^2 over support g <= X/max(a',b')
+coprime to a'b', are masked matrix-vector products over the same arrays,
+so every term the certificate adds is positive and no inclusion-exclusion
+subtraction is left.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,12 +46,13 @@ from .quadrature import adaptive_oscillatory
 from .resonator import (
     DEFAULT_ENUM_BUDGET,
     Resonator,
+    SupportArrays,
     SupportElement,
     euler_product_one_plus_r2,
     iter_support,
+    support_arrays,
     support_elements,
     sum_r_squared,
-    sum_t_over_sqrt,
 )
 
 DEFAULT_TERM_BUDGET = 50_000_000
@@ -49,15 +60,18 @@ DEFAULT_TERM_BUDGET = 50_000_000
 # points sit away from the transform's near-zeros).
 DEFAULT_DECAY_GRID = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1280.0)
 DEFAULT_NU = 3
-
-_decay_cache: dict[tuple[int, int], float] = {}
+# Exact and quadrature moments are attempted in exact_mode="auto" only up
+# to this T (and only for tiny supports); they need a factor table to N.
+EXACT_AUTO_MAX_T = 2.0e4
+# Entries per temporary in the blocked mask products of the pair kernel.
+_BLOCK = 1 << 16
 
 
 def _decay_const(b: Bump, nu: int) -> float:
-    key = (id(b), nu)
-    if key not in _decay_cache:
-        _decay_cache[key] = decay_constant(b, nu, DEFAULT_DECAY_GRID)
-    return _decay_cache[key]
+    c_nu = b._decay_memo.get(nu)
+    if c_nu is None:
+        c_nu = b._decay_memo[nu] = decay_constant(b, nu, DEFAULT_DECAY_GRID)
+    return c_nu
 
 
 # ---------------------------------------------------------------------------
@@ -207,38 +221,66 @@ def m2_exact(
 
 
 # ---------------------------------------------------------------------------
-# Diagonal sums via the coprime parametrization.
+# Coprime support pairs and the diagonal sums of the gcd parametrization.
 
 
-class _SparseSupport:
-    """Sorted support elements with prefix sums of r^2 and coprime queries."""
+def _count_upto(ns: np.ndarray, cap: float) -> int:
+    """Number of sorted support integers ns <= cap."""
+    if not len(ns) or cap >= ns[-1]:
+        return len(ns)
+    return int(np.searchsorted(ns, math.floor(cap), side="right"))
 
-    def __init__(self, res: Resonator, cap: float, budget: int):
-        self.res = res
-        self.elements = support_elements(res, cap, budget)
-        self.ns = [e.n for e in self.elements]
-        prefix = np.cumsum([e.r * e.r for e in self.elements])
-        self.r2_prefix = prefix
-        self.cap = cap
 
-    def sum_r2_upto(self, g_cap: float) -> float:
-        idx = bisect_right(self.ns, g_cap)
-        return float(self.r2_prefix[idx - 1]) if idx else 0.0
+def _coprime_partners(masks: np.ndarray, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(j, idx) for j < count: idx holds every i <= j coprime to element j.
 
-    def sum_r2_coprime(self, g_cap: float, excluded: tuple[int, ...]) -> float:
-        """sum of r(g)^2 over support g <= g_cap with g coprime to all
-        excluded primes; peeling one exclusion at a time:
-        S_{Q+p}(G) = S_Q(G) - r(p)^2 * S_{Q+p}(G/p)."""
-        if g_cap < 1.0:
-            return 0.0
-        if not excluded:
-            return self.sum_r2_upto(g_cap)
-        p = excluded[0]
-        rest = excluded[1:]
-        rp = self.res.r_p[p]
-        return self.sum_r2_coprime(g_cap, rest) - rp * rp * self.sum_r2_coprime(
-            g_cap / p, excluded
-        )
+    Each coprime pair of the first `count` elements comes out once, under
+    its larger element; (0, [0]) is the pair (1, 1), the only pair of an
+    element with itself.
+    """
+    for j in range(count):
+        yield j, np.flatnonzero((masks[: j + 1] & masks[j]) == 0)
+
+
+def _ordered_pair_count(masks: np.ndarray, count: int) -> int:
+    """Ordered coprime pairs (a, b) among the first `count` elements."""
+    return sum(2 * len(idx) - (j == 0) for j, idx in _coprime_partners(masks, count))
+
+
+def _ordered_pair_fsum(
+    masks: np.ndarray, count: int, terms: Callable[[int, np.ndarray], np.ndarray]
+) -> float:
+    """Correctly rounded sum of a symmetric term over ordered coprime pairs.
+
+    terms(j, idx) gives the terms of the pairs (i, j), i in idx; each also
+    stands for its mirror (j, i), so it is added twice except for (1, 1).
+    """
+
+    def groups():
+        for j, idx in _coprime_partners(masks, count):
+            vals = terms(j, idx)
+            yield (vals if j == 0 else 2.0 * vals).tolist()
+
+    return math.fsum(chain.from_iterable(groups()))
+
+
+def _coprime_r2_sums(
+    masks: np.ndarray, g_masks: np.ndarray, g_r2: np.ndarray
+) -> np.ndarray:
+    """For each mask m: sum of g_r2 over the entries whose g_masks avoid m.
+
+    The mask comparisons run in blocks of about _BLOCK entries.
+    """
+    out = np.zeros(len(masks))
+    cols = max(1, min(len(g_masks), _BLOCK))
+    rows = max(1, _BLOCK // cols)
+    for c0 in range(0, len(g_masks), cols):
+        gm = g_masks[None, c0 : c0 + cols]
+        r2 = g_r2[c0 : c0 + cols]
+        for r0 in range(0, len(masks), rows):
+            block = masks[r0 : r0 + rows, None]
+            out[r0 : r0 + rows] += ((block & gm) == 0) @ r2
+    return out
 
 
 def _toy_r_vector(toy, x_int: int) -> list[float]:
@@ -259,13 +301,24 @@ def diagonal_sum(
 
         floor(N / max(a',b')) * sum_{g <= X/max(a',b')} r(a'g) r(b'g).
 
-    Accepts either a window resonator (sparse support walk) or any object
-    with a dense `.value(n)` map and a `squarefree_supported` flag (the
-    test-resonator protocol).  `g_cap` truncates every inner g-range; the
-    result is then a certified lower bound of the full sum.
+    Accepts either a window resonator or any object with a dense
+    `.value(n)` map and a `squarefree_supported` flag (the test-resonator
+    protocol).  `g_cap` truncates every inner g-range; the result is then
+    a certified lower bound of the full sum.
+
+    For a window resonator r is multiplicative on squarefree support, so
+    a term is r(a') r(b') floor(N/max) times the sum of r(g)^2 over
+    support g <= X/max coprime to a'b'.  The support <= min(X, g_cap) is
+    enumerated once into arrays.  For each larger element b' <= min(N, X)
+    the g-range is the support prefix <= X/b', filtered to g coprime to
+    b', and the inner sums of all its coprime partners a' <= b' come from
+    one blocked masked product.  All terms are positive and go into one
+    correctly rounded sum.  The budget counts ordered coprime pairs
+    (a', b'); they are counted before any g-sum work.
 
     Raises:
-        ResourceLimitError: pair/enumeration budget exceeded.
+        ResourceLimitError: support enumeration or coprime-pair count
+            over budget; for the pair count, `needed` is the exact count.
     """
     if n_max < 1:
         raise ValueError("N must be >= 1")
@@ -273,35 +326,29 @@ def diagonal_sum(
         raise ValueError("X must be >= 1")
     z = min(float(n_max), x)
     if isinstance(res, Resonator):
-        sparse = _SparseSupport(res, min(x if g_cap is None else g_cap, x), budget)
-        idx = res.prime_index()
-        elems_z = [e for e in sparse.elements if e.n <= z]
-        terms: list[float] = []
-        ops = 0
-        for ea in elems_z:
-            mask_a = 0
-            for p in ea.primes:
-                mask_a |= 1 << idx[p]
-            for eb in elems_z:
-                mask_b = 0
-                for p in eb.primes:
-                    mask_b |= 1 << idx[p]
-                if mask_a & mask_b:
-                    continue
-                ops += 1
-                if ops > budget:
-                    raise ResourceLimitError(
-                        f"diagonal pair enumeration exceeded budget {budget}",
-                        needed=ops,
-                        budget=budget,
-                    )
-                mx = max(ea.n, eb.n)
-                g_hi = x / mx
-                if g_cap is not None:
-                    g_hi = min(g_hi, g_cap)
-                s_g = sparse.sum_r2_coprime(g_hi, ea.primes + eb.primes)
-                terms.append((n_max // mx) * ea.r * eb.r * s_g)
-        return math.fsum(terms)
+        cap = x if g_cap is None else min(x, g_cap)
+        sup = support_arrays(res, cap, budget)
+        count = _count_upto(sup.ns, z)
+        pairs = _ordered_pair_count(sup.masks, count)
+        if pairs > budget:
+            raise ResourceLimitError(
+                f"diagonal pair enumeration exceeded budget {budget}",
+                needed=pairs,
+                budget=budget,
+            )
+        r2 = sup.r * sup.r
+
+        def terms(j: int, idx: np.ndarray) -> np.ndarray:
+            n_j = int(sup.ns[j])
+            g_hi = x / n_j if g_cap is None else min(x / n_j, g_cap)
+            g_end = _count_upto(sup.ns, g_hi)
+            g_ok = (sup.masks[:g_end] & sup.masks[j]) == 0
+            inner = _coprime_r2_sums(
+                sup.masks[idx], sup.masks[:g_end][g_ok], r2[:g_end][g_ok]
+            )
+            return ((n_max // n_j) * float(sup.r[j])) * sup.r[idx] * inner
+
+        return _ordered_pair_fsum(sup.masks, count, terms)
 
     # Dense path for explicit test resonators.
     x_int = math.floor(x)
@@ -494,16 +541,53 @@ def m1_offdiag_bound(
 # Main-term and tail-bound sums over coprime support pairs.
 
 
-def _coprime_pair_elements(res: Resonator, z: float, budget: int):
-    elems = support_elements(res, z, budget)
-    idx = res.prime_index()
-    masks = []
-    for e in elems:
-        m = 0
-        for p in e.primes:
-            m |= 1 << idx[p]
-        masks.append(m)
-    return elems, masks
+def _sum_over_prime_factors(masks: np.ndarray, values: list[float]) -> np.ndarray:
+    """For each element, the sum of values[i] over the window primes i
+    dividing it."""
+    out = np.zeros(len(masks))
+    for i, v in enumerate(values):
+        out[((masks >> i) & 1).astype(bool)] += v
+    return out
+
+
+def _main_term(res: Resonator, sup: SupportArrays) -> float:
+    """sum over ordered coprime pairs of sup of t(a') t(b') a'b' / max^3.
+
+    Asserts t(n) = r(n) / prod_{p | n}(1 + r(p)^2) on every element first.
+    """
+    log_plain = _sum_over_prime_factors(
+        sup.masks, [math.log1p(res.r_p[p] ** 2) for p in res.primes]
+    )
+    if not np.allclose(sup.t * np.exp(log_plain), sup.r, rtol=1e-12, atol=0.0):
+        raise AssertionError("t-weight identity violated")
+    w = sup.t * sup.ns
+    w_over_cube = w / sup.ns.astype(np.float64) ** 3
+    return _ordered_pair_fsum(
+        sup.masks, len(sup.ns), lambda j, idx: w[idx] * w_over_cube[j]
+    )
+
+
+def _balanced_pair_bound(sup: SupportArrays, z: float) -> float:
+    """(sum over support m <= z of t(m)/sqrt(m))^2 / log z, for sup <= z."""
+    return math.fsum((sup.t / np.sqrt(sup.ns)).tolist()) ** 2 / math.log(z)
+
+
+def _alpha_tail(res: Resonator, sup: SupportArrays, x: float, alpha: float) -> float:
+    """alpha_shift_error_term over the coprime pairs of sup."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError("alpha must lie in (0, 1/2)")
+    log_shift = [math.log1p(res.r_p[p] ** 2 * p**alpha) for p in res.primes]
+    log_full_plain = math.fsum(math.log1p(res.r_p[p] ** 2) for p in res.primes)
+    log_full_shift = math.fsum(log_shift)
+    # Coprime a', b' split prod_{p not | a'b'} into the full product over
+    # the per-element products of the primes each one drops.
+    u = (
+        sup.r
+        * sup.ns.astype(np.float64) ** (alpha - 0.5)
+        * np.exp(-_sum_over_prime_factors(sup.masks, log_shift))
+    )
+    pair_sum = _ordered_pair_fsum(sup.masks, len(sup.ns), lambda j, idx: u[idx] * u[j])
+    return math.exp(log_full_shift - log_full_plain) * x ** (-alpha) * pair_sum
 
 
 def moment_main_term(
@@ -518,29 +602,10 @@ def moment_main_term(
         sum_{(a',b')=1, a',b' <= min(N,X)} t(a') t(b') a'b' / max(a',b')^3.
 
     t(a')t(b') equals r(a')r(b') / prod_{p | a'b'}(1 + r(p)^2) for
-    coprime squarefree support products; the identity is asserted on the
-    fly.  Always at least 1 (the (1,1) term).
+    coprime squarefree support products; the identity is asserted on
+    every support element.  Always at least 1 (the (1,1) term).
     """
-    z = min(float(n_max), x)
-    elems, masks = _coprime_pair_elements(res, z, budget)
-    terms = []
-    checked = False
-    for i, ea in enumerate(elems):
-        for j, eb in enumerate(elems):
-            if masks[i] & masks[j]:
-                continue
-            if not checked and ea.n > 1 and eb.n > 1:
-                denom = math.prod(
-                    1.0 + res.r_p[p] ** 2 for p in ea.primes + eb.primes
-                )
-                if not math.isclose(
-                    ea.t * eb.t, ea.r * eb.r / denom, rel_tol=1e-12
-                ):
-                    raise AssertionError("t-weight identity violated")
-                checked = True
-            mx = max(ea.n, eb.n)
-            terms.append(ea.t * eb.t * ea.n * eb.n / mx**3)
-    return math.fsum(terms)
+    return _main_term(res, support_arrays(res, min(float(n_max), x), budget))
 
 
 def balanced_pair_bound_check(
@@ -559,17 +624,8 @@ def balanced_pair_bound_check(
     """
     if z <= 1.0:
         raise ValueError("z must exceed 1")
-    elems, masks = _coprime_pair_elements(res, z, budget)
-    terms = []
-    for i, ea in enumerate(elems):
-        for j, eb in enumerate(elems):
-            if masks[i] & masks[j]:
-                continue
-            mx = max(ea.n, eb.n)
-            terms.append(ea.t * eb.t * ea.n * eb.n / mx**3)
-    lhs = math.fsum(terms)
-    rhs = sum_t_over_sqrt(res, z, budget) ** 2 / math.log(z)
-    return lhs, rhs
+    sup = support_arrays(res, z, budget)
+    return _main_term(res, sup), _balanced_pair_bound(sup, z)
 
 
 def alpha_shift_error_term(
@@ -588,28 +644,7 @@ def alpha_shift_error_term(
 
     Positive whenever the support is nonempty or trivially X^{-alpha}.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError("alpha must lie in (0, 1/2)")
-    z = min(float(n_max), x)
-    log_full_plain = math.fsum(
-        math.log1p(res.r_p[p] ** 2) for p in res.primes
-    )
-    log_full_shift = math.fsum(
-        math.log1p(res.r_p[p] ** 2 * p**alpha) for p in res.primes
-    )
-    elems, masks = _coprime_pair_elements(res, z, budget)
-    shift_by_prime = {p: math.log1p(res.r_p[p] ** 2 * p**alpha) for p in res.primes}
-    terms = []
-    for i, ea in enumerate(elems):
-        for j, eb in enumerate(elems):
-            if masks[i] & masks[j]:
-                continue
-            excl = math.fsum(shift_by_prime[p] for p in ea.primes + eb.primes)
-            ab = ea.n * eb.n
-            terms.append(
-                ea.r * eb.r * ab ** (alpha - 0.5) * math.exp(log_full_shift - excl)
-            )
-    return math.exp(-log_full_plain) * x ** (-alpha) * math.fsum(terms)
+    return _alpha_tail(res, support_arrays(res, min(float(n_max), x), budget), x, alpha)
 
 
 def tail_truncation_check(
@@ -860,7 +895,7 @@ def ratio_and_bounds(
     m1_q = m1_e = m2_q = m2_e = None
     if exact_mode == "always":
         support = support_elements(res, x, budget)
-    elif exact_mode == "auto" and t_bound <= 2.0e4:
+    elif exact_mode == "auto" and t_bound <= EXACT_AUTO_MAX_T:
         support = _support_if_tiny(res, x, n_max, budget)
     if support is not None:
         if f is None:
@@ -870,18 +905,21 @@ def ratio_and_bounds(
         m2_q = m2_quadrature(res, f, n_max, t_bound, support, table, b)
         m2_e = m2_exact(res, f, n_max, t_bound, support, table, b)
 
+    # The main term, the tail and the balanced pair sum all run over the
+    # coprime support pairs <= z = min(N, X); main term and pair sum are
+    # the same sum.
+    z = min(float(n_max), x)
+    pairs_z = support_arrays(res, z, budget)
     alpha_eff = alpha if alpha is not None else res.alpha_default
     if alpha_eff is not None:
-        tail = alpha_shift_error_term(res, n_max, x, alpha_eff, table, budget)
+        tail = _alpha_tail(res, pairs_z, x, alpha_eff)
     else:
         # Degenerate resonator: no shift parameter to run the tail bound with.
         tail = None
 
-    main = moment_main_term(res, n_max, x, table, budget)
-
-    z = min(float(n_max), x)
+    main = _main_term(res, pairs_z)
     if z > 1.0:
-        pair_lhs, pair_rhs = balanced_pair_bound_check(res, z, table, budget)
+        pair_lhs, pair_rhs = main, _balanced_pair_bound(pairs_z, z)
     else:
         pair_lhs = pair_rhs = None
     # Growth-rate diagnostic for the pair sum; trend data only, nothing

@@ -21,11 +21,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from .errors import ResourceLimitError
 from .ntcore import FactorTable, primes_in
 
 MIN_X = math.exp(math.e)
 DEFAULT_ENUM_BUDGET = 10_000_000
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -214,6 +217,71 @@ def support_elements(
     out = list(iter_support(res, cap, budget))
     out.sort(key=lambda e: e.n)
     return out
+
+
+@dataclass(frozen=True)
+class SupportArrays:
+    """The support <= some cap as parallel arrays sorted by n.
+
+    masks[k] has bit i set when the i-th window prime divides ns[k], so
+    two elements are coprime exactly when their masks share no bit.  The
+    mask dtype is the narrowest unsigned integer with a bit per window
+    prime (Python integers past 64 primes).  ns[0] = 1 unless empty.
+    """
+
+    ns: np.ndarray  # int64
+    masks: np.ndarray
+    r: np.ndarray
+    t: np.ndarray
+
+
+def support_arrays(
+    res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET
+) -> SupportArrays:
+    """The elements of support_elements(res, cap) as SupportArrays.
+
+    Built one window prime at a time, in ascending order: each prime p
+    extends every element so far whose product with p stays <= cap.  The
+    weights are thus multiplied up in ascending prime order, as in
+    iter_support, and agree with it bit for bit.
+
+    Raises:
+        ResourceLimitError: more than `budget` elements, or an element
+            beyond the int64 range.
+    """
+    widths = ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
+    mask_type = next((t for bits, t in widths if len(res.primes) <= bits), object)
+    size = 1 if cap >= 1.0 else 0
+    ns = np.ones(size, dtype=np.int64)
+    masks = np.zeros(size, dtype=mask_type)
+    r = np.ones(size)
+    t = np.ones(size)
+    top = math.floor(cap) if size else 0
+    for i, p in enumerate(res.primes):
+        limit = top // p
+        if limit < 1:
+            break  # primes ascend, so every later product is larger too
+        safe = _INT64_MAX // p
+        if limit > safe and np.any((ns > safe) & (ns <= min(limit, _INT64_MAX))):
+            raise ResourceLimitError(
+                f"support element below cap {cap} beyond the int64 range",
+                needed=top,
+                budget=_INT64_MAX,
+            )
+        sel = ns <= min(limit, safe)
+        count = len(ns) + int(np.count_nonzero(sel))
+        if count > budget:
+            raise ResourceLimitError(
+                f"support enumeration exceeded budget {budget} below cap {cap}",
+                needed=count,
+                budget=budget,
+            )
+        ns = np.concatenate((ns, ns[sel] * p))
+        masks = np.concatenate((masks, masks[sel] | (1 << i)))
+        r = np.concatenate((r, r[sel] * res.r_p[p]))
+        t = np.concatenate((t, t[sel] * res.t_p[p]))
+    order = np.argsort(ns, kind="stable")
+    return SupportArrays(ns=ns[order], masks=masks[order], r=r[order], t=t[order])
 
 
 def enumerate_support(

@@ -6,9 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from rescert.bump import default_bump, phi_hat
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rescert.bump import Bump, decay_constant, default_bump, phi_hat
+from rescert.cli import main as cli_main
 from rescert.errors import ResourceLimitError
 from rescert.moments import (
+    DEFAULT_DECAY_GRID,
     alpha_shift_error_term,
     balanced_pair_bound_check,
     diagonal_lower_bound,
@@ -29,8 +34,14 @@ from rescert.moments import (
 )
 from rescert.multfn import archimedean_cmf, constant_one, steinhaus_sample
 from rescert.ntcore import build_factor_table
-from rescert.oracle import ToyResonator, diagonal_sum_bruteforce, random_toy_resonator
+from rescert.oracle import (
+    BRUTE_FORCE_CAP,
+    ToyResonator,
+    diagonal_sum_bruteforce,
+    random_toy_resonator,
+)
 from rescert.resonator import (
+    Resonator,
     build_resonator,
     degenerate_resonator,
     support_elements,
@@ -189,6 +200,134 @@ def test_diagonal_sum_budget():
     toy = ToyResonator(values={1: 1.0, 2: 1.0})
     with pytest.raises(ResourceLimitError):
         diagonal_sum(toy, 50, 50.0, TABLE, budget=3)
+
+
+# -- sparse coprime-pair kernel ---------------------------------------------
+
+# `certify --n N --c 3 --f one` at N = 1e5 and 1e6 from the inclusion-
+# exclusion implementation the pair kernel replaced:
+# (diag_sum, main_term, tail_error).
+PINNED_C3 = {
+    100_000: (128420.98606102215, 1.0082646411263891, 0.14899788645682618),
+    1_000_000: (1684925.7997398882, 1.0336062485474968, 0.21372247297946656),
+}
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _resonator_on(primes, weights, x: float) -> Resonator:
+    """A Resonator with arbitrary primes and weights.
+
+    Small primes give supports whose elements share prime factors below
+    the brute-force cap, which window primes (all above 50) never do.
+    """
+    r_p = dict(zip(primes, weights))
+    return Resonator(
+        x=x,
+        lam=None,
+        window_lo=None,
+        window_hi=None,
+        primes=tuple(primes),
+        r_p=r_p,
+        t_p={p: r / (1.0 + r * r) for p, r in r_p.items()},
+        alpha_default=None,
+    )
+
+
+def _coprime_pairs(res: Resonator, z: float):
+    elems = support_elements(res, z)
+    return [(a, b) for a in elems for b in elems if math.gcd(a.n, b.n) == 1]
+
+
+@pytest.mark.parametrize("n_max", sorted(PINNED_C3))
+def test_certify_c3_pinned(tmp_path, n_max):
+    out = tmp_path / "out.json"
+    assert cli_main(["certify", "--n", str(n_max), "--c", "3", "--f", "one", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    diag, main, tail = PINNED_C3[n_max]
+    assert report["diag_sum"] == pytest.approx(diag, rel=1e-12)
+    assert report["main_term"] == pytest.approx(main, rel=1e-12)
+    assert report["tail_error"] == pytest.approx(tail, rel=1e-12)
+    assert report["balanced_pair_sum"] == report["main_term"]
+    assert not report["flags"]["diag_sum_truncated"]
+
+
+def test_diagonal_sum_g_cap_window_resonator():
+    n_max = 100_000
+    x = float(n_max) ** 2
+    res = build_resonator(x, TABLE)
+    full = diagonal_sum(res, n_max, x, TABLE)
+    assert diagonal_sum(res, n_max, x, TABLE, g_cap=2.0 * x) == full
+    previous = full
+    for g_cap in (x / 16.0, 1e6, 1e3, 100.0):
+        capped = diagonal_sum(res, n_max, x, TABLE, g_cap=g_cap)
+        assert 0.0 < capped <= previous
+        previous = capped
+    # The cap bounds the pair elements too: only (1, 1) with g = 1 is left.
+    assert diagonal_sum(res, n_max, x, TABLE, g_cap=1.0) == float(n_max)
+
+
+def test_diagonal_sum_sparse_budget_counts_coprime_pairs():
+    n_max = 100_000
+    x = float(n_max) ** 2
+    res = build_resonator(x, TABLE)
+    pairs = len(_coprime_pairs(res, n_max))
+    assert len(support_elements(res, x)) < pairs - 1  # enumeration fits either budget
+    with pytest.raises(ResourceLimitError) as info:
+        diagonal_sum(res, n_max, x, TABLE, budget=pairs - 1)
+    assert info.value.needed == pairs
+    assert info.value.budget == pairs - 1
+    assert diagonal_sum(res, n_max, x, TABLE, budget=pairs) > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    primes=st.lists(st.sampled_from(SMALL_PRIMES), max_size=8, unique=True).map(sorted),
+    data=st.data(),
+)
+def test_diagonal_sum_sparse_matches_bruteforce_property(primes, data):
+    weights = data.draw(
+        st.lists(st.floats(0.05, 2.0), min_size=len(primes), max_size=len(primes))
+    )
+    n_max = data.draw(st.integers(1, 200))
+    x = data.draw(st.floats(1.0, BRUTE_FORCE_CAP / n_max))
+    res = _resonator_on(primes, weights, x)
+    fast = diagonal_sum(res, n_max, x, TABLE)
+    brute = diagonal_sum_bruteforce(res, n_max, x, TABLE)
+    assert fast == pytest.approx(brute, rel=1e-12)
+
+
+def test_pair_sums_beyond_63_primes():
+    # More window primes than an int64 bitmask holds: the kernel falls
+    # back to Python-integer masks.
+    primes = [p for p in range(2, 360) if all(p % q for q in range(2, p))][:70]
+    res = _resonator_on(primes, [0.2 + 0.01 * i for i in range(70)], 500.0)
+    n_max, x, alpha = 20, 500.0, 0.1
+    assert diagonal_sum(res, n_max, x, TABLE) == pytest.approx(
+        diagonal_sum_bruteforce(res, n_max, x, TABLE), rel=1e-12
+    )
+    pairs = _coprime_pairs(res, n_max)
+    main = math.fsum(a.t * b.t * a.n * b.n / max(a.n, b.n) ** 3 for a, b in pairs)
+    assert moment_main_term(res, n_max, x, TABLE) == pytest.approx(main, rel=1e-12)
+    shift = {p: 1.0 + res.r_p[p] ** 2 * p**alpha for p in primes}
+    bracket = math.fsum(
+        a.r * b.r * (a.n * b.n) ** (alpha - 0.5)
+        * math.prod(v for p, v in shift.items() if (a.n * b.n) % p)
+        for a, b in pairs
+    )
+    plain = math.prod(1.0 + res.r_p[p] ** 2 for p in primes)
+    assert alpha_shift_error_term(res, n_max, x, alpha, TABLE) == pytest.approx(
+        x**-alpha * bracket / plain, rel=1e-12
+    )
+
+
+def test_decay_constant_belongs_to_its_bump():
+    # Each Bump is dropped before the next is made, so CPython may hand a
+    # new Bump the id of a collected one; it must still get its own
+    # constant.  With T = X = 1 and sum r = 1 the envelope is C_nu itself.
+    for w in (0.05, 0.125, 0.1, 0.05, 0.2):
+        got = m1_offdiag_bound(RES20, 1.0, 1.0, 3, b=Bump(ramp_width=w), sum_r=1.0)
+        assert got == decay_constant(Bump(ramp_width=w), 3, DEFAULT_DECAY_GRID)
 
 
 def test_diagonal_lower_bound_ordering():

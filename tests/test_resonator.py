@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from rescert.errors import ResourceLimitError
 from rescert.ntcore import build_factor_table
 from rescert.resonator import (
     MIN_X,
+    Resonator,
     build_resonator,
     degenerate_resonator,
     enumerate_support,
@@ -16,6 +18,7 @@ from rescert.resonator import (
     r_value,
     sum_r_squared,
     sum_t_over_sqrt,
+    support_arrays,
     support_elements,
     t_value,
     window_bounds,
@@ -94,6 +97,37 @@ def test_enumeration_budget():
     # Streaming consumers hit the same guard.
     with pytest.raises(ResourceLimitError):
         sum_r_squared(res, math.exp(100.0), budget=1000)
+
+
+def test_support_arrays_match_support_elements():
+    res = build_resonator(1e12, TABLE)  # 14 window primes, 3473 elements
+    elems = support_elements(res, 1e12)
+    arrays = support_arrays(res, 1e12)
+    idx = res.prime_index()
+    assert arrays.ns.tolist() == [e.n for e in elems]
+    # Weights multiply up in the same prime order: equal bit for bit.
+    assert arrays.r.tolist() == [e.r for e in elems]
+    assert arrays.t.tolist() == [e.t for e in elems]
+    assert arrays.masks.tolist() == [sum(1 << idx[p] for p in e.primes) for e in elems]
+    assert arrays.masks.dtype == np.uint16
+    assert support_arrays(res, 0.5).ns.tolist() == []
+    assert support_arrays(RES20, 1.0).ns.tolist() == [1]
+    assert support_arrays(RES20, 1e30).ns.tolist() == [1, 61]
+
+
+def test_support_arrays_budget_and_int64_range():
+    res = build_resonator(math.exp(100.0), TABLE)
+    with pytest.raises(ResourceLimitError) as info:
+        support_arrays(res, math.exp(100.0), budget=1000)
+    assert info.value.needed > 1000
+    big = (2147483647, 2147483659, 2147483693)
+    wide = Resonator(
+        x=1e30, lam=None, window_lo=None, window_hi=None, primes=big,
+        r_p=dict.fromkeys(big, 0.5), t_p=dict.fromkeys(big, 0.4), alpha_default=None,
+    )
+    assert len(support_arrays(wide, 1e19).ns) == 7  # products of two fit in int64
+    with pytest.raises(ResourceLimitError):
+        support_arrays(wide, 1e30)  # the product of all three does not
 
 
 def test_sums_on_empty_support():
