@@ -88,6 +88,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.n < 1:
             raise ValueError("N must be a positive integer")
+        for name in ("c", "t", "x", "eps"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(float(value)):
+                raise ValueError(f"--{name} must be finite, got {value}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.gamma < 1.0:
@@ -105,7 +109,10 @@ class RunConfig:
         if self.t is not None:
             t = float(self.t)
         else:
-            t = float(self.n) ** self.c
+            try:
+                t = float(self.n) ** self.c
+            except OverflowError:
+                raise ValueError(f"T = N^C overflows for N = {self.n}, C = {self.c}") from None
         if t < 1.0:
             raise ValueError("T must be at least 1")
         return t

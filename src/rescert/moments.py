@@ -49,9 +49,7 @@ from .resonator import (
     SupportArrays,
     SupportElement,
     euler_product_one_plus_r2,
-    iter_support,
     support_arrays,
-    support_elements,
     sum_r_squared,
 )
 
@@ -224,13 +222,6 @@ def m2_exact(
 # Coprime support pairs and the diagonal sums of the gcd parametrization.
 
 
-def _count_upto(ns: np.ndarray, cap: float) -> int:
-    """Number of sorted support integers ns <= cap."""
-    if not len(ns) or cap >= ns[-1]:
-        return len(ns)
-    return int(np.searchsorted(ns, math.floor(cap), side="right"))
-
-
 def _coprime_partners(masks: np.ndarray, count: int) -> Iterator[tuple[int, np.ndarray]]:
     """(j, idx) for j < count: idx holds every i <= j coprime to element j.
 
@@ -287,6 +278,41 @@ def _toy_r_vector(toy, x_int: int) -> list[float]:
     return [0.0] + [float(toy.value(k)) for k in range(1, x_int + 1)]
 
 
+def _window_diagonal(
+    sup: SupportArrays, n_max: int, x: float, budget: int, g_cap: float | None = None
+) -> float:
+    """diagonal_sum for a window resonator whose support <= min(X, g_cap)
+    is `sup`.
+
+    r is multiplicative on squarefree support, so a term is r(a') r(b')
+    floor(N/max) times the sum of r(g)^2 over support g <= X/max coprime
+    to a'b'.  For each larger element b' <= min(N, X) of sup the g-range
+    is the prefix of sup <= X/b', filtered to g coprime to b', and the
+    inner sums of all its coprime partners a' <= b' come from one blocked
+    masked product.  All terms are positive and go into one correctly
+    rounded sum.  The budget counts ordered coprime pairs (a', b'); they
+    are counted before any g-sum work.
+    """
+    count = len(sup.upto(min(float(n_max), x)).ns)
+    pairs = _ordered_pair_count(sup.masks, count)
+    if pairs > budget:
+        raise ResourceLimitError(
+            f"diagonal pair enumeration exceeded budget {budget}",
+            needed=pairs,
+            budget=budget,
+        )
+    r2 = sup.r * sup.r
+
+    def terms(j: int, idx: np.ndarray) -> np.ndarray:
+        n_j = int(sup.ns[j])
+        g = sup.upto(x / n_j if g_cap is None else min(x / n_j, g_cap))
+        g_ok = (g.masks & sup.masks[j]) == 0
+        inner = _coprime_r2_sums(sup.masks[idx], g.masks[g_ok], r2[: len(g.ns)][g_ok])
+        return ((n_max // n_j) * float(sup.r[j])) * sup.r[idx] * inner
+
+    return _ordered_pair_fsum(sup.masks, count, terms)
+
+
 def diagonal_sum(
     res,
     n_max: int,
@@ -306,15 +332,9 @@ def diagonal_sum(
     protocol).  `g_cap` truncates every inner g-range; the result is then
     a certified lower bound of the full sum.
 
-    For a window resonator r is multiplicative on squarefree support, so
-    a term is r(a') r(b') floor(N/max) times the sum of r(g)^2 over
-    support g <= X/max coprime to a'b'.  The support <= min(X, g_cap) is
-    enumerated once into arrays.  For each larger element b' <= min(N, X)
-    the g-range is the support prefix <= X/b', filtered to g coprime to
-    b', and the inner sums of all its coprime partners a' <= b' come from
-    one blocked masked product.  All terms are positive and go into one
-    correctly rounded sum.  The budget counts ordered coprime pairs
-    (a', b'); they are counted before any g-sum work.
+    For a window resonator the support <= min(X, g_cap) is built once
+    into arrays, and _window_diagonal sums over its coprime pairs; the
+    budget bounds both the support and the ordered coprime pairs.
 
     Raises:
         ResourceLimitError: support enumeration or coprime-pair count
@@ -324,31 +344,9 @@ def diagonal_sum(
         raise ValueError("N must be >= 1")
     if x < 1.0:
         raise ValueError("X must be >= 1")
-    z = min(float(n_max), x)
     if isinstance(res, Resonator):
         cap = x if g_cap is None else min(x, g_cap)
-        sup = support_arrays(res, cap, budget)
-        count = _count_upto(sup.ns, z)
-        pairs = _ordered_pair_count(sup.masks, count)
-        if pairs > budget:
-            raise ResourceLimitError(
-                f"diagonal pair enumeration exceeded budget {budget}",
-                needed=pairs,
-                budget=budget,
-            )
-        r2 = sup.r * sup.r
-
-        def terms(j: int, idx: np.ndarray) -> np.ndarray:
-            n_j = int(sup.ns[j])
-            g_hi = x / n_j if g_cap is None else min(x / n_j, g_cap)
-            g_end = _count_upto(sup.ns, g_hi)
-            g_ok = (sup.masks[:g_end] & sup.masks[j]) == 0
-            inner = _coprime_r2_sums(
-                sup.masks[idx], sup.masks[:g_end][g_ok], r2[:g_end][g_ok]
-            )
-            return ((n_max // n_j) * float(sup.r[j])) * sup.r[idx] * inner
-
-        return _ordered_pair_fsum(sup.masks, count, terms)
+        return _window_diagonal(support_arrays(res, cap, budget), n_max, x, budget, g_cap)
 
     # Dense path for explicit test resonators.
     x_int = math.floor(x)
@@ -450,40 +448,24 @@ def min_offdiag_gap(n_max: int, x_int: int) -> float:
     return float(np.min(np.diff(logs)))
 
 
-def _support_if_tiny(
-    res: Resonator, x: float, n_max: int, budget: int
-) -> list[SupportElement] | None:
-    """The sorted support when N * |support| <= 64, else None.
-
-    Bails out of the enumeration as soon as the product is exceeded, so
-    deciding "not tiny" never materializes a large support.
-    """
-    cap_count = 64 // max(1, n_max)
-    if cap_count < 1:
+def _support_within_budget(res: Resonator, cap: float, budget: int) -> SupportArrays | None:
+    """support_arrays(res, cap, budget), or None when that is over budget."""
+    try:
+        return support_arrays(res, cap, budget)
+    except ResourceLimitError:
         return None
-    out: list[SupportElement] = []
-    for e in iter_support(res, x, budget):
-        out.append(e)
-        if len(out) > cap_count:
-            return None
-    out.sort(key=lambda e: e.n)
-    return out
 
 
-def _sum_r_with_fallback(
-    res: Resonator, x: float, budget: int = DEFAULT_ENUM_BUDGET
-) -> tuple[float, bool]:
-    """sum of r(n) over support n <= x, or its Euler-product upper bound
-    prod_p (1 + r(p)) when enumeration would blow the budget.
+def _sum_r_with_fallback(res: Resonator, sup: SupportArrays | None) -> tuple[float, bool]:
+    """sum of r(n) over the support `sup`, or, when it is None (over
+    budget), the Euler-product upper bound prod_p (1 + r(p)).
 
     The second component flags the fallback.  An upper bound keeps every
     envelope built from it a valid bound.
     """
-    try:
-        return math.fsum(e.r for e in iter_support(res, x, budget)), False
-    except ResourceLimitError:
-        product = math.exp(math.fsum(math.log1p(res.r_p[p]) for p in res.primes))
-        return product, True
+    if sup is not None:
+        return math.fsum(sup.r.tolist()), False
+    return math.exp(math.fsum(math.log1p(res.r_p[p]) for p in res.primes)), True
 
 
 def offdiag_bound(
@@ -509,7 +491,8 @@ def offdiag_bound(
     if c_nu is None:
         c_nu = _decay_const(b, nu)
     if sum_r is None:
-        sum_r, _ = _sum_r_with_fallback(res, x)
+        sup = _support_within_budget(res, x, DEFAULT_ENUM_BUDGET)
+        sum_r, _ = _sum_r_with_fallback(res, sup)
     return (
         (t_bound / n_max)
         * n_max**2
@@ -533,7 +516,8 @@ def m1_offdiag_bound(
     if c_nu is None:
         c_nu = _decay_const(b, nu)
     if sum_r is None:
-        sum_r, _ = _sum_r_with_fallback(res, x)
+        sup = _support_within_budget(res, x, DEFAULT_ENUM_BUDGET)
+        sum_r, _ = _sum_r_with_fallback(res, sup)
     return t_bound * sum_r**2 * c_nu * (t_bound / x) ** (-nu)
 
 
@@ -670,11 +654,10 @@ def tail_truncation_check(
         raise ValueError("cap must be >= 1")
     excluded = tuple(p for p in res.primes if ab % p == 0)
     full = euler_product_one_plus_r2(res, exclude=excluded)
-    truncated = math.fsum(
-        e.r * e.r
-        for e in iter_support(res, cap, budget)
-        if all(p not in excluded for p in e.primes)
-    )
+    sup = support_arrays(res, cap, budget)
+    excluded_mask = sum(1 << i for i, p in enumerate(res.primes) if p in excluded)
+    r = sup.r[(sup.masks & excluded_mask) == 0]
+    truncated = math.fsum((r * r).tolist())
     tail = full - truncated
     if tail < 0.0:
         if tail < -1e-12 * full:
@@ -834,50 +817,59 @@ def ratio_and_bounds(
     """
     if exact_mode not in ("auto", "always", "never"):
         raise ValueError(f"unknown exact_mode {exact_mode!r}")
+    if n_max < 1:
+        raise ValueError("N must be >= 1")
     b = b or default_bump()
     x = res.x
     c = math.log(t_bound) / math.log(n_max) if n_max > 1 and t_bound > 1 else None
 
     flags: dict = {}
 
-    # Denominator sum r(n)^2 over n <= X; fall back to the Euler-product
-    # upper bound when the support enumeration is out of reach (keeps the
-    # reported ratio a certified lower bound).
-    try:
-        r2 = sum_r_squared(res, x, budget)
-        r2_denominator = r2
-        flags["r2_sum_truncated"] = False
-    except ResourceLimitError:
+    # Every support sum below runs over prefixes of one build of the
+    # support <= X.  When that build is over budget, prefixes are built
+    # on their own, and the sums over the whole support fall back as
+    # flagged: sum r(n)^2 and sum r(n) to Euler-product upper bounds
+    # (which keep the ratio a certified lower bound), the diagonal to
+    # g-ranges cut at g_cap.
+    sup = _support_within_budget(res, x, budget)
+
+    def support_upto(cap: float) -> SupportArrays:
+        return sup.upto(cap) if sup is not None else support_arrays(res, cap, budget)
+
+    flags["r2_sum_truncated"] = sup is None
+    if sup is not None:
+        r2 = r2_denominator = math.fsum((sup.r * sup.r).tolist())
+    else:
         r2 = None
         r2_denominator = euler_product_one_plus_r2(res)
-        flags["r2_sum_truncated"] = True
 
-    try:
-        diag = diagonal_sum(res, n_max, x, table, budget)
-        flags["diag_sum_truncated"] = False
-    except ResourceLimitError:
+    diag = None
+    if sup is not None:
+        try:
+            diag = _window_diagonal(sup, n_max, x, budget)
+        except ResourceLimitError:
+            pass
+    flags["diag_sum_truncated"] = diag is None
+    if diag is None:
         g_cap = x
-        while True:
+        while diag is None:
             g_cap /= 16.0
             try:
-                diag = diagonal_sum(res, n_max, x, table, budget, g_cap=g_cap)
-                break
+                diag = _window_diagonal(support_upto(g_cap), n_max, x, budget, g_cap)
             except ResourceLimitError:
                 if g_cap < 1.0:
                     raise
-        flags["diag_sum_truncated"] = True
         flags["diag_g_cap"] = g_cap
 
     ratio = diag / (n_max * r2_denominator)
     lower_bound = math.sqrt(max(0.0, ratio))
 
     c_nu = _decay_const(b, nu)
-    sum_r, sum_r_truncated = _sum_r_with_fallback(res, x, budget)
-    flags["sum_r_truncated"] = sum_r_truncated
+    sum_r, flags["sum_r_truncated"] = _sum_r_with_fallback(res, sup)
     od2 = offdiag_bound(res, n_max, x, t_bound, nu, table, b, c_nu=c_nu, sum_r=sum_r)
     od1 = m1_offdiag_bound(res, x, t_bound, nu, b, c_nu=c_nu, sum_r=sum_r)
     phi0 = b.transform(0.0).real
-    m1_diag = t_bound * phi0 * (r2 if r2 is not None else r2_denominator)
+    m1_diag = t_bound * phi0 * r2_denominator
     m2_diag = (t_bound / n_max) * phi0 * diag
 
     bracket_lo = None
@@ -891,12 +883,15 @@ def ratio_and_bounds(
         if bracket_lo is not None:
             lb_bracket = math.sqrt(bracket_lo)
 
+    # Exact moments need the whole support: under "always" an over-budget
+    # support raises again here; "auto" takes tiny ones, N * |support| <= 64.
     support = None
     m1_q = m1_e = m2_q = m2_e = None
     if exact_mode == "always":
-        support = support_elements(res, x, budget)
-    elif exact_mode == "auto" and t_bound <= EXACT_AUTO_MAX_T:
-        support = _support_if_tiny(res, x, n_max, budget)
+        support = support_upto(x).elements(res)
+    elif exact_mode == "auto" and t_bound <= EXACT_AUTO_MAX_T and sup is not None:
+        if n_max * len(sup.ns) <= 64:
+            support = sup.elements(res)
     if support is not None:
         if f is None:
             raise ValueError("exact moments require a coefficient function")
@@ -909,7 +904,7 @@ def ratio_and_bounds(
     # coprime support pairs <= z = min(N, X); main term and pair sum are
     # the same sum.
     z = min(float(n_max), x)
-    pairs_z = support_arrays(res, z, budget)
+    pairs_z = support_upto(z)
     alpha_eff = alpha if alpha is not None else res.alpha_default
     if alpha_eff is not None:
         tail = _alpha_tail(res, pairs_z, x, alpha_eff)

@@ -11,8 +11,12 @@ in the main-term lower bounds.  For small X the window is empty (the
 lower end exceeds the upper end); that is a legitimate degenerate state,
 flagged rather than rejected, in which r is supported on {1} alone.
 
-Support products can exceed any factor table, so enumeration carries the
-weights and prime tuples along instead of refactorizing.
+The support is the set of squarefree products of window primes up to a
+cap.  support_arrays is its one builder: sorted integers, prime bitmasks
+and both weights as parallel arrays, under an element budget.  Products
+can exceed any factor table, so the weights are multiplied up along the
+build instead of refactorizing; support_elements, iter_support and the
+support sums are views of those arrays.
 """
 
 from __future__ import annotations
@@ -134,11 +138,10 @@ def degenerate_resonator(x: float) -> Resonator:
     )
 
 
-def r_value(res: Resonator, n: int, table: FactorTable) -> float:
-    """r(n): product of r(p) over the factorization, zero off support."""
+def _multiplicative_value(weights: dict[int, float], n: int, table: FactorTable) -> float:
+    """Product of weights[p] over the factorization of n; zero unless n is
+    a squarefree product of primes in `weights`."""
     table._check_range(n)
-    if n == 1:
-        return 1.0
     out = 1.0
     spf = table.spf
     while n > 1:
@@ -146,77 +149,21 @@ def r_value(res: Resonator, n: int, table: FactorTable) -> float:
         n //= p
         if n % p == 0:
             return 0.0  # not squarefree
-        rp = res.r_p.get(p)
-        if rp is None:
+        w = weights.get(p)
+        if w is None:
             return 0.0  # prime outside the window
-        out *= rp
+        out *= w
     return out
+
+
+def r_value(res: Resonator, n: int, table: FactorTable) -> float:
+    """r(n): product of r(p) over the factorization, zero off support."""
+    return _multiplicative_value(res.r_p, n, table)
 
 
 def t_value(res: Resonator, n: int, table: FactorTable) -> float:
-    table._check_range(n)
-    if n == 1:
-        return 1.0
-    out = 1.0
-    spf = table.spf
-    while n > 1:
-        p = int(spf[n])
-        n //= p
-        if n % p == 0:
-            return 0.0
-        tp = res.t_p.get(p)
-        if tp is None:
-            return 0.0
-        out *= tp
-    return out
-
-
-def iter_support(
-    res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[SupportElement]:
-    """Lazily yield squarefree window-prime products <= cap with weights.
-
-    1 is always yielded first; the rest arrive in DFS order, not sorted.
-    Raises ResourceLimitError when more than `budget` elements would be
-    produced, which streaming consumers hit with flat memory use.
-    """
-    if cap < 1.0:
-        return
-    yield SupportElement(1, 1.0, 1.0, ())
-    count = 1
-    primes = res.primes
-    r_p, t_p = res.r_p, res.t_p
-    stack: list[tuple[int, float, float, tuple[int, ...], int]] = [(1, 1.0, 1.0, (), 0)]
-    while stack:
-        n, rv, tv, used, start = stack.pop()
-        for i in range(start, len(primes)):
-            p = primes[i]
-            m = n * p
-            if m > cap:
-                break  # primes ascend, so every later product is larger too
-            if count >= budget:
-                raise ResourceLimitError(
-                    f"support enumeration exceeded budget {budget} below cap {cap}",
-                    needed=count + 1,
-                    budget=budget,
-                )
-            elem = SupportElement(m, rv * r_p[p], tv * t_p[p], used + (p,))
-            count += 1
-            yield elem
-            stack.append((m, elem.r, elem.t, elem.primes, i + 1))
-
-
-def support_elements(
-    res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET
-) -> list[SupportElement]:
-    """All squarefree window-prime products <= cap, sorted, with weights.
-
-    1 is always included.  Raises ResourceLimitError when more than
-    `budget` elements would be produced.
-    """
-    out = list(iter_support(res, cap, budget))
-    out.sort(key=lambda e: e.n)
-    return out
+    """t(n): product of t(p) over the factorization, zero off support."""
+    return _multiplicative_value(res.t_p, n, table)
 
 
 @dataclass(frozen=True)
@@ -234,21 +181,42 @@ class SupportArrays:
     r: np.ndarray
     t: np.ndarray
 
+    def upto(self, cap: float) -> SupportArrays:
+        """The prefix of the elements <= cap."""
+        count = len(self.ns)
+        if count and cap < self.ns[-1]:
+            count = int(np.searchsorted(self.ns, math.floor(cap), side="right"))
+        return SupportArrays(
+            self.ns[:count], self.masks[:count], self.r[:count], self.t[:count]
+        )
+
+    def elements(self, res: Resonator) -> list[SupportElement]:
+        """The elements as SupportElements, prime tuples read off the masks."""
+        return [
+            SupportElement(n, r, t, tuple(p for i, p in enumerate(res.primes) if m >> i & 1))
+            for n, m, r, t in zip(
+                self.ns.tolist(), self.masks.tolist(), self.r.tolist(), self.t.tolist()
+            )
+        ]
+
 
 def support_arrays(
     res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET
 ) -> SupportArrays:
-    """The elements of support_elements(res, cap) as SupportArrays.
+    """All squarefree window-prime products <= cap, with their weights.
 
     Built one window prime at a time, in ascending order: each prime p
     extends every element so far whose product with p stays <= cap.  The
-    weights are thus multiplied up in ascending prime order, as in
-    iter_support, and agree with it bit for bit.
+    weights are thus multiplied up in ascending prime order.  1 is always
+    included when cap >= 1; cap = inf gives the whole support.
 
     Raises:
+        ValueError: cap is NaN.
         ResourceLimitError: more than `budget` elements, or an element
             beyond the int64 range.
     """
+    if math.isnan(cap):
+        raise ValueError("support cap must not be NaN")
     widths = ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
     mask_type = next((t for bits, t in widths if len(res.primes) <= bits), object)
     size = 1 if cap >= 1.0 else 0
@@ -256,7 +224,8 @@ def support_arrays(
     masks = np.zeros(size, dtype=mask_type)
     r = np.ones(size)
     t = np.ones(size)
-    top = math.floor(cap) if size else 0
+    # No element exceeds the product of all window primes.
+    top = math.floor(min(cap, math.prod(res.primes))) if size else 0
     for i, p in enumerate(res.primes):
         limit = top // p
         if limit < 1:
@@ -284,21 +253,38 @@ def support_arrays(
     return SupportArrays(ns=ns[order], masks=masks[order], r=r[order], t=t[order])
 
 
+def support_elements(
+    res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET
+) -> list[SupportElement]:
+    """The elements of support_arrays(res, cap, budget), sorted by n."""
+    return support_arrays(res, cap, budget).elements(res)
+
+
+def iter_support(
+    res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET
+) -> Iterator[SupportElement]:
+    """The elements of support_elements(res, cap, budget) one at a time,
+    in ascending order (1 first); the support is built on the first step."""
+    yield from support_elements(res, cap, budget)
+
+
 def enumerate_support(
     res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET
 ) -> list[int]:
     """Sorted support integers <= cap (always starts with 1)."""
-    return [e.n for e in support_elements(res, cap, budget)]
+    return support_arrays(res, cap, budget).ns.tolist()
 
 
 def sum_r_squared(res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET) -> float:
     """sum of r(n)^2 over support n <= cap."""
-    return math.fsum(e.r * e.r for e in iter_support(res, cap, budget))
+    r = support_arrays(res, cap, budget).r
+    return math.fsum((r * r).tolist())
 
 
 def sum_t_over_sqrt(res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET) -> float:
     """sum of t(m) / sqrt(m) over support m <= cap."""
-    return math.fsum(e.t / math.sqrt(e.n) for e in iter_support(res, cap, budget))
+    sup = support_arrays(res, cap, budget)
+    return math.fsum((sup.t / np.sqrt(sup.ns)).tolist())
 
 
 def euler_product_one_plus_r2(res: Resonator, exclude: tuple[int, ...] = ()) -> float:

@@ -175,6 +175,26 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["search", "--config", cfg_path]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "10", "--t", "100", "--x", "nan"],
+        ["certify", "--n", "10", "--t", "nan"],
+        ["certify", "--n", "10", "--c", "nan"],
+        ["certify", "--n", "10", "--t", "inf"],
+        ["search", "--n", "10", "--t", "inf"],
+        ["search", "--n", "10", "--t", "100", "--eps", "inf"],
+        ["certify", "--n", "10", "--c", "1e6"],  # N^C overflows
+    ],
+)
+def test_non_finite_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_budget_exhaustion_exits_3():
     code = main(["search", "--n", "1000", "--t", "1e8", "--eps", "1e-3"])
     assert code == 3
+    # Exact moments need the whole support, here over the term budget.
+    argv = ["certify", "--n", "4", "--t", "1e4", "--x", "1e9", "--exact", "always"]
+    assert main([*argv, "--budget-terms", "2"]) == 3

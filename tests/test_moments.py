@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rescert import moments
 from rescert.bump import Bump, decay_constant, default_bump, phi_hat
 from rescert.cli import main as cli_main
 from rescert.errors import ResourceLimitError
@@ -44,6 +45,7 @@ from rescert.resonator import (
     Resonator,
     build_resonator,
     degenerate_resonator,
+    support_arrays,
     support_elements,
     sum_r_squared,
     sum_t_over_sqrt,
@@ -252,6 +254,61 @@ def test_certify_c3_pinned(tmp_path, n_max):
     assert not report["flags"]["diag_sum_truncated"]
 
 
+# `certify --n 1000000 --c 3` under three term budgets: the support <= X
+# over budget; the support within it but not the diagonal's coprime
+# pairs; everything within it.  (budget, support sums truncated, diagonal
+# truncated, diag_g_cap, ratio), from the enumerator this replaced.
+BUDGET_REGIMES = (
+    (3000, True, True, 3725.2902984619254, 1.0064440254241152),
+    (8000, False, True, 3725.2902984619254, 1.0064461334172656),
+    (20000, False, False, None, 1.08110278837266),
+)
+
+
+@pytest.mark.parametrize("budget, sums_cut, diag_cut, g_cap, ratio", BUDGET_REGIMES)
+def test_certify_budget_fallbacks_pinned(tmp_path, budget, sums_cut, diag_cut, g_cap, ratio):
+    out = tmp_path / "out.json"
+    argv = ["certify", "--n", "1000000", "--c", "3", "--budget-terms", str(budget)]
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    flags = report["flags"]
+    assert flags["r2_sum_truncated"] is sums_cut
+    assert flags["sum_r_truncated"] is sums_cut
+    assert flags["diag_sum_truncated"] is diag_cut
+    assert flags.get("diag_g_cap") == g_cap
+    assert report["ratio"] == pytest.approx(ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "res, n_max, t_bound",
+    [(build_resonator(1e12, TABLE), 10_000, 1e12), (RES20, 3, 1e4)],  # the second is tiny
+)
+def test_report_builds_the_support_once(monkeypatch, res, n_max, t_bound):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return support_arrays(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "support_arrays", counted)
+    report = ratio_and_bounds(res, constant_one(), n_max, t_bound, 0.5, 0.5, TABLE)
+    assert not any(report.flags.values())
+    assert len(calls) == 1
+    assert (report.m1_exact is not None) == (n_max == 3)
+
+
+def test_report_over_budget_skips_auto_exact_moments():
+    # The support <= X (4 elements, a tiny instance at N = 4) is over the
+    # budget: "auto" leaves out the exact moments, "always" cannot.
+    res = build_resonator(1e9, TABLE)
+    report = ratio_and_bounds(res, constant_one(), 4, 1e4, 0.5, 0.5, TABLE, budget=2)
+    assert report.flags["r2_sum_truncated"] and report.flags["diag_sum_truncated"]
+    assert report.m1_exact is None and report.m2_quad is None
+    with pytest.raises(ResourceLimitError):
+        ratio_and_bounds(res, constant_one(), 4, 1e4, 0.5, 0.5, TABLE, budget=2,
+                         exact_mode="always")
+
+
 def test_diagonal_sum_g_cap_window_resonator():
     n_max = 100_000
     x = float(n_max) ** 2
@@ -319,6 +376,11 @@ def test_pair_sums_beyond_63_primes():
     assert alpha_shift_error_term(res, n_max, x, alpha, TABLE) == pytest.approx(
         x**-alpha * bracket / plain, rel=1e-12
     )
+    ab = 2 * primes[67]  # one prime below bit 64 of the masks, one above
+    kept = [e.r**2 for e in support_elements(res, x) if math.gcd(e.n, ab) == 1]
+    full = plain / ((1.0 + res.r_p[2] ** 2) * (1.0 + res.r_p[primes[67]] ** 2))
+    tail, _ = tail_truncation_check(res, ab, x, alpha, TABLE)
+    assert tail == pytest.approx(full - math.fsum(kept), rel=1e-9)
 
 
 def test_decay_constant_belongs_to_its_bump():

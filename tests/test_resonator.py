@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -99,20 +100,53 @@ def test_enumeration_budget():
         sum_r_squared(res, math.exp(100.0), budget=1000)
 
 
+def _support_by_subsets(res: Resonator, cap: float) -> list[tuple]:
+    """(n, r, t, primes) for every subset of window primes with product
+    <= cap, sorted by n; weights multiplied up in ascending prime order."""
+    out = []
+    for k in range(len(res.primes) + 1):
+        for primes in itertools.combinations(res.primes, k):
+            n = math.prod(primes)
+            if n <= cap:
+                r = t = 1.0
+                for p in primes:
+                    r *= res.r_p[p]
+                    t *= res.t_p[p]
+                out.append((n, r, t, primes))
+    return sorted(out)
+
+
 def test_support_arrays_match_support_elements():
     res = build_resonator(1e12, TABLE)  # 14 window primes, 3473 elements
-    elems = support_elements(res, 1e12)
+    want = _support_by_subsets(res, 1e12)
+    assert len(want) == 3473
     arrays = support_arrays(res, 1e12)
     idx = res.prime_index()
-    assert arrays.ns.tolist() == [e.n for e in elems]
+    assert arrays.ns.tolist() == [n for n, _, _, _ in want]
     # Weights multiply up in the same prime order: equal bit for bit.
-    assert arrays.r.tolist() == [e.r for e in elems]
-    assert arrays.t.tolist() == [e.t for e in elems]
-    assert arrays.masks.tolist() == [sum(1 << idx[p] for p in e.primes) for e in elems]
+    assert arrays.r.tolist() == [r for _, r, _, _ in want]
+    assert arrays.t.tolist() == [t for _, _, t, _ in want]
+    assert arrays.masks.tolist() == [sum(1 << idx[p] for p in ps) for _, _, _, ps in want]
     assert arrays.masks.dtype == np.uint16
+    assert [(e.n, e.r, e.t, e.primes) for e in support_elements(res, 1e12)] == want
+    prefix = arrays.upto(1e6)
+    assert prefix.ns.tolist() == [n for n, _, _, _ in want if n <= 1e6]
+    assert prefix.r.tolist() == support_arrays(res, 1e6).r.tolist()
     assert support_arrays(res, 0.5).ns.tolist() == []
     assert support_arrays(RES20, 1.0).ns.tolist() == [1]
     assert support_arrays(RES20, 1e30).ns.tolist() == [1, 61]
+
+
+def test_support_edge_caps():
+    res = build_resonator(math.exp(20.2), TABLE)  # window primes {61, 67}
+    # An infinite cap takes the whole support.
+    assert enumerate_support(res, math.inf) == [1, 61, 67, 4087]
+    assert sum_r_squared(res, math.inf) == euler_product_one_plus_r2(res)
+    with pytest.raises(ValueError):
+        support_arrays(res, math.nan)
+    with pytest.raises(ValueError):
+        sum_r_squared(res, math.nan)
+    assert support_arrays(res, -math.inf).ns.tolist() == []
 
 
 def test_support_arrays_budget_and_int64_range():
