@@ -88,10 +88,12 @@ class RunConfig:
     def validate(self) -> None:
         if self.n < 1:
             raise ValueError("N must be a positive integer")
-        for name in ("c", "t", "x", "eps"):
+        for name in ("c", "t", "x", "eps", "window_lo", "window_hi"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(float(value)):
-                raise ValueError(f"--{name} must be finite, got {value}")
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        if self.budget_points < 1:
+            raise ValueError(f"--budget-points must be at least 1, got {self.budget_points}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.gamma < 1.0:

@@ -3,15 +3,19 @@
 D_{f,N}(t) = N^{-1/2} * sum_{n<=N} f(n) * n^{it}.  The derivative bound
 |D'| <= sqrt(N) * log N turns a uniform grid of step h into a certificate:
 the true supremum over the scanned window exceeds the best grid value by
-at most h * sqrt(N) * log(N) / 2.  Long scans use per-n phase rotors
-(multiply by exp(i*h*log n) each step) with periodic re-synchronization
-from direct exponentials so rotor drift cannot accumulate.
+at most h * sqrt(N) * log(N) / 2.  One kernel, _grid_values, scans D_N and
+the resonator polynomial R: direct exponentials every RESYNC_STRIDE points
+(the anchors), products of two small phase tables in between.  The anchors
+stay at fixed grid indices: at |t| ~ 6e10 each phase t*log n carries ~3e-5
+rad of rounding, so moved anchors shift grid values by ~1e-5 relative,
+enough to change which grid point wins a near tie.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,14 +40,7 @@ class SearchResult:
     window: tuple[float, float]
 
     def as_dict(self) -> dict:
-        return {
-            "t_star": self.t_star,
-            "value": self.value,
-            "grid_step": self.grid_step,
-            "refinement_iterations": self.refinement_iterations,
-            "certified_slack": self.certified_slack,
-            "window": list(self.window),
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 def derivative_bound(n_max: int) -> float:
@@ -58,6 +55,61 @@ def eval_DN(f: UnimodularCMF, n_max: int, t: float, table: FactorTable) -> compl
     coeffs = values_up_to(f, n_max, table)
     logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
     return complex(np.sum(coeffs * np.exp(1j * t * logs)) / math.sqrt(n_max))
+
+
+def _dn_terms(f: UnimodularCMF, n_max: int, table: FactorTable):
+    """Coefficients f(n) / sqrt(N) and log n of D_{f,N}, and t -> |D_{f,N}(t)|^2."""
+    coeffs = values_up_to(f, n_max, table) / math.sqrt(n_max)
+    logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
+
+    def abs2(t: float) -> float:
+        v = np.sum(coeffs * np.exp(1j * t * logs))
+        return float(v.real * v.real + v.imag * v.imag)
+
+    return coeffs, logs, abs2
+
+
+def _grid_values(coeffs, logs, origin: float, k0: int, count: int, h: float):
+    """Yield (start, values): values[k] = sum_n c_n e^{i*t*log n}, t = origin + (k0 + start + k)*h.
+
+    A block of size <= RESYNC_STRIDE points starts at the anchor t0 = origin + (k0 + start)*h.
+    With rows = ceil(sqrt(size)), its point j + rows*m is the inner table e^{i*j*h*log n} times
+    c_n e^{i*t0*log n} times the outer table e^{i*rows*m*h*log n}, summed over n.  The terms
+    run in slices of RESYNC_STRIDE, so the tables stay within 201 * RESYNC_STRIDE entries.
+    """
+    for start in range(0, count, RESYNC_STRIDE):
+        size = min(RESYNC_STRIDE, count - start)
+        rows = math.isqrt(size - 1) + 1
+        t0 = origin + (k0 + start) * h
+        phases = np.concatenate(([t0], np.arange(rows) * h, np.arange(0, size, rows) * h))
+        block = np.zeros((rows, phases.size - 1 - rows), dtype=np.complex128)
+        for s in range(0, logs.size, RESYNC_STRIDE):
+            x = np.outer(phases, logs[s : s + RESYNC_STRIDE])
+            # e^{i*x} from cos and sin: half the work of np.exp(1j * x).
+            tab = np.empty(x.shape, dtype=np.complex128)
+            np.cos(x, out=tab.real)
+            np.sin(x, out=tab.imag)
+            anchor = coeffs[s : s + RESYNC_STRIDE] * tab[0]
+            block += tab[1 : rows + 1] @ (tab[rows + 1 :] * anchor).T
+        yield start, block.T.ravel()[:size]
+
+
+def _search_args(n_max: int, t_bound: float, eps, window, eval_budget: int, eps_scale: float):
+    """Checked (eps, lo, hi) of a search; by default eps = eps_scale * sqrt(N), window [-T, T]."""
+    if n_max < 1:
+        raise ValueError("N must be >= 1")
+    if not t_bound > 0.0:
+        raise ValueError(f"T must be positive, got {t_bound}")
+    if eps is None:
+        eps = eps_scale * math.sqrt(n_max)
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if eval_budget < 1:
+        raise ValueError(f"eval budget must be >= 1, got {eval_budget}")
+    lo, hi = window if window is not None else (-t_bound, t_bound)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"window [{lo}, {hi}] must be finite and non-empty")
+    return eps, lo, hi
 
 
 def _support_coeff_logs(
@@ -103,25 +155,25 @@ def eval_R(
     return complex(np.sum(coeffs * np.exp(1j * t * logs)))
 
 
-def _refine_peak(eval_abs2, lo: float, hi: float, tol_width: float) -> tuple[float, float, int]:
-    """Golden-section maximization of eval_abs2 on [lo, hi]."""
-    a, b = lo, hi
+def _refine_peak(abs2, t_c: float, step: float, lo: float, hi: float) -> tuple[float, float, int]:
+    """Golden-section maximization of abs2 on [t_c - step, t_c + step] within [lo, hi]."""
+    a, b = max(lo, t_c - step), min(hi, t_c + step)
+    tol_width = REFINE_REL_WIDTH * max(1.0, abs(t_c))
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = eval_abs2(c), eval_abs2(d)
+    fc, fd = abs2(c), abs2(d)
     iters = 0
     while (b - a) > tol_width and iters < 200:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
-            fc = eval_abs2(c)
+            fc = abs2(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
-            fd = eval_abs2(d)
+            fd = abs2(d)
         iters += 1
-    t_best = c if fc >= fd else d
-    return t_best, max(fc, fd), iters
+    return (c, fc, iters) if fc >= fd else (d, fd, iters)
 
 
 def grid_sup(
@@ -149,17 +201,7 @@ def grid_sup(
         ResourceLimitError: the grid would exceed eval_budget points
             (use a larger eps or a narrower window).
     """
-    if n_max < 1:
-        raise ValueError("N must be >= 1")
-    if t_bound <= 0:
-        raise ValueError("T must be positive")
-    if eps is None:
-        eps = 1e-3 * math.sqrt(n_max)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    lo, hi = window if window is not None else (-t_bound, t_bound)
-    if not (lo <= hi):
-        raise ValueError(f"empty window [{lo}, {hi}]")
+    eps, lo, hi = _search_args(n_max, t_bound, eps, window, eval_budget, 1e-3)
 
     deriv = derivative_bound(n_max)
     if deriv == 0.0:
@@ -189,16 +231,7 @@ def grid_sup(
             budget=eval_budget,
         )
 
-    coeffs = values_up_to(f, n_max, table) / math.sqrt(n_max)
-    logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
-
-    def abs2(t: float) -> float:
-        v = np.sum(coeffs * np.exp(1j * t * logs))
-        return float(v.real * v.real + v.imag * v.imag)
-
-    trace_file = open(trace_path, "w") if trace_path and trace_stride > 0 else None
-    if trace_file:
-        trace_file.write("t,abs_dn\n")
+    coeffs, logs, abs2 = _dn_terms(f, n_max, table)
 
     best_mag2 = -1.0
     best_t = lo
@@ -214,34 +247,22 @@ def grid_sup(
 
     consider(lo, abs2(lo))
     consider(hi, abs2(hi))
-    try:
-        rot_step = np.exp(1j * step * logs)
-        for block_start in range(0, n_interior, RESYNC_STRIDE):
-            block_len = min(RESYNC_STRIDE, n_interior - block_start)
-            t0 = (k_lo + block_start) * step
-            state = coeffs * np.exp(1j * t0 * logs)  # re-sync from direct exp
-            for k in range(block_len):
-                val = state.sum()
-                mag2 = val.real * val.real + val.imag * val.imag
-                t_k = (k_lo + block_start + k) * step
-                if mag2 > best_mag2 + 1e-18 or (
-                    abs(mag2 - best_mag2) <= 1e-18
-                    and (abs(t_k) < abs(best_t) or (abs(t_k) == abs(best_t) and t_k < best_t))
-                ):
-                    best_mag2 = mag2
-                    best_t = t_k
-                if trace_file and (block_start + k) % trace_stride == 0:
-                    trace_file.write(f"{t_k:.17g},{math.sqrt(mag2):.17g}\n")
-                if k + 1 < block_len:
-                    state *= rot_step
-    finally:
-        if trace_file:
-            trace_file.close()
+    tracing = bool(trace_path) and trace_stride > 0
+    with open(trace_path, "w") if tracing else contextlib.nullcontext() as trace_file:
+        if tracing:
+            trace_file.write("t,abs_dn\n")
+        for start, vals in _grid_values(coeffs, logs, 0.0, k_lo, n_interior, step):
+            mag2 = vals.real * vals.real + vals.imag * vals.imag
+            # Only points within the tie tolerance of the block maximum can
+            # win; they reach consider() in grid order.
+            for k in np.flatnonzero(mag2 >= mag2.max() - 1e-18):
+                consider((k_lo + start + int(k)) * step, float(mag2[k]))
+            if tracing:
+                for k in range(-start % trace_stride, vals.size, trace_stride):
+                    t_k = (k_lo + start + k) * step
+                    trace_file.write(f"{t_k:.17g},{math.sqrt(mag2[k]):.17g}\n")
 
-    ref_lo = max(lo, best_t - step)
-    ref_hi = min(hi, best_t + step)
-    tol_width = REFINE_REL_WIDTH * max(1.0, abs(best_t))
-    t_star, mag2_star, iters = _refine_peak(abs2, ref_lo, ref_hi, tol_width)
+    t_star, mag2_star, iters = _refine_peak(abs2, best_t, step, lo, hi)
     # Keep the grid point unless refinement wins by more than float noise
     # (sub-ulp "gains" near a flat peak would displace an exact t=0).
     if mag2_star - best_mag2 <= 1e-12 * max(1.0, best_mag2):
@@ -269,14 +290,12 @@ def resonance_guided_search(
     (certified_slack is None).  With an empty resonator support this
     degenerates to a plain coarse grid_sup on D_N.
     """
-    if coarse_eps is None:
-        coarse_eps = 1e-2 * math.sqrt(n_max)
+    coarse_eps, lo, hi = _search_args(n_max, t_bound, coarse_eps, window, eval_budget, 1e-2)
     support = support_elements(res, res.x)
     if len(support) <= 1:
         return grid_sup(
             f, n_max, t_bound, coarse_eps, table, window=window, eval_budget=eval_budget
         )
-    lo, hi = window if window is not None else (-t_bound, t_bound)
     deriv = derivative_bound(n_max)
     step = 2.0 * coarse_eps / deriv if deriv > 0 else (hi - lo) or 1.0
     n_points = int(math.floor((hi - lo) / step)) + 1 if hi > lo else 1
@@ -290,22 +309,12 @@ def resonance_guided_search(
         step = (hi - lo) / (n_points - 1)
 
     r_coeffs, r_logs = _support_coeff_logs(res, f, support)
-    t_grid = lo + step * np.arange(n_points)
     r_mag = np.empty(n_points, dtype=np.float64)
-    chunk = 1 << 16
-    for s in range(0, n_points, chunk):
-        ts = t_grid[s : s + chunk]
-        vals = np.exp(1j * np.outer(ts, r_logs)) @ r_coeffs
-        r_mag[s : s + chunk] = np.abs(vals)
+    for start, vals in _grid_values(r_coeffs, r_logs, lo, 0, n_points, step):
+        r_mag[start : start + vals.size] = np.abs(vals)
 
     # Local maxima of |R|, best first.
-    interior = np.arange(1, n_points - 1) if n_points > 2 else np.array([], dtype=int)
-    is_peak = (
-        (r_mag[interior] >= r_mag[interior - 1]) & (r_mag[interior] >= r_mag[interior + 1])
-        if interior.size
-        else np.array([], dtype=bool)
-    )
-    peak_idx = interior[is_peak] if interior.size else np.array([], dtype=int)
+    peak_idx = 1 + np.flatnonzero((r_mag[1:-1] >= r_mag[:-2]) & (r_mag[1:-1] >= r_mag[2:]))
     if peak_idx.size == 0:
         peak_idx = np.array([int(np.argmax(r_mag))])
     heights = r_mag[peak_idx]
@@ -317,27 +326,16 @@ def resonance_guided_search(
     blur = h_top * (float(r_logs.max(initial=0.0)) * step) ** 2
     in_band = heights >= h_top - blur
     band = peak_idx[in_band]
-    band = band[np.argsort(np.abs(t_grid[band]), kind="stable")]
+    band = band[np.argsort(np.abs(lo + step * band), kind="stable")]
     rest = peak_idx[~in_band]
     rest = rest[np.argsort(heights[~in_band], kind="stable")[::-1]]
     candidates = np.concatenate([band, rest])[:top_k]
 
-    coeffs = values_up_to(f, n_max, table) / math.sqrt(n_max)
-    logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
-
-    def abs2(t: float) -> float:
-        v = np.sum(coeffs * np.exp(1j * t * logs))
-        return float(v.real * v.real + v.imag * v.imag)
-
-    best = (-1.0, lo, 0)
-    for idx in candidates:
-        t_c = t_grid[int(idx)]
-        t_lo, t_hi = max(lo, t_c - step), min(hi, t_c + step)
-        tol_width = REFINE_REL_WIDTH * max(1.0, abs(t_c))
-        t_best, mag2, iters = _refine_peak(abs2, t_lo, t_hi, tol_width)
-        if mag2 > best[0]:
-            best = (mag2, t_best, iters)
-    mag2, t_star, iters = best
-    return SearchResult(
-        t_star, math.sqrt(abs2(t_star)), step, iters, None, (lo, hi)
+    _, _, abs2 = _dn_terms(f, n_max, table)
+    # The first of the highest refined peaks wins.
+    t_star, mag2, iters = max(
+        (_refine_peak(abs2, lo + step * int(idx), step, lo, hi) for idx in candidates),
+        key=lambda peak: peak[1],
+        default=(lo, abs2(lo), 0),
     )
+    return SearchResult(t_star, math.sqrt(mag2), step, iters, None, (lo, hi))

@@ -185,10 +185,21 @@ def test_usage_errors_exit_2(tmp_path):
         ["search", "--n", "10", "--t", "inf"],
         ["search", "--n", "10", "--t", "100", "--eps", "inf"],
         ["certify", "--n", "10", "--c", "1e6"],  # N^C overflows
+        ["search", "--n", "10", "--t", "100", "--window-hi", "inf"],
+        ["search", "--n", "10", "--t", "100", "--window-lo=-inf"],
+        ["search", "--guided", "--n", "10", "--t", "100", "--window-lo=-inf"],
+        ["search", "--guided", "--n", "10", "--t", "100", "--window-hi", "nan"],
     ],
 )
 def test_non_finite_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("guided", [[], ["--guided"]])
+def test_search_budget_points_below_one_exit_2(budget, guided, capsys):
+    assert main(["search", *guided, "--n", "10", "--t", "100", "--budget-points", budget]) == 2
     assert capsys.readouterr().out == ""
 
 

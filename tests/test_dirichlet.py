@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rescert.dirichlet import (
+    RESYNC_STRIDE,
+    _grid_values,
     derivative_bound,
     eval_DN,
     eval_R,
@@ -14,7 +17,7 @@ from rescert.dirichlet import (
     resonance_guided_search,
 )
 from rescert.errors import ResourceLimitError
-from rescert.multfn import archimedean_cmf, constant_one, steinhaus_sample
+from rescert.multfn import archimedean_cmf, constant_one, steinhaus_sample, values_up_to
 from rescert.ntcore import build_factor_table
 from rescert.resonator import build_resonator, degenerate_resonator, support_elements
 
@@ -118,13 +121,65 @@ def test_grid_sup_degenerate_window():
     assert result.value == pytest.approx(abs(eval_DN(constant_one(), 9, 3.0, TABLE)), rel=1e-12)
 
 
+def _kernel_abs2(coeffs, logs, origin, k0, count, h):
+    blocks = list(_grid_values(coeffs, logs, origin, k0, count, h))
+    assert [start for start, _ in blocks] == list(range(0, count, RESYNC_STRIDE))
+    vals = np.concatenate([v for _, v in blocks])
+    assert vals.shape == (count,)
+    return np.abs(vals) ** 2
+
+
+def _direct_abs2(coeffs, logs, ts):
+    return np.array([abs(np.sum(coeffs * np.exp(1j * t * logs))) ** 2 for t in ts])
+
+
+def test_grid_kernel_matches_direct_across_anchor_blocks():
+    # Three anchor blocks, the last one partial, at t ~ 1e3.
+    n = 60
+    coeffs = values_up_to(steinhaus_sample(5), n, TABLE) / math.sqrt(n)
+    logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+    h = 2e-3 / math.log(n)
+    k0, count = int(1000.0 / h), 2 * RESYNC_STRIDE + 37
+    ts = (k0 + np.arange(count)) * h
+    got = _kernel_abs2(coeffs, logs, 0.0, k0, count, h)
+    assert np.max(np.abs(got - _direct_abs2(coeffs, logs, ts))) <= 1e-9
+    # An origin off the grid of multiples of h (the guided-search form).
+    origin = 1000.0 + h / 3
+    got = _kernel_abs2(coeffs, logs, origin, 0, 301, h)
+    assert np.max(np.abs(got - _direct_abs2(coeffs, logs, origin + np.arange(301) * h))) <= 1e-9
+
+
+def test_grid_kernel_matches_direct_across_term_slices():
+    # N = 12 000 terms run in two slices of at most RESYNC_STRIDE.
+    n = 12_000
+    table = build_factor_table(n)
+    f = steinhaus_sample(9, table.limit)
+    coeffs = values_up_to(f, n, table) / math.sqrt(n)
+    logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+    h = 2e-3 / math.log(n)
+    k0, count = int(777.0 / h), 150
+    got = _kernel_abs2(coeffs, logs, 0.0, k0, count, h)
+    assert np.max(np.abs(got - _direct_abs2(coeffs, logs, (k0 + np.arange(count)) * h))) <= 1e-9
+
+
 def test_grid_sup_trace(tmp_path):
     path = os.path.join(tmp_path, "trace.csv")
-    grid_sup(constant_one(), 4, 2.0, 0.05, TABLE, trace_path=path, trace_stride=10)
+    f, n, eps, stride = steinhaus_sample(4), 40, 0.05, 997
+    window = (900.0, 960.0)
+    result = grid_sup(f, n, 1e3, eps, TABLE, window=window, trace_path=path, trace_stride=stride)
     with open(path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "t,abs_dn"
-    assert len(lines) > 1
+    step = result.grid_step
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    # Interior grid points are the multiples k * step inside the window.
+    k_lo, k_hi = round(rows[0][0] / step), math.floor(window[1] / step)
+    assert (k_lo - 1) * step < window[0] <= k_lo * step and k_hi * step <= window[1]
+    assert k_hi - k_lo > RESYNC_STRIDE  # the trace crosses an anchor block
+    assert len(rows) == len(range(0, k_hi - k_lo + 1, stride))
+    for j, (t, abs_dn) in enumerate(rows):
+        assert t == (k_lo + j * stride) * step
+        assert abs_dn == pytest.approx(abs(eval_DN(f, n, t, TABLE)), rel=1e-9)
 
 
 def test_grid_sup_validation():
@@ -139,6 +194,45 @@ def test_grid_sup_validation():
         grid_sup(one, 4, 10.0, 0.1, TABLE, window=(2.0, 1.0))
     with pytest.raises(ResourceLimitError):
         grid_sup(one, 100, 1e6, 1e-6, TABLE, eval_budget=1000)
+
+
+def test_grid_sup_memory_bounded_at_large_n():
+    # The kernel's tables are sliced by terms: unsliced 100 x N tables
+    # would need about 1 GB here.
+    n = 200_000
+    table = build_factor_table(n)
+    h = 2e-3 / math.log(n)
+    tracemalloc.start()
+    try:
+        grid_sup(constant_one(), n, 1e4, None, table, window=(1000.0, 1000.0 + 1000 * h))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(window=(50.0, 40.0)),
+        dict(window=(0.0, math.inf)),
+        dict(window=(-math.inf, 0.0)),
+        dict(window=(math.nan, 1.0)),
+        dict(eps=0.0),
+        dict(eps=-1.0),
+        dict(eps=math.inf),
+        dict(eval_budget=0),
+        dict(eval_budget=-5),
+    ],
+)
+def test_search_argument_checks(kwargs):
+    # Both searches share one check, with or without a resonator support.
+    eps = kwargs.pop("eps", None)
+    with pytest.raises(ValueError):
+        grid_sup(constant_one(), 25, 100.0, eps, TABLE, **kwargs)
+    for res in (RES20, degenerate_resonator(3.0)):
+        with pytest.raises(ValueError):
+            resonance_guided_search(res, constant_one(), 25, 100.0, eps, TABLE, **kwargs)
 
 
 def test_guided_search_constant_one():
