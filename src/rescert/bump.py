@@ -16,7 +16,11 @@ to 12 significant digits.  Oscillatory cancellation pushes genuine
 transform values below double precision noise (~1e-16) for large |xi|;
 callers that need trustworthy relative magnitudes out there (decay
 diagnostics) request deep=True, which re-evaluates those points in
-50-digit arithmetic.
+50-digit arithmetic.  The deep path substitutes x = 1/2 + w*s on the
+up-ramp and x = 1 - w*s on the down-ramp, so both ramps become one
+integral of psi(s) times two phases over s in [0, 1]; mpmath's
+Gauss-Legendre rule integrates it piece by piece between half-cycle
+breakpoints.
 """
 
 from __future__ import annotations
@@ -120,7 +124,12 @@ class Bump:
         Negative arguments route through phi_hat(-xi) conjugated (exact
         for a real window), so conjugate pairs cancel exactly in the
         moment sums.
+
+        Raises:
+            ValueError: xi is NaN or infinite.
         """
+        if not math.isfinite(xi):
+            raise ValueError(f"transform argument must be finite, got {xi}")
         if xi < 0.0:
             return self.transform(-xi, deep=deep).conjugate()
         key = f"{float(xi):.12e}"
@@ -164,20 +173,22 @@ class Bump:
         return complex(plateau) + up + down
 
     def _transform_mp(self, xi: float) -> complex:
+        """phi_hat(xi) in DEEP_DPS-digit arithmetic.
+
+        With x = 1/2 + w*s on the up-ramp and x = 1 - w*s on the down-ramp
+        both ramps share psi(s) and fold into one integral over s in [0, 1]:
+
+            w * integral psi(s) * (e^{-i xi/2} c(s) + e^{-i xi} conj(c(s))) ds,
+
+        c(s) = e^{-i xi w s}.  Breakpoints at half cycles of c keep every
+        piece non-oscillatory, so Gauss-Legendre converges in few nodes;
+        its nodes are interior, so psi needs no endpoint cases.
+        """
         with mpmath.workdps(DEEP_DPS):
             mxi = mpmath.mpf(xi)
             w_mp = mpmath.mpf(self.ramp_width)
-            half = mpmath.mpf("0.5")
-            one = mpmath.mpf(1)
-            p_lo = half + w_mp
-            p_hi = one - w_mp
-
-            def psi_mp(s):
-                if s <= 0:
-                    return mpmath.mpf(0)
-                if s >= 1:
-                    return mpmath.mpf(1)
-                return 1 / (1 + mpmath.exp(1 / s - 1 / (1 - s)))
+            p_lo = mpmath.mpf("0.5") + w_mp
+            p_hi = 1 - w_mp
 
             if mxi == 0:
                 plateau = p_hi - p_lo
@@ -186,21 +197,19 @@ class Bump:
                     mpmath.exp(-1j * mxi * p_lo) - mpmath.exp(-1j * mxi * p_hi)
                 ) / (1j * mxi)
 
-            # Split each ramp at half-cycle boundaries so every piece is
-            # non-oscillatory for tanh-sinh/GL.
+            up_phase = mpmath.expj(-mxi / 2)
+            down_phase = mpmath.expj(-mxi)
+
+            def ramps(s):
+                c = mpmath.expj(-mxi * w_mp * s)
+                psi = 1 / (1 + mpmath.exp(1 / s - 1 / (1 - s)))
+                return psi * (up_phase * c + down_phase * mpmath.conj(c))
+
             pieces = max(4, int(mpmath.ceil(abs(mxi) * w_mp / mpmath.pi)) + 1)
-
-            def ramp_integral(a, b, local):
-                points = mpmath.linspace(a, b, pieces + 1)
-                return mpmath.quad(
-                    lambda x: psi_mp(local(x)) * mpmath.exp(-1j * mxi * x),
-                    points,
-                )
-
-            up = ramp_integral(half, p_lo, lambda x: (x - half) / w_mp)
-            down = ramp_integral(p_hi, one, lambda x: (one - x) / w_mp)
-            total = plateau + up + down
-            return complex(total)
+            ramp = w_mp * mpmath.quad(
+                ramps, mpmath.linspace(0, 1, pieces + 1), method="gauss-legendre"
+            )
+            return complex(plateau + ramp)
 
 
 _DEFAULT_BUMP: Bump | None = None

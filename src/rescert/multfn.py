@@ -105,8 +105,11 @@ def eval_cmf(f: UnimodularCMF, n: int, table: FactorTable) -> complex:
 def values_up_to(f: UnimodularCMF, n_max: int, table: FactorTable) -> np.ndarray:
     """Vector [f(1), ..., f(n_max)] as complex128, index shifted by one.
 
-    Complete multiplicativity lets the sieve fill the whole range in one
-    pass: f(n) = f(n / spf(n)) * f(spf(n)).
+    Complete multiplicativity lets the sieve fill the range one Omega-layer
+    at a time: f(n) = f(n / spf(n)) * f(spf(n)), where n / spf(n) lies in
+    the layer before n's.  The product is taken on the real and imaginary
+    parts separately, in the order of Python's complex multiply, so every
+    value equals the one the scalar recurrence gives.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -116,9 +119,20 @@ def values_up_to(f: UnimodularCMF, n_max: int, table: FactorTable) -> np.ndarray
         return np.ones(n_max, dtype=np.complex128)
     if f.kind == KIND_ARCHIMEDEAN:
         return np.exp(1j * f.alpha * np.log(idx.astype(np.float64)))
+    spf = table.spf[: n_max + 1].astype(np.int64)
+    cof = np.zeros(n_max + 1, dtype=np.int64)
+    cof[2:] = idx[1:] // spf[2:]
     out = np.ones(n_max + 1, dtype=np.complex128)
-    spf = table.spf
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        out[n] = out[n // p] * (f.prime_value(p) if n == p else out[p])
+    re, im = out.real, out.imag  # writable views into out
+    layer = np.flatnonzero(cof == 1)  # the primes
+    out[layer] = [f.prime_value(p) for p in layer.tolist()]
+    while layer.size:
+        in_layer = np.zeros(n_max + 1, dtype=bool)
+        in_layer[layer] = True
+        layer = np.flatnonzero(in_layer[cof])
+        a, b = cof[layer], spf[layer]
+        re[layer], im[layer] = (
+            re[a] * re[b] - im[a] * im[b],
+            re[a] * im[b] + im[a] * re[b],
+        )
     return out[1:]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 
 from rescert.bump import Bump, decay_constant, default_bump, phi, phi_hat
@@ -127,3 +128,74 @@ def test_transform_riemann_sum_cross_check():
 def test_support_is_half_one():
     assert math.isclose(B.lo, 0.5) and math.isclose(B.hi, 1.0)
     assert math.isclose(B.plateau_lo, 0.625) and math.isclose(B.plateau_hi, 0.875)
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_transform_rejects_non_finite(xi):
+    b = Bump()
+    with pytest.raises(ValueError, match="finite"):
+        b.transform(xi)
+    with pytest.raises(ValueError, match="finite"):
+        phi_hat(b, xi, deep=True)
+    with pytest.raises(ValueError, match="finite"):
+        decay_constant(b, 3, (10.0, xi))
+
+
+# phi_hat at ramp width 1/8 from a 70-digit tanh-sinh rerun of the ramp
+# integrals, rounded to 25 digits.
+DEEP_REFERENCE = {
+    2560.0: complex(1.869626941432048590736153e-13, -9.89777185384876522265692e-14),
+    5120.0: complex(8.119869631040806798415058e-19, -1.194503402515628663425986e-18),
+}
+
+
+def test_transform_mp_matches_70_digit_reference():
+    b = Bump()
+    for xi, ref in DEEP_REFERENCE.items():
+        assert abs(b._transform_mp(xi) - ref) <= 1e-15 * abs(ref)
+
+
+def _two_ramp_tanh_sinh(w: float, xi: float) -> complex:
+    """The ramp-by-ramp tanh-sinh form of the 50-digit transform."""
+    with mpmath.workdps(50):
+        mxi = mpmath.mpf(xi)
+        w_mp = mpmath.mpf(w)
+        half = mpmath.mpf("0.5")
+        one = mpmath.mpf(1)
+        p_lo = half + w_mp
+        p_hi = one - w_mp
+
+        def psi_mp(s):
+            if s <= 0:
+                return mpmath.mpf(0)
+            if s >= 1:
+                return mpmath.mpf(1)
+            return 1 / (1 + mpmath.exp(1 / s - 1 / (1 - s)))
+
+        plateau = (
+            mpmath.exp(-1j * mxi * p_lo) - mpmath.exp(-1j * mxi * p_hi)
+        ) / (1j * mxi)
+        pieces = max(4, int(mpmath.ceil(abs(mxi) * w_mp / mpmath.pi)) + 1)
+
+        def ramp_integral(a, b, local):
+            return mpmath.quad(
+                lambda x: psi_mp(local(x)) * mpmath.exp(-1j * mxi * x),
+                mpmath.linspace(a, b, pieces + 1),
+            )
+
+        up = ramp_integral(half, p_lo, lambda x: (x - half) / w_mp)
+        down = ramp_integral(p_hi, one, lambda x: (one - x) / w_mp)
+        return complex(plateau + up + down)
+
+
+@pytest.mark.parametrize("w", [1.0 / 16.0, 0.25])
+def test_transform_mp_matches_two_ramp_integral(w):
+    got = Bump(ramp_width=w)._transform_mp(300.0)
+    want = _two_ramp_tanh_sinh(w, 300.0)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_transform_mp_restores_precision():
+    before = mpmath.mp.dps
+    Bump()._transform_mp(2560.0)
+    assert mpmath.mp.dps == before

@@ -103,3 +103,19 @@ def test_validation():
         f.prime_value(101)
     with pytest.raises(ValueError):
         values_up_to(constant_one(), 0, TABLE)
+
+
+def _values_by_loop(f, n_max, table):
+    out = np.ones(n_max + 1, dtype=np.complex128)
+    for n in range(2, n_max + 1):
+        p = int(table.spf[n])
+        out[n] = out[n // p] * (f.prime_value(p) if n == p else out[p])
+    return out[1:]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_values_up_to_matches_scalar_recurrence(seed):
+    # The layered fill must reproduce the scalar complex products bit for bit.
+    got = values_up_to(steinhaus_sample(seed), 10_000, TABLE)
+    want = _values_by_loop(steinhaus_sample(seed), 10_000, TABLE)
+    assert np.array_equal(got, want)
