@@ -33,6 +33,7 @@ from .moments import (
     DEFAULT_NU,
     DEFAULT_TERM_BUDGET,
     EXACT_AUTO_MAX_T,
+    MomentReport,
     diagonal_sum,
     ratio_and_bounds,
 )
@@ -92,8 +93,11 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(float(value)):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
-        if self.budget_points < 1:
-            raise ValueError(f"--budget-points must be at least 1, got {self.budget_points}")
+        for name, least in (("budget_terms", 1), ("budget_points", 1), ("trace_stride", 0)):
+            value = getattr(self, name)
+            if value < least:
+                flag = name.replace("_", "-")
+                raise ValueError(f"--{flag} must be at least {least}, got {value}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.gamma < 1.0:
@@ -217,13 +221,14 @@ def _emit(payload, cfg: RunConfig, csv_rows=None) -> None:
 # Subcommands.
 
 
-def cmd_certify(cfg: RunConfig) -> int:
+def _certify_report(cfg: RunConfig) -> MomentReport:
+    """The certificate report for one configuration (certify and sweep)."""
     t = cfg.resolve_t()
     x = cfg.resolve_x(t)
     table = _build_table(cfg, x, _may_need_exact_moments(cfg, t))
     res = _resonator_for(cfg, x, table)
     f = _parse_f(cfg.f, cfg.seed, table.limit)
-    report = ratio_and_bounds(
+    return ratio_and_bounds(
         res,
         f,
         cfg.n,
@@ -236,6 +241,10 @@ def cmd_certify(cfg: RunConfig) -> int:
         budget=cfg.budget_terms,
         exact_mode=cfg.exact,
     )
+
+
+def cmd_certify(cfg: RunConfig) -> int:
+    report = _certify_report(cfg)
     payload = _envelope("certify", cfg, report.to_dict())
     _emit(payload, cfg, csv_rows=(report.csv_header(), [report.csv_row()]))
     return 0
@@ -341,25 +350,7 @@ def cmd_sweep(cfg: RunConfig, n_list: list[int], seed_list: list[int]) -> int:
     header = None
     for n in n_list:
         for seed in seed_list:
-            sub = RunConfig(**{**asdict(cfg), "n": n, "seed": seed})
-            t = sub.resolve_t()
-            x = sub.resolve_x(t)
-            table = _build_table(sub, x, _may_need_exact_moments(sub, t))
-            res = _resonator_for(sub, x, table)
-            f = _parse_f(sub.f, sub.seed, table.limit)
-            report = ratio_and_bounds(
-                res,
-                f,
-                sub.n,
-                t,
-                sub.delta,
-                sub.gamma,
-                table,
-                nu=sub.nu,
-                alpha=sub.alpha,
-                budget=sub.budget_terms,
-                exact_mode=sub.exact,
-            )
+            report = _certify_report(RunConfig(**{**asdict(cfg), "n": n, "seed": seed}))
             if header is None:
                 header = ["n", "seed"] + report.csv_header()
             rows.append([n, seed] + report.csv_row())

@@ -20,12 +20,13 @@ to sums over coprime pairs (a', b') that this module evaluates exactly
 
 For window resonators every such sum runs through one vectorized pass
 over coprime support pairs: the support is held as sorted arrays of
-integers, weights and prime bitmasks, and for each larger element of a
-pair its coprime partners come out of one bitmask comparison.  The inner
-g-sums of the diagonal, sum of r(g)^2 over support g <= X/max(a',b')
-coprime to a'b', are masked matrix-vector products over the same arrays,
-so every term the certificate adds is positive and no inclusion-exclusion
-subtraction is left.
+integers, weights and prime masks (resonator.SupportArrays), and for each
+larger element of a pair its coprime partners come out of one
+resonator.disjoint test.  The inner g-sums of the diagonal, sum of r(g)^2
+over support g <= X/max(a',b') coprime to a'b', are masked
+matrix-vector products over the same arrays, so every term the
+certificate adds is positive and no inclusion-exclusion subtraction is
+left.  This module never reads the mask bits itself.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ from .resonator import (
     Resonator,
     SupportArrays,
     SupportElement,
+    disjoint,
     euler_product_one_plus_r2,
+    prime_mask,
     support_arrays,
     sum_r_squared,
 )
@@ -62,7 +65,7 @@ DEFAULT_NU = 3
 # to this T (and only for tiny supports); they need a factor table to N.
 EXACT_AUTO_MAX_T = 2.0e4
 # Entries per temporary in the blocked mask products of the pair kernel.
-_BLOCK = 1 << 16
+_BLOCK = 2**16
 
 
 def _decay_const(b: Bump, nu: int) -> float:
@@ -230,7 +233,7 @@ def _coprime_partners(masks: np.ndarray, count: int) -> Iterator[tuple[int, np.n
     element with itself.
     """
     for j in range(count):
-        yield j, np.flatnonzero((masks[: j + 1] & masks[j]) == 0)
+        yield j, np.flatnonzero(disjoint(masks[: j + 1], masks[j]))
 
 
 def _ordered_pair_count(masks: np.ndarray, count: int) -> int:
@@ -258,7 +261,8 @@ def _ordered_pair_fsum(
 def _coprime_r2_sums(
     masks: np.ndarray, g_masks: np.ndarray, g_r2: np.ndarray
 ) -> np.ndarray:
-    """For each mask m: sum of g_r2 over the entries whose g_masks avoid m.
+    """For each mask m: sum of g_r2 over the entries whose g_masks are
+    disjoint from m.
 
     The mask comparisons run in blocks of about _BLOCK entries.
     """
@@ -269,8 +273,7 @@ def _coprime_r2_sums(
         gm = g_masks[None, c0 : c0 + cols]
         r2 = g_r2[c0 : c0 + cols]
         for r0 in range(0, len(masks), rows):
-            block = masks[r0 : r0 + rows, None]
-            out[r0 : r0 + rows] += ((block & gm) == 0) @ r2
+            out[r0 : r0 + rows] += disjoint(masks[r0 : r0 + rows, None], gm) @ r2
     return out
 
 
@@ -306,8 +309,8 @@ def _window_diagonal(
     def terms(j: int, idx: np.ndarray) -> np.ndarray:
         n_j = int(sup.ns[j])
         g = sup.upto(x / n_j if g_cap is None else min(x / n_j, g_cap))
-        g_ok = (g.masks & sup.masks[j]) == 0
-        inner = _coprime_r2_sums(sup.masks[idx], g.masks[g_ok], r2[: len(g.ns)][g_ok])
+        g_ok = np.flatnonzero(disjoint(g.masks, sup.masks[j]))
+        inner = _coprime_r2_sums(sup.masks[idx], g.masks[g_ok], r2[g_ok])
         return ((n_max // n_j) * float(sup.r[j])) * sup.r[idx] * inner
 
     return _ordered_pair_fsum(sup.masks, count, terms)
@@ -525,23 +528,12 @@ def m1_offdiag_bound(
 # Main-term and tail-bound sums over coprime support pairs.
 
 
-def _sum_over_prime_factors(masks: np.ndarray, values: list[float]) -> np.ndarray:
-    """For each element, the sum of values[i] over the window primes i
-    dividing it."""
-    out = np.zeros(len(masks))
-    for i, v in enumerate(values):
-        out[((masks >> i) & 1).astype(bool)] += v
-    return out
-
-
 def _main_term(res: Resonator, sup: SupportArrays) -> float:
     """sum over ordered coprime pairs of sup of t(a') t(b') a'b' / max^3.
 
     Asserts t(n) = r(n) / prod_{p | n}(1 + r(p)^2) on every element first.
     """
-    log_plain = _sum_over_prime_factors(
-        sup.masks, [math.log1p(res.r_p[p] ** 2) for p in res.primes]
-    )
+    log_plain = sup.prime_factor_sums([math.log1p(res.r_p[p] ** 2) for p in res.primes])
     if not np.allclose(sup.t * np.exp(log_plain), sup.r, rtol=1e-12, atol=0.0):
         raise AssertionError("t-weight identity violated")
     w = sup.t * sup.ns
@@ -568,7 +560,7 @@ def _alpha_tail(res: Resonator, sup: SupportArrays, x: float, alpha: float) -> f
     u = (
         sup.r
         * sup.ns.astype(np.float64) ** (alpha - 0.5)
-        * np.exp(-_sum_over_prime_factors(sup.masks, log_shift))
+        * np.exp(-sup.prime_factor_sums(log_shift))
     )
     pair_sum = _ordered_pair_fsum(sup.masks, len(sup.ns), lambda j, idx: u[idx] * u[j])
     return math.exp(log_full_shift - log_full_plain) * x ** (-alpha) * pair_sum
@@ -655,8 +647,7 @@ def tail_truncation_check(
     excluded = tuple(p for p in res.primes if ab % p == 0)
     full = euler_product_one_plus_r2(res, exclude=excluded)
     sup = support_arrays(res, cap, budget)
-    excluded_mask = sum(1 << i for i, p in enumerate(res.primes) if p in excluded)
-    r = sup.r[(sup.masks & excluded_mask) == 0]
+    r = sup.r[disjoint(sup.masks, prime_mask(res, excluded))]
     truncated = math.fsum((r * r).tolist())
     tail = full - truncated
     if tail < 0.0:

@@ -12,11 +12,17 @@ lower end exceeds the upper end); that is a legitimate degenerate state,
 flagged rather than rejected, in which r is supported on {1} alone.
 
 The support is the set of squarefree products of window primes up to a
-cap.  support_arrays is its one builder: sorted integers, prime bitmasks
+cap.  support_arrays is its one builder: sorted integers, prime masks
 and both weights as parallel arrays, under an element budget.  Products
 can exceed any factor table, so the weights are multiplied up along the
 build instead of refactorizing; support_elements, iter_support and the
 support sums are views of those arrays.
+
+A prime mask is a row of unsigned words with bit i for the i-th window
+prime (mask_layout fixes the word type and count).  Only this module
+reads or writes the bits: disjoint tests coprimality, prime_mask builds
+the mask of a set of primes, and SupportArrays.prime_factor_sums sums
+per-prime values over each element's primes.
 """
 
 from __future__ import annotations
@@ -166,18 +172,53 @@ def t_value(res: Resonator, n: int, table: FactorTable) -> float:
     return _multiplicative_value(res.t_p, n, table)
 
 
+def mask_layout(prime_count: int) -> tuple[np.dtype, int]:
+    """(word dtype, words per mask) for masks over `prime_count` primes.
+
+    The word is the narrowest unsigned integer with min(prime_count, 64)
+    bits, and bit i of the mask is bit i % width of word i // width.
+    """
+    width = next(w for w in (8, 16, 32, 64) if min(prime_count, 64) <= w)
+    return np.dtype(f"uint{width}"), max(1, -(-prime_count // width))
+
+
+def _word_bit(dtype: np.dtype, i: int) -> tuple[int, np.unsignedinteger]:
+    """(word index, word value) of bit i."""
+    word, bit = divmod(i, dtype.itemsize * 8)
+    return word, dtype.type(1 << bit)
+
+
+def disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether masks a and b (broadcast over all but the word axis, the
+    last) share no bit, i.e. whether their elements are coprime."""
+    common = a[..., 0] & b[..., 0]
+    for w in range(1, a.shape[-1]):
+        common |= a[..., w] & b[..., w]
+    return common == 0
+
+
+def prime_mask(res: Resonator, primes) -> np.ndarray:
+    """The mask of `primes`, all of them window primes of res."""
+    dtype, words = mask_layout(len(res.primes))
+    mask = np.zeros(words, dtype=dtype)
+    index = res.prime_index()
+    for p in primes:
+        word, value = _word_bit(dtype, index[p])
+        mask[word] |= value
+    return mask
+
+
 @dataclass(frozen=True)
 class SupportArrays:
     """The support <= some cap as parallel arrays sorted by n.
 
-    masks[k] has bit i set when the i-th window prime divides ns[k], so
-    two elements are coprime exactly when their masks share no bit.  The
-    mask dtype is the narrowest unsigned integer with a bit per window
-    prime (Python integers past 64 primes).  ns[0] = 1 unless empty.
+    masks[k] is the prime mask of ns[k]: a row of mask_layout words with
+    bit i set when the i-th window prime divides ns[k].  ns[0] = 1 unless
+    empty.
     """
 
     ns: np.ndarray  # int64
-    masks: np.ndarray
+    masks: np.ndarray  # (len(ns), words)
     r: np.ndarray
     t: np.ndarray
 
@@ -190,13 +231,28 @@ class SupportArrays:
             self.ns[:count], self.masks[:count], self.r[:count], self.t[:count]
         )
 
+    def prime_factor_sums(self, values: list[float]) -> np.ndarray:
+        """For each element, the sum of values[i] over the window primes i
+        dividing it, added in ascending i."""
+        out = np.zeros(len(self.ns))
+        for i, v in enumerate(values):
+            word, value = _word_bit(self.masks.dtype, i)
+            out[(self.masks[:, word] & value) != 0] += v
+        return out
+
     def elements(self, res: Resonator) -> list[SupportElement]:
         """The elements as SupportElements, prime tuples read off the masks."""
+        primes: list[list[int]] = [[] for _ in range(len(self.ns))]
+        width = self.masks.dtype.itemsize * 8
+        rows, words = np.nonzero(self.masks)  # row-major: primes come out ascending
+        for k, word, bits in zip(rows.tolist(), words.tolist(), self.masks[rows, words].tolist()):
+            while bits:
+                low = bits & -bits
+                primes[k].append(res.primes[word * width + low.bit_length() - 1])
+                bits ^= low
         return [
-            SupportElement(n, r, t, tuple(p for i, p in enumerate(res.primes) if m >> i & 1))
-            for n, m, r, t in zip(
-                self.ns.tolist(), self.masks.tolist(), self.r.tolist(), self.t.tolist()
-            )
+            SupportElement(n, r, t, tuple(ps))
+            for n, r, t, ps in zip(self.ns.tolist(), self.r.tolist(), self.t.tolist(), primes)
         ]
 
 
@@ -206,9 +262,11 @@ def support_arrays(
     """All squarefree window-prime products <= cap, with their weights.
 
     Built one window prime at a time, in ascending order: each prime p
-    extends every element so far whose product with p stays <= cap.  The
-    weights are thus multiplied up in ascending prime order.  1 is always
-    included when cap >= 1; cap = inf gives the whole support.
+    extends every element so far whose product with p stays <= cap, and
+    the extensions are written in place after the elements so far (the
+    arrays double when full).  The weights are thus multiplied up in
+    ascending prime order; one stable sort by n ends the build.  1 is
+    always included when cap >= 1; cap = inf gives the whole support.
 
     Raises:
         ValueError: cap is NaN.
@@ -217,39 +275,48 @@ def support_arrays(
     """
     if math.isnan(cap):
         raise ValueError("support cap must not be NaN")
-    widths = ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
-    mask_type = next((t for bits, t in widths if len(res.primes) <= bits), object)
+    dtype, words = mask_layout(len(res.primes))
     size = 1 if cap >= 1.0 else 0
-    ns = np.ones(size, dtype=np.int64)
-    masks = np.zeros(size, dtype=mask_type)
-    r = np.ones(size)
-    t = np.ones(size)
+    ns = np.ones(max(size, 1024), dtype=np.int64)
+    masks = np.zeros((len(ns), words), dtype=dtype)
+    r = np.ones(len(ns))
+    t = np.ones(len(ns))
     # No element exceeds the product of all window primes.
     top = math.floor(min(cap, math.prod(res.primes))) if size else 0
+    # The elements <= the current prime's limit: the limits fall as the
+    # primes ascend, so an element dropped here never extends again.
+    active = np.zeros(size, dtype=np.intp)
     for i, p in enumerate(res.primes):
         limit = top // p
         if limit < 1:
             break  # primes ascend, so every later product is larger too
+        active = active[ns[active] <= min(limit, _INT64_MAX)]
         safe = _INT64_MAX // p
-        if limit > safe and np.any((ns > safe) & (ns <= min(limit, _INT64_MAX))):
+        if limit > safe and np.any(ns[active] > safe):
             raise ResourceLimitError(
                 f"support element below cap {cap} beyond the int64 range",
                 needed=top,
                 budget=_INT64_MAX,
             )
-        sel = ns <= min(limit, safe)
-        count = len(ns) + int(np.count_nonzero(sel))
+        count = size + len(active)
         if count > budget:
             raise ResourceLimitError(
                 f"support enumeration exceeded budget {budget} below cap {cap}",
                 needed=count,
                 budget=budget,
             )
-        ns = np.concatenate((ns, ns[sel] * p))
-        masks = np.concatenate((masks, masks[sel] | (1 << i)))
-        r = np.concatenate((r, r[sel] * res.r_p[p]))
-        t = np.concatenate((t, t[sel] * res.t_p[p]))
-    order = np.argsort(ns, kind="stable")
+        if count > len(ns):
+            grown = max(count, 2 * len(ns))
+            ns, masks, r, t = (np.resize(a, (grown,) + a.shape[1:]) for a in (ns, masks, r, t))
+        ns[size:count] = ns[active] * p
+        masks[size:count] = masks[active]
+        word, value = _word_bit(dtype, i)
+        masks[size:count, word] |= value
+        r[size:count] = r[active] * res.r_p[p]
+        t[size:count] = t[active] * res.t_p[p]
+        active = np.concatenate((active, np.arange(size, count)))
+        size = count
+    order = np.argsort(ns[:size], kind="stable")
     return SupportArrays(ns=ns[order], masks=masks[order], r=r[order], t=t[order])
 
 

@@ -189,6 +189,10 @@ def test_usage_errors_exit_2(tmp_path):
         ["search", "--n", "10", "--t", "100", "--window-lo=-inf"],
         ["search", "--guided", "--n", "10", "--t", "100", "--window-lo=-inf"],
         ["search", "--guided", "--n", "10", "--t", "100", "--window-hi", "nan"],
+        # Out-of-range budgets and strides are usage errors too.
+        ["certify", "--n", "1000", "--c", "3", "--budget-terms", "0"],
+        ["certify", "--n", "1000", "--c", "3", "--budget-terms", "-5"],
+        ["search", "--n", "10", "--t", "100", "--trace-stride", "-3"],
     ],
 )
 def test_non_finite_inputs_exit_2(argv, capsys):

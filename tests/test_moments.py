@@ -355,32 +355,40 @@ def test_diagonal_sum_sparse_matches_bruteforce_property(primes, data):
 
 
 def test_pair_sums_beyond_63_primes():
-    # More window primes than an int64 bitmask holds: the kernel falls
-    # back to Python-integer masks.
-    primes = [p for p in range(2, 360) if all(p % q for q in range(2, p))][:70]
-    res = _resonator_on(primes, [0.2 + 0.01 * i for i in range(70)], 500.0)
-    n_max, x, alpha = 20, 500.0, 0.1
-    assert diagonal_sum(res, n_max, x, TABLE) == pytest.approx(
-        diagonal_sum_bruteforce(res, n_max, x, TABLE), rel=1e-12
-    )
-    pairs = _coprime_pairs(res, n_max)
-    main = math.fsum(a.t * b.t * a.n * b.n / max(a.n, b.n) ** 3 for a, b in pairs)
-    assert moment_main_term(res, n_max, x, TABLE) == pytest.approx(main, rel=1e-12)
-    shift = {p: 1.0 + res.r_p[p] ** 2 * p**alpha for p in primes}
-    bracket = math.fsum(
-        a.r * b.r * (a.n * b.n) ** (alpha - 0.5)
-        * math.prod(v for p, v in shift.items() if (a.n * b.n) % p)
-        for a, b in pairs
-    )
-    plain = math.prod(1.0 + res.r_p[p] ** 2 for p in primes)
-    assert alpha_shift_error_term(res, n_max, x, alpha, TABLE) == pytest.approx(
-        x**-alpha * bracket / plain, rel=1e-12
-    )
-    ab = 2 * primes[67]  # one prime below bit 64 of the masks, one above
-    kept = [e.r**2 for e in support_elements(res, x) if math.gcd(e.n, ab) == 1]
-    full = plain / ((1.0 + res.r_p[2] ** 2) * (1.0 + res.r_p[primes[67]] ** 2))
-    tail, _ = tail_truncation_check(res, ab, x, alpha, TABLE)
-    assert tail == pytest.approx(full - math.fsum(kept), rel=1e-9)
+    # More window primes than one 64-bit word holds: the masks span two
+    # words (70 primes) and three words (130 primes; 2 * 733 <= 1500 sets
+    # bit 129).  The tail check excludes a prime above bit 64 (bit 67)
+    # and one above bit 128 (bit 129); the second input's weights are
+    # small enough that its tail sees r(733)^2 well above the tolerance.
+    all_primes = [p for p in range(2, 740) if all(p % q for q in range(2, p))]
+    inputs = ((70, 20, 500.0, 67, 0.2, 0.01), (130, 6, 1500.0, 129, 0.02, 0.001))
+    for count, n_max, x, top, w0, dw in inputs:
+        primes = all_primes[:count]
+        res = _resonator_on(primes, [w0 + dw * i for i in range(count)], x)
+        alpha = 0.1
+        assert diagonal_sum(res, n_max, x, TABLE) == pytest.approx(
+            diagonal_sum_bruteforce(res, n_max, x, TABLE), rel=1e-12
+        )
+        pairs = _coprime_pairs(res, n_max)
+        main = math.fsum(a.t * b.t * a.n * b.n / max(a.n, b.n) ** 3 for a, b in pairs)
+        assert moment_main_term(res, n_max, x, TABLE) == pytest.approx(main, rel=1e-12)
+        shift = {p: 1.0 + res.r_p[p] ** 2 * p**alpha for p in primes}
+        bracket = math.fsum(
+            a.r * b.r * (a.n * b.n) ** (alpha - 0.5)
+            * math.prod(v for p, v in shift.items() if (a.n * b.n) % p)
+            for a, b in pairs
+        )
+        plain = math.prod(1.0 + res.r_p[p] ** 2 for p in primes)
+        assert alpha_shift_error_term(res, n_max, x, alpha, TABLE) == pytest.approx(
+            x**-alpha * bracket / plain, rel=1e-12
+        )
+        ab = 2 * primes[top]
+        kept = [e.r**2 for e in support_elements(res, x) if math.gcd(e.n, ab) == 1]
+        full = plain / ((1.0 + res.r_p[2] ** 2) * (1.0 + res.r_p[primes[top]] ** 2))
+        tail, _ = tail_truncation_check(res, ab, x, alpha, TABLE)
+        assert tail == pytest.approx(full - math.fsum(kept), rel=1e-9)
+    sup = support_arrays(res, x)  # the 130-prime input
+    assert sup.masks.shape[1] == 3 and 2 * 733 in sup.ns.tolist()
 
 
 def test_decay_constant_belongs_to_its_bump():

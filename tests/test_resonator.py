@@ -126,7 +126,9 @@ def test_support_arrays_match_support_elements():
     # Weights multiply up in the same prime order: equal bit for bit.
     assert arrays.r.tolist() == [r for _, r, _, _ in want]
     assert arrays.t.tolist() == [t for _, _, t, _ in want]
-    assert arrays.masks.tolist() == [sum(1 << idx[p] for p in ps) for _, _, _, ps in want]
+    # One uint16 word per mask holds the 14 prime bits.
+    assert arrays.masks.tolist() == [[sum(1 << idx[p] for p in ps)] for _, _, _, ps in want]
+    assert arrays.masks.shape == (3473, 1)
     assert arrays.masks.dtype == np.uint16
     assert [(e.n, e.r, e.t, e.primes) for e in support_elements(res, 1e12)] == want
     prefix = arrays.upto(1e6)
