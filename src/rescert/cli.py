@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -391,15 +392,35 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"))
 
 
+def _check_config_type(key: str, value, hint) -> None:
+    """Raise ValueError unless a config-file value fits its RunConfig type:
+    a bool is not an int, and an int is a float."""
+    allowed = typing.get_args(hint) or (hint,)
+    if value is None:
+        ok = type(None) in allowed
+    elif isinstance(value, bool):
+        ok = bool in allowed
+    else:
+        ok = isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
+    if not ok:
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     base = RunConfig()
     merged = asdict(base)
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(merged)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(RunConfig)
+        for key, value in file_cfg.items():
+            _check_config_type(key, value, hints[key])
         merged.update(file_cfg)
     for key in merged:
         val = getattr(args, key, None)

@@ -18,15 +18,15 @@ The diagonal collapses through the coprime parametrization
 to sums over coprime pairs (a', b') that this module evaluates exactly
 (with compensated summation) or brackets rigorously.
 
-For window resonators every such sum runs through one vectorized pass
-over coprime support pairs: the support is held as sorted arrays of
-integers, weights and prime masks (resonator.SupportArrays), and for each
-larger element of a pair its coprime partners come out of one
-resonator.disjoint test.  The inner g-sums of the diagonal, sum of r(g)^2
-over support g <= X/max(a',b') coprime to a'b', are masked
-matrix-vector products over the same arrays, so every term the
-certificate adds is positive and no inclusion-exclusion subtraction is
-left.  This module never reads the mask bits itself.
+For window resonators the support is held as sorted arrays of integers,
+weights and prime masks (resonator.SupportArrays).  A report lists the
+coprime pairs of the support <= min(N, X) once (coprime_pairs), and the
+diagonal, its g-capped fallbacks, the main term and the alpha-shift tail
+all sum over that list.  The inner g-sums of the diagonal, sum of r(g)^2
+over support g <= X/max(a',b') coprime to a'b', are masked matrix-vector
+products over the same arrays, so every term the certificate adds is
+positive and no inclusion-exclusion subtraction is left.  This module
+never reads the mask bits itself.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,7 +45,9 @@ from .multfn import UnimodularCMF, values_up_to
 from .ntcore import FactorTable, gcd
 from .quadrature import adaptive_oscillatory
 from .resonator import (
+    _BLOCK,
     DEFAULT_ENUM_BUDGET,
+    Pairs,
     Resonator,
     SupportArrays,
     SupportElement,
@@ -64,8 +66,6 @@ DEFAULT_NU = 3
 # Exact and quadrature moments are attempted in exact_mode="auto" only up
 # to this T (and only for tiny supports); they need a factor table to N.
 EXACT_AUTO_MAX_T = 2.0e4
-# Entries per temporary in the blocked mask products of the pair kernel.
-_BLOCK = 2**16
 
 
 def _decay_const(b: Bump, nu: int) -> float:
@@ -142,6 +142,15 @@ def m2_quadrature(
 # Exact termwise moments (tiny instances).
 
 
+def _real_sum(terms: list[complex], scale: float) -> float:
+    """scale times the correctly rounded sum of terms, whose imaginary
+    residue (zero by conjugate symmetry) is asserted tiny and dropped."""
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)) * scale
+    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
+        raise AssertionError(f"moment sum imaginary residue {total.imag!r} too large")
+    return total.real
+
+
 def m1_exact(
     res: Resonator,
     f: UnimodularCMF,
@@ -158,18 +167,12 @@ def m1_exact(
     """
     b = b or default_bump()
     coeffs, logs = _support_coeff_logs(res, f, support)
-    acc_re: list[float] = []
-    acc_im: list[float] = []
-    for i in range(len(support)):
-        for j in range(len(support)):
-            xi = t_bound * (logs[j] - logs[i])
-            term = coeffs[i] * coeffs[j].conjugate() * b.transform(xi)
-            acc_re.append(term.real)
-            acc_im.append(term.imag)
-    total = complex(math.fsum(acc_re), math.fsum(acc_im)) * t_bound
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise AssertionError(f"moment sum imaginary residue {total.imag!r} too large")
-    return total.real
+    terms = [
+        coeffs[i] * coeffs[j].conjugate() * b.transform(t_bound * (logs[j] - logs[i]))
+        for i in range(len(support))
+        for j in range(len(support))
+    ]
+    return _real_sum(terms, t_bound)
 
 
 def m1_main(res: Resonator, t_bound: float, cap: float, b: Bump | None = None) -> float:
@@ -205,57 +208,44 @@ def m2_exact(
         for p in e.primes:
             fa *= f.prime_value(p)
         for m in range(1, n_max + 1):
-            u = m * e.n
-            pairs.append((math.log(u), f_vals[m - 1] * fa * e.r))
-    acc_re: list[float] = []
-    acc_im: list[float] = []
-    for lu, wq in pairs:
-        for lv, wv in pairs:
-            xi = t_bound * (lv - lu)
-            term = wq * wv.conjugate() * b.transform(xi)
-            acc_re.append(term.real)
-            acc_im.append(term.imag)
-    total = complex(math.fsum(acc_re), math.fsum(acc_im)) * (t_bound / n_max)
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise AssertionError(f"moment sum imaginary residue {total.imag!r} too large")
-    return total.real
+            pairs.append((math.log(m * e.n), f_vals[m - 1] * fa * e.r))
+    terms = [
+        wq * wv.conjugate() * b.transform(t_bound * (lv - lu))
+        for lu, wq in pairs
+        for lv, wv in pairs
+    ]
+    return _real_sum(terms, t_bound / n_max)
 
 
 # ---------------------------------------------------------------------------
 # Coprime support pairs and the diagonal sums of the gcd parametrization.
 
 
-def _coprime_partners(masks: np.ndarray, count: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(j, idx) for j < count: idx holds every i <= j coprime to element j.
-
-    Each coprime pair of the first `count` elements comes out once, under
-    its larger element; (0, [0]) is the pair (1, 1), the only pair of an
-    element with itself.
-    """
-    for j in range(count):
-        yield j, np.flatnonzero(disjoint(masks[: j + 1], masks[j]))
-
-
-def _ordered_pair_count(masks: np.ndarray, count: int) -> int:
-    """Ordered coprime pairs (a, b) among the first `count` elements."""
-    return sum(2 * len(idx) - (j == 0) for j, idx in _coprime_partners(masks, count))
-
-
-def _ordered_pair_fsum(
-    masks: np.ndarray, count: int, terms: Callable[[int, np.ndarray], np.ndarray]
-) -> float:
+def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
     """Correctly rounded sum of a symmetric term over ordered coprime pairs.
 
-    terms(j, idx) gives the terms of the pairs (i, j), i in idx; each also
-    stands for its mirror (j, i), so it is added twice except for (1, 1).
+    vals yields the terms of the pairs of SupportArrays.coprime_pairs in
+    their order, in blocks.  Each term also stands for its mirror pair, so
+    it is added twice, except the first: the pair (0, 0) is (1, 1), its
+    own mirror.
     """
 
-    def groups():
-        for j, idx in _coprime_partners(masks, count):
-            vals = terms(j, idx)
-            yield (vals if j == 0 else 2.0 * vals).tolist()
+    def doubled():
+        first = True
+        for v in vals:
+            twice = 2.0 * v
+            if first and len(v):
+                twice[0], first = v[0], False
+            yield twice.tolist()
 
-    return math.fsum(chain.from_iterable(groups()))
+    return math.fsum(chain.from_iterable(doubled()))
+
+
+def _blocks(pairs: Pairs) -> Iterator[Pairs]:
+    """The pairs (i, j) in consecutive blocks of at most _BLOCK."""
+    i, j = pairs
+    for k in range(0, len(i), _BLOCK):
+        yield i[k : k + _BLOCK], j[k : k + _BLOCK]
 
 
 def _coprime_r2_sums(
@@ -282,38 +272,43 @@ def _toy_r_vector(toy, x_int: int) -> list[float]:
 
 
 def _window_diagonal(
-    sup: SupportArrays, n_max: int, x: float, budget: int, g_cap: float | None = None
+    sup: SupportArrays, pairs: Pairs, n_max: int, x: float, budget: int, g_cap: float | None = None
 ) -> float:
     """diagonal_sum for a window resonator whose support <= min(X, g_cap)
-    is `sup`.
+    is `sup`, over the prefix of `pairs` (coprime_pairs of a support
+    prefix) whose elements are <= min(N, X).
 
     r is multiplicative on squarefree support, so a term is r(a') r(b')
     floor(N/max) times the sum of r(g)^2 over support g <= X/max coprime
-    to a'b'.  For each larger element b' <= min(N, X) of sup the g-range
-    is the prefix of sup <= X/b', filtered to g coprime to b', and the
-    inner sums of all its coprime partners a' <= b' come from one blocked
-    masked product.  All terms are positive and go into one correctly
-    rounded sum.  The budget counts ordered coprime pairs (a', b'); they
-    are counted before any g-sum work.
+    to a'b'.  For each larger element b' of a pair the g-range is the
+    prefix of sup <= X/b', filtered to g coprime to b', and the inner sums
+    of all its partners a' <= b' come from one blocked masked product.
+    All terms are positive and go into one correctly rounded sum.  The
+    budget counts ordered coprime pairs before any g-sum work.
     """
     count = len(sup.upto(min(float(n_max), x)).ns)
-    pairs = _ordered_pair_count(sup.masks, count)
-    if pairs > budget:
+    i, j = pairs
+    # i[starts[k] : starts[k + 1]] are element k's partners (a j.dtype needle: no int64 copy of j).
+    starts = np.searchsorted(j, np.arange(count + 1, dtype=j.dtype))
+    needed = 2 * int(starts[-1]) - 1 if count else 0
+    if needed > budget:
         raise ResourceLimitError(
             f"diagonal pair enumeration exceeded budget {budget}",
-            needed=pairs,
+            needed=needed,
             budget=budget,
         )
     r2 = sup.r * sup.r
 
-    def terms(j: int, idx: np.ndarray) -> np.ndarray:
-        n_j = int(sup.ns[j])
-        g = sup.upto(x / n_j if g_cap is None else min(x / n_j, g_cap))
-        g_ok = np.flatnonzero(disjoint(g.masks, sup.masks[j]))
-        inner = _coprime_r2_sums(sup.masks[idx], g.masks[g_ok], r2[g_ok])
-        return ((n_max // n_j) * float(sup.r[j])) * sup.r[idx] * inner
+    def terms():
+        for k in range(count):
+            idx = i[starts[k] : starts[k + 1]]
+            n_k = int(sup.ns[k])
+            g = sup.upto(x / n_k if g_cap is None else min(x / n_k, g_cap))
+            g_ok = np.flatnonzero(disjoint(g.masks, sup.masks[k]))
+            inner = _coprime_r2_sums(sup.masks[idx], g.masks[g_ok], r2[g_ok])
+            yield ((n_max // n_k) * float(sup.r[k])) * sup.r[idx] * inner
 
-    return _ordered_pair_fsum(sup.masks, count, terms)
+    return _pair_fsum(terms())
 
 
 def diagonal_sum(
@@ -336,8 +331,9 @@ def diagonal_sum(
     a certified lower bound of the full sum.
 
     For a window resonator the support <= min(X, g_cap) is built once
-    into arrays, and _window_diagonal sums over its coprime pairs; the
-    budget bounds both the support and the ordered coprime pairs.
+    into arrays, and _window_diagonal sums over the coprime pairs of its
+    elements <= min(N, X); the budget bounds both the support and the
+    ordered coprime pairs.
 
     Raises:
         ResourceLimitError: support enumeration or coprime-pair count
@@ -348,8 +344,9 @@ def diagonal_sum(
     if x < 1.0:
         raise ValueError("X must be >= 1")
     if isinstance(res, Resonator):
-        cap = x if g_cap is None else min(x, g_cap)
-        return _window_diagonal(support_arrays(res, cap, budget), n_max, x, budget, g_cap)
+        sup = support_arrays(res, x if g_cap is None else min(x, g_cap), budget)
+        pairs = sup.upto(min(float(n_max), x)).coprime_pairs()
+        return _window_diagonal(sup, pairs, n_max, x, budget, g_cap)
 
     # Dense path for explicit test resonators.
     x_int = math.floor(x)
@@ -494,15 +491,8 @@ def offdiag_bound(
     if c_nu is None:
         c_nu = _decay_const(b, nu)
     if sum_r is None:
-        sup = _support_within_budget(res, x, DEFAULT_ENUM_BUDGET)
-        sum_r, _ = _sum_r_with_fallback(res, sup)
-    return (
-        (t_bound / n_max)
-        * n_max**2
-        * sum_r**2
-        * c_nu
-        * (t_bound / (n_max * x)) ** (-nu)
-    )
+        sum_r, _ = _sum_r_with_fallback(res, _support_within_budget(res, x, DEFAULT_ENUM_BUDGET))
+    return (t_bound / n_max) * n_max**2 * sum_r**2 * c_nu * (t_bound / (n_max * x)) ** (-nu)
 
 
 def m1_offdiag_bound(
@@ -519,8 +509,7 @@ def m1_offdiag_bound(
     if c_nu is None:
         c_nu = _decay_const(b, nu)
     if sum_r is None:
-        sup = _support_within_budget(res, x, DEFAULT_ENUM_BUDGET)
-        sum_r, _ = _sum_r_with_fallback(res, sup)
+        sum_r, _ = _sum_r_with_fallback(res, _support_within_budget(res, x, DEFAULT_ENUM_BUDGET))
     return t_bound * sum_r**2 * c_nu * (t_bound / x) ** (-nu)
 
 
@@ -528,8 +517,8 @@ def m1_offdiag_bound(
 # Main-term and tail-bound sums over coprime support pairs.
 
 
-def _main_term(res: Resonator, sup: SupportArrays) -> float:
-    """sum over ordered coprime pairs of sup of t(a') t(b') a'b' / max^3.
+def _main_term(res: Resonator, sup: SupportArrays, pairs: Pairs) -> float:
+    """sum over the ordered coprime pairs of sup of t(a') t(b') a'b' / max^3.
 
     Asserts t(n) = r(n) / prod_{p | n}(1 + r(p)^2) on every element first.
     """
@@ -538,9 +527,7 @@ def _main_term(res: Resonator, sup: SupportArrays) -> float:
         raise AssertionError("t-weight identity violated")
     w = sup.t * sup.ns
     w_over_cube = w / sup.ns.astype(np.float64) ** 3
-    return _ordered_pair_fsum(
-        sup.masks, len(sup.ns), lambda j, idx: w[idx] * w_over_cube[j]
-    )
+    return _pair_fsum(w[i] * w_over_cube[j] for i, j in _blocks(pairs))
 
 
 def _balanced_pair_bound(sup: SupportArrays, z: float) -> float:
@@ -548,7 +535,7 @@ def _balanced_pair_bound(sup: SupportArrays, z: float) -> float:
     return math.fsum((sup.t / np.sqrt(sup.ns)).tolist()) ** 2 / math.log(z)
 
 
-def _alpha_tail(res: Resonator, sup: SupportArrays, x: float, alpha: float) -> float:
+def _alpha_tail(res: Resonator, sup: SupportArrays, pairs: Pairs, x: float, alpha: float) -> float:
     """alpha_shift_error_term over the coprime pairs of sup."""
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
@@ -562,7 +549,7 @@ def _alpha_tail(res: Resonator, sup: SupportArrays, x: float, alpha: float) -> f
         * sup.ns.astype(np.float64) ** (alpha - 0.5)
         * np.exp(-sup.prime_factor_sums(log_shift))
     )
-    pair_sum = _ordered_pair_fsum(sup.masks, len(sup.ns), lambda j, idx: u[idx] * u[j])
+    pair_sum = _pair_fsum(u[i] * u[j] for i, j in _blocks(pairs))
     return math.exp(log_full_shift - log_full_plain) * x ** (-alpha) * pair_sum
 
 
@@ -581,7 +568,8 @@ def moment_main_term(
     coprime squarefree support products; the identity is asserted on
     every support element.  Always at least 1 (the (1,1) term).
     """
-    return _main_term(res, support_arrays(res, min(float(n_max), x), budget))
+    sup = support_arrays(res, min(float(n_max), x), budget)
+    return _main_term(res, sup, sup.coprime_pairs())
 
 
 def balanced_pair_bound_check(
@@ -601,7 +589,7 @@ def balanced_pair_bound_check(
     if z <= 1.0:
         raise ValueError("z must exceed 1")
     sup = support_arrays(res, z, budget)
-    return _main_term(res, sup), _balanced_pair_bound(sup, z)
+    return _main_term(res, sup, sup.coprime_pairs()), _balanced_pair_bound(sup, z)
 
 
 def alpha_shift_error_term(
@@ -620,7 +608,8 @@ def alpha_shift_error_term(
 
     Positive whenever the support is nonempty or trivially X^{-alpha}.
     """
-    return _alpha_tail(res, support_arrays(res, min(float(n_max), x), budget), x, alpha)
+    sup = support_arrays(res, min(float(n_max), x), budget)
+    return _alpha_tail(res, sup, sup.coprime_pairs(), x, alpha)
 
 
 def tail_truncation_check(
@@ -722,37 +711,23 @@ class MomentReport:
     feasibility: dict
     flags: dict = field(default_factory=dict)
 
-    _FIELDS = (
-        "n", "t", "x", "c", "delta", "gamma", "nu", "alpha",
-        "m1_quad", "m1_exact", "m1_main", "m2_quad", "m2_exact",
-        "diag_sum", "m2_diag_main", "offdiag_bound", "m1_offdiag_bound",
-        "decay_constant", "ratio", "lower_bound",
-        "ratio_bracket_lo", "ratio_bracket_hi", "lower_bound_bracket",
-        "main_term", "tail_error", "balanced_pair_sum", "balanced_pair_bound",
-        "balanced_pair_diag_ratio",
-        "growth_bound_t", "growth_bound_n", "diagnostic_exponent_ratio",
-    )
-
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in self._FIELDS}
-        out["resonator"] = dict(self.resonator)
-        out["feasibility"] = dict(self.feasibility)
-        out["flags"] = dict(self.flags)
-        return out
+        return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(self).items()}
+
+    def _csv_items(self) -> list[tuple[str, object]]:
+        """(column, value): the scalar fields in declaration order, then
+        the keys of each dict field, sorted, as field.key."""
+        items = vars(self).items()
+        scalars = [(k, v) for k, v in items if not isinstance(v, dict)]
+        return scalars + [
+            (f"{k}.{key}", v[key]) for k, v in items if isinstance(v, dict) for key in sorted(v)
+        ]
 
     def csv_header(self) -> list[str]:
-        cols = list(self._FIELDS)
-        cols += [f"resonator.{k}" for k in sorted(self.resonator)]
-        cols += [f"feasibility.{k}" for k in sorted(self.feasibility)]
-        cols += [f"flags.{k}" for k in sorted(self.flags)]
-        return cols
+        return [k for k, _ in self._csv_items()]
 
     def csv_row(self) -> list:
-        row = [getattr(self, name) for name in self._FIELDS]
-        row += [self.resonator[k] for k in sorted(self.resonator)]
-        row += [self.feasibility[k] for k in sorted(self.feasibility)]
-        row += [self.flags[k] for k in sorted(self.flags)]
-        return row
+        return [v for _, v in self._csv_items()]
 
 
 def _feasibility_flags(
@@ -796,13 +771,13 @@ def ratio_and_bounds(
 ) -> MomentReport:
     """Assemble the full certificate report.
 
-    The headline fields are f-free: ratio = diag_sum / (N * sum r(n)^2)
-    and lower_bound = sqrt(ratio), valid for every unimodular completely
-    multiplicative coefficient function at once.  The bracket fields pin
-    the exact moment ratio between rigorous-numeric endpoints using the
-    off-diagonal envelopes.  Exact and quadrature moments are filled in
-    for tiny instances (exact_mode="auto") or on demand ("always");
-    either may be None.
+    The headline fields ratio = diag_sum / (N * sum r(n)^2) and
+    lower_bound = sqrt(ratio) are f-free: the diagonal main term of M2/M1,
+    not certified bounds, since the off-diagonal terms they leave out can
+    have either sign.  The bracket fields add the off-diagonal envelopes,
+    whose C_nu is fitted on a grid (offdiag_bound), so they are empirical
+    too.  Exact and quadrature moments are filled in for tiny instances
+    (exact_mode="auto") or on demand ("always"); either may be None.
 
     `f` is only consulted for those exact/quadrature cross-checks.
     """
@@ -820,12 +795,18 @@ def ratio_and_bounds(
     # support <= X.  When that build is over budget, prefixes are built
     # on their own, and the sums over the whole support fall back as
     # flagged: sum r(n)^2 and sum r(n) to Euler-product upper bounds
-    # (which keep the ratio a certified lower bound), the diagonal to
-    # g-ranges cut at g_cap.
+    # (which keep the ratio a lower bound of the diagonal ratio), the
+    # diagonal to g-ranges cut at g_cap.
     sup = _support_within_budget(res, x, budget)
 
     def support_upto(cap: float) -> SupportArrays:
         return sup.upto(cap) if sup is not None else support_arrays(res, cap, budget)
+
+    # Every pair sum below (g-capped fallbacks are prefixes) runs over the
+    # coprime pairs of the support <= z = min(N, X), listed once here.
+    z = min(float(n_max), x)
+    sup_z = support_upto(z)
+    pairs = sup_z.coprime_pairs()
 
     flags["r2_sum_truncated"] = sup is None
     if sup is not None:
@@ -837,7 +818,7 @@ def ratio_and_bounds(
     diag = None
     if sup is not None:
         try:
-            diag = _window_diagonal(sup, n_max, x, budget)
+            diag = _window_diagonal(sup, pairs, n_max, x, budget)
         except ResourceLimitError:
             pass
     flags["diag_sum_truncated"] = diag is None
@@ -846,7 +827,7 @@ def ratio_and_bounds(
         while diag is None:
             g_cap /= 16.0
             try:
-                diag = _window_diagonal(support_upto(g_cap), n_max, x, budget, g_cap)
+                diag = _window_diagonal(support_upto(g_cap), pairs, n_max, x, budget, g_cap)
             except ResourceLimitError:
                 if g_cap < 1.0:
                     raise
@@ -863,9 +844,7 @@ def ratio_and_bounds(
     m1_diag = t_bound * phi0 * r2_denominator
     m2_diag = (t_bound / n_max) * phi0 * diag
 
-    bracket_lo = None
-    bracket_hi = None
-    lb_bracket = None
+    bracket_lo = bracket_hi = lb_bracket = None
     if not flags["r2_sum_truncated"] and not flags["diag_sum_truncated"]:
         m1_hi = m1_diag + od1
         m1_lo = m1_diag - od1
@@ -881,8 +860,7 @@ def ratio_and_bounds(
     if exact_mode == "always":
         support = support_upto(x).elements(res)
     elif exact_mode == "auto" and t_bound <= EXACT_AUTO_MAX_T and sup is not None:
-        if n_max * len(sup.ns) <= 64:
-            support = sup.elements(res)
+        support = sup.elements(res) if n_max * len(sup.ns) <= 64 else None
     if support is not None:
         if f is None:
             raise ValueError("exact moments require a coefficient function")
@@ -891,21 +869,16 @@ def ratio_and_bounds(
         m2_q = m2_quadrature(res, f, n_max, t_bound, support, table, b)
         m2_e = m2_exact(res, f, n_max, t_bound, support, table, b)
 
-    # The main term, the tail and the balanced pair sum all run over the
-    # coprime support pairs <= z = min(N, X); main term and pair sum are
-    # the same sum.
-    z = min(float(n_max), x)
-    pairs_z = support_upto(z)
     alpha_eff = alpha if alpha is not None else res.alpha_default
     if alpha_eff is not None:
-        tail = _alpha_tail(res, pairs_z, x, alpha_eff)
+        tail = _alpha_tail(res, sup_z, pairs, x, alpha_eff)
     else:
         # Degenerate resonator: no shift parameter to run the tail bound with.
         tail = None
 
-    main = _main_term(res, pairs_z)
+    main = _main_term(res, sup_z, pairs)  # the balanced pair sum too
     if z > 1.0:
-        pair_lhs, pair_rhs = main, _balanced_pair_bound(pairs_z, z)
+        pair_lhs, pair_rhs = main, _balanced_pair_bound(sup_z, z)
     else:
         pair_lhs = pair_rhs = None
     # Growth-rate diagnostic for the pair sum; trend data only, nothing

@@ -52,6 +52,8 @@ class UnimodularCMF:
             raise ValueError(f"unknown coefficient family {self.kind!r}")
         if self.prime_limit < 2:
             raise ValueError("prime_limit must be at least 2")
+        if self.kind == KIND_ARCHIMEDEAN and not math.isfinite(self.alpha):
+            raise ValueError(f"archimedean alpha must be finite, got {self.alpha}")
 
     def prime_value(self, p: int) -> complex:
         if p > self.prime_limit:

@@ -21,8 +21,9 @@ support sums are views of those arrays.
 A prime mask is a row of unsigned words with bit i for the i-th window
 prime (mask_layout fixes the word type and count).  Only this module
 reads or writes the bits: disjoint tests coprimality, prime_mask builds
-the mask of a set of primes, and SupportArrays.prime_factor_sums sums
-per-prime values over each element's primes.
+the mask of a set of primes, SupportArrays.prime_factor_sums sums
+per-prime values over each element's primes, and
+SupportArrays.coprime_pairs lists the coprime pairs of the elements.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from .ntcore import FactorTable, primes_in
 MIN_X = math.exp(math.e)
 DEFAULT_ENUM_BUDGET = 10_000_000
 _INT64_MAX = (1 << 63) - 1
+# Entries per temporary in blocked mask comparisons.
+_BLOCK = 2**16
+Pairs = tuple[np.ndarray, np.ndarray]  # (i, j) of SupportArrays.coprime_pairs
 
 
 @dataclass(frozen=True)
@@ -239,6 +243,28 @@ class SupportArrays:
             word, value = _word_bit(self.masks.dtype, i)
             out[(self.masks[:, word] & value) != 0] += v
         return out
+
+    def coprime_pairs(self) -> Pairs:
+        """Index arrays (i, j), int32, of every coprime pair of the elements
+        once: i <= j, ordered by j and then by i.  (0, 0) is the pair (1, 1),
+        the only pair of an element with itself.
+
+        The pairs come out of lower-triangular disjoint tiles: blocks of
+        rows j holding about _BLOCK entries (one row when there are more
+        elements than that), against every i up to the block's end.
+        """
+        n = len(self.ns)
+        rows = max(1, _BLOCK // max(n, 1))
+        found, counts = [np.zeros(0, dtype=np.int32)], np.zeros(n, dtype=np.int64)
+        for j0 in range(0, n, rows):
+            j1 = min(j0 + rows, n)
+            ok = disjoint(self.masks[j0:j1, None], self.masks[None, :j1])
+            ok[:, j0:] &= np.tri(j1 - j0, dtype=bool)  # keep i <= j
+            counts[j0:j1] = np.count_nonzero(ok, axis=1)
+            # Row-major flat indices (by j, then by i) less each row's start.
+            starts = np.repeat(np.arange(j1 - j0) * j1, counts[j0:j1])
+            found.append((np.flatnonzero(ok) - starts).astype(np.int32))
+        return np.concatenate(found), np.repeat(np.arange(n, dtype=np.int32), counts)
 
     def elements(self, res: Resonator) -> list[SupportElement]:
         """The elements as SupportElements, prime tuples read off the masks."""

@@ -200,6 +200,38 @@ def test_non_finite_inputs_exit_2(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", ["certify", "search"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_non_finite_archimedean_alpha_exits_2(command, alpha, capsys):
+    assert main([command, "--n", "50", "--t", "1e3", "--f", f"arch:{alpha}", "--eps", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "file_cfg, accepted",
+    [
+        ({"n": "100"}, False),  # a string is not an int
+        ({"n": True}, False),  # nor is a bool
+        ({"budget_terms": 2.5}, False),  # nor a float
+        ({"guided": 1}, False),  # an int is not a bool
+        ({"f": 5}, False),
+        ({"n": None}, False),  # n has no None default
+        ([4, 10.0], False),  # not a JSON object
+        ({"t": 10}, True),  # an int is a float
+        ({"eps": None, "guided": True}, True),
+    ],
+)
+def test_config_file_value_types(tmp_path, capsys, file_cfg, accepted):
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"n": 4, "t": 10.0, **file_cfg} if isinstance(file_cfg, dict) else file_cfg, fh)
+    code = main(["search", "--config", cfg_path, "--out", os.path.join(tmp_path, "out.json")])
+    assert code == (0 if accepted else 2)
+    assert ("error:" in capsys.readouterr().err) is not accepted
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 @pytest.mark.parametrize("guided", [[], ["--guided"]])
 def test_search_budget_points_below_one_exit_2(budget, guided, capsys):

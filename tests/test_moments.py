@@ -43,6 +43,7 @@ from rescert.oracle import (
 )
 from rescert.resonator import (
     Resonator,
+    SupportArrays,
     build_resonator,
     degenerate_resonator,
     support_arrays,
@@ -295,6 +296,29 @@ def test_report_builds_the_support_once(monkeypatch, res, n_max, t_bound):
     assert not any(report.flags.values())
     assert len(calls) == 1
     assert (report.m1_exact is not None) == (n_max == 3)
+
+
+@pytest.mark.parametrize(
+    "res, n_max, t_bound, budget",
+    [
+        (build_resonator(1e12, TABLE), 10_000, 1e12, moments.DEFAULT_TERM_BUDGET),
+        # The over-budget fallback of the next test: support sums and the
+        # diagonal both truncated, the diagonal through the g_cap loop.
+        (build_resonator(1e9, TABLE), 4, 1e4, 2),
+    ],
+)
+def test_report_lists_the_coprime_pairs_once(monkeypatch, res, n_max, t_bound, budget):
+    calls = []
+    listed = SupportArrays.coprime_pairs
+
+    def counted(self):
+        calls.append(self)
+        return listed(self)
+
+    monkeypatch.setattr(SupportArrays, "coprime_pairs", counted)
+    report = ratio_and_bounds(res, constant_one(), n_max, t_bound, 0.5, 0.5, TABLE, budget=budget)
+    assert report.flags["diag_sum_truncated"] is (budget == 2)
+    assert len(calls) == 1
 
 
 def test_report_over_budget_skips_auto_exact_moments():

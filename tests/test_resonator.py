@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rescert import resonator
 from rescert.errors import ResourceLimitError
 from rescert.ntcore import build_factor_table
 from rescert.resonator import (
@@ -164,6 +167,61 @@ def test_support_arrays_budget_and_int64_range():
     assert len(support_arrays(wide, 1e19).ns) == 7  # products of two fit in int64
     with pytest.raises(ResourceLimitError):
         support_arrays(wide, 1e30)  # the product of all three does not
+
+
+PRIMES_80 = tuple(p for p in range(2, 410) if all(p % q for q in range(2, p)))[:80]
+
+
+def _resonator_on(primes) -> Resonator:
+    """A Resonator on arbitrary primes, every weight 1/2."""
+    return Resonator(
+        x=1e30, lam=None, window_lo=None, window_hi=None, primes=tuple(primes),
+        r_p=dict.fromkeys(primes, 0.5), t_p=dict.fromkeys(primes, 0.4), alpha_default=None,
+    )
+
+
+def _assert_coprime_pairs(sup):
+    ns = sup.ns.tolist()
+    want = [(i, j) for j in range(len(ns)) for i in range(j + 1) if math.gcd(ns[i], ns[j]) == 1]
+    i, j = sup.coprime_pairs()
+    assert i.dtype == np.int32 and j.dtype == np.int32
+    assert list(zip(i.tolist(), j.tolist())) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    primes=st.one_of(
+        st.lists(st.sampled_from(PRIMES_80[:15]), max_size=9, unique=True),
+        st.lists(st.sampled_from(PRIMES_80), min_size=65, max_size=80, unique=True),
+    ).map(sorted),
+    cap=st.floats(-2.0, 1000.0),
+    block=st.sampled_from([3, 64, resonator._BLOCK]),
+)
+def test_coprime_pairs_match_gcd_pairs_property(primes, cap, block):
+    # More than 64 primes give two-word masks; small blocks split the
+    # lower triangle into many tiles, down to one row per tile.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(resonator, "_BLOCK", block)
+        _assert_coprime_pairs(support_arrays(_resonator_on(primes), cap))
+
+
+@pytest.mark.parametrize(
+    "res, cap, count",
+    [
+        (_resonator_on(PRIMES_80[:70]), 1000.0, None),  # 70 primes: two words
+        (build_resonator(math.exp(19.0), TABLE), math.inf, 1),  # empty window: (1, 1)
+        (RES20, 0.5, 0),  # cap < 1: no element, no pair
+        (RES20, math.inf, 3),  # (1, 1), (1, 61), (61, 1)
+    ],
+)
+def test_coprime_pairs_edge_cases(res, cap, count):
+    sup = support_arrays(res, cap)
+    _assert_coprime_pairs(sup)
+    i, j = sup.coprime_pairs()
+    if count is not None:
+        assert 2 * len(i) - (len(i) > 0) == count
+    else:
+        assert sup.masks.shape[1] == 2 and any(n % 313 == 0 for n in sup.ns.tolist())
 
 
 def test_sums_on_empty_support():
