@@ -16,9 +16,17 @@ class ResourceLimitError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive quadrature failed to reach the requested tolerance.
 
-    def __init__(self, message: str, *, achieved_error=None, value=None):
+    `needed` and `budget` are set when the evaluation budget stopped it
+    (as on ResourceLimitError) and None when it did not converge.
+    """
+
+    def __init__(
+        self, message: str, *, achieved_error=None, value=None, needed=None, budget=None
+    ):
         super().__init__(message)
         self.achieved_error = achieved_error
         self.value = value
+        self.needed = needed
+        self.budget = budget

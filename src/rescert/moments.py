@@ -39,11 +39,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bump import Bump, default_bump, decay_constant
-from .dirichlet import _support_coeff_logs
+from .dirichlet import _grid_values, _support_coeff_logs
 from .errors import ResourceLimitError
 from .multfn import UnimodularCMF, values_up_to
 from .ntcore import FactorTable, gcd
-from .quadrature import adaptive_oscillatory
+from .quadrature import adaptive_oscillatory, composite_gl_grid
 from .resonator import (
     _BLOCK,
     DEFAULT_ENUM_BUDGET,
@@ -79,16 +79,29 @@ def _decay_const(b: Bump, nu: int) -> float:
 # Quadrature moments (tiny instances; the oracle-facing route).
 
 
-def _window_integral(fn_extra, t_bound: float, b: Bump, max_freq: float, rel_tol: float):
+def _window_integral(polys, t_bound: float, b: Bump, rel_tol: float) -> float:
+    """Integral of Phi(t/T) * prod |P(t)|^2 over the window, P = sum c_n e^{i t log n}.
+
+    `polys` lists (coeffs, logs) pairs.  The level rule composite_gl_grid
+    asks for one Gauss-Legendre node across all panels at a time, an
+    arithmetic progression in t, which _grid_values scans with anchored
+    phase tables; the panel schedule starts at the summed top frequency.
+    """
     lo, hi = b.lo * t_bound, b.hi * t_bound
 
-    def integrand(t):
-        return fn_extra(t) * b.phi_vec(t / t_bound)
+    def integrand(origin: float, step: float, count: int) -> np.ndarray:
+        out = b.phi_vec((origin + step * np.arange(count)) / t_bound)
+        for coeffs, logs in polys:
+            for start, vals in _grid_values(coeffs, logs, origin, 0, count, step):
+                out[start : start + vals.size] *= vals.real * vals.real + vals.imag * vals.imag
+        return out
 
-    value, err = adaptive_oscillatory(
-        integrand, lo, hi, max_freq=max_freq, rel_tol=rel_tol, abs_tol=0.0
+    max_freq = sum(float(logs.max(initial=0.0)) for _, logs in polys)
+    value, _ = adaptive_oscillatory(
+        integrand, lo, hi, max_freq=max_freq, rel_tol=rel_tol, abs_tol=0.0,
+        rule=composite_gl_grid,
     )
-    return value.real, err
+    return value.real
 
 
 def m1_quadrature(
@@ -100,16 +113,14 @@ def m1_quadrature(
     b: Bump | None = None,
     rel_tol: float = 1e-8,
 ) -> float:
-    """M1 by adaptive quadrature over the window support [T/2, T]."""
+    """M1 by adaptive quadrature over the window support [T/2, T].
+
+    Composite Gauss-Legendre node by node (quadrature.composite_gl_grid):
+    each node's abscissae across the panels form a uniform grid on which
+    |R|^2 comes from the grid-scan kernel dirichlet._grid_values.
+    """
     b = b or default_bump()
-    coeffs, logs = _support_coeff_logs(res, f, support)
-
-    def r_abs2(t):
-        vals = np.exp(1j * np.multiply.outer(t, logs)) @ coeffs
-        return (vals * vals.conjugate()).real
-
-    value, _ = _window_integral(r_abs2, t_bound, b, max_freq=float(logs.max(initial=0.0)), rel_tol=rel_tol)
-    return value
+    return _window_integral([_support_coeff_logs(res, f, support)], t_bound, b, rel_tol)
 
 
 def m2_quadrature(
@@ -122,20 +133,17 @@ def m2_quadrature(
     b: Bump | None = None,
     rel_tol: float = 1e-8,
 ) -> float:
-    """M2 by adaptive quadrature over the window support [T/2, T]."""
+    """M2 by adaptive quadrature over the window support [T/2, T].
+
+    As m1_quadrature, with |R|^2 |D_N|^2 from the grid-scan kernel on
+    each Gauss-Legendre node's grid (oracle.m2_bruteforce_quadrature keeps
+    a dense rule as the independent check).
+    """
     b = b or default_bump()
-    coeffs, logs = _support_coeff_logs(res, f, support)
     d_coeffs = values_up_to(f, n_max, table) / math.sqrt(n_max)
     d_logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
-
-    def weighted_abs2(t):
-        rv = np.exp(1j * np.multiply.outer(t, logs)) @ coeffs
-        dv = np.exp(1j * np.multiply.outer(t, d_logs)) @ d_coeffs
-        return (rv * rv.conjugate()).real * (dv * dv.conjugate()).real
-
-    max_freq = float(logs.max(initial=0.0)) + float(d_logs.max(initial=0.0))
-    value, _ = _window_integral(weighted_abs2, t_bound, b, max_freq=max_freq, rel_tol=rel_tol)
-    return value
+    polys = [_support_coeff_logs(res, f, support), (d_coeffs, d_logs)]
+    return _window_integral(polys, t_bound, b, rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ a composite rule with a couple of panels per cycle converges fast and
 vectorizes cleanly.  Panel counts double until two successive refinements
 agree to tolerance; the difference of the last two levels is reported as
 the error estimate.
+
+Two level rules share that loop.  composite_gl hands the integrand every
+abscissa in one array.  composite_gl_grid hands it one node at a time:
+with P equal panels of width h on [a, b], node x_j sits at
+a + h*(1 + x_j)/2 + k*h in panel k, an arithmetic progression, so an
+integrand can evaluate it as a uniform grid (the moments use the grid
+kernel dirichlet._grid_values there).
 """
 
 from __future__ import annotations
@@ -43,6 +50,21 @@ def composite_gl(fn, a: float, b: float, panels: int, order: int = GL_ORDER) -> 
     return complex((vals @ weights) @ half)
 
 
+def composite_gl_grid(fn, a: float, b: float, panels: int, order: int = GL_ORDER) -> complex:
+    """One composite Gauss-Legendre pass, evaluated node by node.
+
+    `fn(origin, step, count)` must return the `count` integrand values at
+    origin + k*step, k < count (real or complex).  It is called once per
+    node with step = (b - a) / panels and count = panels.
+    """
+    nodes, weights = _gl_nodes(order)
+    h = (b - a) / panels
+    vals = np.empty((panels, order), dtype=np.complex128)
+    for j, x_j in enumerate(nodes):
+        vals[:, j] = fn(a + 0.5 * h * (1.0 + x_j), h, panels)
+    return complex((vals @ weights) @ np.full(panels, 0.5 * h))
+
+
 def adaptive_oscillatory(
     fn,
     a: float,
@@ -53,23 +75,30 @@ def adaptive_oscillatory(
     rel_tol: float = 1e-9,
     order: int = GL_ORDER,
     max_evals: int = 40_000_000,
+    rule=composite_gl,
 ) -> tuple[complex, float]:
     """Integrate `fn` over [a, b], doubling panels until converged.
 
     Args:
-        fn: vectorized integrand, numpy array in, array out.
+        fn: the integrand in the form `rule` calls it: a numpy array
+            of abscissae in, values out for composite_gl; a grid
+            (origin, step, count) for composite_gl_grid.
         max_freq: largest angular frequency present in the integrand
             (rad per unit); sets the initial panel count at roughly two
             panels per cycle.
         abs_tol / rel_tol: accept once the last refinement moved the
             value by no more than max(abs_tol, rel_tol * |value|).
-        max_evals: budget on total integrand evaluations.
+        max_evals: budget on total integrand evaluations; a level that
+            would pass it is refused before it is evaluated.
+        rule: the level rule, composite_gl or composite_gl_grid.
 
     Returns:
         (value, error_estimate)
 
     Raises:
-        QuadratureError: tolerance not reached within the budget.
+        QuadratureError: tolerance not reached within the budget.  On
+            budget exhaustion it carries `needed` (the evaluation total
+            the refused level would reach) and `budget` (max_evals).
     """
     if b <= a:
         return 0.0 + 0.0j, 0.0
@@ -85,8 +114,10 @@ def adaptive_oscillatory(
                 f"({spent} evaluations used, cap {max_evals})",
                 achieved_error=None if prev is None else err,
                 value=prev,
+                needed=spent + panels * order,
+                budget=max_evals,
             )
-        value = composite_gl(fn, a, b, panels, order)
+        value = rule(fn, a, b, panels, order)
         spent += panels * order
         if prev is not None:
             err = abs(value - prev)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from rescert import moments
 from rescert.bump import Bump, decay_constant, default_bump, phi_hat
 from rescert.cli import main as cli_main
+from rescert.dirichlet import _support_coeff_logs
 from rescert.errors import ResourceLimitError
 from rescert.moments import (
     DEFAULT_DECAY_GRID,
@@ -33,8 +35,9 @@ from rescert.moments import (
     ratio_and_bounds,
     tail_truncation_check,
 )
-from rescert.multfn import archimedean_cmf, constant_one, steinhaus_sample
+from rescert.multfn import archimedean_cmf, constant_one, steinhaus_sample, values_up_to
 from rescert.ntcore import build_factor_table
+from rescert.quadrature import adaptive_oscillatory
 from rescert.oracle import (
     BRUTE_FORCE_CAP,
     ToyResonator,
@@ -157,6 +160,61 @@ def test_m2_bounded_by_n_m1():
     m2 = m2_quadrature(RES20, f, n_max, t_bound, SUPP20, TABLE)
     m1 = m1_quadrature(RES20, f, t_bound, SUPP20, TABLE)
     assert m2 <= n_max * m1 * (1.0 + 1e-8)
+
+
+def _dense_window_integral(polys, t_bound, b):
+    """The same window integral with the dense exp(1j * outer(t, logs))
+    integrand through the default composite_gl rule."""
+
+    def integrand(t):
+        out = b.phi_vec(t / t_bound)
+        for coeffs, logs in polys:
+            vals = np.exp(1j * np.multiply.outer(t, logs)) @ coeffs
+            out = out * (vals * vals.conjugate()).real
+        return out
+
+    max_freq = sum(float(logs.max(initial=0.0)) for _, logs in polys)
+    value, _ = adaptive_oscillatory(
+        integrand, b.lo * t_bound, b.hi * t_bound, max_freq=max_freq, rel_tol=1e-8
+    )
+    return value.real
+
+
+CRITERION3 = [(n, t, lx) for n in (3, 4, 12) for t in (1e3, 1e4) for lx in (20.0, 20.2)]
+CRITERION3_FS = (constant_one(), steinhaus_sample(12345), archimedean_cmf(1.0))
+
+
+@pytest.mark.parametrize("idx", range(len(CRITERION3)))
+def test_quadrature_moments_match_dense_reference(idx):
+    n, t_bound, logx = CRITERION3[idx]
+    f = CRITERION3_FS[idx % 3]
+    b = default_bump()
+    res = build_resonator(math.exp(logx), TABLE)
+    supp = support_elements(res, res.x)
+    r_poly = _support_coeff_logs(res, f, supp)
+    d_poly = (
+        values_up_to(f, n, TABLE) / math.sqrt(n),
+        np.log(np.arange(1, n + 1, dtype=np.float64)),
+    )
+    m1_ref = _dense_window_integral([r_poly], t_bound, b)
+    m2_ref = _dense_window_integral([r_poly, d_poly], t_bound, b)
+    assert m1_quadrature(res, f, t_bound, supp, TABLE, b) == pytest.approx(m1_ref, rel=1e-12)
+    assert m2_quadrature(res, f, n, t_bound, supp, TABLE, b) == pytest.approx(m2_ref, rel=1e-12)
+
+
+def test_m2_quadrature_memory():
+    # The dense integrand held every abscissa times every term (134.6 MiB
+    # here); node by node the grid kernel needs a few MiB.
+    res = build_resonator(math.exp(20.2), TABLE)
+    supp = support_elements(res, res.x)
+    f = steinhaus_sample(1)
+    tracemalloc.start()
+    try:
+        m2_quadrature(res, f, 12, 1e4, supp, TABLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # -- diagonal sums ----------------------------------------------------------

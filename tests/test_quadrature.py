@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from rescert.dirichlet import RESYNC_STRIDE, _grid_values
 from rescert.errors import QuadratureError
-from rescert.quadrature import adaptive_oscillatory, composite_gl
+from rescert.quadrature import adaptive_oscillatory, composite_gl, composite_gl_grid
 
 
 def test_polynomial_exact():
@@ -39,16 +40,69 @@ def test_empty_interval():
 
 
 def test_budget_exhaustion():
+    def chirp(x):
+        return np.exp(-1j * 1e4 * x)
+
+    def chirp_grid(origin, step, count):
+        return chirp(origin + step * np.arange(count))
+
+    # Levels of 3184 and 6368 panels, 10 nodes each: a cap of 100 refuses
+    # the first before it runs, a cap of 50 000 the second; `needed` is
+    # the total the refused level would reach.
+    for budget, needed in ((100, 31_840), (50_000, 31_840 + 63_680)):
+        for fn, rule in ((chirp, composite_gl), (chirp_grid, composite_gl_grid)):
+            with pytest.raises(QuadratureError) as info:
+                adaptive_oscillatory(
+                    fn, 0.0, 1.0, max_freq=1e4, rel_tol=1e-15, max_evals=budget, rule=rule
+                )
+            assert info.value.value is None or isinstance(info.value.value, complex)
+            assert info.value.needed == needed
+            assert info.value.budget == budget
+
+
+def test_nonconvergence_has_no_budget_context():
+    rng = np.random.default_rng(0)
     with pytest.raises(QuadratureError) as info:
         adaptive_oscillatory(
-            lambda x: np.exp(-1j * 1e4 * x),
-            0.0,
-            1.0,
-            max_freq=1e4,
-            rel_tol=1e-15,
-            max_evals=100,
+            lambda x: rng.standard_normal(x.shape), 0.0, 1.0, max_freq=1.0, rel_tol=1e-15
         )
-    assert info.value.value is None or isinstance(info.value.value, complex)
+    assert info.value.needed is None and info.value.budget is None
+    assert info.value.achieved_error is not None
+
+
+# |P|^2 for a trigonometric polynomial P(t) = sum_n c_n e^{i t log n}.
+_COEFFS = np.array([1.0, 0.5 - 0.25j, -0.3j, 0.2 + 0.1j, 0.7])
+_LOGS = np.log(np.arange(1.0, 6.0))
+
+
+def _poly_abs2(t):
+    vals = np.exp(1j * np.multiply.outer(t, _LOGS)) @ _COEFFS
+    return (vals * vals.conjugate()).real
+
+
+def _poly_abs2_grid(origin, step, count):
+    out = np.empty(count)
+    for start, vals in _grid_values(_COEFFS, _LOGS, origin, 0, count, step):
+        out[start : start + vals.size] = (vals * vals.conjugate()).real
+    return out
+
+
+@pytest.mark.parametrize(
+    "panels", [8, RESYNC_STRIDE - 1, RESYNC_STRIDE + 1, 5 * RESYNC_STRIDE // 2]
+)
+def test_grid_rule_matches_composite_gl(panels):
+    # One, two and three anchor blocks of the grid kernel on each node.
+    a, b = 500.0, 1000.0
+    dense = composite_gl(_poly_abs2, a, b, panels)
+    grid = composite_gl_grid(_poly_abs2_grid, a, b, panels)
+    assert abs(grid - dense) <= 1e-13 * abs(dense)
+
+
+def test_grid_rule_adaptive_matches_default():
+    kw = dict(max_freq=float(_LOGS.max()), rel_tol=1e-12)
+    dense, _ = adaptive_oscillatory(_poly_abs2, 500.0, 1000.0, **kw)
+    grid, _ = adaptive_oscillatory(_poly_abs2_grid, 500.0, 1000.0, rule=composite_gl_grid, **kw)
+    assert abs(grid - dense) <= 1e-13 * abs(dense)
 
 
 def test_error_estimate_tracks_truth():
