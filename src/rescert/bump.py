@@ -10,17 +10,20 @@ evaluated at the ramp-local coordinate.  The transform convention is
 
     phi_hat(xi) = integral phi(x) * exp(-i*xi*x) dx.
 
-The plateau piece has a closed form; the two ramps go through adaptive
-Gauss-Legendre quadrature.  Transform values are memoized on xi rounded
-to 12 significant digits.  Oscillatory cancellation pushes genuine
+The plateau piece has a closed form.  x = 1/2 + w*s on the up-ramp and
+x = 1 - w*s on the down-ramp fold both ramps into
+
+    w * (e^{-i xi/2} C + e^{-i xi} conj(C)),  C = integral_0^1 psi(s) e^{-i xi w s} ds.
+
+In float64, C goes through adaptive Gauss-Legendre quadrature with a
+level rule that factors each node's phase into a per-node and a
+per-panel exponential.  Transform values are memoized on xi rounded to
+12 significant digits.  Oscillatory cancellation pushes genuine
 transform values below double precision noise (~1e-16) for large |xi|;
 callers that need trustworthy relative magnitudes out there (decay
 diagnostics) request deep=True, which re-evaluates those points in
-50-digit arithmetic.  The deep path substitutes x = 1/2 + w*s on the
-up-ramp and x = 1 - w*s on the down-ramp, so both ramps become one
-integral of psi(s) times two phases over s in [0, 1]; mpmath's
-Gauss-Legendre rule integrates it piece by piece between half-cycle
-breakpoints.
+50-digit arithmetic: mpmath's Gauss-Legendre rule integrates the same
+folded ramps piece by piece between half-cycle breakpoints.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .quadrature import adaptive_oscillatory
+from .quadrature import _gl_nodes, adaptive_oscillatory
 
 DEFAULT_TOLERANCE = 1e-12
 # Below this magnitude a float64 quadrature result is dominated by
@@ -50,13 +53,25 @@ def _psi_scalar(s: float) -> float:
 
 
 def _psi_vec(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    out[s >= 1.0] = 1.0
-    inside = (s > 0.0) & (s < 1.0)
-    si = s[inside]
-    with np.errstate(over="ignore"):
-        out[inside] = 1.0 / (1.0 + np.exp(1.0 / si - 1.0 / (1.0 - si)))
-    return out
+    # For s in [0, 1]; at the ends exp(+-inf) gives psi(0) = 0, psi(1) = 1.
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / (1.0 + np.exp(1.0 / s - 1.0 / (1.0 - s)))
+
+
+def _ramp_level(freq: float, a: float, b: float, panels: int, order: int) -> complex:
+    """adaptive_oscillatory level rule for integral_a^b psi(s) e^{-i freq s} ds,
+    given freq in place of an integrand.  Node j of panel k sits at
+    s = a + k*h + u_j, so its phase is e^{-i freq u_j} e^{-i freq (a + k*h)}.
+    """
+    nodes, weights = _gl_nodes(order)
+    h = (b - a) / panels
+    u = 0.5 * h * (1.0 + nodes)
+    starts = a + h * np.arange(panels)
+    psi_w = _psi_vec(starts[:, None] + u) * weights  # (panels, order)
+    node = np.exp(-1j * freq * u)
+    # Two real products: a real matrix times a complex vector skips BLAS.
+    per_panel = psi_w @ node.real + 1j * (psi_w @ node.imag)
+    return 0.5 * h * complex(np.exp(-1j * freq * starts) @ per_panel)
 
 
 @dataclass
@@ -70,8 +85,8 @@ class Bump:
     def __post_init__(self):
         if not 0.0 < self.ramp_width <= 0.25:
             raise ValueError("ramp width must lie in (0, 1/4]")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
     # Ramp boundaries.
     @property
@@ -147,6 +162,11 @@ class Bump:
         return value
 
     def _transform_float(self, xi: float) -> complex:
+        """phi_hat(xi) in float64: closed-form plateau plus the folded ramps
+        (module docstring), C by one adaptive integral under _ramp_level.
+        An error d in C moves the ramps by at most 2w|d|, so C's budget
+        0.45 * tolerance / w keeps the ramps within 0.9 * tolerance.
+        """
         w = self.ramp_width
         p_lo, p_hi = self.plateau_lo, self.plateau_hi
         if xi == 0.0:
@@ -156,30 +176,18 @@ class Bump:
             plateau = (
                 np.exp(-1j * xi * p_lo) - np.exp(-1j * xi * p_hi)
             ) / (1j * xi)
-
-        def ramp_up(x):
-            return _psi_vec((x - 0.5) / w) * np.exp(-1j * xi * x)
-
-        def ramp_down(x):
-            return _psi_vec((1.0 - x) / w) * np.exp(-1j * xi * x)
-
-        tol = 0.45 * self.tolerance
-        up, _ = adaptive_oscillatory(
-            ramp_up, 0.5, p_lo, max_freq=abs(xi), abs_tol=tol, rel_tol=0.0
+        c, _ = adaptive_oscillatory(
+            xi * w, 0.0, 1.0, max_freq=abs(xi) * w,
+            abs_tol=0.45 * self.tolerance / w, rel_tol=0.0, rule=_ramp_level,
         )
-        down, _ = adaptive_oscillatory(
-            ramp_down, p_hi, 1.0, max_freq=abs(xi), abs_tol=tol, rel_tol=0.0
-        )
-        return complex(plateau) + up + down
+        ramps = w * (np.exp(-0.5j * xi) * c + np.exp(-1j * xi) * c.conjugate())
+        return complex(plateau + ramps)
 
     def _transform_mp(self, xi: float) -> complex:
         """phi_hat(xi) in DEEP_DPS-digit arithmetic.
 
-        With x = 1/2 + w*s on the up-ramp and x = 1 - w*s on the down-ramp
-        both ramps share psi(s) and fold into one integral over s in [0, 1]:
-
-            w * integral psi(s) * (e^{-i xi/2} c(s) + e^{-i xi} conj(c(s))) ds,
-
+        The folded ramps (module docstring) are integrated as
+        w * integral psi(s) * (e^{-i xi/2} c(s) + e^{-i xi} conj(c(s))) ds,
         c(s) = e^{-i xi w s}.  Breakpoints at half cycles of c keep every
         piece non-oscillatory, so Gauss-Legendre converges in few nodes;
         its nodes are interior, so psi needs no endpoint cases.

@@ -110,6 +110,11 @@ def test_bump_validation():
         Bump(ramp_width=0.0)
     with pytest.raises(ValueError):
         Bump(tolerance=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            Bump(tolerance=bad)
+        with pytest.raises(ValueError, match="ramp width"):
+            Bump(ramp_width=bad)
 
 
 def test_transform_riemann_sum_cross_check():
@@ -199,3 +204,95 @@ def test_transform_mp_restores_precision():
     before = mpmath.mp.dps
     Bump()._transform_mp(2560.0)
     assert mpmath.mp.dps == before
+
+
+# _transform_mp at ramp width 1/8, as complex128; the entries up to
+# xi = 1280 are re-derived in test_fused_reference_is_transform_mp.
+FUSED_REFERENCE = {
+    0.0: complex(0.375, 0.0),
+    1.0: complex(0.2727210731117331, -0.25406598626303917),
+    3.3: complex(-0.2756434331310559, -0.21685504525617708),
+    10.0: complex(0.06476345484403888, -0.1752508068680762),
+    123.4: complex(-0.00017344465878749578, 0.0013585363606415596),
+    777.7: complex(-3.199985203232826e-08, -5.726686096217857e-08),
+    1280.0: complex(2.0373432808189349e-10, 8.202842760659727e-10),
+    2883.19: complex(-8.747845060596611e-15, 1.2951604106329772e-14),
+    10991.87: complex(1.4965517713477454e-26, -5.690835672946102e-27),
+    19398.51: complex(2.489340830993551e-33, -4.194265289478551e-34),
+}
+
+
+def test_fused_reference_is_transform_mp():
+    b = Bump()
+    for xi, ref in FUSED_REFERENCE.items():
+        if xi <= 1280.0:
+            assert abs(b._transform_mp(xi) - ref) <= 1e-16
+
+
+@pytest.mark.parametrize("xi", sorted(FUSED_REFERENCE))
+def test_transform_float_matches_transform_mp(xi):
+    assert abs(Bump()._transform_float(xi) - FUSED_REFERENCE[xi]) <= 1e-14
+
+
+def _two_ramp_float(b: Bump, xi: float) -> complex:
+    """The float transform as two separate ramp integrals, one per ramp."""
+    import numpy as np
+
+    from rescert.quadrature import adaptive_oscillatory
+
+    w = b.ramp_width
+
+    def psi(s):
+        out = np.zeros_like(s)
+        out[s >= 1.0] = 1.0
+        inside = (s > 0.0) & (s < 1.0)
+        si = s[inside]
+        with np.errstate(over="ignore"):
+            out[inside] = 1.0 / (1.0 + np.exp(1.0 / si - 1.0 / (1.0 - si)))
+        return out
+
+    plateau = (
+        (np.exp(-1j * xi * b.plateau_lo) - np.exp(-1j * xi * b.plateau_hi)) / (1j * xi)
+        if xi
+        else b.plateau_hi - b.plateau_lo
+    )
+    tol = 0.45 * b.tolerance
+    up, _ = adaptive_oscillatory(
+        lambda x: psi((x - 0.5) / w) * np.exp(-1j * xi * x),
+        0.5, b.plateau_lo, max_freq=abs(xi), abs_tol=tol, rel_tol=0.0,
+    )
+    down, _ = adaptive_oscillatory(
+        lambda x: psi((1.0 - x) / w) * np.exp(-1j * xi * x),
+        b.plateau_hi, 1.0, max_freq=abs(xi), abs_tol=tol, rel_tol=0.0,
+    )
+    return complex(plateau) + up + down
+
+
+@pytest.mark.parametrize("w", [1.0 / 16.0, 0.125, 0.25])
+def test_transform_float_matches_two_ramp_integral(w):
+    # Widths other than 1/8 stop at xi = 2883.19: at w = 1/16 and
+    # xi = 19398.51 the two-ramp form is itself 1.1e-14 away from
+    # _transform_mp, while the fused one is within 1e-16 of it.
+    b = Bump(ramp_width=w)
+    for xi in FUSED_REFERENCE:
+        if w == 0.125 or xi <= 2883.19:
+            assert abs(b._transform_float(xi) - _two_ramp_float(b, xi)) <= 1e-14
+
+
+def test_cold_transform_is_one_adaptive_integral(monkeypatch):
+    import rescert.bump as bump_mod
+
+    calls = []
+    real = bump_mod.adaptive_oscillatory
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bump_mod, "adaptive_oscillatory", counting)
+    b = Bump()
+    b.transform(777.7)
+    assert calls == [(0.0, 1.0)]
+    b.transform(777.7)
+    b.transform(-777.7)
+    assert len(calls) == 1
