@@ -60,8 +60,8 @@ def _psi_vec(s: np.ndarray) -> np.ndarray:
 
 def _ramp_level(freq: float, a: float, b: float, panels: int, order: int) -> complex:
     """adaptive_oscillatory level rule for integral_a^b psi(s) e^{-i freq s} ds,
-    given freq in place of an integrand.  Node j of panel k sits at
-    s = a + k*h + u_j, so its phase is e^{-i freq u_j} e^{-i freq (a + k*h)}.
+    given freq in place of an integrand.  Node j of panel k sits at s = a + k*h + u_j
+    (composite_gl_grid's layout), so its phase is e^{-i freq u_j} e^{-i freq (a + k*h)}.
     """
     nodes, weights = _gl_nodes(order)
     h = (b - a) / panels

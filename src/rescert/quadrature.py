@@ -7,12 +7,14 @@ vectorizes cleanly.  Panel counts double until two successive refinements
 agree to tolerance; the difference of the last two levels is reported as
 the error estimate.
 
-Two level rules share that loop.  composite_gl hands the integrand every
+Level rules share that loop.  composite_gl hands the integrand every
 abscissa in one array.  composite_gl_grid hands it one node at a time:
 with P equal panels of width h on [a, b], node x_j sits at
 a + h*(1 + x_j)/2 + k*h in panel k, an arithmetic progression, so an
 integrand can evaluate it as a uniform grid (the moments use the grid
-kernel dirichlet._grid_values there).
+kernel dirichlet._grid_values there).  A caller may pass its own rule
+with the same signature, and `fn` is then whatever that rule reads
+(bump._ramp_level takes a frequency and owns its integrand).
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ def adaptive_oscillatory(
     """Integrate `fn` over [a, b], doubling panels until converged.
 
     Args:
-        fn: the integrand in the form `rule` calls it: a numpy array
-            of abscissae in, values out for composite_gl; a grid
-            (origin, step, count) for composite_gl_grid.
+        fn: handed to `rule` unchanged; the integrand in the form the
+            rule calls it: a numpy array of abscissae in, values out for
+            composite_gl; a grid (origin, step, count) for
+            composite_gl_grid.  A caller's own rule may read it as data.
         max_freq: largest angular frequency present in the integrand
             (rad per unit); sets the initial panel count at roughly two
             panels per cycle.
@@ -90,7 +93,9 @@ def adaptive_oscillatory(
             value by no more than max(abs_tol, rel_tol * |value|).
         max_evals: budget on total integrand evaluations; a level that
             would pass it is refused before it is evaluated.
-        rule: the level rule, composite_gl or composite_gl_grid.
+        rule: the level rule `rule(fn, a, b, panels, order)`, one pass
+            with `panels` equal panels: composite_gl, composite_gl_grid
+            or a caller's own.
 
     Returns:
         (value, error_estimate)
