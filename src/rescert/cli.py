@@ -99,6 +99,10 @@ class RunConfig:
             if value < least:
                 flag = name.replace("_", "-")
                 raise ValueError(f"--{flag} must be at least {least}, got {value}")
+        if self.guided and (self.trace_stride > 0 or self.trace_out is not None):
+            raise ValueError(
+                "--trace-stride and --trace-out trace the grid search; --guided writes no trace"
+            )
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.gamma < 1.0:

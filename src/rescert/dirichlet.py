@@ -4,11 +4,16 @@ D_{f,N}(t) = N^{-1/2} * sum_{n<=N} f(n) * n^{it}.  The derivative bound
 |D'| <= sqrt(N) * log N turns a uniform grid of step h into a certificate:
 the true supremum over the scanned window exceeds the best grid value by
 at most h * sqrt(N) * log(N) / 2.  One kernel, _grid_values, scans D_N and
-the resonator polynomial R: direct exponentials every RESYNC_STRIDE points
-(the anchors), products of two small phase tables in between.  The anchors
-stay at fixed grid indices: at |t| ~ 6e10 each phase t*log n carries ~3e-5
-rad of rounding, so moved anchors shift grid values by ~1e-5 relative,
-enough to change which grid point wins a near tie.
+the resonator polynomial R in anchor blocks of RESYNC_STRIDE points.  Each
+block computes one direct exponential row at its anchor t0; its points are
+that row times products of two step tables, e^{i*j*h*log n} and
+e^{i*rows*m*h*log n}.  The step tables do not depend on t0, so a scan
+builds them once per block shape and term slice and every block reuses
+them (with more than RESYNC_STRIDE terms, once per group of 201 blocks and
+slice, which bounds the memory).  The anchors stay at fixed grid indices:
+at |t| ~ 6e10 each phase t*log n carries ~3e-5 rad of rounding, so moved
+anchors shift grid values by ~1e-5 relative, enough to change which grid
+point wins a near tie.
 """
 
 from __future__ import annotations
@@ -69,29 +74,64 @@ def _dn_terms(f: UnimodularCMF, n_max: int, table: FactorTable):
     return coeffs, logs, abs2
 
 
+def _expi(x: np.ndarray) -> np.ndarray:
+    """e^{i*x} from cos and sin: half the work of np.exp(1j * x)."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+def _step_tables(rows: int, cols: int, h: float, logs: np.ndarray):
+    """Inner table e^{i*j*h*log n} (j < rows) and outer table e^{i*rows*m*h*log n} (m < cols).
+
+    Both are views of one table, so a scan of one small block costs one outer product and
+    one cos/sin pass for its step tables.
+    """
+    steps = np.concatenate((np.arange(rows), np.arange(0, rows * cols, rows)))
+    tab = _expi(np.outer(steps * h, logs))
+    return tab[:rows], tab[rows:]
+
+
 def _grid_values(coeffs, logs, origin: float, k0: int, count: int, h: float):
     """Yield (start, values): values[k] = sum_n c_n e^{i*t*log n}, t = origin + (k0 + start + k)*h.
 
     A block of size <= RESYNC_STRIDE points starts at the anchor t0 = origin + (k0 + start)*h.
     With rows = ceil(sqrt(size)), its point j + rows*m is the inner table e^{i*j*h*log n} times
     c_n e^{i*t0*log n} times the outer table e^{i*rows*m*h*log n}, summed over n.  The terms
-    run in slices of RESYNC_STRIDE, so the tables stay within 201 * RESYNC_STRIDE entries.
+    run in slices of RESYNC_STRIDE, and each block adds its slices' products in slice order.
+
+    Once per block: the anchor row e^{i*t0*log n} and one product per slice.  Once per scan:
+    the step tables (_step_tables) of each block shape (the full blocks, and a shorter last
+    block) and term slice, since they do not depend on t0.  With more than one slice
+    (N > RESYNC_STRIDE) only one slice's tables are held: the slices run in the outer loop
+    over a group of up to 201 consecutive blocks, so the tables are built once per group and
+    slice, and the group's held block sums stay within the tables' bound of
+    201 * RESYNC_STRIDE entries.  A block is yielded as soon as its last slice is added, so a
+    one-slice scan holds no block sum but the current one.
     """
-    for start in range(0, count, RESYNC_STRIDE):
-        size = min(RESYNC_STRIDE, count - start)
-        rows = math.isqrt(size - 1) + 1
-        t0 = origin + (k0 + start) * h
-        phases = np.concatenate(([t0], np.arange(rows) * h, np.arange(0, size, rows) * h))
-        block = np.zeros((rows, phases.size - 1 - rows), dtype=np.complex128)
-        for s in range(0, logs.size, RESYNC_STRIDE):
-            x = np.outer(phases, logs[s : s + RESYNC_STRIDE])
-            # e^{i*x} from cos and sin: half the work of np.exp(1j * x).
-            tab = np.empty(x.shape, dtype=np.complex128)
-            np.cos(x, out=tab.real)
-            np.sin(x, out=tab.imag)
-            anchor = coeffs[s : s + RESYNC_STRIDE] * tab[0]
-            block += tab[1 : rows + 1] @ (tab[rows + 1 :] * anchor).T
-        yield start, block.T.ravel()[:size]
+    cuts = range(0, max(logs.size, 1), RESYNC_STRIDE)  # no terms: one empty slice, zero blocks
+    span = 201 * RESYNC_STRIDE  # points per group of blocks
+    key = inner = outer = None
+    for first in range(0, count, span):
+        starts = range(first, min(count, first + span), RESYNC_STRIDE)
+        sums = {}
+        for s in cuts:
+            c, lg = coeffs[s : s + RESYNC_STRIDE], logs[s : s + RESYNC_STRIDE]
+            for start in starts:
+                size = min(RESYNC_STRIDE, count - start)
+                rows = math.isqrt(size - 1) + 1
+                cols = -(-size // rows)
+                if key != (s, rows, cols):
+                    inner = outer = None  # free the old tables before building the new ones
+                    key = (s, rows, cols)
+                    inner, outer = _step_tables(rows, cols, h, lg)
+                if s == 0:
+                    sums[start] = np.zeros((rows, cols), dtype=np.complex128)
+                anchor = c * _expi((origin + (k0 + start) * h) * lg)
+                sums[start] += inner @ (outer * anchor).T
+                if s == cuts[-1]:
+                    yield start, sums.pop(start).T.ravel()[:size]
 
 
 def _search_args(n_max: int, t_bound: float, eps, window, eval_budget: int, eps_scale: float):
@@ -272,6 +312,43 @@ def grid_sup(
     return SearchResult(t_star, value, step, iters, slack, (lo, hi))
 
 
+def _guided_candidates(blocks, max_log: float, lo: float, step: float, top_k: int) -> np.ndarray:
+    """Grid indices of the top-k local maxima of |R| over the kernel's blocks of R values.
+
+    The maxima are found block by block: the last two |R| values of a block carry over to
+    the next, so every interior point is compared with both neighbours once.  With no
+    interior maximum the first argmax stands in.
+    """
+    peaks, heights = [], []
+    tail = np.empty(0)
+    top_idx, top = 0, -math.inf
+    for start, vals in blocks:
+        mag = np.abs(vals)
+        k = int(np.argmax(mag))
+        if mag[k] > top:
+            top_idx, top = start + k, mag[k]
+        ext = np.concatenate((tail, mag))
+        idx = 1 + np.flatnonzero((ext[1:-1] >= ext[:-2]) & (ext[1:-1] >= ext[2:]))
+        peaks.append(start - tail.size + idx)
+        heights.append(ext[idx])
+        tail = ext[-2:]
+    peak_idx, heights = np.concatenate(peaks), np.concatenate(heights)
+    if peak_idx.size == 0:
+        peak_idx, heights = np.array([top_idx]), np.array([top])
+    h_top = float(heights.max())
+    # Grid offset shifts a sampled peak height by O((omega*step)^2), so
+    # peaks within that band are indistinguishable at this resolution
+    # (e.g. every peak of a single-prime |R|, which is periodic).  Scan
+    # the band smallest |t| first, matching the grid-search tie-break.
+    blur = h_top * (max_log * step) ** 2
+    in_band = heights >= h_top - blur
+    band = peak_idx[in_band]
+    band = band[np.argsort(np.abs(lo + step * band), kind="stable")]
+    rest = peak_idx[~in_band]
+    rest = rest[np.argsort(heights[~in_band], kind="stable")[::-1]]
+    return np.concatenate([band, rest])[:top_k]
+
+
 def resonance_guided_search(
     res: Resonator,
     f: UnimodularCMF,
@@ -309,27 +386,8 @@ def resonance_guided_search(
         step = (hi - lo) / (n_points - 1)
 
     r_coeffs, r_logs = _support_coeff_logs(res, f, support)
-    r_mag = np.empty(n_points, dtype=np.float64)
-    for start, vals in _grid_values(r_coeffs, r_logs, lo, 0, n_points, step):
-        r_mag[start : start + vals.size] = np.abs(vals)
-
-    # Local maxima of |R|, best first.
-    peak_idx = 1 + np.flatnonzero((r_mag[1:-1] >= r_mag[:-2]) & (r_mag[1:-1] >= r_mag[2:]))
-    if peak_idx.size == 0:
-        peak_idx = np.array([int(np.argmax(r_mag))])
-    heights = r_mag[peak_idx]
-    h_top = float(heights.max())
-    # Grid offset shifts a sampled peak height by O((omega*step)^2), so
-    # peaks within that band are indistinguishable at this resolution
-    # (e.g. every peak of a single-prime |R|, which is periodic).  Scan
-    # the band smallest |t| first, matching the grid-search tie-break.
-    blur = h_top * (float(r_logs.max(initial=0.0)) * step) ** 2
-    in_band = heights >= h_top - blur
-    band = peak_idx[in_band]
-    band = band[np.argsort(np.abs(lo + step * band), kind="stable")]
-    rest = peak_idx[~in_band]
-    rest = rest[np.argsort(heights[~in_band], kind="stable")[::-1]]
-    candidates = np.concatenate([band, rest])[:top_k]
+    blocks = _grid_values(r_coeffs, r_logs, lo, 0, n_points, step)
+    candidates = _guided_candidates(blocks, float(r_logs.max(initial=0.0)), lo, step, top_k)
 
     _, _, abs2 = _dn_terms(f, n_max, table)
     # The first of the highest refined peaks wins.

@@ -89,6 +89,32 @@ def test_search_guided(tmp_path):
     assert report["certified_slack"] is None
 
 
+@pytest.mark.parametrize(
+    "trace_args, file_cfg",
+    [
+        (["--trace-stride", "5"], {}),
+        (["--trace-out", "trace.csv"], {}),
+        (["--trace-stride", "5", "--trace-out", "trace.csv"], {}),
+        ([], {"trace_stride": 5}),
+        ([], {"trace_out": "trace.csv"}),
+        ([], {"guided": True, "trace_stride": 5}),
+    ],
+)
+def test_search_guided_rejects_trace(tmp_path, monkeypatch, capsys, trace_args, file_cfg):
+    # The guided search writes no trace, so asking it for one is a usage error.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(file_cfg, fh)
+    guided = [] if file_cfg.get("guided") else ["--guided"]
+    argv = ["search", *guided, "--n", "20", "--t", "100", "--config", cfg_path, *trace_args]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--guided writes no trace" in captured.err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_search_csv_format(tmp_path):
     out = os.path.join(tmp_path, "search.csv")
     code = main([

@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rescert import dirichlet
 from rescert.dirichlet import (
     RESYNC_STRIDE,
     _grid_values,
+    _guided_candidates,
     derivative_bound,
     eval_DN,
     eval_R,
@@ -160,6 +162,216 @@ def test_grid_kernel_matches_direct_across_term_slices():
     k0, count = int(777.0 / h), 150
     got = _kernel_abs2(coeffs, logs, 0.0, k0, count, h)
     assert np.max(np.abs(got - _direct_abs2(coeffs, logs, (k0 + np.arange(count)) * h))) <= 1e-9
+
+
+def _per_block_grid_values(coeffs, logs, origin, k0, count, h):
+    """The kernel as it was before its step tables were shared: every anchor block
+    computed one (201, slice) phase table, anchor row and step tables together."""
+    stride = dirichlet.RESYNC_STRIDE
+    for start in range(0, count, stride):
+        size = min(stride, count - start)
+        rows = math.isqrt(size - 1) + 1
+        t0 = origin + (k0 + start) * h
+        phases = np.concatenate(([t0], np.arange(rows) * h, np.arange(0, size, rows) * h))
+        block = np.zeros((rows, phases.size - 1 - rows), dtype=np.complex128)
+        for s in range(0, logs.size, stride):
+            x = np.outer(phases, logs[s : s + stride])
+            tab = np.empty(x.shape, dtype=np.complex128)
+            np.cos(x, out=tab.real)
+            np.sin(x, out=tab.imag)
+            anchor = coeffs[s : s + stride] * tab[0]
+            block += tab[1 : rows + 1] @ (tab[rows + 1 :] * anchor).T
+        yield start, block.T.ravel()[:size]
+
+
+def _assert_same_blocks(coeffs, logs, origin, k0, count, h):
+    got = list(_grid_values(coeffs, logs, origin, k0, count, h))
+    want = list(_per_block_grid_values(coeffs, logs, origin, k0, count, h))
+    assert [start for start, _ in got] == [start for start, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _dn_coeffs_logs(n, seed):
+    table = TABLE if n <= TABLE.limit else build_factor_table(n)
+    coeffs, logs, _ = dirichlet._dn_terms(steinhaus_sample(seed, table.limit), n, table)
+    return coeffs, logs
+
+
+@pytest.mark.parametrize(
+    "n, t, count, off_grid",
+    [
+        (60, 1e3, 2 * RESYNC_STRIDE + 37, False),  # a partial last block
+        (12_000, 777.0, RESYNC_STRIDE + 37, False),  # two term slices, two blocks
+        (25_000, 1e5, RESYNC_STRIDE + 37, False),  # three term slices
+        (60, 1e3, 2 * RESYNC_STRIDE + 37, True),  # an origin off the multiples of h
+        (500, 6e10, 2 * RESYNC_STRIDE + 37, False),  # phases of ~1e11 rad
+    ],
+)
+def test_grid_kernel_matches_per_block_kernel(n, t, count, off_grid):
+    # Sharing the step tables changes no float: same tables, same products, same order.
+    coeffs, logs = _dn_coeffs_logs(n, n)
+    h = 2e-3 / math.log(n)
+    if off_grid:
+        _assert_same_blocks(coeffs, logs, t + h / 3, 0, count, h)
+    else:
+        _assert_same_blocks(coeffs, logs, 0.0, int(t / h), count, h)
+
+
+@pytest.mark.parametrize("n, count", [(40, 5 * 16), (40, 201 * 16 + 5 * 16 + 7), (16, 201 * 16 + 1)])
+def test_grid_kernel_matches_per_block_kernel_over_block_groups(monkeypatch, n, count):
+    # A small stride makes several term slices and several groups of 201 blocks cheap.
+    monkeypatch.setattr(dirichlet, "RESYNC_STRIDE", 16)
+    coeffs, logs = _dn_coeffs_logs(n, 3)
+    _assert_same_blocks(coeffs, logs, 0.25, 10**9, count, 1e-3)
+
+
+def _count_step_tables(monkeypatch):
+    calls = []
+    build = dirichlet._step_tables
+
+    def counted(rows, cols, h, logs):
+        calls.append((rows, cols, logs.size))
+        return build(rows, cols, h, logs)
+
+    monkeypatch.setattr(dirichlet, "_step_tables", counted)
+    return calls
+
+
+def test_grid_kernel_builds_step_tables_once_per_scan(monkeypatch):
+    calls = _count_step_tables(monkeypatch)
+    coeffs, logs = _dn_coeffs_logs(60, 1)
+    assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * RESYNC_STRIDE, 1e-4))) == 5
+    assert calls == [(100, 100, 60)]
+    # A partial last block has its own shape, so it gets its own tables.
+    calls.clear()
+    assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * RESYNC_STRIDE + 37, 1e-4))) == 6
+    assert calls == [(100, 100, 60), (7, 6, 60)]
+
+
+def test_grid_kernel_builds_step_tables_once_per_group_and_slice(monkeypatch):
+    monkeypatch.setattr(dirichlet, "RESYNC_STRIDE", 16)
+    calls = _count_step_tables(monkeypatch)
+    coeffs, logs = _dn_coeffs_logs(40, 2)  # slices of 16, 16 and 8 terms
+    assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * 16, 1e-4))) == 5
+    assert calls == [(4, 4, 16), (4, 4, 16), (4, 4, 8)]
+    # A group holds at most 201 blocks: 201 blocks are one group, 202 are two.
+    for n_blocks, groups in ((201, 1), (202, 2)):
+        calls.clear()
+        blocks = _grid_values(coeffs, logs, 0.0, 10**6, n_blocks * 16, 1e-4)
+        assert [start for start, _ in blocks] == list(range(0, n_blocks * 16, 16))
+        assert calls == [(4, 4, 16), (4, 4, 16), (4, 4, 8)] * groups
+
+
+def test_grid_kernel_yields_one_slice_blocks_before_the_next_is_computed(monkeypatch):
+    # With one term slice no block sum is held back: each block is yielded
+    # before the next anchor row is computed.
+    coeffs, logs = _dn_coeffs_logs(60, 1)
+    anchors = []
+    expi = dirichlet._expi
+
+    def recorded(x):
+        if x.ndim == 1:
+            anchors.append(x[1] / logs[1])
+        return expi(x)
+
+    monkeypatch.setattr(dirichlet, "_expi", recorded)
+    h = 1e-4
+    for start, _ in _grid_values(coeffs, logs, 0.0, 10**6, 3 * RESYNC_STRIDE, h):
+        assert len(anchors) == start // RESYNC_STRIDE + 1
+        assert anchors[-1] == pytest.approx((10**6 + start) * h, rel=1e-12)
+
+
+def _full_array_candidates(r_mag, max_log, lo, step, top_k):
+    """The guided search's selection as it was when it held the whole |R| array."""
+    peak_idx = 1 + np.flatnonzero((r_mag[1:-1] >= r_mag[:-2]) & (r_mag[1:-1] >= r_mag[2:]))
+    if peak_idx.size == 0:
+        peak_idx = np.array([int(np.argmax(r_mag))])
+    heights = r_mag[peak_idx]
+    h_top = float(heights.max())
+    blur = h_top * (max_log * step) ** 2
+    in_band = heights >= h_top - blur
+    band = peak_idx[in_band]
+    band = band[np.argsort(np.abs(lo + step * band), kind="stable")]
+    rest = peak_idx[~in_band]
+    rest = rest[np.argsort(heights[~in_band], kind="stable")[::-1]]
+    return np.concatenate([band, rest])[:top_k]
+
+
+def _as_blocks(r_mag, sizes):
+    # Blocks of the given sizes; |R| as complex values with a phase, as the kernel yields.
+    bounds = np.cumsum([0, *sizes])
+    assert bounds[-1] == r_mag.size
+    return [(int(a), r_mag[a:b] * np.exp(0.3j)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@pytest.mark.parametrize(
+    "r_mag, sizes",
+    [
+        # A peak on the last point of a block, one on the first point of the next,
+        # and a plateau across a boundary.
+        ([1.0, 2.0, 5.0, 1.0, 0.5, 3.0, 3.0, 3.0, 1.0], [3, 3, 3]),
+        ([1.0, 2.0, 5.0, 1.0, 0.5, 3.0, 3.0, 3.0, 1.0], [2, 1, 1, 2, 1, 2]),
+        ([1.0, 2.0, 5.0, 1.0, 0.5, 3.0, 3.0, 3.0, 1.0], [1] * 9),
+        # No interior maximum: the first argmax stands in.
+        ([1.0, 2.0, 3.0, 4.0, 4.0], [2, 3]),
+        ([4.0, 4.0, 3.0, 2.0], [1, 3]),
+        ([4.0, 3.0, 4.0], [1, 2]),  # a tied maximum in a later block
+        ([4.0, 3.0, 4.0], [2, 1]),
+        ([7.0], [1]),
+        ([2.0, 7.0], [1, 1]),
+    ],
+)
+@pytest.mark.parametrize("top_k", [1, 5, 100])
+def test_guided_candidates_match_full_array_selection(r_mag, sizes, top_k):
+    r_mag = np.abs(np.asarray(r_mag) * np.exp(0.3j))  # the rounding of np.abs on both sides
+    want = _full_array_candidates(r_mag, 3.0, -2.0, 0.5, top_k)
+    got = _guided_candidates(_as_blocks(r_mag, sizes), 3.0, -2.0, 0.5, top_k)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_guided_candidates_match_full_array_selection_random():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        # Few distinct levels, so plateaus and ties are common.
+        r_mag = np.abs(rng.integers(0, 4, n) * np.exp(0.3j))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+        sizes = np.diff([0, *cuts, n])
+        lo, step = float(rng.uniform(-5.0, 1.0)), 0.1
+        want = _full_array_candidates(r_mag, 1.0, lo, step, 7)
+        got = _guided_candidates(_as_blocks(r_mag, sizes), 1.0, lo, step, 7)
+        assert np.array_equal(got, want)
+
+
+def test_guided_candidates_periodic_one_prime_resonator():
+    # |R| = |1 + r e^{i t log 61}| is periodic: all its peaks fall in the tie band,
+    # which is scanned smallest |t| first, across three anchor blocks.
+    coeffs, logs = dirichlet._support_coeff_logs(
+        RES20, constant_one(), support_elements(RES20, RES20.x)
+    )
+    lo, count = -250.0, 2 * RESYNC_STRIDE + 37
+    step = 500.0 / (count - 1)
+    r_mag = np.concatenate([np.abs(v) for _, v in _grid_values(coeffs, logs, lo, 0, count, step)])
+    for top_k in (5, 10**6):
+        want = _full_array_candidates(r_mag, float(logs.max()), lo, step, top_k)
+        got = _guided_candidates(_grid_values(coeffs, logs, lo, 0, count, step),
+                                 float(logs.max()), lo, step, top_k)
+        assert np.array_equal(got, want)
+    assert want.size > 100  # one peak per period 2*pi / log 61 ~ 1.5
+    assert np.all(np.diff(np.abs(lo + step * want[:50])) >= 0)  # in the band
+
+
+def test_guided_search_memory_bounded():
+    # 6.2e6 coarse points: the whole |R| array alone would take 50 MB.
+    res = build_resonator(4.85e8, TABLE)
+    tracemalloc.start()
+    try:
+        resonance_guided_search(res, steinhaus_sample(2, TABLE.limit), 500, 1e4, None, TABLE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_grid_sup_trace(tmp_path):
