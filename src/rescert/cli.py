@@ -99,10 +99,6 @@ class RunConfig:
             if value < least:
                 flag = name.replace("_", "-")
                 raise ValueError(f"--{flag} must be at least {least}, got {value}")
-        if self.guided and (self.trace_stride > 0 or self.trace_out is not None):
-            raise ValueError(
-                "--trace-stride and --trace-out trace the grid search; --guided writes no trace"
-            )
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.gamma < 1.0:
@@ -256,6 +252,10 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 
 def cmd_search(cfg: RunConfig) -> int:
+    if cfg.guided and (cfg.trace_stride > 0 or cfg.trace_out is not None):
+        raise ValueError(
+            "--trace-stride and --trace-out trace the grid search; --guided writes no trace"
+        )
     t = cfg.resolve_t()
     table = _build_table(cfg, 1.0)
     f = _parse_f(cfg.f, cfg.seed, table.limit)

@@ -111,7 +111,7 @@ def _grid_values(coeffs, logs, origin: float, k0: int, count: int, h: float):
     one-slice scan holds no block sum but the current one.
     """
     cuts = range(0, max(logs.size, 1), RESYNC_STRIDE)  # no terms: one empty slice, zero blocks
-    span = 201 * RESYNC_STRIDE  # points per group of blocks
+    span = 201 * RESYNC_STRIDE  # points per group: 201 held block sums, the tables' bound
     key = inner = outer = None
     for first in range(0, count, span):
         starts = range(first, min(count, first + span), RESYNC_STRIDE)

@@ -115,6 +115,16 @@ def test_search_guided_rejects_trace(tmp_path, monkeypatch, capsys, trace_args, 
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+def test_guided_trace_config_does_not_block_certify(tmp_path):
+    # Only the search traces, so a config shared with it still certifies.
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"guided": True, "trace_stride": 5, "trace_out": "trace.csv"}, fh)
+    payload = run(tmp_path, "certify", "--n", "1", "--t", "4", "--config", cfg_path)
+    assert payload["command"] == "certify"
+    assert main(["certify", "--guided", "--trace-stride", "5", "--n", "1", "--t", "4"]) == 0
+
+
 def test_search_csv_format(tmp_path):
     out = os.path.join(tmp_path, "search.csv")
     code = main([
