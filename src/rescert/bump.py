@@ -15,15 +15,28 @@ x = 1 - w*s on the down-ramp fold both ramps into
 
     w * (e^{-i xi/2} C + e^{-i xi} conj(C)),  C = integral_0^1 psi(s) e^{-i xi w s} ds.
 
-In float64, C goes through adaptive Gauss-Legendre quadrature with a
-level rule that factors each node's phase into a per-node and a
-per-panel exponential.  Transform values are memoized on xi rounded to
-12 significant digits.  Oscillatory cancellation pushes genuine
-transform values below double precision noise (~1e-16) for large |xi|;
-callers that need trustworthy relative magnitudes out there (decay
-diagnostics) request deep=True, which re-evaluates those points in
-50-digit arithmetic: mpmath's Gauss-Legendre rule integrates the same
-folded ramps piece by piece between half-cycle breakpoints.
+In float64, C goes through adaptive Gauss-Legendre quadrature with the
+level rule quadrature.composite_gl_phased, which factors each node's
+phase into a per-node and a per-panel exponential.  Transform values are
+memoized on xi rounded to 12 significant digits.  Oscillatory
+cancellation pushes genuine transform values below double precision
+noise (~1e-16) for large |xi|; callers that need trustworthy relative
+magnitudes out there (decay diagnostics) request deep=True, which
+re-evaluates those points in 50-digit arithmetic.
+
+The 50-digit path integrates the same C with its own composite
+Gauss-Legendre rule on P equal pieces between half-cycle breakpoints of
+e^{-i xi w s}, in quadrature's panel layout.  A node s = s_k + u_j of
+piece k has phase e^{-i lam s_k} e^{-i lam u_j} (lam = xi w), so the
+node factors h/2 * w_j * e^{-i lam u_j} are built once per degree and a
+node costs one psi and a real-times-complex product.  Since
+psi(1 - s) = 1 - psi(s) and the layout is symmetric about 1/2, piece
+P-1-k is e^{-i lam} conj(e^{-i lam s_k} sum_j (1 - psi_j) * factor_j)
+node for node, so each psi value (one exp) serves both pieces of a
+mirror pair.  Each pair climbs mpmath's Gauss-Legendre degrees
+(3 * 2^(m-1) nodes) until GaussLegendre.estimate_error is at most eps/8
+for both pieces, mpmath.quad's stopping rule, and a pair that has not
+got there at the top degree raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -33,14 +46,18 @@ from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
+from mpmath.calculus.quadrature import GaussLegendre
 
-from .quadrature import _gl_nodes, adaptive_oscillatory
+from .errors import QuadratureError
+from .quadrature import adaptive_oscillatory, composite_gl_phased
 
 DEFAULT_TOLERANCE = 1e-12
 # Below this magnitude a float64 quadrature result is dominated by
 # rounding noise of the O(1) integrand, not by the true value.
 DEEP_THRESHOLD = 1e-12
 DEEP_DPS = 50
+# Node tables of the 50-digit ramp rule, cached per (degree, precision).
+_GAUSS_LEGENDRE = GaussLegendre(mpmath.mp)
 
 
 def _psi_scalar(s: float) -> float:
@@ -58,20 +75,65 @@ def _psi_vec(s: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(1.0 / s - 1.0 / (1.0 - s)))
 
 
-def _ramp_level(freq: float, a: float, b: float, panels: int, order: int) -> complex:
-    """adaptive_oscillatory level rule for integral_a^b psi(s) e^{-i freq s} ds,
-    given freq in place of an integrand.  Node j of panel k sits at s = a + k*h + u_j
-    (composite_gl_grid's layout), so its phase is e^{-i freq u_j} e^{-i freq (a + k*h)}.
+def _psi_mp(s):
+    # psi at the working precision, for s strictly inside (0, 1).
+    t = 1 - s
+    return 1 / (1 + mpmath.exp((t - s) / (s * t)))
+
+
+def _folded_ramp_mp(lam):
+    """C = integral_0^1 psi(s) e^{-i lam s} ds by the 50-digit ramp rule
+    (module docstring), at the working precision plus 20 guard bits.
+
+    Returns (C, worst): worst is the largest error estimate of a piece
+    pair at its last degree, to be compared with eps/8 at the working
+    precision.
     """
-    nodes, weights = _gl_nodes(order)
-    h = (b - a) / panels
-    u = 0.5 * h * (1.0 + nodes)
-    starts = a + h * np.arange(panels)
-    psi_w = _psi_vec(starts[:, None] + u) * weights  # (panels, order)
-    node = np.exp(-1j * freq * u)
-    # Two real products: a real matrix times a complex vector skips BLAS.
-    per_panel = psi_w @ node.real + 1j * (psi_w @ node.imag)
-    return 0.5 * h * complex(np.exp(-1j * freq * starts) @ per_panel)
+    prec = mpmath.mp.prec
+    eps = mpmath.mp.eps / 8
+    top = _GAUSS_LEGENDRE.guess_degree(prec)
+    pieces = max(4, int(mpmath.ceil(abs(lam) / mpmath.pi)) + 1)
+    with mpmath.workprec(prec + 20):
+        h = mpmath.mpf(1) / pieces
+        degrees = {}
+
+        def node_factors(degree):
+            # Offsets u_j in a piece, factors h/2 * w_j * e^{-i lam u_j},
+            # and their sum (the rule applied to psi = 1).
+            if degree not in degrees:
+                offsets, factors = [], []
+                for x, weight in _GAUSS_LEGENDRE.get_nodes(-1, 1, degree, prec):
+                    u = h * (1 + x) / 2
+                    offsets.append(u)
+                    factors.append(h / 2 * weight * mpmath.expj(-lam * u))
+                degrees[degree] = offsets, factors, mpmath.fsum(factors)
+            return degrees[degree]
+
+        back = mpmath.expj(-lam)
+        total = mpmath.mpc(0)
+        worst = mpmath.mpf(0)
+        for k in range((pieces + 1) // 2):
+            start = k * h
+            phase = mpmath.expj(-lam * start)
+            paired = 2 * k + 1 < pieces  # else the middle piece, its own mirror
+            here, mirror = [], []
+            err = mpmath.inf
+            for degree in range(1, top + 1):
+                offsets, factors, ones = node_factors(degree)
+                dot = mpmath.fdot([_psi_mp(start + u) for u in offsets], factors)
+                here.append(phase * dot)
+                if paired:
+                    mirror.append(back * mpmath.conj(phase * (ones - dot)))
+                if degree > 1:
+                    err = _GAUSS_LEGENDRE.estimate_error(here, prec, eps)
+                    # The mirror's estimate only matters once this one passes.
+                    if paired and err <= eps:
+                        err = max(err, _GAUSS_LEGENDRE.estimate_error(mirror, prec, eps))
+                    if err <= eps:
+                        break
+            worst = max(worst, err)
+            total += here[-1] + (mirror[-1] if paired else 0)
+        return total, worst
 
 
 @dataclass
@@ -163,7 +225,8 @@ class Bump:
 
     def _transform_float(self, xi: float) -> complex:
         """phi_hat(xi) in float64: closed-form plateau plus the folded ramps
-        (module docstring), C by one adaptive integral under _ramp_level.
+        (module docstring), C by one adaptive integral under
+        composite_gl_phased.
         An error d in C moves the ramps by at most 2w|d|, so C's budget
         0.45 * tolerance / w keeps the ramps within 0.9 * tolerance.
         """
@@ -177,20 +240,23 @@ class Bump:
                 np.exp(-1j * xi * p_lo) - np.exp(-1j * xi * p_hi)
             ) / (1j * xi)
         c, _ = adaptive_oscillatory(
-            xi * w, 0.0, 1.0, max_freq=abs(xi) * w,
-            abs_tol=0.45 * self.tolerance / w, rel_tol=0.0, rule=_ramp_level,
+            (_psi_vec, xi * w), 0.0, 1.0, max_freq=abs(xi) * w,
+            abs_tol=0.45 * self.tolerance / w, rel_tol=0.0, rule=composite_gl_phased,
         )
         ramps = w * (np.exp(-0.5j * xi) * c + np.exp(-1j * xi) * c.conjugate())
         return complex(plateau + ramps)
 
     def _transform_mp(self, xi: float) -> complex:
-        """phi_hat(xi) in DEEP_DPS-digit arithmetic.
+        """phi_hat(xi) in DEEP_DPS-digit arithmetic: the closed-form plateau
+        plus the folded ramps w * (e^{-i xi/2} C + e^{-i xi} conj(C)), with
+        C from the 50-digit ramp rule (module docstring: phase-factored
+        nodes, one psi per mirror node pair, per-pair degree escalation).
+        Its nodes are interior, so psi needs no endpoint cases.
 
-        The folded ramps (module docstring) are integrated as
-        w * integral psi(s) * (e^{-i xi/2} c(s) + e^{-i xi} conj(c(s))) ds,
-        c(s) = e^{-i xi w s}.  Breakpoints at half cycles of c keep every
-        piece non-oscillatory, so Gauss-Legendre converges in few nodes;
-        its nodes are interior, so psi needs no endpoint cases.
+        Raises:
+            QuadratureError: a piece pair's error estimate is still above
+                eps/8 at the top degree.  `achieved_error` is the largest
+                such estimate (of C) and `value` the unconverged transform.
         """
         with mpmath.workdps(DEEP_DPS):
             mxi = mpmath.mpf(xi)
@@ -205,19 +271,17 @@ class Bump:
                     mpmath.exp(-1j * mxi * p_lo) - mpmath.exp(-1j * mxi * p_hi)
                 ) / (1j * mxi)
 
-            up_phase = mpmath.expj(-mxi / 2)
-            down_phase = mpmath.expj(-mxi)
-
-            def ramps(s):
-                c = mpmath.expj(-mxi * w_mp * s)
-                psi = 1 / (1 + mpmath.exp(1 / s - 1 / (1 - s)))
-                return psi * (up_phase * c + down_phase * mpmath.conj(c))
-
-            pieces = max(4, int(mpmath.ceil(abs(mxi) * w_mp / mpmath.pi)) + 1)
-            ramp = w_mp * mpmath.quad(
-                ramps, mpmath.linspace(0, 1, pieces + 1), method="gauss-legendre"
-            )
-            return complex(plateau + ramp)
+            c, worst = _folded_ramp_mp(mxi * w_mp)
+            ramps = w_mp * (mpmath.expj(-mxi / 2) * c + mpmath.expj(-mxi) * mpmath.conj(c))
+            value = complex(plateau + ramps)
+            if worst > mpmath.eps / 8:
+                raise QuadratureError(
+                    f"50-digit ramp rule did not converge at xi = {xi}: a piece pair's "
+                    f"error estimate is {mpmath.nstr(worst, 3)} at the top degree",
+                    achieved_error=float(worst),
+                    value=value,
+                )
+            return value
 
 
 _DEFAULT_BUMP: Bump | None = None

@@ -256,6 +256,10 @@ def cmd_search(cfg: RunConfig) -> int:
         raise ValueError(
             "--trace-stride and --trace-out trace the grid search; --guided writes no trace"
         )
+    if cfg.trace_out is not None and cfg.trace_stride <= 0:
+        raise ValueError(
+            "--trace-out writes every --trace-stride-th grid point; give --trace-stride > 0"
+        )
     t = cfg.resolve_t()
     table = _build_table(cfg, 1.0)
     f = _parse_f(cfg.f, cfg.seed, table.limit)

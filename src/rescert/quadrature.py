@@ -7,14 +7,23 @@ vectorizes cleanly.  Panel counts double until two successive refinements
 agree to tolerance; the difference of the last two levels is reported as
 the error estimate.
 
-Level rules share that loop.  composite_gl hands the integrand every
-abscissa in one array.  composite_gl_grid hands it one node at a time:
-with P equal panels of width h on [a, b], node x_j sits at
-a + h*(1 + x_j)/2 + k*h in panel k, an arithmetic progression, so an
-integrand can evaluate it as a uniform grid (the moments use the grid
-kernel dirichlet._grid_values there).  A caller may pass its own rule
-with the same signature, and `fn` is then whatever that rule reads
-(bump._ramp_level takes a frequency and owns its integrand).
+Every rule here splits [a, b] into P equal panels of width h and puts
+Gauss-Legendre node x_j of panel k at
+
+    a + k*h + h*(1 + x_j)/2,
+
+so for fixed j the nodes of all panels form an arithmetic progression
+with step h, and a node's phase under e^{-i freq s} factors into a
+per-node part e^{-i freq h(1 + x_j)/2} and a per-panel part
+e^{-i freq (a + k*h)}.  The level rules differ in how they hand the
+nodes over.  composite_gl hands the integrand every abscissa in one
+array.  composite_gl_grid hands it one node at a time as a uniform grid
+(the moments use the grid kernel dirichlet._grid_values there).
+composite_gl_phased integrates a real weight times e^{-i freq s} with
+the factored phases (bump's float ramp integral).  bump's 50-digit ramp
+rule lays out its mpmath nodes the same way on half-cycle pieces.  A
+caller may pass its own rule with the same signature, and `fn` is then
+whatever that rule reads.
 """
 
 from __future__ import annotations
@@ -67,6 +76,26 @@ def composite_gl_grid(fn, a: float, b: float, panels: int, order: int = GL_ORDER
     return complex((vals @ weights) @ np.full(panels, 0.5 * h))
 
 
+def composite_gl_phased(fn, a: float, b: float, panels: int, order: int = GL_ORDER) -> complex:
+    """One composite Gauss-Legendre pass for integral_a^b weight(s) e^{-i freq s} ds.
+
+    `fn` is the pair (weight, freq): `weight` maps a numpy array of
+    abscissae to real values, and `freq` is the angular frequency.  The
+    phases factor per node and per panel (module docstring), so a pass
+    takes order + panels complex exponentials instead of one per node.
+    """
+    weight, freq = fn
+    nodes, weights = _gl_nodes(order)
+    h = (b - a) / panels
+    u = 0.5 * h * (1.0 + nodes)
+    starts = a + h * np.arange(panels)
+    weighted = weight(starts[:, None] + u) * weights  # (panels, order)
+    node = np.exp(-1j * freq * u)
+    # Two real products: a real matrix times a complex vector skips BLAS.
+    per_panel = weighted @ node.real + 1j * (weighted @ node.imag)
+    return 0.5 * h * complex(np.exp(-1j * freq * starts) @ per_panel)
+
+
 def adaptive_oscillatory(
     fn,
     a: float,
@@ -85,7 +114,8 @@ def adaptive_oscillatory(
         fn: handed to `rule` unchanged; the integrand in the form the
             rule calls it: a numpy array of abscissae in, values out for
             composite_gl; a grid (origin, step, count) for
-            composite_gl_grid.  A caller's own rule may read it as data.
+            composite_gl_grid; a (weight, freq) pair for
+            composite_gl_phased.  A caller's own rule may read it as data.
         max_freq: largest angular frequency present in the integrand
             (rad per unit); sets the initial panel count at roughly two
             panels per cycle.
@@ -94,8 +124,8 @@ def adaptive_oscillatory(
         max_evals: budget on total integrand evaluations; a level that
             would pass it is refused before it is evaluated.
         rule: the level rule `rule(fn, a, b, panels, order)`, one pass
-            with `panels` equal panels: composite_gl, composite_gl_grid
-            or a caller's own.
+            with `panels` equal panels: composite_gl, composite_gl_grid,
+            composite_gl_phased or a caller's own.
 
     Returns:
         (value, error_estimate)

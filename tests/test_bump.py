@@ -5,7 +5,9 @@ import math
 import mpmath
 import pytest
 
+import rescert.bump as bump_mod
 from rescert.bump import Bump, decay_constant, default_bump, phi, phi_hat
+from rescert.errors import QuadratureError
 
 B = default_bump()
 
@@ -193,16 +195,68 @@ def _two_ramp_tanh_sinh(w: float, xi: float) -> complex:
         return complex(plateau + up + down)
 
 
-@pytest.mark.parametrize("w", [1.0 / 16.0, 0.25])
+# (xi, pieces) per ramp width: the half-cycle piece count of the 50-digit
+# rule.  Each width has the 4-piece floor, an even count, and an odd one,
+# whose middle piece is its own mirror.
+PIECE_CASES = {
+    1.0 / 16.0: [(50.0, 4), (220.0, 6), (300.0, 7)],
+    0.125: [(50.0, 4), (2883.19, 116), (2560.0, 103)],
+    0.25: [(30.0, 4), (310.0, 26), (300.0, 25)],
+}
+
+
+@pytest.mark.parametrize("w", [1.0 / 16.0, 0.25, 0.125])
 def test_transform_mp_matches_two_ramp_integral(w):
-    got = Bump(ramp_width=w)._transform_mp(300.0)
-    want = _two_ramp_tanh_sinh(w, 300.0)
-    assert abs(got - want) <= 1e-15 * abs(want)
+    for xi, pieces in PIECE_CASES[w]:
+        assert max(4, math.ceil(xi * w / math.pi) + 1) == pieces
+        got = Bump(ramp_width=w)._transform_mp(xi)
+        want = _two_ramp_tanh_sinh(w, xi)
+        assert abs(got - want) <= 1e-15 * abs(want), (xi, pieces)
 
 
-def test_transform_mp_restores_precision():
+@pytest.mark.parametrize("w", [1.0 / 16.0, 0.125, 0.25])
+def test_transform_mp_at_zero(w):
+    # Plateau 1/2 - 2w plus two ramps of integral w/2 each: 3/8 at w = 1/8.
+    v = Bump(ramp_width=w)._transform_mp(0.0)
+    assert v.imag == 0.0
+    assert v.real == pytest.approx(0.5 - w, abs=1e-16)
+
+
+def test_deep_transform_makes_no_mpmath_quad_call(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+
+    monkeypatch.setattr(mpmath, "quad", counting)
+    monkeypatch.setattr(type(mpmath.mp), "quad", counting)
+    value = Bump().transform(2560.0, deep=True)
+    assert calls == []
+    assert abs(value - DEEP_REFERENCE[2560.0]) <= 1e-15 * abs(DEEP_REFERENCE[2560.0])
+
+
+def test_transform_mp_raises_when_a_pair_does_not_converge(monkeypatch):
+    # Degrees 1 and 2 (3 and 6 nodes a piece) leave every pair above eps.
+    monkeypatch.setattr(bump_mod._GAUSS_LEGENDRE, "guess_degree", lambda prec: 2)
+    b = Bump()
+    with pytest.raises(QuadratureError, match="did not converge") as info:
+        b.transform(2560.0, deep=True)
+    assert info.value.achieved_error > float(mpmath.mpf(2) ** -160)
+    assert isinstance(info.value.value, complex)
+    assert math.isfinite(abs(info.value.value))
+    assert b._memo == {}  # nothing unconverged is memoized
+
+
+def test_transform_mp_restores_precision(monkeypatch):
     before = mpmath.mp.dps
+    prec = mpmath.mp.prec
     Bump()._transform_mp(2560.0)
+    assert mpmath.mp.dps == before
+    # A one-degree cap leaves no error estimate at all, which also raises.
+    monkeypatch.setattr(bump_mod._GAUSS_LEGENDRE, "guess_degree", lambda p: 1)
+    with pytest.raises(QuadratureError):
+        Bump()._transform_mp(2560.0)
+    assert mpmath.mp.prec == prec
     assert mpmath.mp.dps == before
 
 

@@ -115,6 +115,29 @@ def test_search_guided_rejects_trace(tmp_path, monkeypatch, capsys, trace_args, 
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize(
+    "trace_args, file_cfg",
+    [
+        (["--trace-out", "trace.csv"], {}),
+        (["--trace-out", "trace.csv", "--trace-stride", "0"], {}),
+        ([], {"trace_out": "trace.csv"}),
+        ([], {"trace_out": "trace.csv", "trace_stride": 0}),
+    ],
+)
+def test_search_trace_out_needs_stride(tmp_path, monkeypatch, capsys, trace_args, file_cfg):
+    # With stride 0 the grid search writes no trace, so a trace path is a usage error.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(file_cfg, fh)
+    argv = ["search", "--n", "20", "--t", "100", "--config", cfg_path, *trace_args]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give --trace-stride > 0" in captured.err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_guided_trace_config_does_not_block_certify(tmp_path):
     # Only the search traces, so a config shared with it still certifies.
     cfg_path = os.path.join(tmp_path, "cfg.json")

@@ -7,7 +7,12 @@ import pytest
 
 from rescert.dirichlet import RESYNC_STRIDE, _grid_values
 from rescert.errors import QuadratureError
-from rescert.quadrature import adaptive_oscillatory, composite_gl, composite_gl_grid
+from rescert.quadrature import (
+    adaptive_oscillatory,
+    composite_gl,
+    composite_gl_grid,
+    composite_gl_phased,
+)
 
 
 def test_polynomial_exact():
@@ -103,6 +108,19 @@ def test_grid_rule_adaptive_matches_default():
     dense, _ = adaptive_oscillatory(_poly_abs2, 500.0, 1000.0, **kw)
     grid, _ = adaptive_oscillatory(_poly_abs2_grid, 500.0, 1000.0, rule=composite_gl_grid, **kw)
     assert abs(grid - dense) <= 1e-13 * abs(dense)
+
+
+@pytest.mark.parametrize("panels", [1, 8, 37])
+def test_phased_rule_matches_composite_gl(panels):
+    # The factored phases give the same pass as a per-node exponential.
+    freq = 45.0
+
+    def weight(s):
+        return np.cos(3.0 * s) ** 2
+
+    dense = composite_gl(lambda s: weight(s) * np.exp(-1j * freq * s), 0.5, 2.0, panels)
+    phased = composite_gl_phased((weight, freq), 0.5, 2.0, panels)
+    assert abs(phased - dense) <= 1e-14 * max(1.0, abs(dense))
 
 
 def test_error_estimate_tracks_truth():
