@@ -70,9 +70,16 @@ def _psi_scalar(s: float) -> float:
 
 
 def _psi_vec(s: np.ndarray) -> np.ndarray:
-    # For s in [0, 1]; at the ends exp(+-inf) gives psi(0) = 0, psi(1) = 1.
+    # 1 / (1 + exp(1/s - 1/(1 - s))) for s in [0, 1], one ufunc at a time into two
+    # buffers; at the ends exp(+-inf) gives psi(0) = 0, psi(1) = 1.
     with np.errstate(over="ignore", divide="ignore"):
-        return 1.0 / (1.0 + np.exp(1.0 / s - 1.0 / (1.0 - s)))
+        rev = np.subtract(1.0, s)
+        np.divide(1.0, rev, out=rev)
+        out = np.divide(1.0, s)
+        np.subtract(out, rev, out=out)
+        np.exp(out, out=out)
+        np.add(out, 1.0, out=out)
+        return np.divide(1.0, out, out=out)
 
 
 def _psi_mp(s):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -373,7 +374,9 @@ def cmd_sweep(cfg: RunConfig, n_list: list[int], seed_list: list[int]) -> int:
 # Argument parsing.
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, on a parent parser for `parents=`."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--n", type=int)
     p.add_argument("--c", type=float)
@@ -398,6 +401,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sieve-limit", type=int)
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"))
+    return p
 
 
 def _check_config_type(key: str, value, hint) -> None:
@@ -437,22 +441,23 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="rescert",
         description="resonance certificates for Dirichlet polynomial sups",
     )
     ap.add_argument("--version", action="version", version=f"rescert {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
     for name in ("certify", "search", "resonator", "sweep"):
-        p = sub.add_parser(name)
-        _add_common(p)
+        p = sub.add_parser(name, parents=common)
         if name == "sweep":
             p.add_argument("--n-list", required=True)
             p.add_argument("--seed-list", default="0")
-    p = sub.add_parser("oracle")
+    p = sub.add_parser("oracle", parents=common)
     p.add_argument("op", choices=("diag", "bijection"))
-    _add_common(p)
     return ap
 
 

@@ -10,7 +10,11 @@ that row times products of two step tables, e^{i*j*h*log n} and
 e^{i*rows*m*h*log n}.  The step tables do not depend on t0, so a scan
 builds them once per block shape and term slice and every block reuses
 them (with more than RESYNC_STRIDE terms, once per group of 201 blocks and
-slice, which bounds the memory).  The anchors stay at fixed grid indices:
+slice, which bounds the memory).  The kernel also scans several origins on
+the same grid offsets at once (the quadrature moments' Gauss-Legendre
+nodes): they share the step tables, each block does one stacked matmul for
+all of them, and each origin's values are bit for bit those of its own
+scan.  The anchors stay at fixed grid indices:
 at |t| ~ 6e10 each phase t*log n carries ~3e-5 rad of rounding, so moved
 anchors shift grid values by ~1e-5 relative, enough to change which grid
 point wins a near tie.
@@ -93,25 +97,33 @@ def _step_tables(rows: int, cols: int, h: float, logs: np.ndarray):
     return tab[:rows], tab[rows:]
 
 
-def _grid_values(coeffs, logs, origin: float, k0: int, count: int, h: float):
+def _grid_values(coeffs, logs, origin, k0: int, count: int, h: float):
     """Yield (start, values): values[k] = sum_n c_n e^{i*t*log n}, t = origin + (k0 + start + k)*h.
+
+    `origin` is a float, or a 1-d array of origins scanned together on the same grid offsets;
+    values then has one row per origin, and row i is bit for bit the scan of origin[i] alone.
 
     A block of size <= RESYNC_STRIDE points starts at the anchor t0 = origin + (k0 + start)*h.
     With rows = ceil(sqrt(size)), its point j + rows*m is the inner table e^{i*j*h*log n} times
     c_n e^{i*t0*log n} times the outer table e^{i*rows*m*h*log n}, summed over n.  The terms
     run in slices of RESYNC_STRIDE, and each block adds its slices' products in slice order.
 
-    Once per block: the anchor row e^{i*t0*log n} and one product per slice.  Once per scan:
-    the step tables (_step_tables) of each block shape (the full blocks, and a shorter last
-    block) and term slice, since they do not depend on t0.  With more than one slice
-    (N > RESYNC_STRIDE) only one slice's tables are held: the slices run in the outer loop
-    over a group of up to 201 consecutive blocks, so the tables are built once per group and
-    slice, and the group's held block sums stay within the tables' bound of
-    201 * RESYNC_STRIDE entries.  A block is yielded as soon as its last slice is added, so a
-    one-slice scan holds no block sum but the current one.
+    Once per block: the anchor rows e^{i*t0*log n} and one product per slice, a single matmul
+    for all origins (stacked, so each origin's product is the one a scalar scan computes).
+    Once per scan: the step tables (_step_tables) of each block shape (the full blocks, and a
+    shorter last block) and term slice, since they depend on neither t0 nor the origin.  With
+    more than one slice (N > RESYNC_STRIDE) only one slice's tables are held: the slices run
+    in the outer loop over a group of consecutive blocks, so the tables are built once per
+    group and slice.  A group of a scan of n origins has floor(201 / n) blocks (at least
+    one), so its n held sums per block stay within the tables' bound of 201 * RESYNC_STRIDE
+    entries; a block's product temporary holds n * cols * RESYNC_STRIDE entries.  A block is
+    yielded as soon as its last slice is added, so a one-slice scan holds no block sum but
+    the current one.
     """
+    lead = np.shape(origin)  # () for a scalar origin, (n,) for n origins
     cuts = range(0, max(logs.size, 1), RESYNC_STRIDE)  # no terms: one empty slice, zero blocks
-    span = 201 * RESYNC_STRIDE  # points per group: 201 held block sums, the tables' bound
+    # Points per group: 201 held block sums in all, the tables' bound.
+    span = max(1, 201 // math.prod(lead)) * RESYNC_STRIDE
     key = inner = outer = None
     for first in range(0, count, span):
         starts = range(first, min(count, first + span), RESYNC_STRIDE)
@@ -127,11 +139,12 @@ def _grid_values(coeffs, logs, origin: float, k0: int, count: int, h: float):
                     key = (s, rows, cols)
                     inner, outer = _step_tables(rows, cols, h, lg)
                 if s == 0:
-                    sums[start] = np.zeros((rows, cols), dtype=np.complex128)
-                anchor = c * _expi((origin + (k0 + start) * h) * lg)
-                sums[start] += inner @ (outer * anchor).T
+                    sums[start] = np.zeros((*lead, rows, cols), dtype=np.complex128)
+                anchor = c * _expi(np.multiply.outer(origin + (k0 + start) * h, lg))
+                sums[start] += inner @ (outer * anchor[..., None, :]).swapaxes(-1, -2)
                 if s == cuts[-1]:
-                    yield start, sums.pop(start).T.ravel()[:size]
+                    block = sums.pop(start).swapaxes(-1, -2)
+                    yield start, block.reshape(*lead, rows * cols)[..., :size]
 
 
 def _search_args(n_max: int, t_bound: float, eps, window, eval_budget: int, eps_scale: float):

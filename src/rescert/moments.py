@@ -82,18 +82,20 @@ def _decay_const(b: Bump, nu: int) -> float:
 def _window_integral(polys, t_bound: float, b: Bump, rel_tol: float) -> float:
     """Integral of Phi(t/T) * prod |P(t)|^2 over the window, P = sum c_n e^{i t log n}.
 
-    `polys` lists (coeffs, logs) pairs.  The level rule composite_gl_grid
-    asks for one Gauss-Legendre node across all panels at a time, an
-    arithmetic progression in t, which _grid_values scans with anchored
-    phase tables; the panel schedule starts at the summed top frequency.
+    `polys` lists (coeffs, logs) pairs.  The level rule composite_gl_grid asks for a group
+    of Gauss-Legendre nodes over a chunk of panels at a time: per node an arithmetic
+    progression in t, and _grid_values scans all the group's progressions in one pass with
+    shared phase tables.  Phi and the |P|^2 products are formed once per chunk, for every
+    node of the group; the panel schedule starts at the summed top frequency.
     """
     lo, hi = b.lo * t_bound, b.hi * t_bound
 
-    def integrand(origin: float, step: float, count: int) -> np.ndarray:
-        out = b.phi_vec((origin + step * np.arange(count)) / t_bound)
+    def integrand(origins: np.ndarray, k0: int, step: float, count: int) -> np.ndarray:
+        out = b.phi_vec((origins[:, None] + step * np.arange(k0, k0 + count)) / t_bound)
         for coeffs, logs in polys:
-            for start, vals in _grid_values(coeffs, logs, origin, 0, count, step):
-                out[start : start + vals.size] *= vals.real * vals.real + vals.imag * vals.imag
+            for start, vals in _grid_values(coeffs, logs, origins, k0, count, step):
+                stop = start + vals.shape[-1]
+                out[:, start:stop] *= vals.real * vals.real + vals.imag * vals.imag
         return out
 
     max_freq = sum(float(logs.max(initial=0.0)) for _, logs in polys)
@@ -115,9 +117,10 @@ def m1_quadrature(
 ) -> float:
     """M1 by adaptive quadrature over the window support [T/2, T].
 
-    Composite Gauss-Legendre node by node (quadrature.composite_gl_grid):
-    each node's abscissae across the panels form a uniform grid on which
-    |R|^2 comes from the grid-scan kernel dirichlet._grid_values.
+    Composite Gauss-Legendre a group of nodes at a time
+    (quadrature.composite_gl_grid): each node's abscissae across the panels
+    form a uniform grid on which |R|^2 comes from the grid-scan kernel
+    dirichlet._grid_values, which scans the group's grids together.
     """
     b = b or default_bump()
     return _window_integral([_support_coeff_logs(res, f, support)], t_bound, b, rel_tol)

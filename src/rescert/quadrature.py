@@ -17,13 +17,15 @@ with step h, and a node's phase under e^{-i freq s} factors into a
 per-node part e^{-i freq h(1 + x_j)/2} and a per-panel part
 e^{-i freq (a + k*h)}.  The level rules differ in how they hand the
 nodes over.  composite_gl hands the integrand every abscissa in one
-array.  composite_gl_grid hands it one node at a time as a uniform grid
-(the moments use the grid kernel dirichlet._grid_values there).
-composite_gl_phased integrates a real weight times e^{-i freq s} with
-the factored phases (bump's float ramp integral).  bump's 50-digit ramp
-rule lays out its mpmath nodes the same way on half-cycle pieces.  A
-caller may pass its own rule with the same signature, and `fn` is then
-whatever that rule reads.
+array.  composite_gl_grid hands it a group of nodes at a time, each node
+a uniform grid given by its origin a + h*(1 + x_j)/2, over one chunk of
+RESYNC_STRIDE panels per call (the moments scan a group's grids together
+with the grid kernel dirichlet._grid_values, whose anchor blocks the
+chunks match).  composite_gl_phased integrates a real weight times
+e^{-i freq s} with the factored phases (bump's float ramp integral).
+bump's 50-digit ramp rule lays out its mpmath nodes the same way on
+half-cycle pieces.  A caller may pass its own rule with the same
+signature, and `fn` is then whatever that rule reads.
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dirichlet import RESYNC_STRIDE
 from .errors import QuadratureError
 
 GL_ORDER = 10
 MAX_DOUBLINGS = 14
+# Gauss-Legendre nodes per composite_gl_grid call.  All ten nodes of a level in one call
+# ran the tiny quadrature moments no faster and held about 5 % more peak memory.
+_NODES_PER_SCAN = 5
 
 
 @lru_cache(maxsize=8)
@@ -62,17 +68,24 @@ def composite_gl(fn, a: float, b: float, panels: int, order: int = GL_ORDER) -> 
 
 
 def composite_gl_grid(fn, a: float, b: float, panels: int, order: int = GL_ORDER) -> complex:
-    """One composite Gauss-Legendre pass, evaluated node by node.
+    """One composite Gauss-Legendre pass, evaluated a group of nodes and a chunk of panels
+    at a time.
 
-    `fn(origin, step, count)` must return the `count` integrand values at
-    origin + k*step, k < count (real or complex).  It is called once per
-    node with step = (b - a) / panels and count = panels.
+    `fn(origins, k0, step, count)` must return an array of shape (len(origins), count)
+    whose row i holds the integrand values (real or complex) at origins[i] + (k0 + k)*step,
+    k < count.  `origins` holds the first abscissa of up to _NODES_PER_SCAN nodes, the
+    step is h = (b - a) / panels, and each call covers one chunk of RESYNC_STRIDE panels
+    (the grid kernel's block), k0 being the chunk's first panel.
     """
     nodes, weights = _gl_nodes(order)
     h = (b - a) / panels
+    origins = a + 0.5 * h * (1.0 + nodes)
     vals = np.empty((panels, order), dtype=np.complex128)
-    for j, x_j in enumerate(nodes):
-        vals[:, j] = fn(a + 0.5 * h * (1.0 + x_j), h, panels)
+    for j in range(0, order, _NODES_PER_SCAN):
+        group = slice(j, j + _NODES_PER_SCAN)
+        for k0 in range(0, panels, RESYNC_STRIDE):
+            count = min(RESYNC_STRIDE, panels - k0)
+            vals[k0 : k0 + count, group] = fn(origins[group], k0, h, count).T
     return complex((vals @ weights) @ np.full(panels, 0.5 * h))
 
 
@@ -113,7 +126,8 @@ def adaptive_oscillatory(
     Args:
         fn: handed to `rule` unchanged; the integrand in the form the
             rule calls it: a numpy array of abscissae in, values out for
-            composite_gl; a grid (origin, step, count) for
+            composite_gl; a chunk of node grids (origins, k0, step,
+            count) in, one row of values per origin out, for
             composite_gl_grid; a (weight, freq) pair for
             composite_gl_phased.  A caller's own rule may read it as data.
         max_freq: largest angular frequency present in the integrand

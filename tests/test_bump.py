@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 import rescert.bump as bump_mod
@@ -32,6 +33,18 @@ def test_window_values():
     assert phi(B, 1.0) == 0.0
     # Ramp midpoint: psi(1/2) = 1/2 since 1/s - 1/(1-s) vanishes there.
     assert phi(B, 0.5625) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_psi_vec_matches_one_expression():
+    # The buffered ufunc sequence gives the bits of the one-line expression, ends included.
+    s = np.concatenate(([0.0, 1.0, 0.5, 5e-324, 1e-300, 1.0 - 2**-53], np.linspace(0.0, 1.0, 1001)))
+    with np.errstate(over="ignore", divide="ignore"):
+        want = 1.0 / (1.0 + np.exp(1.0 / s - 1.0 / (1.0 - s)))
+    got = bump_mod._psi_vec(s)
+    assert np.array_equal(got, want)
+    assert got[0] == 0.0 and got[1] == 1.0 and got[2] == 0.5
+    grid = s[6:].reshape(7, 143)  # the float ramp rule passes (panels, order) arrays
+    assert np.array_equal(bump_mod._psi_vec(grid), want[6:].reshape(7, 143))
 
 
 def test_window_symmetry():

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from rescert.cli import main
+from rescert.cli import RunConfig, build_parser, main
 
 
 def run(tmp_path, *args, name="out.json"):
@@ -304,3 +304,26 @@ def test_budget_exhaustion_exits_3():
     # Exact moments need the whole support, here over the term budget.
     argv = ["certify", "--n", "4", "--t", "1e4", "--x", "1e9", "--exact", "always"]
     assert main([*argv, "--budget-terms", "2"]) == 3
+
+
+
+@pytest.mark.parametrize("command", ["certify", "search", "resonator", "sweep", "oracle"])
+def test_every_subcommand_takes_the_common_flags(command):
+    # The parser is built once per process, and each subcommand parses every common flag
+    # to the RunConfig field of its name.
+    assert build_parser() is build_parser()
+    texts = {
+        name: {"exact": "never", "format": "csv"}.get(name, str(i + 2))
+        for i, name in enumerate(RunConfig.__dataclass_fields__)
+        if name != "guided"
+    }
+    argv = [command, "diag"] if command == "oracle" else [command]
+    argv += ["--n-list", "1"] if command == "sweep" else []
+    for name, text in texts.items():
+        argv += [f"--{name.replace('_', '-')}", text]
+    args = vars(build_parser().parse_args(argv + ["--guided"]))
+    extra = {"oracle": {"op": "diag"}, "sweep": {"n_list": "1", "seed_list": "0"}}
+    assert {k: args.pop(k) for k in extra.get(command, {})} == extra.get(command, {})
+    assert args.pop("command") == command
+    assert args.pop("config") is None and args.pop("guided") is True
+    assert {name: str(value).removesuffix(".0") for name, value in args.items()} == texts

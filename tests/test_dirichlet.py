@@ -265,21 +265,67 @@ def test_grid_kernel_builds_step_tables_once_per_group_and_slice(monkeypatch):
 
 def test_grid_kernel_yields_one_slice_blocks_before_the_next_is_computed(monkeypatch):
     # With one term slice no block sum is held back: each block is yielded
-    # before the next anchor row is computed.
+    # before the next anchor row is computed, for one origin and for several.
     coeffs, logs = _dn_coeffs_logs(60, 1)
-    anchors = []
     expi = dirichlet._expi
-
-    def recorded(x):
-        if x.ndim == 1:
-            anchors.append(x[1] / logs[1])
-        return expi(x)
-
-    monkeypatch.setattr(dirichlet, "_expi", recorded)
     h = 1e-4
-    for start, _ in _grid_values(coeffs, logs, 0.0, 10**6, 3 * RESYNC_STRIDE, h):
-        assert len(anchors) == start // RESYNC_STRIDE + 1
-        assert anchors[-1] == pytest.approx((10**6 + start) * h, rel=1e-12)
+    for origin in (0.0, np.array([0.0, 0.25, 0.5])):
+        anchors = []
+
+        def recorded(x):
+            if x.shape[:-1] == np.shape(origin):  # an anchor row per origin, not a step table
+                anchors.append(x[..., 1] / logs[1])
+            return expi(x)
+
+        monkeypatch.setattr(dirichlet, "_expi", recorded)
+        for start, _ in _grid_values(coeffs, logs, origin, 10**6, 3 * RESYNC_STRIDE, h):
+            assert len(anchors) == start // RESYNC_STRIDE + 1
+            assert anchors[-1] == pytest.approx(origin + (10**6 + start) * h, rel=1e-12)
+
+
+_GL_ORIGINS = 1000.0 + 0.5 * 1e-3 * (1.0 + np.polynomial.legendre.leggauss(10)[0][:5])
+
+
+def _assert_origins_match_scalar_scans(coeffs, logs, origins, k0, count, h):
+    got = list(_grid_values(coeffs, logs, origins, k0, count, h))
+    assert [start for start, _ in got] == list(range(0, count, dirichlet.RESYNC_STRIDE))
+    for i, origin in enumerate(origins):
+        want = list(_grid_values(coeffs, logs, float(origin), k0, count, h))
+        assert len(got) == len(want)
+        for (start, g), (start_1, w) in zip(got, want):
+            assert start == start_1 and g.shape == (origins.size, w.size)
+            assert np.array_equal(g[i], w)
+
+
+@pytest.mark.parametrize(
+    "n, count",
+    [
+        (12, 300),  # one block
+        (60, 3 * RESYNC_STRIDE),  # several full blocks
+        (60, 2 * RESYNC_STRIDE + 37),  # a short last block
+        (12_000, RESYNC_STRIDE + 37),  # two term slices
+    ],
+)
+def test_grid_kernel_with_origin_vector_matches_scalar_scans(n, count):
+    # Several origins share one scan: the same tables, anchors and products per origin.
+    coeffs, logs = _dn_coeffs_logs(n, n)
+    _assert_origins_match_scalar_scans(coeffs, logs, _GL_ORIGINS, 30_000, count, 1e-3)
+
+
+@pytest.mark.parametrize("n_origins, count", [(5, 45 * 16 + 7), (201, 3 * 16), (300, 2 * 16 + 1)])
+def test_grid_kernel_with_origin_vector_over_block_groups(monkeypatch, n_origins, count):
+    # In a multi-slice scan of n origins a group holds floor(201 / n) blocks (at least one),
+    # and each group builds each slice's tables once per block shape.
+    monkeypatch.setattr(dirichlet, "RESYNC_STRIDE", 16)
+    calls = _count_step_tables(monkeypatch)
+    coeffs, logs = _dn_coeffs_logs(40, 4)  # slices of 16, 16 and 8 terms
+    origins = 0.25 + np.arange(n_origins) * 1e-5
+    list(_grid_values(coeffs, logs, origins, 10**9, count, 1e-3))
+    sizes = [min(16, count - start) for start in range(0, count, 16)]
+    per_group = max(1, 201 // n_origins)
+    groups = [sizes[g : g + per_group] for g in range(0, len(sizes), per_group)]
+    assert sum(1 for *_, n_terms in calls if n_terms == 8) == sum(len(set(g)) for g in groups)
+    _assert_origins_match_scalar_scans(coeffs, logs, origins, 10**9, count, 1e-3)
 
 
 def _full_array_candidates(r_mag, max_log, lo, step, top_k):

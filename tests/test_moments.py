@@ -202,9 +202,28 @@ def test_quadrature_moments_match_dense_reference(idx):
     assert m2_quadrature(res, f, n, t_bound, supp, TABLE, b) == pytest.approx(m2_ref, rel=1e-12)
 
 
+# m1_quadrature and m2_quadrature as the node-by-node grid rule computed them, before the
+# Gauss-Legendre nodes of a level shared a grid-kernel scan: (N, T, log X, f, M1, M2).
+QUADRATURE_PINS = [
+    (3, 1e3, 20.0, constant_one(), 396.795464242134, 396.7974271620907),
+    (4, 1e4, 20.2, steinhaus_sample(12345), 4174.399071895652, 4174.399071896669),
+    (12, 1e4, 20.0, archimedean_cmf(1.0), 3967.9546424213404, 3967.9546467737687),
+]
+
+
+@pytest.mark.parametrize("idx", range(len(QUADRATURE_PINS)))
+def test_quadrature_moments_pinned(idx):
+    # Scanning a group of nodes per chunk moves no float of either moment.
+    n, t_bound, logx, f, m1, m2 = QUADRATURE_PINS[idx]
+    res = build_resonator(math.exp(logx), TABLE)
+    supp = support_elements(res, res.x)
+    assert m1_quadrature(res, f, t_bound, supp, TABLE) == m1
+    assert m2_quadrature(res, f, n, t_bound, supp, TABLE) == m2
+
+
 def test_m2_quadrature_memory():
     # The dense integrand held every abscissa times every term (134.6 MiB
-    # here); node by node the grid kernel needs a few MiB.
+    # here); a group of nodes per chunk of panels, the grid kernel needs a few MiB.
     res = build_resonator(math.exp(20.2), TABLE)
     supp = support_elements(res, res.x)
     f = steinhaus_sample(1)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from rescert import quadrature
 from rescert.dirichlet import RESYNC_STRIDE, _grid_values
 from rescert.errors import QuadratureError
 from rescert.quadrature import (
+    GL_ORDER,
     adaptive_oscillatory,
     composite_gl,
     composite_gl_grid,
@@ -48,8 +50,8 @@ def test_budget_exhaustion():
     def chirp(x):
         return np.exp(-1j * 1e4 * x)
 
-    def chirp_grid(origin, step, count):
-        return chirp(origin + step * np.arange(count))
+    def chirp_grid(origins, k0, step, count):
+        return chirp(origins[:, None] + step * np.arange(k0, k0 + count))
 
     # Levels of 3184 and 6368 panels, 10 nodes each: a cap of 100 refuses
     # the first before it runs, a cap of 50 000 the second; `needed` is
@@ -85,10 +87,10 @@ def _poly_abs2(t):
     return (vals * vals.conjugate()).real
 
 
-def _poly_abs2_grid(origin, step, count):
-    out = np.empty(count)
-    for start, vals in _grid_values(_COEFFS, _LOGS, origin, 0, count, step):
-        out[start : start + vals.size] = (vals * vals.conjugate()).real
+def _poly_abs2_grid(origins, k0, step, count):
+    out = np.empty((origins.size, count))
+    for start, vals in _grid_values(_COEFFS, _LOGS, origins, k0, count, step):
+        out[:, start : start + vals.shape[-1]] = (vals * vals.conjugate()).real
     return out
 
 
@@ -96,7 +98,7 @@ def _poly_abs2_grid(origin, step, count):
     "panels", [8, RESYNC_STRIDE - 1, RESYNC_STRIDE + 1, 5 * RESYNC_STRIDE // 2]
 )
 def test_grid_rule_matches_composite_gl(panels):
-    # One, two and three anchor blocks of the grid kernel on each node.
+    # One, two and three chunks of panels, each one anchor block of the grid kernel.
     a, b = 500.0, 1000.0
     dense = composite_gl(_poly_abs2, a, b, panels)
     grid = composite_gl_grid(_poly_abs2_grid, a, b, panels)
@@ -108,6 +110,26 @@ def test_grid_rule_adaptive_matches_default():
     dense, _ = adaptive_oscillatory(_poly_abs2, 500.0, 1000.0, **kw)
     grid, _ = adaptive_oscillatory(_poly_abs2_grid, 500.0, 1000.0, rule=composite_gl_grid, **kw)
     assert abs(grid - dense) <= 1e-13 * abs(dense)
+
+
+@pytest.mark.parametrize("panels", [8, RESYNC_STRIDE + 1, 5 * RESYNC_STRIDE // 2])
+def test_grid_rule_calls_once_per_node_group_and_chunk(panels):
+    # Each call covers a group of nodes over one chunk of RESYNC_STRIDE panels; together the
+    # calls cover every node and panel once, at the abscissae composite_gl uses.
+    calls = []
+
+    def recorded(origins, k0, step, count):
+        calls.append((origins.size, k0, count))
+        return origins[:, None] + step * np.arange(k0, k0 + count)
+
+    a, b = 500.0, 1000.0
+    grid = composite_gl_grid(recorded, a, b, panels)
+    chunks = [(k0, min(RESYNC_STRIDE, panels - k0)) for k0 in range(0, panels, RESYNC_STRIDE)]
+    per_scan = quadrature._NODES_PER_SCAN
+    groups = [min(per_scan, GL_ORDER - j) for j in range(0, GL_ORDER, per_scan)]
+    assert calls == [(g, k0, count) for g in groups for k0, count in chunks]
+    dense = composite_gl(lambda t: t, a, b, panels)
+    assert abs(grid - dense) <= 1e-14 * abs(dense)
 
 
 @pytest.mark.parametrize("panels", [1, 8, 37])
