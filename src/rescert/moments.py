@@ -42,7 +42,7 @@ from .bump import Bump, default_bump, decay_constant
 from .dirichlet import _grid_values, _support_coeff_logs
 from .errors import ResourceLimitError
 from .multfn import UnimodularCMF, values_up_to
-from .ntcore import FactorTable, gcd
+from .ntcore import FactorTable
 from .quadrature import adaptive_oscillatory, composite_gl_grid
 from .resonator import (
     _BLOCK,
@@ -278,8 +278,81 @@ def _coprime_r2_sums(
     return out
 
 
-def _toy_r_vector(toy, x_int: int) -> list[float]:
-    return [0.0] + [float(toy.value(k)) for k in range(1, x_int + 1)]
+def _dense_diagonal(
+    toy, n_max: int, x: float, budget: int, g_cap: float | None, lower: bool
+) -> float:
+    """The diagonal sums of a dense test resonator (`.value(n)` and a
+    `squarefree_supported` flag).
+
+    Enumerates (a', b', g) with a', b' <= z = min(N, X) coprime, in the
+    order of a' then b', and 1 <= g <= X/max(a',b') (and <= g_cap).  With
+    lower=False the term is floor(N/max) r(a'g) r(b'g) (diagonal_sum);
+    with lower=True it is floor(N/max) r(a') r(b') r(g)^2 when
+    gcd(g, a'b') = 1 and nothing otherwise (diagonal_lower_bound).  When
+    r is declared squarefree-supported, pairs with r(a') = 0 or r(b') = 0
+    are skipped, and a nonzero r(a'g) r(b'g) with gcd(g, a'b') > 1 fails
+    the declaration.
+
+    Rows a' go in blocks of about _BLOCK pairs plus (a', b', g) entries,
+    counted from the g-ranges before the coprime filter; a single row over
+    that is a block of its own.  The budget counts the (a', b', g) entries
+    of the pairs enumerated and is checked once per block, before its
+    g-sum work.  Every block's terms stream into one correctly rounded sum.
+    """
+    x_int = math.floor(x)
+    r = np.array([0.0] + [float(toy.value(k)) for k in range(1, x_int + 1)])
+    flagged = bool(getattr(toy, "squarefree_supported", False))
+    z = min(n_max, x_int)
+    ks = np.arange(1, z + 1)
+    g_hi = np.floor(x / ks).astype(np.int64)
+    if g_cap is not None:
+        g_hi = np.minimum(g_hi, max(0, min(math.floor(g_cap), x_int)))
+    # The rows and columns a', b' of the pair grid.
+    cand = ks[r[1 : z + 1] != 0.0] if flagged else ks
+    # Row a' spans at most z pairs and sum_b g_hi[max(a', b')] entries.
+    row_work = z + ks * g_hi + (int(g_hi.sum()) - np.cumsum(g_hi))
+    row_end = np.cumsum(row_work[cand - 1])
+
+    def terms():
+        ops = 0
+        i0 = 0
+        while i0 < len(cand):
+            done = int(row_end[i0 - 1]) if i0 else 0
+            i1 = max(i0 + 1, int(np.searchsorted(row_end, done + _BLOCK, side="right")))
+            ai, bi = np.nonzero(np.gcd(cand[i0:i1, None], cand) == 1)
+            a, b = cand[ai + i0], cand[bi]
+            mx = np.maximum(a, b)
+            cnt = g_hi[mx - 1]
+            total = int(cnt.sum())
+            ops += total
+            if ops > budget:
+                raise ResourceLimitError(
+                    f"diagonal enumeration exceeded budget {budget}",
+                    needed=ops,
+                    budget=budget,
+                )
+            i0 = i1
+            # Expand each pair into its g = 1 .. cnt entries.
+            g = np.arange(1, total + 1) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            a, b = np.repeat(a, cnt), np.repeat(b, cnt)
+            weight = np.repeat((n_max // mx).astype(np.float64), cnt)
+            if lower:
+                ok = np.gcd(g, a * b) == 1
+                rg = r[g[ok]]
+                yield weight[ok] * r[a[ok]] * r[b[ok]] * (rg * rg)
+                continue
+            v = r[a * g] * r[b * g]
+            if flagged:
+                bad = np.flatnonzero((v != 0.0) & (np.gcd(g, a * b) != 1))
+                if len(bad):
+                    k = bad[0]
+                    raise AssertionError(
+                        "squarefree-supported flag violated: "
+                        f"r({a[k] * g[k]})*r({b[k] * g[k]}) != 0 with gcd(g, a'b') > 1"
+                    )
+            yield weight * v
+
+    return math.fsum(chain.from_iterable(t.tolist() for t in terms()))
 
 
 def _window_diagonal(
@@ -346,9 +419,19 @@ def diagonal_sum(
     elements <= min(N, X); the budget bounds both the support and the
     ordered coprime pairs.
 
+    For a test resonator the blocked kernel _dense_diagonal enumerates the
+    (a', b', g) entries in row blocks of about _BLOCK, so it holds one
+    block at a time, and all terms go into one correctly rounded sum.  The
+    budget bounds the (a', b', g) entries and is checked before each
+    block's g-sum work.
+
     Raises:
-        ResourceLimitError: support enumeration or coprime-pair count
-            over budget; for the pair count, `needed` is the exact count.
+        ResourceLimitError: support enumeration, coprime-pair count or
+            (a', b', g) entry count over budget.  For the pair count,
+            `needed` is the exact count; for the entry count, it is the
+            count up to the end of the block that crossed the budget.
+        AssertionError: a test resonator flagged squarefree-supported has
+            r(a'g) r(b'g) != 0 with gcd(g, a'b') > 1.
     """
     if n_max < 1:
         raise ValueError("N must be >= 1")
@@ -359,46 +442,7 @@ def diagonal_sum(
         pairs = sup.upto(min(float(n_max), x)).coprime_pairs()
         return _window_diagonal(sup, pairs, n_max, x, budget, g_cap)
 
-    # Dense path for explicit test resonators.
-    x_int = math.floor(x)
-    r_vec = _toy_r_vector(res, x_int)
-    flagged = bool(getattr(res, "squarefree_supported", False))
-    z_int = min(n_max, x_int)
-    terms = []
-    ops = 0
-    for a in range(1, z_int + 1):
-        if flagged and r_vec[a] == 0.0:
-            continue
-        for bb in range(1, z_int + 1):
-            if flagged and r_vec[bb] == 0.0:
-                continue
-            if gcd(a, bb) != 1:
-                continue
-            mx = a if a > bb else bb
-            g_hi = math.floor(x / mx)
-            if g_cap is not None:
-                g_hi = min(g_hi, math.floor(g_cap))
-            ops += g_hi
-            if ops > budget:
-                raise ResourceLimitError(
-                    f"diagonal enumeration exceeded budget {budget}",
-                    needed=ops,
-                    budget=budget,
-                )
-            ab = a * bb
-            inner = []
-            for g in range(1, g_hi + 1):
-                v = r_vec[a * g] * r_vec[bb * g]
-                if v != 0.0:
-                    if flagged and gcd(g, ab) != 1:
-                        raise AssertionError(
-                            "squarefree-supported flag violated: "
-                            f"r({a * g})*r({bb * g}) != 0 with gcd(g, a'b') > 1"
-                        )
-                    inner.append(v)
-            if inner:
-                terms.append((n_max // mx) * math.fsum(inner))
-    return math.fsum(terms)
+    return _dense_diagonal(res, n_max, x, budget, g_cap, lower=False)
 
 
 def diagonal_lower_bound(
@@ -415,28 +459,16 @@ def diagonal_lower_bound(
 
     Never exceeds diagonal_sum; coincides with it whenever r is
     squarefree-supported (the restriction only drops zero terms then).
+
+    A window resonator is squarefree-supported, so this is diagonal_sum.
+    A test resonator goes through diagonal_sum's blocked kernel, which
+    sums all terms into one correctly rounded sum; the budget counts the
+    same (a', b', g) entries as there, and `needed` on ResourceLimitError
+    is the count up to the end of the block that crossed the budget.
     """
     if isinstance(res, Resonator):
         return diagonal_sum(res, n_max, x, table, budget)
-    x_int = math.floor(x)
-    r_vec = _toy_r_vector(res, x_int)
-    z_int = min(n_max, x_int)
-    terms = []
-    for a in range(1, z_int + 1):
-        for bb in range(1, z_int + 1):
-            if gcd(a, bb) != 1:
-                continue
-            mx = a if a > bb else bb
-            g_hi = math.floor(x / mx)
-            ab = a * bb
-            inner = [
-                r_vec[g] * r_vec[g]
-                for g in range(1, g_hi + 1)
-                if gcd(g, ab) == 1 and r_vec[g] != 0.0
-            ]
-            if inner and r_vec[a] != 0.0 and r_vec[bb] != 0.0:
-                terms.append((n_max // mx) * r_vec[a] * r_vec[bb] * math.fsum(inner))
-    return math.fsum(terms)
+    return _dense_diagonal(res, n_max, x, budget, None, lower=True)
 
 
 def min_offdiag_gap(n_max: int, x_int: int) -> float:

@@ -280,6 +280,103 @@ def test_diagonal_sum_budget():
     toy = ToyResonator(values={1: 1.0, 2: 1.0})
     with pytest.raises(ResourceLimitError):
         diagonal_sum(toy, 50, 50.0, TABLE, budget=3)
+    with pytest.raises(ResourceLimitError):
+        diagonal_lower_bound(toy, 50, 50.0, TABLE, budget=3)
+
+
+def test_diagonal_sum_squarefree_flag_violation():
+    # r(4) != 0 although the toy declares squarefree support.
+    toy = ToyResonator(values={1: 1.0, 2: 1.0, 4: 1.0}, squarefree_supported=True)
+    with pytest.raises(AssertionError, match="squarefree-supported flag violated"):
+        diagonal_sum(toy, 4, 4.0, TABLE)
+
+
+def _loop_diagonal_sum(res, n_max, x, g_cap=None):
+    """The dense triple loop the blocked kernel replaced, with its final
+    budget count: (value, ops)."""
+    x_int = math.floor(x)
+    r_vec = [0.0] + [float(res.value(k)) for k in range(1, x_int + 1)]
+    flagged = res.squarefree_supported
+    z_int = min(n_max, x_int)
+    terms = []
+    ops = 0
+    for a in range(1, z_int + 1):
+        if flagged and r_vec[a] == 0.0:
+            continue
+        for bb in range(1, z_int + 1):
+            if flagged and r_vec[bb] == 0.0:
+                continue
+            if math.gcd(a, bb) != 1:
+                continue
+            mx = max(a, bb)
+            g_hi = math.floor(x / mx)
+            if g_cap is not None:
+                g_hi = min(g_hi, math.floor(g_cap))
+            ops += g_hi
+            inner = [r_vec[a * g] * r_vec[bb * g] for g in range(1, g_hi + 1)]
+            inner = [v for v in inner if v != 0.0]
+            if inner:
+                terms.append((n_max // mx) * math.fsum(inner))
+    return math.fsum(terms), ops
+
+
+def _loop_diagonal_lower_bound(res, n_max, x):
+    x_int = math.floor(x)
+    r_vec = [0.0] + [float(res.value(k)) for k in range(1, x_int + 1)]
+    z_int = min(n_max, x_int)
+    terms = []
+    for a in range(1, z_int + 1):
+        for bb in range(1, z_int + 1):
+            if math.gcd(a, bb) != 1:
+                continue
+            mx = max(a, bb)
+            ab = a * bb
+            inner = [
+                r_vec[g] * r_vec[g]
+                for g in range(1, math.floor(x / mx) + 1)
+                if math.gcd(g, ab) == 1 and r_vec[g] != 0.0
+            ]
+            if inner and r_vec[a] != 0.0 and r_vec[bb] != 0.0:
+                terms.append((n_max // mx) * r_vec[a] * r_vec[bb] * math.fsum(inner))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("squarefree", [True, False])
+@pytest.mark.parametrize("g_cap", [None, 1.0, 2.5, 1e30])
+def test_dense_diagonal_matches_loops(squarefree, g_cap):
+    # One correctly rounded sum replaces the loops' sum of per-pair sums, so
+    # values agree up to rounding; the budget counts the loops' (a', b', g) entries.
+    for seed in range(3):
+        toy = random_toy_resonator(np.random.default_rng(300 + seed), cap=40, squarefree=squarefree)
+        for n_max, x in ((40, 40.0), (17, 40.0), (40, 23.5), (6, 1.0), (1, 33.0)):
+            want, needed = _loop_diagonal_sum(toy, n_max, x, g_cap)
+            got = diagonal_sum(toy, n_max, x, TABLE, budget=needed, g_cap=g_cap)
+            assert got == pytest.approx(want, rel=1e-14)
+            with pytest.raises(ResourceLimitError) as exc:
+                diagonal_sum(toy, n_max, x, TABLE, budget=needed - 1, g_cap=g_cap)
+            assert exc.value.needed >= needed
+            if g_cap is not None:
+                continue
+            want = _loop_diagonal_lower_bound(toy, n_max, x)
+            assert diagonal_lower_bound(toy, n_max, x, TABLE, budget=needed) == pytest.approx(
+                want, rel=1e-14
+            )
+            with pytest.raises(ResourceLimitError):
+                diagonal_lower_bound(toy, n_max, x, TABLE, budget=needed - 1)
+
+
+def test_dense_diagonal_memory():
+    # The loop held one float per coprime pair (about 1.4e6 here); the blocked
+    # kernel holds one block of (a', b', g) entries at a time.
+    n = 1500
+    toy = ToyResonator(values=dict.fromkeys(range(1, n + 1), 1.0))
+    tracemalloc.start()
+    try:
+        diagonal_sum(toy, n, float(n), TABLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # -- sparse coprime-pair kernel ---------------------------------------------
