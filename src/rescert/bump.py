@@ -41,6 +41,7 @@ got there at the top degree raises QuadratureError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,15 +59,6 @@ DEEP_THRESHOLD = 1e-12
 DEEP_DPS = 50
 # Node tables of the 50-digit ramp rule, cached per (degree, precision).
 _GAUSS_LEGENDRE = GaussLegendre(mpmath.mp)
-
-
-def _psi_scalar(s: float) -> float:
-    if s <= 0.0:
-        return 0.0
-    if s >= 1.0:
-        return 1.0
-    # sigma(s)/(sigma(s)+sigma(1-s)) rewritten to a single stable exp.
-    return 1.0 / (1.0 + math.exp(1.0 / s - 1.0 / (1.0 - s)))
 
 
 def _psi_vec(s: np.ndarray) -> np.ndarray:
@@ -148,8 +140,6 @@ class Bump:
     ramp_width: float = 0.125
     tolerance: float = DEFAULT_TOLERANCE
     _memo: dict[str, tuple[complex, bool]] = field(default_factory=dict, repr=False)
-    # Decay constants on the moments decay grid, by nu (filled by moments).
-    _decay_memo: dict[int, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.ramp_width <= 0.25:
@@ -175,15 +165,8 @@ class Bump:
         return 1.0
 
     def phi(self, y: float) -> float:
-        """Window value at a single point."""
-        w = self.ramp_width
-        if y <= 0.5 or y >= 1.0:
-            return 0.0
-        if y < 0.5 + w:
-            return _psi_scalar((y - 0.5) / w)
-        if y <= 1.0 - w:
-            return 1.0
-        return _psi_scalar((1.0 - y) / w)
+        """Window value at a single point: phi_vec at [y]."""
+        return float(self.phi_vec([y])[0])
 
     def phi_vec(self, y: np.ndarray) -> np.ndarray:
         """Vectorized window values."""
@@ -291,14 +274,10 @@ class Bump:
             return value
 
 
-_DEFAULT_BUMP: Bump | None = None
-
-
+@functools.cache
 def default_bump() -> Bump:
-    global _DEFAULT_BUMP
-    if _DEFAULT_BUMP is None:
-        _DEFAULT_BUMP = Bump()
-    return _DEFAULT_BUMP
+    """The fixed window every moment and report uses (ramp width 1/8)."""
+    return Bump()
 
 
 def phi(b: Bump, y: float) -> float:

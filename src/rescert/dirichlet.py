@@ -36,6 +36,8 @@ from .resonator import Resonator, SupportElement, support_elements
 RESYNC_STRIDE = 10_000
 DEFAULT_EVAL_BUDGET = 20_000_000
 REFINE_REL_WIDTH = 1e-10
+# |R| peaks whose neighbourhoods the guided search refines.
+GUIDED_TOP_K = 5
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -57,25 +59,29 @@ def derivative_bound(n_max: int) -> float:
     return math.sqrt(n_max) * math.log(n_max) if n_max > 1 else 0.0
 
 
+def _dn_terms(f: UnimodularCMF, n_max: int, table: FactorTable) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients f(n) / sqrt(N) and log n of D_{f,N}."""
+    coeffs = values_up_to(f, n_max, table) / math.sqrt(n_max)
+    logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
+    return coeffs, logs
+
+
+def _point_value(coeffs: np.ndarray, logs: np.ndarray, t: float) -> np.complex128:
+    """sum_n c_n e^{i*t*log n} by direct exponentials, summed in numpy's pairwise order."""
+    return np.sum(coeffs * np.exp(1j * t * logs))
+
+
+def _abs2(terms: tuple[np.ndarray, np.ndarray], t: float) -> float:
+    """|sum_n c_n e^{i*t*log n}|^2 of the (coeffs, logs) pair `terms`."""
+    v = _point_value(*terms, t)
+    return float(v.real * v.real + v.imag * v.imag)
+
+
 def eval_DN(f: UnimodularCMF, n_max: int, t: float, table: FactorTable) -> complex:
     """D_{f,N}(t), summed in numpy's pairwise order."""
     if n_max < 1:
         raise ValueError("N must be >= 1")
-    coeffs = values_up_to(f, n_max, table)
-    logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
-    return complex(np.sum(coeffs * np.exp(1j * t * logs)) / math.sqrt(n_max))
-
-
-def _dn_terms(f: UnimodularCMF, n_max: int, table: FactorTable):
-    """Coefficients f(n) / sqrt(N) and log n of D_{f,N}, and t -> |D_{f,N}(t)|^2."""
-    coeffs = values_up_to(f, n_max, table) / math.sqrt(n_max)
-    logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
-
-    def abs2(t: float) -> float:
-        v = np.sum(coeffs * np.exp(1j * t * logs))
-        return float(v.real * v.real + v.imag * v.imag)
-
-    return coeffs, logs, abs2
+    return complex(_point_value(*_dn_terms(f, n_max, table), t))
 
 
 def _expi(x: np.ndarray) -> np.ndarray:
@@ -185,13 +191,19 @@ def _support_coeff_logs(
     return coeffs, logs
 
 
-def _as_elements(
-    res: Resonator, support, table: FactorTable
-) -> list[SupportElement]:
+def _as_elements(res: Resonator, support) -> list[SupportElement]:
+    """The support elements of `support`: SupportElements as given, plain
+    integers with their weights rebuilt from the resonator.
+
+    Raises:
+        ValueError: a plain integer outside the resonator's support.
+    """
     if support and isinstance(support[0], SupportElement):
         return list(support)
-    # Plain integers: rebuild weights from the resonator.
     by_n = {e.n: e for e in support_elements(res, max(support, default=1))}
+    missing = sorted({n for n in support if n not in by_n})
+    if missing:
+        raise ValueError(f"integers {missing} are not in the resonator's support")
     return [by_n[n] for n in support]
 
 
@@ -202,29 +214,32 @@ def eval_R(
     support,
     table: FactorTable,
 ) -> complex:
-    """Resonator polynomial R(t) = sum over support of f(a) r(a) a^{it}."""
-    elems = _as_elements(res, support, table)
-    coeffs, logs = _support_coeff_logs(res, f, elems)
-    return complex(np.sum(coeffs * np.exp(1j * t * logs)))
+    """Resonator polynomial R(t) = sum over support of f(a) r(a) a^{it}.
+
+    Raises:
+        ValueError: `support` lists a plain integer outside the resonator's support.
+    """
+    return complex(_point_value(*_support_coeff_logs(res, f, _as_elements(res, support)), t))
 
 
-def _refine_peak(abs2, t_c: float, step: float, lo: float, hi: float) -> tuple[float, float, int]:
-    """Golden-section maximization of abs2 on [t_c - step, t_c + step] within [lo, hi]."""
+def _refine_peak(terms, t_c: float, step: float, lo: float, hi: float) -> tuple[float, float, int]:
+    """Golden-section maximization of |P|^2 on [t_c - step, t_c + step] within [lo, hi],
+    P the polynomial of the (coeffs, logs) pair `terms`."""
     a, b = max(lo, t_c - step), min(hi, t_c + step)
     tol_width = REFINE_REL_WIDTH * max(1.0, abs(t_c))
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = abs2(c), abs2(d)
+    fc, fd = _abs2(terms, c), _abs2(terms, d)
     iters = 0
     while (b - a) > tol_width and iters < 200:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
-            fc = abs2(c)
+            fc = _abs2(terms, c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
-            fd = abs2(d)
+            fd = _abs2(terms, d)
         iters += 1
     return (c, fc, iters) if fc >= fd else (d, fd, iters)
 
@@ -284,7 +299,7 @@ def grid_sup(
             budget=eval_budget,
         )
 
-    coeffs, logs, abs2 = _dn_terms(f, n_max, table)
+    terms = _dn_terms(f, n_max, table)
 
     best_mag2 = -1.0
     best_t = lo
@@ -298,13 +313,13 @@ def grid_sup(
             best_mag2 = mag2
             best_t = t_k
 
-    consider(lo, abs2(lo))
-    consider(hi, abs2(hi))
+    consider(lo, _abs2(terms, lo))
+    consider(hi, _abs2(terms, hi))
     tracing = bool(trace_path) and trace_stride > 0
     with open(trace_path, "w") if tracing else contextlib.nullcontext() as trace_file:
         if tracing:
             trace_file.write("t,abs_dn\n")
-        for start, vals in _grid_values(coeffs, logs, 0.0, k_lo, n_interior, step):
+        for start, vals in _grid_values(*terms, 0.0, k_lo, n_interior, step):
             mag2 = vals.real * vals.real + vals.imag * vals.imag
             # Only points within the tie tolerance of the block maximum can
             # win; they reach consider() in grid order.
@@ -315,12 +330,12 @@ def grid_sup(
                     t_k = (k_lo + start + k) * step
                     trace_file.write(f"{t_k:.17g},{math.sqrt(mag2[k]):.17g}\n")
 
-    t_star, mag2_star, iters = _refine_peak(abs2, best_t, step, lo, hi)
+    t_star, mag2_star, iters = _refine_peak(terms, best_t, step, lo, hi)
     # Keep the grid point unless refinement wins by more than float noise
     # (sub-ulp "gains" near a flat peak would displace an exact t=0).
     if mag2_star - best_mag2 <= 1e-12 * max(1.0, best_mag2):
         t_star, mag2_star = best_t, best_mag2
-    value = math.sqrt(abs2(t_star))
+    value = math.sqrt(_abs2(terms, t_star))
     slack = step * deriv / 2.0
     return SearchResult(t_star, value, step, iters, slack, (lo, hi))
 
@@ -371,10 +386,9 @@ def resonance_guided_search(
     table: FactorTable,
     *,
     window: tuple[float, float] | None = None,
-    top_k: int = 5,
     eval_budget: int = DEFAULT_EVAL_BUDGET,
 ) -> SearchResult:
-    """Search |D_N| near the top-k peaks of |R| on a coarse grid.
+    """Search |D_N| near the GUIDED_TOP_K highest peaks of |R| on a coarse grid.
 
     A heuristic accelerator: no slack certificate is attached
     (certified_slack is None).  With an empty resonator support this
@@ -400,13 +414,15 @@ def resonance_guided_search(
 
     r_coeffs, r_logs = _support_coeff_logs(res, f, support)
     blocks = _grid_values(r_coeffs, r_logs, lo, 0, n_points, step)
-    candidates = _guided_candidates(blocks, float(r_logs.max(initial=0.0)), lo, step, top_k)
+    candidates = _guided_candidates(
+        blocks, float(r_logs.max(initial=0.0)), lo, step, GUIDED_TOP_K
+    )
 
-    _, _, abs2 = _dn_terms(f, n_max, table)
+    terms = _dn_terms(f, n_max, table)
     # The first of the highest refined peaks wins.
     t_star, mag2, iters = max(
-        (_refine_peak(abs2, lo + step * int(idx), step, lo, hi) for idx in candidates),
+        (_refine_peak(terms, lo + step * int(idx), step, lo, hi) for idx in candidates),
         key=lambda peak: peak[1],
-        default=(lo, abs2(lo), 0),
+        default=(lo, _abs2(terms, lo), 0),
     )
     return SearchResult(t_star, math.sqrt(mag2), step, iters, None, (lo, hi))

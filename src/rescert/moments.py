@@ -38,8 +38,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bump import Bump, default_bump, decay_constant
-from .dirichlet import _grid_values, _support_coeff_logs
+from .bump import default_bump, decay_constant
+from .dirichlet import _dn_terms, _grid_values, _support_coeff_logs
 from .errors import ResourceLimitError
 from .multfn import UnimodularCMF, values_up_to
 from .ntcore import FactorTable
@@ -68,19 +68,13 @@ DEFAULT_NU = 3
 EXACT_AUTO_MAX_T = 2.0e4
 
 
-def _decay_const(b: Bump, nu: int) -> float:
-    c_nu = b._decay_memo.get(nu)
-    if c_nu is None:
-        c_nu = b._decay_memo[nu] = decay_constant(b, nu, DEFAULT_DECAY_GRID)
-    return c_nu
-
-
 # ---------------------------------------------------------------------------
 # Quadrature moments (tiny instances; the oracle-facing route).
 
 
-def _window_integral(polys, t_bound: float, b: Bump, rel_tol: float) -> float:
-    """Integral of Phi(t/T) * prod |P(t)|^2 over the window, P = sum c_n e^{i t log n}.
+def _window_integral(polys, t_bound: float) -> float:
+    """Integral of Phi(t/T) * prod |P(t)|^2 over the window, P = sum c_n e^{i t log n},
+    to 1e-8 relative.
 
     `polys` lists (coeffs, logs) pairs.  The level rule composite_gl_grid asks for a group
     of Gauss-Legendre nodes over a chunk of panels at a time: per node an arithmetic
@@ -88,6 +82,7 @@ def _window_integral(polys, t_bound: float, b: Bump, rel_tol: float) -> float:
     shared phase tables.  Phi and the |P|^2 products are formed once per chunk, for every
     node of the group; the panel schedule starts at the summed top frequency.
     """
+    b = default_bump()
     lo, hi = b.lo * t_bound, b.hi * t_bound
 
     def integrand(origins: np.ndarray, k0: int, step: float, count: int) -> np.ndarray:
@@ -100,7 +95,7 @@ def _window_integral(polys, t_bound: float, b: Bump, rel_tol: float) -> float:
 
     max_freq = sum(float(logs.max(initial=0.0)) for _, logs in polys)
     value, _ = adaptive_oscillatory(
-        integrand, lo, hi, max_freq=max_freq, rel_tol=rel_tol, abs_tol=0.0,
+        integrand, lo, hi, max_freq=max_freq, rel_tol=1e-8, abs_tol=0.0,
         rule=composite_gl_grid,
     )
     return value.real
@@ -112,8 +107,6 @@ def m1_quadrature(
     t_bound: float,
     support: list[SupportElement],
     table: FactorTable,
-    b: Bump | None = None,
-    rel_tol: float = 1e-8,
 ) -> float:
     """M1 by adaptive quadrature over the window support [T/2, T].
 
@@ -122,8 +115,7 @@ def m1_quadrature(
     form a uniform grid on which |R|^2 comes from the grid-scan kernel
     dirichlet._grid_values, which scans the group's grids together.
     """
-    b = b or default_bump()
-    return _window_integral([_support_coeff_logs(res, f, support)], t_bound, b, rel_tol)
+    return _window_integral([_support_coeff_logs(res, f, support)], t_bound)
 
 
 def m2_quadrature(
@@ -133,8 +125,6 @@ def m2_quadrature(
     t_bound: float,
     support: list[SupportElement],
     table: FactorTable,
-    b: Bump | None = None,
-    rel_tol: float = 1e-8,
 ) -> float:
     """M2 by adaptive quadrature over the window support [T/2, T].
 
@@ -142,20 +132,28 @@ def m2_quadrature(
     each Gauss-Legendre node's grid (oracle.m2_bruteforce_quadrature keeps
     a dense rule as the independent check).
     """
-    b = b or default_bump()
-    d_coeffs = values_up_to(f, n_max, table) / math.sqrt(n_max)
-    d_logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
-    polys = [_support_coeff_logs(res, f, support), (d_coeffs, d_logs)]
-    return _window_integral(polys, t_bound, b, rel_tol)
+    polys = [_support_coeff_logs(res, f, support), _dn_terms(f, n_max, table)]
+    return _window_integral(polys, t_bound)
 
 
 # ---------------------------------------------------------------------------
 # Exact termwise moments (tiny instances).
 
 
-def _real_sum(terms: list[complex], scale: float) -> float:
-    """scale times the correctly rounded sum of terms, whose imaginary
-    residue (zero by conjugate symmetry) is asserted tiny and dropped."""
+def _termwise_sum(coeffs, logs, t_bound: float, scale: float) -> float:
+    """scale * sum_{q,q'} W_q conj(W_{q'}) phi_hat(T*(log u_{q'} - log u_q)),
+    W = coeffs and log u = logs.
+
+    The sum is correctly rounded; its imaginary residue (zero by conjugate
+    symmetry) is asserted tiny and dropped.
+    """
+    b = default_bump()
+    pairs = list(zip(logs, coeffs))
+    terms = [
+        wq * wv.conjugate() * b.transform(t_bound * (lv - lu))
+        for lu, wq in pairs
+        for lv, wv in pairs
+    ]
     total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)) * scale
     if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
         raise AssertionError(f"moment sum imaginary residue {total.imag!r} too large")
@@ -168,7 +166,6 @@ def m1_exact(
     t_bound: float,
     support: list[SupportElement],
     table: FactorTable,
-    b: Bump | None = None,
 ) -> float:
     """M1 as T * sum over support pairs of the transform expansion.
 
@@ -176,20 +173,13 @@ def m1_exact(
     V_a = f(a) * r(a).  The transform's conjugate symmetry makes the sum
     real; the float residue is asserted tiny and dropped.
     """
-    b = b or default_bump()
     coeffs, logs = _support_coeff_logs(res, f, support)
-    terms = [
-        coeffs[i] * coeffs[j].conjugate() * b.transform(t_bound * (logs[j] - logs[i]))
-        for i in range(len(support))
-        for j in range(len(support))
-    ]
-    return _real_sum(terms, t_bound)
+    return _termwise_sum(coeffs, logs, t_bound, t_bound)
 
 
-def m1_main(res: Resonator, t_bound: float, cap: float, b: Bump | None = None) -> float:
+def m1_main(res: Resonator, t_bound: float, cap: float) -> float:
     """Diagonal part of M1: T * phi_hat(0) * sum_{n<=cap} r(n)^2."""
-    b = b or default_bump()
-    return t_bound * b.transform(0.0).real * sum_r_squared(res, cap)
+    return t_bound * default_bump().transform(0.0).real * sum_r_squared(res, cap)
 
 
 def m2_exact(
@@ -199,7 +189,6 @@ def m2_exact(
     t_bound: float,
     support: list[SupportElement],
     table: FactorTable,
-    b: Bump | None = None,
 ) -> float:
     """M2 as the full quadruple transform expansion (tiny instances).
 
@@ -211,21 +200,16 @@ def m2_exact(
     Products are formed as exact integers so equal products give a
     transform argument of exactly zero.
     """
-    b = b or default_bump()
     f_vals = values_up_to(f, n_max, table)
-    pairs: list[tuple[float, complex]] = []
+    coeffs, logs = [], []
     for e in support:
         fa = 1.0 + 0.0j
         for p in e.primes:
             fa *= f.prime_value(p)
         for m in range(1, n_max + 1):
-            pairs.append((math.log(m * e.n), f_vals[m - 1] * fa * e.r))
-    terms = [
-        wq * wv.conjugate() * b.transform(t_bound * (lv - lu))
-        for lu, wq in pairs
-        for lv, wv in pairs
-    ]
-    return _real_sum(terms, t_bound / n_max)
+            coeffs.append(f_vals[m - 1] * fa * e.r)
+            logs.append(math.log(m * e.n))
+    return _termwise_sum(coeffs, logs, t_bound, t_bound / n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +502,6 @@ def offdiag_bound(
     t_bound: float,
     nu: int,
     table: FactorTable,
-    b: Bump | None = None,
     c_nu: float | None = None,
     sum_r: float | None = None,
 ) -> float:
@@ -530,9 +513,8 @@ def offdiag_bound(
     C_nu comes from the decay grid, so the constant is empirical, not
     proven.
     """
-    b = b or default_bump()
     if c_nu is None:
-        c_nu = _decay_const(b, nu)
+        c_nu = decay_constant(default_bump(), nu, DEFAULT_DECAY_GRID)
     if sum_r is None:
         sum_r, _ = _sum_r_with_fallback(res, _support_within_budget(res, x, DEFAULT_ENUM_BUDGET))
     return (t_bound / n_max) * n_max**2 * sum_r**2 * c_nu * (t_bound / (n_max * x)) ** (-nu)
@@ -543,14 +525,12 @@ def m1_offdiag_bound(
     x: float,
     t_bound: float,
     nu: int,
-    b: Bump | None = None,
     c_nu: float | None = None,
     sum_r: float | None = None,
 ) -> float:
     """Envelope for off-diagonal M1 terms: T (sum r)^2 C_nu (T/X)^{-nu}."""
-    b = b or default_bump()
     if c_nu is None:
-        c_nu = _decay_const(b, nu)
+        c_nu = decay_constant(default_bump(), nu, DEFAULT_DECAY_GRID)
     if sum_r is None:
         sum_r, _ = _sum_r_with_fallback(res, _support_within_budget(res, x, DEFAULT_ENUM_BUDGET))
     return t_bound * sum_r**2 * c_nu * (t_bound / x) ** (-nu)
@@ -806,7 +786,6 @@ def ratio_and_bounds(
     gamma: float,
     table: FactorTable,
     *,
-    b: Bump | None = None,
     nu: int = DEFAULT_NU,
     alpha: float | None = None,
     budget: int = DEFAULT_TERM_BUDGET,
@@ -822,13 +801,13 @@ def ratio_and_bounds(
     too.  Exact and quadrature moments are filled in for tiny instances
     (exact_mode="auto") or on demand ("always"); either may be None.
 
-    `f` is only consulted for those exact/quadrature cross-checks.
+    `f` is only consulted for those exact/quadrature cross-checks.  Every
+    moment uses the fixed window default_bump().
     """
     if exact_mode not in ("auto", "always", "never"):
         raise ValueError(f"unknown exact_mode {exact_mode!r}")
     if n_max < 1:
         raise ValueError("N must be >= 1")
-    b = b or default_bump()
     x = res.x
     c = math.log(t_bound) / math.log(n_max) if n_max > 1 and t_bound > 1 else None
 
@@ -879,11 +858,11 @@ def ratio_and_bounds(
     ratio = diag / (n_max * r2_denominator)
     lower_bound = math.sqrt(max(0.0, ratio))
 
-    c_nu = _decay_const(b, nu)
+    c_nu = decay_constant(default_bump(), nu, DEFAULT_DECAY_GRID)
     sum_r, flags["sum_r_truncated"] = _sum_r_with_fallback(res, sup)
-    od2 = offdiag_bound(res, n_max, x, t_bound, nu, table, b, c_nu=c_nu, sum_r=sum_r)
-    od1 = m1_offdiag_bound(res, x, t_bound, nu, b, c_nu=c_nu, sum_r=sum_r)
-    phi0 = b.transform(0.0).real
+    od2 = offdiag_bound(res, n_max, x, t_bound, nu, table, c_nu=c_nu, sum_r=sum_r)
+    od1 = m1_offdiag_bound(res, x, t_bound, nu, c_nu=c_nu, sum_r=sum_r)
+    phi0 = default_bump().transform(0.0).real
     m1_diag = t_bound * phi0 * r2_denominator
     m2_diag = (t_bound / n_max) * phi0 * diag
 
@@ -907,10 +886,10 @@ def ratio_and_bounds(
     if support is not None:
         if f is None:
             raise ValueError("exact moments require a coefficient function")
-        m1_q = m1_quadrature(res, f, t_bound, support, table, b)
-        m1_e = m1_exact(res, f, t_bound, support, table, b)
-        m2_q = m2_quadrature(res, f, n_max, t_bound, support, table, b)
-        m2_e = m2_exact(res, f, n_max, t_bound, support, table, b)
+        m1_q = m1_quadrature(res, f, t_bound, support, table)
+        m1_e = m1_exact(res, f, t_bound, support, table)
+        m2_q = m2_quadrature(res, f, n_max, t_bound, support, table)
+        m2_e = m2_exact(res, f, n_max, t_bound, support, table)
 
     alpha_eff = alpha if alpha is not None else res.alpha_default
     if alpha_eff is not None:

@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# 32-bit entries keep a 2^24 table at 64 MiB; anything past uint32 range
-# would silently truncate, so that is a hard cap rather than a default.
-DEFAULT_SIEVE_LIMIT = 1 << 24
+# Entries are uint32: a limit past that range would silently truncate them.
 MAX_SIEVE_LIMIT = (1 << 32) - 1
 
 

@@ -8,7 +8,7 @@ agree to tolerance; the difference of the last two levels is reported as
 the error estimate.
 
 Every rule here splits [a, b] into P equal panels of width h and puts
-Gauss-Legendre node x_j of panel k at
+Gauss-Legendre node x_j (one of GL_ORDER) of panel k at
 
     a + k*h + h*(1 + x_j)/2,
 
@@ -30,7 +30,7 @@ signature, and `fn` is then whatever that rule reads.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import functools
 
 import numpy as np
 
@@ -44,30 +44,31 @@ MAX_DOUBLINGS = 14
 _NODES_PER_SCAN = 5
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+@functools.cache
+def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1] of every level rule, built on first use: importing
+    numpy.polynomial at package import would add about 6 ms to every CLI start."""
+    return np.polynomial.legendre.leggauss(GL_ORDER)
 
 
-def composite_gl(fn, a: float, b: float, panels: int, order: int = GL_ORDER) -> complex:
+def composite_gl(fn, a: float, b: float, panels: int) -> complex:
     """One composite Gauss-Legendre pass with `panels` equal panels.
 
     `fn` must accept a 1-d numpy array of abscissae and return values of
     matching shape (real or complex).
     """
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = _gl_nodes()
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])  # (panels,)
     mid = 0.5 * (edges[1:] + edges[:-1])
     # All abscissae in one flat array: panel-major ordering.
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     vals = np.asarray(fn(x))
-    vals = vals.reshape(panels, len(nodes))
+    vals = vals.reshape(panels, GL_ORDER)
     return complex((vals @ weights) @ half)
 
 
-def composite_gl_grid(fn, a: float, b: float, panels: int, order: int = GL_ORDER) -> complex:
+def composite_gl_grid(fn, a: float, b: float, panels: int) -> complex:
     """One composite Gauss-Legendre pass, evaluated a group of nodes and a chunk of panels
     at a time.
 
@@ -77,11 +78,11 @@ def composite_gl_grid(fn, a: float, b: float, panels: int, order: int = GL_ORDER
     step is h = (b - a) / panels, and each call covers one chunk of RESYNC_STRIDE panels
     (the grid kernel's block), k0 being the chunk's first panel.
     """
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = _gl_nodes()
     h = (b - a) / panels
     origins = a + 0.5 * h * (1.0 + nodes)
-    vals = np.empty((panels, order), dtype=np.complex128)
-    for j in range(0, order, _NODES_PER_SCAN):
+    vals = np.empty((panels, GL_ORDER), dtype=np.complex128)
+    for j in range(0, GL_ORDER, _NODES_PER_SCAN):
         group = slice(j, j + _NODES_PER_SCAN)
         for k0 in range(0, panels, RESYNC_STRIDE):
             count = min(RESYNC_STRIDE, panels - k0)
@@ -89,20 +90,20 @@ def composite_gl_grid(fn, a: float, b: float, panels: int, order: int = GL_ORDER
     return complex((vals @ weights) @ np.full(panels, 0.5 * h))
 
 
-def composite_gl_phased(fn, a: float, b: float, panels: int, order: int = GL_ORDER) -> complex:
+def composite_gl_phased(fn, a: float, b: float, panels: int) -> complex:
     """One composite Gauss-Legendre pass for integral_a^b weight(s) e^{-i freq s} ds.
 
     `fn` is the pair (weight, freq): `weight` maps a numpy array of
     abscissae to real values, and `freq` is the angular frequency.  The
     phases factor per node and per panel (module docstring), so a pass
-    takes order + panels complex exponentials instead of one per node.
+    takes GL_ORDER + panels complex exponentials instead of one per node.
     """
     weight, freq = fn
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = _gl_nodes()
     h = (b - a) / panels
     u = 0.5 * h * (1.0 + nodes)
     starts = a + h * np.arange(panels)
-    weighted = weight(starts[:, None] + u) * weights  # (panels, order)
+    weighted = weight(starts[:, None] + u) * weights  # (panels, GL_ORDER)
     node = np.exp(-1j * freq * u)
     # Two real products: a real matrix times a complex vector skips BLAS.
     per_panel = weighted @ node.real + 1j * (weighted @ node.imag)
@@ -117,7 +118,6 @@ def adaptive_oscillatory(
     max_freq: float,
     abs_tol: float = 0.0,
     rel_tol: float = 1e-9,
-    order: int = GL_ORDER,
     max_evals: int = 40_000_000,
     rule=composite_gl,
 ) -> tuple[complex, float]:
@@ -137,9 +137,9 @@ def adaptive_oscillatory(
             value by no more than max(abs_tol, rel_tol * |value|).
         max_evals: budget on total integrand evaluations; a level that
             would pass it is refused before it is evaluated.
-        rule: the level rule `rule(fn, a, b, panels, order)`, one pass
-            with `panels` equal panels: composite_gl, composite_gl_grid,
-            composite_gl_phased or a caller's own.
+        rule: the level rule `rule(fn, a, b, panels)`, one pass with
+            `panels` equal panels of GL_ORDER nodes: composite_gl,
+            composite_gl_grid, composite_gl_phased or a caller's own.
 
     Returns:
         (value, error_estimate)
@@ -157,17 +157,17 @@ def adaptive_oscillatory(
     prev = None
     err = float("inf")
     for _ in range(MAX_DOUBLINGS + 1):
-        if spent + panels * order > max_evals:
+        if spent + panels * GL_ORDER > max_evals:
             raise QuadratureError(
                 f"quadrature budget exhausted at {panels} panels "
                 f"({spent} evaluations used, cap {max_evals})",
                 achieved_error=None if prev is None else err,
                 value=prev,
-                needed=spent + panels * order,
+                needed=spent + panels * GL_ORDER,
                 budget=max_evals,
             )
-        value = rule(fn, a, b, panels, order)
-        spent += panels * order
+        value = rule(fn, a, b, panels)
+        spent += panels * GL_ORDER
         if prev is not None:
             err = abs(value - prev)
             if err <= max(abs_tol, rel_tol * abs(value)):

@@ -87,7 +87,6 @@ def test_criterion_03_moment_quadrature_matches_exact():
     # Tiny instances (N <= 12, support size <= 8): both moments computed
     # two independent ways agree to 1e-6 relative.
     with _criterion(3, "moment quadrature matches exact expansion"):
-        b = default_bump()
         cases = []
         for logx, n in ((20.0, 3), (20.0, 12), (20.2, 4)):
             res = build_resonator(math.exp(logx), TABLE)
@@ -98,10 +97,10 @@ def test_criterion_03_moment_quadrature_matches_exact():
         for res, n, supp in cases:
             for f in fs:
                 for t_bound in (1e3, 1e4):
-                    q1 = m1_quadrature(res, f, t_bound, supp, TABLE, b)
-                    e1 = m1_exact(res, f, t_bound, supp, TABLE, b)
-                    q2 = m2_quadrature(res, f, n, t_bound, supp, TABLE, b)
-                    e2 = m2_exact(res, f, n, t_bound, supp, TABLE, b)
+                    q1 = m1_quadrature(res, f, t_bound, supp, TABLE)
+                    e1 = m1_exact(res, f, t_bound, supp, TABLE)
+                    q2 = m2_quadrature(res, f, n, t_bound, supp, TABLE)
+                    e2 = m2_exact(res, f, n, t_bound, supp, TABLE)
                     assert q1 == pytest.approx(e1, rel=1e-6)
                     assert q2 == pytest.approx(e2, rel=1e-6)
 

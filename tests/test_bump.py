@@ -61,6 +61,16 @@ def test_vectorized_matches_scalar():
         assert v == pytest.approx(B.phi(float(y)), abs=1e-15)
 
 
+@pytest.mark.parametrize("w", [1 / 16, 1 / 8, 1 / 4])
+def test_scalar_window_is_the_vectorized_one(w):
+    # Near the ramp ends exp(1/s - 1/(1 - s)) overflows; phi takes phi_vec's value there.
+    b = Bump(ramp_width=w)
+    for y in (0.5 + w / 1000, 1.0 - w / 1000, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0),
+              0.5 + w / 2):
+        assert b.phi(y) == b.phi_vec([y])[0]
+        assert phi(b, y) == b.phi_vec([y])[0]
+
+
 def test_transform_at_zero():
     # Plateau length 1/4 plus two ramps of integral w/2 each: 3/8 total.
     v = phi_hat(B, 0.0)

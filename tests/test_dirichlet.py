@@ -75,6 +75,14 @@ def test_eval_r():
     assert eval_R(empty, one, 5.0, support_elements(empty, 3.0), TABLE) == 1.0
 
 
+def test_eval_r_rejects_integers_outside_support():
+    # The support of RES20 is {1, 61}: 2 and 60 have no weight to rebuild.
+    with pytest.raises(ValueError, match=r"\[2, 60\]"):
+        eval_R(RES20, constant_one(), 0.0, [1, 60, 2, 61], TABLE)
+    with pytest.raises(ValueError, match=r"\[2\]"):
+        eval_R(RES20, constant_one(), 0.0, [1, 2], TABLE)
+
+
 def test_grid_sup_constant_one_peaks_at_zero():
     for n in (1, 4, 16):
         result = grid_sup(constant_one(), n, 10.0, 0.05, TABLE)
@@ -194,8 +202,7 @@ def _assert_same_blocks(coeffs, logs, origin, k0, count, h):
 
 def _dn_coeffs_logs(n, seed):
     table = TABLE if n <= TABLE.limit else build_factor_table(n)
-    coeffs, logs, _ = dirichlet._dn_terms(steinhaus_sample(seed, table.limit), n, table)
-    return coeffs, logs
+    return dirichlet._dn_terms(steinhaus_sample(seed, table.limit), n, table)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescert import moments
-from rescert.bump import Bump, decay_constant, default_bump, phi_hat
+from rescert.bump import decay_constant, default_bump, phi_hat
 from rescert.cli import main as cli_main
 from rescert.dirichlet import _support_coeff_logs
 from rescert.errors import ResourceLimitError
@@ -198,8 +198,8 @@ def test_quadrature_moments_match_dense_reference(idx):
     )
     m1_ref = _dense_window_integral([r_poly], t_bound, b)
     m2_ref = _dense_window_integral([r_poly, d_poly], t_bound, b)
-    assert m1_quadrature(res, f, t_bound, supp, TABLE, b) == pytest.approx(m1_ref, rel=1e-12)
-    assert m2_quadrature(res, f, n, t_bound, supp, TABLE, b) == pytest.approx(m2_ref, rel=1e-12)
+    assert m1_quadrature(res, f, t_bound, supp, TABLE) == pytest.approx(m1_ref, rel=1e-12)
+    assert m2_quadrature(res, f, n, t_bound, supp, TABLE) == pytest.approx(m2_ref, rel=1e-12)
 
 
 # m1_quadrature and m2_quadrature as the node-by-node grid rule computed them, before the
@@ -589,13 +589,12 @@ def test_pair_sums_beyond_63_primes():
     assert sup.masks.shape[1] == 3 and 2 * 733 in sup.ns.tolist()
 
 
-def test_decay_constant_belongs_to_its_bump():
-    # Each Bump is dropped before the next is made, so CPython may hand a
-    # new Bump the id of a collected one; it must still get its own
-    # constant.  With T = X = 1 and sum r = 1 the envelope is C_nu itself.
-    for w in (0.05, 0.125, 0.1, 0.05, 0.2):
-        got = m1_offdiag_bound(RES20, 1.0, 1.0, 3, b=Bump(ramp_width=w), sum_r=1.0)
-        assert got == decay_constant(Bump(ramp_width=w), 3, DEFAULT_DECAY_GRID)
+def test_report_decay_constant_follows_nu():
+    # Reports in one process, nu changing and coming back: each report reads the
+    # default window's constant for its own nu.
+    for nu in (3, 2, 4, 3):
+        report = ratio_and_bounds(RES20, constant_one(), 100, 1e6, 0.5, 0.5, TABLE, nu=nu)
+        assert report.decay_constant == decay_constant(default_bump(), nu, DEFAULT_DECAY_GRID)
 
 
 def test_diagonal_lower_bound_ordering():
