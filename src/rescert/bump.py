@@ -26,17 +26,23 @@ re-evaluates those points in 50-digit arithmetic.
 
 The 50-digit path integrates the same C with its own composite
 Gauss-Legendre rule on P equal pieces between half-cycle breakpoints of
-e^{-i xi w s}, in quadrature's panel layout.  A node s = s_k + u_j of
-piece k has phase e^{-i lam s_k} e^{-i lam u_j} (lam = xi w), so the
-node factors h/2 * w_j * e^{-i lam u_j} are built once per degree and a
-node costs one psi and a real-times-complex product.  Since
-psi(1 - s) = 1 - psi(s) and the layout is symmetric about 1/2, piece
-P-1-k is e^{-i lam} conj(e^{-i lam s_k} sum_j (1 - psi_j) * factor_j)
-node for node, so each psi value (one exp) serves both pieces of a
-mirror pair.  Each pair climbs mpmath's Gauss-Legendre degrees
-(3 * 2^(m-1) nodes) until GaussLegendre.estimate_error is at most eps/8
-for both pieces, mpmath.quad's stopping rule, and a pair that has not
-got there at the top degree raises QuadratureError.
+e^{-i xi w s}, in quadrature's panel layout, and at least PIECE_FLOOR
+of them.  A node s = s_k + u_j of piece k has phase
+e^{-i lam s_k} e^{-i lam u_j} (lam = xi w), so the node factors
+h/2 * w_j * e^{-i lam u_j} are built once per degree and a node costs
+one psi and a real-times-complex product.  Since psi(1 - s) = 1 - psi(s)
+and the layout is symmetric about 1/2, piece P-1-k is
+e^{-i lam} conj(e^{-i lam s_k} sum_j (1 - psi_j) * factor_j) node for
+node, so each psi value (one exp) serves both pieces of a mirror pair.
+The node loop runs in Python-int fixed point at prec + 20 bits, with no
+mpf per node: offsets and factors are integers times 2^-(prec+20), psi
+comes from three floor divisions and mpmath.libmp's exp_fixed within a
+few units of 2^-(prec+20) (_psi_fixed), and the products sum exactly.
+Each pair climbs mpmath's Gauss-Legendre degrees (3 * 2^(m-1) nodes)
+until the GaussLegendre.estimate_error extrapolation, with its two
+logarithms taken in float (_estimate_error), is at most eps/8 for both
+pieces, mpmath.quad's stopping rule, and a pair that has not got there
+at the top degree raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.libmp import mpc_abs, to_fixed
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .errors import QuadratureError
 from .quadrature import adaptive_oscillatory, composite_gl_phased
@@ -59,6 +67,10 @@ DEEP_THRESHOLD = 1e-12
 DEEP_DPS = 50
 # Node tables of the 50-digit ramp rule, cached per (degree, precision).
 _GAUSS_LEGENDRE = GaussLegendre(mpmath.mp)
+# Fewest pieces of the 50-digit ramp rule: at low xi, narrower pieces stop at
+# lower Gauss-Legendre degrees, whose node tables are cheap to generate.
+PIECE_FLOOR = 16
+_LOG10_2 = math.log10(2)
 
 
 def _psi_vec(s: np.ndarray) -> np.ndarray:
@@ -74,15 +86,67 @@ def _psi_vec(s: np.ndarray) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-def _psi_mp(s):
-    # psi at the working precision, for s strictly inside (0, 1).
-    t = 1 - s
-    return 1 / (1 + mpmath.exp((t - s) / (s * t)))
+def _psi_fixed(s: int, prec: int, ln2: int) -> int:
+    """psi at s * 2^-prec in (0, 1), as an integer scaled by 2^prec.
+
+    x = 1/s - 1/(1 - s) takes two floor divisions and psi = 1/(1 + e^x) a third,
+    with e^x from exp_fixed (ln2 = ln2_fixed(prec)).  Past |x| > (prec + 8) ln 2,
+    psi is within 2^-(prec+8) of 0 (x > 0) or 1 (x < 0) and returns that end.
+    Each floor costs under one unit of 2^-prec, exp_fixed a few units relative
+    to e^x, and |d psi / d ln e^x| <= 1/4, so the result is within a few units
+    of 2^-prec of psi at the represented s.
+    """
+    one = 1 << prec
+    x = (one << prec) // s - (one << prec) // (one - s)
+    cut = (prec + 8) * ln2
+    if x > cut:
+        return 0
+    if x < -cut:
+        return one
+    return (one << prec) // (one + exp_fixed(x, prec, ln2))
+
+
+def _log10_abs(z) -> float:
+    # log10|z| in float, from the mantissa and exponent of |z| rounded to 53 bits;
+    # -inf at z = 0, where mpmath's log10 gives -inf too.
+    _, man, exp, _ = mpc_abs(z._mpc_, 53)
+    return math.log10(man) + exp * _LOG10_2 if man else -math.inf
+
+
+def _estimate_error(results, prec):
+    """GaussLegendre.estimate_error with its two logarithms in float.
+
+    The same Borwein-Bailey-Girgensohn extrapolation from the last three
+    degrees, D4 = min(0, max(D1^2/D2, 2 D1, -prec)) and 10^int(D4), with
+    D1, D2 = log10 of the last two differences to float accuracy, not at
+    the working precision.  Only int(D4) reaches the caller, so the
+    estimate, and the stopping decision, changes only where D4 lies within
+    float rounding of an integer.
+    """
+    if len(results) == 2:
+        return abs(results[0] - results[1])
+    if results[-1] == results[-2] == results[-3]:
+        return mpmath.mpf(0)
+    d1 = _log10_abs(results[-1] - results[-2])
+    d2 = _log10_abs(results[-1] - results[-3])
+    return mpmath.mpf(10) ** int(min(0, max(d1 * d1 / d2, 2 * d1, -prec)))
 
 
 def _folded_ramp_mp(lam):
     """C = integral_0^1 psi(s) e^{-i lam s} ds by the 50-digit ramp rule
     (module docstring), at the working precision plus 20 guard bits.
+
+    The nodes run in fixed point at P = prec + 20 bits: per degree, each
+    offset u_j and each factor h/2 * w_j * e^{-i lam u_j} is truncated once
+    to an integer times 2^-P, psi comes from _psi_fixed at the piece start
+    plus u_j, and sum_j psi_j * factor_j is an exact integer sum, turned into
+    an mpc once per piece and degree.  The mirror piece's sum of
+    (1 - psi_j) * factor_j is the exact integer 2^P * sum_j factor_j minus it.
+    A node is within 2^(1-P) of its place, its factor within 2^-P per part,
+    and its psi within a few units of 2^-P (_psi_fixed); with |psi'| <= 2
+    and sum_j |factor_j| <= h, a piece of n nodes (n <= 3 * 2^(top-1)) is
+    off by about (n + 8) 2^-P per part, far below the eps/8 = 2^-(prec+2)
+    it is tested against.
 
     Returns (C, worst): worst is the largest error estimate of a piece
     pair at its last degree, to be compared with eps/8 at the working
@@ -91,43 +155,55 @@ def _folded_ramp_mp(lam):
     prec = mpmath.mp.prec
     eps = mpmath.mp.eps / 8
     top = _GAUSS_LEGENDRE.guess_degree(prec)
-    pieces = max(4, int(mpmath.ceil(abs(lam) / mpmath.pi)) + 1)
-    with mpmath.workprec(prec + 20):
+    pieces = max(PIECE_FLOOR, int(mpmath.ceil(abs(lam) / mpmath.pi)) + 1)
+    fixed = prec + 20
+    ln2 = ln2_fixed(fixed)
+    with mpmath.workprec(fixed):
         h = mpmath.mpf(1) / pieces
         degrees = {}
 
         def node_factors(degree):
-            # Offsets u_j in a piece, factors h/2 * w_j * e^{-i lam u_j},
-            # and their sum (the rule applied to psi = 1).
+            # Offsets u_j in a piece and the parts of h/2 * w_j * e^{-i lam u_j},
+            # all times 2^fixed, with the sums of the parts (the rule applied
+            # to psi = 1) times 2^(2 fixed).
             if degree not in degrees:
-                offsets, factors = [], []
+                offsets, re, im = [], [], []
                 for x, weight in _GAUSS_LEGENDRE.get_nodes(-1, 1, degree, prec):
                     u = h * (1 + x) / 2
-                    offsets.append(u)
-                    factors.append(h / 2 * weight * mpmath.expj(-lam * u))
-                degrees[degree] = offsets, factors, mpmath.fsum(factors)
+                    factor = h / 2 * weight * mpmath.expj(-lam * u)
+                    offsets.append(to_fixed(u._mpf_, fixed))
+                    re.append(to_fixed(factor.real._mpf_, fixed))
+                    im.append(to_fixed(factor.imag._mpf_, fixed))
+                degrees[degree] = offsets, re, im, sum(re) << fixed, sum(im) << fixed
             return degrees[degree]
+
+        def to_mpc(re, im):
+            return mpmath.mpc(mpmath.mpf((re, -2 * fixed)), mpmath.mpf((im, -2 * fixed)))
 
         back = mpmath.expj(-lam)
         total = mpmath.mpc(0)
         worst = mpmath.mpf(0)
         for k in range((pieces + 1) // 2):
-            start = k * h
-            phase = mpmath.expj(-lam * start)
+            start = (k << fixed) // pieces
+            phase = mpmath.expj(-lam * (k * h))
             paired = 2 * k + 1 < pieces  # else the middle piece, its own mirror
             here, mirror = [], []
             err = mpmath.inf
             for degree in range(1, top + 1):
-                offsets, factors, ones = node_factors(degree)
-                dot = mpmath.fdot([_psi_mp(start + u) for u in offsets], factors)
-                here.append(phase * dot)
+                offsets, re, im, ones_re, ones_im = node_factors(degree)
+                dot_re = dot_im = 0
+                for u, a, b in zip(offsets, re, im):
+                    p = _psi_fixed(start + u, fixed, ln2)
+                    dot_re += p * a
+                    dot_im += p * b
+                here.append(phase * to_mpc(dot_re, dot_im))
                 if paired:
-                    mirror.append(back * mpmath.conj(phase * (ones - dot)))
+                    mirror.append(back * mpmath.conj(phase * to_mpc(ones_re - dot_re, ones_im - dot_im)))
                 if degree > 1:
-                    err = _GAUSS_LEGENDRE.estimate_error(here, prec, eps)
+                    err = _estimate_error(here, prec)
                     # The mirror's estimate only matters once this one passes.
                     if paired and err <= eps:
-                        err = max(err, _GAUSS_LEGENDRE.estimate_error(mirror, prec, eps))
+                        err = max(err, _estimate_error(mirror, prec))
                     if err <= eps:
                         break
             worst = max(worst, err)
@@ -240,8 +316,8 @@ class Bump:
         """phi_hat(xi) in DEEP_DPS-digit arithmetic: the closed-form plateau
         plus the folded ramps w * (e^{-i xi/2} C + e^{-i xi} conj(C)), with
         C from the 50-digit ramp rule (module docstring: phase-factored
-        nodes, one psi per mirror node pair, per-pair degree escalation).
-        Its nodes are interior, so psi needs no endpoint cases.
+        fixed-point nodes, one psi per mirror node pair, per-pair degree
+        escalation).  Its nodes are interior, so psi needs no endpoint cases.
 
         Raises:
             QuadratureError: a piece pair's error estimate is still above

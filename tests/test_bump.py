@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from mpmath.libmp.libelefun import ln2_fixed
+
 import rescert.bump as bump_mod
 from rescert.bump import Bump, decay_constant, default_bump, phi, phi_hat
 from rescert.errors import QuadratureError
@@ -219,19 +221,19 @@ def _two_ramp_tanh_sinh(w: float, xi: float) -> complex:
 
 
 # (xi, pieces) per ramp width: the half-cycle piece count of the 50-digit
-# rule.  Each width has the 4-piece floor, an even count, and an odd one,
+# rule.  Each width has the 16-piece floor, an even count, and an odd one,
 # whose middle piece is its own mirror.
 PIECE_CASES = {
-    1.0 / 16.0: [(50.0, 4), (220.0, 6), (300.0, 7)],
-    0.125: [(50.0, 4), (2883.19, 116), (2560.0, 103)],
-    0.25: [(30.0, 4), (310.0, 26), (300.0, 25)],
+    1.0 / 16.0: [(50.0, 16), (850.0, 18), (800.0, 17)],
+    0.125: [(50.0, 16), (2883.19, 116), (2560.0, 103)],
+    0.25: [(30.0, 16), (310.0, 26), (300.0, 25)],
 }
 
 
 @pytest.mark.parametrize("w", [1.0 / 16.0, 0.25, 0.125])
 def test_transform_mp_matches_two_ramp_integral(w):
     for xi, pieces in PIECE_CASES[w]:
-        assert max(4, math.ceil(xi * w / math.pi) + 1) == pieces
+        assert max(16, math.ceil(xi * w / math.pi) + 1) == pieces
         got = Bump(ramp_width=w)._transform_mp(xi)
         want = _two_ramp_tanh_sinh(w, xi)
         assert abs(got - want) <= 1e-15 * abs(want), (xi, pieces)
@@ -283,8 +285,8 @@ def test_transform_mp_restores_precision(monkeypatch):
     assert mpmath.mp.dps == before
 
 
-# _transform_mp at ramp width 1/8, as complex128; the entries up to
-# xi = 1280 are re-derived in test_fused_reference_is_transform_mp.
+# _transform_mp at ramp width 1/8, as complex128, re-derived in
+# test_fused_reference_is_transform_mp.
 FUSED_REFERENCE = {
     0.0: complex(0.375, 0.0),
     1.0: complex(0.2727210731117331, -0.25406598626303917),
@@ -302,8 +304,60 @@ FUSED_REFERENCE = {
 def test_fused_reference_is_transform_mp():
     b = Bump()
     for xi, ref in FUSED_REFERENCE.items():
-        if xi <= 1280.0:
-            assert abs(b._transform_mp(xi) - ref) <= 1e-16
+        tol = 1e-16 if xi <= 1280.0 else 1e-15 * abs(ref)
+        assert abs(b._transform_mp(xi) - ref) <= tol, xi
+
+
+def _psi_deep(s):
+    """psi as the 50-digit rule took it from mpmath: 50 digits plus 20 guard bits."""
+    with mpmath.workdps(bump_mod.DEEP_DPS), mpmath.workprec(mpmath.mp.prec + 20):
+        t = 1 - s
+        return 1 / (1 + mpmath.exp((t - s) / (s * t)))
+
+
+def test_psi_fixed_matches_50_digit_psi():
+    with mpmath.workdps(bump_mod.DEEP_DPS):
+        prec = mpmath.mp.prec
+    fixed = prec + 20
+    one = 1 << fixed
+    ln2 = ln2_fixed(fixed)
+    rng = np.random.default_rng(11)
+    near_end = [int(d * one) for d in rng.uniform(1e-12, 1e-3, 40)] + [1, 2**40]
+    # Around s = 0.0073, x = 1/s - 1/(1 - s) crosses the cut (fixed + 8) ln 2.
+    near_cut = [int(d * one) for d in rng.uniform(0.005, 0.01, 80)]
+    points = [int(d * one) for d in rng.uniform(0.0, 1.0, 200)] + [one // 2]
+    points += near_end + [one - p for p in near_end] + near_cut + [one - p for p in near_cut]
+    branches = {0: 0, one: 0}
+    for s in points:
+        got = bump_mod._psi_fixed(s, fixed, ln2)
+        if got in branches:
+            branches[got] += 1
+        with mpmath.workprec(2 * fixed):
+            err = abs(mpmath.mpf((got, -fixed)) - _psi_deep(mpmath.mpf((s, -fixed))))
+        assert err <= mpmath.mpf(2) ** -prec, s
+    assert branches[0] > 0 and branches[one] > 0
+    assert bump_mod._psi_fixed(one // 2, fixed, ln2) == one // 2
+
+
+def test_float_log_estimate_makes_mpmath_stopping_decisions(monkeypatch):
+    # Each estimate of the 50-digit rule, next to mpmath's own on the same results.
+    calls = []
+    ours = bump_mod._estimate_error
+
+    def both(results, prec):
+        eps = mpmath.mpf(2) ** (1 - prec) / 8  # mp.eps / 8 at the rule's precision
+        got = ours(results, prec)
+        want = bump_mod._GAUSS_LEGENDRE.estimate_error(results, prec, eps)
+        calls.append((len(results), got <= eps, want <= eps))
+        return got
+
+    monkeypatch.setattr(bump_mod, "_estimate_error", both)
+    b = Bump()
+    for xi in [0.0, 3.3, 777.7, 12345.6] + [10.0 * 2**k for k in range(13)]:
+        b._transform_mp(xi)
+    assert len(calls) > 5000
+    assert any(n > 2 for n, _, _ in calls)
+    assert [(n, want) for n, _, want in calls] == [(n, got) for n, got, _ in calls]
 
 
 @pytest.mark.parametrize("xi", sorted(FUSED_REFERENCE))
