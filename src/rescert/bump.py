@@ -26,12 +26,12 @@ re-evaluates those points in 50-digit arithmetic.
 
 The 50-digit path integrates the same C with its own composite
 Gauss-Legendre rule on P equal pieces between half-cycle breakpoints of
-e^{-i xi w s}, in quadrature's panel layout, and at least PIECE_FLOOR
-of them.  A node s = s_k + u_j of piece k has phase
-e^{-i lam s_k} e^{-i lam u_j} (lam = xi w), so the node factors
-h/2 * w_j * e^{-i lam u_j} are built once per degree and a node costs
-one psi and a real-times-complex product.  Since psi(1 - s) = 1 - psi(s)
-and the layout is symmetric about 1/2, piece P-1-k is
+e^{-i xi w s}, in quadrature's panel layout, and at least 4 of them.
+A node s = s_k + u_j of piece k has phase e^{-i lam s_k} e^{-i lam u_j}
+(lam = xi w), so the node factors h/2 * w_j * e^{-i lam u_j} are built
+once per degree and a node costs one psi and a real-times-complex
+product.  Since psi(1 - s) = 1 - psi(s) and the layout is symmetric
+about 1/2, piece P-1-k is
 e^{-i lam} conj(e^{-i lam s_k} sum_j (1 - psi_j) * factor_j) node for
 node, so each psi value (one exp) serves both pieces of a mirror pair.
 The node loop runs in Python-int fixed point at prec + 20 bits, with no
@@ -67,9 +67,6 @@ DEEP_THRESHOLD = 1e-12
 DEEP_DPS = 50
 # Node tables of the 50-digit ramp rule, cached per (degree, precision).
 _GAUSS_LEGENDRE = GaussLegendre(mpmath.mp)
-# Fewest pieces of the 50-digit ramp rule: at low xi, narrower pieces stop at
-# lower Gauss-Legendre degrees, whose node tables are cheap to generate.
-PIECE_FLOOR = 16
 _LOG10_2 = math.log10(2)
 
 
@@ -155,7 +152,7 @@ def _folded_ramp_mp(lam):
     prec = mpmath.mp.prec
     eps = mpmath.mp.eps / 8
     top = _GAUSS_LEGENDRE.guess_degree(prec)
-    pieces = max(PIECE_FLOOR, int(mpmath.ceil(abs(lam) / mpmath.pi)) + 1)
+    pieces = max(4, int(mpmath.ceil(abs(lam) / mpmath.pi)) + 1)
     fixed = prec + 20
     ln2 = ln2_fixed(fixed)
     with mpmath.workprec(fixed):

@@ -221,19 +221,19 @@ def _two_ramp_tanh_sinh(w: float, xi: float) -> complex:
 
 
 # (xi, pieces) per ramp width: the half-cycle piece count of the 50-digit
-# rule.  Each width has the 16-piece floor, an even count, and an odd one,
+# rule.  Each width has the 4-piece floor, an even count, and an odd one,
 # whose middle piece is its own mirror.
 PIECE_CASES = {
-    1.0 / 16.0: [(50.0, 16), (850.0, 18), (800.0, 17)],
-    0.125: [(50.0, 16), (2883.19, 116), (2560.0, 103)],
-    0.25: [(30.0, 16), (310.0, 26), (300.0, 25)],
+    1.0 / 16.0: [(50.0, 4), (220.0, 6), (300.0, 7)],
+    0.125: [(50.0, 4), (2883.19, 116), (2560.0, 103)],
+    0.25: [(30.0, 4), (310.0, 26), (300.0, 25)],
 }
 
 
 @pytest.mark.parametrize("w", [1.0 / 16.0, 0.25, 0.125])
 def test_transform_mp_matches_two_ramp_integral(w):
     for xi, pieces in PIECE_CASES[w]:
-        assert max(16, math.ceil(xi * w / math.pi) + 1) == pieces
+        assert max(4, math.ceil(xi * w / math.pi) + 1) == pieces
         got = Bump(ramp_width=w)._transform_mp(xi)
         want = _two_ramp_tanh_sinh(w, xi)
         assert abs(got - want) <= 1e-15 * abs(want), (xi, pieces)
