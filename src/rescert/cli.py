@@ -9,9 +9,12 @@ Subcommands:
     sweep      certify over lists of N / seeds, one row per configuration
 
 Exit codes: 0 success, 2 bad usage or configuration, 3 resource or
-quadrature budget exhausted.  Reports embed the package version, a hash
-of the fully-resolved configuration, and a UTC timestamp; apart from the
-timestamp the output is byte-deterministic for a fixed configuration.
+quadrature budget exhausted.  On exit 2 or 3 the last line of stderr is
+one JSON object {"kind", "message"}, plus "needed" and "budget" when the
+error carries them, below the human-readable line.  Reports embed the
+package version, a hash of the fully-resolved configuration, and a UTC
+timestamp; apart from the timestamp the output is byte-deterministic for
+a fixed configuration.
 """
 
 from __future__ import annotations
@@ -441,10 +444,18 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError (exit 2 through main)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process (parsing leaves it unchanged)."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rescert",
         description="resonance certificates for Dirichlet polynomial sups",
     )
@@ -461,10 +472,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _fail(exc: Exception, line: str, code: int) -> int:
+    """Print `line`, then the structured error as stderr's last line; return the exit code."""
+    error = {"kind": type(exc).__name__, "message": str(exc)}
+    for key in ("needed", "budget"):
+        if getattr(exc, key, None) is not None:
+            error[key] = getattr(exc, key)
+    print(line, file=sys.stderr)
+    print(json.dumps(error, sort_keys=True), file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _merge_config(args)
         cfg.validate()
         if args.command == "certify":
@@ -480,12 +501,10 @@ def main(argv: list[str] | None = None) -> int:
             seed_list = [int(s) for s in args.seed_list.split(",") if s]
             return cmd_sweep(cfg, n_list, seed_list)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+        return _fail(exc, f"error: {exc}", 2)
     except (ResourceLimitError, QuadratureError) as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, f"budget exhausted: {exc}", 3)
 
 
 if __name__ == "__main__":

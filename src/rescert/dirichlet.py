@@ -5,19 +5,25 @@ D_{f,N}(t) = N^{-1/2} * sum_{n<=N} f(n) * n^{it}.  The derivative bound
 the true supremum over the scanned window exceeds the best grid value by
 at most h * sqrt(N) * log(N) / 2.  One kernel, _grid_values, scans D_N and
 the resonator polynomial R in anchor blocks of RESYNC_STRIDE points.  Each
-block computes one direct exponential row at its anchor t0; its points are
-that row times products of two step tables, e^{i*j*h*log n} and
-e^{i*rows*m*h*log n}.  The step tables do not depend on t0, so a scan
-builds them once per block shape and term slice and every block reuses
-them (with more than RESYNC_STRIDE terms, once per group of 201 blocks and
-slice, which bounds the memory).  The kernel also scans several origins on
-the same grid offsets at once (the quadrature moments' Gauss-Legendre
-nodes): they share the step tables, each block does one stacked matmul for
-all of them, and each origin's values are bit for bit those of its own
-scan.  The anchors stay at fixed grid indices:
-at |t| ~ 6e10 each phase t*log n carries ~3e-5 rad of rounding, so moved
-anchors shift grid values by ~1e-5 relative, enough to change which grid
-point wins a near tie.
+block computes one direct exponential row at its anchor t0 and multiplies
+it into step tables that do not depend on t0, which a scan builds once per
+block shape and term slice.  The inner step table takes one of two forms,
+whichever costs fewer flops given h, L = max log n and the number of terms
+(_taylor_rank): the explicit table e^{i*j*h*log n}, or a rank-K Taylor
+factor over sub-blocks of r points with x = (r - 1)/2 * h * L <= 1 and
+x^K / K! <= u/4, so the search's step (h*L = 2e-3) costs K = 19 products per
+term and sub-block of 1001 points instead of 1001.  The quadrature moments
+(h*L >= 0.3, a dozen terms) keep the explicit tables.  Every value is
+within rho = sum|c_n| * u * (1/4 + e*(S + 40) + 3*L*|t|) (plus a block
+margin) of the exact sum, S terms, u = 2^-52 (_grid_error_bound); grid_sup
+refuses an eps <= rho, where the certified slack would be below rounding.
+The kernel also scans several origins on the same grid offsets at once (the
+quadrature moments' Gauss-Legendre nodes): they share the step tables, each
+block does one stacked matmul for all of them, and each origin's values
+are bit for bit those of its own scan.  The anchors stay at fixed grid
+indices: at |t| ~ 6e10 each phase t*log n carries ~3e-5 rad of rounding,
+so moved anchors shift grid values by ~1e-5 relative, enough to change
+which grid point wins a near tie.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ REFINE_REL_WIDTH = 1e-10
 # |R| peaks whose neighbourhoods the guided search refines.
 GUIDED_TOP_K = 5
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Machine epsilon: a correctly rounded float64 operation is within _U / 2 relative.
+_U = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -103,34 +111,118 @@ def _step_tables(rows: int, cols: int, h: float, logs: np.ndarray):
     return tab[:rows], tab[rows:]
 
 
+def _taylor_rank(h: float, max_log: float, n_terms: int) -> tuple[int, int] | None:
+    """(r, K) of the factored inner table, or None where the explicit tables cost fewer flops.
+
+    Sub-blocks of r points centred at t_m put |delta * log n| <= x = (r - 1)/2 * h * L <= 1
+    (r <= RESYNC_STRIDE), and K is the least degree with x^K / K! <= u/4, so K <= 19.  Per
+    sub-block the explicit inner table costs r * S complex products and the factor
+    (K + 1) * S + r * K.
+    """
+    hl = h * max_log
+    if not hl > 0.0:
+        return None
+    r = 1 + int(min(RESYNC_STRIDE - 1, 2.0 / hl))
+    x = 0.5 * (r - 1) * hl
+    rank, tail = 1, x  # tail = x^rank / rank!
+    while tail > _U / 4:
+        rank += 1
+        tail *= x / rank
+    if (rank + 1) * n_terms + r * rank >= r * n_terms:
+        return None
+    return r, rank
+
+
+def _taylor_tables(r: int, cols: int, h: float, logs: np.ndarray, rank: int, max_log: float):
+    """Outer table e^{i*(m*r + (r - 1)/2)*h*log n} (m < cols), the sub-block centres' steps,
+    and the Vandermonde table (log n / L)^k (k < rank), both as complex arrays for matmul."""
+    outer = _expi(np.outer((np.arange(cols) * r + 0.5 * (r - 1)) * h, logs))
+    vander = np.vander(logs / max_log, rank, increasing=True).astype(np.complex128)
+    return outer, vander
+
+
+def _taylor_steps(r: int, rank: int, h: float, max_log: float) -> np.ndarray:
+    """(rank, r) table (i * delta_j * L)^k / k!, delta_j = (j - (r - 1)/2) * h."""
+    steps = np.empty((rank, r), dtype=np.complex128)
+    steps[0] = 1.0
+    y = 1j * (np.arange(r) - 0.5 * (r - 1)) * (h * max_log)
+    for k in range(1, rank):
+        steps[k] = steps[k - 1] * y / k
+    return steps
+
+
+def _grid_error_bound(l1: float, max_log: float, n_terms: int, t_abs: float, h: float) -> float:
+    """rho: a bound on |value - sum_n c_n e^{i*t*log n}| at every point of a _grid_values scan.
+
+    l1 = sum |c_n|, max_log = L, n_terms = S, and t_abs >= |origin| + |k0 + k|*h over the
+    scan's points (for origin 0 simply max |t|); the derivation is _grid_values'.
+    """
+    phase = 3.0 * (t_abs + 2 * RESYNC_STRIDE * h) * max_log
+    return l1 * _U * (0.25 + math.e * (n_terms + 40) + phase)
+
+
 def _grid_values(coeffs, logs, origin, k0: int, count: int, h: float):
     """Yield (start, values): values[k] = sum_n c_n e^{i*t*log n}, t = origin + (k0 + start + k)*h.
 
     `origin` is a float, or a 1-d array of origins scanned together on the same grid offsets;
     values then has one row per origin, and row i is bit for bit the scan of origin[i] alone.
 
-    A block of size <= RESYNC_STRIDE points starts at the anchor t0 = origin + (k0 + start)*h.
-    With rows = ceil(sqrt(size)), its point j + rows*m is the inner table e^{i*j*h*log n} times
-    c_n e^{i*t0*log n} times the outer table e^{i*rows*m*h*log n}, summed over n.  The terms
-    run in slices of RESYNC_STRIDE, and each block adds its slices' products in slice order.
+    A block of size <= RESYNC_STRIDE points starts at the anchor t0 = origin + (k0 + start)*h,
+    whose row c_n e^{i*t0*log n} is the one direct exponential of the block.  Its points come
+    from step tables that depend on neither t0 nor the origin, built once per scan for each
+    block shape (the full blocks, and a shorter last block) and term slice of RESYNC_STRIDE
+    terms; each block adds its slices' products in slice order.  The step tables take one of
+    two forms, whichever costs fewer flops (_taylor_rank, from h, L = max log n and S alone):
 
-    Once per block: the anchor rows e^{i*t0*log n} and one product per slice, a single matmul
-    for all origins (stacked, so each origin's product is the one a scalar scan computes).
-    Once per scan: the step tables (_step_tables) of each block shape (the full blocks, and a
-    shorter last block) and term slice, since they depend on neither t0 nor the origin.  With
-    more than one slice (N > RESYNC_STRIDE) only one slice's tables are held: the slices run
-    in the outer loop over a group of consecutive blocks, so the tables are built once per
-    group and slice.  A group of a scan of n origins has floor(201 / n) blocks (at least
-    one), so its n held sums per block stay within the tables' bound of 201 * RESYNC_STRIDE
-    entries; a block's product temporary holds n * cols * RESYNC_STRIDE entries.  A block is
-    yielded as soon as its last slice is added, so a one-slice scan holds no block sum but
-    the current one.
+    * Explicit: with rows = ceil(sqrt(size)), point j + rows*m is the inner table
+      e^{i*j*h*log n} times the anchor row times the outer table e^{i*rows*m*h*log n}, summed
+      over n: one (rows, slice) @ (slice, cols) product per block and slice.  The slices run
+      in the outer loop over a group of consecutive blocks, so with several slices only one
+      slice's tables are held.  A group of a scan of n origins has floor(201 / n) blocks (at
+      least one), so its held block sums stay within the tables' bound of 201 * RESYNC_STRIDE
+      entries.  The quadrature moments (h*L >= 0.3, a dozen terms) take this form.
+    * Taylor-factored: the block splits into sub-blocks of r points centred at
+      t_m = t0 + (m*r + (r - 1)/2)*h, with x = (r - 1)/2 * h * L <= 1, and
+      e^{i*(t_m + delta_j)*log n} = e^{i*t_m*log n} * sum_{k<K} (i*delta_j*L)^k/k! * (log n/L)^k
+      up to x^K/K! <= u/4.  Per block and slice: the outer table (sub-block centres) times the
+      anchor row, then one (cols, slice) @ (slice, K) product with the Vandermonde table of
+      log n / L; per block one (cols, K) @ (K, r) product with the step powers.  Held sums
+      are (cols, K), so all blocks form one group.  The certified search (h*L = 2e-3:
+      r = 1001, K = 19) takes this form.
+
+    A block is yielded as soon as its last slice is added, so a one-slice scan holds no block
+    sum but the current one.  Each block does one stacked matmul for all origins, so each
+    origin's product is the one a scalar scan computes.  The anchors stay at fixed grid
+    indices: at |t| ~ 6e10 each phase t*log n carries ~3e-5 rad of rounding, so moved anchors
+    shift grid values by ~1e-5 relative, enough to change which grid point wins a near tie.
+
+    Error.  With u = 2^-52 (a correctly rounded operation is within u/2 relative), every
+    value is within rho = sum|c_n| * u * (1/4 + e*(S + 40) + 3*L*t_abs') of the exact sum
+    (_grid_error_bound), t_abs' = t_abs + 2*RESYNC_STRIDE*h and t_abs >= |origin| + |k0 + k|*h:
+
+    * truncation (factored form only): |e^{iy} - sum_{k<K} (iy)^k/k!| <= |y|^K/K! <= u/4 per
+      term, |y| = |delta_j * log n| <= x;
+    * rounding of both forms: each term's factors (table entries within u, products within
+      2u, (log n/L)^k and the step powers within (k + 2)u) and the S-term sums (within S*u
+      of the summed moduli) give at most e*(S + K + 18)*u*sum|c_n| in the factored form
+      (the power sum over k is at most e^x <= e) and (S + 12)*u*sum|c_n| in the explicit one;
+      K <= 19 gives e*(S + 40);
+    * anchor phase: t0 (two roundings, u*t_abs), log n (one ulp) and their product (half an
+      ulp) put each phase t0*log n within 2.5*t_abs*L*u, the step tables' offsets (at most
+      2*RESYNC_STRIDE*h) within 2*u*L per unit, and |e^{ia} - e^{ib}| <= |a - b|.
     """
     lead = np.shape(origin)  # () for a scalar origin, (n,) for n origins
     cuts = range(0, max(logs.size, 1), RESYNC_STRIDE)  # no terms: one empty slice, zero blocks
-    # Points per group: 201 held block sums in all, the tables' bound.
-    span = max(1, 201 // math.prod(lead)) * RESYNC_STRIDE
-    key = inner = outer = None
+    max_log = float(logs.max(initial=0.0))
+    factor = _taylor_rank(h, max_log, logs.size)
+    if factor is None:
+        # Points per group: 201 held block sums in all, the tables' bound.
+        span = max(1, 201 // math.prod(lead)) * RESYNC_STRIDE
+    else:
+        r, rank = factor
+        steps = _taylor_steps(r, rank, h, max_log)
+        span = max(1, count)  # held sums are (cols, K) per block: one group
+    key = tables = None
     for first in range(0, count, span):
         starts = range(first, min(count, first + span), RESYNC_STRIDE)
         sums = {}
@@ -138,18 +230,29 @@ def _grid_values(coeffs, logs, origin, k0: int, count: int, h: float):
             c, lg = coeffs[s : s + RESYNC_STRIDE], logs[s : s + RESYNC_STRIDE]
             for start in starts:
                 size = min(RESYNC_STRIDE, count - start)
-                rows = math.isqrt(size - 1) + 1
+                rows = math.isqrt(size - 1) + 1 if factor is None else r
                 cols = -(-size // rows)
                 if key != (s, rows, cols):
-                    inner = outer = None  # free the old tables before building the new ones
+                    tables = None  # free the old tables before building the new ones
                     key = (s, rows, cols)
-                    inner, outer = _step_tables(rows, cols, h, lg)
-                if s == 0:
-                    sums[start] = np.zeros((*lead, rows, cols), dtype=np.complex128)
+                    if factor is None:
+                        tables = _step_tables(rows, cols, h, lg)
+                    else:
+                        tables = _taylor_tables(rows, cols, h, lg, rank, max_log)
                 anchor = c * _expi(np.multiply.outer(origin + (k0 + start) * h, lg))
-                sums[start] += inner @ (outer * anchor[..., None, :]).swapaxes(-1, -2)
+                if factor is None:
+                    inner, outer = tables
+                    prod = inner @ (outer * anchor[..., None, :]).swapaxes(-1, -2)
+                else:
+                    outer, vander = tables
+                    prod = (outer * anchor[..., None, :]) @ vander
+                if s == 0:
+                    sums[start] = prod
+                else:
+                    sums[start] += prod
                 if s == cuts[-1]:
-                    block = sums.pop(start).swapaxes(-1, -2)
+                    acc = sums.pop(start)
+                    block = acc.swapaxes(-1, -2) if factor is None else acc @ steps
                     yield start, block.reshape(*lead, rows * cols)[..., :size]
 
 
@@ -266,6 +369,9 @@ def grid_sup(
     refined grid maximum.  Ties prefer smaller |t|, then smaller t.
 
     Raises:
+        ValueError: eps <= rho, the grid kernel's float error bound
+            (_grid_error_bound) at max(|lo|, |hi|): the slack would be
+            below the rounding of the grid values.
         ResourceLimitError: the grid would exceed eval_budget points
             (use a larger eps or a narrower window).
     """
@@ -278,6 +384,15 @@ def grid_sup(
         return SearchResult(t_star, 1.0, 0.0, 0, 0.0, (lo, hi))
 
     step = 2.0 * eps / deriv
+    # sum |c_n| = sqrt(N): the coefficients f(n) / sqrt(N) are unimodular over sqrt(N).
+    rho = _grid_error_bound(
+        math.sqrt(n_max), math.log(n_max), n_max, max(abs(lo), abs(hi)), step
+    )
+    if eps <= rho:
+        raise ValueError(
+            f"eps = {eps:.3e} is not above the grid values' float error bound "
+            f"{rho:.3e} at |t| = {max(abs(lo), abs(hi)):.3e}; increase eps"
+        )
     # The grid lives on integer multiples of the step so that t = 0 is a
     # grid point whenever the window straddles it; the window endpoints are
     # evaluated separately, keeping every window point within step/2 of an

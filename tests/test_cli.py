@@ -307,6 +307,32 @@ def test_budget_exhaustion_exits_3():
 
 
 
+@pytest.mark.parametrize(
+    "argv, code, kind, budget",
+    [
+        # Over the point budget: exit 3 with needed and budget.
+        (["search", "--n", "1000", "--t", "1e8", "--budget-points", "1000"], 3,
+         "ResourceLimitError", 1000),
+        # eps below the grid values' float error bound at |t| = 6e10: exit 2.
+        (["search", "--n", "500", "--t", "1e11", "--eps", "1e-3",
+          "--window-lo", "6e10", "--window-hi", "6.0000001e10"], 2, "ValueError", None),
+        (["search", "--n", "4", "--no-such-flag"], 2, "ValueError", None),
+    ],
+)
+def test_errors_end_stderr_with_one_json_object(capsys, argv, code, kind, budget):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    *lines, last = captured.err.splitlines()
+    error = json.loads(last)
+    assert error["kind"] == kind
+    assert lines[-1].endswith(error["message"])  # the human-readable line above it
+    if budget is None:
+        assert set(error) == {"kind", "message"}
+    else:
+        assert error["budget"] == budget and error["needed"] > budget
+
+
 @pytest.mark.parametrize("command", ["certify", "search", "resonator", "sweep", "oracle"])
 def test_every_subcommand_takes_the_common_flags(command):
     # The parser is built once per process, and each subcommand parses every common flag

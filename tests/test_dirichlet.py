@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescert import dirichlet
 from rescert.dirichlet import (
@@ -192,12 +196,36 @@ def _per_block_grid_values(coeffs, logs, origin, k0, count, h):
         yield start, block.T.ravel()[:size]
 
 
+def _taylor_rank(coeffs, logs, h):
+    return dirichlet._taylor_rank(h, float(logs.max()), logs.size)
+
+
+def _error_bound(coeffs, logs, h, t_abs):
+    """dirichlet._grid_error_bound of the polynomial (coeffs, logs) scanned with step h."""
+    return dirichlet._grid_error_bound(
+        float(np.abs(coeffs).sum()), float(logs.max()), logs.size, t_abs, h
+    )
+
+
+def _explicit_only(monkeypatch):
+    monkeypatch.setattr(dirichlet, "_taylor_rank", lambda h, max_log, n_terms: None)
+
+
 def _assert_same_blocks(coeffs, logs, origin, k0, count, h):
+    """Bit equality with the per-block kernel where the explicit tables run.  Where the
+    Taylor factor runs the two kernels still compute the same anchor rows, so they differ by
+    at most both kernels' error bounds with the anchor phase left out (t_abs = 0)."""
     got = list(_grid_values(coeffs, logs, origin, k0, count, h))
     want = list(_per_block_grid_values(coeffs, logs, origin, k0, count, h))
     assert [start for start, _ in got] == [start for start, _ in want]
+    explicit = _taylor_rank(coeffs, logs, h) is None
+    tol = 2.0 * _error_bound(coeffs, logs, h, 0.0)
     for (_, g), (_, w) in zip(got, want):
-        assert np.array_equal(g, w)
+        assert g.shape == w.shape
+        if explicit:
+            assert np.array_equal(g, w)
+        else:
+            assert np.max(np.abs(g - w)) <= tol
 
 
 def _dn_coeffs_logs(n, seed):
@@ -215,79 +243,106 @@ def _dn_coeffs_logs(n, seed):
         (500, 6e10, 2 * RESYNC_STRIDE + 37, False),  # phases of ~1e11 rad
     ],
 )
-def test_grid_kernel_matches_per_block_kernel(n, t, count, off_grid):
-    # Sharing the step tables changes no float: same tables, same products, same order.
+def test_grid_kernel_matches_per_block_kernel(monkeypatch, n, t, count, off_grid):
+    # The search step h = 2e-3 / log N takes the Taylor factor; the explicit tables, forced,
+    # change no float: same tables, same products, same order.
     coeffs, logs = _dn_coeffs_logs(n, n)
     h = 2e-3 / math.log(n)
-    if off_grid:
-        _assert_same_blocks(coeffs, logs, t + h / 3, 0, count, h)
-    else:
-        _assert_same_blocks(coeffs, logs, 0.0, int(t / h), count, h)
+    origin, k0 = (t + h / 3, 0) if off_grid else (0.0, int(t / h))
+    assert _taylor_rank(coeffs, logs, h) is not None
+    _assert_same_blocks(coeffs, logs, origin, k0, count, h)
+    _explicit_only(monkeypatch)
+    _assert_same_blocks(coeffs, logs, origin, k0, count, h)
 
 
 @pytest.mark.parametrize("n, count", [(40, 5 * 16), (40, 201 * 16 + 5 * 16 + 7), (16, 201 * 16 + 1)])
 def test_grid_kernel_matches_per_block_kernel_over_block_groups(monkeypatch, n, count):
-    # A small stride makes several term slices and several groups of 201 blocks cheap.
+    # A small stride makes several term slices and several groups of 201 blocks cheap.  At
+    # h = 1e-3 the 40-term polynomial takes the Taylor factor and the 16-term one does not.
     monkeypatch.setattr(dirichlet, "RESYNC_STRIDE", 16)
     coeffs, logs = _dn_coeffs_logs(n, 3)
+    assert (_taylor_rank(coeffs, logs, 1e-3) is None) == (n == 16)
     _assert_same_blocks(coeffs, logs, 0.25, 10**9, count, 1e-3)
 
 
 def _count_step_tables(monkeypatch):
+    """Record (rows, cols, slice terms) of every step-table build: _step_tables, and
+    _taylor_tables with rows = r, the sub-block size."""
     calls = []
-    build = dirichlet._step_tables
+    for name in ("_step_tables", "_taylor_tables"):
+        build = getattr(dirichlet, name)
 
-    def counted(rows, cols, h, logs):
-        calls.append((rows, cols, logs.size))
-        return build(rows, cols, h, logs)
+        def counted(rows, cols, h, logs, *rest, build=build):
+            calls.append((rows, cols, logs.size))
+            return build(rows, cols, h, logs, *rest)
 
-    monkeypatch.setattr(dirichlet, "_step_tables", counted)
+        monkeypatch.setattr(dirichlet, name, counted)
     return calls
 
 
 def test_grid_kernel_builds_step_tables_once_per_scan(monkeypatch):
     calls = _count_step_tables(monkeypatch)
     coeffs, logs = _dn_coeffs_logs(60, 1)
-    assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * RESYNC_STRIDE, 1e-4))) == 5
-    assert calls == [(100, 100, 60)]
-    # A partial last block has its own shape, so it gets its own tables.
-    calls.clear()
-    assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * RESYNC_STRIDE + 37, 1e-4))) == 6
-    assert calls == [(100, 100, 60), (7, 6, 60)]
+    # The Taylor factor: x <= 1 at h*L = 4.1e-4 gives sub-blocks of 4885 points, 3 per block.
+    assert _taylor_rank(coeffs, logs, 1e-4) == (4885, 19)
+    shapes = [((4885, 3, 60), (4885, 1, 60)), ((100, 100, 60), (7, 6, 60))]
+    for i, (full, last) in enumerate(shapes):
+        if i:
+            _explicit_only(monkeypatch)
+        calls.clear()
+        assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * RESYNC_STRIDE, 1e-4))) == 5
+        assert calls == [full]
+        # A partial last block has its own shape, so it gets its own tables.
+        calls.clear()
+        assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * RESYNC_STRIDE + 37, 1e-4))) == 6
+        assert calls == [full, last]
 
 
 def test_grid_kernel_builds_step_tables_once_per_group_and_slice(monkeypatch):
     monkeypatch.setattr(dirichlet, "RESYNC_STRIDE", 16)
     calls = _count_step_tables(monkeypatch)
     coeffs, logs = _dn_coeffs_logs(40, 2)  # slices of 16, 16 and 8 terms
-    assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * 16, 1e-4))) == 5
-    assert calls == [(4, 4, 16), (4, 4, 16), (4, 4, 8)]
-    # A group holds at most 201 blocks: 201 blocks are one group, 202 are two.
-    for n_blocks, groups in ((201, 1), (202, 2)):
+    # The Taylor factor (one 16-point sub-block per block) holds (cols, K) sums per block,
+    # so a scan is one group; the explicit tables, forced, hold at most 201 blocks a group:
+    # 201 blocks are one group, 202 are two.
+    assert _taylor_rank(coeffs, logs, 1e-4) == (16, 6)
+    for i, (shape, groups) in enumerate([((16, 1), (1, 1)), ((4, 4), (1, 2))]):
+        if i:
+            _explicit_only(monkeypatch)
+        per_slice = [(*shape, 16), (*shape, 16), (*shape, 8)]
         calls.clear()
-        blocks = _grid_values(coeffs, logs, 0.0, 10**6, n_blocks * 16, 1e-4)
-        assert [start for start, _ in blocks] == list(range(0, n_blocks * 16, 16))
-        assert calls == [(4, 4, 16), (4, 4, 16), (4, 4, 8)] * groups
+        assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * 16, 1e-4))) == 5
+        assert calls == per_slice
+        for n_blocks, n_groups in zip((201, 202), groups):
+            calls.clear()
+            blocks = _grid_values(coeffs, logs, 0.0, 10**6, n_blocks * 16, 1e-4)
+            assert [start for start, _ in blocks] == list(range(0, n_blocks * 16, 16))
+            assert calls == per_slice * n_groups
 
 
 def test_grid_kernel_yields_one_slice_blocks_before_the_next_is_computed(monkeypatch):
     # With one term slice no block sum is held back: each block is yielded
-    # before the next anchor row is computed, for one origin and for several.
+    # before the next anchor row is computed, for one origin and for several,
+    # with the Taylor factor and with the explicit tables.
     coeffs, logs = _dn_coeffs_logs(60, 1)
     expi = dirichlet._expi
     h = 1e-4
-    for origin in (0.0, np.array([0.0, 0.25, 0.5])):
-        anchors = []
+    for explicit in (False, True):
+        if explicit:
+            _explicit_only(monkeypatch)
+        # Four origins: no step table (3 or 200 rows here) has the shape of an anchor row.
+        for origin in (0.0, np.array([0.0, 0.25, 0.5, 0.75])):
+            anchors = []
 
-        def recorded(x):
-            if x.shape[:-1] == np.shape(origin):  # an anchor row per origin, not a step table
-                anchors.append(x[..., 1] / logs[1])
-            return expi(x)
+            def recorded(x):
+                if x.shape[:-1] == np.shape(origin):  # an anchor row per origin
+                    anchors.append(x[..., 1] / logs[1])
+                return expi(x)
 
-        monkeypatch.setattr(dirichlet, "_expi", recorded)
-        for start, _ in _grid_values(coeffs, logs, origin, 10**6, 3 * RESYNC_STRIDE, h):
-            assert len(anchors) == start // RESYNC_STRIDE + 1
-            assert anchors[-1] == pytest.approx(origin + (10**6 + start) * h, rel=1e-12)
+            monkeypatch.setattr(dirichlet, "_expi", recorded)
+            for start, _ in _grid_values(coeffs, logs, origin, 10**6, 3 * RESYNC_STRIDE, h):
+                assert len(anchors) == start // RESYNC_STRIDE + 1
+                assert anchors[-1] == pytest.approx(origin + (10**6 + start) * h, rel=1e-12)
 
 
 _GL_ORIGINS = 1000.0 + 0.5 * 1e-3 * (1.0 + np.polynomial.legendre.leggauss(10)[0][:5])
@@ -307,7 +362,7 @@ def _assert_origins_match_scalar_scans(coeffs, logs, origins, k0, count, h):
 @pytest.mark.parametrize(
     "n, count",
     [
-        (12, 300),  # one block
+        (12, 300),  # one block, explicit tables
         (60, 3 * RESYNC_STRIDE),  # several full blocks
         (60, 2 * RESYNC_STRIDE + 37),  # a short last block
         (12_000, RESYNC_STRIDE + 37),  # two term slices
@@ -316,23 +371,102 @@ def _assert_origins_match_scalar_scans(coeffs, logs, origins, k0, count, h):
 def test_grid_kernel_with_origin_vector_matches_scalar_scans(n, count):
     # Several origins share one scan: the same tables, anchors and products per origin.
     coeffs, logs = _dn_coeffs_logs(n, n)
+    assert (_taylor_rank(coeffs, logs, 1e-3) is None) == (n == 12)
     _assert_origins_match_scalar_scans(coeffs, logs, _GL_ORIGINS, 30_000, count, 1e-3)
 
 
 @pytest.mark.parametrize("n_origins, count", [(5, 45 * 16 + 7), (201, 3 * 16), (300, 2 * 16 + 1)])
 def test_grid_kernel_with_origin_vector_over_block_groups(monkeypatch, n_origins, count):
-    # In a multi-slice scan of n origins a group holds floor(201 / n) blocks (at least one),
-    # and each group builds each slice's tables once per block shape.
+    # In a multi-slice scan of n origins the explicit tables hold floor(201 / n) blocks a
+    # group (at least one) and the Taylor factor all blocks in one group; each group builds
+    # each slice's tables once per block shape.
     monkeypatch.setattr(dirichlet, "RESYNC_STRIDE", 16)
     calls = _count_step_tables(monkeypatch)
     coeffs, logs = _dn_coeffs_logs(40, 4)  # slices of 16, 16 and 8 terms
     origins = 0.25 + np.arange(n_origins) * 1e-5
-    list(_grid_values(coeffs, logs, origins, 10**9, count, 1e-3))
     sizes = [min(16, count - start) for start in range(0, count, 16)]
-    per_group = max(1, 201 // n_origins)
-    groups = [sizes[g : g + per_group] for g in range(0, len(sizes), per_group)]
-    assert sum(1 for *_, n_terms in calls if n_terms == 8) == sum(len(set(g)) for g in groups)
-    _assert_origins_match_scalar_scans(coeffs, logs, origins, 10**9, count, 1e-3)
+    r, _ = _taylor_rank(coeffs, logs, 1e-3)
+    for explicit in (False, True):
+        if explicit:
+            _explicit_only(monkeypatch)
+        calls.clear()
+        list(_grid_values(coeffs, logs, origins, 10**9, count, 1e-3))
+        rows = [math.isqrt(size - 1) + 1 if explicit else r for size in sizes]
+        shapes = [(a, -(-size // a)) for a, size in zip(rows, sizes)]
+        per_group = max(1, 201 // n_origins) if explicit else len(sizes)
+        groups = [shapes[g : g + per_group] for g in range(0, len(shapes), per_group)]
+        builds = sum(1 for *_, n_terms in calls if n_terms == 8)
+        assert builds == sum(len(set(g)) for g in groups)
+        _assert_origins_match_scalar_scans(coeffs, logs, origins, 10**9, count, 1e-3)
+
+
+def _scan(coeffs, logs, origin, k0, count, h):
+    """A scan's values, the blocks joined along the grid axis."""
+    return np.concatenate([v for _, v in _grid_values(coeffs, logs, origin, k0, count, h)], -1)
+
+
+@functools.cache
+def _mp_logs(n):
+    with mpmath.workdps(50):
+        return [mpmath.log(k) for k in range(1, n + 1)]
+
+
+def _mp_value(coeffs, n, t):
+    """sum_n c_n e^{i*t*log n} to 50 digits at the exact value of t (an mpf)."""
+    with mpmath.workdps(50):
+        terms = (mpmath.mpc(c.real, c.imag) * mpmath.expj(t * lg)
+                 for c, lg in zip(coeffs.tolist(), _mp_logs(n)))
+        return complex(mpmath.fsum(terms))
+
+
+@pytest.mark.parametrize("n", [500, 12_000])
+@pytest.mark.parametrize("t", [1e3, 6e10])
+def test_grid_kernel_within_error_bound_of_mpmath(monkeypatch, n, t):
+    # Both forms of the step tables stay within _grid_error_bound of the 50-digit sum, over
+    # two anchor blocks (the second one partial) and, at N = 12 000, two term slices.
+    coeffs, logs = _dn_coeffs_logs(n, 7)
+    h = 2e-3 / math.log(n)
+    k0, count = int(t / h), RESYNC_STRIDE + 37
+    ks = [0, 1, 4999, 9999, 10_000, 10_036] if n == 500 else [0, 5003, 10_036]
+    with mpmath.workdps(50):
+        want = [_mp_value(coeffs, n, mpmath.mpf(k0 + k) * mpmath.mpf(h)) for k in ks]
+    bound = _error_bound(coeffs, logs, h, (k0 + count) * h)
+    assert _taylor_rank(coeffs, logs, h) is not None
+    for explicit in (False, True):
+        if explicit:
+            _explicit_only(monkeypatch)
+        got = _scan(coeffs, logs, 0.0, k0, count, h)
+        assert max(abs(got[k] - w) for k, w in zip(ks, want)) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 1500),
+    log_h=st.floats(-5.0, 0.0),
+    count=st.integers(1, 30_000),
+    origins=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
+    k0=st.integers(-10**6, 10**6),
+    stride=st.sampled_from([16, 257, RESYNC_STRIDE]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_kernel_forms_agree_within_error_bound(n, log_h, count, origins, k0, stride, seed):
+    # The Taylor factor (forced wherever r > K + 1) against the explicit tables: both compute
+    # the same anchor rows, so they agree within both error bounds without the anchor phase.
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+    h, origin = 10.0**log_h, np.array(origins)
+    count = min(count, 3 * stride)
+    rank = dirichlet._taylor_rank
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirichlet, "RESYNC_STRIDE", stride)
+        mp.setattr(dirichlet, "_taylor_rank", lambda h, max_log, _: rank(h, max_log, 10**9))
+        factored = _scan(coeffs, logs, origin, k0, count, h)
+        mp.setattr(dirichlet, "_taylor_rank", lambda h, max_log, n_terms: None)
+        explicit = _scan(coeffs, logs, origin, k0, count, h)
+        tol = 2.0 * _error_bound(coeffs, logs, h, 0.0)
+    assert factored.shape == explicit.shape == (origin.size, count)
+    assert np.max(np.abs(factored - explicit)) <= tol
 
 
 def _full_array_candidates(r_mag, max_log, lo, step, top_k):
@@ -459,6 +593,22 @@ def test_grid_sup_validation():
         grid_sup(one, 4, 10.0, 0.1, TABLE, window=(2.0, 1.0))
     with pytest.raises(ResourceLimitError):
         grid_sup(one, 100, 1e6, 1e-6, TABLE, eval_budget=1000)
+
+
+def test_grid_sup_refuses_eps_within_float_error():
+    # eps <= rho, the kernel's error bound at max(|lo|, |hi|), is refused; just above it the
+    # scan runs.  rho at h = 0 is below the bound at the scan's step by about 1e-14 relative.
+    f, n, window = steinhaus_sample(6), 500, (6e10, 6e10 + 1.0)
+    rho = dirichlet._grid_error_bound(math.sqrt(n), math.log(n), n, window[1], 0.0)
+    assert 5e-3 < rho < 6e-3
+    with pytest.raises(ValueError, match="float error bound"):
+        grid_sup(f, n, 1e11, rho, TABLE, window=window)
+    result = grid_sup(f, n, 1e11, rho * (1 + 1e-9), TABLE, window=window)
+    assert result.certified_slack <= rho * (1 + 1e-9)
+    # The default eps = 1e-3 sqrt(N) clears rho at the benchmark's T = 500^4.
+    t_bound = 500.0**4
+    for n in (500, 5000):
+        grid_sup(f, n, t_bound, None, TABLE, window=(t_bound - 0.01, t_bound))
 
 
 def test_grid_sup_memory_bounded_at_large_n():
