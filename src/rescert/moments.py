@@ -23,10 +23,11 @@ weights and prime masks (resonator.SupportArrays).  A report lists the
 coprime pairs of the support <= min(N, X) once (coprime_pairs), and the
 diagonal, its g-capped fallbacks, the main term and the alpha-shift tail
 all sum over that list.  The inner g-sums of the diagonal, sum of r(g)^2
-over support g <= X/max(a',b') coprime to a'b', are masked matrix-vector
-products over the same arrays, so every term the certificate adds is
-positive and no inclusion-exclusion subtraction is left.  This module
-never reads the mask bits itself.
+over support g <= X/max(a',b') coprime to a'b', come from one tiled dense
+product over the same arrays: 0/1 coprimality tiles times r(g)^2 split
+into integer limbs, exact whatever the BLAS (_window_diagonal).  Every
+term the certificate adds is positive and no inclusion-exclusion
+subtraction is left.  This module never reads the mask bits itself.
 """
 
 from __future__ import annotations
@@ -220,9 +221,10 @@ def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
     """Correctly rounded sum of a symmetric term over ordered coprime pairs.
 
     vals yields the terms of the pairs of SupportArrays.coprime_pairs in
-    their order, in blocks.  Each term also stands for its mirror pair, so
-    it is added twice, except the first: the pair (0, 0) is (1, 1), its
-    own mirror.
+    blocks, the pair (0, 0) first; the sum does not depend on their order.
+    Each term also stands for its mirror pair, so it is added twice, except
+    the first: the pair (0, 0) is (1, 1), its own mirror.  The terms become
+    Python floats 4096 at a time.
     """
 
     def doubled():
@@ -231,7 +233,8 @@ def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
             twice = 2.0 * v
             if first and len(v):
                 twice[0], first = v[0], False
-            yield twice.tolist()
+            for s in range(0, len(twice), 4096):
+                yield twice[s : s + 4096].tolist()
 
     return math.fsum(chain.from_iterable(doubled()))
 
@@ -241,25 +244,6 @@ def _blocks(pairs: Pairs) -> Iterator[Pairs]:
     i, j = pairs
     for k in range(0, len(i), _BLOCK):
         yield i[k : k + _BLOCK], j[k : k + _BLOCK]
-
-
-def _coprime_r2_sums(
-    masks: np.ndarray, g_masks: np.ndarray, g_r2: np.ndarray
-) -> np.ndarray:
-    """For each mask m: sum of g_r2 over the entries whose g_masks are
-    disjoint from m.
-
-    The mask comparisons run in blocks of about _BLOCK entries.
-    """
-    out = np.zeros(len(masks))
-    cols = max(1, min(len(g_masks), _BLOCK))
-    rows = max(1, _BLOCK // cols)
-    for c0 in range(0, len(g_masks), cols):
-        gm = g_masks[None, c0 : c0 + cols]
-        r2 = g_r2[c0 : c0 + cols]
-        for r0 in range(0, len(masks), rows):
-            out[r0 : r0 + rows] += disjoint(masks[r0 : r0 + rows, None], gm) @ r2
-    return out
 
 
 def _dense_diagonal(
@@ -339,6 +323,84 @@ def _dense_diagonal(
     return math.fsum(chain.from_iterable(t.tolist() for t in terms()))
 
 
+# The tiled diagonal kernel holds arrays of at most _TILE entries: blocks
+# and row tiles of _SIDE support elements, against chunks of the g-range
+# as wide as that allows.  r(g)^2 enters as two integer-valued limbs of
+# _LIMB bits, so the limb sums over a chunk (at most _TILE g's) stay below
+# 2^53 and are exact.
+_TILE = _BLOCK // 2
+_SIDE = math.isqrt(_TILE // 2)
+_LIMB = 52 - (_TILE - 1).bit_length()
+
+
+def _r2_limbs(r: np.ndarray, scale: float) -> np.ndarray:
+    """[hi, lo]: integer-valued limbs in [0, 2^_LIMB] with
+    hi + lo * 2^-_LIMB within 2^-(_LIMB+1) of r^2 * scale < 2^_LIMB."""
+    limbs = np.empty((2, len(r)))
+    y = r * r * scale
+    np.floor(y, out=limbs[0])
+    y -= limbs[0]
+    y *= 2.0**_LIMB
+    np.rint(y, out=limbs[1])
+    return limbs
+
+
+def _inner_sums(
+    masks: np.ndarray, lens: np.ndarray, r: np.ndarray, scale: float,
+    rows: tuple[int, int], k0: int, k1: int,
+) -> np.ndarray:
+    """INNER[k - k0, i - i0]: the sum of r(g)^2 over g < lens[k] coprime to
+    elements i and k, for k in [k0, k1) and i in the row tile
+    rows = (i0, i1).  Entries with i > k are not wanted and are left
+    partial.
+
+    lens does not increase, so the columns k in play at a chunk start are
+    those with lens[k] past it, and the rows in play are those up to the
+    last such column.  Per chunk of g: F is the 0/1 coprimality tile of the
+    rows in play, W stacks the hi and lo limbs (_r2_limbs) of the
+    g < lens[k] coprime to each column in play, and W @ F^T adds both limb
+    sums at once, exactly.  A chunk is as wide as F and W allow within
+    _TILE entries each.  The limb sums accumulate over the chunks in order
+    and are put together at the end.
+    """
+    i0, i1 = rows
+    acc = np.zeros((2, k1 - k0, i1 - i0))
+    c0, end = 0, int(lens[k0])
+    while c0 < end:
+        kc = k0 + int(np.count_nonzero(lens[k0:k1] > c0))
+        ic = min(i1, kc)
+        if ic <= i0:
+            break
+        c1 = min(end, c0 + _TILE // max(ic - i0, 2 * (kc - k0)))
+        g = masks[None, c0:c1]
+        f = disjoint(masks[i0:ic, None], g, out=np.empty((ic - i0, c1 - c0)))
+        # On the diagonal tile the rows in play are the columns in play.
+        keep = f if i0 == k0 else disjoint(masks[k0:kc, None], g, out=np.empty((kc - k0, c1 - c0)))
+        if lens[kc - 1] < c1:
+            keep = keep * (np.arange(c0, c1) < lens[k0:kc, None])
+        w = keep * _r2_limbs(r[c0:c1], scale)[:, None, :]
+        acc[:, : kc - k0, : ic - i0] += (w.reshape(-1, c1 - c0) @ f.T).reshape(2, kc - k0, -1)
+        c0 = c1
+    return (acc[0] + acc[1] * 2.0**-_LIMB) / scale
+
+
+def _tile_pair_starts(i: np.ndarray, j: np.ndarray, starts: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """first[k - k0, t]: the index of element k's first pair (i, k) with
+    i >= t * _SIDE, for k in [k0, k1) and t = 0 .. ceil(k1 / _SIDE), so
+    that the pairs of k and row tile t run from first[k - k0, t] to
+    first[k - k0, t + 1].  Counts the block's pairs in slices of _TILE.
+    """
+    tiles = -(-k1 // _SIDE)
+    counts = np.zeros((k1 - k0) * tiles, dtype=np.int64)
+    for s in range(int(starts[k0]), int(starts[k1]), _TILE):
+        e = min(s + _TILE, int(starts[k1]))
+        cell = (j[s:e] - k0).astype(np.int64) * tiles + i[s:e] // _SIDE
+        counts += np.bincount(cell, minlength=len(counts))
+    first = np.zeros((k1 - k0, tiles + 1), dtype=np.int64)
+    np.cumsum(counts.reshape(k1 - k0, tiles), axis=1, out=first[:, 1:])
+    return first + starts[k0:k1, None]
+
+
 def _window_diagonal(
     sup: SupportArrays, pairs: Pairs, n_max: int, x: float, budget: int, g_cap: float | None = None
 ) -> float:
@@ -346,13 +408,34 @@ def _window_diagonal(
     is `sup`, over the prefix of `pairs` (coprime_pairs of a support
     prefix) whose elements are <= min(N, X).
 
-    r is multiplicative on squarefree support, so a term is r(a') r(b')
-    floor(N/max) times the sum of r(g)^2 over support g <= X/max coprime
-    to a'b'.  For each larger element b' of a pair the g-range is the
-    prefix of sup <= X/b', filtered to g coprime to b', and the inner sums
-    of all its partners a' <= b' come from one blocked masked product.
-    All terms are positive and go into one correctly rounded sum.  The
-    budget counts ordered coprime pairs before any g-sum work.
+    r is multiplicative on squarefree support, so the term of a pair
+    (a', b') with larger element b' = n_k is floor(N/n_k) r(b') r(a')
+    times INNER, the sum of r(g)^2 over the first len_k elements g of sup
+    (those <= min(X/n_k, g_cap)) coprime to a'b'.  len_k does not increase
+    with k, and one searchsorted gives all of them.
+
+    Every INNER comes from a tiled dense product (_inner_sums): the
+    elements <= min(N, X) are cut into tiles of _SIDE, and for each block
+    of larger elements and each row tile of smaller elements up to it, the
+    sums of the whole tile pair accumulate over chunks of the g-range.  A
+    tile pair's terms are gathered from the pair list (_tile_pair_starts),
+    in pair order, and go into one correctly rounded sum; math.fsum's
+    result does not depend on the order of the tile pairs.
+
+    Memory: every tile the kernel makes has at most _TILE entries, and it
+    holds at most a dozen at once (3 MiB), however large the support and
+    the pair list are; besides them it keeps a few arrays with one entry
+    per element <= min(N, X).
+
+    Precision: a chunk's limb sums are exact integers below 2^53, whatever
+    order the matrix product adds them in, so the result does not depend
+    on the BLAS or its thread count.  With |G| = len_k terms in m chunks,
+    the computed INNER is within gamma_{m+1} * INNER +
+    |G| * 2^-(2*_LIMB) * max r^2 of the true sum (gamma_n = n*u/(1 - n*u),
+    u = 2^-53).  r(1) = 1 makes INNER >= 1, and the window weights have
+    r^2 <= 1, so that is within gamma_{|G|} relative.
+
+    The budget counts ordered coprime pairs before any g-sum work.
     """
     count = len(sup.upto(min(float(n_max), x)).ns)
     i, j = pairs
@@ -365,16 +448,30 @@ def _window_diagonal(
             needed=needed,
             budget=budget,
         )
-    r2 = sup.r * sup.r
+    if not count:
+        return 0.0
+    ns = sup.ns
+    cap = x / ns[:count]
+    if g_cap is not None:
+        cap = np.minimum(cap, g_cap)
+    lens = np.full(count, len(ns))
+    short = cap < ns[-1]
+    lens[short] = np.searchsorted(ns, np.floor(cap[short]).astype(np.int64), side="right")
+    # r^2 * scale < 2^_LIMB over every g-range, all within the first lens[0].
+    scale = math.ldexp(1.0, _LIMB - math.frexp(float(sup.r[: lens[0]].max()) ** 2)[1])
+    weight = (n_max // ns[:count]) * sup.r[:count]
 
     def terms():
-        for k in range(count):
-            idx = i[starts[k] : starts[k + 1]]
-            n_k = int(sup.ns[k])
-            g = sup.upto(x / n_k if g_cap is None else min(x / n_k, g_cap))
-            g_ok = np.flatnonzero(disjoint(g.masks, sup.masks[k]))
-            inner = _coprime_r2_sums(sup.masks[idx], g.masks[g_ok], r2[g_ok])
-            yield ((n_max // n_k) * float(sup.r[k])) * sup.r[idx] * inner
+        for k0 in range(0, count, _SIDE):
+            k1 = min(k0 + _SIDE, count)
+            first = _tile_pair_starts(i, j, starts, k0, k1)
+            for t, i0 in enumerate(range(0, k1, _SIDE)):
+                inner = _inner_sums(sup.masks, lens, sup.r, scale, (i0, min(i0 + _SIDE, k1)), k0, k1)
+                # The tile pair's pairs: each k's run first[k - k0, t] up to first[k - k0, t + 1].
+                size = first[:, t + 1] - first[:, t]
+                at = np.repeat(first[:, t] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+                ib, jb = i[at], j[at]
+                yield weight[jb] * sup.r[ib] * inner[jb - k0, ib - i0]
 
     return _pair_fsum(terms())
 
@@ -401,7 +498,11 @@ def diagonal_sum(
     For a window resonator the support <= min(X, g_cap) is built once
     into arrays, and _window_diagonal sums over the coprime pairs of its
     elements <= min(N, X); the budget bounds both the support and the
-    ordered coprime pairs.
+    ordered coprime pairs.  Its inner g-sums come from one tiled dense
+    product whose tiles have at most _TILE entries each (at most a dozen
+    held at once, 3 MiB); each inner sum of |G| terms is within
+    gamma_{|G|} = |G|*u / (1 - |G|*u) relative (u = 2^-53), and the
+    result does not depend on the BLAS thread count.
 
     For a test resonator the blocked kernel _dense_diagonal enumerates the
     (a', b', g) entries in row blocks of about _BLOCK, so it holds one

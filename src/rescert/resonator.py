@@ -192,13 +192,14 @@ def _word_bit(dtype: np.dtype, i: int) -> tuple[int, np.unsignedinteger]:
     return word, dtype.type(1 << bit)
 
 
-def disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def disjoint(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Whether masks a and b (broadcast over all but the word axis, the
-    last) share no bit, i.e. whether their elements are coprime."""
+    last) share no bit, i.e. whether their elements are coprime.  `out`,
+    if given, receives the answer in its own dtype (a float array as 0/1)."""
     common = a[..., 0] & b[..., 0]
     for w in range(1, a.shape[-1]):
         common |= a[..., w] & b[..., w]
-    return common == 0
+    return np.equal(common, 0, out=out)
 
 
 def prime_mask(res: Resonator, primes) -> np.ndarray:

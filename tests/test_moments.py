@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +54,7 @@ from rescert.resonator import (
     SupportArrays,
     build_resonator,
     degenerate_resonator,
+    disjoint,
     support_arrays,
     support_elements,
     sum_r_squared,
@@ -550,6 +556,106 @@ def test_diagonal_sum_sparse_matches_bruteforce_property(primes, data):
     fast = diagonal_sum(res, n_max, x, TABLE)
     brute = diagonal_sum_bruteforce(res, n_max, x, TABLE)
     assert fast == pytest.approx(brute, rel=1e-12)
+
+
+def _capped_bruteforce(res: Resonator, n_max: int, x: float, g_cap: float) -> float:
+    """sum of r(a) r(b) over m, n <= N and support a, b <= X with ma = nb,
+    by matching products, over the quadruples that diagonal_sum keeps under
+    g_cap: g = gcd(a, b) <= g_cap and a/g, b/g <= g_cap."""
+    by_product = defaultdict(list)
+    for e in support_elements(res, x):
+        for m in range(1, n_max + 1):
+            by_product[m * e.n].append(e)
+    return math.fsum(
+        a.r * b.r
+        for group in by_product.values()
+        for a in group
+        for b in group
+        if (g := math.gcd(a.n, b.n)) <= g_cap and max(a.n, b.n) // g <= g_cap
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    primes=st.lists(st.sampled_from(SMALL_PRIMES), max_size=8, unique=True).map(sorted),
+    data=st.data(),
+)
+def test_diagonal_sum_g_cap_matches_bruteforce_property(primes, data):
+    weights = data.draw(
+        st.lists(st.floats(0.05, 2.0), min_size=len(primes), max_size=len(primes))
+    )
+    n_max = data.draw(st.integers(1, 200))
+    x = data.draw(st.floats(1.0, BRUTE_FORCE_CAP / n_max))
+    g_cap = data.draw(st.floats(1.0, 2.0 * x))
+    res = _resonator_on(primes, weights, x)
+    fast = diagonal_sum(res, n_max, x, TABLE, g_cap=g_cap)
+    assert fast == pytest.approx(_capped_bruteforce(res, n_max, x, g_cap), rel=1e-12)
+
+
+def _per_element_diagonal(sup: SupportArrays, pairs, n_max: int, x: float, g_cap=None) -> float:
+    """The per-element diagonal kernel the tiled one replaced: for each
+    larger element k, the g-prefix <= min(X/n_k, g_cap) filtered to g
+    coprime to n_k, and one masked product with r^2 for all its partners."""
+    count = len(sup.upto(min(float(n_max), x)).ns)
+    i, j = pairs
+    starts = np.searchsorted(j, np.arange(count + 1))
+    r2 = sup.r * sup.r
+    terms = []
+    for k in range(count):
+        idx = i[starts[k] : starts[k + 1]]
+        n_k = int(sup.ns[k])
+        g = sup.upto(x / n_k if g_cap is None else min(x / n_k, g_cap))
+        g_ok = np.flatnonzero(disjoint(g.masks, sup.masks[k]))
+        inner = disjoint(sup.masks[idx, None], g.masks[None, g_ok]) @ r2[g_ok]
+        terms.append(((n_max // n_k) * float(sup.r[k])) * sup.r[idx] * inner)
+    return moments._pair_fsum(terms)
+
+
+@pytest.mark.parametrize("n_max, g_cap", [(1_000_000, None), (2_000_000, None), (2_000_000, 1e8)])
+def test_window_diagonal_matches_per_element_kernel(n_max, g_cap):
+    # The supports of `certify --n N --c 3` (X = N^2).  At N = 2e6, 296
+    # elements are <= N: three tiles, so off-diagonal tile pairs run too.
+    x = float(n_max) ** 2
+    res = build_resonator(x, TABLE)
+    sup = support_arrays(res, x if g_cap is None else min(x, g_cap))
+    pairs = sup.upto(float(n_max)).coprime_pairs()
+    tiled = moments._window_diagonal(sup, pairs, n_max, x, moments.DEFAULT_TERM_BUDGET, g_cap)
+    assert tiled == pytest.approx(_per_element_diagonal(sup, pairs, n_max, x, g_cap), rel=1e-13)
+
+
+def test_window_diagonal_memory_is_flat():
+    # The stated bound: at most a dozen arrays of _TILE float64 entries,
+    # however large the support <= X (32 to 10504 elements here).
+    bound = 12 * moments._TILE * 8
+    for n_max in (100_000, 300_000, 1_000_000, 2_000_000):
+        x = float(n_max) ** 2
+        sup = support_arrays(build_resonator(x, TABLE), x)
+        pairs = sup.upto(float(n_max)).coprime_pairs()
+        tracemalloc.start()
+        try:
+            moments._window_diagonal(sup, pairs, n_max, x, moments.DEFAULT_TERM_BUDGET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (n_max, peak)
+
+
+def test_certify_report_independent_of_blas_threads():
+    # The inner g-sums' limb products are exact, so no BLAS thread count
+    # can move a report; a floating-point matrix product can split its
+    # sums differently under 1 and 2 threads.
+    src = str(Path(moments.__file__).resolve().parents[1])
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rescert", "certify", "--n", "2000000", "--c", "3"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        stamp = json.loads(proc.stdout)["generated_at"]
+        texts.append(proc.stdout.replace(stamp, "<generated-at>"))
+    assert texts[0] == texts[1]
 
 
 def test_pair_sums_beyond_63_primes():
