@@ -10,11 +10,13 @@ Subcommands:
 
 Exit codes: 0 success, 2 bad usage or configuration, 3 resource or
 quadrature budget exhausted.  On exit 2 or 3 the last line of stderr is
-one JSON object {"kind", "message"}, plus "needed" and "budget" when the
-error carries them, below the human-readable line.  Reports embed the
-package version, a hash of the fully-resolved configuration, and a UTC
-timestamp; apart from the timestamp the output is byte-deterministic for
-a fixed configuration.
+one JSON object {"kind", "message", "layer"}, plus "needed" and "budget"
+when the error carries them, below the human-readable line; "layer" is
+the innermost rescert module in the error's traceback (rescert.cli for
+usage errors).
+Reports embed the package version, a hash of the fully-resolved
+configuration, and a UTC timestamp; apart from the timestamp the output
+is byte-deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import io
 import json
 import math
 import sys
+import traceback
 import typing
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -473,8 +476,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(exc: Exception, line: str, code: int) -> int:
-    """Print `line`, then the structured error as stderr's last line; return the exit code."""
-    error = {"kind": type(exc).__name__, "message": str(exc)}
+    """Print `line`, then the structured error as stderr's last line; return the exit code.
+
+    The error's layer is the module of the innermost frame of its traceback
+    inside this package, so an error that a library call raises (a
+    malformed config file's JSONDecodeError) names the layer that made it.
+    """
+    layer = __name__
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        if frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
+            layer = frame.f_globals["__name__"]
+    error = {"kind": type(exc).__name__, "message": str(exc), "layer": layer}
     for key in ("needed", "budget"):
         if getattr(exc, key, None) is not None:
             error[key] = getattr(exc, key)

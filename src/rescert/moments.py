@@ -19,15 +19,17 @@ to sums over coprime pairs (a', b') that this module evaluates exactly
 (with compensated summation) or brackets rigorously.
 
 For window resonators the support is held as sorted arrays of integers,
-weights and prime masks (resonator.SupportArrays).  A report lists the
-coprime pairs of the support <= min(N, X) once (coprime_pairs), and the
-diagonal, its g-capped fallbacks, the main term and the alpha-shift tail
-all sum over that list.  The inner g-sums of the diagonal, sum of r(g)^2
-over support g <= X/max(a',b') coprime to a'b', come from one tiled dense
-product over the same arrays: 0/1 coprimality tiles times r(g)^2 split
-into integer limbs, exact whatever the BLAS (_window_diagonal).  Every
-term the certificate adds is positive and no inclusion-exclusion
-subtraction is left.  This module never reads the mask bits itself.
+weights and prime masks (resonator.SupportArrays).  The diagonal, its
+g-capped fallbacks, the main term and the alpha-shift tail each stream
+the coprime pairs of the support <= min(N, X) as boolean tiles
+(SupportArrays.coprime_tiles) and sum the terms of each tile's pairs, so
+no pair list is held and their memory does not grow with the pair count.
+The inner g-sums of the diagonal, sum of r(g)^2 over support
+g <= X/max(a',b') coprime to a'b', come from one tiled dense product over
+the same arrays and tiles: 0/1 coprimality tiles times r(g)^2 split into
+integer limbs, exact whatever the BLAS (_window_diagonal).  Every term
+the certificate adds is positive and no inclusion-exclusion subtraction
+is left.  This module never reads the mask bits itself.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -46,9 +48,8 @@ from .multfn import UnimodularCMF, values_up_to
 from .ntcore import FactorTable
 from .quadrature import adaptive_oscillatory, composite_gl_grid
 from .resonator import (
-    _BLOCK,
+    _SIDE,
     DEFAULT_ENUM_BUDGET,
-    Pairs,
     Resonator,
     SupportArrays,
     SupportElement,
@@ -220,11 +221,12 @@ def m2_exact(
 def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
     """Correctly rounded sum of a symmetric term over ordered coprime pairs.
 
-    vals yields the terms of the pairs of SupportArrays.coprime_pairs in
-    blocks, the pair (0, 0) first; the sum does not depend on their order.
-    Each term also stands for its mirror pair, so it is added twice, except
-    the first: the pair (0, 0) is (1, 1), its own mirror.  The terms become
-    Python floats 4096 at a time.
+    vals yields the terms of the pairs (i, k), i <= k, of
+    SupportArrays.coprime_tiles tile by tile, the pair (0, 0) first; the
+    sum does not depend on their order.  Each term also stands for its
+    mirror pair, so it is added twice, except the first: the pair (0, 0)
+    is (1, 1), its own mirror.  The terms become Python floats 4096 at a
+    time.
     """
 
     def doubled():
@@ -237,13 +239,6 @@ def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
                 yield twice[s : s + 4096].tolist()
 
     return math.fsum(chain.from_iterable(doubled()))
-
-
-def _blocks(pairs: Pairs) -> Iterator[Pairs]:
-    """The pairs (i, j) in consecutive blocks of at most _BLOCK."""
-    i, j = pairs
-    for k in range(0, len(i), _BLOCK):
-        yield i[k : k + _BLOCK], j[k : k + _BLOCK]
 
 
 def _dense_diagonal(
@@ -323,13 +318,14 @@ def _dense_diagonal(
     return math.fsum(chain.from_iterable(t.tolist() for t in terms()))
 
 
-# The tiled diagonal kernel holds arrays of at most _TILE entries: blocks
-# and row tiles of _SIDE support elements, against chunks of the g-range
-# as wide as that allows.  r(g)^2 enters as two integer-valued limbs of
-# _LIMB bits, so the limb sums over a chunk (at most _TILE g's) stay below
-# 2^53 and are exact.
-_TILE = _BLOCK // 2
-_SIDE = math.isqrt(_TILE // 2)
+# The tiled diagonal kernel holds arrays of at most _TILE entries: the
+# coprime tiles of _SIDE by _SIDE support elements, against chunks of the
+# g-range as wide as that allows.  r(g)^2 enters as two integer-valued
+# limbs of _LIMB bits, so the limb sums over a chunk (at most _TILE g's)
+# stay below 2^53 and are exact.  _dense_diagonal's row blocks hold about
+# _BLOCK entries.
+_TILE = 2 * _SIDE * _SIDE
+_BLOCK = 2 * _TILE
 _LIMB = 52 - (_TILE - 1).bit_length()
 
 
@@ -346,13 +342,12 @@ def _r2_limbs(r: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _inner_sums(
-    masks: np.ndarray, lens: np.ndarray, r: np.ndarray, scale: float,
-    rows: tuple[int, int], k0: int, k1: int,
+    masks: np.ndarray, lens: np.ndarray, r: np.ndarray, scale: float, k: slice, i: slice
 ) -> np.ndarray:
-    """INNER[k - k0, i - i0]: the sum of r(g)^2 over g < lens[k] coprime to
-    elements i and k, for k in [k0, k1) and i in the row tile
-    rows = (i0, i1).  Entries with i > k are not wanted and are left
-    partial.
+    """INNER[a, b]: the sum of r(g)^2 over g < lens[k.start + a] coprime to
+    elements k.start + a and i.start + b, for the tile (k, i) of
+    SupportArrays.coprime_tiles.  Entries with i > k are not wanted and
+    are left partial.
 
     lens does not increase, so the columns k in play at a chunk start are
     those with lens[k] past it, and the rows in play are those up to the
@@ -363,11 +358,11 @@ def _inner_sums(
     _TILE entries each.  The limb sums accumulate over the chunks in order
     and are put together at the end.
     """
-    i0, i1 = rows
+    (k0, k1), (i0, i1) = (k.start, k.stop), (i.start, i.stop)
     acc = np.zeros((2, k1 - k0, i1 - i0))
     c0, end = 0, int(lens[k0])
     while c0 < end:
-        kc = k0 + int(np.count_nonzero(lens[k0:k1] > c0))
+        kc = k0 + int(np.count_nonzero(lens[k] > c0))
         ic = min(i1, kc)
         if ic <= i0:
             break
@@ -384,29 +379,11 @@ def _inner_sums(
     return (acc[0] + acc[1] * 2.0**-_LIMB) / scale
 
 
-def _tile_pair_starts(i: np.ndarray, j: np.ndarray, starts: np.ndarray, k0: int, k1: int) -> np.ndarray:
-    """first[k - k0, t]: the index of element k's first pair (i, k) with
-    i >= t * _SIDE, for k in [k0, k1) and t = 0 .. ceil(k1 / _SIDE), so
-    that the pairs of k and row tile t run from first[k - k0, t] to
-    first[k - k0, t + 1].  Counts the block's pairs in slices of _TILE.
-    """
-    tiles = -(-k1 // _SIDE)
-    counts = np.zeros((k1 - k0) * tiles, dtype=np.int64)
-    for s in range(int(starts[k0]), int(starts[k1]), _TILE):
-        e = min(s + _TILE, int(starts[k1]))
-        cell = (j[s:e] - k0).astype(np.int64) * tiles + i[s:e] // _SIDE
-        counts += np.bincount(cell, minlength=len(counts))
-    first = np.zeros((k1 - k0, tiles + 1), dtype=np.int64)
-    np.cumsum(counts.reshape(k1 - k0, tiles), axis=1, out=first[:, 1:])
-    return first + starts[k0:k1, None]
-
-
 def _window_diagonal(
-    sup: SupportArrays, pairs: Pairs, n_max: int, x: float, budget: int, g_cap: float | None = None
+    sup: SupportArrays, n_max: int, x: float, budget: int, g_cap: float | None = None
 ) -> float:
     """diagonal_sum for a window resonator whose support <= min(X, g_cap)
-    is `sup`, over the prefix of `pairs` (coprime_pairs of a support
-    prefix) whose elements are <= min(N, X).
+    is `sup`, over the coprime pairs of its elements <= min(N, X).
 
     r is multiplicative on squarefree support, so the term of a pair
     (a', b') with larger element b' = n_k is floor(N/n_k) r(b') r(a')
@@ -414,17 +391,16 @@ def _window_diagonal(
     (those <= min(X/n_k, g_cap)) coprime to a'b'.  len_k does not increase
     with k, and one searchsorted gives all of them.
 
-    Every INNER comes from a tiled dense product (_inner_sums): the
-    elements <= min(N, X) are cut into tiles of _SIDE, and for each block
-    of larger elements and each row tile of smaller elements up to it, the
-    sums of the whole tile pair accumulate over chunks of the g-range.  A
-    tile pair's terms are gathered from the pair list (_tile_pair_starts),
-    in pair order, and go into one correctly rounded sum; math.fsum's
-    result does not depend on the order of the tile pairs.
+    The pairs come as the tiles of SupportArrays.coprime_tiles, and every
+    tile's INNER comes from a tiled dense product (_inner_sums) that
+    accumulates over chunks of the g-range.  A tile's terms are its
+    coprime entries of floor(N/n_k) r(b') r(a') INNER, and all of them go
+    into one correctly rounded sum; math.fsum's result does not depend on
+    the order of the tiles.
 
     Memory: every tile the kernel makes has at most _TILE entries, and it
     holds at most a dozen at once (3 MiB), however large the support and
-    the pair list are; besides them it keeps a few arrays with one entry
+    the pair count are; besides them it keeps a few arrays with one entry
     per element <= min(N, X).
 
     Precision: a chunk's limb sums are exact integers below 2^53, whatever
@@ -435,13 +411,12 @@ def _window_diagonal(
     u = 2^-53).  r(1) = 1 makes INNER >= 1, and the window weights have
     r^2 <= 1, so that is within gamma_{|G|} relative.
 
-    The budget counts ordered coprime pairs before any g-sum work.
+    The budget counts ordered coprime pairs, from a pass over the tiles
+    that only counts, before any g-sum work.
     """
     count = len(sup.upto(min(float(n_max), x)).ns)
-    i, j = pairs
-    # i[starts[k] : starts[k + 1]] are element k's partners (a j.dtype needle: no int64 copy of j).
-    starts = np.searchsorted(j, np.arange(count + 1, dtype=j.dtype))
-    needed = 2 * int(starts[-1]) - 1 if count else 0
+    pairs = sum(np.count_nonzero(ok) for _, _, ok in sup.coprime_tiles(count))
+    needed = 2 * pairs - 1 if count else 0
     if needed > budget:
         raise ResourceLimitError(
             f"diagonal pair enumeration exceeded budget {budget}",
@@ -460,20 +435,10 @@ def _window_diagonal(
     # r^2 * scale < 2^_LIMB over every g-range, all within the first lens[0].
     scale = math.ldexp(1.0, _LIMB - math.frexp(float(sup.r[: lens[0]].max()) ** 2)[1])
     weight = (n_max // ns[:count]) * sup.r[:count]
-
-    def terms():
-        for k0 in range(0, count, _SIDE):
-            k1 = min(k0 + _SIDE, count)
-            first = _tile_pair_starts(i, j, starts, k0, k1)
-            for t, i0 in enumerate(range(0, k1, _SIDE)):
-                inner = _inner_sums(sup.masks, lens, sup.r, scale, (i0, min(i0 + _SIDE, k1)), k0, k1)
-                # The tile pair's pairs: each k's run first[k - k0, t] up to first[k - k0, t + 1].
-                size = first[:, t + 1] - first[:, t]
-                at = np.repeat(first[:, t] - (np.cumsum(size) - size), size) + np.arange(size.sum())
-                ib, jb = i[at], j[at]
-                yield weight[jb] * sup.r[ib] * inner[jb - k0, ib - i0]
-
-    return _pair_fsum(terms())
+    return _pair_fsum(
+        (weight[k, None] * sup.r[None, i] * _inner_sums(sup.masks, lens, sup.r, scale, k, i))[ok]
+        for k, i, ok in sup.coprime_tiles(count)
+    )
 
 
 def diagonal_sum(
@@ -496,11 +461,12 @@ def diagonal_sum(
     a certified lower bound of the full sum.
 
     For a window resonator the support <= min(X, g_cap) is built once
-    into arrays, and _window_diagonal sums over the coprime pairs of its
-    elements <= min(N, X); the budget bounds both the support and the
-    ordered coprime pairs.  Its inner g-sums come from one tiled dense
-    product whose tiles have at most _TILE entries each (at most a dozen
-    held at once, 3 MiB); each inner sum of |G| terms is within
+    into arrays, and _window_diagonal streams the coprime pairs of its
+    elements <= min(N, X) as tiles (SupportArrays.coprime_tiles), holding
+    no pair list; the budget bounds both the support and the ordered
+    coprime pairs.  Its inner g-sums come from one tiled dense product
+    whose tiles have at most _TILE entries each (at most a dozen held at
+    once, 3 MiB); each inner sum of |G| terms is within
     gamma_{|G|} = |G|*u / (1 - |G|*u) relative (u = 2^-53), and the
     result does not depend on the BLAS thread count.
 
@@ -524,8 +490,7 @@ def diagonal_sum(
         raise ValueError("X must be >= 1")
     if isinstance(res, Resonator):
         sup = support_arrays(res, x if g_cap is None else min(x, g_cap), budget)
-        pairs = sup.upto(min(float(n_max), x)).coprime_pairs()
-        return _window_diagonal(sup, pairs, n_max, x, budget, g_cap)
+        return _window_diagonal(sup, n_max, x, budget, g_cap)
 
     return _dense_diagonal(res, n_max, x, budget, g_cap, lower=False)
 
@@ -641,7 +606,7 @@ def m1_offdiag_bound(
 # Main-term and tail-bound sums over coprime support pairs.
 
 
-def _main_term(res: Resonator, sup: SupportArrays, pairs: Pairs) -> float:
+def _main_term(res: Resonator, sup: SupportArrays) -> float:
     """sum over the ordered coprime pairs of sup of t(a') t(b') a'b' / max^3.
 
     Asserts t(n) = r(n) / prod_{p | n}(1 + r(p)^2) on every element first.
@@ -651,7 +616,7 @@ def _main_term(res: Resonator, sup: SupportArrays, pairs: Pairs) -> float:
         raise AssertionError("t-weight identity violated")
     w = sup.t * sup.ns
     w_over_cube = w / sup.ns.astype(np.float64) ** 3
-    return _pair_fsum(w[i] * w_over_cube[j] for i, j in _blocks(pairs))
+    return _pair_fsum((w[None, i] * w_over_cube[k, None])[ok] for k, i, ok in sup.coprime_tiles())
 
 
 def _balanced_pair_bound(sup: SupportArrays, z: float) -> float:
@@ -659,7 +624,7 @@ def _balanced_pair_bound(sup: SupportArrays, z: float) -> float:
     return math.fsum((sup.t / np.sqrt(sup.ns)).tolist()) ** 2 / math.log(z)
 
 
-def _alpha_tail(res: Resonator, sup: SupportArrays, pairs: Pairs, x: float, alpha: float) -> float:
+def _alpha_tail(res: Resonator, sup: SupportArrays, x: float, alpha: float) -> float:
     """alpha_shift_error_term over the coprime pairs of sup."""
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
@@ -673,7 +638,7 @@ def _alpha_tail(res: Resonator, sup: SupportArrays, pairs: Pairs, x: float, alph
         * sup.ns.astype(np.float64) ** (alpha - 0.5)
         * np.exp(-sup.prime_factor_sums(log_shift))
     )
-    pair_sum = _pair_fsum(u[i] * u[j] for i, j in _blocks(pairs))
+    pair_sum = _pair_fsum((u[None, i] * u[k, None])[ok] for k, i, ok in sup.coprime_tiles())
     return math.exp(log_full_shift - log_full_plain) * x ** (-alpha) * pair_sum
 
 
@@ -693,7 +658,7 @@ def moment_main_term(
     every support element.  Always at least 1 (the (1,1) term).
     """
     sup = support_arrays(res, min(float(n_max), x), budget)
-    return _main_term(res, sup, sup.coprime_pairs())
+    return _main_term(res, sup)
 
 
 def balanced_pair_bound_check(
@@ -713,7 +678,7 @@ def balanced_pair_bound_check(
     if z <= 1.0:
         raise ValueError("z must exceed 1")
     sup = support_arrays(res, z, budget)
-    return _main_term(res, sup, sup.coprime_pairs()), _balanced_pair_bound(sup, z)
+    return _main_term(res, sup), _balanced_pair_bound(sup, z)
 
 
 def alpha_shift_error_term(
@@ -733,7 +698,7 @@ def alpha_shift_error_term(
     Positive whenever the support is nonempty or trivially X^{-alpha}.
     """
     sup = support_arrays(res, min(float(n_max), x), budget)
-    return _alpha_tail(res, sup, sup.coprime_pairs(), x, alpha)
+    return _alpha_tail(res, sup, x, alpha)
 
 
 def tail_truncation_check(
@@ -925,11 +890,10 @@ def ratio_and_bounds(
     def support_upto(cap: float) -> SupportArrays:
         return sup.upto(cap) if sup is not None else support_arrays(res, cap, budget)
 
-    # Every pair sum below (g-capped fallbacks are prefixes) runs over the
-    # coprime pairs of the support <= z = min(N, X), listed once here.
+    # Every pair sum below streams the coprime pairs of the support
+    # <= z = min(N, X) (g-capped fallbacks: of its prefixes) as tiles.
     z = min(float(n_max), x)
     sup_z = support_upto(z)
-    pairs = sup_z.coprime_pairs()
 
     flags["r2_sum_truncated"] = sup is None
     if sup is not None:
@@ -941,7 +905,7 @@ def ratio_and_bounds(
     diag = None
     if sup is not None:
         try:
-            diag = _window_diagonal(sup, pairs, n_max, x, budget)
+            diag = _window_diagonal(sup, n_max, x, budget)
         except ResourceLimitError:
             pass
     flags["diag_sum_truncated"] = diag is None
@@ -950,7 +914,7 @@ def ratio_and_bounds(
         while diag is None:
             g_cap /= 16.0
             try:
-                diag = _window_diagonal(support_upto(g_cap), pairs, n_max, x, budget, g_cap)
+                diag = _window_diagonal(support_upto(g_cap), n_max, x, budget, g_cap)
             except ResourceLimitError:
                 if g_cap < 1.0:
                     raise
@@ -994,12 +958,12 @@ def ratio_and_bounds(
 
     alpha_eff = alpha if alpha is not None else res.alpha_default
     if alpha_eff is not None:
-        tail = _alpha_tail(res, sup_z, pairs, x, alpha_eff)
+        tail = _alpha_tail(res, sup_z, x, alpha_eff)
     else:
         # Degenerate resonator: no shift parameter to run the tail bound with.
         tail = None
 
-    main = _main_term(res, sup_z, pairs)  # the balanced pair sum too
+    main = _main_term(res, sup_z)  # the balanced pair sum too
     if z > 1.0:
         pair_lhs, pair_rhs = main, _balanced_pair_bound(sup_z, z)
     else:

@@ -23,7 +23,8 @@ prime (mask_layout fixes the word type and count).  Only this module
 reads or writes the bits: disjoint tests coprimality, prime_mask builds
 the mask of a set of primes, SupportArrays.prime_factor_sums sums
 per-prime values over each element's primes, and
-SupportArrays.coprime_pairs lists the coprime pairs of the elements.
+SupportArrays.coprime_tiles streams the coprime pairs of the elements as
+boolean tiles, so no pair list is ever held.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from .ntcore import FactorTable, primes_in
 MIN_X = math.exp(math.e)
 DEFAULT_ENUM_BUDGET = 10_000_000
 _INT64_MAX = (1 << 63) - 1
-# Entries per temporary in blocked mask comparisons.
-_BLOCK = 2**16
-Pairs = tuple[np.ndarray, np.ndarray]  # (i, j) of SupportArrays.coprime_pairs
+# Elements per side of a SupportArrays.coprime_tiles tile.
+_SIDE = 128
 
 
 @dataclass(frozen=True)
@@ -245,27 +245,24 @@ class SupportArrays:
             out[(self.masks[:, word] & value) != 0] += v
         return out
 
-    def coprime_pairs(self) -> Pairs:
-        """Index arrays (i, j), int32, of every coprime pair of the elements
-        once: i <= j, ordered by j and then by i.  (0, 0) is the pair (1, 1),
+    def coprime_tiles(self, count: int | None = None) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """Every coprime pair (i, k), i <= k, of the first `count` elements
+        (default all) once, as tiles (k, i, ok): k and i are slices of at
+        most _SIDE elements, and ok[a, b] says whether elements k.start + a
+        and i.start + b are coprime.  The tiles come by blocks k, then by i
+        up to the block's end; on the diagonal tile (i == k) only i <= k is
+        kept.  The first tile's first pair is (0, 0), the pair (1, 1) and
         the only pair of an element with itself.
-
-        The pairs come out of lower-triangular disjoint tiles: blocks of
-        rows j holding about _BLOCK entries (one row when there are more
-        elements than that), against every i up to the block's end.
         """
-        n = len(self.ns)
-        rows = max(1, _BLOCK // max(n, 1))
-        found, counts = [np.zeros(0, dtype=np.int32)], np.zeros(n, dtype=np.int64)
-        for j0 in range(0, n, rows):
-            j1 = min(j0 + rows, n)
-            ok = disjoint(self.masks[j0:j1, None], self.masks[None, :j1])
-            ok[:, j0:] &= np.tri(j1 - j0, dtype=bool)  # keep i <= j
-            counts[j0:j1] = np.count_nonzero(ok, axis=1)
-            # Row-major flat indices (by j, then by i) less each row's start.
-            starts = np.repeat(np.arange(j1 - j0) * j1, counts[j0:j1])
-            found.append((np.flatnonzero(ok) - starts).astype(np.int32))
-        return np.concatenate(found), np.repeat(np.arange(n, dtype=np.int32), counts)
+        n = len(self.ns) if count is None else count
+        for k0 in range(0, n, _SIDE):
+            k = slice(k0, min(k0 + _SIDE, n))
+            for i0 in range(0, k.stop, _SIDE):
+                i = slice(i0, min(i0 + _SIDE, k.stop))
+                ok = disjoint(self.masks[k, None], self.masks[None, i])
+                if i0 == k0:
+                    ok &= np.tri(len(ok), dtype=bool)
+                yield k, i, ok
 
     def elements(self, res: Resonator) -> list[SupportElement]:
         """The elements as SupportElements, prime tuples read off the masks."""
@@ -333,8 +330,12 @@ def support_arrays(
                 budget=budget,
             )
         if count > len(ns):
+            # One array at a time, so each old buffer goes before the next grows.
             grown = max(count, 2 * len(ns))
-            ns, masks, r, t = (np.resize(a, (grown,) + a.shape[1:]) for a in (ns, masks, r, t))
+            ns = np.resize(ns, grown)
+            masks = np.resize(masks, (grown, words))
+            r = np.resize(r, grown)
+            t = np.resize(t, grown)
         ns[size:count] = ns[active] * p
         masks[size:count] = masks[active]
         word, value = _word_bit(dtype, i)
@@ -343,8 +344,14 @@ def support_arrays(
         t[size:count] = t[active] * res.t_p[p]
         active = np.concatenate((active, np.arange(size, count)))
         size = count
+    # Permuted one at a time, so each unsorted buffer goes before the next copy.
+    del active
     order = np.argsort(ns[:size], kind="stable")
-    return SupportArrays(ns=ns[order], masks=masks[order], r=r[order], t=t[order])
+    ns = ns[order]
+    masks = masks[order]
+    r = r[order]
+    t = t[order]
+    return SupportArrays(ns=ns, masks=masks, r=r, t=t)
 
 
 def support_elements(

@@ -222,7 +222,7 @@ def test_config_file_merge_and_override(tmp_path):
     assert payload["report"]["value"] == pytest.approx(3.0, rel=1e-12)
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["certify", "--n", "4", "--c", "3", "--t", "100"]) == 2
     assert main(["certify", "--n", "4"]) == 2
     assert main(["certify", "--n", "4", "--t", "100", "--delta", "1.5"]) == 2
@@ -232,6 +232,12 @@ def test_usage_errors_exit_2(tmp_path):
     with open(cfg_path, "w") as fh:
         json.dump({"n": 4, "t": 10.0, "bogus_key": 1}, fh)
     assert main(["search", "--config", cfg_path]) == 2
+    with open(cfg_path, "w") as fh:
+        fh.write("{not json")
+    assert main(["search", "--config", cfg_path]) == 2
+    # json raised it, but the layer named is the one that read the file.
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (error["kind"], error["layer"]) == ("JSONDecodeError", "rescert.cli")
 
 
 @pytest.mark.parametrize(
@@ -298,37 +304,40 @@ def test_search_budget_points_below_one_exit_2(budget, guided, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_budget_exhaustion_exits_3():
+def test_budget_exhaustion_exits_3(capsys):
     code = main(["search", "--n", "1000", "--t", "1e8", "--eps", "1e-3"])
     assert code == 3
     # Exact moments need the whole support, here over the term budget.
     argv = ["certify", "--n", "4", "--t", "1e4", "--x", "1e9", "--exact", "always"]
     assert main([*argv, "--budget-terms", "2"]) == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["layer"] == "rescert.resonator"
 
 
 
 @pytest.mark.parametrize(
-    "argv, code, kind, budget",
+    "argv, code, kind, budget, layer",
     [
         # Over the point budget: exit 3 with needed and budget.
         (["search", "--n", "1000", "--t", "1e8", "--budget-points", "1000"], 3,
-         "ResourceLimitError", 1000),
+         "ResourceLimitError", 1000, "rescert.dirichlet"),
         # eps below the grid values' float error bound at |t| = 6e10: exit 2.
         (["search", "--n", "500", "--t", "1e11", "--eps", "1e-3",
-          "--window-lo", "6e10", "--window-hi", "6.0000001e10"], 2, "ValueError", None),
-        (["search", "--n", "4", "--no-such-flag"], 2, "ValueError", None),
+          "--window-lo", "6e10", "--window-hi", "6.0000001e10"], 2, "ValueError", None,
+         "rescert.dirichlet"),
+        (["search", "--n", "4", "--no-such-flag"], 2, "ValueError", None, "rescert.cli"),
     ],
 )
-def test_errors_end_stderr_with_one_json_object(capsys, argv, code, kind, budget):
+def test_errors_end_stderr_with_one_json_object(capsys, argv, code, kind, budget, layer):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     *lines, last = captured.err.splitlines()
     error = json.loads(last)
     assert error["kind"] == kind
+    assert error["layer"] == layer  # the module that raised it
     assert lines[-1].endswith(error["message"])  # the human-readable line above it
     if budget is None:
-        assert set(error) == {"kind", "message"}
+        assert set(error) == {"kind", "message", "layer"}
     else:
         assert error["budget"] == budget and error["needed"] > budget
 

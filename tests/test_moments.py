@@ -478,27 +478,21 @@ def test_report_builds_the_support_once(monkeypatch, res, n_max, t_bound):
     assert (report.m1_exact is not None) == (n_max == 3)
 
 
-@pytest.mark.parametrize(
-    "res, n_max, t_bound, budget",
-    [
-        (build_resonator(1e12, TABLE), 10_000, 1e12, moments.DEFAULT_TERM_BUDGET),
-        # The over-budget fallback of the next test: support sums and the
-        # diagonal both truncated, the diagonal through the g_cap loop.
-        (build_resonator(1e9, TABLE), 4, 1e4, 2),
-    ],
-)
-def test_report_lists_the_coprime_pairs_once(monkeypatch, res, n_max, t_bound, budget):
-    calls = []
-    listed = SupportArrays.coprime_pairs
-
-    def counted(self):
-        calls.append(self)
-        return listed(self)
-
-    monkeypatch.setattr(SupportArrays, "coprime_pairs", counted)
-    report = ratio_and_bounds(res, constant_one(), n_max, t_bound, 0.5, 0.5, TABLE, budget=budget)
-    assert report.flags["diag_sum_truncated"] is (budget == 2)
-    assert len(calls) == 1
+@pytest.mark.parametrize("n_max", [100_000, 1_000_000, 10_000_000])
+def test_pair_sums_memory_is_flat(n_max):
+    # The main term and the alpha-tail stream the coprime pairs of the
+    # support <= N (C = 3, X = N^2) as tiles: their peak does not grow with
+    # the pair count (2.6e6 ordered pairs at N = 1e7).
+    x = float(n_max) ** 2
+    res = build_resonator(x, TABLE)
+    tracemalloc.start()
+    try:
+        moment_main_term(res, n_max, x, TABLE)
+        alpha_shift_error_term(res, n_max, x, res.alpha_default, TABLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_report_over_budget_skips_auto_exact_moments():
@@ -592,18 +586,18 @@ def test_diagonal_sum_g_cap_matches_bruteforce_property(primes, data):
     assert fast == pytest.approx(_capped_bruteforce(res, n_max, x, g_cap), rel=1e-12)
 
 
-def _per_element_diagonal(sup: SupportArrays, pairs, n_max: int, x: float, g_cap=None) -> float:
+def _per_element_diagonal(sup: SupportArrays, n_max: int, x: float, g_cap=None) -> float:
     """The per-element diagonal kernel the tiled one replaced: for each
-    larger element k, the g-prefix <= min(X/n_k, g_cap) filtered to g
-    coprime to n_k, and one masked product with r^2 for all its partners."""
+    larger element k, its partners i <= k by gcd, the g-prefix
+    <= min(X/n_k, g_cap) filtered to g coprime to n_k, and one masked
+    product with r^2 for all its partners."""
     count = len(sup.upto(min(float(n_max), x)).ns)
-    i, j = pairs
-    starts = np.searchsorted(j, np.arange(count + 1))
+    ns = sup.ns.tolist()
     r2 = sup.r * sup.r
     terms = []
     for k in range(count):
-        idx = i[starts[k] : starts[k + 1]]
-        n_k = int(sup.ns[k])
+        idx = np.array([i for i in range(k + 1) if math.gcd(ns[i], ns[k]) == 1])
+        n_k = ns[k]
         g = sup.upto(x / n_k if g_cap is None else min(x / n_k, g_cap))
         g_ok = np.flatnonzero(disjoint(g.masks, sup.masks[k]))
         inner = disjoint(sup.masks[idx, None], g.masks[None, g_ok]) @ r2[g_ok]
@@ -618,22 +612,21 @@ def test_window_diagonal_matches_per_element_kernel(n_max, g_cap):
     x = float(n_max) ** 2
     res = build_resonator(x, TABLE)
     sup = support_arrays(res, x if g_cap is None else min(x, g_cap))
-    pairs = sup.upto(float(n_max)).coprime_pairs()
-    tiled = moments._window_diagonal(sup, pairs, n_max, x, moments.DEFAULT_TERM_BUDGET, g_cap)
-    assert tiled == pytest.approx(_per_element_diagonal(sup, pairs, n_max, x, g_cap), rel=1e-13)
+    tiled = moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET, g_cap)
+    assert tiled == pytest.approx(_per_element_diagonal(sup, n_max, x, g_cap), rel=1e-13)
 
 
 def test_window_diagonal_memory_is_flat():
     # The stated bound: at most a dozen arrays of _TILE float64 entries,
-    # however large the support <= X (32 to 10504 elements here).
+    # however large the support <= X (32 to 10504 elements here) and the
+    # pair count.
     bound = 12 * moments._TILE * 8
     for n_max in (100_000, 300_000, 1_000_000, 2_000_000):
         x = float(n_max) ** 2
         sup = support_arrays(build_resonator(x, TABLE), x)
-        pairs = sup.upto(float(n_max)).coprime_pairs()
         tracemalloc.start()
         try:
-            moments._window_diagonal(sup, pairs, n_max, x, moments.DEFAULT_TERM_BUDGET)
+            moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,7 +170,8 @@ def test_support_arrays_budget_and_int64_range():
         support_arrays(wide, 1e30)  # the product of all three does not
 
 
-PRIMES_80 = tuple(p for p in range(2, 410) if all(p % q for q in range(2, p)))[:80]
+PRIMES_140 = tuple(p for p in range(2, 810) if all(p % q for q in range(2, p)))
+PRIMES_80 = PRIMES_140[:80]
 
 
 def _resonator_on(primes) -> Resonator:
@@ -180,12 +182,20 @@ def _resonator_on(primes) -> Resonator:
     )
 
 
-def _assert_coprime_pairs(sup):
-    ns = sup.ns.tolist()
-    want = [(i, j) for j in range(len(ns)) for i in range(j + 1) if math.gcd(ns[i], ns[j]) == 1]
-    i, j = sup.coprime_pairs()
-    assert i.dtype == np.int32 and j.dtype == np.int32
-    assert list(zip(i.tolist(), j.tolist())) == want
+def _assert_coprime_pairs(sup, count=None):
+    """The tiles' pairs (k, i) are the gcd pairs i <= k < count, each once,
+    in tiles of at most _SIDE by _SIDE and with the pair (0, 0) first."""
+    ns = sup.ns.tolist()[:count]
+    want = [(k, i) for k in range(len(ns)) for i in range(k + 1) if math.gcd(ns[i], ns[k]) == 1]
+    got = []
+    for k, i, ok in sup.coprime_tiles(count):
+        assert ok.dtype == bool and ok.shape == (k.stop - k.start, i.stop - i.start)
+        assert max(ok.shape) <= resonator._SIDE
+        rows, cols = np.nonzero(ok)
+        got += zip((rows + k.start).tolist(), (cols + i.start).tolist())
+    assert got[:1] == want[:1]
+    assert sorted(got) == want
+    return got
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,16 +203,22 @@ def _assert_coprime_pairs(sup):
     primes=st.one_of(
         st.lists(st.sampled_from(PRIMES_80[:15]), max_size=9, unique=True),
         st.lists(st.sampled_from(PRIMES_80), min_size=65, max_size=80, unique=True),
+        # Over 128 primes: three-word masks.
+        st.lists(st.sampled_from(PRIMES_140), max_size=11, unique=True).map(
+            lambda dropped: [p for p in PRIMES_140 if p not in dropped]
+        ),
     ).map(sorted),
     cap=st.floats(-2.0, 1000.0),
-    block=st.sampled_from([3, 64, resonator._BLOCK]),
+    side=st.sampled_from([3, 64, resonator._SIDE]),
+    data=st.data(),
 )
-def test_coprime_pairs_match_gcd_pairs_property(primes, cap, block):
-    # More than 64 primes give two-word masks; small blocks split the
-    # lower triangle into many tiles, down to one row per tile.
+def test_coprime_pairs_match_gcd_pairs_property(primes, cap, side, data):
+    # More than 64 primes give two-word masks, more than 128 three; small
+    # sides split the lower triangle into many tiles.
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(resonator, "_BLOCK", block)
-        _assert_coprime_pairs(support_arrays(_resonator_on(primes), cap))
+        m.setattr(resonator, "_SIDE", side)
+        sup = support_arrays(_resonator_on(primes), cap)
+        _assert_coprime_pairs(sup, data.draw(st.one_of(st.none(), st.integers(0, len(sup.ns)))))
 
 
 @pytest.mark.parametrize(
@@ -216,12 +232,27 @@ def test_coprime_pairs_match_gcd_pairs_property(primes, cap, block):
 )
 def test_coprime_pairs_edge_cases(res, cap, count):
     sup = support_arrays(res, cap)
-    _assert_coprime_pairs(sup)
-    i, j = sup.coprime_pairs()
+    pairs = _assert_coprime_pairs(sup)
     if count is not None:
-        assert 2 * len(i) - (len(i) > 0) == count
+        assert 2 * len(pairs) - (len(pairs) > 0) == count
     else:
         assert sup.masks.shape[1] == 2 and any(n % 313 == 0 for n in sup.ns.tolist())
+
+
+def test_support_build_peak_memory():
+    # The support <= X of `certify --n 1e7 --c 3` (X = N^2): the build peaks
+    # below 2.5 times the arrays it returns.
+    x = 1e14
+    res = build_resonator(x, TABLE)
+    tracemalloc.start()
+    try:
+        sup = support_arrays(res, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sup.ns.nbytes + sup.masks.nbytes + sup.r.nbytes + sup.t.nbytes
+    assert len(sup.ns) > 10**5
+    assert peak < 2.5 * held, (peak, held)
 
 
 def test_sums_on_empty_support():
