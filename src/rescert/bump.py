@@ -43,6 +43,13 @@ until the GaussLegendre.estimate_error extrapolation, with its two
 logarithms taken in float (_estimate_error), is at most eps/8 for both
 pieces, mpmath.quad's stopping rule, and a pair that has not got there
 at the top degree raises QuadratureError.
+
+mpmath serves only this 50-digit path, so it is imported on the first
+deep transform of a process, not with this module: importing rescert and
+every CLI command leave it unloaded.  The deep functions bind its names
+once per call, outside the node loop (_psi_fixed gets exp_fixed from its
+caller), and the Gauss-Legendre rule with its node cache is one instance,
+built on the first deep call and kept for the process (_gauss_legendre).
 """
 
 from __future__ import annotations
@@ -51,11 +58,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
-from mpmath.calculus.quadrature import GaussLegendre
-from mpmath.libmp import mpc_abs, to_fixed
-from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .errors import QuadratureError
 from .quadrature import adaptive_oscillatory, composite_gl_phased
@@ -65,8 +68,6 @@ DEFAULT_TOLERANCE = 1e-12
 # rounding noise of the O(1) integrand, not by the true value.
 DEEP_THRESHOLD = 1e-12
 DEEP_DPS = 50
-# Node tables of the 50-digit ramp rule, cached per (degree, precision).
-_GAUSS_LEGENDRE = GaussLegendre(mpmath.mp)
 _LOG10_2 = math.log10(2)
 
 
@@ -83,12 +84,24 @@ def _psi_vec(s: np.ndarray) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-def _psi_fixed(s: int, prec: int, ln2: int) -> int:
+@functools.cache
+def _gauss_legendre():
+    """mpmath's Gauss-Legendre rule of the 50-digit path, which caches its node
+    tables per (degree, precision): built on the first deep call, kept for the
+    process."""
+    import mpmath
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    return GaussLegendre(mpmath.mp)
+
+
+def _psi_fixed(s: int, prec: int, ln2: int, exp_fixed) -> int:
     """psi at s * 2^-prec in (0, 1), as an integer scaled by 2^prec.
 
     x = 1/s - 1/(1 - s) takes two floor divisions and psi = 1/(1 + e^x) a third,
-    with e^x from exp_fixed (ln2 = ln2_fixed(prec)).  Past |x| > (prec + 8) ln 2,
-    psi is within 2^-(prec+8) of 0 (x > 0) or 1 (x < 0) and returns that end.
+    with e^x from mpmath.libmp's exp_fixed, passed in (ln2 = ln2_fixed(prec)).
+    Past |x| > (prec + 8) ln 2, psi is within 2^-(prec+8) of 0 (x > 0) or 1
+    (x < 0) and returns that end.
     Each floor costs under one unit of 2^-prec, exp_fixed a few units relative
     to e^x, and |d psi / d ln e^x| <= 1/4, so the result is within a few units
     of 2^-prec of psi at the represented s.
@@ -106,6 +119,8 @@ def _psi_fixed(s: int, prec: int, ln2: int) -> int:
 def _log10_abs(z) -> float:
     # log10|z| in float, from the mantissa and exponent of |z| rounded to 53 bits;
     # -inf at z = 0, where mpmath's log10 gives -inf too.
+    from mpmath.libmp import mpc_abs
+
     _, man, exp, _ = mpc_abs(z._mpc_, 53)
     return math.log10(man) + exp * _LOG10_2 if man else -math.inf
 
@@ -120,6 +135,8 @@ def _estimate_error(results, prec):
     estimate, and the stopping decision, changes only where D4 lies within
     float rounding of an integer.
     """
+    import mpmath
+
     if len(results) == 2:
         return abs(results[0] - results[1])
     if results[-1] == results[-2] == results[-3]:
@@ -149,9 +166,14 @@ def _folded_ramp_mp(lam):
     pair at its last degree, to be compared with eps/8 at the working
     precision.
     """
+    import mpmath
+    from mpmath.libmp import to_fixed
+    from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
+
+    gauss_legendre = _gauss_legendre()
     prec = mpmath.mp.prec
     eps = mpmath.mp.eps / 8
-    top = _GAUSS_LEGENDRE.guess_degree(prec)
+    top = gauss_legendre.guess_degree(prec)
     pieces = max(4, int(mpmath.ceil(abs(lam) / mpmath.pi)) + 1)
     fixed = prec + 20
     ln2 = ln2_fixed(fixed)
@@ -165,7 +187,7 @@ def _folded_ramp_mp(lam):
             # to psi = 1) times 2^(2 fixed).
             if degree not in degrees:
                 offsets, re, im = [], [], []
-                for x, weight in _GAUSS_LEGENDRE.get_nodes(-1, 1, degree, prec):
+                for x, weight in gauss_legendre.get_nodes(-1, 1, degree, prec):
                     u = h * (1 + x) / 2
                     factor = h / 2 * weight * mpmath.expj(-lam * u)
                     offsets.append(to_fixed(u._mpf_, fixed))
@@ -190,7 +212,7 @@ def _folded_ramp_mp(lam):
                 offsets, re, im, ones_re, ones_im = node_factors(degree)
                 dot_re = dot_im = 0
                 for u, a, b in zip(offsets, re, im):
-                    p = _psi_fixed(start + u, fixed, ln2)
+                    p = _psi_fixed(start + u, fixed, ln2, exp_fixed)
                     dot_re += p * a
                     dot_im += p * b
                 here.append(phase * to_mpc(dot_re, dot_im))
@@ -321,6 +343,8 @@ class Bump:
                 eps/8 at the top degree.  `achieved_error` is the largest
                 such estimate (of C) and `value` the unconverged transform.
         """
+        import mpmath
+
         with mpmath.workdps(DEEP_DPS):
             mxi = mpmath.mpf(xi)
             w_mp = mpmath.mpf(self.ramp_width)

@@ -910,15 +910,34 @@ def ratio_and_bounds(
             pass
     flags["diag_sum_truncated"] = diag is None
     if diag is None:
-        g_cap = x
-        while diag is None:
-            g_cap /= 16.0
+        # The first g_cap = X/16^k, k >= 1, whose diagonal fits the budget.  A
+        # smaller cap shrinks the support and the pair count, so success is
+        # monotone in k and a bisection finds that k; k_max, the first k with
+        # g_cap < 1, is the last try, and its error propagates.
+        k_max = 1
+        while math.ldexp(x, -4 * k_max) >= 1.0:
+            k_max += 1
+
+        def diagonal_at(k: int) -> float | None:
+            g_cap = math.ldexp(x, -4 * k)
             try:
-                diag = _window_diagonal(support_upto(g_cap), n_max, x, budget, g_cap)
+                return _window_diagonal(support_upto(g_cap), n_max, x, budget, g_cap)
             except ResourceLimitError:
-                if g_cap < 1.0:
+                if k == k_max:
                     raise
-        flags["diag_g_cap"] = g_cap
+                return None
+
+        lo, hi = 0, k_max  # k = lo fails (or is 0); the first success is in (lo, hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            found = diagonal_at(mid)
+            if found is None:
+                lo = mid
+            else:
+                hi, diag = mid, found
+        if diag is None:
+            diag = diagonal_at(hi)
+        flags["diag_g_cap"] = math.ldexp(x, -4 * hi)
 
     ratio = diag / (n_max * r2_denominator)
     lower_bound = math.sqrt(max(0.0, ratio))

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+import shlex
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from mpmath.libmp.libelefun import ln2_fixed
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 import rescert.bump as bump_mod
 from rescert.bump import Bump, decay_constant, default_bump, phi, phi_hat
@@ -262,7 +269,7 @@ def test_deep_transform_makes_no_mpmath_quad_call(monkeypatch):
 
 def test_transform_mp_raises_when_a_pair_does_not_converge(monkeypatch):
     # Degrees 1 and 2 (3 and 6 nodes a piece) leave every pair above eps.
-    monkeypatch.setattr(bump_mod._GAUSS_LEGENDRE, "guess_degree", lambda prec: 2)
+    monkeypatch.setattr(bump_mod._gauss_legendre(), "guess_degree", lambda prec: 2)
     b = Bump()
     with pytest.raises(QuadratureError, match="did not converge") as info:
         b.transform(2560.0, deep=True)
@@ -278,11 +285,71 @@ def test_transform_mp_restores_precision(monkeypatch):
     Bump()._transform_mp(2560.0)
     assert mpmath.mp.dps == before
     # A one-degree cap leaves no error estimate at all, which also raises.
-    monkeypatch.setattr(bump_mod._GAUSS_LEGENDRE, "guess_degree", lambda p: 1)
+    monkeypatch.setattr(bump_mod._gauss_legendre(), "guess_degree", lambda p: 1)
     with pytest.raises(QuadratureError):
         Bump()._transform_mp(2560.0)
     assert mpmath.mp.prec == prec
     assert mpmath.mp.dps == before
+
+
+def _fresh_python(code: str):
+    """Run `code` in a new interpreter with this package on its path and
+    return the JSON value it prints last."""
+    src = str(Path(bump_mod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _readme_commands() -> list[list[str]]:
+    """The `rescert ...` lines of README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("rescert ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_imports_and_readme_commands_leave_mpmath_unloaded():
+    # mpmath serves only the 50-digit transform, which no CLI path reaches.
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    loaded, codes = _fresh_python(f"""
+        import contextlib, io, json, sys
+        loaded, codes = {{}}, {{}}
+        import rescert
+        loaded["import rescert"] = "mpmath" in sys.modules
+        import rescert.cli, rescert.oracle
+        loaded["import rescert.cli, rescert.oracle"] = "mpmath" in sys.modules
+        for argv in {commands!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes[" ".join(argv)] = rescert.cli.main(argv)
+            loaded[" ".join(argv)] = "mpmath" in sys.modules
+        rescert.Bump().transform(2560.0, deep=True)
+        loaded["deep transform"] = "mpmath" in sys.modules
+        print(json.dumps([loaded, codes]))
+    """)
+    assert codes == dict.fromkeys(codes, 0) and len(codes) == len(commands)
+    assert loaded.pop("deep transform") is True
+    assert loaded == dict.fromkeys(loaded, False)
+
+
+def test_cold_deep_transform_is_the_pinned_value():
+    # The first deep transform of a process imports mpmath and builds the node
+    # cache; its value is the warm one to the bit, at mpmath's default precision.
+    got = _fresh_python("""
+        import json, sys
+        from rescert.bump import Bump
+        loaded = "mpmath" in sys.modules
+        v = Bump().transform(2560.0, deep=True)
+        import mpmath
+        print(json.dumps([loaded, v.real.hex(), v.imag.hex(), mpmath.mp.dps, mpmath.mp.prec]))
+    """)
+    ref = DEEP_REFERENCE[2560.0]
+    assert got == [False, ref.real.hex(), ref.imag.hex(), 15, 53]
 
 
 # _transform_mp at ramp width 1/8, as complex128, re-derived in
@@ -329,14 +396,14 @@ def test_psi_fixed_matches_50_digit_psi():
     points += near_end + [one - p for p in near_end] + near_cut + [one - p for p in near_cut]
     branches = {0: 0, one: 0}
     for s in points:
-        got = bump_mod._psi_fixed(s, fixed, ln2)
+        got = bump_mod._psi_fixed(s, fixed, ln2, exp_fixed)
         if got in branches:
             branches[got] += 1
         with mpmath.workprec(2 * fixed):
             err = abs(mpmath.mpf((got, -fixed)) - _psi_deep(mpmath.mpf((s, -fixed))))
         assert err <= mpmath.mpf(2) ** -prec, s
     assert branches[0] > 0 and branches[one] > 0
-    assert bump_mod._psi_fixed(one // 2, fixed, ln2) == one // 2
+    assert bump_mod._psi_fixed(one // 2, fixed, ln2, exp_fixed) == one // 2
 
 
 def test_float_log_estimate_makes_mpmath_stopping_decisions(monkeypatch):
@@ -347,7 +414,7 @@ def test_float_log_estimate_makes_mpmath_stopping_decisions(monkeypatch):
     def both(results, prec):
         eps = mpmath.mpf(2) ** (1 - prec) / 8  # mp.eps / 8 at the rule's precision
         got = ours(results, prec)
-        want = bump_mod._GAUSS_LEGENDRE.estimate_error(results, prec, eps)
+        want = bump_mod._gauss_legendre().estimate_error(results, prec, eps)
         calls.append((len(results), got <= eps, want <= eps))
         return got
 

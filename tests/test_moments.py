@@ -460,6 +460,51 @@ def test_certify_budget_fallbacks_pinned(tmp_path, budget, sums_cut, diag_cut, g
     assert report["ratio"] == pytest.approx(ratio, rel=1e-12)
 
 
+def test_diag_g_cap_is_bisected(monkeypatch, tmp_path):
+    # X = 1e40 and a support over budget: each try at g_cap = X/16^k builds the
+    # support <= g_cap, for k up to k_max = 34 (the first cap below 1), and the
+    # first to fit is k = 28.  Trying the caps in turn took 28 builds; a
+    # bisection takes at most ceil(log2 34) + 1.
+    built = []
+    real = moments.support_arrays
+
+    def counted(res, cap, budget):
+        built.append(cap)
+        return real(res, cap, budget)
+
+    monkeypatch.setattr(moments, "support_arrays", counted)
+    out = tmp_path / "out.json"
+    argv = ["certify", "--n", "10", "--t", "1e60", "--budget-terms", "100000"]
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    x = report["x"]
+    k_max = next(k for k in range(1, 100) if x / 16.0**k < 1.0)
+    assert k_max == 34
+    g_caps = {x / 16.0**k for k in range(1, k_max + 1)}
+    caps = [cap for cap in built if cap in g_caps]
+    assert report["flags"]["diag_g_cap"] == x / 16.0**28
+    assert report["flags"]["diag_g_cap"] in caps
+    assert len(caps) <= math.ceil(math.log2(k_max)) + 1
+
+
+def test_diag_g_cap_raises_the_last_caps_error(monkeypatch):
+    # When no cap fits, the error is the one of the first cap below 1,
+    # X/16^8 at X = e^20, as when the caps were tried in turn.
+    tried = []
+
+    def refuse(sup, n_max, x, budget, g_cap=None):
+        tried.append(g_cap)
+        raise ResourceLimitError(f"g_cap {g_cap!r}", needed=1, budget=0)
+
+    monkeypatch.setattr(moments, "_window_diagonal", refuse)
+    with pytest.raises(ResourceLimitError) as info:
+        ratio_and_bounds(RES20, None, 3, 1e4, 0.5, 0.5, TABLE, exact_mode="never")
+    assert RES20.x / 16.0**7 >= 1.0 > RES20.x / 16.0**8
+    assert str(info.value) == f"g_cap {RES20.x / 16.0**8!r}"
+    assert tried[0] is None  # the uncapped diagonal
+    assert len(tried[1:]) <= math.ceil(math.log2(8)) + 1
+
+
 @pytest.mark.parametrize(
     "res, n_max, t_bound",
     [(build_resonator(1e12, TABLE), 10_000, 1e12), (RES20, 3, 1e4)],  # the second is tiny
