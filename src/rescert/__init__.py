@@ -10,14 +10,13 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .bump import Bump, default_bump, phi, phi_hat, decay_constant
+from .bump import Bump, default_bump, decay_constant
 from .dirichlet import SearchResult, eval_DN, eval_R, grid_sup, resonance_guided_search
 from .errors import QuadratureError, ResourceLimitError
 from .moments import (
     MomentReport,
     alpha_shift_error_term,
     balanced_pair_bound_check,
-    diagonal_lower_bound,
     diagonal_sum,
     growth_bound_from_n,
     growth_bound_from_t,
@@ -36,7 +35,6 @@ from .multfn import (
     UnimodularCMF,
     archimedean_cmf,
     constant_one,
-    eval_cmf,
     steinhaus_sample,
     values_up_to,
 )
@@ -67,8 +65,6 @@ __all__ = [
     "__version__",
     "Bump",
     "default_bump",
-    "phi",
-    "phi_hat",
     "decay_constant",
     "SearchResult",
     "eval_DN",
@@ -80,7 +76,6 @@ __all__ = [
     "MomentReport",
     "alpha_shift_error_term",
     "balanced_pair_bound_check",
-    "diagonal_lower_bound",
     "diagonal_sum",
     "growth_bound_from_n",
     "growth_bound_from_t",
@@ -97,7 +92,6 @@ __all__ = [
     "UnimodularCMF",
     "archimedean_cmf",
     "constant_one",
-    "eval_cmf",
     "steinhaus_sample",
     "values_up_to",
     "FactorTable",

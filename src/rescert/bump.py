@@ -1,8 +1,9 @@
 """Smooth bump window and its Fourier transform.
 
-The window is supported in [1/2, 1], equals 1 on the plateau
-[1/2 + w, 1 - w] (default ramp width w = 1/8, so plateau [5/8, 7/8]),
-and climbs each ramp through the standard smooth partition function
+The window is fixed: supported in [1/2, 1], equal to 1 on the plateau
+[1/2 + w, 1 - w] with ramp width w = RAMP_WIDTH = 1/8 (plateau
+[5/8, 7/8]), and climbing each ramp through the standard smooth
+partition function
 
     psi(s) = sigma(s) / (sigma(s) + sigma(1 - s)),   sigma(s) = exp(-1/s)
 
@@ -17,12 +18,13 @@ x = 1 - w*s on the down-ramp fold both ramps into
 
 In float64, C goes through adaptive Gauss-Legendre quadrature with the
 level rule quadrature.composite_gl_phased, which factors each node's
-phase into a per-node and a per-panel exponential.  Transform values are
-memoized on xi rounded to 12 significant digits.  Oscillatory
-cancellation pushes genuine transform values below double precision
-noise (~1e-16) for large |xi|; callers that need trustworthy relative
-magnitudes out there (decay diagnostics) request deep=True, which
-re-evaluates those points in 50-digit arithmetic.
+phase into a per-node and a per-panel exponential, to absolute error
+TOLERANCE = 1e-12.  Transform values are memoized on xi rounded to 12
+significant digits.  Oscillatory cancellation pushes genuine transform
+values below double precision noise (~1e-16) for large |xi|; callers
+that need trustworthy relative magnitudes out there (decay diagnostics)
+request deep=True, which re-evaluates those points in 50-digit
+arithmetic.  Window values, at one point or many, come from phi_vec.
 
 The 50-digit path integrates the same C with its own composite
 Gauss-Legendre rule on P equal pieces between half-cycle breakpoints of
@@ -63,7 +65,9 @@ import numpy as np
 from .errors import QuadratureError
 from .quadrature import adaptive_oscillatory, composite_gl_phased
 
-DEFAULT_TOLERANCE = 1e-12
+# The window's ramp width and the float transform's absolute error bound.
+RAMP_WIDTH = 0.125
+TOLERANCE = 1e-12
 # Below this magnitude a float64 quadrature result is dominated by
 # rounding noise of the O(1) integrand, not by the true value.
 DEEP_THRESHOLD = 1e-12
@@ -232,15 +236,9 @@ def _folded_ramp_mp(lam):
 
 @dataclass
 class Bump:
-    ramp_width: float = 0.125
-    tolerance: float = DEFAULT_TOLERANCE
-    _memo: dict[str, tuple[complex, bool]] = field(default_factory=dict, repr=False)
+    """The fixed window (module docstring) and its memoized transform."""
 
-    def __post_init__(self):
-        if not 0.0 < self.ramp_width <= 0.25:
-            raise ValueError("ramp width must lie in (0, 1/4]")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
+    _memo: dict[str, tuple[complex, bool]] = field(default_factory=dict, repr=False)
 
     # Ramp boundaries.
     @property
@@ -249,24 +247,20 @@ class Bump:
 
     @property
     def plateau_lo(self) -> float:
-        return 0.5 + self.ramp_width
+        return 0.5 + RAMP_WIDTH
 
     @property
     def plateau_hi(self) -> float:
-        return 1.0 - self.ramp_width
+        return 1.0 - RAMP_WIDTH
 
     @property
     def hi(self) -> float:
         return 1.0
 
-    def phi(self, y: float) -> float:
-        """Window value at a single point: phi_vec at [y]."""
-        return float(self.phi_vec([y])[0])
-
     def phi_vec(self, y: np.ndarray) -> np.ndarray:
         """Vectorized window values."""
         y = np.asarray(y, dtype=np.float64)
-        w = self.ramp_width
+        w = RAMP_WIDTH
         out = np.zeros_like(y)
         plateau = (y >= 0.5 + w) & (y <= 1.0 - w)
         out[plateau] = 1.0
@@ -277,7 +271,7 @@ class Bump:
         return out
 
     def transform(self, xi: float, deep: bool = False) -> complex:
-        """phi_hat(xi) with absolute error <= self.tolerance.
+        """phi_hat(xi) with absolute error <= TOLERANCE.
 
         With deep=True, values whose float64 magnitude falls below the
         noise threshold are recomputed in high precision so that their
@@ -313,9 +307,9 @@ class Bump:
         (module docstring), C by one adaptive integral under
         composite_gl_phased.
         An error d in C moves the ramps by at most 2w|d|, so C's budget
-        0.45 * tolerance / w keeps the ramps within 0.9 * tolerance.
+        0.45 * TOLERANCE / w keeps the ramps within 0.9 * TOLERANCE.
         """
-        w = self.ramp_width
+        w = RAMP_WIDTH
         p_lo, p_hi = self.plateau_lo, self.plateau_hi
         if xi == 0.0:
             plateau = p_hi - p_lo
@@ -326,7 +320,7 @@ class Bump:
             ) / (1j * xi)
         c, _ = adaptive_oscillatory(
             (_psi_vec, xi * w), 0.0, 1.0, max_freq=abs(xi) * w,
-            abs_tol=0.45 * self.tolerance / w, rel_tol=0.0, rule=composite_gl_phased,
+            abs_tol=0.45 * TOLERANCE / w, rel_tol=0.0, rule=composite_gl_phased,
         )
         ramps = w * (np.exp(-0.5j * xi) * c + np.exp(-1j * xi) * c.conjugate())
         return complex(plateau + ramps)
@@ -347,7 +341,7 @@ class Bump:
 
         with mpmath.workdps(DEEP_DPS):
             mxi = mpmath.mpf(xi)
-            w_mp = mpmath.mpf(self.ramp_width)
+            w_mp = mpmath.mpf(RAMP_WIDTH)
             p_lo = mpmath.mpf("0.5") + w_mp
             p_hi = 1 - w_mp
 
@@ -375,14 +369,6 @@ class Bump:
 def default_bump() -> Bump:
     """The fixed window every moment and report uses (ramp width 1/8)."""
     return Bump()
-
-
-def phi(b: Bump, y: float) -> float:
-    return b.phi(y)
-
-
-def phi_hat(b: Bump, xi: float, deep: bool = False) -> complex:
-    return b.transform(xi, deep=deep)
 
 
 def decay_constant(b: Bump, nu: int, xi_grid) -> float:

@@ -311,7 +311,8 @@ def cmd_resonator(cfg: RunConfig) -> int:
         x = float(cfg.x)
     else:
         x = cfg.resolve_x(cfg.resolve_t())
-    table = _build_table(cfg, x)
+    # The summary evaluates no f(n): the table need only cover the prime window.
+    table = _build_table(cfg, x, cover_n=False)
     res = _resonator_for(cfg, x, table)
     rep = {
         "x": res.x,

@@ -49,7 +49,6 @@ from .ntcore import FactorTable
 from .quadrature import adaptive_oscillatory, composite_gl_grid
 from .resonator import (
     _SIDE,
-    DEFAULT_ENUM_BUDGET,
     Resonator,
     SupportArrays,
     SupportElement,
@@ -241,20 +240,15 @@ def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
     return math.fsum(chain.from_iterable(doubled()))
 
 
-def _dense_diagonal(
-    toy, n_max: int, x: float, budget: int, g_cap: float | None, lower: bool
-) -> float:
-    """The diagonal sums of a dense test resonator (`.value(n)` and a
+def _dense_diagonal(toy, n_max: int, x: float, budget: int) -> float:
+    """diagonal_sum for a dense test resonator (`.value(n)` and a
     `squarefree_supported` flag).
 
     Enumerates (a', b', g) with a', b' <= z = min(N, X) coprime, in the
-    order of a' then b', and 1 <= g <= X/max(a',b') (and <= g_cap).  With
-    lower=False the term is floor(N/max) r(a'g) r(b'g) (diagonal_sum);
-    with lower=True it is floor(N/max) r(a') r(b') r(g)^2 when
-    gcd(g, a'b') = 1 and nothing otherwise (diagonal_lower_bound).  When
-    r is declared squarefree-supported, pairs with r(a') = 0 or r(b') = 0
-    are skipped, and a nonzero r(a'g) r(b'g) with gcd(g, a'b') > 1 fails
-    the declaration.
+    order of a' then b', and 1 <= g <= X/max(a',b'); the term is
+    floor(N/max) r(a'g) r(b'g).  When r is declared squarefree-supported,
+    pairs with r(a') = 0 or r(b') = 0 are skipped, and a nonzero
+    r(a'g) r(b'g) with gcd(g, a'b') > 1 fails the declaration.
 
     Rows a' go in blocks of about _BLOCK pairs plus (a', b', g) entries,
     counted from the g-ranges before the coprime filter; a single row over
@@ -268,8 +262,6 @@ def _dense_diagonal(
     z = min(n_max, x_int)
     ks = np.arange(1, z + 1)
     g_hi = np.floor(x / ks).astype(np.int64)
-    if g_cap is not None:
-        g_hi = np.minimum(g_hi, max(0, min(math.floor(g_cap), x_int)))
     # The rows and columns a', b' of the pair grid.
     cand = ks[r[1 : z + 1] != 0.0] if flagged else ks
     # Row a' spans at most z pairs and sum_b g_hi[max(a', b')] entries.
@@ -299,11 +291,6 @@ def _dense_diagonal(
             g = np.arange(1, total + 1) - np.repeat(np.cumsum(cnt) - cnt, cnt)
             a, b = np.repeat(a, cnt), np.repeat(b, cnt)
             weight = np.repeat((n_max // mx).astype(np.float64), cnt)
-            if lower:
-                ok = np.gcd(g, a * b) == 1
-                rg = r[g[ok]]
-                yield weight[ok] * r[a[ok]] * r[b[ok]] * (rg * rg)
-                continue
             v = r[a * g] * r[b * g]
             if flagged:
                 bad = np.flatnonzero((v != 0.0) & (np.gcd(g, a * b) != 1))
@@ -379,17 +366,19 @@ def _inner_sums(
     return (acc[0] + acc[1] * 2.0**-_LIMB) / scale
 
 
-def _window_diagonal(
-    sup: SupportArrays, n_max: int, x: float, budget: int, g_cap: float | None = None
-) -> float:
-    """diagonal_sum for a window resonator whose support <= min(X, g_cap)
-    is `sup`, over the coprime pairs of its elements <= min(N, X).
+def _window_diagonal(sup: SupportArrays, n_max: int, x: float, budget: int) -> float:
+    """diagonal_sum for a window resonator over the support `sup`, a
+    prefix of the support <= X, and the coprime pairs of its elements
+    <= min(N, X).
 
     r is multiplicative on squarefree support, so the term of a pair
     (a', b') with larger element b' = n_k is floor(N/n_k) r(b') r(a')
     times INNER, the sum of r(g)^2 over the first len_k elements g of sup
-    (those <= min(X/n_k, g_cap)) coprime to a'b'.  len_k does not increase
-    with k, and one searchsorted gives all of them.
+    (those <= X/n_k) coprime to a'b'.  len_k does not increase with k,
+    and one searchsorted gives all of them.  With sup the support
+    <= g_cap < X, this is the diagonal with every g-range and every pair
+    element cut at g_cap, a lower bound of the full one (ratio_and_bounds'
+    fallback).
 
     The pairs come as the tiles of SupportArrays.coprime_tiles, and every
     tile's INNER comes from a tiled dense product (_inner_sums) that
@@ -427,8 +416,6 @@ def _window_diagonal(
         return 0.0
     ns = sup.ns
     cap = x / ns[:count]
-    if g_cap is not None:
-        cap = np.minimum(cap, g_cap)
     lens = np.full(count, len(ns))
     short = cap < ns[-1]
     lens[short] = np.searchsorted(ns, np.floor(cap[short]).astype(np.int64), side="right")
@@ -447,7 +434,6 @@ def diagonal_sum(
     x: float,
     table: FactorTable,
     budget: int = DEFAULT_TERM_BUDGET,
-    g_cap: float | None = None,
 ) -> float:
     """sum of r(a) r(b) over m, n <= N and support a, b <= X with ma = nb.
 
@@ -457,13 +443,14 @@ def diagonal_sum(
 
     Accepts either a window resonator or any object with a dense
     `.value(n)` map and a `squarefree_supported` flag (the test-resonator
-    protocol).  `g_cap` truncates every inner g-range; the result is then
-    a certified lower bound of the full sum.
+    protocol).  `table` is not read.  The sum is always the full one; the
+    g-capped lower bound that a certificate falls back to over budget is
+    ratio_and_bounds' own (its `diag_g_cap` flag).
 
-    For a window resonator the support <= min(X, g_cap) is built once
-    into arrays, and _window_diagonal streams the coprime pairs of its
-    elements <= min(N, X) as tiles (SupportArrays.coprime_tiles), holding
-    no pair list; the budget bounds both the support and the ordered
+    For a window resonator the support <= X is built once into arrays,
+    and _window_diagonal streams the coprime pairs of its elements
+    <= min(N, X) as tiles (SupportArrays.coprime_tiles), holding no pair
+    list; the budget bounds both the support and the ordered
     coprime pairs.  Its inner g-sums come from one tiled dense product
     whose tiles have at most _TILE entries each (at most a dozen held at
     once, 3 MiB); each inner sum of |G| terms is within
@@ -489,36 +476,8 @@ def diagonal_sum(
     if x < 1.0:
         raise ValueError("X must be >= 1")
     if isinstance(res, Resonator):
-        sup = support_arrays(res, x if g_cap is None else min(x, g_cap), budget)
-        return _window_diagonal(sup, n_max, x, budget, g_cap)
-
-    return _dense_diagonal(res, n_max, x, budget, g_cap, lower=False)
-
-
-def diagonal_lower_bound(
-    res,
-    n_max: int,
-    x: float,
-    table: FactorTable,
-    budget: int = DEFAULT_TERM_BUDGET,
-) -> float:
-    """The coprime-restricted diagonal sum
-
-        sum_{(a',b')=1, a',b' <= min(N,X)} r(a') r(b') floor(N/max)
-            * sum_{g <= X/max, (g, a'b')=1} r(g)^2.
-
-    Never exceeds diagonal_sum; coincides with it whenever r is
-    squarefree-supported (the restriction only drops zero terms then).
-
-    A window resonator is squarefree-supported, so this is diagonal_sum.
-    A test resonator goes through diagonal_sum's blocked kernel, which
-    sums all terms into one correctly rounded sum; the budget counts the
-    same (a', b', g) entries as there, and `needed` on ResourceLimitError
-    is the count up to the end of the block that crossed the budget.
-    """
-    if isinstance(res, Resonator):
-        return diagonal_sum(res, n_max, x, table, budget)
-    return _dense_diagonal(res, n_max, x, budget, None, lower=True)
+        return _window_diagonal(support_arrays(res, x, budget), n_max, x, budget)
+    return _dense_diagonal(res, n_max, x, budget)
 
 
 def min_offdiag_gap(n_max: int, x_int: int) -> float:
@@ -562,14 +521,7 @@ def _sum_r_with_fallback(res: Resonator, sup: SupportArrays | None) -> tuple[flo
 
 
 def offdiag_bound(
-    res: Resonator,
-    n_max: int,
-    x: float,
-    t_bound: float,
-    nu: int,
-    table: FactorTable,
-    c_nu: float | None = None,
-    sum_r: float | None = None,
+    n_max: int, x: float, t_bound: float, nu: int, *, c_nu: float, sum_r: float
 ) -> float:
     """Envelope for all off-diagonal M2 terms:
 
@@ -579,26 +531,11 @@ def offdiag_bound(
     C_nu comes from the decay grid, so the constant is empirical, not
     proven.
     """
-    if c_nu is None:
-        c_nu = decay_constant(default_bump(), nu, DEFAULT_DECAY_GRID)
-    if sum_r is None:
-        sum_r, _ = _sum_r_with_fallback(res, _support_within_budget(res, x, DEFAULT_ENUM_BUDGET))
     return (t_bound / n_max) * n_max**2 * sum_r**2 * c_nu * (t_bound / (n_max * x)) ** (-nu)
 
 
-def m1_offdiag_bound(
-    res: Resonator,
-    x: float,
-    t_bound: float,
-    nu: int,
-    c_nu: float | None = None,
-    sum_r: float | None = None,
-) -> float:
+def m1_offdiag_bound(x: float, t_bound: float, nu: int, *, c_nu: float, sum_r: float) -> float:
     """Envelope for off-diagonal M1 terms: T (sum r)^2 C_nu (T/X)^{-nu}."""
-    if c_nu is None:
-        c_nu = decay_constant(default_bump(), nu, DEFAULT_DECAY_GRID)
-    if sum_r is None:
-        sum_r, _ = _sum_r_with_fallback(res, _support_within_budget(res, x, DEFAULT_ENUM_BUDGET))
     return t_bound * sum_r**2 * c_nu * (t_bound / x) ** (-nu)
 
 
@@ -921,7 +858,7 @@ def ratio_and_bounds(
         def diagonal_at(k: int) -> float | None:
             g_cap = math.ldexp(x, -4 * k)
             try:
-                return _window_diagonal(support_upto(g_cap), n_max, x, budget, g_cap)
+                return _window_diagonal(support_upto(g_cap), n_max, x, budget)
             except ResourceLimitError:
                 if k == k_max:
                     raise
@@ -944,8 +881,8 @@ def ratio_and_bounds(
 
     c_nu = decay_constant(default_bump(), nu, DEFAULT_DECAY_GRID)
     sum_r, flags["sum_r_truncated"] = _sum_r_with_fallback(res, sup)
-    od2 = offdiag_bound(res, n_max, x, t_bound, nu, table, c_nu=c_nu, sum_r=sum_r)
-    od1 = m1_offdiag_bound(res, x, t_bound, nu, c_nu=c_nu, sum_r=sum_r)
+    od2 = offdiag_bound(n_max, x, t_bound, nu, c_nu=c_nu, sum_r=sum_r)
+    od1 = m1_offdiag_bound(x, t_bound, nu, c_nu=c_nu, sum_r=sum_r)
     phi0 = default_bump().transform(0.0).real
     m1_diag = t_bound * phi0 * r2_denominator
     m2_diag = (t_bound / n_max) * phi0 * diag

@@ -80,13 +80,6 @@ class UnimodularCMF:
             out *= self.prime_value(p) ** e
         return out
 
-    def label(self) -> str:
-        if self.kind == KIND_ONE:
-            return "one"
-        if self.kind == KIND_ARCHIMEDEAN:
-            return f"archimedean({self.alpha!r})"
-        return f"steinhaus(seed={self.seed})"
-
 
 def constant_one() -> UnimodularCMF:
     return UnimodularCMF(kind=KIND_ONE)
@@ -98,10 +91,6 @@ def archimedean_cmf(alpha: float) -> UnimodularCMF:
 
 def steinhaus_sample(seed: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> UnimodularCMF:
     return UnimodularCMF(kind=KIND_STEINHAUS, seed=int(seed), prime_limit=prime_limit)
-
-
-def eval_cmf(f: UnimodularCMF, n: int, table: FactorTable) -> complex:
-    return f.value(n, table)
 
 
 def values_up_to(f: UnimodularCMF, n_max: int, table: FactorTable) -> np.ndarray:

@@ -95,10 +95,6 @@ def primes_in(lo: float, hi: float, table: FactorTable) -> list[int]:
     return [int(p) for p in window[mask]]
 
 
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
 def is_squarefree(n: int, table: FactorTable) -> bool:
     table._check_range(n)
     spf = table.spf

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multfn import UnimodularCMF, values_up_to
-from .ntcore import FactorTable, gcd
+from .ntcore import FactorTable
 from .resonator import Resonator, support_elements
 
 BRUTE_FORCE_CAP = 10_000  # max N * X any brute-force enumeration accepts
@@ -54,7 +54,7 @@ class ToyResonator:
         """True iff r(mn) = r(m) r(n) for all coprime m, n with mn <= limit."""
         for m in range(1, limit + 1):
             for n in range(1, limit // m + 1):
-                if gcd(m, n) == 1:
+                if math.gcd(m, n) == 1:
                     if not math.isclose(
                         self.value(m * n),
                         self.value(m) * self.value(n),
@@ -165,7 +165,7 @@ def parametrization_bijection_check(n_max: int, x_int: int) -> bool:
     z = min(n_max, x_int)
     for ap in range(1, z + 1):
         for bp in range(1, z + 1):
-            if gcd(ap, bp) != 1:
+            if math.gcd(ap, bp) != 1:
                 continue
             mx = max(ap, bp)
             for g in range(1, x_int // mx + 1):

@@ -7,7 +7,9 @@ import os
 
 import pytest
 
+from rescert import cli
 from rescert.cli import RunConfig, build_parser, main
+from rescert.resonator import window_bounds
 
 
 def run(tmp_path, *args, name="out.json"):
@@ -208,6 +210,23 @@ def test_resonator_summary(tmp_path):
     assert report["primes_head"] == [61]
     assert report["lam"] == pytest.approx(7.740455120409899, rel=1e-12)
     assert not report["is_degenerate"]
+
+
+def test_resonator_summary_sieves_only_the_prime_window(tmp_path, monkeypatch):
+    # The summary evaluates no f(n), so its factor table covers the prime window
+    # of X (at least 1024 entries), not the integers up to N = 1e8.
+    limits = []
+    real = cli.build_factor_table
+
+    def recorded(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(cli, "build_factor_table", recorded)
+    report = run(tmp_path, "resonator", "--n", "100000000", "--c", "3")["report"]
+    _, hi = window_bounds(report["x"])
+    assert report["window_hi"] == hi
+    assert limits == [max(1024, math.ceil(hi) + 16)]
 
 
 def test_config_file_merge_and_override(tmp_path):

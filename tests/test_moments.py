@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescert import moments
-from rescert.bump import decay_constant, default_bump, phi_hat
+from rescert.bump import decay_constant, default_bump
 from rescert.cli import main as cli_main
 from rescert.dirichlet import _support_coeff_logs
 from rescert.errors import ResourceLimitError
@@ -24,7 +24,6 @@ from rescert.moments import (
     DEFAULT_DECAY_GRID,
     alpha_shift_error_term,
     balanced_pair_bound_check,
-    diagonal_lower_bound,
     diagonal_sum,
     growth_bound_from_n,
     growth_bound_from_t,
@@ -275,19 +274,10 @@ def test_diagonal_sum_window_resonator_vs_bruteforce():
     assert fast == pytest.approx(brute, rel=1e-12)
 
 
-def test_diagonal_sum_g_cap_is_lower_bound():
-    toy = ToyResonator(values={1: 1.0, 2: 0.5, 3: 0.25, 6: 0.125}, squarefree_supported=True)
-    full = diagonal_sum(toy, 6, 6.0, TABLE)
-    capped = diagonal_sum(toy, 6, 6.0, TABLE, g_cap=1.0)
-    assert capped <= full + 1e-15
-
-
 def test_diagonal_sum_budget():
     toy = ToyResonator(values={1: 1.0, 2: 1.0})
     with pytest.raises(ResourceLimitError):
         diagonal_sum(toy, 50, 50.0, TABLE, budget=3)
-    with pytest.raises(ResourceLimitError):
-        diagonal_lower_bound(toy, 50, 50.0, TABLE, budget=3)
 
 
 def test_diagonal_sum_squarefree_flag_violation():
@@ -297,7 +287,7 @@ def test_diagonal_sum_squarefree_flag_violation():
         diagonal_sum(toy, 4, 4.0, TABLE)
 
 
-def _loop_diagonal_sum(res, n_max, x, g_cap=None):
+def _loop_diagonal_sum(res, n_max, x):
     """The dense triple loop the blocked kernel replaced, with its final
     budget count: (value, ops)."""
     x_int = math.floor(x)
@@ -316,8 +306,6 @@ def _loop_diagonal_sum(res, n_max, x, g_cap=None):
                 continue
             mx = max(a, bb)
             g_hi = math.floor(x / mx)
-            if g_cap is not None:
-                g_hi = min(g_hi, math.floor(g_cap))
             ops += g_hi
             inner = [r_vec[a * g] * r_vec[bb * g] for g in range(1, g_hi + 1)]
             inner = [v for v in inner if v != 0.0]
@@ -327,6 +315,8 @@ def _loop_diagonal_sum(res, n_max, x, g_cap=None):
 
 
 def _loop_diagonal_lower_bound(res, n_max, x):
+    """The coprime-restricted diagonal: floor(N/max) r(a') r(b') r(g)^2 over
+    coprime (a', b') and g <= X/max coprime to a'b'."""
     x_int = math.floor(x)
     r_vec = [0.0] + [float(res.value(k)) for k in range(1, x_int + 1)]
     z_int = min(n_max, x_int)
@@ -348,27 +338,18 @@ def _loop_diagonal_lower_bound(res, n_max, x):
 
 
 @pytest.mark.parametrize("squarefree", [True, False])
-@pytest.mark.parametrize("g_cap", [None, 1.0, 2.5, 1e30])
-def test_dense_diagonal_matches_loops(squarefree, g_cap):
+def test_dense_diagonal_matches_loops(squarefree):
     # One correctly rounded sum replaces the loops' sum of per-pair sums, so
     # values agree up to rounding; the budget counts the loops' (a', b', g) entries.
     for seed in range(3):
         toy = random_toy_resonator(np.random.default_rng(300 + seed), cap=40, squarefree=squarefree)
         for n_max, x in ((40, 40.0), (17, 40.0), (40, 23.5), (6, 1.0), (1, 33.0)):
-            want, needed = _loop_diagonal_sum(toy, n_max, x, g_cap)
-            got = diagonal_sum(toy, n_max, x, TABLE, budget=needed, g_cap=g_cap)
+            want, needed = _loop_diagonal_sum(toy, n_max, x)
+            got = diagonal_sum(toy, n_max, x, TABLE, budget=needed)
             assert got == pytest.approx(want, rel=1e-14)
             with pytest.raises(ResourceLimitError) as exc:
-                diagonal_sum(toy, n_max, x, TABLE, budget=needed - 1, g_cap=g_cap)
+                diagonal_sum(toy, n_max, x, TABLE, budget=needed - 1)
             assert exc.value.needed >= needed
-            if g_cap is not None:
-                continue
-            want = _loop_diagonal_lower_bound(toy, n_max, x)
-            assert diagonal_lower_bound(toy, n_max, x, TABLE, budget=needed) == pytest.approx(
-                want, rel=1e-14
-            )
-            with pytest.raises(ResourceLimitError):
-                diagonal_lower_bound(toy, n_max, x, TABLE, budget=needed - 1)
 
 
 def test_dense_diagonal_memory():
@@ -489,19 +470,21 @@ def test_diag_g_cap_is_bisected(monkeypatch, tmp_path):
 
 def test_diag_g_cap_raises_the_last_caps_error(monkeypatch):
     # When no cap fits, the error is the one of the first cap below 1,
-    # X/16^8 at X = e^20, as when the caps were tried in turn.
+    # X/16^8 at X = e^20, as when the caps were tried in turn.  Every cap
+    # >= 1 keeps the element 1, so only that last cap leaves an empty support.
     tried = []
 
-    def refuse(sup, n_max, x, budget, g_cap=None):
-        tried.append(g_cap)
-        raise ResourceLimitError(f"g_cap {g_cap!r}", needed=1, budget=0)
+    def refuse(sup, n_max, x, budget):
+        tried.append(len(sup.ns))
+        raise ResourceLimitError(f"support of {len(sup.ns)} elements", needed=1, budget=0)
 
     monkeypatch.setattr(moments, "_window_diagonal", refuse)
     with pytest.raises(ResourceLimitError) as info:
         ratio_and_bounds(RES20, None, 3, 1e4, 0.5, 0.5, TABLE, exact_mode="never")
     assert RES20.x / 16.0**7 >= 1.0 > RES20.x / 16.0**8
-    assert str(info.value) == f"g_cap {RES20.x / 16.0**8!r}"
-    assert tried[0] is None  # the uncapped diagonal
+    assert str(info.value) == "support of 0 elements"
+    assert tried.count(0) == 1
+    assert tried[0] == len(support_arrays(RES20, RES20.x).ns)  # the uncapped diagonal
     assert len(tried[1:]) <= math.ceil(math.log2(8)) + 1
 
 
@@ -552,19 +535,26 @@ def test_report_over_budget_skips_auto_exact_moments():
                          exact_mode="always")
 
 
+def _capped_diagonal(res: Resonator, n_max: int, x: float, g_cap: float) -> float:
+    """The diagonal cut at g_cap, as ratio_and_bounds' fallback takes it:
+    the window kernel over the support <= min(X, g_cap)."""
+    sup = support_arrays(res, min(x, g_cap))
+    return moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET)
+
+
 def test_diagonal_sum_g_cap_window_resonator():
     n_max = 100_000
     x = float(n_max) ** 2
     res = build_resonator(x, TABLE)
     full = diagonal_sum(res, n_max, x, TABLE)
-    assert diagonal_sum(res, n_max, x, TABLE, g_cap=2.0 * x) == full
+    assert _capped_diagonal(res, n_max, x, 2.0 * x) == full
     previous = full
     for g_cap in (x / 16.0, 1e6, 1e3, 100.0):
-        capped = diagonal_sum(res, n_max, x, TABLE, g_cap=g_cap)
+        capped = _capped_diagonal(res, n_max, x, g_cap)
         assert 0.0 < capped <= previous
         previous = capped
     # The cap bounds the pair elements too: only (1, 1) with g = 1 is left.
-    assert diagonal_sum(res, n_max, x, TABLE, g_cap=1.0) == float(n_max)
+    assert _capped_diagonal(res, n_max, x, 1.0) == float(n_max)
 
 
 def test_diagonal_sum_sparse_budget_counts_coprime_pairs():
@@ -599,8 +589,8 @@ def test_diagonal_sum_sparse_matches_bruteforce_property(primes, data):
 
 def _capped_bruteforce(res: Resonator, n_max: int, x: float, g_cap: float) -> float:
     """sum of r(a) r(b) over m, n <= N and support a, b <= X with ma = nb,
-    by matching products, over the quadruples that diagonal_sum keeps under
-    g_cap: g = gcd(a, b) <= g_cap and a/g, b/g <= g_cap."""
+    by matching products, over the quadruples that the diagonal cut at
+    g_cap keeps: g = gcd(a, b) <= g_cap and a/g, b/g <= g_cap."""
     by_product = defaultdict(list)
     for e in support_elements(res, x):
         for m in range(1, n_max + 1):
@@ -627,7 +617,7 @@ def test_diagonal_sum_g_cap_matches_bruteforce_property(primes, data):
     x = data.draw(st.floats(1.0, BRUTE_FORCE_CAP / n_max))
     g_cap = data.draw(st.floats(1.0, 2.0 * x))
     res = _resonator_on(primes, weights, x)
-    fast = diagonal_sum(res, n_max, x, TABLE, g_cap=g_cap)
+    fast = _capped_diagonal(res, n_max, x, g_cap)
     assert fast == pytest.approx(_capped_bruteforce(res, n_max, x, g_cap), rel=1e-12)
 
 
@@ -657,7 +647,7 @@ def test_window_diagonal_matches_per_element_kernel(n_max, g_cap):
     x = float(n_max) ** 2
     res = build_resonator(x, TABLE)
     sup = support_arrays(res, x if g_cap is None else min(x, g_cap))
-    tiled = moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET, g_cap)
+    tiled = moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET)
     assert tiled == pytest.approx(_per_element_diagonal(sup, n_max, x, g_cap), rel=1e-13)
 
 
@@ -741,26 +731,13 @@ def test_report_decay_constant_follows_nu():
         assert report.decay_constant == decay_constant(default_bump(), nu, DEFAULT_DECAY_GRID)
 
 
-def test_diagonal_lower_bound_ordering():
-    for seed in range(4):
-        rng = np.random.default_rng(100 + seed)
-        toy = random_toy_resonator(rng, cap=10, squarefree=False)
-        lo = diagonal_lower_bound(toy, 8, 10.0, TABLE)
-        full = diagonal_sum(toy, 8, 10.0, TABLE)
-        assert lo <= full * (1.0 + 1e-12) + 1e-12
-
-
 def test_diagonal_lower_bound_equality_on_squarefree():
+    # On a multiplicative r with squarefree support the coprime-restricted form
+    # that the window kernel sums is the whole diagonal.
     toy = ToyResonator(values={1: 1.0, 2: 0.7, 3: 0.4, 6: 0.28}, squarefree_supported=True)
-    lo = diagonal_lower_bound(toy, 6, 6.0, TABLE)
+    lo = _loop_diagonal_lower_bound(toy, 6, 6.0)
     full = diagonal_sum(toy, 6, 6.0, TABLE)
     assert lo == pytest.approx(full, rel=1e-12)
-
-
-def test_diagonal_lower_bound_n1():
-    assert diagonal_lower_bound(RES20, 1, RES20.x, TABLE) == pytest.approx(
-        sum_r_squared(RES20, RES20.x), rel=1e-14
-    )
 
 
 def test_min_offdiag_gap():
@@ -776,13 +753,13 @@ def test_min_offdiag_gap():
 
 
 def test_offdiag_bound_formula():
-    val = offdiag_bound(RES20, 10, 100.0, 1e6, 3, TABLE, c_nu=2.0, sum_r=1.5)
+    val = offdiag_bound(10, 100.0, 1e6, 3, c_nu=2.0, sum_r=1.5)
     expected = (1e6 / 10) * 10**2 * 1.5**2 * 2.0 * (1e6 / (10 * 100.0)) ** -3
     assert val == pytest.approx(expected, rel=1e-14)
 
 
 def test_m1_offdiag_bound_formula():
-    val = m1_offdiag_bound(RES20, 100.0, 1e6, 3, c_nu=2.0, sum_r=1.5)
+    val = m1_offdiag_bound(100.0, 1e6, 3, c_nu=2.0, sum_r=1.5)
     expected = 1e6 * 1.5**2 * 2.0 * (1e6 / 100.0) ** -3
     assert val == pytest.approx(expected, rel=1e-14)
 

@@ -9,7 +9,6 @@ import pytest
 from rescert.multfn import (
     archimedean_cmf,
     constant_one,
-    eval_cmf,
     steinhaus_sample,
     values_up_to,
 )
@@ -39,23 +38,23 @@ def test_unit_modulus_at_primes():
 def test_archimedean_closed_form():
     f = archimedean_cmf(1.3)
     assert cmath.isclose(
-        eval_cmf(f, 6, TABLE), cmath.exp(1.3j * math.log(6)), rel_tol=1e-14
+        f.value(6, TABLE), cmath.exp(1.3j * math.log(6)), rel_tol=1e-14
     )
 
 
 def test_archimedean_period_alignment():
     # alpha = 2*pi / log 2 makes f(2) wind exactly once.
     f = archimedean_cmf(2.0 * math.pi / math.log(2.0))
-    assert abs(eval_cmf(f, 2, TABLE) - 1.0) <= 1e-12
+    assert abs(f.value(2, TABLE) - 1.0) <= 1e-12
 
 
 def test_complete_multiplicativity_examples():
     f = steinhaus_sample(12345)
-    f12 = eval_cmf(f, 12, TABLE)
+    f12 = f.value(12, TABLE)
     assert cmath.isclose(
         f12, f.prime_value(2) ** 2 * f.prime_value(3), rel_tol=1e-13
     )
-    assert cmath.isclose(eval_cmf(f, 4, TABLE), eval_cmf(f, 2, TABLE) ** 2, rel_tol=1e-13)
+    assert cmath.isclose(f.value(4, TABLE), f.value(2, TABLE) ** 2, rel_tol=1e-13)
 
 
 def test_complete_multiplicativity_random_pairs():
@@ -65,9 +64,9 @@ def test_complete_multiplicativity_random_pairs():
         m = int(rng.integers(1, 140))
         n = int(rng.integers(1, 140))
         fm, fn, fmn = (
-            eval_cmf(f, m, TABLE),
-            eval_cmf(f, n, TABLE),
-            eval_cmf(f, m * n, TABLE),
+            f.value(m, TABLE),
+            f.value(n, TABLE),
+            f.value(m * n, TABLE),
         )
         assert abs(fmn - fm * fn) <= 1e-12
 
@@ -82,13 +81,7 @@ def test_values_up_to_matches_pointwise():
     for f in (constant_one(), archimedean_cmf(1.1), steinhaus_sample(3)):
         vals = values_up_to(f, 500, TABLE)
         for n in (1, 2, 17, 128, 360, 499, 500):
-            assert abs(vals[n - 1] - eval_cmf(f, n, TABLE)) <= 1e-12
-
-
-def test_labels():
-    assert constant_one().label() == "one"
-    assert steinhaus_sample(4).label() == "steinhaus(seed=4)"
-    assert "archimedean" in archimedean_cmf(0.25).label()
+            assert abs(vals[n - 1] - f.value(n, TABLE)) <= 1e-12
 
 
 def test_validation():

@@ -9,7 +9,6 @@ from rescert.ntcore import (
     MAX_SIEVE_LIMIT,
     build_factor_table,
     factorize,
-    gcd,
     is_squarefree,
     primes_in,
 )
@@ -57,12 +56,6 @@ def test_primes_in_real_bounds():
 def test_primes_in_beyond_table():
     with pytest.raises(ValueError):
         primes_in(2, TABLE.limit + 1, TABLE)
-
-
-def test_gcd():
-    assert gcd(12, 18) == 6
-    assert gcd(1, 7) == 1
-    assert gcd(0, 5) == 5
 
 
 def test_is_squarefree():
