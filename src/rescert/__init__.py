@@ -21,7 +21,6 @@ from .moments import (
     growth_bound_from_n,
     growth_bound_from_t,
     m1_exact,
-    m1_main,
     m1_quadrature,
     m2_exact,
     m2_quadrature,
@@ -38,7 +37,7 @@ from .multfn import (
     steinhaus_sample,
     values_up_to,
 )
-from .ntcore import FactorTable, build_factor_table, factorize, is_squarefree, primes_in
+from .ntcore import FactorTable, build_factor_table, factorize, primes_in
 from .oracle import (
     ToyResonator,
     diagonal_sum_bruteforce,
@@ -51,13 +50,10 @@ from .resonator import (
     SupportElement,
     build_resonator,
     degenerate_resonator,
-    enumerate_support,
     euler_product_one_plus_r2,
     r_value,
     sum_r_squared,
-    sum_t_over_sqrt,
     support_elements,
-    t_value,
     window_bounds,
 )
 
@@ -80,7 +76,6 @@ __all__ = [
     "growth_bound_from_n",
     "growth_bound_from_t",
     "m1_exact",
-    "m1_main",
     "m1_quadrature",
     "m2_exact",
     "m2_quadrature",
@@ -97,7 +92,6 @@ __all__ = [
     "FactorTable",
     "build_factor_table",
     "factorize",
-    "is_squarefree",
     "primes_in",
     "ToyResonator",
     "diagonal_sum_bruteforce",
@@ -108,12 +102,9 @@ __all__ = [
     "SupportElement",
     "build_resonator",
     "degenerate_resonator",
-    "enumerate_support",
     "euler_product_one_plus_r2",
     "r_value",
     "sum_r_squared",
-    "sum_t_over_sqrt",
     "support_elements",
-    "t_value",
     "window_bounds",
 ]

@@ -174,7 +174,7 @@ def _may_need_exact_moments(cfg: RunConfig, t: float) -> bool:
     return cfg.exact == "always" or (cfg.exact == "auto" and t <= EXACT_AUTO_MAX_T)
 
 
-def _resonator_for(cfg: RunConfig, x: float, table) -> Resonator:
+def _resonator_for(x: float, table) -> Resonator:
     if x >= MIN_X:
         return build_resonator(x, table)
     return degenerate_resonator(x)
@@ -234,7 +234,7 @@ def _certify_report(cfg: RunConfig) -> MomentReport:
     t = cfg.resolve_t()
     x = cfg.resolve_x(t)
     table = _build_table(cfg, x, _may_need_exact_moments(cfg, t))
-    res = _resonator_for(cfg, x, table)
+    res = _resonator_for(x, table)
     f = _parse_f(cfg.f, cfg.seed, table.limit)
     return ratio_and_bounds(
         res,
@@ -277,7 +277,7 @@ def cmd_search(cfg: RunConfig) -> int:
         trace_path = "rescert_trace.csv"
     if cfg.guided:
         x = cfg.resolve_x(t)
-        res = _resonator_for(cfg, x, table)
+        res = _resonator_for(x, table)
         result = resonance_guided_search(
             res,
             f,
@@ -313,7 +313,7 @@ def cmd_resonator(cfg: RunConfig) -> int:
         x = cfg.resolve_x(cfg.resolve_t())
     # The summary evaluates no f(n): the table need only cover the prime window.
     table = _build_table(cfg, x, cover_n=False)
-    res = _resonator_for(cfg, x, table)
+    res = _resonator_for(x, table)
     rep = {
         "x": res.x,
         "lam": res.lam,
@@ -344,8 +344,7 @@ def cmd_oracle(cfg: RunConfig, op: str) -> int:
             raise ValueError("oracle diag needs --toy (e.g. '1:1,2:1')")
         toy = _parse_toy(cfg.toy)
         brute = diagonal_sum_bruteforce(toy, cfg.n, float(x_int))
-        table = build_factor_table(max(1024, x_int + 1, cfg.n + 1))
-        param = diagonal_sum(toy, cfg.n, float(x_int), table, cfg.budget_terms)
+        param = diagonal_sum(toy, cfg.n, float(x_int), budget=cfg.budget_terms)
         rep = {
             "op": "diag",
             "n": cfg.n,

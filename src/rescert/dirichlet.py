@@ -275,7 +275,7 @@ def _search_args(n_max: int, t_bound: float, eps, window, eval_budget: int, eps_
 
 
 def _support_coeff_logs(
-    res: Resonator, f: UnimodularCMF, support: list[SupportElement]
+    f: UnimodularCMF, support: list[SupportElement]
 ) -> tuple[np.ndarray, np.ndarray]:
     """f(a) * r(a) and log(a) per support element (f via prime tuples).
 
@@ -294,35 +294,9 @@ def _support_coeff_logs(
     return coeffs, logs
 
 
-def _as_elements(res: Resonator, support) -> list[SupportElement]:
-    """The support elements of `support`: SupportElements as given, plain
-    integers with their weights rebuilt from the resonator.
-
-    Raises:
-        ValueError: a plain integer outside the resonator's support.
-    """
-    if support and isinstance(support[0], SupportElement):
-        return list(support)
-    by_n = {e.n: e for e in support_elements(res, max(support, default=1))}
-    missing = sorted({n for n in support if n not in by_n})
-    if missing:
-        raise ValueError(f"integers {missing} are not in the resonator's support")
-    return [by_n[n] for n in support]
-
-
-def eval_R(
-    res: Resonator,
-    f: UnimodularCMF,
-    t: float,
-    support,
-    table: FactorTable,
-) -> complex:
-    """Resonator polynomial R(t) = sum over support of f(a) r(a) a^{it}.
-
-    Raises:
-        ValueError: `support` lists a plain integer outside the resonator's support.
-    """
-    return complex(_point_value(*_support_coeff_logs(res, f, _as_elements(res, support)), t))
+def eval_R(f: UnimodularCMF, t: float, support: list[SupportElement]) -> complex:
+    """Resonator polynomial R(t) = sum over support of f(a) r(a) a^{it}."""
+    return complex(_point_value(*_support_coeff_logs(f, support), t))
 
 
 def _refine_peak(terms, t_c: float, step: float, lo: float, hi: float) -> tuple[float, float, int]:
@@ -527,7 +501,7 @@ def resonance_guided_search(
     if n_points > 1:
         step = (hi - lo) / (n_points - 1)
 
-    r_coeffs, r_logs = _support_coeff_logs(res, f, support)
+    r_coeffs, r_logs = _support_coeff_logs(f, support)
     blocks = _grid_values(r_coeffs, r_logs, lo, 0, n_points, step)
     candidates = _guided_candidates(
         blocks, float(r_logs.max(initial=0.0)), lo, step, GUIDED_TOP_K

@@ -56,7 +56,6 @@ from .resonator import (
     euler_product_one_plus_r2,
     prime_mask,
     support_arrays,
-    sum_r_squared,
 )
 
 DEFAULT_TERM_BUDGET = 50_000_000
@@ -102,13 +101,7 @@ def _window_integral(polys, t_bound: float) -> float:
     return value.real
 
 
-def m1_quadrature(
-    res: Resonator,
-    f: UnimodularCMF,
-    t_bound: float,
-    support: list[SupportElement],
-    table: FactorTable,
-) -> float:
+def m1_quadrature(f: UnimodularCMF, t_bound: float, support: list[SupportElement]) -> float:
     """M1 by adaptive quadrature over the window support [T/2, T].
 
     Composite Gauss-Legendre a group of nodes at a time
@@ -116,11 +109,10 @@ def m1_quadrature(
     form a uniform grid on which |R|^2 comes from the grid-scan kernel
     dirichlet._grid_values, which scans the group's grids together.
     """
-    return _window_integral([_support_coeff_logs(res, f, support)], t_bound)
+    return _window_integral([_support_coeff_logs(f, support)], t_bound)
 
 
 def m2_quadrature(
-    res: Resonator,
     f: UnimodularCMF,
     n_max: int,
     t_bound: float,
@@ -133,7 +125,7 @@ def m2_quadrature(
     each Gauss-Legendre node's grid (oracle.m2_bruteforce_quadrature keeps
     a dense rule as the independent check).
     """
-    polys = [_support_coeff_logs(res, f, support), _dn_terms(f, n_max, table)]
+    polys = [_support_coeff_logs(f, support), _dn_terms(f, n_max, table)]
     return _window_integral(polys, t_bound)
 
 
@@ -161,30 +153,18 @@ def _termwise_sum(coeffs, logs, t_bound: float, scale: float) -> float:
     return total.real
 
 
-def m1_exact(
-    res: Resonator,
-    f: UnimodularCMF,
-    t_bound: float,
-    support: list[SupportElement],
-    table: FactorTable,
-) -> float:
+def m1_exact(f: UnimodularCMF, t_bound: float, support: list[SupportElement]) -> float:
     """M1 as T * sum over support pairs of the transform expansion.
 
     M1 = T * sum_{a,b} V_a conj(V_b) phi_hat(T*(log b - log a)) with
     V_a = f(a) * r(a).  The transform's conjugate symmetry makes the sum
     real; the float residue is asserted tiny and dropped.
     """
-    coeffs, logs = _support_coeff_logs(res, f, support)
+    coeffs, logs = _support_coeff_logs(f, support)
     return _termwise_sum(coeffs, logs, t_bound, t_bound)
 
 
-def m1_main(res: Resonator, t_bound: float, cap: float) -> float:
-    """Diagonal part of M1: T * phi_hat(0) * sum_{n<=cap} r(n)^2."""
-    return t_bound * default_bump().transform(0.0).real * sum_r_squared(res, cap)
-
-
 def m2_exact(
-    res: Resonator,
     f: UnimodularCMF,
     n_max: int,
     t_bound: float,
@@ -432,7 +412,7 @@ def diagonal_sum(
     res,
     n_max: int,
     x: float,
-    table: FactorTable,
+    table: FactorTable | None = None,
     budget: int = DEFAULT_TERM_BUDGET,
 ) -> float:
     """sum of r(a) r(b) over m, n <= N and support a, b <= X with ma = nb.
@@ -443,7 +423,8 @@ def diagonal_sum(
 
     Accepts either a window resonator or any object with a dense
     `.value(n)` map and a `squarefree_supported` flag (the test-resonator
-    protocol).  `table` is not read.  The sum is always the full one; the
+    protocol).  `table` is not read; it keeps its place because perfbench
+    passes it positionally.  The sum is always the full one; the
     g-capped lower bound that a certificate falls back to over budget is
     ratio_and_bounds' own (its `diag_g_cap` flag).
 
@@ -580,11 +561,7 @@ def _alpha_tail(res: Resonator, sup: SupportArrays, x: float, alpha: float) -> f
 
 
 def moment_main_term(
-    res: Resonator,
-    n_max: int,
-    x: float,
-    table: FactorTable,
-    budget: int = DEFAULT_TERM_BUDGET,
+    res: Resonator, n_max: int, x: float, budget: int = DEFAULT_TERM_BUDGET
 ) -> float:
     """Balanced coprime main term of the diagonal ratio:
 
@@ -599,10 +576,7 @@ def moment_main_term(
 
 
 def balanced_pair_bound_check(
-    res: Resonator,
-    z: float,
-    table: FactorTable,
-    budget: int = DEFAULT_TERM_BUDGET,
+    res: Resonator, z: float, budget: int = DEFAULT_TERM_BUDGET
 ) -> tuple[float, float]:
     """(lhs, rhs) of the balanced coprime pair inequality at height z:
 
@@ -623,7 +597,6 @@ def alpha_shift_error_term(
     n_max: int,
     x: float,
     alpha: float,
-    table: FactorTable,
     budget: int = DEFAULT_TERM_BUDGET,
 ) -> float:
     """Tail error from bounding truncated g-sums by the alpha-power shift:
@@ -643,7 +616,6 @@ def tail_truncation_check(
     ab: int,
     cap: float,
     alpha: float,
-    table: FactorTable,
     budget: int = DEFAULT_TERM_BUDGET,
 ) -> tuple[float, float]:
     """(exact_tail, shifted_bound) for the g-sum truncation at `cap`:
@@ -907,10 +879,10 @@ def ratio_and_bounds(
     if support is not None:
         if f is None:
             raise ValueError("exact moments require a coefficient function")
-        m1_q = m1_quadrature(res, f, t_bound, support, table)
-        m1_e = m1_exact(res, f, t_bound, support, table)
-        m2_q = m2_quadrature(res, f, n_max, t_bound, support, table)
-        m2_e = m2_exact(res, f, n_max, t_bound, support, table)
+        m1_q = m1_quadrature(f, t_bound, support)
+        m1_e = m1_exact(f, t_bound, support)
+        m2_q = m2_quadrature(f, n_max, t_bound, support, table)
+        m2_e = m2_exact(f, n_max, t_bound, support, table)
 
     alpha_eff = alpha if alpha is not None else res.alpha_default
     if alpha_eff is not None:

@@ -93,14 +93,3 @@ def primes_in(lo: float, hi: float, table: FactorTable) -> list[int]:
     window = np.arange(a, b + 1, dtype=np.uint32)
     mask = table.spf[a : b + 1] == window
     return [int(p) for p in window[mask]]
-
-
-def is_squarefree(n: int, table: FactorTable) -> bool:
-    table._check_range(n)
-    spf = table.spf
-    while n > 1:
-        p = int(spf[n])
-        n //= p
-        if n % p == 0:
-            return False
-    return True

@@ -50,7 +50,7 @@ class ToyResonator:
                 out[n] = v
         return out
 
-    def check_multiplicative(self, limit: int, table: FactorTable) -> bool:
+    def check_multiplicative(self, limit: int) -> bool:
         """True iff r(mn) = r(m) r(n) for all coprime m, n with mn <= limit."""
         for m in range(1, limit + 1):
             for n in range(1, limit // m + 1):
@@ -152,6 +152,8 @@ def parametrization_bijection_check(n_max: int, x_int: int) -> bool:
 
     and requires the two sets to coincide with no parameter collisions.
     """
+    if n_max < 1 or x_int < 1:
+        raise ValueError("N and X must be >= 1")
     if n_max * x_int > BRUTE_FORCE_CAP:
         raise ValueError(f"bijection check limited to N*X <= {BRUTE_FORCE_CAP}")
     quadruples = set()

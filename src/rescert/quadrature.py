@@ -17,15 +17,18 @@ with step h, and a node's phase under e^{-i freq s} factors into a
 per-node part e^{-i freq h(1 + x_j)/2} and a per-panel part
 e^{-i freq (a + k*h)}.  The level rules differ in how they hand the
 nodes over.  composite_gl hands the integrand every abscissa in one
-array.  composite_gl_grid hands it a group of nodes at a time, each node
+array; no caller in the package uses it, and the tests keep it as the
+plain reference the other two rules are checked against.
+composite_gl_grid hands it a group of nodes at a time, each node
 a uniform grid given by its origin a + h*(1 + x_j)/2, over one chunk of
 RESYNC_STRIDE panels per call (the moments scan a group's grids together
 with the grid kernel dirichlet._grid_values, whose anchor blocks the
 chunks match).  composite_gl_phased integrates a real weight times
 e^{-i freq s} with the factored phases (bump's float ramp integral).
 bump's 50-digit ramp rule lays out its mpmath nodes the same way on
-half-cycle pieces.  A caller may pass its own rule with the same
-signature, and `fn` is then whatever that rule reads.
+half-cycle pieces.  adaptive_oscillatory takes the rule from its caller,
+which may pass its own rule with the same signature; `fn` is then
+whatever that rule reads.
 """
 
 from __future__ import annotations
@@ -116,10 +119,10 @@ def adaptive_oscillatory(
     b: float,
     *,
     max_freq: float,
+    rule,
     abs_tol: float = 0.0,
     rel_tol: float = 1e-9,
     max_evals: int = 40_000_000,
-    rule=composite_gl,
 ) -> tuple[complex, float]:
     """Integrate `fn` over [a, b], doubling panels until converged.
 
@@ -133,13 +136,16 @@ def adaptive_oscillatory(
         max_freq: largest angular frequency present in the integrand
             (rad per unit); sets the initial panel count at roughly two
             panels per cycle.
+        rule: the level rule `rule(fn, a, b, panels)`, one pass with
+            `panels` equal panels of GL_ORDER nodes.
+            The package's callers pass composite_gl_grid (the quadrature
+            moments) or composite_gl_phased (bump's ramp integral);
+            composite_gl, every abscissa in one array, is the reference
+            rule the tests check those two against.
         abs_tol / rel_tol: accept once the last refinement moved the
             value by no more than max(abs_tol, rel_tol * |value|).
         max_evals: budget on total integrand evaluations; a level that
             would pass it is refused before it is evaluated.
-        rule: the level rule `rule(fn, a, b, panels)`, one pass with
-            `panels` equal panels of GL_ORDER nodes: composite_gl,
-            composite_gl_grid, composite_gl_phased or a caller's own.
 
     Returns:
         (value, error_estimate)

@@ -15,8 +15,8 @@ The support is the set of squarefree products of window primes up to a
 cap.  support_arrays is its one builder: sorted integers, prime masks
 and both weights as parallel arrays, under an element budget.  Products
 can exceed any factor table, so the weights are multiplied up along the
-build instead of refactorizing; support_elements, iter_support and the
-support sums are views of those arrays.
+build instead of refactorizing; support_elements and sum_r_squared are
+views of those arrays.
 
 A prime mask is a row of unsigned words with bit i for the i-th window
 prime (mask_layout fixes the word type and count).  Only this module
@@ -148,9 +148,9 @@ def degenerate_resonator(x: float) -> Resonator:
     )
 
 
-def _multiplicative_value(weights: dict[int, float], n: int, table: FactorTable) -> float:
-    """Product of weights[p] over the factorization of n; zero unless n is
-    a squarefree product of primes in `weights`."""
+def r_value(res: Resonator, n: int, table: FactorTable) -> float:
+    """r(n): product of r(p) over the factorization of n; zero unless n is
+    a squarefree product of window primes."""
     table._check_range(n)
     out = 1.0
     spf = table.spf
@@ -159,21 +159,11 @@ def _multiplicative_value(weights: dict[int, float], n: int, table: FactorTable)
         n //= p
         if n % p == 0:
             return 0.0  # not squarefree
-        w = weights.get(p)
+        w = res.r_p.get(p)
         if w is None:
             return 0.0  # prime outside the window
         out *= w
     return out
-
-
-def r_value(res: Resonator, n: int, table: FactorTable) -> float:
-    """r(n): product of r(p) over the factorization, zero off support."""
-    return _multiplicative_value(res.r_p, n, table)
-
-
-def t_value(res: Resonator, n: int, table: FactorTable) -> float:
-    """t(n): product of t(p) over the factorization, zero off support."""
-    return _multiplicative_value(res.t_p, n, table)
 
 
 def mask_layout(prime_count: int) -> tuple[np.dtype, int]:
@@ -361,31 +351,10 @@ def support_elements(
     return support_arrays(res, cap, budget).elements(res)
 
 
-def iter_support(
-    res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[SupportElement]:
-    """The elements of support_elements(res, cap, budget) one at a time,
-    in ascending order (1 first); the support is built on the first step."""
-    yield from support_elements(res, cap, budget)
-
-
-def enumerate_support(
-    res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET
-) -> list[int]:
-    """Sorted support integers <= cap (always starts with 1)."""
-    return support_arrays(res, cap, budget).ns.tolist()
-
-
 def sum_r_squared(res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET) -> float:
     """sum of r(n)^2 over support n <= cap."""
     r = support_arrays(res, cap, budget).r
     return math.fsum((r * r).tolist())
-
-
-def sum_t_over_sqrt(res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET) -> float:
-    """sum of t(m) / sqrt(m) over support m <= cap."""
-    sup = support_arrays(res, cap, budget)
-    return math.fsum((sup.t / np.sqrt(sup.ns)).tolist())
 
 
 def euler_product_one_plus_r2(res: Resonator, exclude: tuple[int, ...] = ()) -> float:

@@ -40,7 +40,7 @@ from rescert.oracle import (
     parametrization_bijection_check,
     random_toy_resonator,
 )
-from rescert.resonator import build_resonator, iter_support, support_elements, window_bounds
+from rescert.resonator import build_resonator, support_elements, window_bounds
 
 TABLE = build_factor_table(20_000)
 
@@ -97,10 +97,10 @@ def test_criterion_03_moment_quadrature_matches_exact():
         for res, n, supp in cases:
             for f in fs:
                 for t_bound in (1e3, 1e4):
-                    q1 = m1_quadrature(res, f, t_bound, supp, TABLE)
-                    e1 = m1_exact(res, f, t_bound, supp, TABLE)
-                    q2 = m2_quadrature(res, f, n, t_bound, supp, TABLE)
-                    e2 = m2_exact(res, f, n, t_bound, supp, TABLE)
+                    q1 = m1_quadrature(f, t_bound, supp)
+                    e1 = m1_exact(f, t_bound, supp)
+                    q2 = m2_quadrature(f, n, t_bound, supp, TABLE)
+                    e2 = m2_exact(f, n, t_bound, supp, TABLE)
                     assert q1 == pytest.approx(e1, rel=1e-6)
                     assert q2 == pytest.approx(e2, rel=1e-6)
 
@@ -150,7 +150,7 @@ def test_criterion_06_pair_bound_and_tail_truncation():
             res = build_resonator(math.exp(logx), TABLE)
             lo, _ = window_bounds(res.x)
             for z in (10.0, 100.0, 1000.0):
-                lhs, rhs = balanced_pair_bound_check(res, z, TABLE)
+                lhs, rhs = balanced_pair_bound_check(res, z)
                 if z < lo:
                     # No support below the window: the pair sum collapses
                     # to the (1,1) term while the bound side stays < 1.
@@ -164,10 +164,10 @@ def test_criterion_06_pair_bound_and_tail_truncation():
             res = build_resonator(math.exp(logx), TABLE)
             cap_hi = min(math.exp(logx), 1e6)
             cap = float(math.exp(rng.uniform(0.0, math.log(cap_hi))))
-            elems = [e.n for e in iter_support(res, min(res.x, 1e5))]
+            elems = [e.n for e in support_elements(res, min(res.x, 1e5))]
             ab = int(elems[int(rng.integers(0, len(elems)))])
             alpha = float(rng.uniform(0.01, 0.49))
-            tail, shifted = tail_truncation_check(res, ab, cap, alpha, TABLE)
+            tail, shifted = tail_truncation_check(res, ab, cap, alpha)
             assert tail <= shifted * (1.0 + 1e-12)
         assert time.monotonic() - t0 < 120.0
 

@@ -414,7 +414,7 @@ def test_transform_float_matches_transform_mp(xi):
 
 def _two_ramp_float(b: Bump, w: float, xi: float) -> complex:
     """The float transform as two separate ramp integrals, one per ramp."""
-    from rescert.quadrature import adaptive_oscillatory
+    from rescert.quadrature import adaptive_oscillatory, composite_gl
 
 
     def psi(s):
@@ -434,11 +434,11 @@ def _two_ramp_float(b: Bump, w: float, xi: float) -> complex:
     tol = 0.45 * TOLERANCE
     up, _ = adaptive_oscillatory(
         lambda x: psi((x - 0.5) / w) * np.exp(-1j * xi * x),
-        0.5, b.plateau_lo, max_freq=abs(xi), abs_tol=tol, rel_tol=0.0,
+        0.5, b.plateau_lo, max_freq=abs(xi), rule=composite_gl, abs_tol=tol, rel_tol=0.0,
     )
     down, _ = adaptive_oscillatory(
         lambda x: psi((1.0 - x) / w) * np.exp(-1j * xi * x),
-        b.plateau_hi, 1.0, max_freq=abs(xi), abs_tol=tol, rel_tol=0.0,
+        b.plateau_hi, 1.0, max_freq=abs(xi), rule=composite_gl, abs_tol=tol, rel_tol=0.0,
     )
     return complex(plateau) + up + down
 

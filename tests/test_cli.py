@@ -203,6 +203,31 @@ def test_oracle_bijection(tmp_path):
     assert payload["report"]["match"] is True
 
 
+@pytest.mark.parametrize("x", ["-5", "0.5"])
+def test_oracle_bijection_rejects_x_below_one(capsys, x):
+    assert main(["oracle", "bijection", "--n", "3", "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err.splitlines()[-1])
+    assert error == {"kind": "ValueError", "message": "N and X must be >= 1",
+                     "layer": "rescert.oracle"}
+
+
+def test_oracle_diag_builds_no_factor_table(tmp_path, monkeypatch):
+    # Neither the brute force nor the parametrized sum of a toy reads a factor table.
+    limits = []
+    real = cli.build_factor_table
+
+    def recorded(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(cli, "build_factor_table", recorded)
+    payload = run(tmp_path, "oracle", "diag", "--n", "2", "--x", "2", "--toy", "1:1,2:1")
+    assert payload["report"]["match"] is True
+    assert limits == []
+
+
 def test_resonator_summary(tmp_path):
     payload = run(tmp_path, "resonator", "--x", str(math.exp(20.0)))
     report = payload["report"]

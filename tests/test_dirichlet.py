@@ -70,21 +70,13 @@ def test_eval_dn_archimedean_shift_identity():
 def test_eval_r():
     one = constant_one()
     support = support_elements(RES20, RES20.x)
-    v0 = eval_R(RES20, one, 0.0, support, TABLE)
+    v0 = eval_R(one, 0.0, support)
     assert v0 == pytest.approx(1.0 + RES20.r_p[61], rel=1e-14)
-    # Triangle bound at arbitrary t; plain-integer support also accepted.
-    vt = eval_R(RES20, one, 17.3, [1, 61], TABLE)
+    # Triangle bound at arbitrary t.
+    vt = eval_R(one, 17.3, support)
     assert abs(vt) <= abs(v0) + 1e-12
     empty = degenerate_resonator(3.0)
-    assert eval_R(empty, one, 5.0, support_elements(empty, 3.0), TABLE) == 1.0
-
-
-def test_eval_r_rejects_integers_outside_support():
-    # The support of RES20 is {1, 61}: 2 and 60 have no weight to rebuild.
-    with pytest.raises(ValueError, match=r"\[2, 60\]"):
-        eval_R(RES20, constant_one(), 0.0, [1, 60, 2, 61], TABLE)
-    with pytest.raises(ValueError, match=r"\[2\]"):
-        eval_R(RES20, constant_one(), 0.0, [1, 2], TABLE)
+    assert eval_R(one, 5.0, support_elements(empty, 3.0)) == 1.0
 
 
 def test_grid_sup_constant_one_peaks_at_zero():
@@ -535,7 +527,7 @@ def test_guided_candidates_periodic_one_prime_resonator():
     # |R| = |1 + r e^{i t log 61}| is periodic: all its peaks fall in the tie band,
     # which is scanned smallest |t| first, across three anchor blocks.
     coeffs, logs = dirichlet._support_coeff_logs(
-        RES20, constant_one(), support_elements(RES20, RES20.x)
+        constant_one(), support_elements(RES20, RES20.x)
     )
     lo, count = -250.0, 2 * RESYNC_STRIDE + 37
     step = 500.0 / (count - 1)

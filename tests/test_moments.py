@@ -28,7 +28,6 @@ from rescert.moments import (
     growth_bound_from_n,
     growth_bound_from_t,
     m1_exact,
-    m1_main,
     m1_offdiag_bound,
     m1_quadrature,
     m2_exact,
@@ -41,7 +40,7 @@ from rescert.moments import (
 )
 from rescert.multfn import archimedean_cmf, constant_one, steinhaus_sample, values_up_to
 from rescert.ntcore import build_factor_table
-from rescert.quadrature import adaptive_oscillatory
+from rescert.quadrature import adaptive_oscillatory, composite_gl
 from rescert.oracle import (
     BRUTE_FORCE_CAP,
     ToyResonator,
@@ -57,7 +56,6 @@ from rescert.resonator import (
     support_arrays,
     support_elements,
     sum_r_squared,
-    sum_t_over_sqrt,
 )
 
 TABLE = build_factor_table(20_000)
@@ -69,6 +67,11 @@ EMPTY = build_resonator(math.exp(19.0), TABLE)  # window holds no prime
 PHI0 = default_bump().transform(0.0).real
 
 
+def _m1_main(res, t_bound):
+    """The report's m1_main field: T * phi_hat(0) * sum of r(n)^2 over the support <= X."""
+    return ratio_and_bounds(res, None, 1, t_bound, 0.5, 0.5, TABLE, exact_mode="never").m1_main
+
+
 # -- first moment -----------------------------------------------------------
 
 
@@ -77,18 +80,18 @@ def test_m1_trivial_resonator():
     supp = support_elements(EMPTY, EMPTY.x)
     t_bound = 100.0
     expected = t_bound * PHI0  # |R| = 1, so M1 is just the window mass
-    assert m1_quadrature(EMPTY, one, t_bound, supp, TABLE) == pytest.approx(
+    assert m1_quadrature(one, t_bound, supp) == pytest.approx(
         expected, rel=1e-8
     )
-    assert m1_exact(EMPTY, one, t_bound, supp, TABLE) == pytest.approx(
+    assert m1_exact(one, t_bound, supp) == pytest.approx(
         expected, rel=1e-12
     )
-    assert m1_main(EMPTY, t_bound, EMPTY.x) == pytest.approx(expected, rel=1e-12)
+    assert _m1_main(EMPTY, t_bound) == pytest.approx(expected, rel=1e-12)
 
 
 def test_m1_main_single_prime():
     t_bound = 1e4
-    assert m1_main(RES20, t_bound, RES20.x) == pytest.approx(
+    assert _m1_main(RES20, t_bound) == pytest.approx(
         t_bound * PHI0 * (1.0 + R61 * R61), rel=1e-12
     )
 
@@ -96,8 +99,8 @@ def test_m1_main_single_prime():
 def test_m1_exact_vs_quadrature_tiny():
     t_bound = 1e4
     for f in (constant_one(), steinhaus_sample(12345), archimedean_cmf(1.0)):
-        quad = m1_quadrature(RES20, f, t_bound, SUPP20, TABLE)
-        exact = m1_exact(RES20, f, t_bound, SUPP20, TABLE)
+        quad = m1_quadrature(f, t_bound, SUPP20)
+        exact = m1_exact(f, t_bound, SUPP20)
         assert quad == pytest.approx(exact, rel=1e-6)
 
 
@@ -107,8 +110,8 @@ def test_m1_exact_offdiagonal_envelope():
     t_bound = 1e3
     b = default_bump()
     for f in (constant_one(), steinhaus_sample(2)):
-        exact = m1_exact(RES20, f, t_bound, SUPP20, TABLE)
-        diag = m1_main(RES20, t_bound, RES20.x)
+        exact = m1_exact(f, t_bound, SUPP20)
+        diag = _m1_main(RES20, t_bound)
         envelope = 2.0 * t_bound * R61 * abs(b.transform(t_bound * math.log(61.0)))
         assert abs(exact - diag) <= envelope * 1.01 + 1e-9
         assert exact > 0.0
@@ -116,7 +119,7 @@ def test_m1_exact_offdiagonal_envelope():
 
 def test_m1_positive():
     for t_bound in (1e3, 1e4):
-        assert m1_quadrature(RES20, steinhaus_sample(8), t_bound, SUPP20, TABLE) > 0.0
+        assert m1_quadrature(steinhaus_sample(8), t_bound, SUPP20) > 0.0
 
 
 # -- second moment ----------------------------------------------------------
@@ -125,24 +128,24 @@ def test_m1_positive():
 def test_m2_exact_reduces_to_m1_at_n1():
     t_bound = 1e3
     for f in (constant_one(), steinhaus_sample(31)):
-        m2 = m2_exact(RES20, f, 1, t_bound, SUPP20, TABLE)
-        m1 = m1_exact(RES20, f, t_bound, SUPP20, TABLE)
+        m2 = m2_exact(f, 1, t_bound, SUPP20, TABLE)
+        m1 = m1_exact(f, t_bound, SUPP20)
         assert m2 == pytest.approx(m1, rel=1e-12)
 
 
 def test_m2_quadrature_reduces_to_m1_at_n1():
     t_bound = 1e3
     f = steinhaus_sample(4)
-    m2 = m2_quadrature(RES20, f, 1, t_bound, SUPP20, TABLE)
-    m1 = m1_quadrature(RES20, f, t_bound, SUPP20, TABLE)
+    m2 = m2_quadrature(f, 1, t_bound, SUPP20, TABLE)
+    m1 = m1_quadrature(f, t_bound, SUPP20)
     assert m2 == pytest.approx(m1, rel=1e-8)
 
 
 def test_m2_exact_vs_quadrature_tiny():
     t_bound = 1e3
     for f in (constant_one(), steinhaus_sample(12345), archimedean_cmf(1.0)):
-        quad = m2_quadrature(RES20, f, 3, t_bound, SUPP20, TABLE)
-        exact = m2_exact(RES20, f, 3, t_bound, SUPP20, TABLE)
+        quad = m2_quadrature(f, 3, t_bound, SUPP20, TABLE)
+        exact = m2_exact(f, 3, t_bound, SUPP20, TABLE)
         assert quad == pytest.approx(exact, rel=1e-6)
 
 
@@ -151,7 +154,7 @@ def test_m2_exact_diagonal_is_f_free():
     # m*a = n*b terms carry no f dependence at all.
     t_bound = 1e4
     values = [
-        m2_exact(RES20, f, 3, t_bound, SUPP20, TABLE)
+        m2_exact(f, 3, t_bound, SUPP20, TABLE)
         for f in (constant_one(), steinhaus_sample(7), archimedean_cmf(0.7))
     ]
     assert values[0] == pytest.approx(values[1], rel=1e-8)
@@ -162,14 +165,14 @@ def test_m2_bounded_by_n_m1():
     t_bound = 1e3
     f = constant_one()
     n_max = 3
-    m2 = m2_quadrature(RES20, f, n_max, t_bound, SUPP20, TABLE)
-    m1 = m1_quadrature(RES20, f, t_bound, SUPP20, TABLE)
+    m2 = m2_quadrature(f, n_max, t_bound, SUPP20, TABLE)
+    m1 = m1_quadrature(f, t_bound, SUPP20)
     assert m2 <= n_max * m1 * (1.0 + 1e-8)
 
 
 def _dense_window_integral(polys, t_bound, b):
     """The same window integral with the dense exp(1j * outer(t, logs))
-    integrand through the default composite_gl rule."""
+    integrand through the reference rule composite_gl."""
 
     def integrand(t):
         out = b.phi_vec(t / t_bound)
@@ -180,7 +183,8 @@ def _dense_window_integral(polys, t_bound, b):
 
     max_freq = sum(float(logs.max(initial=0.0)) for _, logs in polys)
     value, _ = adaptive_oscillatory(
-        integrand, b.lo * t_bound, b.hi * t_bound, max_freq=max_freq, rel_tol=1e-8
+        integrand, b.lo * t_bound, b.hi * t_bound, max_freq=max_freq, rel_tol=1e-8,
+        rule=composite_gl,
     )
     return value.real
 
@@ -196,15 +200,15 @@ def test_quadrature_moments_match_dense_reference(idx):
     b = default_bump()
     res = build_resonator(math.exp(logx), TABLE)
     supp = support_elements(res, res.x)
-    r_poly = _support_coeff_logs(res, f, supp)
+    r_poly = _support_coeff_logs(f, supp)
     d_poly = (
         values_up_to(f, n, TABLE) / math.sqrt(n),
         np.log(np.arange(1, n + 1, dtype=np.float64)),
     )
     m1_ref = _dense_window_integral([r_poly], t_bound, b)
     m2_ref = _dense_window_integral([r_poly, d_poly], t_bound, b)
-    assert m1_quadrature(res, f, t_bound, supp, TABLE) == pytest.approx(m1_ref, rel=1e-12)
-    assert m2_quadrature(res, f, n, t_bound, supp, TABLE) == pytest.approx(m2_ref, rel=1e-12)
+    assert m1_quadrature(f, t_bound, supp) == pytest.approx(m1_ref, rel=1e-12)
+    assert m2_quadrature(f, n, t_bound, supp, TABLE) == pytest.approx(m2_ref, rel=1e-12)
 
 
 # m1_quadrature and m2_quadrature as the node-by-node grid rule computed them, before the
@@ -222,8 +226,8 @@ def test_quadrature_moments_pinned(idx):
     n, t_bound, logx, f, m1, m2 = QUADRATURE_PINS[idx]
     res = build_resonator(math.exp(logx), TABLE)
     supp = support_elements(res, res.x)
-    assert m1_quadrature(res, f, t_bound, supp, TABLE) == m1
-    assert m2_quadrature(res, f, n, t_bound, supp, TABLE) == m2
+    assert m1_quadrature(f, t_bound, supp) == m1
+    assert m2_quadrature(f, n, t_bound, supp, TABLE) == m2
 
 
 def test_m2_quadrature_memory():
@@ -234,7 +238,7 @@ def test_m2_quadrature_memory():
     f = steinhaus_sample(1)
     tracemalloc.start()
     try:
-        m2_quadrature(res, f, 12, 1e4, supp, TABLE)
+        m2_quadrature(f, 12, 1e4, supp, TABLE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -515,8 +519,8 @@ def test_pair_sums_memory_is_flat(n_max):
     res = build_resonator(x, TABLE)
     tracemalloc.start()
     try:
-        moment_main_term(res, n_max, x, TABLE)
-        alpha_shift_error_term(res, n_max, x, res.alpha_default, TABLE)
+        moment_main_term(res, n_max, x)
+        alpha_shift_error_term(res, n_max, x, res.alpha_default)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -703,7 +707,7 @@ def test_pair_sums_beyond_63_primes():
         )
         pairs = _coprime_pairs(res, n_max)
         main = math.fsum(a.t * b.t * a.n * b.n / max(a.n, b.n) ** 3 for a, b in pairs)
-        assert moment_main_term(res, n_max, x, TABLE) == pytest.approx(main, rel=1e-12)
+        assert moment_main_term(res, n_max, x) == pytest.approx(main, rel=1e-12)
         shift = {p: 1.0 + res.r_p[p] ** 2 * p**alpha for p in primes}
         bracket = math.fsum(
             a.r * b.r * (a.n * b.n) ** (alpha - 0.5)
@@ -711,13 +715,13 @@ def test_pair_sums_beyond_63_primes():
             for a, b in pairs
         )
         plain = math.prod(1.0 + res.r_p[p] ** 2 for p in primes)
-        assert alpha_shift_error_term(res, n_max, x, alpha, TABLE) == pytest.approx(
+        assert alpha_shift_error_term(res, n_max, x, alpha) == pytest.approx(
             x**-alpha * bracket / plain, rel=1e-12
         )
         ab = 2 * primes[top]
         kept = [e.r**2 for e in support_elements(res, x) if math.gcd(e.n, ab) == 1]
         full = plain / ((1.0 + res.r_p[2] ** 2) * (1.0 + res.r_p[primes[top]] ** 2))
-        tail, _ = tail_truncation_check(res, ab, x, alpha, TABLE)
+        tail, _ = tail_truncation_check(res, ab, x, alpha)
         assert tail == pytest.approx(full - math.fsum(kept), rel=1e-9)
     sup = support_arrays(res, x)  # the 130-prime input
     assert sup.masks.shape[1] == 3 and 2 * 733 in sup.ns.tolist()
@@ -765,17 +769,17 @@ def test_m1_offdiag_bound_formula():
 
 
 def test_moment_main_term():
-    assert moment_main_term(EMPTY, 10, EMPTY.x, TABLE) == 1.0
+    assert moment_main_term(EMPTY, 10, EMPTY.x) == 1.0
     expected = 1.0 + 2.0 * T61 / 61.0**2
-    assert moment_main_term(RES20, 100, math.exp(20.0), TABLE) == pytest.approx(
+    assert moment_main_term(RES20, 100, math.exp(20.0)) == pytest.approx(
         expected, rel=1e-12
     )
-    assert moment_main_term(RES20, 100, math.exp(20.0), TABLE) >= 1.0
+    assert moment_main_term(RES20, 100, math.exp(20.0)) >= 1.0
 
 
 def test_alpha_shift_error_term_trivial():
     x = EMPTY.x
-    assert alpha_shift_error_term(EMPTY, 10, x, 0.1, TABLE) == pytest.approx(
+    assert alpha_shift_error_term(EMPTY, 10, x, 0.1) == pytest.approx(
         x**-0.1, rel=1e-12
     )
 
@@ -789,27 +793,27 @@ def test_alpha_shift_error_term_single_prime():
     # (1,61) and (61,1) each drop the 61 factor from it.
     bracket = full_shift + 2.0 * R61 * 61.0 ** (alpha - 0.5)
     expected = x**-alpha * bracket / full_plain
-    got = alpha_shift_error_term(RES20, 100, x, alpha, TABLE)
+    got = alpha_shift_error_term(RES20, 100, x, alpha)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got > 0.0
 
 
 def test_alpha_shift_error_term_validation():
     with pytest.raises(ValueError):
-        alpha_shift_error_term(RES20, 10, RES20.x, 0.0, TABLE)
+        alpha_shift_error_term(RES20, 10, RES20.x, 0.0)
     with pytest.raises(ValueError):
-        alpha_shift_error_term(RES20, 10, RES20.x, 0.5, TABLE)
+        alpha_shift_error_term(RES20, 10, RES20.x, 0.5)
 
 
 def test_tail_truncation_full_cap():
-    tail, shifted = tail_truncation_check(RES20, 1, 100.0, 0.1, TABLE)
+    tail, shifted = tail_truncation_check(RES20, 1, 100.0, 0.1)
     assert tail == 0.0
     assert shifted > 0.0
 
 
 def test_tail_truncation_cap_one():
     alpha = 0.1
-    tail, shifted = tail_truncation_check(RES20, 1, 1.0, alpha, TABLE)
+    tail, shifted = tail_truncation_check(RES20, 1, 1.0, alpha)
     assert tail == pytest.approx(R61 * R61, rel=1e-12)
     assert shifted == pytest.approx(1.0 + R61 * R61 * 61.0**alpha, rel=1e-12)
     assert tail < shifted
@@ -817,29 +821,29 @@ def test_tail_truncation_cap_one():
 
 def test_tail_truncation_excluded_prime():
     # ab divisible by 61 removes the only window prime: no tail at all.
-    tail, shifted = tail_truncation_check(RES20, 61, 1.0, 0.1, TABLE)
+    tail, shifted = tail_truncation_check(RES20, 61, 1.0, 0.1)
     assert tail == 0.0
     assert shifted == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tail_truncation_validation():
     with pytest.raises(ValueError):
-        tail_truncation_check(RES20, 1, 0.5, 0.1, TABLE)
+        tail_truncation_check(RES20, 1, 0.5, 0.1)
     with pytest.raises(ValueError):
-        tail_truncation_check(RES20, 1, 10.0, 0.7, TABLE)
+        tail_truncation_check(RES20, 1, 10.0, 0.7)
 
 
 def test_balanced_pair_bound_below_window():
     # Support below the window is just {1}: the pair sum is 1 and the
     # comparison term collapses to 1 / log z.
-    lhs, rhs = balanced_pair_bound_check(RES20, 10.0, TABLE)
+    lhs, rhs = balanced_pair_bound_check(RES20, 10.0)
     assert lhs == 1.0
     assert rhs == pytest.approx(1.0 / math.log(10.0), rel=1e-12)
     assert rhs < 1.0
 
 
 def test_balanced_pair_bound_past_window():
-    lhs, rhs = balanced_pair_bound_check(RES20, 100.0, TABLE)
+    lhs, rhs = balanced_pair_bound_check(RES20, 100.0)
     assert lhs == pytest.approx(1.0 + 2.0 * T61 / 61.0**2, rel=1e-12)
     expected_rhs = (1.0 + T61 / math.sqrt(61.0)) ** 2 / math.log(100.0)
     assert rhs == pytest.approx(expected_rhs, rel=1e-12)
@@ -848,13 +852,7 @@ def test_balanced_pair_bound_past_window():
 
 def test_balanced_pair_bound_validation():
     with pytest.raises(ValueError):
-        balanced_pair_bound_check(RES20, 1.0, TABLE)
-
-
-def test_sum_t_over_sqrt_single_prime():
-    assert sum_t_over_sqrt(RES20, 100.0) == pytest.approx(
-        1.0 + T61 / math.sqrt(61.0), rel=1e-13
-    )
+        balanced_pair_bound_check(RES20, 1.0)
 
 
 # -- growth benchmarks ------------------------------------------------------

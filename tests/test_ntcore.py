@@ -9,7 +9,6 @@ from rescert.ntcore import (
     MAX_SIEVE_LIMIT,
     build_factor_table,
     factorize,
-    is_squarefree,
     primes_in,
 )
 
@@ -56,16 +55,6 @@ def test_primes_in_real_bounds():
 def test_primes_in_beyond_table():
     with pytest.raises(ValueError):
         primes_in(2, TABLE.limit + 1, TABLE)
-
-
-def test_is_squarefree():
-    assert is_squarefree(10, TABLE)
-    assert not is_squarefree(12, TABLE)
-    assert is_squarefree(1, TABLE)
-    # Agreement with the definition on a window.
-    for n in range(1, 2000):
-        expected = all(e == 1 for _, e in factorize(n, TABLE))
-        assert is_squarefree(n, TABLE) == expected
 
 
 def test_is_prime():

@@ -35,9 +35,9 @@ def test_toy_resonator_validation():
 
 def test_check_multiplicative():
     good = ToyResonator(values={1: 1.0, 2: 0.5, 3: 0.4, 6: 0.2}, squarefree_supported=True)
-    assert good.check_multiplicative(6, TABLE)
+    assert good.check_multiplicative(6)
     broken = ToyResonator(values={1: 1.0, 2: 1.0, 3: 1.0, 6: 5.0})
-    assert not broken.check_multiplicative(6, TABLE)
+    assert not broken.check_multiplicative(6)
 
 
 def test_random_toys_are_multiplicative():
@@ -45,7 +45,7 @@ def test_random_toys_are_multiplicative():
         rng = np.random.default_rng(seed)
         toy = random_toy_resonator(rng, cap=20)
         assert toy.value(1) == 1.0
-        assert toy.check_multiplicative(20, TABLE)
+        assert toy.check_multiplicative(20)
 
 
 def test_random_toy_squarefree_flag():
@@ -108,12 +108,19 @@ def test_bijection_cap():
         parametrization_bijection_check(101, 100)
 
 
+def test_bijection_rejects_n_or_x_below_one():
+    # Both sides would be empty sets, so the check would report a match.
+    for n, x in ((3, -5), (3, 0), (0, 3)):
+        with pytest.raises(ValueError, match=r"N and X must be >= 1"):
+            parametrization_bijection_check(n, x)
+
+
 def test_m2_bruteforce_matches_m1_at_n1():
     # |D_1| = 1, so the weighted moment collapses to the plain one.
     f = constant_one()
     t_bound = 1e3
     brute = m2_bruteforce_quadrature(RES20, f, 1, t_bound, TABLE, panels=400_000)
-    m1 = m1_quadrature(RES20, f, t_bound, SUPP20, TABLE)
+    m1 = m1_quadrature(f, t_bound, SUPP20)
     assert brute == pytest.approx(m1, rel=1e-5)
 
 
@@ -121,6 +128,6 @@ def test_m2_bruteforce_matches_exact_expansion():
     t_bound = 1e3
     for f in (constant_one(), steinhaus_sample(12345)):
         brute = m2_bruteforce_quadrature(RES20, f, 3, t_bound, TABLE, panels=400_000)
-        exact = m2_exact(RES20, f, 3, t_bound, SUPP20, TABLE)
+        exact = m2_exact(f, 3, t_bound, SUPP20, TABLE)
         assert brute == pytest.approx(exact, rel=1e-5)
     assert brute > 0.0

@@ -26,7 +26,8 @@ def test_polynomial_exact():
 def test_oscillatory_closed_form():
     xi = 37.0
     val, err = adaptive_oscillatory(
-        lambda x: np.exp(-1j * xi * x), 0.0, 1.0, max_freq=xi, rel_tol=1e-12
+        lambda x: np.exp(-1j * xi * x), 0.0, 1.0, max_freq=xi, rule=composite_gl,
+        rel_tol=1e-12,
     )
     exact = (1.0 - np.exp(-1j * xi)) / (1j * xi)
     assert val == pytest.approx(complex(exact), rel=1e-11)
@@ -35,14 +36,14 @@ def test_oscillatory_closed_form():
 
 def test_real_integrand_cosine():
     val, _ = adaptive_oscillatory(
-        np.cos, 0.0, 10.0, max_freq=1.0, rel_tol=1e-12
+        np.cos, 0.0, 10.0, max_freq=1.0, rule=composite_gl, rel_tol=1e-12
     )
     assert val.real == pytest.approx(math.sin(10.0), rel=1e-12)
     assert abs(val.imag) <= 1e-14
 
 
 def test_empty_interval():
-    val, err = adaptive_oscillatory(np.cos, 1.0, 1.0, max_freq=1.0)
+    val, err = adaptive_oscillatory(np.cos, 1.0, 1.0, max_freq=1.0, rule=composite_gl)
     assert val == 0.0 and err == 0.0
 
 
@@ -71,7 +72,8 @@ def test_nonconvergence_has_no_budget_context():
     rng = np.random.default_rng(0)
     with pytest.raises(QuadratureError) as info:
         adaptive_oscillatory(
-            lambda x: rng.standard_normal(x.shape), 0.0, 1.0, max_freq=1.0, rel_tol=1e-15
+            lambda x: rng.standard_normal(x.shape), 0.0, 1.0, max_freq=1.0,
+            rule=composite_gl, rel_tol=1e-15,
         )
     assert info.value.needed is None and info.value.budget is None
     assert info.value.achieved_error is not None
@@ -107,7 +109,7 @@ def test_grid_rule_matches_composite_gl(panels):
 
 def test_grid_rule_adaptive_matches_default():
     kw = dict(max_freq=float(_LOGS.max()), rel_tol=1e-12)
-    dense, _ = adaptive_oscillatory(_poly_abs2, 500.0, 1000.0, **kw)
+    dense, _ = adaptive_oscillatory(_poly_abs2, 500.0, 1000.0, rule=composite_gl, **kw)
     grid, _ = adaptive_oscillatory(_poly_abs2_grid, 500.0, 1000.0, rule=composite_gl_grid, **kw)
     assert abs(grid - dense) <= 1e-13 * abs(dense)
 
@@ -148,7 +150,8 @@ def test_phased_rule_matches_composite_gl(panels):
 def test_error_estimate_tracks_truth():
     xi = 11.0
     val, err = adaptive_oscillatory(
-        lambda x: np.exp(-1j * xi * x), 0.0, 1.0, max_freq=xi, rel_tol=1e-10
+        lambda x: np.exp(-1j * xi * x), 0.0, 1.0, max_freq=xi, rule=composite_gl,
+        rel_tol=1e-10,
     )
     exact = complex((1.0 - np.exp(-1j * xi)) / (1j * xi))
     assert abs(val - exact) <= max(err * 10.0, 1e-12)

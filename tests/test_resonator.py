@@ -17,15 +17,11 @@ from rescert.resonator import (
     Resonator,
     build_resonator,
     degenerate_resonator,
-    enumerate_support,
     euler_product_one_plus_r2,
-    iter_support,
     r_value,
     sum_r_squared,
-    sum_t_over_sqrt,
     support_arrays,
     support_elements,
-    t_value,
     window_bounds,
 )
 
@@ -73,26 +69,24 @@ def test_r_value_off_support():
     assert r_value(RES20, 61 * 61, TABLE) == 0.0  # not squarefree
     assert r_value(RES20, 1, TABLE) == 1.0
     assert r_value(RES20, 61, TABLE) == pytest.approx(R61, rel=1e-12)
-    assert t_value(RES20, 61, TABLE) == pytest.approx(T61, rel=1e-12)
-    assert t_value(RES20, 62, TABLE) == 0.0
+    assert support_elements(RES20, X20)[1].t == pytest.approx(T61, rel=1e-12)
 
 
 def test_support_enumeration():
-    assert enumerate_support(RES20, 1.0) == [1]
-    assert enumerate_support(RES20, X20) == [1, 61]
+    assert [e.n for e in support_elements(RES20, 1.0)] == [1]
+    assert [e.n for e in support_elements(RES20, X20)] == [1, 61]
     res = build_resonator(math.exp(20.2), TABLE)  # window primes {61, 67}
-    assert enumerate_support(res, 5000) == [1, 61, 67, 4087]
+    assert [e.n for e in support_elements(res, 5000)] == [1, 61, 67, 4087]
     elems = support_elements(res, 5000)
     assert elems[3].primes == (61, 67)
     assert elems[3].r == pytest.approx(res.r_p[61] * res.r_p[67], rel=1e-14)
 
 
-def test_iter_support_streams_one_first():
+def test_support_elements_one_first():
     res = build_resonator(math.exp(20.2), TABLE)
-    it = iter_support(res, 5000)
-    assert next(it).n == 1
-    rest = sorted(e.n for e in it)
-    assert rest == [61, 67, 4087]
+    elems = support_elements(res, 5000)
+    assert elems[0].n == 1 and elems[0].primes == ()
+    assert [e.n for e in elems[1:]] == [61, 67, 4087]
 
 
 def test_enumeration_budget():
@@ -146,7 +140,7 @@ def test_support_arrays_match_support_elements():
 def test_support_edge_caps():
     res = build_resonator(math.exp(20.2), TABLE)  # window primes {61, 67}
     # An infinite cap takes the whole support.
-    assert enumerate_support(res, math.inf) == [1, 61, 67, 4087]
+    assert [e.n for e in support_elements(res, math.inf)] == [1, 61, 67, 4087]
     assert sum_r_squared(res, math.inf) == euler_product_one_plus_r2(res)
     with pytest.raises(ValueError):
         support_arrays(res, math.nan)
@@ -260,7 +254,7 @@ def test_sums_on_empty_support():
     assert res.is_empty
     assert not res.is_degenerate
     assert sum_r_squared(res, 1e6) == 1.0
-    assert sum_t_over_sqrt(res, 1e6) == 1.0
+    assert [e.t for e in support_elements(res, 1e6)] == [1.0]
     assert euler_product_one_plus_r2(res) == 1.0
 
 
@@ -305,7 +299,7 @@ def test_degenerate_and_validation():
     res = degenerate_resonator(3.0)
     assert res.is_degenerate and res.is_empty
     assert res.alpha_default is None
-    assert enumerate_support(res, 100.0) == [1]
+    assert [e.n for e in support_elements(res, 100.0)] == [1]
 
 
 def test_table_too_small():
