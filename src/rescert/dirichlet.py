@@ -3,7 +3,7 @@
 D_{f,N}(t) = N^{-1/2} * sum_{n<=N} f(n) * n^{it}.  The derivative bound
 |D'| <= sqrt(N) * log N turns a uniform grid of step h into a certificate:
 the true supremum over the scanned window exceeds the best grid value by
-at most h * sqrt(N) * log(N) / 2.  One kernel, _grid_values, scans D_N and
+at most h * sqrt(N) * log(N) / 2.  One kernel, _grid_blocks, scans D_N and
 the resonator polynomial R in anchor blocks of RESYNC_STRIDE points.  Each
 block computes one direct exponential row at its anchor t0 and multiplies
 it into step tables that do not depend on t0, which a scan builds once per
@@ -24,6 +24,15 @@ are bit for bit those of its own scan.  The anchors stay at fixed grid
 indices: at |t| ~ 6e10 each phase t*log n carries ~3e-5 rad of rounding,
 so moved anchors shift grid values by ~1e-5 relative, enough to change
 which grid point wins a near tie.
+
+The kernel hands each block over in its native layout, a (cols, rows) array
+in grid order that is a transposed view of the explicit tables' product or
+the Taylor factor's contiguous product, without copying it.  _grid_values
+flattens the blocks to grid order for grid_sup and the quadrature moments.
+The guided search's peak finder (_guided_candidates) reads the native blocks:
+np.abs on the block, one float copy of |R| into a reused grid-order buffer
+behind the two values carried from the previous block, and the two neighbour
+comparisons into reused bool buffers.
 """
 
 from __future__ import annotations
@@ -155,17 +164,23 @@ def _grid_error_bound(l1: float, max_log: float, n_terms: int, t_abs: float, h: 
     """rho: a bound on |value - sum_n c_n e^{i*t*log n}| at every point of a _grid_values scan.
 
     l1 = sum |c_n|, max_log = L, n_terms = S, and t_abs >= |origin| + |k0 + k|*h over the
-    scan's points (for origin 0 simply max |t|); the derivation is _grid_values'.
+    scan's points (for origin 0 simply max |t|); the derivation is _grid_blocks'.
     """
     phase = 3.0 * (t_abs + 2 * RESYNC_STRIDE * h) * max_log
     return l1 * _U * (0.25 + math.e * (n_terms + 40) + phase)
 
 
-def _grid_values(coeffs, logs, origin, k0: int, count: int, h: float):
-    """Yield (start, values): values[k] = sum_n c_n e^{i*t*log n}, t = origin + (k0 + start + k)*h.
+def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
+    """Yield (start, size, block): block[..., m, j] = sum_n c_n e^{i*t*log n} at point
+    k = j + rows*m of the block, t = origin + (k0 + start + k)*h, for its first `size` points.
 
-    `origin` is a float, or a 1-d array of origins scanned together on the same grid offsets;
-    values then has one row per origin, and row i is bit for bit the scan of origin[i] alone.
+    The block is the kernel's product in its native layout, handed over without a copy: a
+    (cols, rows) array in grid order, which is a transposed view of the (rows, cols) product
+    for the explicit tables and the contiguous (cols, r) product for the Taylor factor.  Its
+    points past `size` (the short last block's padding, up to rows - 1 of them) lie outside
+    the scan.  `origin` is a float, or a 1-d array of origins scanned together on the same
+    grid offsets; block then has one leading row per origin, and row i is bit for bit the
+    scan of origin[i] alone.
 
     A block of size <= RESYNC_STRIDE points starts at the anchor t0 = origin + (k0 + start)*h,
     whose row c_n e^{i*t0*log n} is the one direct exponential of the block.  Its points come
@@ -252,8 +267,18 @@ def _grid_values(coeffs, logs, origin, k0: int, count: int, h: float):
                     sums[start] += prod
                 if s == cuts[-1]:
                     acc = sums.pop(start)
-                    block = acc.swapaxes(-1, -2) if factor is None else acc @ steps
-                    yield start, block.reshape(*lead, rows * cols)[..., :size]
+                    yield start, size, acc.swapaxes(-1, -2) if factor is None else acc @ steps
+
+
+def _grid_values(coeffs, logs, origin, k0: int, count: int, h: float):
+    """Yield (start, values): values[k] = sum_n c_n e^{i*t*log n}, t = origin + (k0 + start + k)*h.
+
+    The blocks of _grid_blocks flattened to grid order and trimmed to their points in the
+    scan: a copy of each explicit-table block, a view of each Taylor-factored one.  With
+    several origins values has one row per origin.
+    """
+    for start, size, block in _grid_blocks(coeffs, logs, origin, k0, count, h):
+        yield start, block.reshape(*block.shape[:-2], -1)[..., :size]
 
 
 def _search_args(n_max: int, t_bound: float, eps, window, eval_budget: int, eps_scale: float):
@@ -408,11 +433,16 @@ def grid_sup(
     with open(trace_path, "w") if tracing else contextlib.nullcontext() as trace_file:
         if tracing:
             trace_file.write("t,abs_dn\n")
+        # |D|^2 of a block, the imaginary parts' squares and the near-max mask, reused.
+        size = min(n_interior, RESYNC_STRIDE)
+        mag2_buf, imag2_buf, near_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
         for start, vals in _grid_values(*terms, 0.0, k_lo, n_interior, step):
-            mag2 = vals.real * vals.real + vals.imag * vals.imag
+            mag2 = np.multiply(vals.real, vals.real, out=mag2_buf[: vals.size])
+            mag2 += np.multiply(vals.imag, vals.imag, out=imag2_buf[: vals.size])
             # Only points within the tie tolerance of the block maximum can
             # win; they reach consider() in grid order.
-            for k in np.flatnonzero(mag2 >= mag2.max() - 1e-18):
+            near = np.greater_equal(mag2, mag2.max() - 1e-18, out=near_buf[: vals.size])
+            for k in np.flatnonzero(near):
                 consider((k_lo + start + int(k)) * step, float(mag2[k]))
             if tracing:
                 for k in range(-start % trace_stride, vals.size, trace_stride):
@@ -430,27 +460,45 @@ def grid_sup(
 
 
 def _guided_candidates(blocks, max_log: float, lo: float, step: float, top_k: int) -> np.ndarray:
-    """Grid indices of the top-k local maxima of |R| over the kernel's blocks of R values.
+    """Grid indices of the top-k local maxima of |R| over the blocks of R values that
+    _grid_blocks yields: (start, size, block), block in (cols, rows) grid order.
 
-    The maxima are found block by block: the last two |R| values of a block carry over to
-    the next, so every interior point is compared with both neighbours once.  With no
-    interior maximum the first argmax stands in.
+    The maxima are found block by block, reading each block in its native layout: np.abs on
+    it, one float copy of |R| into a reused grid-order buffer right after the last two |R|
+    values of the previous blocks (so every interior point is compared with both neighbours
+    once, and nothing is concatenated), and the two neighbour comparisons into reused bool
+    buffers.  With no interior maximum the first argmax stands in; it is taken only until
+    the first interior maximum is found, since after that it cannot be used.
     """
     peaks, heights = [], []
-    tail = np.empty(0)
+    ext = np.empty(2)  # the carried |R| values in ext[2 - carry : 2], then the block's
+    ge_prev = ge_next = np.empty(0, dtype=bool)
+    carry = 0
     top_idx, top = 0, -math.inf
-    for start, vals in blocks:
+    for start, size, vals in blocks:
         mag = np.abs(vals)
-        k = int(np.argmax(mag))
-        if mag[k] > top:
-            top_idx, top = start + k, mag[k]
-        ext = np.concatenate((tail, mag))
-        idx = 1 + np.flatnonzero((ext[1:-1] >= ext[:-2]) & (ext[1:-1] >= ext[2:]))
-        peaks.append(start - tail.size + idx)
-        heights.append(ext[idx])
-        tail = ext[-2:]
-    peak_idx, heights = np.concatenate(peaks), np.concatenate(heights)
-    if peak_idx.size == 0:
+        if ext.size < 2 + mag.size:
+            ext = np.concatenate((ext[:2], np.empty(mag.size)))
+            ge_prev, ge_next = np.empty(mag.size, dtype=bool), np.empty(mag.size, dtype=bool)
+        ext[2 : 2 + mag.size].reshape(mag.shape)[...] = mag
+        cur = ext[2 - carry : 2 + size]
+        n = max(0, cur.size - 2)
+        mid = cur[1:-1]
+        is_peak = np.greater_equal(mid, cur[:-2], out=ge_prev[:n])
+        is_peak &= np.greater_equal(mid, cur[2:], out=ge_next[:n])
+        (idx,) = is_peak.nonzero()  # mid[i] is cur[i + 1], the grid point start - carry + i + 1
+        if idx.size:
+            peaks.append(idx + (start - carry + 1))
+            heights.append(mid[idx])
+        elif not peaks:
+            k = int(np.argmax(ext[2 : 2 + size]))
+            if ext[2 + k] > top:
+                top_idx, top = start + k, ext[2 + k]
+        carry = min(2, carry + size)
+        ext[2 - carry : 2] = cur[cur.size - carry :]
+    if peaks:
+        peak_idx, heights = np.concatenate(peaks), np.concatenate(heights)
+    else:
         peak_idx, heights = np.array([top_idx]), np.array([top])
     h_top = float(heights.max())
     # Grid offset shifts a sampled peak height by O((omega*step)^2), so
@@ -502,7 +550,7 @@ def resonance_guided_search(
         step = (hi - lo) / (n_points - 1)
 
     r_coeffs, r_logs = _support_coeff_logs(f, support)
-    blocks = _grid_values(r_coeffs, r_logs, lo, 0, n_points, step)
+    blocks = _grid_blocks(r_coeffs, r_logs, lo, 0, n_points, step)
     candidates = _guided_candidates(
         blocks, float(r_logs.max(initial=0.0)), lo, step, GUIDED_TOP_K
     )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rescert import dirichlet
 from rescert.dirichlet import (
     RESYNC_STRIDE,
+    _grid_blocks,
     _grid_values,
     _guided_candidates,
     derivative_bound,
@@ -478,10 +479,21 @@ def _full_array_candidates(r_mag, max_log, lo, step, top_k):
 
 
 def _as_blocks(r_mag, sizes):
-    # Blocks of the given sizes; |R| as complex values with a phase, as the kernel yields.
+    """Blocks of the given sizes as _grid_blocks yields them from the explicit tables: |R| as
+    complex values with a phase, (cols, rows) in grid order as the transposed view of a
+    (rows, cols) array.  The padding past each block's size would be the highest peak if it
+    were read."""
     bounds = np.cumsum([0, *sizes])
     assert bounds[-1] == r_mag.size
-    return [(int(a), r_mag[a:b] * np.exp(0.3j)) for a, b in zip(bounds[:-1], bounds[1:])]
+    blocks = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        size = int(b - a)
+        rows = math.isqrt(size - 1) + 1
+        cols = -(-size // rows)
+        vals = np.full(rows * cols, 1e300, dtype=np.complex128)
+        vals[:size] = r_mag[a:b] * np.exp(0.3j)
+        blocks.append((int(a), size, np.ascontiguousarray(vals.reshape(cols, rows).T).T))
+    return blocks
 
 
 @pytest.mark.parametrize(
@@ -534,11 +546,65 @@ def test_guided_candidates_periodic_one_prime_resonator():
     r_mag = np.concatenate([np.abs(v) for _, v in _grid_values(coeffs, logs, lo, 0, count, step)])
     for top_k in (5, 10**6):
         want = _full_array_candidates(r_mag, float(logs.max()), lo, step, top_k)
-        got = _guided_candidates(_grid_values(coeffs, logs, lo, 0, count, step),
+        got = _guided_candidates(_grid_blocks(coeffs, logs, lo, 0, count, step),
                                  float(logs.max()), lo, step, top_k)
         assert np.array_equal(got, want)
     assert want.size > 100  # one peak per period 2*pi / log 61 ~ 1.5
     assert np.all(np.diff(np.abs(lo + step * want[:50])) >= 0)  # in the band
+
+
+def _kernel_scan_case(shape, count, frac, seed):
+    """(coeffs, logs, lo, h) of a small R and its scan, in one of five shapes of |R|."""
+    rng = np.random.default_rng(seed)
+    if shape in ("falling", "rising"):
+        # |R| = |1 + e^{it}| = 2|cos(t/2)|, strictly monotone on the scan: no interior maximum.
+        coeffs, logs = np.ones(2, dtype=np.complex128), np.array([0.0, 1.0])
+        h = 10.0 ** (-3.0 + 1.6 * frac)  # the scan spans at most 47 h < 2
+        return coeffs, logs, 0.3 if shape == "falling" else -0.3 - (count - 1) * h, h
+    n = {"random": int(rng.integers(2, 9)), "one term": 1, "flat": int(rng.integers(1, 5))}[shape]
+    coeffs = rng.uniform(0.2, 1.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    if shape == "flat":
+        # log n = 0 for every term: every point sums the same products, so ties abound.
+        return coeffs, np.zeros(n), float(rng.uniform(-50.0, 50.0)), 10.0 ** (-2.0 + frac)
+    # One term: |R| = |c| up to rounding, so plateaus and ties of adjacent floats abound.
+    logs = np.log(np.arange(2, n + 2, dtype=np.float64)) * rng.uniform(0.5, 3.0)
+    h = 10.0 ** (-3.0 + 1.5 * frac) / logs.max()  # h*L <= 0.032: the forced factor runs
+    return coeffs, logs, float(rng.uniform(-50.0, 50.0)), h
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from(["random", "one term", "flat", "falling", "rising"]),
+    explicit=st.booleans(),
+    count=st.integers(1, 48),
+    frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    top_k=st.sampled_from([1, 5, 100]),
+)
+def test_guided_candidates_on_kernel_blocks_match_full_array_selection(
+    shape, explicit, count, frac, seed, top_k
+):
+    # The finder reads the kernel's native blocks (1 to 3 of 16 points, the last one short)
+    # and selects what the full-array selection selects from the concatenated |R|.
+    coeffs, logs, lo, h = _kernel_scan_case(shape, count, frac, seed)
+    max_log = float(logs.max())
+    rank = dirichlet._taylor_rank
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirichlet, "RESYNC_STRIDE", 16)
+        if explicit:
+            mp.setattr(dirichlet, "_taylor_rank", lambda h, max_log, n_terms: None)
+        else:
+            mp.setattr(dirichlet, "_taylor_rank", lambda h, max_log, _: rank(h, max_log, 10**9))
+        # With every log n = 0 only the explicit tables run.
+        assert (dirichlet._taylor_rank(h, max_log, logs.size) is None) == (
+            explicit or shape == "flat"
+        )
+        r_mag = np.abs(np.concatenate([v for _, v in _grid_values(coeffs, logs, lo, 0, count, h)]))
+        got = _guided_candidates(_grid_blocks(coeffs, logs, lo, 0, count, h), max_log, lo, h, top_k)
+    want = _full_array_candidates(r_mag, max_log, lo, h, top_k)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if shape in ("falling", "rising"):
+        assert want.tolist() == [0 if shape == "falling" else count - 1]
 
 
 def test_guided_search_memory_bounded():
@@ -647,6 +713,22 @@ def test_guided_search_constant_one():
     assert abs(result.t_star) <= 1e-6
     assert result.value == pytest.approx(5.0, rel=1e-9)
     assert result.certified_slack is None
+
+
+@pytest.mark.parametrize(
+    "f, n, t_bound, eps, t_star, value",
+    [
+        # README's `search --guided --n 25 --t 20 --x 4.85e8 --eps 0.2`: one block.
+        (constant_one(), 25, 20.0, 0.2, -1.2328129298286758e-08, 5.000000000000002),
+        # 24 567 coarse points: two full blocks and a partial third.
+        (steinhaus_sample(3, TABLE.limit), 60, 60.0, None, -0.8108768215969929, 2.2050885840059404),
+    ],
+)
+def test_guided_search_pinned_to_the_bit(f, n, t_bound, eps, t_star, value):
+    # The peaks of |R| set the refined neighbourhoods, so t_star and value pin the kernel's
+    # |R| bits and the finder's candidates as well as the refinement.
+    result = resonance_guided_search(build_resonator(4.85e8, TABLE), f, n, t_bound, eps, TABLE)
+    assert (result.t_star, result.value) == (t_star, value)
 
 
 def test_guided_search_empty_support_degenerates():
