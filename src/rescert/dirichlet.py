@@ -12,11 +12,21 @@ whichever costs fewer flops given h, L = max log n and the number of terms
 (_taylor_rank): the explicit table e^{i*j*h*log n}, or a rank-K Taylor
 factor over sub-blocks of r points with x = (r - 1)/2 * h * L <= 1 and
 x^K / K! <= u/4, so the search's step (h*L = 2e-3) costs K = 19 products per
-term and sub-block of 1001 points instead of 1001.  The quadrature moments
-(h*L >= 0.3, a dozen terms) keep the explicit tables.  Every value is
-within rho = sum|c_n| * u * (1/4 + e*(S + 40) + 3*L*|t|) (plus a block
-margin) of the exact sum, S terms, u = 2^-52 (_grid_error_bound); grid_sup
-refuses an eps <= rho, where the certified slack would be below rounding.
+term and sub-block of 1001 points instead of 1001.  The factor's two tables
+of powers are real, so its two products run as real matmuls on the float64
+view of the complex operand, half the multiplies of complex ones; the sum
+over terms goes in chunks that OpenBLAS runs on one thread, so that no
+thread count moves a bit (_sum_matmul).  The factor i^k goes in exactly, as
+signs of the step powers and a swap of the held sums' odd rows.  The
+quadrature moments (h*L >= 0.3, a dozen terms) keep the explicit tables.
+_expi reduces anchor phases with 2^27 <= |t*log n| < 2^37 * C1 (|t| ~ 1e10)
+modulo 2*pi by Cody-Waite's five-piece split of 2*pi before cos and sin,
+which would otherwise take libm's slow argument reduction; smaller and
+larger phases keep their bits.
+Every value is within rho = sum|c_n| * u * (1/4 + e*(S + 40) + 4 + 3*L*|t|)
+(plus a block margin) of the exact sum, S terms, u = 2^-52, where the 4 is
+the reduction's (_grid_error_bound); grid_sup refuses an eps <= rho, where
+the certified slack would be below rounding.
 The kernel also scans several origins on the same grid offsets at once (the
 quadrature moments' Gauss-Legendre nodes): they share the step tables, each
 block does one stacked matmul for all of them, and each origin's values
@@ -26,9 +36,9 @@ so moved anchors shift grid values by ~1e-5 relative, enough to change
 which grid point wins a near tie.
 
 The kernel hands each block over in its native layout, a (cols, rows) array
-in grid order that is a transposed view of the explicit tables' product or
-the Taylor factor's contiguous product, without copying it.  _grid_values
-flattens the blocks to grid order for grid_sup and the quadrature moments.
+in grid order that is a transposed view of either form's product, without
+copying it.  _grid_values flattens the blocks to grid order for grid_sup and
+the quadrature moments.
 The guided search's peak finder (_guided_candidates) reads the native blocks:
 np.abs on the block, one float copy of |R| into a reused grid-order buffer
 behind the two values carried from the previous block, and the two neighbour
@@ -56,6 +66,20 @@ GUIDED_TOP_K = 5
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Machine epsilon: a correctly rounded float64 operation is within _U / 2 relative.
 _U = float(np.finfo(np.float64).eps)
+# 2*pi = _C1 + _C2 + _C3 + _C4 + _C5: the leading 16 bits of each remainder, then a float
+# tail; _expi reduces phases with _REDUCE_LO <= |x| < _REDUCE_HI by them.
+_TWO_PI = 2.0 * math.pi
+_C1 = 6.2830810546875  # 0x1.921ep+2
+_C2 = 1.0425224900245667e-4  # 0x1.b544p-14
+_C3 = 2.430837753308879e-10  # 0x1.0b46p-32
+_C4 = 2.449280470280535e-16  # 0x1.1a62p-52
+_C5 = 1.3128014171494002e-21  # 0x1.8cc51701b839ap-70
+_REDUCE_LO = 2.0**27
+_REDUCE_HI = 2.0**37 * _C1
+# OpenBLAS runs a product of at most 65536 * 4 multiply-adds (its default
+# GEMM_MULTITHREAD_THRESHOLD) on one thread.  A larger real product with a long sum can
+# split that sum by thread: (19, 5000) @ (5000, 20) gives other bits under 2 threads.
+_ONE_THREAD_MADDS = 2**18
 
 
 @dataclass(frozen=True)
@@ -101,9 +125,42 @@ def eval_DN(f: UnimodularCMF, n_max: int, t: float, table: FactorTable) -> compl
     return complex(_point_value(*_dn_terms(f, n_max, table), t))
 
 
-def _expi(x: np.ndarray) -> np.ndarray:
-    """e^{i*x} from cos and sin: half the work of np.exp(1j * x)."""
+def _expi(x: np.ndarray, x_bound: float = math.inf) -> np.ndarray:
+    """e^{i*x} from cos and sin: half the work of np.exp(1j * x).  A caller that knows an
+    upper bound x_bound < 2^27 on |x| saves the range test below.
+
+    Phases with 2^27 <= |x| < 2^37 * C1 (a scan's anchor rows at |t| ~ 1e10) are reduced
+    modulo 2*pi first, where cos and sin would otherwise take libm's slow argument reduction;
+    all other phases go to cos and sin as they are, so their values keep every bit.  The
+    reduction is Cody-Waite's: 2*pi = C1 + C2 + C3 + C4 + C5, where C1..C4 are the leading 16
+    bits of what is left of 2*pi (C1 = 0x1.921ep+2, C2 ~ 2^-14, C3 ~ 2^-32, C4 ~ 2^-52,
+    each truncated, so each is positive) and C5 is the float nearest the tail (~ 2^-70).
+    With q = rint(x / 2*pi) and r = ((((x - q*C1) - q*C2) - q*C3) - q*C4) - q*C5:
+
+    * |x| < 2^37 * C1 < 2^37 * 2*pi puts |q| < 2^37, so q*C1 .. q*C4 (at most 37 + 16
+      significant bits) are exact, and |x - 2*pi*q| <= pi + 2^-12;
+    * x - q*C1 is exact by Sterbenz: |x - q*C1| <= pi + 2^-12 + |q|*(2*pi - C1) < 2^25,
+      at most half of |x| >= 2^27;
+    * subtracting q*C2 and q*C3 is exact by bit span: x is a multiple of ulp(x) >= 2^-25 and
+      q*Ci of ulp(Ci), so the exact differences are multiples of 2^-29 and 2^-47, of
+      magnitude below pi + 2^-11 + |q| * (2*pi - C1 - ... - Ci) < 2^9 and < 4, within the
+      2^53 multiples a float holds (2^24 and 2^6);
+    * the last two subtractions round, each by at most u/2 * (pi + 2^-11), and q*C5 and
+      C5 itself are off by less than 2^-80.
+
+    So r is within u * (pi + 2^-10) < 4u of x - 2*pi*q (u = 2^-52), and e^{i*r} within 4u of
+    e^{i*x} before cos and sin round: at most 4u per anchor entry (_grid_error_bound).
+    """
     out = np.empty(x.shape, dtype=np.complex128)
+    if x_bound >= _REDUCE_LO:
+        ax = np.abs(x)
+        big = (ax >= _REDUCE_LO) & (ax < _REDUCE_HI)
+        if big.any():
+            q = np.rint(x / _TWO_PI)
+            r = x - q * _C1
+            for c in (_C2, _C3, _C4, _C5):
+                r -= q * c
+            x = np.where(big, r, x)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out
@@ -143,21 +200,34 @@ def _taylor_rank(h: float, max_log: float, n_terms: int) -> tuple[int, int] | No
 
 
 def _taylor_tables(r: int, cols: int, h: float, logs: np.ndarray, rank: int, max_log: float):
-    """Outer table e^{i*(m*r + (r - 1)/2)*h*log n} (m < cols), the sub-block centres' steps,
-    and the Vandermonde table (log n / L)^k (k < rank), both as complex arrays for matmul."""
-    outer = _expi(np.outer((np.arange(cols) * r + 0.5 * (r - 1)) * h, logs))
-    vander = np.vander(logs / max_log, rank, increasing=True).astype(np.complex128)
+    """The (slice, cols) outer table e^{i*(m*r + (r - 1)/2)*h*log n} (m < cols), the sub-block
+    centres' steps, and the real (rank, slice) Vandermonde table (log n / L)^k (k < rank)."""
+    outer = _expi(np.outer(logs, (np.arange(cols) * r + 0.5 * (r - 1)) * h))
+    vander = np.ascontiguousarray(np.vander(logs / max_log, rank, increasing=True).T)
     return outer, vander
 
 
 def _taylor_steps(r: int, rank: int, h: float, max_log: float) -> np.ndarray:
-    """(rank, r) table (i * delta_j * L)^k / k!, delta_j = (j - (r - 1)/2) * h."""
-    steps = np.empty((rank, r), dtype=np.complex128)
+    """Real (r, rank) table (-1)^floor(k/2) * (delta_j * L)^k / k!, delta_j = (j - (r - 1)/2) * h:
+    the step powers times the sign of i^k = (-1)^floor(k/2) * i^(k mod 2)."""
+    steps = np.empty((rank, r))
     steps[0] = 1.0
-    y = 1j * (np.arange(r) - 0.5 * (r - 1)) * (h * max_log)
+    y = (np.arange(r) - 0.5 * (r - 1)) * (h * max_log)
     for k in range(1, rank):
         steps[k] = steps[k - 1] * y / k
-    return steps
+    steps[2::4] *= -1.0
+    steps[3::4] *= -1.0
+    return np.ascontiguousarray(steps.T)
+
+
+def _sum_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real (m, k) a and a real (..., k, n) b, the k-sum in chunks small enough
+    for one BLAS thread, added in order: no BLAS thread count moves a bit of it."""
+    step = max(1, _ONE_THREAD_MADDS // (a.shape[0] * b.shape[-1]))
+    out = a[:, :step] @ b[..., :step, :]
+    for i in range(step, a.shape[1], step):
+        out += a[:, i : i + step] @ b[..., i : i + step, :]
+    return out
 
 
 def _grid_error_bound(l1: float, max_log: float, n_terms: int, t_abs: float, h: float) -> float:
@@ -167,7 +237,7 @@ def _grid_error_bound(l1: float, max_log: float, n_terms: int, t_abs: float, h: 
     scan's points (for origin 0 simply max |t|); the derivation is _grid_blocks'.
     """
     phase = 3.0 * (t_abs + 2 * RESYNC_STRIDE * h) * max_log
-    return l1 * _U * (0.25 + math.e * (n_terms + 40) + phase)
+    return l1 * _U * (0.25 + math.e * (n_terms + 40) + 4.0 + phase)
 
 
 def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
@@ -176,7 +246,7 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
 
     The block is the kernel's product in its native layout, handed over without a copy: a
     (cols, rows) array in grid order, which is a transposed view of the (rows, cols) product
-    for the explicit tables and the contiguous (cols, r) product for the Taylor factor.  Its
+    for the explicit tables and of the (r, cols) product for the Taylor factor.  Its
     points past `size` (the short last block's padding, up to rows - 1 of them) lie outside
     the scan.  `origin` is a float, or a 1-d array of origins scanned together on the same
     grid offsets; block then has one leading row per origin, and row i is bit for bit the
@@ -198,12 +268,17 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
       entries.  The quadrature moments (h*L >= 0.3, a dozen terms) take this form.
     * Taylor-factored: the block splits into sub-blocks of r points centred at
       t_m = t0 + (m*r + (r - 1)/2)*h, with x = (r - 1)/2 * h * L <= 1, and
-      e^{i*(t_m + delta_j)*log n} = e^{i*t_m*log n} * sum_{k<K} (i*delta_j*L)^k/k! * (log n/L)^k
-      up to x^K/K! <= u/4.  Per block and slice: the outer table (sub-block centres) times the
-      anchor row, then one (cols, slice) @ (slice, K) product with the Vandermonde table of
-      log n / L; per block one (cols, K) @ (K, r) product with the step powers.  Held sums
-      are (cols, K), so all blocks form one group.  The certified search (h*L = 2e-3:
-      r = 1001, K = 19) takes this form.
+      e^{i*(t_m + delta_j)*log n} = e^{i*t_m*log n} * sum_{k<K} i^k*(delta_j*L)^k/k! * (log n/L)^k
+      up to x^K/K! <= u/4.  Both tables of powers are real, and the products run in real
+      arithmetic: the complex operand sits on the right, C-contiguous, so each product is a
+      real matmul on its float64 view.  Per block and slice: the anchor row times the
+      (slice, cols) outer table (sub-block centres), then the real (K, slice) Vandermonde
+      table of log n / L times its (slice, 2*cols) view, summed over the slice's terms in
+      one-thread chunks (_sum_matmul).  Per block, the (K, cols) held sums take the factor
+      i^k exactly (its sign is in the step powers, and the odd rows are multiplied by i),
+      then the real (r, K) step powers times their (K, 2*cols) view give the (r, cols)
+      product.  Held sums are (K, cols), so all blocks form one group.  The certified search
+      (h*L = 2e-3: r = 1001, K = 19) takes this form.
 
     A block is yielded as soon as its last slice is added, so a one-slice scan holds no block
     sum but the current one.  Each block does one stacked matmul for all origins, so each
@@ -212,19 +287,22 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
     shift grid values by ~1e-5 relative, enough to change which grid point wins a near tie.
 
     Error.  With u = 2^-52 (a correctly rounded operation is within u/2 relative), every
-    value is within rho = sum|c_n| * u * (1/4 + e*(S + 40) + 3*L*t_abs') of the exact sum
-    (_grid_error_bound), t_abs' = t_abs + 2*RESYNC_STRIDE*h and t_abs >= |origin| + |k0 + k|*h:
+    value is within rho of the exact sum (_grid_error_bound), with t_abs' = t_abs +
+    2*RESYNC_STRIDE*h and t_abs >= |origin| + |k0 + k|*h:
 
     * truncation (factored form only): |e^{iy} - sum_{k<K} (iy)^k/k!| <= |y|^K/K! <= u/4 per
       term, |y| = |delta_j * log n| <= x;
     * rounding of both forms: each term's factors (table entries within u, products within
-      2u, (log n/L)^k and the step powers within (k + 2)u) and the S-term sums (within S*u
-      of the summed moduli) give at most e*(S + K + 18)*u*sum|c_n| in the factored form
-      (the power sum over k is at most e^x <= e) and (S + 12)*u*sum|c_n| in the explicit one;
-      K <= 19 gives e*(S + 40);
+      2u, (log n/L)^k and the step powers within (k + 2)u; the factor i^k and its signs are
+      exact) and the S-term sums (within S*u of the summed moduli) give at most
+      e*(S + K + 18)*u*sum|c_n| in the factored form (the power sum over k is at most
+      e^x <= e) and (S + 12)*u*sum|c_n| in the explicit one; K <= 19 gives e*(S + 40);
     * anchor phase: t0 (two roundings, u*t_abs), log n (one ulp) and their product (half an
       ulp) put each phase t0*log n within 2.5*t_abs*L*u, the step tables' offsets (at most
-      2*RESYNC_STRIDE*h) within 2*u*L per unit, and |e^{ia} - e^{ib}| <= |a - b|.
+      2*RESYNC_STRIDE*h) within 2*u*L per unit, and |e^{ia} - e^{ib}| <= |a - b|;
+    * reduction: _expi reduces the anchor phases with 2^27 <= |t0*log n| < 2^37 * C1 modulo
+      2*pi before cos and sin, within 4u each (its docstring), which adds 4*u*sum|c_n|.
+    So rho = sum|c_n| * u * (1/4 + e*(S + 40) + 4 + 3*L*t_abs').
     """
     lead = np.shape(origin)  # () for a scalar origin, (n,) for n origins
     cuts = range(0, max(logs.size, 1), RESYNC_STRIDE)  # no terms: one empty slice, zero blocks
@@ -236,7 +314,11 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
     else:
         r, rank = factor
         steps = _taylor_steps(r, rank, h, max_log)
-        span = max(1, count)  # held sums are (cols, K) per block: one group
+        span = max(1, count)  # held sums are (K, cols) per block: one group
+    # Every anchor phase |t0 * log n| is below this, with a margin for the roundings of t0
+    # and of the product; most scans stay below 2^27, and _expi then skips its range test.
+    t_max = float(np.max(np.abs(origin), initial=0.0)) + max(abs(k0), abs(k0 + count)) * h
+    anchor_bound = t_max * max_log * (1.0 + 1e-12)
     key = tables = None
     for first in range(0, count, span):
         starts = range(first, min(count, first + span), RESYNC_STRIDE)
@@ -254,28 +336,36 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
                         tables = _step_tables(rows, cols, h, lg)
                     else:
                         tables = _taylor_tables(rows, cols, h, lg, rank, max_log)
-                anchor = c * _expi(np.multiply.outer(origin + (k0 + start) * h, lg))
+                t0 = origin + (k0 + start) * h
+                anchor = c * _expi(np.multiply.outer(t0, lg), anchor_bound)
                 if factor is None:
                     inner, outer = tables
                     prod = inner @ (outer * anchor[..., None, :]).swapaxes(-1, -2)
                 else:
+                    # The complex operand on the right and C-contiguous: a real product
+                    # on its float64 view, (K, slice) @ (slice, 2*cols).
                     outer, vander = tables
-                    prod = (outer * anchor[..., None, :]) @ vander
+                    prod = _sum_matmul(vander, (anchor[..., :, None] * outer).view(np.float64))
                 if s == 0:
                     sums[start] = prod
                 else:
                     sums[start] += prod
                 if s == cuts[-1]:
                     acc = sums.pop(start)
-                    yield start, size, acc.swapaxes(-1, -2) if factor is None else acc @ steps
+                    if factor is None:
+                        yield start, size, acc.swapaxes(-1, -2)
+                    else:
+                        # The rest of i^k: the odd rows of the held sums times i, a swap and
+                        # a sign; then (r, K) @ (K, 2*cols) on their float64 view.
+                        acc.view(np.complex128)[..., 1::2, :] *= 1j
+                        yield start, size, (steps @ acc).view(np.complex128).swapaxes(-1, -2)
 
 
 def _grid_values(coeffs, logs, origin, k0: int, count: int, h: float):
     """Yield (start, values): values[k] = sum_n c_n e^{i*t*log n}, t = origin + (k0 + start + k)*h.
 
     The blocks of _grid_blocks flattened to grid order and trimmed to their points in the
-    scan: a copy of each explicit-table block, a view of each Taylor-factored one.  With
-    several origins values has one row per origin.
+    scan, a copy of each block.  With several origins values has one row per origin.
     """
     for start, size, block in _grid_blocks(coeffs, logs, origin, k0, count, h):
         yield start, block.reshape(*block.shape[:-2], -1)[..., :size]

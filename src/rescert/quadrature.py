@@ -23,8 +23,10 @@ composite_gl_grid hands it a group of nodes at a time, each node
 a uniform grid given by its origin a + h*(1 + x_j)/2, over one chunk of
 RESYNC_STRIDE panels per call (the moments scan a group's grids together
 with the grid kernel dirichlet._grid_values, whose anchor blocks the
-chunks match).  composite_gl_phased integrates a real weight times
-e^{-i freq s} with the factored phases (bump's float ramp integral).
+chunks match), and adds the panel sums by numpy's pairwise sum rather than
+a BLAS dot, which splits its sum by thread.  composite_gl_phased integrates
+a real weight times e^{-i freq s} with the factored phases (bump's float
+ramp integral).
 bump's 50-digit ramp rule lays out its mpmath nodes the same way on
 half-cycle pieces.  adaptive_oscillatory takes the rule from its caller,
 which may pass its own rule with the same signature; `fn` is then
@@ -90,7 +92,9 @@ def composite_gl_grid(fn, a: float, b: float, panels: int) -> complex:
         for k0 in range(0, panels, RESYNC_STRIDE):
             count = min(RESYNC_STRIDE, panels - k0)
             vals[k0 : k0 + count, group] = fn(origins[group], k0, h, count).T
-    return complex((vals @ weights) @ np.full(panels, 0.5 * h))
+    # numpy's pairwise sum adds the panels in one fixed order; a BLAS dot splits its sum by
+    # thread.
+    return complex((vals @ weights).sum()) * (0.5 * h)
 
 
 def composite_gl_phased(fn, a: float, b: float, panels: int) -> complex:

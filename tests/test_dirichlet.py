@@ -3,7 +3,11 @@ from __future__ import annotations
 import functools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -171,21 +175,23 @@ def test_grid_kernel_matches_direct_across_term_slices():
 
 def _per_block_grid_values(coeffs, logs, origin, k0, count, h):
     """The kernel as it was before its step tables were shared: every anchor block
-    computed one (201, slice) phase table, anchor row and step tables together."""
+    computed its own step tables by cos and sin.  The anchor row goes through
+    dirichlet._expi, which reduces huge phases modulo 2*pi as the kernel does, so bit
+    equality checks the sharing of the step tables, not the trigonometry."""
     stride = dirichlet.RESYNC_STRIDE
     for start in range(0, count, stride):
         size = min(stride, count - start)
         rows = math.isqrt(size - 1) + 1
         t0 = origin + (k0 + start) * h
-        phases = np.concatenate(([t0], np.arange(rows) * h, np.arange(0, size, rows) * h))
-        block = np.zeros((rows, phases.size - 1 - rows), dtype=np.complex128)
+        phases = np.concatenate((np.arange(rows) * h, np.arange(0, size, rows) * h))
+        block = np.zeros((rows, phases.size - rows), dtype=np.complex128)
         for s in range(0, logs.size, stride):
             x = np.outer(phases, logs[s : s + stride])
             tab = np.empty(x.shape, dtype=np.complex128)
             np.cos(x, out=tab.real)
             np.sin(x, out=tab.imag)
-            anchor = coeffs[s : s + stride] * tab[0]
-            block += tab[1 : rows + 1] @ (tab[rows + 1 :] * anchor).T
+            anchor = coeffs[s : s + stride] * dirichlet._expi(t0 * logs[s : s + stride])
+            block += tab[:rows] @ (tab[rows:] * anchor).T
         yield start, block.T.ravel()[:size]
 
 
@@ -234,6 +240,7 @@ def _dn_coeffs_logs(n, seed):
         (25_000, 1e5, RESYNC_STRIDE + 37, False),  # three term slices
         (60, 1e3, 2 * RESYNC_STRIDE + 37, True),  # an origin off the multiples of h
         (500, 6e10, 2 * RESYNC_STRIDE + 37, False),  # phases of ~1e11 rad
+        (60, 2.0**27 / math.log(60), 2 * RESYNC_STRIDE + 37, False),  # rows across 2^27 rad
     ],
 )
 def test_grid_kernel_matches_per_block_kernel(monkeypatch, n, t, count, off_grid):
@@ -316,7 +323,9 @@ def test_grid_kernel_builds_step_tables_once_per_group_and_slice(monkeypatch):
 def test_grid_kernel_yields_one_slice_blocks_before_the_next_is_computed(monkeypatch):
     # With one term slice no block sum is held back: each block is yielded
     # before the next anchor row is computed, for one origin and for several,
-    # with the Taylor factor and with the explicit tables.
+    # with the Taylor factor and with the explicit tables.  The spy wraps _expi,
+    # so it records the phases before _expi reduces them (origin 3e10: phases
+    # of ~1e11 rad).
     coeffs, logs = _dn_coeffs_logs(60, 1)
     expi = dirichlet._expi
     h = 1e-4
@@ -324,13 +333,13 @@ def test_grid_kernel_yields_one_slice_blocks_before_the_next_is_computed(monkeyp
         if explicit:
             _explicit_only(monkeypatch)
         # Four origins: no step table (3 or 200 rows here) has the shape of an anchor row.
-        for origin in (0.0, np.array([0.0, 0.25, 0.5, 0.75])):
+        for origin in (0.0, 3e10, np.array([0.0, 0.25, 0.5, 0.75])):
             anchors = []
 
-            def recorded(x):
+            def recorded(x, *bound):
                 if x.shape[:-1] == np.shape(origin):  # an anchor row per origin
                     anchors.append(x[..., 1] / logs[1])
-                return expi(x)
+                return expi(x, *bound)
 
             monkeypatch.setattr(dirichlet, "_expi", recorded)
             for start, _ in _grid_values(coeffs, logs, origin, 10**6, 3 * RESYNC_STRIDE, h):
@@ -430,6 +439,119 @@ def test_grid_kernel_within_error_bound_of_mpmath(monkeypatch, n, t):
             _explicit_only(monkeypatch)
         got = _scan(coeffs, logs, 0.0, k0, count, h)
         assert max(abs(got[k] - w) for k, w in zip(ks, want)) <= bound
+
+
+_U = 2.0**-52
+_REDUCED = (dirichlet._REDUCE_LO, dirichlet._REDUCE_HI)  # _expi reduces lo <= |x| < hi
+
+
+def test_expi_reduction_constants():
+    # C1..C4 are the leading 16 bits of what is left of 2*pi, truncated; C5 is the float
+    # nearest the rest.
+    pieces = (dirichlet._C1, dirichlet._C2, dirichlet._C3, dirichlet._C4)
+    with mpmath.workdps(60):
+        rest = 2 * mpmath.pi
+        for c in pieces:
+            ulp16 = math.ldexp(1.0, math.frexp(c)[1] - 16)  # last place of 16 bits
+            assert (c / ulp16).is_integer()
+            assert 0 < rest - c < ulp16
+            rest -= c
+        assert dirichlet._C5 == float(rest)
+    assert dirichlet._REDUCE_HI == 2.0**37 * dirichlet._C1
+
+
+def test_expi_reduction_first_three_subtractions_exact():
+    # Over the reduced range, q*C1 .. q*C4 and the first three subtractions round nothing.
+    rng = np.random.default_rng(11)
+    lo, hi = _REDUCED
+    xs = np.concatenate((
+        [lo, np.nextafter(hi, 0.0), 4.5e10 * math.log(500)],
+        np.exp(rng.uniform(math.log(lo), math.log(hi), 2000)),
+    ))
+    pieces = (dirichlet._C1, dirichlet._C2, dirichlet._C3, dirichlet._C4)
+    for x in np.concatenate((xs, -xs)).tolist():
+        q = float(np.rint(x / dirichlet._TWO_PI))
+        assert abs(q) < 2.0**37
+        r = x
+        for i, c in enumerate(pieces):
+            assert Fraction(q * c) == Fraction(q) * Fraction(c)
+            if i < 3:
+                assert Fraction(r - q * c) == Fraction(r) - Fraction(q * c)
+            r -= q * c
+
+
+def test_expi_reduced_phases_within_bound_of_mpmath():
+    # Reduced phases, random over the range and next to multiples of pi/2 (where cos or sin
+    # is near zero): within 4u of e^{i*x} before cos and sin round, which adds under u, and
+    # the reference rounded to complex adds u/2.
+    rng = np.random.default_rng(12)
+    lo, hi = _REDUCED
+    xs = np.exp(rng.uniform(math.log(lo), math.log(hi), 300)) * rng.choice([-1.0, 1.0], 300)
+    with mpmath.workdps(60):
+        ks = np.exp(rng.uniform(math.log(lo / 1.5), math.log(hi / 1.6), 300)).astype(np.int64)
+        near = [float(int(k) * mpmath.pi / 2) for k in ks.tolist()]
+        xs = np.concatenate((xs, near, -np.array(near)))
+        want = np.array([complex(mpmath.expj(mpmath.mpf(x))) for x in xs.tolist()])
+    assert np.all((np.abs(xs) >= lo) & (np.abs(xs) < hi))
+    got = dirichlet._expi(xs)
+    assert np.max(np.abs(got - want)) <= 5.5 * _U
+
+
+def test_expi_leaves_phases_outside_the_reduced_range_to_cos_and_sin():
+    # Below 2^27 and from the guard up, _expi is np.cos and np.sin bit for bit, also when
+    # the array mixes them with reduced phases.
+    rng = np.random.default_rng(13)
+    lo, hi = _REDUCED
+    small = np.concatenate(([0.0, 1.0, np.nextafter(lo, 0.0)], rng.uniform(0.0, lo, 500)))
+    large = np.exp(rng.uniform(math.log(hi), 60.0, 500))
+    large = np.concatenate(([hi, 2 * hi, 1e15, 1e300], large))
+    reduced = np.exp(rng.uniform(math.log(lo), math.log(hi), 500))
+    for xs in (small, -small, large, -large):
+        got = dirichlet._expi(xs)
+        assert np.array_equal(got.real, np.cos(xs)) and np.array_equal(got.imag, np.sin(xs))
+    mixed = rng.permutation(np.concatenate((small, -large, reduced)))
+    got = dirichlet._expi(mixed)
+    out = (np.abs(mixed) < lo) | (np.abs(mixed) >= hi)
+    assert np.array_equal(got[out].real, np.cos(mixed[out]))
+    assert np.array_equal(got[out].imag, np.sin(mixed[out]))
+    assert np.array_equal(got[~out], dirichlet._expi(mixed[~out]))
+
+
+_SCAN_DIGEST = """
+import hashlib, math, sys
+import numpy as np
+from rescert import dirichlet
+from rescert.multfn import steinhaus_sample
+from rescert.ntcore import build_factor_table
+digest = hashlib.sha256()
+for n in (5000, 12000):
+    table = build_factor_table(n + 1)
+    coeffs, logs = dirichlet._dn_terms(steinhaus_sample(0, table.limit), n, table)
+    h = 2e-3 / math.log(n)
+    assert dirichlet._taylor_rank(h, float(logs.max()), n) is not None
+    for origin, k0 in ((0.0, int(4.5e10 / h)), (1e4 + np.arange(3) * 1e-4, 0)):
+        for _, values in dirichlet._grid_values(coeffs, logs, origin, k0, 12_000, h):
+            digest.update(np.ascontiguousarray(values).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_taylor_scan_independent_of_blas_threads():
+    # The Taylor factor's first product sums over up to RESYNC_STRIDE terms; as one real
+    # product it gave other bits under 2 BLAS threads at N = 5000.  Its sum is taken in
+    # one-thread chunks (_sum_matmul), so 1 and 2 threads scan the same bits, also with
+    # several origins and with two term slices (N = 12 000).
+    src = str(Path(dirichlet.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCAN_DIGEST], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 @settings(max_examples=40, deadline=None)

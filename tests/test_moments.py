@@ -211,12 +211,12 @@ def test_quadrature_moments_match_dense_reference(idx):
     assert m2_quadrature(f, n, t_bound, supp, TABLE) == pytest.approx(m2_ref, rel=1e-12)
 
 
-# m1_quadrature and m2_quadrature as the node-by-node grid rule computed them, before the
-# Gauss-Legendre nodes of a level shared a grid-kernel scan: (N, T, log X, f, M1, M2).
+# m1_quadrature and m2_quadrature with each level's panel sums added by numpy's pairwise
+# sum, the same under any BLAS thread count: (N, T, log X, f, M1, M2).
 QUADRATURE_PINS = [
-    (3, 1e3, 20.0, constant_one(), 396.795464242134, 396.7974271620907),
-    (4, 1e4, 20.2, steinhaus_sample(12345), 4174.399071895652, 4174.399071896669),
-    (12, 1e4, 20.0, archimedean_cmf(1.0), 3967.9546424213404, 3967.9546467737687),
+    (3, 1e3, 20.0, constant_one(), 396.79546424213396, 396.7974271620906),
+    (4, 1e4, 20.2, steinhaus_sample(12345), 4174.399071895654, 4174.39907189667),
+    (12, 1e4, 20.0, archimedean_cmf(1.0), 3967.95464242134, 3967.954646773768),
 ]
 
 
@@ -675,19 +675,30 @@ def test_window_diagonal_memory_is_flat():
 def test_certify_report_independent_of_blas_threads():
     # The inner g-sums' limb products are exact, so no BLAS thread count
     # can move a report; a floating-point matrix product can split its
-    # sums differently under 1 and 2 threads.
+    # sums differently under 1 and 2 threads.  The tiny certify's quadrature
+    # moments add their panel sums by numpy's pairwise sum, and the certified
+    # search at |t| ~ T/2 scans with range-reduced anchor rows and real Taylor
+    # products.
     src = str(Path(moments.__file__).resolve().parents[1])
-    texts = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rescert", "certify", "--n", "2000000", "--c", "3"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        stamp = json.loads(proc.stdout)["generated_at"]
-        texts.append(proc.stdout.replace(stamp, "<generated-at>"))
-    assert texts[0] == texts[1]
+    commands = [
+        ["certify", "--n", "2000000", "--c", "3"],
+        ["certify", "--n", "4", "--t", "1e4", "--x", "598741417.6", "--f", "steinhaus",
+         "--seed", "3"],
+        ["search", "--n", "500", "--t", "6.25e10", "--f", "steinhaus", "--seed", "3",
+         "--window-lo", "3.125e10", "--window-hi", "3.125000001e10"],
+    ]
+    for argv in commands:
+        texts = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+            proc = subprocess.run(
+                [sys.executable, "-m", "rescert", *argv],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            stamp = json.loads(proc.stdout)["generated_at"]
+            texts.append(proc.stdout.replace(stamp, "<generated-at>"))
+        assert texts[0] == texts[1], argv
 
 
 def test_pair_sums_beyond_63_primes():
