@@ -14,9 +14,9 @@ factor over sub-blocks of r points with x = (r - 1)/2 * h * L <= 1 and
 x^K / K! <= u/4, so the search's step (h*L = 2e-3) costs K = 19 products per
 term and sub-block of 1001 points instead of 1001.  The factor's two tables
 of powers are real, so its two products run as real matmuls on the float64
-view of the complex operand, half the multiplies of complex ones; the sum
-over terms goes in chunks that OpenBLAS runs on one thread, so that no
-thread count moves a bit (_sum_matmul).  The factor i^k goes in exactly, as
+view of the complex operand, half the multiplies of complex ones.  In both
+forms the sum over terms goes in chunks that OpenBLAS runs on one thread, so
+that no thread count moves a bit (_sum_matmul).  The factor i^k goes in exactly, as
 signs of the step powers and a swap of the held sums' odd rows.  The
 quadrature moments (h*L >= 0.3, a dozen terms) keep the explicit tables.
 _expi reduces anchor phases with 2^27 <= |t*log n| < 2^37 * C1 (|t| ~ 1e10)
@@ -77,8 +77,9 @@ _C5 = 1.3128014171494002e-21  # 0x1.8cc51701b839ap-70
 _REDUCE_LO = 2.0**27
 _REDUCE_HI = 2.0**37 * _C1
 # OpenBLAS runs a product of at most 65536 * 4 multiply-adds (its default
-# GEMM_MULTITHREAD_THRESHOLD) on one thread.  A larger real product with a long sum can
-# split that sum by thread: (19, 5000) @ (5000, 20) gives other bits under 2 threads.
+# GEMM_MULTITHREAD_THRESHOLD) on one thread.  A larger product with a long sum, real or
+# complex, can split that sum by thread: (19, 5000) @ (5000, 20) gives other bits under 2
+# threads.
 _ONE_THREAD_MADDS = 2**18
 
 
@@ -221,8 +222,9 @@ def _taylor_steps(r: int, rank: int, h: float, max_log: float) -> np.ndarray:
 
 
 def _sum_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a real (m, k) a and a real (..., k, n) b, the k-sum in chunks small enough
-    for one BLAS thread, added in order: no BLAS thread count moves a bit of it."""
+    """a @ b for an (m, k) a and an (..., k, n) b, both real or both complex, the k-sum in
+    chunks small enough for one BLAS thread, added in order: no BLAS thread count moves a
+    bit of it."""
     step = max(1, _ONE_THREAD_MADDS // (a.shape[0] * b.shape[-1]))
     out = a[:, :step] @ b[..., :step, :]
     for i in range(step, a.shape[1], step):
@@ -261,11 +263,12 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
 
     * Explicit: with rows = ceil(sqrt(size)), point j + rows*m is the inner table
       e^{i*j*h*log n} times the anchor row times the outer table e^{i*rows*m*h*log n}, summed
-      over n: one (rows, slice) @ (slice, cols) product per block and slice.  The slices run
-      in the outer loop over a group of consecutive blocks, so with several slices only one
-      slice's tables are held.  A group of a scan of n origins has floor(201 / n) blocks (at
-      least one), so its held block sums stay within the tables' bound of 201 * RESYNC_STRIDE
-      entries.  The quadrature moments (h*L >= 0.3, a dozen terms) take this form.
+      over n: one (rows, slice) @ (slice, cols) product per block and slice, summed over the
+      slice's terms in one-thread chunks (_sum_matmul).  The slices run in the outer loop
+      over a group of consecutive blocks, so with several slices only one slice's tables are
+      held.  A group of a scan of n origins has floor(201 / n) blocks (at least one), so its
+      held block sums stay within the tables' bound of 201 * RESYNC_STRIDE entries.  The
+      quadrature moments (h*L >= 0.3, a dozen terms) take this form.
     * Taylor-factored: the block splits into sub-blocks of r points centred at
       t_m = t0 + (m*r + (r - 1)/2)*h, with x = (r - 1)/2 * h * L <= 1, and
       e^{i*(t_m + delta_j)*log n} = e^{i*t_m*log n} * sum_{k<K} i^k*(delta_j*L)^k/k! * (log n/L)^k
@@ -340,7 +343,7 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
                 anchor = c * _expi(np.multiply.outer(t0, lg), anchor_bound)
                 if factor is None:
                     inner, outer = tables
-                    prod = inner @ (outer * anchor[..., None, :]).swapaxes(-1, -2)
+                    prod = _sum_matmul(inner, (outer * anchor[..., None, :]).swapaxes(-1, -2))
                 else:
                     # The complex operand on the right and C-contiguous: a real product
                     # on its float64 view, (K, slice) @ (slice, 2*cols).

@@ -16,20 +16,22 @@ The diagonal collapses through the coprime parametrization
     g = gcd(a,b), h = gcd(m,n), a = a'g, b = b'g, m = h*b', n = h*a'
 
 to sums over coprime pairs (a', b') that this module evaluates exactly
-(with compensated summation) or brackets rigorously.
+(correctly rounded sums) or brackets rigorously.
 
 For window resonators the support is held as sorted arrays of integers,
-weights and prime masks (resonator.SupportArrays).  The diagonal, its
-g-capped fallbacks, the main term and the alpha-shift tail each stream
-the coprime pairs of the support <= min(N, X) as boolean tiles
-(SupportArrays.coprime_tiles) and sum the terms of each tile's pairs, so
-no pair list is held and their memory does not grow with the pair count.
+weights and prime masks (resonator.SupportArrays).  The main term and the
+alpha-shift tail stream the coprime pairs of the support <= min(N, X) as
+boolean tiles (SupportArrays.coprime_tiles), and the diagonal and its
+g-capped fallbacks stream them by column groups and row batches, so no
+pair list is held and their memory does not grow with the pair count.
 The inner g-sums of the diagonal, sum of r(g)^2 over support
-g <= X/max(a',b') coprime to a'b', come from one tiled dense product over
-the same arrays and tiles: 0/1 coprimality tiles times r(g)^2 split into
-integer limbs, exact whatever the BLAS (_window_diagonal).  Every term
-the certificate adds is positive and no inclusion-exclusion subtraction
-is left.  This module never reads the mask bits itself.
+g <= X/max(a',b') coprime to a'b', come from dense products over the same
+arrays: 0/1 coprimality tiles times r(g)^2 split into integer limbs,
+exact whatever the BLAS and the chunks of g (_window_diagonal).  Every
+pair sum and every sum over a support array goes into one exact
+accumulator (_ExactSum), bit for bit math.fsum.  Every term the
+certificate adds is positive and no inclusion-exclusion subtraction is
+left.  This module never reads the mask bits itself.
 """
 
 from __future__ import annotations
@@ -197,27 +199,106 @@ def m2_exact(
 # Coprime support pairs and the diagonal sums of the gcd parametrization.
 
 
+class _ExactSum:
+    """Exact sum of the float64 arrays passed to add(); value() rounds it
+    correctly, half to even, so it is bit for bit math.fsum of the same
+    terms.  Infinities and NaNs give fsum's answers: a NaN, an infinity,
+    or ValueError for infinities of both signs.  When the sum of the
+    finite terms is beyond the float range, OverflowError, as in fsum;
+    unlike fsum, a sum in range never raises for a partial sum out of it.
+
+    frexp writes each finite term as m * 2^e with 1/2 <= |m| < 1, and
+    m * 2^27 splits exactly into its integer part hi (|hi| < 2^27) and
+    the rest lo (a multiple of 2^-26, |lo| < 1).  np.bincount sums hi and
+    lo per exponent into float64 bins.  A bin of at most 2^26 terms stays
+    exact, since each of its partial sums is a multiple of 1 (of 2^-26)
+    below 2^53 (2^27).  So the bins fold into one Python integer, in
+    units of 2^-1126 = 2^(e_min - 53), before any bin could hold more.
+    value() divides that integer by 2^1126, which Python rounds correctly.
+    Terms go through in chunks of _SIDE^2, so the temporaries stay small
+    whatever the array.
+    """
+
+    _E_MIN = -1073  # frexp's exponent of 2^-1074; finite terms have e <= 1024
+    _BINS = 1024 - _E_MIN + 1
+    _CHUNK = _SIDE * _SIDE
+    _FOLD = 1 << 26
+
+    def __init__(self) -> None:
+        self._total = 0
+        self._hi = np.zeros(self._BINS)
+        self._lo = np.zeros(self._BINS)
+        self._held = 0  # terms in the bins since the last fold
+        self._special = 0.0  # fsum's sums of the nonfinite terms and of the infinite ones
+        self._inf = 0.0
+
+    def add(self, x: np.ndarray) -> None:
+        for s in range(0, len(x), self._CHUNK):
+            self._add_chunk(x[s : s + self._CHUNK])
+
+    def _add_chunk(self, x: np.ndarray) -> None:
+        if self._held + len(x) > self._FOLD:
+            self._fold()
+        m, e = np.frexp(x)
+        e -= self._E_MIN
+        y = m * 2.0**27
+        hi = np.trunc(y)
+        bins = np.bincount(e, hi, self._BINS)
+        if not math.isfinite(bins[-self._E_MIN]):
+            # An infinity or a NaN: frexp gives it e = 0, and trunc keeps it.
+            bad = ~np.isfinite(x)
+            for v in x[bad].tolist():
+                self._special += v
+                self._inf += v if math.isinf(v) else 0.0
+            self._add_chunk(x[~bad])
+            return
+        self._hi += bins
+        y -= hi
+        self._lo += np.bincount(e, y, self._BINS)
+        self._held += len(x)
+
+    def _fold(self) -> None:
+        used = np.flatnonzero((self._hi != 0.0) | (self._lo != 0.0))
+        for b, h, lo in zip(used.tolist(), self._hi[used].tolist(), self._lo[used].tolist()):
+            self._total += ((int(h) << 26) + int(lo * 2.0**26)) << b
+        self._hi[used] = 0.0
+        self._lo[used] = 0.0
+        self._held = 0
+
+    def value(self) -> float:
+        self._fold()
+        finite = self._total / (1 << 53 - self._E_MIN)
+        if self._special != 0.0:  # true for a NaN too
+            if math.isnan(self._inf):
+                raise ValueError("-inf + inf in fsum")
+            return self._special
+        return finite
+
+
+def _exact_fsum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()), without the Python floats (_ExactSum)."""
+    total = _ExactSum()
+    total.add(x)
+    return total.value()
+
+
 def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
     """Correctly rounded sum of a symmetric term over ordered coprime pairs.
 
-    vals yields the terms of the pairs (i, k), i <= k, of
-    SupportArrays.coprime_tiles tile by tile, the pair (0, 0) first; the
-    sum does not depend on their order.  Each term also stands for its
-    mirror pair, so it is added twice, except the first: the pair (0, 0)
-    is (1, 1), its own mirror.  The terms become Python floats 4096 at a
-    time.
+    vals yields the terms of the pairs (i, k), i <= k, in arrays, the
+    pair (0, 0) first; the sum does not depend on their order.  Each term
+    also stands for its mirror pair, so it is added twice, except the
+    first: the pair (0, 0) is (1, 1), its own mirror.  One exact
+    accumulator (_ExactSum) takes every array.
     """
-
-    def doubled():
-        first = True
-        for v in vals:
-            twice = 2.0 * v
-            if first and len(v):
-                twice[0], first = v[0], False
-            for s in range(0, len(twice), 4096):
-                yield twice[s : s + 4096].tolist()
-
-    return math.fsum(chain.from_iterable(doubled()))
+    total = _ExactSum()
+    first = True
+    for v in vals:
+        twice = 2.0 * v
+        if first and len(v):
+            twice[0], first = v[0], False
+        total.add(twice)
+    return total.value()
 
 
 def _dense_diagonal(toy, n_max: int, x: float, budget: int) -> float:
@@ -285,15 +366,19 @@ def _dense_diagonal(toy, n_max: int, x: float, budget: int) -> float:
     return math.fsum(chain.from_iterable(t.tolist() for t in terms()))
 
 
-# The tiled diagonal kernel holds arrays of at most _TILE entries: the
-# coprime tiles of _SIDE by _SIDE support elements, against chunks of the
-# g-range as wide as that allows.  r(g)^2 enters as two integer-valued
-# limbs of _LIMB bits, so the limb sums over a chunk (at most _TILE g's)
-# stay below 2^53 and are exact.  _dense_diagonal's row blocks hold about
-# _BLOCK entries.
+# The diagonal kernel takes the support elements <= min(N, X) in column
+# groups of _GROUP and row batches of _ROWS, and holds arrays of at most
+# _TILE entries: a batch's coprimality tile against a chunk of the g-range
+# as wide as that allows, the group's limb products, and their int64 sums.
+# r(g)^2 enters as two integer-valued limbs of _LIMB bits, so the limb
+# sums over a chunk (at most _TILE g's) stay below 2^53 and are exact, and
+# their int64 sums over any g-range of fewer than 2^(63 - _LIMB) elements
+# are exact too.  _dense_diagonal's row blocks hold about _BLOCK entries.
 _TILE = 2 * _SIDE * _SIDE
 _BLOCK = 2 * _TILE
 _LIMB = 52 - (_TILE - 1).bit_length()
+_GROUP = 64
+_ROWS = _TILE // (2 * _GROUP)
 
 
 def _r2_limbs(r: np.ndarray, scale: float) -> np.ndarray:
@@ -308,42 +393,92 @@ def _r2_limbs(r: np.ndarray, scale: float) -> np.ndarray:
     return limbs
 
 
-def _inner_sums(
-    masks: np.ndarray, lens: np.ndarray, r: np.ndarray, scale: float, k: slice, i: slice
-) -> np.ndarray:
-    """INNER[a, b]: the sum of r(g)^2 over g < lens[k.start + a] coprime to
-    elements k.start + a and i.start + b, for the tile (k, i) of
-    SupportArrays.coprime_tiles.  Entries with i > k are not wanted and
-    are left partial.
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading entries of the flat array buf, as an array of `shape`."""
+    return buf[: math.prod(shape)].reshape(shape)
 
-    lens does not increase, so the columns k in play at a chunk start are
-    those with lens[k] past it, and the rows in play are those up to the
-    last such column.  Per chunk of g: F is the 0/1 coprimality tile of the
-    rows in play, W stacks the hi and lo limbs (_r2_limbs) of the
-    g < lens[k] coprime to each column in play, and W @ F^T adds both limb
-    sums at once, exactly.  A chunk is as wide as F and W allow within
-    _TILE entries each.  The limb sums accumulate over the chunks in order
-    and are put together at the end.
+
+def _add_int64(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """total + part in int64, for an integer-valued float part below 2^53."""
+    part = part.astype(np.int64)
+    if total is not None:
+        part += total
+    return part
+
+
+def _diagonal_terms(
+    sup: SupportArrays, lens: np.ndarray, weight: np.ndarray, scale: float
+) -> Iterable[np.ndarray]:
+    """Yield the terms weight[k] * r[i] * INNER[k, i] of the coprime pairs
+    (i, k), i <= k < len(lens), of sup's elements, the pair (0, 0) first.
+    INNER[k, i] is the sum of r(g)^2 over the first lens[k] elements g of
+    sup coprime to elements i and k.
+
+    The columns k go in groups of _GROUP, and the rows i <= k of a group
+    in batches of _ROWS.  lens does not increase, so the columns in play at
+    a chunk start are those with lens[k] past it, and the rows in play are
+    those up to the last such column.  Per batch and chunk of g: F is the
+    0/1 coprimality tile of the rows in play, keep that of the columns in
+    play, cut at each column's lens[k], and W stacks the hi and lo limbs
+    (_r2_limbs) of r(g)^2 times keep.  W @ F^T adds both limb sums at once,
+    exactly, into the float sums acc.  acc moves into int64 sums before it
+    could reach 2^53, that is before it holds more than 2^(52 - _LIMB)
+    g's, so the limb sums are exact whatever the chunks.  The batch that
+    holds the group's columns holds their coprimality rows too, so keep is
+    a slice of its F there; and its rows stop at the last column in play,
+    so that batch skips most of the pairs i > k.  A chunk is as wide as F
+    and W allow within _TILE entries each.  INNER is put together from the
+    limb sums at the end.
     """
-    (k0, k1), (i0, i1) = (k.start, k.stop), (i.start, i.stop)
-    acc = np.zeros((2, k1 - k0, i1 - i0))
-    c0, end = 0, int(lens[k0])
-    while c0 < end:
-        kc = k0 + int(np.count_nonzero(lens[k] > c0))
-        ic = min(i1, kc)
-        if ic <= i0:
-            break
-        c1 = min(end, c0 + _TILE // max(ic - i0, 2 * (kc - k0)))
-        g = masks[None, c0:c1]
-        f = disjoint(masks[i0:ic, None], g, out=np.empty((ic - i0, c1 - c0)))
-        # On the diagonal tile the rows in play are the columns in play.
-        keep = f if i0 == k0 else disjoint(masks[k0:kc, None], g, out=np.empty((kc - k0, c1 - c0)))
-        if lens[kc - 1] < c1:
-            keep = keep * (np.arange(c0, c1) < lens[k0:kc, None])
-        w = keep * _r2_limbs(r[c0:c1], scale)[:, None, :]
-        acc[:, : kc - k0, : ic - i0] += (w.reshape(-1, c1 - c0) @ f.T).reshape(2, kc - k0, -1)
-        c0 = c1
-    return (acc[0] + acc[1] * 2.0**-_LIMB) / scale
+    masks, r = sup.masks, sup.r
+    count = len(lens)
+    # F, W and a chunk's product go into these, reused by every chunk: F
+    # and W have at most 2 * count * lens[0] entries, the product
+    # 2 * count^2.
+    tile = min(_TILE, 2 * count * int(lens[0]))
+    fbuf, wbuf = np.empty(tile), np.empty(tile)
+    pbuf = np.empty(min(2 * _GROUP * _ROWS, 2 * count**2))
+    for k0 in range(0, count, _GROUP):
+        k1 = min(k0 + _GROUP, count)
+        for i0 in range(0, k1, _ROWS):
+            i1 = min(i0 + _ROWS, k1)
+            acc = np.zeros((2, k1 - k0, i1 - i0))
+            exact = None  # int64 limb sums, once acc could reach 2^53
+            c0, end, held = 0, int(lens[k0]), 0
+            while c0 < end:
+                kc = k0 + int(np.count_nonzero(lens[k0:k1] > c0))
+                ic = min(i1, kc)
+                if ic <= i0:
+                    break
+                c1 = min(end, c0 + _TILE // max(ic - i0, 2 * (kc - k0)))
+                g = masks[None, c0:c1]
+                f = disjoint(masks[i0:ic, None], g, out=_view(fbuf, ic - i0, c1 - c0))
+                w = _view(wbuf, 2, kc - k0, c1 - c0)
+                if i1 == k1:
+                    keep = f[k0 - i0 : kc - i0]
+                else:
+                    keep = disjoint(masks[k0:kc, None], g, out=w[1])
+                if lens[kc - 1] < c1:
+                    keep = np.multiply(keep, np.arange(c0, c1) < lens[k0:kc, None], out=w[1])
+                limbs = _r2_limbs(r[c0:c1], scale)
+                np.multiply(keep, limbs[0], out=w[0])
+                np.multiply(keep, limbs[1], out=w[1])
+                if held + (c1 - c0) > 1 << (52 - _LIMB):
+                    exact = _add_int64(exact, acc)
+                    acc[:] = 0.0
+                    held = 0
+                prod = _view(pbuf, 2 * (kc - k0), ic - i0)
+                np.matmul(w.reshape(-1, c1 - c0), f.T, out=prod)
+                acc[:, : kc - k0, : ic - i0] += prod.reshape(2, kc - k0, ic - i0)
+                held += c1 - c0
+                c0 = c1
+            if exact is not None:
+                acc = _add_int64(exact, acc)
+            inner = (acc[0] + acc[1] * 2.0**-_LIMB) / scale
+            ok = disjoint(masks[k0:k1, None], masks[None, i0:i1])
+            if i1 == k1:
+                ok &= np.arange(i0, i1) <= np.arange(k0, k1)[:, None]
+            yield (weight[k0:k1, None] * r[None, i0:i1] * inner)[ok]
 
 
 def _window_diagonal(sup: SupportArrays, n_max: int, x: float, budget: int) -> float:
@@ -360,28 +495,37 @@ def _window_diagonal(sup: SupportArrays, n_max: int, x: float, budget: int) -> f
     element cut at g_cap, a lower bound of the full one (ratio_and_bounds'
     fallback).
 
-    The pairs come as the tiles of SupportArrays.coprime_tiles, and every
-    tile's INNER comes from a tiled dense product (_inner_sums) that
-    accumulates over chunks of the g-range.  A tile's terms are its
-    coprime entries of floor(N/n_k) r(b') r(a') INNER, and all of them go
-    into one correctly rounded sum; math.fsum's result does not depend on
-    the order of the tiles.
+    _diagonal_terms gives the terms floor(N/n_k) r(b') r(a') INNER of the
+    pairs, a column group and row batch at a time, with INNER from one
+    dense product of limbs per chunk of the g-range.  All terms go into
+    one exact accumulator (_pair_fsum), correctly rounded at the end, so
+    the result does not depend on the order of the groups or the chunks.
 
-    Memory: every tile the kernel makes has at most _TILE entries, and it
+    Memory: every array the kernel makes has at most _TILE entries, and it
     holds at most a dozen at once (3 MiB), however large the support and
     the pair count are; besides them it keeps a few arrays with one entry
-    per element <= min(N, X).
+    per element <= min(N, X).  It holds nothing with an entry per element
+    of the g-ranges, the support <= X.
 
     Precision: a chunk's limb sums are exact integers below 2^53, whatever
-    order the matrix product adds them in, so the result does not depend
-    on the BLAS or its thread count.  With |G| = len_k terms in m chunks,
-    the computed INNER is within gamma_{m+1} * INNER +
-    |G| * 2^-(2*_LIMB) * max r^2 of the true sum (gamma_n = n*u/(1 - n*u),
-    u = 2^-53).  r(1) = 1 makes INNER >= 1, and the window weights have
-    r^2 <= 1, so that is within gamma_{|G|} relative.
+    order the matrix product adds them in, and their int64 sums are the
+    exact limb sums H and L of the whole g-range, whatever the chunks.  So
+    the result does not depend on the BLAS, its thread count or the chunk
+    width.  INNER is (H + L * 2^-_LIMB) / scale, computed within gamma_2
+    relative (gamma_n = n*u/(1 - n*u), u = 2^-53; H and L convert to
+    float64 exactly while below 2^53, as on g-ranges of fewer than 2^16
+    elements); the limbs carry r^2 to within 2^-(2*_LIMB) * max r^2 each.
+    r(1) = 1 makes INNER >= 1, and the window weights have r^2 <= 1, so
+    the computed INNER is within gamma_2 + |G| * 2^-(2*_LIMB) relative of
+    the true sum over |G| = len_k elements.
 
     The budget counts ordered coprime pairs, from a pass over the tiles
     that only counts, before any g-sum work.
+
+    Raises:
+        ResourceLimitError: the pair count is over budget, or the longest
+            g-range has 2^(63 - _LIMB) elements or more, past the exact
+            int64 limb sums.
     """
     count = len(sup.upto(min(float(n_max), x)).ns)
     pairs = sum(np.count_nonzero(ok) for _, _, ok in sup.coprime_tiles(count))
@@ -399,13 +543,16 @@ def _window_diagonal(sup: SupportArrays, n_max: int, x: float, budget: int) -> f
     lens = np.full(count, len(ns))
     short = cap < ns[-1]
     lens[short] = np.searchsorted(ns, np.floor(cap[short]).astype(np.int64), side="right")
+    if lens[0] >= 1 << (63 - _LIMB):
+        raise ResourceLimitError(
+            f"diagonal g-range of {lens[0]} elements beyond the int64 limb sums",
+            needed=int(lens[0]),
+            budget=(1 << (63 - _LIMB)) - 1,
+        )
     # r^2 * scale < 2^_LIMB over every g-range, all within the first lens[0].
     scale = math.ldexp(1.0, _LIMB - math.frexp(float(sup.r[: lens[0]].max()) ** 2)[1])
     weight = (n_max // ns[:count]) * sup.r[:count]
-    return _pair_fsum(
-        (weight[k, None] * sup.r[None, i] * _inner_sums(sup.masks, lens, sup.r, scale, k, i))[ok]
-        for k, i, ok in sup.coprime_tiles(count)
-    )
+    return _pair_fsum(_diagonal_terms(sup, lens, weight, scale))
 
 
 def diagonal_sum(
@@ -430,13 +577,15 @@ def diagonal_sum(
 
     For a window resonator the support <= X is built once into arrays,
     and _window_diagonal streams the coprime pairs of its elements
-    <= min(N, X) as tiles (SupportArrays.coprime_tiles), holding no pair
-    list; the budget bounds both the support and the ordered
-    coprime pairs.  Its inner g-sums come from one tiled dense product
-    whose tiles have at most _TILE entries each (at most a dozen held at
-    once, 3 MiB); each inner sum of |G| terms is within
-    gamma_{|G|} = |G|*u / (1 - |G|*u) relative (u = 2^-53), and the
-    result does not depend on the BLAS thread count.
+    <= min(N, X) by column groups and row batches, holding no pair list;
+    the budget bounds both the support and the ordered coprime pairs.
+    Its inner g-sums are exact limb sums from dense products of limbs,
+    whatever the chunks of g.  It holds arrays of at most _TILE entries
+    (at most a dozen at once, 3 MiB) and nothing with an entry per element
+    of the support <= X beyond the support itself.  Each inner sum of |G|
+    terms is within gamma_2 + |G| * 2^-(2*_LIMB) relative
+    (gamma_n = n*u / (1 - n*u), u = 2^-53), all terms go into one exact
+    accumulator, and the result does not depend on the BLAS thread count.
 
     For a test resonator the blocked kernel _dense_diagonal enumerates the
     (a', b', g) entries in row blocks of about _BLOCK, so it holds one
@@ -497,7 +646,7 @@ def _sum_r_with_fallback(res: Resonator, sup: SupportArrays | None) -> tuple[flo
     envelope built from it a valid bound.
     """
     if sup is not None:
-        return math.fsum(sup.r.tolist()), False
+        return _exact_fsum(sup.r), False
     return math.exp(math.fsum(math.log1p(res.r_p[p]) for p in res.primes)), True
 
 
@@ -539,7 +688,7 @@ def _main_term(res: Resonator, sup: SupportArrays) -> float:
 
 def _balanced_pair_bound(sup: SupportArrays, z: float) -> float:
     """(sum over support m <= z of t(m)/sqrt(m))^2 / log z, for sup <= z."""
-    return math.fsum((sup.t / np.sqrt(sup.ns)).tolist()) ** 2 / math.log(z)
+    return _exact_fsum(sup.t / np.sqrt(sup.ns)) ** 2 / math.log(z)
 
 
 def _alpha_tail(res: Resonator, sup: SupportArrays, x: float, alpha: float) -> float:
@@ -635,7 +784,7 @@ def tail_truncation_check(
     full = euler_product_one_plus_r2(res, exclude=excluded)
     sup = support_arrays(res, cap, budget)
     r = sup.r[disjoint(sup.masks, prime_mask(res, excluded))]
-    truncated = math.fsum((r * r).tolist())
+    truncated = _exact_fsum(r * r)
     tail = full - truncated
     if tail < 0.0:
         if tail < -1e-12 * full:
@@ -806,7 +955,7 @@ def ratio_and_bounds(
 
     flags["r2_sum_truncated"] = sup is None
     if sup is not None:
-        r2 = r2_denominator = math.fsum((sup.r * sup.r).tolist())
+        r2 = r2_denominator = _exact_fsum(sup.r * sup.r)
     else:
         r2 = None
         r2_denominator = euler_product_one_plus_r2(res)

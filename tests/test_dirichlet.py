@@ -176,8 +176,9 @@ def test_grid_kernel_matches_direct_across_term_slices():
 def _per_block_grid_values(coeffs, logs, origin, k0, count, h):
     """The kernel as it was before its step tables were shared: every anchor block
     computed its own step tables by cos and sin.  The anchor row goes through
-    dirichlet._expi, which reduces huge phases modulo 2*pi as the kernel does, so bit
-    equality checks the sharing of the step tables, not the trigonometry."""
+    dirichlet._expi, which reduces huge phases modulo 2*pi as the kernel does, and the
+    product through dirichlet._sum_matmul's one-thread chunks, so bit equality checks the
+    sharing of the step tables, not the trigonometry or the product."""
     stride = dirichlet.RESYNC_STRIDE
     for start in range(0, count, stride):
         size = min(stride, count - start)
@@ -191,7 +192,7 @@ def _per_block_grid_values(coeffs, logs, origin, k0, count, h):
             np.cos(x, out=tab.real)
             np.sin(x, out=tab.imag)
             anchor = coeffs[s : s + stride] * dirichlet._expi(t0 * logs[s : s + stride])
-            block += tab[:rows] @ (tab[rows:] * anchor).T
+            block += dirichlet._sum_matmul(tab[:rows], (tab[rows:] * anchor).T)
         yield start, block.T.ravel()[:size]
 
 
@@ -536,21 +537,52 @@ print(digest.hexdigest())
 """
 
 
-def test_taylor_scan_independent_of_blas_threads():
-    # The Taylor factor's first product sums over up to RESYNC_STRIDE terms; as one real
-    # product it gave other bits under 2 BLAS threads at N = 5000.  Its sum is taken in
-    # one-thread chunks (_sum_matmul), so 1 and 2 threads scan the same bits, also with
-    # several origins and with two term slices (N = 12 000).
+# The explicit tables forced on the search's step at N = 500, t ~ 4.5e10: a 5e4-point scan.
+_EXPLICIT_SCAN_DIGEST = """
+import hashlib, math
+import numpy as np
+from rescert import dirichlet
+from rescert.multfn import steinhaus_sample
+from rescert.ntcore import build_factor_table
+dirichlet._taylor_rank = lambda h, max_log, n_terms: None
+n = 500
+table = build_factor_table(n)
+coeffs, logs = dirichlet._dn_terms(steinhaus_sample(3, table.limit), n, table)
+h = 2e-3 / math.log(n)
+digest = hashlib.sha256()
+for _, values in dirichlet._grid_values(coeffs, logs, 0.0, int(4.5e10 / h), 50_000, h):
+    digest.update(np.ascontiguousarray(values).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _digests_under_blas_threads(script: str) -> list[str]:
+    """The output of `script` in a new interpreter under 1 and under 2 BLAS threads."""
     src = str(Path(dirichlet.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-c", _SCAN_DIGEST], env=env, capture_output=True, text=True,
-            check=True,
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
         )
         digests.append(proc.stdout)
+    return digests
+
+
+def test_taylor_scan_independent_of_blas_threads():
+    # The Taylor factor's first product sums over up to RESYNC_STRIDE terms; as one real
+    # product it gave other bits under 2 BLAS threads at N = 5000.  Its sum is taken in
+    # one-thread chunks (_sum_matmul), so 1 and 2 threads scan the same bits, also with
+    # several origins and with two term slices (N = 12 000).
+    digests = _digests_under_blas_threads(_SCAN_DIGEST)
+    assert digests[0] == digests[1]
+
+
+def test_explicit_scan_independent_of_blas_threads():
+    # The explicit tables' complex product, (100, 500) @ (500, 100) per block, gave other
+    # bits under 2 BLAS threads as one product; its sum is taken in one-thread chunks too.
+    digests = _digests_under_blas_threads(_EXPLICIT_SCAN_DIGEST)
     assert digests[0] == digests[1]
 
 

@@ -647,7 +647,8 @@ def _per_element_diagonal(sup: SupportArrays, n_max: int, x: float, g_cap=None) 
 @pytest.mark.parametrize("n_max, g_cap", [(1_000_000, None), (2_000_000, None), (2_000_000, 1e8)])
 def test_window_diagonal_matches_per_element_kernel(n_max, g_cap):
     # The supports of `certify --n N --c 3` (X = N^2).  At N = 2e6, 296
-    # elements are <= N: three tiles, so off-diagonal tile pairs run too.
+    # elements are <= N: five column groups, the last with two row batches,
+    # so batches off the group's own columns run too.
     x = float(n_max) ** 2
     res = build_resonator(x, TABLE)
     sup = support_arrays(res, x if g_cap is None else min(x, g_cap))
@@ -655,12 +656,42 @@ def test_window_diagonal_matches_per_element_kernel(n_max, g_cap):
     assert tiled == pytest.approx(_per_element_diagonal(sup, n_max, x, g_cap), rel=1e-13)
 
 
+@pytest.mark.parametrize("n_max", [1_000_000, 2_000_000, 5_000_000])
+def test_window_diagonal_independent_of_chunk_width(monkeypatch, n_max):
+    # INNER is the exact limb sum whatever the chunks of the g-range, so
+    # narrow chunks of uneven widths (_TILE cut to 5000, _LIMB kept) give
+    # the same bits.  At N = 5e6 the g-ranges reach 93 186 elements, past
+    # 2^16, and the limb sums go on in int64.
+    x = float(n_max) ** 2
+    sup = support_arrays(build_resonator(x, TABLE), x)
+    want = moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET)
+    int64_sums = []
+    add_int64 = moments._add_int64
+    monkeypatch.setattr(moments, "_add_int64", lambda *a: int64_sums.append(1) or add_int64(*a))
+    monkeypatch.setattr(moments, "_TILE", 5000)
+    assert moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET) == want
+    assert bool(int64_sums) == (len(sup.ns) > 2**16)
+
+
+def test_window_diagonal_refuses_g_ranges_past_exact_int64_sums(monkeypatch):
+    # A g-range of 2^(63 - _LIMB) elements could carry the int64 limb sums
+    # past 2^63.  With _LIMB = 50 that is 8192 elements, fewer than the
+    # 10 504 of the support <= X at N = 2e6.
+    n_max = 2_000_000
+    x = float(n_max) ** 2
+    sup = support_arrays(build_resonator(x, TABLE), x)
+    monkeypatch.setattr(moments, "_LIMB", 50)
+    with pytest.raises(ResourceLimitError) as info:
+        moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET)
+    assert info.value.needed == len(sup.ns) > info.value.budget == 2**13 - 1
+
+
 def test_window_diagonal_memory_is_flat():
     # The stated bound: at most a dozen arrays of _TILE float64 entries,
-    # however large the support <= X (32 to 10504 elements here) and the
-    # pair count.
+    # however large the support <= X (32 to 309 632 elements here; int64
+    # limb sums at N = 1e7) and the pair count.
     bound = 12 * moments._TILE * 8
-    for n_max in (100_000, 300_000, 1_000_000, 2_000_000):
+    for n_max in (100_000, 300_000, 1_000_000, 2_000_000, 10_000_000):
         x = float(n_max) ** 2
         sup = support_arrays(build_resonator(x, TABLE), x)
         tracemalloc.start()
@@ -670,6 +701,83 @@ def test_window_diagonal_memory_is_flat():
         finally:
             tracemalloc.stop()
         assert peak < bound, (n_max, peak)
+
+
+def _exact_sum(chunks) -> float:
+    total = moments._ExactSum()
+    for chunk in chunks:
+        total.add(np.asarray(chunk, dtype=np.float64))
+    return total.value()
+
+
+def _bits_or_error(fn):
+    """fn()'s float as hex (so the sign of a zero counts), or the type of its error."""
+    try:
+        return fn().hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+# Finite floats of both signs from subnormals (and zero) up to ~1e300.
+_WIDE_FLOATS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 996)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(_WIDE_FLOATS, max_size=200), data=st.data())
+def test_exact_sum_is_fsum_property(terms, data):
+    # Streamed in uneven chunks, with small chunk and fold sizes so that the
+    # chunk loop and the folds into the integer run mid-stream.
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), max_size=6)))
+    chunks = [terms[a:b] for a, b in zip([0, *cuts], [*cuts, len(terms)])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments._ExactSum, "_CHUNK", data.draw(st.integers(1, 64)))
+        mp.setattr(moments._ExactSum, "_FOLD", data.draw(st.integers(64, 256)))
+        got = _exact_sum(chunks)
+    assert got.hex() == math.fsum(terms).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    big=st.lists(_WIDE_FLOATS, min_size=1, max_size=60),
+    small=st.lists(st.floats(-1e-20, 1e-20), max_size=20),
+    data=st.data(),
+)
+def test_exact_sum_cancellation_property(big, small, data):
+    # Every big term cancels against its negation, leaving the small ones.
+    terms = data.draw(st.permutations(big + [-v for v in big] + small))
+    assert _exact_sum([terms]).hex() == math.fsum(terms).hex() == math.fsum(small).hex()
+
+
+def test_exact_sum_million_terms():
+    rng = np.random.default_rng(7)
+    n = 1_000_000
+    terms = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1070, 990, n))
+    terms[::3] *= 1e-200  # some subnormals and heavy scale mixing
+    assert _exact_sum(np.array_split(terms, 7)).hex() == math.fsum(terms.tolist()).hex()
+
+
+@pytest.mark.parametrize(
+    "chunks",
+    [
+        [[math.inf, -math.inf]],
+        [[math.inf], [1.0, -math.inf]],
+        [[1e308, 1e308]],
+        [[math.inf, 1.0]],
+        [[-math.inf, 2.0, -math.inf]],
+        [[math.nan, 1.0]],
+        [[1.0], [math.nan, math.inf]],
+        [[1e308, 1e308, math.inf]],
+        [[], [-0.0]],
+    ],
+)
+def test_exact_sum_special_values_as_fsum(chunks):
+    # ValueError for infinities of both signs, OverflowError past the float
+    # range, and otherwise fsum's infinity or NaN.
+    want = _bits_or_error(lambda: math.fsum(v for c in chunks for v in c))
+    assert _bits_or_error(lambda: _exact_sum(chunks)) == want
 
 
 def test_certify_report_independent_of_blas_threads():
