@@ -19,11 +19,12 @@ to sums over coprime pairs (a', b') that this module evaluates exactly
 (correctly rounded sums) or brackets rigorously.
 
 For window resonators the support is held as sorted arrays of integers,
-weights and prime masks (resonator.SupportArrays).  The main term and the
-alpha-shift tail stream the coprime pairs of the support <= min(N, X) as
-boolean tiles (SupportArrays.coprime_tiles), and the diagonal and its
-g-capped fallbacks stream them by column groups and row batches, so no
-pair list is held and their memory does not grow with the pair count.
+weights and prime masks (resonator.SupportArrays).  The diagonal, its
+g-capped fallbacks, the main term and the alpha-shift tail stream the
+coprime pairs of the support <= min(N, X) as boolean tiles
+(SupportArrays.coprime_tiles; the diagonal's tiles are a column group by
+a row batch), so no pair list is held and their memory does not grow with
+the pair count.
 The inner g-sums of the diagonal, sum of r(g)^2 over support
 g <= X/max(a',b') coprime to a'b', come from dense products over the same
 arrays: 0/1 coprimality tiles times r(g)^2 split into integer limbs,
@@ -398,14 +399,6 @@ def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _add_int64(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
-    """total + part in int64, for an integer-valued float part below 2^53."""
-    part = part.astype(np.int64)
-    if total is not None:
-        part += total
-    return part
-
-
 def _diagonal_terms(
     sup: SupportArrays, lens: np.ndarray, weight: np.ndarray, scale: float
 ) -> Iterable[np.ndarray]:
@@ -414,21 +407,20 @@ def _diagonal_terms(
     INNER[k, i] is the sum of r(g)^2 over the first lens[k] elements g of
     sup coprime to elements i and k.
 
-    The columns k go in groups of _GROUP, and the rows i <= k of a group
-    in batches of _ROWS.  lens does not increase, so the columns in play at
-    a chunk start are those with lens[k] past it, and the rows in play are
-    those up to the last such column.  Per batch and chunk of g: F is the
-    0/1 coprimality tile of the rows in play, keep that of the columns in
-    play, cut at each column's lens[k], and W stacks the hi and lo limbs
-    (_r2_limbs) of r(g)^2 times keep.  W @ F^T adds both limb sums at once,
-    exactly, into the float sums acc.  acc moves into int64 sums before it
-    could reach 2^53, that is before it holds more than 2^(52 - _LIMB)
-    g's, so the limb sums are exact whatever the chunks.  The batch that
-    holds the group's columns holds their coprimality rows too, so keep is
-    a slice of its F there; and its rows stop at the last column in play,
-    so that batch skips most of the pairs i > k.  A chunk is as wide as F
-    and W allow within _TILE entries each.  INNER is put together from the
-    limb sums at the end.
+    The pairs come from SupportArrays.coprime_tiles, in tiles of a column
+    group of _GROUP elements k by a row batch of _ROWS elements i <= k.
+    lens does not increase, so the columns in play at a chunk start are
+    those with lens[k] past it, and the rows in play are those up to the
+    last such column.  Per tile and chunk of g: F is the 0/1 coprimality
+    tile of the rows in play, keep that of the columns in play, cut at each
+    column's lens[k], and W stacks the hi and lo limbs (_r2_limbs) of
+    r(g)^2 times keep.  W @ F^T gives both limb sums of the chunk at once,
+    exact integers below 2^53, and they add into int64 sums, so these are
+    the exact limb sums whatever the chunks.  The group's last tile holds
+    the group's columns among its rows, so keep is a slice of its F there;
+    and its rows stop at the last column in play, so it skips most of the
+    pairs i > k.  A chunk is as wide as F and W allow within _TILE entries
+    each.  INNER is put together from the limb sums at the end.
     """
     masks, r = sup.masks, sup.r
     count = len(lens)
@@ -438,47 +430,32 @@ def _diagonal_terms(
     tile = min(_TILE, 2 * count * int(lens[0]))
     fbuf, wbuf = np.empty(tile), np.empty(tile)
     pbuf = np.empty(min(2 * _GROUP * _ROWS, 2 * count**2))
-    for k0 in range(0, count, _GROUP):
-        k1 = min(k0 + _GROUP, count)
-        for i0 in range(0, k1, _ROWS):
-            i1 = min(i0 + _ROWS, k1)
-            acc = np.zeros((2, k1 - k0, i1 - i0))
-            exact = None  # int64 limb sums, once acc could reach 2^53
-            c0, end, held = 0, int(lens[k0]), 0
-            while c0 < end:
-                kc = k0 + int(np.count_nonzero(lens[k0:k1] > c0))
-                ic = min(i1, kc)
-                if ic <= i0:
-                    break
-                c1 = min(end, c0 + _TILE // max(ic - i0, 2 * (kc - k0)))
-                g = masks[None, c0:c1]
-                f = disjoint(masks[i0:ic, None], g, out=_view(fbuf, ic - i0, c1 - c0))
-                w = _view(wbuf, 2, kc - k0, c1 - c0)
-                if i1 == k1:
-                    keep = f[k0 - i0 : kc - i0]
-                else:
-                    keep = disjoint(masks[k0:kc, None], g, out=w[1])
-                if lens[kc - 1] < c1:
-                    keep = np.multiply(keep, np.arange(c0, c1) < lens[k0:kc, None], out=w[1])
-                limbs = _r2_limbs(r[c0:c1], scale)
-                np.multiply(keep, limbs[0], out=w[0])
-                np.multiply(keep, limbs[1], out=w[1])
-                if held + (c1 - c0) > 1 << (52 - _LIMB):
-                    exact = _add_int64(exact, acc)
-                    acc[:] = 0.0
-                    held = 0
-                prod = _view(pbuf, 2 * (kc - k0), ic - i0)
-                np.matmul(w.reshape(-1, c1 - c0), f.T, out=prod)
-                acc[:, : kc - k0, : ic - i0] += prod.reshape(2, kc - k0, ic - i0)
-                held += c1 - c0
-                c0 = c1
-            if exact is not None:
-                acc = _add_int64(exact, acc)
-            inner = (acc[0] + acc[1] * 2.0**-_LIMB) / scale
-            ok = disjoint(masks[k0:k1, None], masks[None, i0:i1])
+    for k, i, ok in sup.coprime_tiles(count, _GROUP, _ROWS):
+        k0, k1, i0, i1 = k.start, k.stop, i.start, i.stop
+        acc = np.zeros((2, k1 - k0, i1 - i0), dtype=np.int64)
+        c0, end = 0, int(lens[k0])
+        while c0 < end:
+            kc = k0 + int(np.count_nonzero(lens[k] > c0))
+            ic = min(i1, kc)
+            c1 = min(end, c0 + _TILE // max(ic - i0, 2 * (kc - k0)))
+            g = masks[None, c0:c1]
+            f = disjoint(masks[i0:ic, None], g, out=_view(fbuf, ic - i0, c1 - c0))
+            w = _view(wbuf, 2, kc - k0, c1 - c0)
             if i1 == k1:
-                ok &= np.arange(i0, i1) <= np.arange(k0, k1)[:, None]
-            yield (weight[k0:k1, None] * r[None, i0:i1] * inner)[ok]
+                keep = f[k0 - i0 : kc - i0]
+            else:
+                keep = disjoint(masks[k0:kc, None], g, out=w[1])
+            if lens[kc - 1] < c1:
+                keep = np.multiply(keep, np.arange(c0, c1) < lens[k0:kc, None], out=w[1])
+            limbs = _r2_limbs(r[c0:c1], scale)
+            np.multiply(keep, limbs[0], out=w[0])
+            np.multiply(keep, limbs[1], out=w[1])
+            prod = _view(pbuf, 2 * (kc - k0), ic - i0)
+            np.matmul(w.reshape(-1, c1 - c0), f.T, out=prod)
+            acc[:, : kc - k0, : ic - i0] += prod.reshape(2, kc - k0, ic - i0).astype(np.int64)
+            c0 = c1
+        inner = (acc[0] + acc[1] * 2.0**-_LIMB) / scale
+        yield (weight[k, None] * r[None, i] * inner)[ok]
 
 
 def _window_diagonal(sup: SupportArrays, n_max: int, x: float, budget: int) -> float:
@@ -577,7 +554,8 @@ def diagonal_sum(
 
     For a window resonator the support <= X is built once into arrays,
     and _window_diagonal streams the coprime pairs of its elements
-    <= min(N, X) by column groups and row batches, holding no pair list;
+    <= min(N, X) as tiles of a column group by a row batch
+    (SupportArrays.coprime_tiles), holding no pair list;
     the budget bounds both the support and the ordered coprime pairs.
     Its inner g-sums are exact limb sums from dense products of limbs,
     whatever the chunks of g.  It holds arrays of at most _TILE entries

@@ -235,23 +235,25 @@ class SupportArrays:
             out[(self.masks[:, word] & value) != 0] += v
         return out
 
-    def coprime_tiles(self, count: int | None = None) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    def coprime_tiles(
+        self, count: int | None = None, cols: int = _SIDE, rows: int = _SIDE
+    ) -> Iterator[tuple[slice, slice, np.ndarray]]:
         """Every coprime pair (i, k), i <= k, of the first `count` elements
-        (default all) once, as tiles (k, i, ok): k and i are slices of at
-        most _SIDE elements, and ok[a, b] says whether elements k.start + a
-        and i.start + b are coprime.  The tiles come by blocks k, then by i
-        up to the block's end; on the diagonal tile (i == k) only i <= k is
-        kept.  The first tile's first pair is (0, 0), the pair (1, 1) and
-        the only pair of an element with itself.
+        (default all) once, as tiles (k, i, ok): k is a slice of at most
+        `cols` elements, i one of at most `rows`, and ok[a, b] says whether
+        elements k.start + a and i.start + b are coprime.  The tiles come by
+        blocks k, then by i up to the block's end; on the tiles that reach
+        the block's own elements only i <= k is kept.  The first tile's first pair is (0, 0), the
+        pair (1, 1) and the only pair of an element with itself.
         """
         n = len(self.ns) if count is None else count
-        for k0 in range(0, n, _SIDE):
-            k = slice(k0, min(k0 + _SIDE, n))
-            for i0 in range(0, k.stop, _SIDE):
-                i = slice(i0, min(i0 + _SIDE, k.stop))
+        for k0 in range(0, n, cols):
+            k = slice(k0, min(k0 + cols, n))
+            for i0 in range(0, k.stop, rows):
+                i = slice(i0, min(i0 + rows, k.stop))
                 ok = disjoint(self.masks[k, None], self.masks[None, i])
-                if i0 == k0:
-                    ok &= np.tri(len(ok), dtype=bool)
+                if i.stop > k.start:
+                    ok &= np.arange(i.start, i.stop) <= np.arange(k.start, k.stop)[:, None]
                 yield k, i, ok
 
     def elements(self, res: Resonator) -> list[SupportElement]:

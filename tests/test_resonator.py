@@ -176,15 +176,17 @@ def _resonator_on(primes) -> Resonator:
     )
 
 
-def _assert_coprime_pairs(sup, count=None):
+def _assert_coprime_pairs(sup, count=None, tiles=()):
     """The tiles' pairs (k, i) are the gcd pairs i <= k < count, each once,
-    in tiles of at most _SIDE by _SIDE and with the pair (0, 0) first."""
+    in tiles of at most `tiles` (cols, rows) elements, by default _SIDE by
+    _SIDE, and with the pair (0, 0) first."""
     ns = sup.ns.tolist()[:count]
     want = [(k, i) for k in range(len(ns)) for i in range(k + 1) if math.gcd(ns[i], ns[k]) == 1]
+    most = tiles or (resonator._SIDE, resonator._SIDE)
     got = []
-    for k, i, ok in sup.coprime_tiles(count):
+    for k, i, ok in sup.coprime_tiles(count, *tiles):
         assert ok.dtype == bool and ok.shape == (k.stop - k.start, i.stop - i.start)
-        assert max(ok.shape) <= resonator._SIDE
+        assert ok.shape[0] <= most[0] and ok.shape[1] <= most[1]
         rows, cols = np.nonzero(ok)
         got += zip((rows + k.start).tolist(), (cols + i.start).tolist())
     assert got[:1] == want[:1]
@@ -203,16 +205,14 @@ def _assert_coprime_pairs(sup, count=None):
         ),
     ).map(sorted),
     cap=st.floats(-2.0, 1000.0),
-    side=st.sampled_from([3, 64, resonator._SIDE]),
+    tiles=st.sampled_from([(3, 3), (2, 5), (5, 2), (64, 64), (64, 256), ()]),
     data=st.data(),
 )
-def test_coprime_pairs_match_gcd_pairs_property(primes, cap, side, data):
+def test_coprime_pairs_match_gcd_pairs_property(primes, cap, tiles, data):
     # More than 64 primes give two-word masks, more than 128 three; small
-    # sides split the lower triangle into many tiles.
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(resonator, "_SIDE", side)
-        sup = support_arrays(_resonator_on(primes), cap)
-        _assert_coprime_pairs(sup, data.draw(st.one_of(st.none(), st.integers(0, len(sup.ns)))))
+    # tiles, square or not, split the lower triangle into many.
+    sup = support_arrays(_resonator_on(primes), cap)
+    _assert_coprime_pairs(sup, data.draw(st.one_of(st.none(), st.integers(0, len(sup.ns)))), tiles)
 
 
 @pytest.mark.parametrize(
