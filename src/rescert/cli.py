@@ -36,7 +36,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .errors import QuadratureError, ResourceLimitError
-from .dirichlet import grid_sup, resonance_guided_search
+from .dirichlet import DEFAULT_EVAL_BUDGET, grid_sup, resonance_guided_search
 from .moments import (
     DEFAULT_NU,
     DEFAULT_TERM_BUDGET,
@@ -65,8 +65,6 @@ from .resonator import (
     window_bounds,
 )
 
-DEFAULT_GRID_BUDGET = 20_000_000
-
 
 @dataclass
 class RunConfig:
@@ -87,7 +85,7 @@ class RunConfig:
     x: float | None = None
     toy: str | None = None
     budget_terms: int = DEFAULT_TERM_BUDGET
-    budget_points: int = DEFAULT_GRID_BUDGET
+    budget_points: int = DEFAULT_EVAL_BUDGET
     trace_stride: int = 0
     trace_out: str | None = None
     sieve_limit: int | None = None
@@ -314,19 +312,16 @@ def cmd_resonator(cfg: RunConfig) -> int:
     # The summary evaluates no f(n): the table need only cover the prime window.
     table = _build_table(cfg, x, cover_n=False)
     res = _resonator_for(x, table)
-    rep = {
-        "x": res.x,
-        "lam": res.lam,
-        "window_lo": res.window_lo,
-        "window_hi": res.window_hi,
-        "prime_count": len(res.primes),
-        "is_empty": res.is_empty,
-        "is_degenerate": res.is_degenerate,
-        "alpha_default": res.alpha_default,
-        "primes_head": list(res.primes[:16]),
-        "r_head": [res.r_p[p] for p in res.primes[:16]],
-        "t_head": [res.t_p[p] for p in res.primes[:16]],
-    }
+    rep = res.summary()
+    # is_degenerate keeps its csv column, just before alpha_default.
+    alpha_default = rep.pop("alpha_default")
+    rep.update(
+        is_degenerate=res.is_degenerate,
+        alpha_default=alpha_default,
+        primes_head=list(res.primes[:16]),
+        r_head=[res.r_p[p] for p in res.primes[:16]],
+        t_head=[res.t_p[p] for p in res.primes[:16]],
+    )
     payload = _envelope("resonator", cfg, rep)
     _emit(payload, cfg, csv_rows=(list(rep), [list(rep.values())]))
     return 0

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -303,68 +302,35 @@ def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
 
 
 def _dense_diagonal(toy, n_max: int, x: float, budget: int) -> float:
-    """diagonal_sum for a dense test resonator (`.value(n)` and a
-    `squarefree_supported` flag).
+    """diagonal_sum for a test resonator: the gcd-matrix form over its
+    support S = {n <= X : r(n) != 0},
 
-    Enumerates (a', b', g) with a', b' <= z = min(N, X) coprime, in the
-    order of a' then b', and 1 <= g <= X/max(a',b'); the term is
-    floor(N/max) r(a'g) r(b'g).  When r is declared squarefree-supported,
-    pairs with r(a') = 0 or r(b') = 0 are skipped, and a nonzero
-    r(a'g) r(b'g) with gcd(g, a'b') > 1 fails the declaration.
+        sum over a, b in S of floor(N / (max(a,b) // gcd(a,b))) r(a) r(b).
 
-    Rows a' go in blocks of about _BLOCK pairs plus (a', b', g) entries,
-    counted from the g-ranges before the coprime filter; a single row over
-    that is a block of its own.  The budget counts the (a', b', g) entries
-    of the pairs enumerated and is checked once per block, before its
-    g-sum work.  Every block's terms stream into one correctly rounded sum.
+    This is the parametrized sum with a = a'g, b = b'g and g = gcd(a, b),
+    term for term: the weight is floor(N / max(a',b')), zero when
+    max(a',b') > N, and max(a, b) <= X is g <= X/max(a',b').  Rows of the
+    matrix go in blocks of about _BLOCK entries, and every block's terms
+    go into one exact accumulator (_ExactSum), correctly rounded at the end.
+    The budget counts the |S|^2 entries, before any work.
     """
-    x_int = math.floor(x)
-    r = np.array([0.0] + [float(toy.value(k)) for k in range(1, x_int + 1)])
-    flagged = bool(getattr(toy, "squarefree_supported", False))
-    z = min(n_max, x_int)
-    ks = np.arange(1, z + 1)
-    g_hi = np.floor(x / ks).astype(np.int64)
-    # The rows and columns a', b' of the pair grid.
-    cand = ks[r[1 : z + 1] != 0.0] if flagged else ks
-    # Row a' spans at most z pairs and sum_b g_hi[max(a', b')] entries.
-    row_work = z + ks * g_hi + (int(g_hi.sum()) - np.cumsum(g_hi))
-    row_end = np.cumsum(row_work[cand - 1])
-
-    def terms():
-        ops = 0
-        i0 = 0
-        while i0 < len(cand):
-            done = int(row_end[i0 - 1]) if i0 else 0
-            i1 = max(i0 + 1, int(np.searchsorted(row_end, done + _BLOCK, side="right")))
-            ai, bi = np.nonzero(np.gcd(cand[i0:i1, None], cand) == 1)
-            a, b = cand[ai + i0], cand[bi]
-            mx = np.maximum(a, b)
-            cnt = g_hi[mx - 1]
-            total = int(cnt.sum())
-            ops += total
-            if ops > budget:
-                raise ResourceLimitError(
-                    f"diagonal enumeration exceeded budget {budget}",
-                    needed=ops,
-                    budget=budget,
-                )
-            i0 = i1
-            # Expand each pair into its g = 1 .. cnt entries.
-            g = np.arange(1, total + 1) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            a, b = np.repeat(a, cnt), np.repeat(b, cnt)
-            weight = np.repeat((n_max // mx).astype(np.float64), cnt)
-            v = r[a * g] * r[b * g]
-            if flagged:
-                bad = np.flatnonzero((v != 0.0) & (np.gcd(g, a * b) != 1))
-                if len(bad):
-                    k = bad[0]
-                    raise AssertionError(
-                        "squarefree-supported flag violated: "
-                        f"r({a[k] * g[k]})*r({b[k] * g[k]}) != 0 with gcd(g, a'b') > 1"
-                    )
-            yield weight * v
-
-    return math.fsum(chain.from_iterable(t.tolist() for t in terms()))
+    sup = sorted(n for n, v in toy.values.items() if n <= x and v != 0.0)
+    needed = len(sup) ** 2
+    if needed > budget:
+        raise ResourceLimitError(
+            f"diagonal gcd-matrix entries exceeded budget {budget}",
+            needed=needed,
+            budget=budget,
+        )
+    s = np.array(sup, dtype=np.int64)
+    r = np.array([float(toy.values[n]) for n in sup])
+    total = _ExactSum()
+    rows = max(1, _BLOCK // len(s))  # S holds 1, since r(1) = 1 and X >= 1
+    for i0 in range(0, len(s), rows):
+        a = s[i0 : i0 + rows, None]
+        weight = n_max // (np.maximum(a, s) // np.gcd(a, s))
+        total.add((weight * (r[i0 : i0 + rows, None] * r)).ravel())
+    return total.value()
 
 
 # The diagonal kernel takes the support elements <= min(N, X) in column
@@ -374,7 +340,8 @@ def _dense_diagonal(toy, n_max: int, x: float, budget: int) -> float:
 # r(g)^2 enters as two integer-valued limbs of _LIMB bits, so the limb
 # sums over a chunk (at most _TILE g's) stay below 2^53 and are exact, and
 # their int64 sums over any g-range of fewer than 2^(63 - _LIMB) elements
-# are exact too.  _dense_diagonal's row blocks hold about _BLOCK entries.
+# are exact too.  _dense_diagonal's row blocks of the gcd matrix hold
+# about _BLOCK entries.
 _TILE = 2 * _SIDE * _SIDE
 _BLOCK = 2 * _TILE
 _LIMB = 52 - (_TILE - 1).bit_length()
@@ -545,12 +512,12 @@ def diagonal_sum(
 
         floor(N / max(a',b')) * sum_{g <= X/max(a',b')} r(a'g) r(b'g).
 
-    Accepts either a window resonator or any object with a dense
-    `.value(n)` map and a `squarefree_supported` flag (the test-resonator
-    protocol).  `table` is not read; it keeps its place because perfbench
-    passes it positionally.  The sum is always the full one; the
-    g-capped lower bound that a certificate falls back to over budget is
-    ratio_and_bounds' own (its `diag_g_cap` flag).
+    Accepts either a window resonator or a test resonator
+    (oracle.ToyResonator: a `values` map n -> r(n)).  `table` is not
+    read; it keeps its place because perfbench passes it positionally.
+    The sum is always the full one; the g-capped lower bound that a
+    certificate falls back to over budget is ratio_and_bounds' own (its
+    `diag_g_cap` flag).
 
     For a window resonator the support <= X is built once into arrays,
     and _window_diagonal streams the coprime pairs of its elements
@@ -565,19 +532,15 @@ def diagonal_sum(
     (gamma_n = n*u / (1 - n*u), u = 2^-53), all terms go into one exact
     accumulator, and the result does not depend on the BLAS thread count.
 
-    For a test resonator the blocked kernel _dense_diagonal enumerates the
-    (a', b', g) entries in row blocks of about _BLOCK, so it holds one
-    block at a time, and all terms go into one correctly rounded sum.  The
-    budget bounds the (a', b', g) entries and is checked before each
-    block's g-sum work.
+    For a test resonator _dense_diagonal sums the same terms as the gcd
+    matrix over its support S <= X, a, b in S weighted
+    floor(N / (max(a,b) // gcd(a,b))), in row blocks of about _BLOCK
+    entries into one correctly rounded sum.  The budget bounds the |S|^2
+    matrix entries and is checked before any work.
 
     Raises:
         ResourceLimitError: support enumeration, coprime-pair count or
-            (a', b', g) entry count over budget.  For the pair count,
-            `needed` is the exact count; for the entry count, it is the
-            count up to the end of the block that crossed the budget.
-        AssertionError: a test resonator flagged squarefree-supported has
-            r(a'g) r(b'g) != 0 with gcd(g, a'b') > 1.
+            gcd-matrix entry count over budget; `needed` is the exact count.
     """
     if n_max < 1:
         raise ValueError("N must be >= 1")
@@ -1039,13 +1002,7 @@ def ratio_and_bounds(
         )
 
     res_summary = {
-        "x": res.x,
-        "lam": res.lam,
-        "window_lo": res.window_lo,
-        "window_hi": res.window_hi,
-        "prime_count": len(res.primes),
-        "is_empty": res.is_empty,
-        "alpha_default": res.alpha_default,
+        **res.summary(),
         "sum_r_squared": r2,
         "euler_product": euler_product_one_plus_r2(res),
     }

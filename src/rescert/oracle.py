@@ -27,12 +27,11 @@ class ToyResonator:
     """Dense stand-in for a resonator: explicit n -> r(n) values.
 
     `values` must contain 1 -> 1.0; every n not present evaluates to 0.
-    `squarefree_supported` declares that r vanishes off squarefree
-    integers, which the parametrized diagonal sum is allowed to exploit.
+    Nothing else is assumed: r need not be multiplicative, and
+    moments.diagonal_sum reads `values` for the support it sums over.
     """
 
     values: dict[int, float]
-    squarefree_supported: bool = False
 
     def __post_init__(self):
         if self.values.get(1) != 1.0:
@@ -73,9 +72,9 @@ def random_toy_resonator(
 ) -> ToyResonator:
     """Multiplicative toy with random weights on primes up to cap.
 
-    Squarefree mode assigns r(p) and extends to squarefree products;
-    otherwise prime powers also get (independent) random weights, which
-    keeps r multiplicative but not completely so.
+    Squarefree mode assigns r(p) and extends to squarefree products, so
+    r(p^2) = 0; otherwise prime powers also get (independent) random
+    weights, which keeps r multiplicative but not completely so.
     """
     primes = [p for p in range(2, cap + 1) if all(p % q for q in range(2, p))]
     k = min(max_primes, len(primes))
@@ -105,7 +104,7 @@ def random_toy_resonator(
                 acc *= prime_power_weight[q]
         if ok and m == 1:
             values[n] = acc
-    return ToyResonator(values=values, squarefree_supported=squarefree)
+    return ToyResonator(values=values)
 
 
 def _dense_r_vector(res, x_int: int, table: FactorTable | None) -> np.ndarray:

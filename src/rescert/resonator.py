@@ -78,6 +78,19 @@ class Resonator:
     def prime_index(self) -> dict[int, int]:
         return {p: i for i, p in enumerate(self.primes)}
 
+    def summary(self) -> dict:
+        """The construction's scalars, as `rescert resonator` and the
+        certificate report's `resonator` field show them."""
+        return {
+            "x": self.x,
+            "lam": self.lam,
+            "window_lo": self.window_lo,
+            "window_hi": self.window_hi,
+            "prime_count": len(self.primes),
+            "is_empty": self.is_empty,
+            "alpha_default": self.alpha_default,
+        }
+
 
 def window_bounds(x: float) -> tuple[float, float]:
     """(lam^2, exp((log lam)^2)) for cutoff x >= e^e; lo > hi means empty."""

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
@@ -279,43 +280,59 @@ def test_diagonal_sum_window_resonator_vs_bruteforce():
 
 
 def test_diagonal_sum_budget():
+    # The budget counts the |S|^2 gcd-matrix entries of the support S <= X and
+    # is checked before anything with an entry per integer <= X is built.
     toy = ToyResonator(values={1: 1.0, 2: 1.0})
     with pytest.raises(ResourceLimitError):
         diagonal_sum(toy, 50, 50.0, TABLE, budget=3)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as exc:
+        diagonal_sum(toy, 50, 1e9, budget=3)
+    assert time.perf_counter() - t0 < 0.1
+    assert exc.value.needed == 4
 
 
-def test_diagonal_sum_squarefree_flag_violation():
-    # r(4) != 0 although the toy declares squarefree support.
-    toy = ToyResonator(values={1: 1.0, 2: 1.0, 4: 1.0}, squarefree_supported=True)
-    with pytest.raises(AssertionError, match="squarefree-supported flag violated"):
-        diagonal_sum(toy, 4, 4.0, TABLE)
+def test_dense_diagonal_keeps_pairs_off_the_multiplicative_support():
+    # r(2) = r(3) = 0, but a' = 2, b' = 3, g = 5 pairs 10 with 15:
+    # floor(3/3) r(10) r(15) twice, on top of floor(3/1) for each of 1, 10, 15.
+    toy = ToyResonator(values={1: 1.0, 10: 1.0, 15: 1.0})
+    assert diagonal_sum(toy, 3, 15.0) == 11.0
+    assert diagonal_sum_bruteforce(toy, 3, 15.0) == 11.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.dictionaries(st.integers(2, 40), st.floats(-2.0, 2.0), max_size=20),
+    data=st.data(),
+)
+def test_dense_diagonal_matches_bruteforce_property(values, data):
+    # Any weights: prime powers, zeros, signs and keys above X, multiplicative or not.
+    toy = ToyResonator(values={1: 1.0, **values})
+    n_max = data.draw(st.integers(1, 250))
+    x = data.draw(st.floats(1.0, min(60.0, BRUTE_FORCE_CAP / n_max)))
+    fast = diagonal_sum(toy, n_max, x)
+    brute = diagonal_sum_bruteforce(toy, n_max, x)
+    unsigned = ToyResonator({n: abs(v) for n, v in toy.values.items()})
+    size = diagonal_sum_bruteforce(unsigned, n_max, x)
+    assert abs(fast - brute) <= 1e-12 * max(1.0, size)
 
 
 def _loop_diagonal_sum(res, n_max, x):
-    """The dense triple loop the blocked kernel replaced, with its final
-    budget count: (value, ops)."""
+    """The dense triple loop over (a', b', g) that the gcd-matrix kernel replaced."""
     x_int = math.floor(x)
     r_vec = [0.0] + [float(res.value(k)) for k in range(1, x_int + 1)]
-    flagged = res.squarefree_supported
     z_int = min(n_max, x_int)
     terms = []
-    ops = 0
     for a in range(1, z_int + 1):
-        if flagged and r_vec[a] == 0.0:
-            continue
         for bb in range(1, z_int + 1):
-            if flagged and r_vec[bb] == 0.0:
-                continue
             if math.gcd(a, bb) != 1:
                 continue
             mx = max(a, bb)
-            g_hi = math.floor(x / mx)
-            ops += g_hi
-            inner = [r_vec[a * g] * r_vec[bb * g] for g in range(1, g_hi + 1)]
+            inner = [r_vec[a * g] * r_vec[bb * g] for g in range(1, math.floor(x / mx) + 1)]
             inner = [v for v in inner if v != 0.0]
             if inner:
                 terms.append((n_max // mx) * math.fsum(inner))
-    return math.fsum(terms), ops
+    return math.fsum(terms)
 
 
 def _loop_diagonal_lower_bound(res, n_max, x):
@@ -344,21 +361,23 @@ def _loop_diagonal_lower_bound(res, n_max, x):
 @pytest.mark.parametrize("squarefree", [True, False])
 def test_dense_diagonal_matches_loops(squarefree):
     # One correctly rounded sum replaces the loops' sum of per-pair sums, so
-    # values agree up to rounding; the budget counts the loops' (a', b', g) entries.
+    # values agree up to rounding; the budget counts the |S|^2 gcd-matrix
+    # entries of the support S <= X.
     for seed in range(3):
         toy = random_toy_resonator(np.random.default_rng(300 + seed), cap=40, squarefree=squarefree)
         for n_max, x in ((40, 40.0), (17, 40.0), (40, 23.5), (6, 1.0), (1, 33.0)):
-            want, needed = _loop_diagonal_sum(toy, n_max, x)
+            want = _loop_diagonal_sum(toy, n_max, x)
+            needed = sum(1 for n, v in toy.values.items() if n <= x and v != 0.0) ** 2
             got = diagonal_sum(toy, n_max, x, TABLE, budget=needed)
             assert got == pytest.approx(want, rel=1e-14)
             with pytest.raises(ResourceLimitError) as exc:
                 diagonal_sum(toy, n_max, x, TABLE, budget=needed - 1)
-            assert exc.value.needed >= needed
+            assert exc.value.needed == needed
 
 
 def test_dense_diagonal_memory():
-    # The loop held one float per coprime pair (about 1.4e6 here); the blocked
-    # kernel holds one block of (a', b', g) entries at a time.
+    # The loop held one float per coprime pair (about 1.4e6 here); the
+    # gcd-matrix kernel holds one row block of the 1500 x 1500 matrix at a time.
     n = 1500
     toy = ToyResonator(values=dict.fromkeys(range(1, n + 1), 1.0))
     tracemalloc.start()
@@ -853,7 +872,7 @@ def test_report_decay_constant_follows_nu():
 def test_diagonal_lower_bound_equality_on_squarefree():
     # On a multiplicative r with squarefree support the coprime-restricted form
     # that the window kernel sums is the whole diagonal.
-    toy = ToyResonator(values={1: 1.0, 2: 0.7, 3: 0.4, 6: 0.28}, squarefree_supported=True)
+    toy = ToyResonator(values={1: 1.0, 2: 0.7, 3: 0.4, 6: 0.28})
     lo = _loop_diagonal_lower_bound(toy, 6, 6.0)
     full = diagonal_sum(toy, 6, 6.0, TABLE)
     assert lo == pytest.approx(full, rel=1e-12)

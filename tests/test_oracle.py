@@ -34,7 +34,7 @@ def test_toy_resonator_validation():
 
 
 def test_check_multiplicative():
-    good = ToyResonator(values={1: 1.0, 2: 0.5, 3: 0.4, 6: 0.2}, squarefree_supported=True)
+    good = ToyResonator(values={1: 1.0, 2: 0.5, 3: 0.4, 6: 0.2})
     assert good.check_multiplicative(6)
     broken = ToyResonator(values={1: 1.0, 2: 1.0, 3: 1.0, 6: 5.0})
     assert not broken.check_multiplicative(6)
@@ -51,11 +51,11 @@ def test_random_toys_are_multiplicative():
 def test_random_toy_squarefree_flag():
     rng = np.random.default_rng(5)
     toy = random_toy_resonator(rng, cap=30, squarefree=True)
-    assert toy.squarefree_supported
+    assert toy.value(2) != 0.0
     assert all(toy.value(p * p) == 0.0 for p in (2, 3, 5))
     rng = np.random.default_rng(5)
     dense = random_toy_resonator(rng, cap=30, squarefree=False)
-    assert not dense.squarefree_supported
+    assert dense.value(4) != 0.0
 
 
 def test_bruteforce_toy_example():
