@@ -26,7 +26,6 @@ from .moments import (
     m2_quadrature,
     min_offdiag_gap,
     moment_main_term,
-    offdiag_bound,
     ratio_and_bounds,
     tail_truncation_check,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "m2_quadrature",
     "min_offdiag_gap",
     "moment_main_term",
-    "offdiag_bound",
     "ratio_and_bounds",
     "tail_truncation_check",
     "UnimodularCMF",

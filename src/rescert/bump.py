@@ -11,6 +11,10 @@ evaluated at the ramp-local coordinate.  The transform convention is
 
     phi_hat(xi) = integral phi(x) * exp(-i*xi*x) dx.
 
+Two closed-form constants carry the certificate's off-diagonal bound:
+PHI_HAT_0 = phi_hat(0) = 1/2 - w and DECAY_A2 = ||Phi''||_1 = 64, with
+|phi_hat(xi)| <= DECAY_A2 / xi^2 for every xi.
+
 The plateau piece has a closed form.  x = 1/2 + w*s on the up-ramp and
 x = 1 - w*s on the down-ramp fold both ramps into
 
@@ -68,6 +72,13 @@ from .quadrature import adaptive_oscillatory, composite_gl_phased
 # The window's ramp width and the float transform's absolute error bound.
 RAMP_WIDTH = 0.125
 TOLERANCE = 1e-12
+# phi_hat(0) = the window's mass, 1/2 - w in closed form (exactly 3/8).
+PHI_HAT_0 = 0.5 - RAMP_WIDTH
+# A_2 = ||Phi''||_1, so |phi_hat(xi)| <= A_2 / xi^2 (two integrations by parts).
+# psi' is unimodal on (0, 1) with peak psi'(1/2) = 2, so each ramp's
+# ||Phi''||_1 is 2 psi'(1/2) / w; the unimodality is proved in
+# tests/test_bump.py (test_decay_a2_is_proven).  Exactly 64.
+DECAY_A2 = 2 * 2 * 2.0 / RAMP_WIDTH
 # Below this magnitude a float64 quadrature result is dominated by
 # rounding noise of the O(1) integrand, not by the true value.
 DEEP_THRESHOLD = 1e-12

@@ -38,7 +38,6 @@ from . import __version__
 from .errors import QuadratureError, ResourceLimitError
 from .dirichlet import DEFAULT_EVAL_BUDGET, grid_sup, resonance_guided_search
 from .moments import (
-    DEFAULT_NU,
     DEFAULT_TERM_BUDGET,
     EXACT_AUTO_MAX_T,
     MomentReport,
@@ -76,7 +75,6 @@ class RunConfig:
     f: str = "one"
     seed: int = 0
     eps: float | None = None
-    nu: int = DEFAULT_NU
     alpha: float | None = None
     exact: str = "auto"
     window_lo: float | None = None
@@ -108,8 +106,6 @@ class RunConfig:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.nu < 2:
-            raise ValueError("nu must be at least 2")
         if self.alpha is not None and not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 1/2)")
         if self.format not in ("json", "csv"):
@@ -242,7 +238,6 @@ def _certify_report(cfg: RunConfig) -> MomentReport:
         cfg.delta,
         cfg.gamma,
         table,
-        nu=cfg.nu,
         alpha=cfg.alpha,
         budget=cfg.budget_terms,
         exact_mode=cfg.exact,
@@ -387,7 +382,6 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--f", dest="f")
     p.add_argument("--seed", type=int)
     p.add_argument("--eps", type=float)
-    p.add_argument("--nu", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--exact", choices=("auto", "always", "never"))
     p.add_argument("--x", type=float)

@@ -43,7 +43,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bump import default_bump, decay_constant
+from .bump import DECAY_A2, PHI_HAT_0, default_bump
 from .dirichlet import _dn_terms, _grid_values, _support_coeff_logs
 from .errors import ResourceLimitError
 from .multfn import UnimodularCMF, values_up_to
@@ -61,10 +61,9 @@ from .resonator import (
 )
 
 DEFAULT_TERM_BUDGET = 50_000_000
-# Transform decay constants are calibrated on this grid (|xi| >= 10;
-# points sit away from the transform's near-zeros).
-DEFAULT_DECAY_GRID = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1280.0)
-DEFAULT_NU = 3
+# The proven report fields are moved by this relative margin in the safe
+# direction (ratio_and_bounds derives it).
+PROVEN_MARGIN = 2.0**-40
 # Exact and quadrature moments are attempted in exact_mode="auto" only up
 # to this T (and only for tiny supports); they need a factor table to N.
 EXACT_AUTO_MAX_T = 2.0e4
@@ -519,24 +518,12 @@ def diagonal_sum(
     certificate falls back to over budget is ratio_and_bounds' own (its
     `diag_g_cap` flag).
 
-    For a window resonator the support <= X is built once into arrays,
-    and _window_diagonal streams the coprime pairs of its elements
-    <= min(N, X) as tiles of a column group by a row batch
-    (SupportArrays.coprime_tiles), holding no pair list;
-    the budget bounds both the support and the ordered coprime pairs.
-    Its inner g-sums are exact limb sums from dense products of limbs,
-    whatever the chunks of g.  It holds arrays of at most _TILE entries
-    (at most a dozen at once, 3 MiB) and nothing with an entry per element
-    of the support <= X beyond the support itself.  Each inner sum of |G|
-    terms is within gamma_2 + |G| * 2^-(2*_LIMB) relative
-    (gamma_n = n*u / (1 - n*u), u = 2^-53), all terms go into one exact
-    accumulator, and the result does not depend on the BLAS thread count.
-
-    For a test resonator _dense_diagonal sums the same terms as the gcd
-    matrix over its support S <= X, a, b in S weighted
-    floor(N / (max(a,b) // gcd(a,b))), in row blocks of about _BLOCK
-    entries into one correctly rounded sum.  The budget bounds the |S|^2
-    matrix entries and is checked before any work.
+    For a window resonator the support <= X is built once into arrays and
+    _window_diagonal sums the coprime pairs of its elements <= min(N, X);
+    for a test resonator _dense_diagonal sums the gcd matrix over its
+    support S <= X.  Each states its memory, precision and budget; both
+    results are correctly rounded sums of their terms, whatever the BLAS
+    thread count.
 
     Raises:
         ResourceLimitError: support enumeration, coprime-pair count or
@@ -571,43 +558,22 @@ def min_offdiag_gap(n_max: int, x_int: int) -> float:
     return float(np.min(np.diff(logs)))
 
 
-def _support_within_budget(res: Resonator, cap: float, budget: int) -> SupportArrays | None:
-    """support_arrays(res, cap, budget), or None when that is over budget."""
-    try:
-        return support_arrays(res, cap, budget)
-    except ResourceLimitError:
-        return None
+def _offdiag_eps(k_max: float, t_bound: float) -> float:
+    """eps(K) = [2 zeta(2) A_2 (2K/T)^2 + 2K A_2 / (T log 2)^2] / phi_hat(0),
+    raised by PROVEN_MARGIN: the off-diagonal part of a moment with
+    coefficients f(k) B_k, B_k >= 0, on k <= K (N*X for M2, X for M1) is
+    within eps of its diagonal part, for every unimodular f.
 
-
-def _sum_r_with_fallback(res: Resonator, sup: SupportArrays | None) -> tuple[float, bool]:
-    """sum of r(n) over the support `sup`, or, when it is None (over
-    budget), the Euler-product upper bound prod_p (1 + r(p)).
-
-    The second component flags the fallback.  An upper bound keeps every
-    envelope built from it a valid bound.
+    B_k B_l <= (B_k^2 + B_l^2)/2 charges row k with B_k^2 times the sum over
+    l != k of |phi_hat(T log(l/k))| <= A_2 / (T log(l/k))^2 (bump.DECAY_A2).
+    The l within a factor 2 of k have |log(l/k)| >= |l - k|/(2k), so they
+    add at most 2 zeta(2) A_2 (2k/T)^2; the at most K others have
+    |log(l/k)| >= log 2.  The diagonal carries phi_hat(0) (bump.PHI_HAT_0).
     """
-    if sup is not None:
-        return _exact_fsum(sup.r), False
-    return math.exp(math.fsum(math.log1p(res.r_p[p]) for p in res.primes)), True
-
-
-def offdiag_bound(
-    n_max: int, x: float, t_bound: float, nu: int, *, c_nu: float, sum_r: float
-) -> float:
-    """Envelope for all off-diagonal M2 terms:
-
-        (T/N) * N^2 * (sum_{a<=X} r(a))^2 * C_nu * (T/(N*X))^{-nu}.
-
-    Off-diagonal transform arguments have magnitude at least T/(N*X);
-    C_nu comes from the decay grid, so the constant is empirical, not
-    proven.
-    """
-    return (t_bound / n_max) * n_max**2 * sum_r**2 * c_nu * (t_bound / (n_max * x)) ** (-nu)
-
-
-def m1_offdiag_bound(x: float, t_bound: float, nu: int, *, c_nu: float, sum_r: float) -> float:
-    """Envelope for off-diagonal M1 terms: T (sum r)^2 C_nu (T/X)^{-nu}."""
-    return t_bound * sum_r**2 * c_nu * (t_bound / x) ** (-nu)
+    near = 2.0 * k_max / t_bound
+    far = t_bound * math.log(2.0)
+    eps = (math.pi**2 / 3.0 * near * near + 2.0 * k_max / (far * far)) * DECAY_A2 / PHI_HAT_0
+    return eps * (1.0 + PROVEN_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -764,13 +730,16 @@ def growth_bound_from_n(n_max: int, c: float, delta: float, gamma: float) -> flo
 
 @dataclass
 class MomentReport:
+    """The certificate report of ratio_and_bounds: the f-free main term
+    ratio, its square root lower_bound, and the bracket fields proven from
+    the off-diagonal bounds offdiag_eps2 (M2) and offdiag_eps1 (M1)."""
+
     n: int
     t: float
     x: float
     c: float | None
     delta: float
     gamma: float
-    nu: int
     alpha: float | None
     resonator: dict
     m1_quad: float | None
@@ -780,14 +749,13 @@ class MomentReport:
     m2_exact: float | None
     diag_sum: float
     m2_diag_main: float
-    offdiag_bound: float
-    m1_offdiag_bound: float
-    decay_constant: float
+    offdiag_eps2: float
+    offdiag_eps1: float
     ratio: float
     lower_bound: float
-    ratio_bracket_lo: float | None
+    ratio_bracket_lo: float
     ratio_bracket_hi: float | None
-    lower_bound_bracket: float | None
+    lower_bound_bracket: float
     main_term: float
     tail_error: float | None
     balanced_pair_sum: float | None
@@ -851,20 +819,47 @@ def ratio_and_bounds(
     gamma: float,
     table: FactorTable,
     *,
-    nu: int = DEFAULT_NU,
     alpha: float | None = None,
     budget: int = DEFAULT_TERM_BUDGET,
     exact_mode: str = "auto",
 ) -> MomentReport:
     """Assemble the full certificate report.
 
-    The headline fields ratio = diag_sum / (N * sum r(n)^2) and
-    lower_bound = sqrt(ratio) are f-free: the diagonal main term of M2/M1,
-    not certified bounds, since the off-diagonal terms they leave out can
-    have either sign.  The bracket fields add the off-diagonal envelopes,
-    whose C_nu is fitted on a grid (offdiag_bound), so they are empirical
-    too.  Exact and quadrature moments are filled in for tiny instances
+    ratio = diag_sum / (N * sum r(n)^2) and lower_bound = sqrt(ratio) are
+    the f-free diagonal main term of M2/M1, not certified bounds: the
+    off-diagonal terms they leave out can have either sign.  With
+    eps2 = _offdiag_eps(N*X, T) and eps1 = _offdiag_eps(X, T), for every
+    unimodular completely multiplicative f,
+
+        ratio (1 - eps2) / (1 + eps1) <= M2/M1 <= ratio (1 + eps2) / (1 - eps1).
+
+    ratio_bracket_lo is the left side (0 when eps2 >= 1) and
+    lower_bound_bracket its square root, a lower bound of sup |D_N|.  The
+    g-capped diagonal and the Euler product keep the left side a lower
+    bound; ratio_bracket_hi is given only without these fallbacks and while
+    eps1 < 1.  Exact and quadrature moments are filled in for tiny instances
     (exact_mode="auto") or on demand ("always"); either may be None.
+
+    Rounding: eps1 and eps2 are raised, ratio_bracket_lo and
+    lower_bound_bracket lowered, and ratio_bracket_hi raised, by the
+    relative margin PROVEN_MARGIN = 2^-40 each; ratio and lower_bound keep
+    their round-to-nearest values.  With u = 2^-53, the computed ratio is
+    within 2^-41.8 relative of the ratio of the resonator whose prime
+    weights are the float r(p):
+      - support elements are below 2^63, so each has at most 15 primes,
+        and a float product r(n) is within 15u of the exact one;
+      - a diagonal term floor(N/b') r(b') r(a') INNER, a'g and b'g of at
+        most 15 primes each, is within (2 * 15 + 8)u + gamma_2 +
+        |G| 2^-74 of its exact value (_window_diagonal; |G| < 2^26 there),
+        and the sum of these positive terms is correctly rounded: within
+        2^-46.8 in all;
+      - sum r(n)^2 is within 32u; the Euler product exp(fsum(log1p(r(p)^2)))
+        is within 3u log E + u of E < 2^1024, so within 2^-41.9;
+      - N * denominator and the quotient add 3u.
+    eps is a dozen operations on T, K, pi and log 2, within 20u.  The
+    bracket's products and quotients add 6u (1 - eps2 is exact for
+    eps2 >= 1/2 and within u relative below), and the square root u/2.
+    Each of these is far below the 2^-40 it is charged to.
 
     `f` is only consulted for those exact/quadrature cross-checks.  Every
     moment uses the fixed window default_bump().
@@ -881,10 +876,13 @@ def ratio_and_bounds(
     # Every support sum below runs over prefixes of one build of the
     # support <= X.  When that build is over budget, prefixes are built
     # on their own, and the sums over the whole support fall back as
-    # flagged: sum r(n)^2 and sum r(n) to Euler-product upper bounds
-    # (which keep the ratio a lower bound of the diagonal ratio), the
-    # diagonal to g-ranges cut at g_cap.
-    sup = _support_within_budget(res, x, budget)
+    # flagged: sum r(n)^2 to the Euler-product upper bound (which keeps
+    # the ratio a lower bound of the diagonal ratio), the diagonal to
+    # g-ranges cut at g_cap.
+    try:
+        sup = support_arrays(res, x, budget)
+    except ResourceLimitError:
+        sup = None
 
     def support_upto(cap: float) -> SupportArrays:
         return sup.upto(cap) if sup is not None else support_arrays(res, cap, budget)
@@ -941,22 +939,18 @@ def ratio_and_bounds(
     ratio = diag / (n_max * r2_denominator)
     lower_bound = math.sqrt(max(0.0, ratio))
 
-    c_nu = decay_constant(default_bump(), nu, DEFAULT_DECAY_GRID)
-    sum_r, flags["sum_r_truncated"] = _sum_r_with_fallback(res, sup)
-    od2 = offdiag_bound(n_max, x, t_bound, nu, c_nu=c_nu, sum_r=sum_r)
-    od1 = m1_offdiag_bound(x, t_bound, nu, c_nu=c_nu, sum_r=sum_r)
-    phi0 = default_bump().transform(0.0).real
-    m1_diag = t_bound * phi0 * r2_denominator
-    m2_diag = (t_bound / n_max) * phi0 * diag
-
-    bracket_lo = bracket_hi = lb_bracket = None
-    if not flags["r2_sum_truncated"] and not flags["diag_sum_truncated"]:
-        m1_hi = m1_diag + od1
-        m1_lo = m1_diag - od1
-        bracket_lo = max(0.0, (m2_diag - od2) / m1_hi) if m1_hi > 0 else None
-        bracket_hi = (m2_diag + od2) / m1_lo if m1_lo > 0 else None
-        if bracket_lo is not None:
-            lb_bracket = math.sqrt(bracket_lo)
+    m1_diag = t_bound * PHI_HAT_0 * r2_denominator
+    m2_diag = (t_bound / n_max) * PHI_HAT_0 * diag
+    eps2 = _offdiag_eps(n_max * x, t_bound)
+    eps1 = _offdiag_eps(x, t_bound)
+    bracket_lo = 0.0
+    if eps2 < 1.0:
+        bracket_lo = ratio * (1.0 - eps2) / (1.0 + eps1) * (1.0 - PROVEN_MARGIN)
+    lb_bracket = math.sqrt(bracket_lo) * (1.0 - PROVEN_MARGIN)
+    # The upper end needs the full sums (a truncated support truncates the diagonal too).
+    bracket_hi = None
+    if eps1 < 1.0 and not flags["diag_sum_truncated"]:
+        bracket_hi = ratio * (1.0 + eps2) / (1.0 - eps1) * (1.0 + PROVEN_MARGIN)
 
     # Exact moments need the whole support: under "always" an over-budget
     # support raises again here; "auto" takes tiny ones, N * |support| <= 64.
@@ -1014,7 +1008,6 @@ def ratio_and_bounds(
         c=c,
         delta=delta,
         gamma=gamma,
-        nu=nu,
         alpha=alpha_eff,
         resonator=res_summary,
         m1_quad=m1_q,
@@ -1024,9 +1017,8 @@ def ratio_and_bounds(
         m2_exact=m2_e,
         diag_sum=diag,
         m2_diag_main=m2_diag,
-        offdiag_bound=od2,
-        m1_offdiag_bound=od1,
-        decay_constant=c_nu,
+        offdiag_eps2=eps2,
+        offdiag_eps1=eps1,
         ratio=ratio,
         lower_bound=lower_bound,
         ratio_bracket_lo=bracket_lo,

@@ -16,7 +16,15 @@ import pytest
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 import rescert.bump as bump_mod
-from rescert.bump import RAMP_WIDTH, TOLERANCE, Bump, decay_constant, default_bump
+from rescert.bump import (
+    DECAY_A2,
+    PHI_HAT_0,
+    RAMP_WIDTH,
+    TOLERANCE,
+    Bump,
+    decay_constant,
+    default_bump,
+)
 from rescert.errors import QuadratureError
 
 B = default_bump()
@@ -135,6 +143,77 @@ def test_decay_constant_validation():
         decay_constant(B, 0, (10.0,))
     with pytest.raises(ValueError):
         decay_constant(B, 3, (0.5,))
+
+
+def _psi_mp(s):
+    """psi at the working precision (mpmath.diff needs one precision throughout)."""
+    return 1 / (1 + mpmath.exp(1 / s - 1 / (1 - s)))
+
+
+def _g(s, ctx):
+    """g(s) = 2/(1-s)^3 - 2/s^3 + q^2 tanh(x/2), q = 1/s^2 + 1/(1-s)^2,
+    x = 1/s - 1/(1-s), in mpmath's `ctx` (mpmath.mp or mpmath.iv).  tanh(x/2)
+    is written 1 - 2/(e^x + 1), with x once, so intervals stay tight."""
+    u = 1 - s
+    th = 1 - 2 / (ctx.exp(1 / s - 1 / u) + 1)
+    q = 1 / s**2 + 1 / u**2
+    return 2 / u**3 - 2 / s**3 + q * q * th
+
+
+def _g_prime(s, ctx):
+    """g'(s) = 6/(1-s)^4 + 6/s^4 + 2q (2/(1-s)^3 - 2/s^3) tanh(x/2)
+    - q^3/2 sech^2(x/2), since x' = -q and tanh(x/2)' = sech^2(x/2) x'/2."""
+    u = 1 - s
+    th = 1 - 2 / (ctx.exp(1 / s - 1 / u) + 1)
+    q = 1 / s**2 + 1 / u**2
+    return 6 / u**4 + 6 / s**4 + 2 * q * (2 / u**3 - 2 / s**3) * th - q**3 / 2 * (1 - th * th)
+
+
+def test_decay_a2_is_proven():
+    # A_2 = ||Phi''||_1.  Each ramp is psi((x - 1/2)/w) or psi((1 - x)/w), so
+    # its share is ||psi''||_1 / w.  With x = 1/s - 1/(1-s), psi = 1/(1 + e^x)
+    # has psi'' = l(x) g(s), l = e^x/(1 + e^x)^2 > 0.  If g > 0 on (0, 1/2),
+    # then psi(1 - s) = 1 - psi(s) makes psi'' < 0 on (1/2, 1): psi' rises from
+    # psi'(0) = 0 to psi'(1/2) = 2 and falls back to psi'(1) = 0, so
+    # ||psi''||_1 = 2 psi'(1/2) and A_2 = 2 * 2 psi'(1/2) / w = 64.
+    iv = mpmath.iv
+    with mpmath.workdps(30):
+        for s in (mpmath.mpf("0.05"), mpmath.mpf("0.3"), mpmath.mpf("0.47")):
+            x = 1 / s - 1 / (1 - s)
+            ell = mpmath.exp(x) / (1 + mpmath.exp(x)) ** 2
+            assert mpmath.diff(_psi_mp, s, 2) == pytest.approx(ell * _g(s, mpmath.mp), rel=1e-15)
+            assert mpmath.diff(lambda v: _g(v, mpmath.mp), s) == pytest.approx(
+                _g_prime(s, mpmath.mp), rel=1e-15
+            )
+            assert _psi_mp(1 - s) == pytest.approx(1 - _psi_mp(s), rel=1e-25)
+        assert mpmath.diff(_psi_mp, mpmath.mpf("0.5")) == pytest.approx(2, rel=1e-20)
+    lo, hi = 0.01, 0.49
+    # (0, lo]: x >= x(lo) makes tanh(x/2) >= 1/2 there, so
+    # g >= 2/(1-s)^3 - 2/s^3 + (1/s^4)/2 > (1 - 4s)/(2 s^4) > 0.
+    x_lo = 1 / iv.mpf(lo) - 1 / (1 - iv.mpf(lo))
+    assert (1 - 2 / (iv.exp(x_lo) + 1)).a >= 0.5 and 1 - 4 * lo > 0
+    # [lo, hi]: interval arithmetic with outward rounding, bisected until
+    # g's lower bound is positive on every piece.
+    stack = [(lo, hi)]
+    while stack:
+        a, b = stack.pop()
+        if _g(iv.mpf([a, b]), iv).a > 0:
+            continue
+        mid = (a + b) / 2
+        assert a < mid < b, (a, b)
+        stack += [(a, mid), (mid, b)]
+    # [hi, 1/2]: g' < 0 and g(1/2) = 0, so g > 0 on [hi, 1/2).
+    assert _g_prime(iv.mpf([hi, 0.5]), iv).b < 0
+    assert _g(iv.mpf(0.5), iv) == 0
+    assert DECAY_A2 == 2 * 2 * 2 / RAMP_WIDTH == 64.0
+    assert PHI_HAT_0 == 0.5 - RAMP_WIDTH == B.transform(0.0).real == 0.375
+
+
+def test_transform_obeys_the_proven_decay():
+    # |phi_hat(xi)| xi^2 <= A_2 over criterion 8's grid, the deep points in
+    # 50-digit arithmetic; the maximum there is about 52.7.
+    grid = [10.0 * 2.0**k for k in range(9)] + [5120.0, 10000.0]
+    assert max(abs(B.transform(xi, deep=True)) * xi * xi for xi in grid) <= DECAY_A2
 
 
 def test_transform_riemann_sum_cross_check():

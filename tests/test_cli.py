@@ -284,6 +284,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert (error["kind"], error["layer"]) == ("JSONDecodeError", "rescert.cli")
 
 
+def test_nu_is_gone(tmp_path, capsys):
+    # The off-diagonal bound has a fixed decay exponent, 2; the flag and the
+    # config key that chose a fitted one are usage errors now.
+    assert main(["certify", "--n", "1000", "--c", "3", "--nu", "3"]) == 2
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"n": 1000, "c": 3.0, "nu": 3}, fh)
+    assert main(["certify", "--config", cfg_path]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -17,25 +17,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescert import moments
-from rescert.bump import decay_constant, default_bump
+from rescert.bump import TOLERANCE, default_bump
 from rescert.cli import main as cli_main
 from rescert.dirichlet import _support_coeff_logs
 from rescert.errors import ResourceLimitError
 from rescert.moments import (
-    DEFAULT_DECAY_GRID,
+    _offdiag_eps,
     alpha_shift_error_term,
     balanced_pair_bound_check,
     diagonal_sum,
     growth_bound_from_n,
     growth_bound_from_t,
     m1_exact,
-    m1_offdiag_bound,
     m1_quadrature,
     m2_exact,
     m2_quadrature,
     min_offdiag_gap,
     moment_main_term,
-    offdiag_bound,
     ratio_and_bounds,
     tail_truncation_check,
 )
@@ -458,7 +456,6 @@ def test_certify_budget_fallbacks_pinned(tmp_path, budget, sums_cut, diag_cut, g
     report = json.loads(out.read_text())["report"]
     flags = report["flags"]
     assert flags["r2_sum_truncated"] is sums_cut
-    assert flags["sum_r_truncated"] is sums_cut
     assert flags["diag_sum_truncated"] is diag_cut
     assert flags.get("diag_g_cap") == g_cap
     assert report["ratio"] == pytest.approx(ratio, rel=1e-12)
@@ -861,14 +858,6 @@ def test_pair_sums_beyond_63_primes():
     assert sup.masks.shape[1] == 3 and 2 * 733 in sup.ns.tolist()
 
 
-def test_report_decay_constant_follows_nu():
-    # Reports in one process, nu changing and coming back: each report reads the
-    # default window's constant for its own nu.
-    for nu in (3, 2, 4, 3):
-        report = ratio_and_bounds(RES20, constant_one(), 100, 1e6, 0.5, 0.5, TABLE, nu=nu)
-        assert report.decay_constant == decay_constant(default_bump(), nu, DEFAULT_DECAY_GRID)
-
-
 def test_diagonal_lower_bound_equality_on_squarefree():
     # On a multiplicative r with squarefree support the coprime-restricted form
     # that the window kernel sums is the whole diagonal.
@@ -890,16 +879,45 @@ def test_min_offdiag_gap():
 # -- envelopes and tail bounds ----------------------------------------------
 
 
-def test_offdiag_bound_formula():
-    val = offdiag_bound(10, 100.0, 1e6, 3, c_nu=2.0, sum_r=1.5)
-    expected = (1e6 / 10) * 10**2 * 1.5**2 * 2.0 * (1e6 / (10 * 100.0)) ** -3
-    assert val == pytest.approx(expected, rel=1e-14)
+# (N, X, T) with NX/T from 0.02 to 0.04, where the off-diagonal part of M2
+# is near 10^-3 of the diagonal one and eps2 is about 1 to 4.
+OFFDIAG_ROWS = ((4, 12, 1200.0), (4, 12, 2400.0), (6, 10, 1500.0), (3, 20, 1500.0))
 
 
-def test_m1_offdiag_bound_formula():
-    val = m1_offdiag_bound(100.0, 1e6, 3, c_nu=2.0, sum_r=1.5)
-    expected = 1e6 * 1.5**2 * 2.0 * (1e6 / 100.0) ** -3
-    assert val == pytest.approx(expected, rel=1e-14)
+def _expansion(c: np.ndarray, ks: np.ndarray, t_bound: float, scale: float) -> float:
+    """scale * sum over k, l of c_k conj(c_l) phi_hat(T log(l/k)), k and l in ks."""
+    b = default_bump()
+    terms = [
+        (c[i] * c[j].conjugate() * b.transform(t_bound * math.log(ks[j] / ks[i]))).real
+        for i in range(len(ks))
+        for j in range(len(ks))
+    ]
+    return scale * math.fsum(terms)
+
+
+@pytest.mark.parametrize("n_max, x, t_bound", OFFDIAG_ROWS)
+def test_offdiag_eps_bounds_the_full_expansion(n_max, x, t_bound):
+    # A toy resonator with random weights in [0, 1) on {1, ..., X} (the bound
+    # holds for any r >= 0), f = 1 and five Steinhaus f: M2 and M1 by the full
+    # transform expansion against their diagonal parts, which the report's eps
+    # must bound.  Allowed beyond eps: the transform's absolute error TOLERANCE
+    # and a few roundings per term, times (sum |c_k|)^2.
+    r = np.random.default_rng([n_max, x, int(t_bound)]).random(x)
+    b = np.zeros(n_max * x + 1)  # B_k = sum of r(a) over k = m*a, m <= N, a <= X
+    for m in range(1, n_max + 1):
+        b[m : m * x + 1 : m] += r
+    ks = np.flatnonzero(b)
+    eps2, eps1 = _offdiag_eps(n_max * x, t_bound), _offdiag_eps(x, t_bound)
+    for f in (constant_one(), *(steinhaus_sample(seed) for seed in range(5))):
+        fv = values_up_to(f, n_max * x, TABLE)
+        for c, k, scale, diag, eps in (
+            (fv[ks - 1] * b[ks], ks, t_bound / n_max, math.fsum(b * b), eps2),
+            (fv[:x] * r, np.arange(1, x + 1), t_bound, math.fsum(r * r), eps1),
+        ):
+            diag *= scale * PHI0
+            full = _expansion(c, k, t_bound, scale)
+            rounding = scale * (TOLERANCE + 2.0**-50) * math.fsum(np.abs(c)) ** 2
+            assert abs(full - diag) <= eps * diag + rounding
 
 
 def test_moment_main_term():
@@ -1027,15 +1045,38 @@ def test_report_ratio_is_f_free():
     assert len(blobs) == 1
 
 
-def test_report_bracket_contains_ratio():
-    # T well past N*X so the off-diagonal envelopes stay below the
-    # diagonal and both bracket ends exist.
+def test_report_bracket_contains_ratio(tmp_path):
+    # T well past N*X, so eps1 < 1 and both bracket ends exist.
     report = ratio_and_bounds(RES20, constant_one(), 100, 1e13, 0.5, 0.5, TABLE)
     assert not report.flags["r2_sum_truncated"]
     assert not report.flags["diag_sum_truncated"]
     assert report.ratio_bracket_lo <= report.ratio <= report.ratio_bracket_hi
     assert report.lower_bound == pytest.approx(math.sqrt(report.ratio), rel=1e-14)
     assert report.lower_bound_bracket <= report.lower_bound
+    # The g-capped and Euler-product fallbacks (BUDGET_REGIMES) keep the lower
+    # end; the upper end needs the full sums.
+    for budget in (3000, 8000):
+        out = tmp_path / f"{budget}.json"
+        argv = ["certify", "--n", "1000000", "--c", "3", "--budget-terms", str(budget)]
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        fallback = json.loads(out.read_text())["report"]
+        assert fallback["flags"]["diag_sum_truncated"]
+        assert fallback["lower_bound_bracket"] is not None
+        assert fallback["lower_bound_bracket"] <= fallback["lower_bound"]
+        assert fallback["ratio_bracket_lo"] <= fallback["ratio"]
+        assert fallback["ratio_bracket_hi"] is None
+
+
+@pytest.mark.parametrize("t_bound, x", [("1e18", "3e8"), ("1e24", "1e15")])
+def test_proven_bound_above_one(tmp_path, t_bound, x):
+    # At N*X/T <= 1e-3 the proven envelope is small enough that the bracket
+    # certifies sup |D_N| > 1 for every unimodular completely multiplicative f.
+    out = tmp_path / "out.json"
+    argv = ["certify", "--n", "1000000", "--t", t_bound, "--x", x, "--out", str(out)]
+    assert cli_main(argv) == 0
+    report = json.loads(out.read_text())["report"]
+    assert 1.0 < report["lower_bound_bracket"] <= report["lower_bound"]
+    assert report["offdiag_eps1"] < report["offdiag_eps2"] < 3e-3
 
 
 def test_report_ratio_recomputes():
