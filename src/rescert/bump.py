@@ -45,10 +45,14 @@ mpf per node: offsets and factors are integers times 2^-(prec+20), psi
 comes from three floor divisions and mpmath.libmp's exp_fixed within a
 few units of 2^-(prec+20) (_psi_fixed), and the products sum exactly.
 Each pair climbs mpmath's Gauss-Legendre degrees (3 * 2^(m-1) nodes)
-until the GaussLegendre.estimate_error extrapolation, with its two
-logarithms taken in float (_estimate_error), is at most eps/8 for both
-pieces, mpmath.quad's stopping rule, and a pair that has not got there
-at the top degree raises QuadratureError.
+until the GaussLegendre.estimate_error extrapolation is at most eps/8 for
+both pieces, mpmath.quad's stopping rule, and a pair that has not got
+there at the top degree raises QuadratureError.  The climb stays in
+these exact integer sums: the estimate (_estimate_error) works on their
+exact differences, which the unimodular piece phase would not change,
+with its two logarithms in float and its test against eps/8 an integer
+comparison, and only a piece's last degree becomes an mpc times its
+phase.
 
 mpmath serves only this 50-digit path, so it is imported on the first
 deep transform of a process, not with this module: importing rescert and
@@ -131,34 +135,36 @@ def _psi_fixed(s: int, prec: int, ln2: int, exp_fixed) -> int:
     return (one << prec) // (one + exp_fixed(x, prec, ln2))
 
 
-def _log10_abs(z) -> float:
-    # log10|z| in float, from the mantissa and exponent of |z| rounded to 53 bits;
-    # -inf at z = 0, where mpmath's log10 gives -inf too.
-    from mpmath.libmp import mpc_abs
+def _estimate_error(results, prec, fixed):
+    """GaussLegendre.estimate_error on a piece's exact integer results.
 
-    _, man, exp, _ = mpc_abs(z._mpc_, 53)
-    return math.log10(man) + exp * _LOG10_2 if man else -math.inf
+    results are (re, im) integer sums at scale 2^(2 fixed), one per degree.
+    The estimate E is mpmath's Borwein-Bailey-Girgensohn extrapolation:
+    |r[-1] - r[-2]| for two results, 0 when the last three are equal, and
+    otherwise 10^int(D4) with D4 = min(0, max(D1^2/D2, 2 D1, -prec)), where
+    D1 and D2 are log10 |r[-1] - r[-2]| and log10 |r[-1] - r[-3]|, taken in
+    float from the leading bits of the exact squared differences.  Only
+    int(D4) reaches the estimate, so it differs from mpmath's only where D4
+    lies within float rounding of an integer.  The piece phase is left out:
+    it has modulus 1 and changes no |difference|.
 
-
-def _estimate_error(results, prec):
-    """GaussLegendre.estimate_error with its two logarithms in float.
-
-    The same Borwein-Bailey-Girgensohn extrapolation from the last three
-    degrees, D4 = min(0, max(D1^2/D2, 2 D1, -prec)) and 10^int(D4), with
-    D1, D2 = log10 of the last two differences to float accuracy, not at
-    the working precision.  Only int(D4) reaches the caller, so the
-    estimate, and the stopping decision, changes only where D4 lies within
-    float rounding of an integer.
+    Returns E^2 * 10^(2 prec) * 2^(4 fixed), an exact integer in each case
+    (int(D4) >= -prec), so the caller's stopping test and largest estimate
+    are integer comparisons.
     """
-    import mpmath
-
+    re, im = results[-1]
+    re2, im2 = results[-2]
     if len(results) == 2:
-        return abs(results[0] - results[1])
+        return ((re - re2) ** 2 + (im - im2) ** 2) * 10 ** (2 * prec)
     if results[-1] == results[-2] == results[-3]:
-        return mpmath.mpf(0)
-    d1 = _log10_abs(results[-1] - results[-2])
-    d2 = _log10_abs(results[-1] - results[-3])
-    return mpmath.mpf(10) ** int(min(0, max(d1 * d1 / d2, 2 * d1, -prec)))
+        return 0
+    re3, im3 = results[-3]
+    d1, d2 = (
+        (math.log2(norm) / 2 - 2 * fixed) * _LOG10_2 if norm else -math.inf
+        for norm in ((re - re2) ** 2 + (im - im2) ** 2, (re - re3) ** 2 + (im - im3) ** 2)
+    )
+    n = int(min(0, max(d1 * d1 / d2, 2 * d1, -prec)))
+    return 10 ** (2 * (prec + n)) << (4 * fixed)
 
 
 def _folded_ramp_mp(lam):
@@ -168,9 +174,12 @@ def _folded_ramp_mp(lam):
     The nodes run in fixed point at P = prec + 20 bits: per degree, each
     offset u_j and each factor h/2 * w_j * e^{-i lam u_j} is truncated once
     to an integer times 2^-P, psi comes from _psi_fixed at the piece start
-    plus u_j, and sum_j psi_j * factor_j is an exact integer sum, turned into
-    an mpc once per piece and degree.  The mirror piece's sum of
-    (1 - psi_j) * factor_j is the exact integer 2^P * sum_j factor_j minus it.
+    plus u_j, and sum_j psi_j * factor_j is an exact integer sum.  The mirror
+    piece's sum of (1 - psi_j) * factor_j is the exact integer
+    2^P * sum_j factor_j minus it.  A pair's whole degree climb stays in these
+    integers: the stopping estimate works on their exact differences
+    (_estimate_error), and only the last degree of each piece is turned into
+    an mpc and multiplied by its phase.
     A node is within 2^(1-P) of its place, its factor within 2^-P per part,
     and its psi within a few units of 2^-P (_psi_fixed); with |psi'| <= 2
     and sum_j |factor_j| <= h, a piece of n nodes (n <= 3 * 2^(top-1)) is
@@ -178,8 +187,8 @@ def _folded_ramp_mp(lam):
     it is tested against.
 
     Returns (C, worst): worst is the largest error estimate of a piece
-    pair at its last degree, to be compared with eps/8 at the working
-    precision.
+    pair at its last degree, an mpf to be compared with eps/8 at the
+    working precision.
     """
     import mpmath
     from mpmath.libmp import to_fixed
@@ -187,11 +196,13 @@ def _folded_ramp_mp(lam):
 
     gauss_legendre = _gauss_legendre()
     prec = mpmath.mp.prec
-    eps = mpmath.mp.eps / 8
     top = gauss_legendre.guess_degree(prec)
     pieces = max(4, int(mpmath.ceil(abs(lam) / mpmath.pi)) + 1)
     fixed = prec + 20
     ln2 = ln2_fixed(fixed)
+    # _estimate_error's unit: E <= eps/8 = 2^-(prec+2) iff its value is <= stop.
+    scale = 10 ** (2 * prec) << (4 * fixed)
+    stop = scale >> (2 * prec + 4)
     with mpmath.workprec(fixed):
         h = mpmath.mpf(1) / pieces
         degrees = {}
@@ -216,13 +227,12 @@ def _folded_ramp_mp(lam):
 
         back = mpmath.expj(-lam)
         total = mpmath.mpc(0)
-        worst = mpmath.mpf(0)
+        worst = 0
         for k in range((pieces + 1) // 2):
             start = (k << fixed) // pieces
-            phase = mpmath.expj(-lam * (k * h))
             paired = 2 * k + 1 < pieces  # else the middle piece, its own mirror
             here, mirror = [], []
-            err = mpmath.inf
+            err = math.inf
             for degree in range(1, top + 1):
                 offsets, re, im, ones_re, ones_im = node_factors(degree)
                 dot_re = dot_im = 0
@@ -230,19 +240,22 @@ def _folded_ramp_mp(lam):
                     p = _psi_fixed(start + u, fixed, ln2, exp_fixed)
                     dot_re += p * a
                     dot_im += p * b
-                here.append(phase * to_mpc(dot_re, dot_im))
+                here.append((dot_re, dot_im))
                 if paired:
-                    mirror.append(back * mpmath.conj(phase * to_mpc(ones_re - dot_re, ones_im - dot_im)))
+                    mirror.append((ones_re - dot_re, ones_im - dot_im))
                 if degree > 1:
-                    err = _estimate_error(here, prec)
+                    err = _estimate_error(here, prec, fixed)
                     # The mirror's estimate only matters once this one passes.
-                    if paired and err <= eps:
-                        err = max(err, _estimate_error(mirror, prec))
-                    if err <= eps:
+                    if paired and err <= stop:
+                        err = max(err, _estimate_error(mirror, prec, fixed))
+                    if err <= stop:
                         break
             worst = max(worst, err)
-            total += here[-1] + (mirror[-1] if paired else 0)
-        return total, worst
+            phase = mpmath.expj(-lam * (k * h))
+            total += phase * to_mpc(*here[-1]) + (
+                back * mpmath.conj(phase * to_mpc(*mirror[-1])) if paired else 0
+            )
+        return total, mpmath.sqrt(mpmath.mpf(worst) / scale)
 
 
 @dataclass

@@ -465,16 +465,27 @@ def test_psi_fixed_matches_50_digit_psi():
     assert bump_mod._psi_fixed(one // 2, fixed, ln2, exp_fixed) == one // 2
 
 
-def test_float_log_estimate_makes_mpmath_stopping_decisions(monkeypatch):
-    # Each estimate of the 50-digit rule, next to mpmath's own on the same results.
+def test_integer_estimate_makes_mpmath_stopping_decisions(monkeypatch):
+    # Each estimate of the 50-digit rule, on its exact integer results, next to
+    # mpmath's own on the same results as mpc at 2 * fixed bits, and next to
+    # mpmath's on those times a unit phase, which the rule leaves out.
     calls = []
     ours = bump_mod._estimate_error
+    rule = bump_mod._gauss_legendre()
 
-    def both(results, prec):
-        eps = mpmath.mpf(2) ** (1 - prec) / 8  # mp.eps / 8 at the rule's precision
-        got = ours(results, prec)
-        want = bump_mod._gauss_legendre().estimate_error(results, prec, eps)
-        calls.append((len(results), got <= eps, want <= eps))
+    def both(results, prec, fixed):
+        got = ours(results, prec, fixed)
+        stop = (10 ** (2 * prec) << (4 * fixed)) >> (2 * prec + 4)  # eps/8 in got's unit
+        with mpmath.workprec(2 * fixed):
+            eps = mpmath.mpf(2) ** (1 - prec) / 8  # mp.eps / 8 at the rule's precision
+            plain = [
+                mpmath.mpc(mpmath.mpf((re, -2 * fixed)), mpmath.mpf((im, -2 * fixed)))
+                for re, im in results
+            ]
+            phase = mpmath.expj(len(calls))
+            want = rule.estimate_error(plain, prec, eps) <= eps
+            phased = rule.estimate_error([phase * z for z in plain], prec, eps) <= eps
+        calls.append((len(results), got <= stop, want, phased))
         return got
 
     monkeypatch.setattr(bump_mod, "_estimate_error", both)
@@ -482,8 +493,63 @@ def test_float_log_estimate_makes_mpmath_stopping_decisions(monkeypatch):
     for xi in [0.0, 3.3, 777.7, 12345.6] + [10.0 * 2**k for k in range(13)]:
         b._transform_mp(xi)
     assert len(calls) > 5000
-    assert any(n > 2 for n, _, _ in calls)
-    assert [(n, want) for n, _, want in calls] == [(n, got) for n, got, _ in calls]
+    assert any(n > 2 for n, _, _, _ in calls)
+    assert any(got for _, got, _, _ in calls) and not all(got for _, got, _, _ in calls)
+    assert [(n, want, phased) for n, _, want, phased in calls] == [
+        (n, got, got) for n, got, _, _ in calls
+    ]
+
+
+# _transform_mp's complex128 parts, as hex, recorded before its degree climb
+# moved to exact integers, and its psi evaluations at two of these xi.
+PINNED_DEEP_BITS = {
+    0.0: ("0x1.8000000000000p-2", "0x0.0p+0"),
+    1.0: ("0x1.17443167c798cp-2", "-0x1.0429dfb81a5b3p-2"),
+    3.3: ("-0x1.1a4245aa9ec4ep-2", "-0x1.bc1e7f7ac8759p-3"),
+    10.0: ("0x1.094567887f777p-4", "-0x1.66e9e520c49b6p-3"),
+    20.0: ("0x1.46acc99741eb3p-5", "0x1.17a1b0b0a50bcp-5"),
+    40.0: ("0x1.4cbf6455ec21bp-8", "0x1.0a6b7acf4ae48p-5"),
+    80.0: ("-0x1.4b7597227cb1bp-9", "0x1.a8524dedc065fp-11"),
+    160.0: ("0x1.b1754b54ad855p-12", "-0x1.351be7958213fp-12"),
+    320.0: ("-0x1.db36983ac2864p-22", "0x1.58c70119ab269p-20"),
+    640.0: ("0x1.e272fb2e18b30p-24", "0x1.7947f09f7c90bp-24"),
+    1280.0: ("0x1.c0043b024fcdbp-33", "0x1.c2f4bfae23786p-31"),
+    2560.0: ("0x1.a500a7c2f3772p-43", "-0x1.bdc18a493ba2ep-44"),
+    5120.0: ("0x1.df50002808c52p-61", "-0x1.608e201425995p-60"),
+    10240.0: ("0x1.591c63228e543p-83", "0x1.b41f36c9b3f02p-82"),
+    20480.0: ("0x1.61029f3501d4cp-112", "-0x1.4b3082765c4dcp-112"),
+    40960.0: ("-0x1.87e1eb2000000p-159", "0x1.7f99450000000p-155"),
+    50.0: ("0x1.20b702a992042p-10", "0x1.d21163ff0f850p-13"),
+    123.4: ("-0x1.6bbd64639989ap-13", "0x1.6421d4f520a64p-10"),
+    300.0: ("0x1.612faecea147ap-19", "0x1.bf2773f9da289p-18"),
+    777.7: ("-0x1.12e06b3609de2p-25", "-0x1.ebeb28b614086p-25"),
+    2883.19: ("-0x1.3b2ca127df2c7p-47", "0x1.d2a17690c8d24p-47"),
+    10991.87: ("0x1.286c30a70ad5bp-86", "-0x1.c2dfdc2fe4361p-88"),
+    12345.6: ("-0x1.71e54daffbdd3p-89", "0x1.ec53a1767922bp-89"),
+    19398.51: ("0x1.9d9cd94809243p-109", "-0x1.16c1b9dbc8fddp-111"),
+}
+PINNED_PSI_CALLS = {2560.0: 2532, 5120.0: 4635}
+
+
+def test_transform_mp_pinned_bits_and_psi_calls(monkeypatch):
+    b = Bump()
+    got = {}
+    for xi in PINNED_DEEP_BITS:
+        v = b._transform_mp(xi)
+        got[xi] = (v.real.hex(), v.imag.hex())
+    assert got == PINNED_DEEP_BITS
+    # The same psi work means every piece pair stops at the same degree.
+    real = bump_mod._psi_fixed
+    for xi, want in PINNED_PSI_CALLS.items():
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(bump_mod, "_psi_fixed", counting)
+        b._transform_mp(xi)
+        assert len(calls) == want, xi
 
 
 @pytest.mark.parametrize("xi", sorted(FUSED_REFERENCE))
