@@ -145,7 +145,10 @@ def _parse_toy(text: str) -> ToyResonator:
     values: dict[int, float] = {}
     for item in text.split(","):
         k, _, v = item.partition(":")
-        values[int(k)] = float(v)
+        n = int(k)
+        if n in values:
+            raise ValueError(f"--toy gives key {n} twice")
+        values[n] = float(v)
     return ToyResonator(values=values)
 
 
@@ -310,12 +313,13 @@ def cmd_resonator(cfg: RunConfig) -> int:
     rep = res.summary()
     # is_degenerate keeps its csv column, just before alpha_default.
     alpha_default = rep.pop("alpha_default")
+    r_head = [res.r_p[p] for p in res.primes[:16]]
     rep.update(
         is_degenerate=res.is_degenerate,
         alpha_default=alpha_default,
         primes_head=list(res.primes[:16]),
-        r_head=[res.r_p[p] for p in res.primes[:16]],
-        t_head=[res.t_p[p] for p in res.primes[:16]],
+        r_head=r_head,
+        t_head=[r / (1.0 + r * r) for r in r_head],
     )
     payload = _envelope("resonator", cfg, rep)
     _emit(payload, cfg, csv_rows=(list(rep), [list(rep.values())]))

@@ -179,18 +179,13 @@ def m2_exact(
 
         M2 = (T/N) * sum_{q,q'} W_q conj(W_{q'}) phi_hat(T*(log u_{q'} - log u_q))
 
-    Products are formed as exact integers so equal products give a
-    transform argument of exactly zero.
+    f(a) r(a) comes from dirichlet._support_coeff_logs, as in the other
+    moments.  Products are formed as exact integers so equal products give
+    a transform argument of exactly zero.
     """
-    f_vals = values_up_to(f, n_max, table)
-    coeffs, logs = [], []
-    for e in support:
-        fa = 1.0 + 0.0j
-        for p in e.primes:
-            fa *= f.prime_value(p)
-        for m in range(1, n_max + 1):
-            coeffs.append(f_vals[m - 1] * fa * e.r)
-            logs.append(math.log(m * e.n))
+    r_coeffs, _ = _support_coeff_logs(f, support)
+    coeffs = np.multiply.outer(r_coeffs, values_up_to(f, n_max, table)).ravel()
+    logs = [math.log(m * e.n) for e in support for m in range(1, n_max + 1)]
     return _termwise_sum(coeffs, logs, t_bound, t_bound / n_max)
 
 
@@ -580,22 +575,24 @@ def _offdiag_eps(k_max: float, t_bound: float) -> float:
 # Main-term and tail-bound sums over coprime support pairs.
 
 
-def _main_term(res: Resonator, sup: SupportArrays) -> float:
-    """sum over the ordered coprime pairs of sup of t(a') t(b') a'b' / max^3.
-
-    Asserts t(n) = r(n) / prod_{p | n}(1 + r(p)^2) on every element first.
-    """
+def _t_weights(res: Resonator, sup: SupportArrays) -> np.ndarray:
+    """t(n) = r(n) / prod_{p | n}(1 + r(p)^2) on every element of sup."""
     log_plain = sup.prime_factor_sums([math.log1p(res.r_p[p] ** 2) for p in res.primes])
-    if not np.allclose(sup.t * np.exp(log_plain), sup.r, rtol=1e-12, atol=0.0):
-        raise AssertionError("t-weight identity violated")
-    w = sup.t * sup.ns
+    return sup.r * np.exp(-log_plain)
+
+
+def _main_term(sup: SupportArrays, t: np.ndarray) -> float:
+    """sum over the ordered coprime pairs of sup of t(a') t(b') a'b' / max^3,
+    t = _t_weights on sup."""
+    w = t * sup.ns
     w_over_cube = w / sup.ns.astype(np.float64) ** 3
     return _pair_fsum((w[None, i] * w_over_cube[k, None])[ok] for k, i, ok in sup.coprime_tiles())
 
 
-def _balanced_pair_bound(sup: SupportArrays, z: float) -> float:
-    """(sum over support m <= z of t(m)/sqrt(m))^2 / log z, for sup <= z."""
-    return _exact_fsum(sup.t / np.sqrt(sup.ns)) ** 2 / math.log(z)
+def _balanced_pair_bound(sup: SupportArrays, t: np.ndarray, z: float) -> float:
+    """(sum over support m <= z of t(m)/sqrt(m))^2 / log z, for sup <= z and
+    t = _t_weights on sup."""
+    return _exact_fsum(t / np.sqrt(sup.ns)) ** 2 / math.log(z)
 
 
 def _alpha_tail(res: Resonator, sup: SupportArrays, x: float, alpha: float) -> float:
@@ -623,12 +620,12 @@ def moment_main_term(
 
         sum_{(a',b')=1, a',b' <= min(N,X)} t(a') t(b') a'b' / max(a',b')^3.
 
-    t(a')t(b') equals r(a')r(b') / prod_{p | a'b'}(1 + r(p)^2) for
-    coprime squarefree support products; the identity is asserted on
-    every support element.  Always at least 1 (the (1,1) term).
+    t(n) = r(n) / prod_{p | n}(1 + r(p)^2) is derived from r on each
+    support element, so t(a')t(b') = r(a')r(b') / prod_{p | a'b'}(1 + r(p)^2)
+    for coprime a', b'.  Always at least 1 (the (1,1) term).
     """
     sup = support_arrays(res, min(float(n_max), x), budget)
-    return _main_term(res, sup)
+    return _main_term(sup, _t_weights(res, sup))
 
 
 def balanced_pair_bound_check(
@@ -645,7 +642,8 @@ def balanced_pair_bound_check(
     if z <= 1.0:
         raise ValueError("z must exceed 1")
     sup = support_arrays(res, z, budget)
-    return _main_term(res, sup), _balanced_pair_bound(sup, z)
+    t = _t_weights(res, sup)
+    return _main_term(sup, t), _balanced_pair_bound(sup, t, z)
 
 
 def alpha_shift_error_term(
@@ -975,9 +973,10 @@ def ratio_and_bounds(
         # Degenerate resonator: no shift parameter to run the tail bound with.
         tail = None
 
-    main = _main_term(res, sup_z)  # the balanced pair sum too
+    t_z = _t_weights(res, sup_z)
+    main = _main_term(sup_z, t_z)  # the balanced pair sum too
     if z > 1.0:
-        pair_lhs, pair_rhs = main, _balanced_pair_bound(sup_z, z)
+        pair_lhs, pair_rhs = main, _balanced_pair_bound(sup_z, t_z, z)
     else:
         pair_lhs = pair_rhs = None
     # Growth-rate diagnostic for the pair sum; trend data only, nothing

@@ -26,7 +26,8 @@ BRUTE_FORCE_CAP = 10_000  # max N * X any brute-force enumeration accepts
 class ToyResonator:
     """Dense stand-in for a resonator: explicit n -> r(n) values.
 
-    `values` must contain 1 -> 1.0; every n not present evaluates to 0.
+    `values` must contain 1 -> 1.0 and only finite values; every n not
+    present evaluates to 0.
     Nothing else is assumed: r need not be multiplicative, and
     moments.diagonal_sum reads `values` for the support it sums over.
     """
@@ -38,6 +39,9 @@ class ToyResonator:
             raise ValueError("toy resonator must map 1 -> 1.0")
         if any(n < 1 for n in self.values):
             raise ValueError("toy resonator keys must be positive")
+        for n, v in self.values.items():
+            if not math.isfinite(v):
+                raise ValueError(f"toy resonator value at {n} must be finite, got {v}")
 
     def value(self, n: int) -> float:
         return self.values.get(n, 0.0)

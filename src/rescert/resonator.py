@@ -6,14 +6,15 @@ window is lam^2 <= p <= exp((log lam)^2); inside it the weight is
     r(p) = lam / (sqrt(p) * log(p)),
 
 extended multiplicatively to squarefree products of window primes and
-zero elsewhere.  The companion weight t(p) = r(p) / (1 + r(p)^2) shows up
-in the main-term lower bounds.  For small X the window is empty (the
-lower end exceeds the upper end); that is a legitimate degenerate state,
-flagged rather than rejected, in which r is supported on {1} alone.
+zero elsewhere.  r is the only weight stored: the main term's companion
+weight t(n) = r(n) / prod_{p | n}(1 + r(p)^2) is a function of r, and
+moments derives it where it reads it.  For small X the window is empty
+(the lower end exceeds the upper end); that is a legitimate degenerate
+state, flagged rather than rejected, in which r is supported on {1} alone.
 
 The support is the set of squarefree products of window primes up to a
 cap.  support_arrays is its one builder: sorted integers, prime masks
-and both weights as parallel arrays, under an element budget.  Products
+and the weights r as parallel arrays, under an element budget.  Products
 can exceed any factor table, so the weights are multiplied up along the
 build instead of refactorizing; support_elements and sum_r_squared are
 views of those arrays.
@@ -47,11 +48,10 @@ _SIDE = 128
 
 @dataclass(frozen=True)
 class SupportElement:
-    """One squarefree product of window primes with its weights."""
+    """One squarefree product of window primes with its weight."""
 
     n: int
     r: float
-    t: float
     primes: tuple[int, ...]
 
 
@@ -63,7 +63,6 @@ class Resonator:
     window_hi: float | None
     primes: tuple[int, ...]
     r_p: dict[int, float] = field(repr=False)
-    t_p: dict[int, float] = field(repr=False)
     alpha_default: float | None
 
     @property
@@ -122,12 +121,7 @@ def build_resonator(x: float, table: FactorTable) -> Resonator:
             budget=table.limit,
         )
     primes = tuple(primes_in(window_lo, window_hi, table)) if window_lo <= window_hi else ()
-    r_p: dict[int, float] = {}
-    t_p: dict[int, float] = {}
-    for p in primes:
-        rp = lam / (math.sqrt(p) * math.log(p))
-        r_p[p] = rp
-        t_p[p] = rp / (1.0 + rp * rp)
+    r_p = {p: lam / (math.sqrt(p) * math.log(p)) for p in primes}
     alpha_default = math.log(lam) ** -3 if lam > 1.0 else None
     if alpha_default is not None and alpha_default >= 0.5:
         # The shift-based tail bound needs alpha < 1/2; windows too small
@@ -140,7 +134,6 @@ def build_resonator(x: float, table: FactorTable) -> Resonator:
         window_hi=window_hi,
         primes=primes,
         r_p=r_p,
-        t_p=t_p,
         alpha_default=alpha_default,
     )
 
@@ -156,7 +149,6 @@ def degenerate_resonator(x: float) -> Resonator:
         window_hi=None,
         primes=(),
         r_p={},
-        t_p={},
         alpha_default=None,
     )
 
@@ -228,16 +220,13 @@ class SupportArrays:
     ns: np.ndarray  # int64
     masks: np.ndarray  # (len(ns), words)
     r: np.ndarray
-    t: np.ndarray
 
     def upto(self, cap: float) -> SupportArrays:
         """The prefix of the elements <= cap."""
         count = len(self.ns)
         if count and cap < self.ns[-1]:
             count = int(np.searchsorted(self.ns, math.floor(cap), side="right"))
-        return SupportArrays(
-            self.ns[:count], self.masks[:count], self.r[:count], self.t[:count]
-        )
+        return SupportArrays(self.ns[:count], self.masks[:count], self.r[:count])
 
     def prime_factor_sums(self, values: list[float]) -> np.ndarray:
         """For each element, the sum of values[i] over the window primes i
@@ -280,15 +269,15 @@ class SupportArrays:
                 primes[k].append(res.primes[word * width + low.bit_length() - 1])
                 bits ^= low
         return [
-            SupportElement(n, r, t, tuple(ps))
-            for n, r, t, ps in zip(self.ns.tolist(), self.r.tolist(), self.t.tolist(), primes)
+            SupportElement(n, r, tuple(ps))
+            for n, r, ps in zip(self.ns.tolist(), self.r.tolist(), primes)
         ]
 
 
 def support_arrays(
     res: Resonator, cap: float, budget: int = DEFAULT_ENUM_BUDGET
 ) -> SupportArrays:
-    """All squarefree window-prime products <= cap, with their weights.
+    """All squarefree window-prime products <= cap, with their weights r.
 
     Built one window prime at a time, in ascending order: each prime p
     extends every element so far whose product with p stays <= cap, and
@@ -309,7 +298,6 @@ def support_arrays(
     ns = np.ones(max(size, 1024), dtype=np.int64)
     masks = np.zeros((len(ns), words), dtype=dtype)
     r = np.ones(len(ns))
-    t = np.ones(len(ns))
     # No element exceeds the product of all window primes.
     top = math.floor(min(cap, math.prod(res.primes))) if size else 0
     # The elements <= the current prime's limit: the limits fall as the
@@ -340,23 +328,21 @@ def support_arrays(
             ns = np.resize(ns, grown)
             masks = np.resize(masks, (grown, words))
             r = np.resize(r, grown)
-            t = np.resize(t, grown)
         ns[size:count] = ns[active] * p
         masks[size:count] = masks[active]
         word, value = _word_bit(dtype, i)
         masks[size:count, word] |= value
         r[size:count] = r[active] * res.r_p[p]
-        t[size:count] = t[active] * res.t_p[p]
         active = np.concatenate((active, np.arange(size, count)))
         size = count
-    # Permuted one at a time, so each unsorted buffer goes before the next copy.
+    # Permuted one at a time, so each unsorted buffer goes before the next
+    # copy; masks first, as below 33 window primes they are the narrowest.
     del active
     order = np.argsort(ns[:size], kind="stable")
-    ns = ns[order]
     masks = masks[order]
+    ns = ns[order]
     r = r[order]
-    t = t[order]
-    return SupportArrays(ns=ns, masks=masks, r=r, t=t)
+    return SupportArrays(ns=ns, masks=masks, r=r)
 
 
 def support_elements(

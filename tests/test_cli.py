@@ -213,6 +213,22 @@ def test_oracle_bijection_rejects_x_below_one(capsys, x):
                      "layer": "rescert.oracle"}
 
 
+@pytest.mark.parametrize(
+    "toy, layer, message",
+    [
+        ("1:1,2:nan", "rescert.oracle", "toy resonator value at 2 must be finite, got nan"),
+        ("1:1,2:inf,3:-inf", "rescert.oracle", "toy resonator value at 2 must be finite, got inf"),
+        ("1:1,2:1,2:5", "rescert.cli", "--toy gives key 2 twice"),
+    ],
+)
+def test_oracle_diag_rejects_bad_toy_weights(capsys, toy, layer, message):
+    assert main(["oracle", "diag", "--n", "3", "--x", "3", "--toy", toy]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err.splitlines()[-1])
+    assert error == {"kind": "ValueError", "message": message, "layer": layer}
+
+
 def test_oracle_diag_builds_no_factor_table(tmp_path, monkeypatch):
     # Neither the brute force nor the parametrized sum of a toy reads a factor table.
     limits = []

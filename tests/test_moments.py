@@ -60,7 +60,7 @@ from rescert.resonator import (
 TABLE = build_factor_table(20_000)
 RES20 = build_resonator(math.exp(20.0), TABLE)  # support {1, 61}
 R61 = RES20.r_p[61]
-T61 = RES20.t_p[61]
+T61 = R61 / (1.0 + R61 * R61)
 SUPP20 = support_elements(RES20, RES20.x)
 EMPTY = build_resonator(math.exp(19.0), TABLE)  # window holds no prime
 PHI0 = default_bump().transform(0.0).real
@@ -414,9 +414,13 @@ def _resonator_on(primes, weights, x: float) -> Resonator:
         window_hi=None,
         primes=tuple(primes),
         r_p=r_p,
-        t_p={p: r / (1.0 + r * r) for p, r in r_p.items()},
         alpha_default=None,
     )
+
+
+def _t_by_product(res: Resonator, e) -> float:
+    """t(n) = r(n) / prod_{p | n}(1 + r(p)^2) for one support element."""
+    return e.r / math.prod(1.0 + res.r_p[p] ** 2 for p in e.primes)
 
 
 def _coprime_pairs(res: Resonator, z: float):
@@ -837,7 +841,10 @@ def test_pair_sums_beyond_63_primes():
             diagonal_sum_bruteforce(res, n_max, x, TABLE), rel=1e-12
         )
         pairs = _coprime_pairs(res, n_max)
-        main = math.fsum(a.t * b.t * a.n * b.n / max(a.n, b.n) ** 3 for a, b in pairs)
+        main = math.fsum(
+            _t_by_product(res, a) * _t_by_product(res, b) * a.n * b.n / max(a.n, b.n) ** 3
+            for a, b in pairs
+        )
         assert moment_main_term(res, n_max, x) == pytest.approx(main, rel=1e-12)
         shift = {p: 1.0 + res.r_p[p] ** 2 * p**alpha for p in primes}
         bracket = math.fsum(
@@ -918,6 +925,22 @@ def test_offdiag_eps_bounds_the_full_expansion(n_max, x, t_bound):
             full = _expansion(c, k, t_bound, scale)
             rounding = scale * (TOLERANCE + 2.0**-50) * math.fsum(np.abs(c)) ** 2
             assert abs(full - diag) <= eps * diag + rounding
+
+
+def test_t_weights_match_r_over_euler_factors():
+    # The main term's weight, derived from r, against the product taken per
+    # element: 14 window primes, 3473 elements.
+    res = build_resonator(1e12, TABLE)
+    sup = support_arrays(res, 1e12)
+    elems = sup.elements(res)
+    assert len(res.primes) == 14 and len(elems) == 3473
+    t = moments._t_weights(res, sup).tolist()
+    assert t == pytest.approx([_t_by_product(res, e) for e in elems], rel=1e-14, abs=0.0)
+    assert t[0] == 1.0
+    assert all(w < e.r for w, e in zip(t[1:], elems[1:]))
+    # The one-prime support of X = e^20: t(61) = r(61) / (1 + r(61)^2), pinned.
+    t20 = moments._t_weights(RES20, support_arrays(RES20, RES20.x)).tolist()
+    assert t20 == [1.0, pytest.approx(0.22784106223119072, rel=1e-14)]
 
 
 def test_moment_main_term():

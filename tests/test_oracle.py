@@ -33,6 +33,12 @@ def test_toy_resonator_validation():
     assert toy.value(4) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_toy_resonator_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="value at 3 must be finite"):
+        ToyResonator(values={1: 1.0, 2: 0.5, 3: bad})
+
+
 def test_check_multiplicative():
     good = ToyResonator(values={1: 1.0, 2: 0.5, 3: 0.4, 6: 0.2})
     assert good.check_multiplicative(6)

@@ -30,7 +30,6 @@ TABLE = build_factor_table(20_000)
 X20 = math.exp(20.0)
 RES20 = build_resonator(X20, TABLE)  # window [59.91, 65.89], single prime 61
 R61 = 0.2410834668305234
-T61 = 0.22784106223119072
 
 
 def test_window_logx_100():
@@ -49,19 +48,12 @@ def test_window_logx_20():
     assert RES20.window_hi == pytest.approx(65.89091190814027, rel=1e-12)
     assert RES20.primes == (61,)
     assert RES20.r_p[61] == pytest.approx(R61, rel=1e-12)
-    assert RES20.t_p[61] == pytest.approx(T61, rel=1e-12)
 
 
 def test_weight_formula():
-    # r(p) = lam / (sqrt(p) log p); t(p) = r(p) / (1 + r(p)^2).
+    # r(p) = lam / (sqrt(p) log p).
     lam = RES20.lam
     assert RES20.r_p[61] == pytest.approx(lam / (math.sqrt(61) * math.log(61)), rel=1e-14)
-    assert RES20.t_p[61] == pytest.approx(R61 / (1.0 + R61 * R61), rel=1e-14)
-
-
-def test_t_below_r():
-    res = build_resonator(math.exp(100.0), TABLE)
-    assert all(res.t_p[p] < res.r_p[p] for p in res.primes)
 
 
 def test_r_value_off_support():
@@ -69,7 +61,7 @@ def test_r_value_off_support():
     assert r_value(RES20, 61 * 61, TABLE) == 0.0  # not squarefree
     assert r_value(RES20, 1, TABLE) == 1.0
     assert r_value(RES20, 61, TABLE) == pytest.approx(R61, rel=1e-12)
-    assert support_elements(RES20, X20)[1].t == pytest.approx(T61, rel=1e-12)
+    assert support_elements(RES20, X20)[1].r == r_value(RES20, 61, TABLE)
 
 
 def test_support_enumeration():
@@ -99,18 +91,17 @@ def test_enumeration_budget():
 
 
 def _support_by_subsets(res: Resonator, cap: float) -> list[tuple]:
-    """(n, r, t, primes) for every subset of window primes with product
+    """(n, r, primes) for every subset of window primes with product
     <= cap, sorted by n; weights multiplied up in ascending prime order."""
     out = []
     for k in range(len(res.primes) + 1):
         for primes in itertools.combinations(res.primes, k):
             n = math.prod(primes)
             if n <= cap:
-                r = t = 1.0
+                r = 1.0
                 for p in primes:
                     r *= res.r_p[p]
-                    t *= res.t_p[p]
-                out.append((n, r, t, primes))
+                out.append((n, r, primes))
     return sorted(out)
 
 
@@ -120,17 +111,16 @@ def test_support_arrays_match_support_elements():
     assert len(want) == 3473
     arrays = support_arrays(res, 1e12)
     idx = res.prime_index()
-    assert arrays.ns.tolist() == [n for n, _, _, _ in want]
+    assert arrays.ns.tolist() == [n for n, _, _ in want]
     # Weights multiply up in the same prime order: equal bit for bit.
-    assert arrays.r.tolist() == [r for _, r, _, _ in want]
-    assert arrays.t.tolist() == [t for _, _, t, _ in want]
+    assert arrays.r.tolist() == [r for _, r, _ in want]
     # One uint16 word per mask holds the 14 prime bits.
-    assert arrays.masks.tolist() == [[sum(1 << idx[p] for p in ps)] for _, _, _, ps in want]
+    assert arrays.masks.tolist() == [[sum(1 << idx[p] for p in ps)] for _, _, ps in want]
     assert arrays.masks.shape == (3473, 1)
     assert arrays.masks.dtype == np.uint16
-    assert [(e.n, e.r, e.t, e.primes) for e in support_elements(res, 1e12)] == want
+    assert [(e.n, e.r, e.primes) for e in support_elements(res, 1e12)] == want
     prefix = arrays.upto(1e6)
-    assert prefix.ns.tolist() == [n for n, _, _, _ in want if n <= 1e6]
+    assert prefix.ns.tolist() == [n for n, _, _ in want if n <= 1e6]
     assert prefix.r.tolist() == support_arrays(res, 1e6).r.tolist()
     assert support_arrays(res, 0.5).ns.tolist() == []
     assert support_arrays(RES20, 1.0).ns.tolist() == [1]
@@ -157,7 +147,7 @@ def test_support_arrays_budget_and_int64_range():
     big = (2147483647, 2147483659, 2147483693)
     wide = Resonator(
         x=1e30, lam=None, window_lo=None, window_hi=None, primes=big,
-        r_p=dict.fromkeys(big, 0.5), t_p=dict.fromkeys(big, 0.4), alpha_default=None,
+        r_p=dict.fromkeys(big, 0.5), alpha_default=None,
     )
     assert len(support_arrays(wide, 1e19).ns) == 7  # products of two fit in int64
     with pytest.raises(ResourceLimitError):
@@ -172,7 +162,7 @@ def _resonator_on(primes) -> Resonator:
     """A Resonator on arbitrary primes, every weight 1/2."""
     return Resonator(
         x=1e30, lam=None, window_lo=None, window_hi=None, primes=tuple(primes),
-        r_p=dict.fromkeys(primes, 0.5), t_p=dict.fromkeys(primes, 0.4), alpha_default=None,
+        r_p=dict.fromkeys(primes, 0.5), alpha_default=None,
     )
 
 
@@ -235,7 +225,8 @@ def test_coprime_pairs_edge_cases(res, cap, count):
 
 def test_support_build_peak_memory():
     # The support <= X of `certify --n 1e7 --c 3` (X = N^2): the build peaks
-    # below 2.5 times the arrays it returns.
+    # below 2.5 times the arrays it returns, and below 16 MiB, which a
+    # second per-element weight array (about 4 MiB more) would exceed.
     x = 1e14
     res = build_resonator(x, TABLE)
     tracemalloc.start()
@@ -244,9 +235,10 @@ def test_support_build_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sup.ns.nbytes + sup.masks.nbytes + sup.r.nbytes + sup.t.nbytes
+    held = sup.ns.nbytes + sup.masks.nbytes + sup.r.nbytes
     assert len(sup.ns) > 10**5
     assert peak < 2.5 * held, (peak, held)
+    assert peak < 16 * 2**20, peak
 
 
 def test_sums_on_empty_support():
@@ -254,7 +246,7 @@ def test_sums_on_empty_support():
     assert res.is_empty
     assert not res.is_degenerate
     assert sum_r_squared(res, 1e6) == 1.0
-    assert [e.t for e in support_elements(res, 1e6)] == [1.0]
+    assert [(e.n, e.r, e.primes) for e in support_elements(res, 1e6)] == [(1, 1.0, ())]
     assert euler_product_one_plus_r2(res) == 1.0
 
 
