@@ -37,8 +37,9 @@ which grid point wins a near tie.
 
 The kernel hands each block over in its native layout, a (cols, rows) array
 in grid order that is a transposed view of either form's product, without
-copying it.  _grid_values flattens the blocks to grid order for grid_sup and
-the quadrature moments.
+copying it.  _grid_values flattens the blocks to grid order for grid_sup.
+The quadrature moments (moments._window_integral) read the native blocks and
+square them in place on the product's float64 view.
 The guided search's peak finder (_guided_candidates) reads the native blocks:
 np.abs on the block, one float copy of |R| into a reused grid-order buffer
 behind the two values carried from the previous block, and the two neighbour

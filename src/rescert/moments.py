@@ -44,7 +44,7 @@ from typing import Iterable
 import numpy as np
 
 from .bump import DECAY_A2, PHI_HAT_0, default_bump
-from .dirichlet import _dn_terms, _grid_values, _support_coeff_logs
+from .dirichlet import _dn_terms, _grid_blocks, _support_coeff_logs
 from .errors import ResourceLimitError
 from .multfn import UnimodularCMF, values_up_to
 from .ntcore import FactorTable
@@ -77,22 +77,32 @@ def _window_integral(polys, t_bound: float) -> float:
     """Integral of Phi(t/T) * prod |P(t)|^2 over the window, P = sum c_n e^{i t log n},
     to 1e-8 relative.
 
-    `polys` lists (coeffs, logs) pairs.  The level rule composite_gl_grid asks for a group
-    of Gauss-Legendre nodes over a chunk of panels at a time: per node an arithmetic
-    progression in t, and _grid_values scans all the group's progressions in one pass with
-    shared phase tables.  Phi and the |P|^2 products are formed once per chunk, for every
-    node of the group; the panel schedule starts at the summed top frequency.
+    `polys` lists (coeffs, logs) pairs.  The level rule composite_gl_grid hands over a group
+    of Gauss-Legendre nodes for a whole level at a time: per node an arithmetic progression
+    in t over every panel, and a view of the rule's buffer to fill.  Each polynomial scans
+    the group's progressions in one dirichlet._grid_blocks pass over the level, so its step
+    tables are built once per level, node group, polynomial and block shape.  Blocks are used
+    as they arrive and squared in place in their native layout (_times_abs2): the first
+    polynomial's block multiplies into Phi of its points, written to the buffer's real part
+    in one pass, and each later polynomial's block multiplies into the buffer, so every value
+    is (Phi * |P_1|^2) * |P_2|^2.  The panel schedule starts at the summed top frequency.
     """
     b = default_bump()
     lo, hi = b.lo * t_bound, b.hi * t_bound
 
-    def integrand(origins: np.ndarray, k0: int, step: float, count: int) -> np.ndarray:
-        out = b.phi_vec((origins[:, None] + step * np.arange(k0, k0 + count)) / t_bound)
-        for coeffs, logs in polys:
-            for start, vals in _grid_values(coeffs, logs, origins, k0, count, step):
-                stop = start + vals.shape[-1]
-                out[:, start:stop] *= vals.real * vals.real + vals.imag * vals.imag
-        return out
+    def integrand(origins: np.ndarray, step: float, out: np.ndarray) -> None:
+        vals = out.real
+        for i, (coeffs, logs) in enumerate(polys):
+            for start, size, block in _grid_blocks(coeffs, logs, origins, 0, vals.shape[-1], step):
+                dest = vals[:, start : start + size]
+                if i == 0:
+                    y = origins[:, None] + step * np.arange(start, start + size)
+                    y /= t_bound
+                    phi = b.phi_vec(y)
+                    _times_abs2(phi, block)
+                    dest[...] = phi
+                else:
+                    _times_abs2(dest, block)
 
     max_freq = sum(float(logs.max(initial=0.0)) for _, logs in polys)
     value, _ = adaptive_oscillatory(
@@ -102,13 +112,36 @@ def _window_integral(polys, t_bound: float) -> float:
     return value.real
 
 
+def _times_abs2(dest: np.ndarray, block: np.ndarray) -> None:
+    """dest *= |block|^2 pointwise, |v|^2 = re*re + im*im.
+
+    `block` is a dirichlet._grid_blocks block, (..., cols, rows) in grid order and a
+    transposed view of the kernel's C-contiguous product, and `dest` holds the grid-order
+    values of its first dest.shape[-1] points.  The product is squared in place on its
+    float64 view, in memory order, and dest takes it as whole rows of `rows` points plus a
+    short tail: no copy of the block and no temporary.
+    """
+    parts = block.swapaxes(-1, -2).view(np.float64)  # re, im interleaved along the last axis
+    np.multiply(parts, parts, out=parts)
+    abs2 = parts[..., ::2]
+    abs2 += parts[..., 1::2]
+    abs2 = abs2.swapaxes(-1, -2)  # grid order, like block
+    rows = abs2.shape[-1]
+    full, tail = divmod(dest.shape[-1], rows)
+    head = dest[..., : full * rows].reshape(*dest.shape[:-1], full, rows)
+    head *= abs2[..., :full, :]
+    if tail:
+        dest[..., full * rows :] *= abs2[..., full, :tail]
+
+
 def m1_quadrature(f: UnimodularCMF, t_bound: float, support: list[SupportElement]) -> float:
     """M1 by adaptive quadrature over the window support [T/2, T].
 
     Composite Gauss-Legendre a group of nodes at a time
     (quadrature.composite_gl_grid): each node's abscissae across the panels
-    form a uniform grid on which |R|^2 comes from the grid-scan kernel
-    dirichlet._grid_values, which scans the group's grids together.
+    of a level form a uniform grid on which |R|^2 comes from one pass of the
+    grid-scan kernel dirichlet._grid_blocks over the group's grids, its
+    blocks squared in place (_window_integral).
     """
     return _window_integral([_support_coeff_logs(f, support)], t_bound)
 
@@ -122,9 +155,10 @@ def m2_quadrature(
 ) -> float:
     """M2 by adaptive quadrature over the window support [T/2, T].
 
-    As m1_quadrature, with |R|^2 |D_N|^2 from the grid-scan kernel on
-    each Gauss-Legendre node's grid (oracle.m2_bruteforce_quadrature keeps
-    a dense rule as the independent check).
+    As m1_quadrature, with |R|^2 |D_N|^2 from one grid-kernel pass per
+    polynomial over each node group's grids, |D_N|^2 multiplied into the
+    rule's buffer (oracle.m2_bruteforce_quadrature keeps a dense rule as the
+    independent check).
     """
     polys = [_support_coeff_logs(f, support), _dn_terms(f, n_max, table)]
     return _window_integral(polys, t_bound)
@@ -134,21 +168,47 @@ def m2_quadrature(
 # Exact termwise moments (tiny instances).
 
 
+# About this many terms per row block of _termwise_sum's term matrix.
+_TERM_BLOCK = 1 << 16
+
+
 def _termwise_sum(coeffs, logs, t_bound: float, scale: float) -> float:
     """scale * sum_{q,q'} W_q conj(W_{q'}) phi_hat(T*(log u_{q'} - log u_q)),
     W = coeffs and log u = logs.
 
-    The sum is correctly rounded; its imaginary residue (zero by conjugate
+    One array pass over the term matrix (row q, column q'), in row blocks of about
+    _TERM_BLOCK terms.  Per block: the matrix of xi = T*(log u_{q'} - log u_q), one
+    Bump.transform call per distinct |xi| in the order a row-major loop over the terms first
+    reaches it, phi_hat(xi) as the conjugate of phi_hat(|xi|) for xi < 0 (as transform
+    itself routes it), and the products W_q * conj(W_{q'}) * phi_hat(xi) in Python's
+    complex-multiply order on the real and imaginary parts.  The transform memo keys xi to
+    12 digits, so the first float to reach a key decides the value of every later float of
+    that key: calling in first-touch order gives every term, and the memo, the bits a
+    per-term loop gives them.  Both parts go into exact sums (_ExactSum, bit for bit
+    math.fsum), so the sum is correctly rounded; its imaginary residue (zero by conjugate
     symmetry) is asserted tiny and dropped.
     """
     b = default_bump()
-    pairs = list(zip(logs, coeffs))
-    terms = [
-        wq * wv.conjugate() * b.transform(t_bound * (lv - lu))
-        for lu, wq in pairs
-        for lv, wv in pairs
-    ]
-    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)) * scale
+    logs = np.asarray(logs, dtype=np.float64)
+    wr, wi = coeffs.real, coeffs.imag
+    cr, ci = wr, -wi  # conj(W_{q'})
+    re_sum, im_sum = _ExactSum(), _ExactSum()
+    rows = max(1, _TERM_BLOCK // max(1, logs.size))
+    for s in range(0, logs.size, rows):
+        xi = t_bound * (logs - logs[s : s + rows, None])
+        mag, first, inverse = np.unique(np.abs(xi).ravel(), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        phi = np.empty(mag.size, dtype=np.complex128)
+        phi[order] = [b.transform(x) for x in mag[order].tolist()]
+        tr = phi.real[inverse].reshape(xi.shape)
+        ti = phi.imag[inverse].reshape(xi.shape)
+        np.negative(ti, out=ti, where=xi < 0.0)
+        ar, ai = wr[s : s + rows, None], wi[s : s + rows, None]
+        pr = ar * cr - ai * ci
+        pi = ar * ci + ai * cr
+        re_sum.add((pr * tr - pi * ti).ravel())
+        im_sum.add((pr * ti + pi * tr).ravel())
+    total = complex(re_sum.value(), im_sum.value()) * scale
     if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
         raise AssertionError(f"moment sum imaginary residue {total.imag!r} too large")
     return total.real

@@ -20,13 +20,13 @@ nodes over.  composite_gl hands the integrand every abscissa in one
 array; no caller in the package uses it, and the tests keep it as the
 plain reference the other two rules are checked against.
 composite_gl_grid hands it a group of nodes at a time, each node
-a uniform grid given by its origin a + h*(1 + x_j)/2, over one chunk of
-RESYNC_STRIDE panels per call (the moments scan a group's grids together
-with the grid kernel dirichlet._grid_values, whose anchor blocks the
-chunks match), and adds the panel sums by numpy's pairwise sum rather than
-a BLAS dot, which splits its sum by thread.  composite_gl_phased integrates
-a real weight times e^{-i freq s} with the factored phases (bump's float
-ramp integral).
+a uniform grid given by its origin a + h*(1 + x_j)/2, over every panel of
+the level, with a view of the rule's buffer to fill (the moments scan a
+group's grids together, one pass of the grid kernel dirichlet._grid_blocks
+per polynomial and level), and adds the panel sums by numpy's pairwise sum
+rather than a BLAS dot, which splits its sum by thread.
+composite_gl_phased integrates a real weight times e^{-i freq s} with the
+factored phases (bump's float ramp integral).
 bump's 50-digit ramp rule lays out its mpmath nodes the same way on
 half-cycle pieces.  adaptive_oscillatory takes the rule from its caller,
 which may pass its own rule with the same signature; `fn` is then
@@ -44,9 +44,12 @@ from .errors import QuadratureError
 
 GL_ORDER = 10
 MAX_DOUBLINGS = 14
-# Gauss-Legendre nodes per composite_gl_grid call.  All ten nodes of a level in one call
-# ran the tiny quadrature moments no faster and held about 5 % more peak memory.
-_NODES_PER_SCAN = 5
+# Points of one grid-kernel block over a composite_gl_grid node group: a group takes as many
+# nodes as keep min(panels, RESYNC_STRIDE) points per node within this, so five nodes from
+# 10 000 panels and all ten up to 5000.  Ten nodes in blocks of 10**4 points ran the tiny
+# quadrature moments slower than five, and five at small levels paid each scan's fixed
+# cost twice.
+_GROUP_POINTS = 5 * RESYNC_STRIDE
 
 
 @functools.cache
@@ -74,24 +77,24 @@ def composite_gl(fn, a: float, b: float, panels: int) -> complex:
 
 
 def composite_gl_grid(fn, a: float, b: float, panels: int) -> complex:
-    """One composite Gauss-Legendre pass, evaluated a group of nodes and a chunk of panels
-    at a time.
+    """One composite Gauss-Legendre pass, evaluated a group of nodes at a time.
 
-    `fn(origins, k0, step, count)` must return an array of shape (len(origins), count)
-    whose row i holds the integrand values (real or complex) at origins[i] + (k0 + k)*step,
-    k < count.  `origins` holds the first abscissa of up to _NODES_PER_SCAN nodes, the
-    step is h = (b - a) / panels, and each call covers one chunk of RESYNC_STRIDE panels
-    (the grid kernel's block), k0 being the chunk's first panel.
+    `fn(origins, step, out)` fills the (len(origins), panels) array `out`, a view of the
+    rule's complex buffer that holds zeros on entry: row i takes the integrand values (real
+    or complex) at origins[i] + k*step, k < panels.  A real integrand writes out.real.  The
+    step is h = (b - a) / panels, and `origins` holds the first abscissa of each node of a
+    group, so one call covers its nodes over every panel of the level.  A group takes
+    _GROUP_POINTS // min(panels, RESYNC_STRIDE) nodes (at most GL_ORDER): a grid-kernel
+    block over the group holds at most _GROUP_POINTS points.
     """
     nodes, weights = _gl_nodes()
     h = (b - a) / panels
     origins = a + 0.5 * h * (1.0 + nodes)
-    vals = np.empty((panels, GL_ORDER), dtype=np.complex128)
-    for j in range(0, GL_ORDER, _NODES_PER_SCAN):
-        group = slice(j, j + _NODES_PER_SCAN)
-        for k0 in range(0, panels, RESYNC_STRIDE):
-            count = min(RESYNC_STRIDE, panels - k0)
-            vals[k0 : k0 + count, group] = fn(origins[group], k0, h, count).T
+    vals = np.zeros((panels, GL_ORDER), dtype=np.complex128)
+    per_scan = min(GL_ORDER, _GROUP_POINTS // min(panels, RESYNC_STRIDE))
+    for j in range(0, GL_ORDER, per_scan):
+        group = slice(j, j + per_scan)
+        fn(origins[group], h, vals[:, group].T)
     # numpy's pairwise sum adds the panels in one fixed order; a BLAS dot splits its sum by
     # thread.
     return complex((vals @ weights).sum()) * (0.5 * h)
@@ -133,9 +136,9 @@ def adaptive_oscillatory(
     Args:
         fn: handed to `rule` unchanged; the integrand in the form the
             rule calls it: a numpy array of abscissae in, values out for
-            composite_gl; a chunk of node grids (origins, k0, step,
-            count) in, one row of values per origin out, for
-            composite_gl_grid; a (weight, freq) pair for
+            composite_gl; a group of node grids (origins, step) and
+            the view `out` to fill, one row per origin over every panel,
+            for composite_gl_grid; a (weight, freq) pair for
             composite_gl_phased.  A caller's own rule may read it as data.
         max_freq: largest angular frequency present in the integrand
             (rad per unit); sets the initial panel count at roughly two

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescert import moments
-from rescert.bump import TOLERANCE, default_bump
+from rescert import dirichlet, moments
+from rescert.bump import TOLERANCE, Bump, default_bump
 from rescert.cli import main as cli_main
-from rescert.dirichlet import _support_coeff_logs
+from rescert.dirichlet import RESYNC_STRIDE, _support_coeff_logs
 from rescert.errors import ResourceLimitError
 from rescert.moments import (
     _offdiag_eps,
@@ -229,6 +229,84 @@ def test_quadrature_moments_pinned(idx):
     assert m2_quadrature(f, n, t_bound, supp, TABLE) == m2
 
 
+# m1_exact and m2_exact on criterion 3's cells, f = CRITERION3_FS[idx % 3], each cell on a
+# fresh Bump so the transform memo does not depend on the tests run before: float.hex of
+# (M1, M2), recorded with the per-term loop that _termwise_reference keeps.
+EXACT_PINS = [
+    ("0x1.8ccba38b691a6p+8", "0x1.8ccc242fbe1f1p+8"),
+    ("0x1.a17b3e4ccdd21p+8", "0x1.a17b5fa7571dep+8"),
+    ("0x1.effe8c6e43611p+11", "0x1.effe8c6e43604p+11"),
+    ("0x1.04e6629893eb1p+12", "0x1.04e6629893eaap+12"),
+    ("0x1.8ccba38b691a6p+8", "0x1.8cceac725ee8fp+8"),
+    ("0x1.a16cb38c559d8p+8", "0x1.a16a48d853095p+8"),
+    ("0x1.effe8c6e4360dp+11", "0x1.effe8c6e4345fp+11"),
+    ("0x1.04e6629936493p+12", "0x1.04e66299368f8p+12"),
+    ("0x1.8ccba38b691a6p+8", "0x1.8d18be55ea903p+8"),
+    ("0x1.a16b233bdb4efp+8", "0x1.a2cdf0ebbcd7fp+8"),
+    ("0x1.effe8c6e43612p+11", "0x1.effe8c610e99cp+11"),
+    ("0x1.04e6629893afcp+12", "0x1.04f41e7be02cfp+12"),
+]
+
+
+@pytest.mark.parametrize("idx", range(len(CRITERION3)))
+def test_exact_moments_pinned(idx, monkeypatch):
+    n, t_bound, logx = CRITERION3[idx]
+    f = CRITERION3_FS[idx % 3]
+    fresh = Bump()
+    monkeypatch.setattr(moments, "default_bump", lambda: fresh)
+    res = build_resonator(math.exp(logx), TABLE)
+    supp = support_elements(res, res.x)
+    got = (m1_exact(f, t_bound, supp).hex(), m2_exact(f, n, t_bound, supp, TABLE).hex())
+    assert got == EXACT_PINS[idx]
+
+
+def _termwise_reference(coeffs, logs, t_bound, scale, b):
+    """_termwise_sum as a per-term loop: one transform call per term in row-major order,
+    the products in Python's complex arithmetic, both parts summed by math.fsum."""
+    pairs = list(zip(logs, coeffs))
+    terms = [
+        wq * wv.conjugate() * b.transform(t_bound * (lv - lu))
+        for lu, wq in pairs
+        for lv, wv in pairs
+    ]
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)) * scale
+    return total.real
+
+
+def _memo_bits(b):
+    return [(k, v.real.hex(), v.imag.hex(), deep) for k, (v, deep) in b._memo.items()]
+
+
+@pytest.mark.parametrize("term_block", [1, 13, moments._TERM_BLOCK])
+@pytest.mark.parametrize("shape", ["m1", "m2"])
+def test_termwise_sum_matches_per_term_loop(monkeypatch, shape, term_block):
+    # The array pass calls the transform once per distinct |xi| in the order the per-term
+    # loop first reaches it, so where two distinct floats xi share the memo's 12-digit key
+    # the first one decides both values, as in the loop.  Sums, memo keys, values and
+    # insertion order all match bit for bit, in one row block or several.
+    f = steinhaus_sample(12345)
+    t_bound = 1e3
+    if shape == "m1":
+        res = build_resonator(math.exp(20.2), TABLE)
+        coeffs, logs = _support_coeff_logs(f, support_elements(res, res.x))
+    else:
+        r_coeffs, _ = _support_coeff_logs(f, SUPP20)
+        coeffs = np.multiply.outer(r_coeffs, values_up_to(f, 3, TABLE)).ravel()
+        logs = [math.log(m * e.n) for e in SUPP20 for m in range(1, 4)]
+    xi = {abs(t_bound * (lv - lu)) for lu in logs for lv in logs}
+    keys = {f"{x:.12e}" for x in xi}
+    # The m2-shaped instance has two floats that share a key; the m1-shaped one (numpy
+    # logs) has none.
+    assert (len(keys) < len(xi)) == (shape == "m2")
+    ref_bump, new_bump = Bump(), Bump()
+    want = _termwise_reference(coeffs, logs, t_bound, 2.0, ref_bump)
+    monkeypatch.setattr(moments, "default_bump", lambda: new_bump)
+    monkeypatch.setattr(moments, "_TERM_BLOCK", term_block)
+    got = moments._termwise_sum(coeffs, logs, t_bound, 2.0)
+    assert got.hex() == want.hex()
+    assert _memo_bits(new_bump) == _memo_bits(ref_bump)
+
+
 def test_m2_quadrature_memory():
     # The dense integrand held every abscissa times every term (134.6 MiB
     # here); a group of nodes per chunk of panels, the grid kernel needs a few MiB.
@@ -242,6 +320,44 @@ def test_m2_quadrature_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_m2_quadrature_builds_step_tables_once_per_level_group_and_shape(monkeypatch):
+    # Each node group scans a whole level with one grid-kernel pass per polynomial, so the
+    # explicit step tables are built once per level, node group, polynomial and block shape:
+    # a full block of RESYNC_STRIDE points and the short last block.  Scanning chunk by
+    # chunk built them once per chunk (four times per group and polynomial at 34 380 panels).
+    builds = []
+    for name in ("_step_tables", "_taylor_tables"):
+        build = getattr(dirichlet, name)
+
+        def counted(rows, cols, h, logs, *rest, build=build, name=name):
+            builds.append((name, rows, cols, logs.size))
+            return build(rows, cols, h, logs, *rest)
+
+        monkeypatch.setattr(dirichlet, name, counted)
+    levels = []
+    rule = moments.composite_gl_grid
+
+    def recorded(fn, a, b, panels):
+        levels.append(panels)
+        return rule(fn, a, b, panels)
+
+    monkeypatch.setattr(moments, "composite_gl_grid", recorded)
+    res = build_resonator(math.exp(20.2), TABLE)
+    supp = support_elements(res, res.x)
+    m2_quadrature(steinhaus_sample(1), 12, 1e4, supp, TABLE)
+    assert levels == [17190, 34380] and RESYNC_STRIDE == 10_000
+    # Last blocks of 7190 and 4380 points; five nodes per group above 10 000 panels.
+    last = {17190: (85, 85), 34380: (67, 66)}
+    want = [
+        ("_step_tables", *shape, terms)
+        for panels in levels
+        for _group in range(2)
+        for terms in (len(supp), 12)
+        for shape in ((100, 100), last[panels])
+    ]
+    assert builds == want
 
 
 # -- diagonal sums ----------------------------------------------------------
@@ -799,14 +915,17 @@ def test_exact_sum_special_values_as_fsum(chunks):
 def test_certify_report_independent_of_blas_threads():
     # The inner g-sums' limb products are exact, so no BLAS thread count
     # can move a report; a floating-point matrix product can split its
-    # sums differently under 1 and 2 threads.  The tiny certify's quadrature
-    # moments add their panel sums by numpy's pairwise sum, and the certified
+    # sums differently under 1 and 2 threads.  The tiny certifies' quadrature
+    # moments add their panel sums by numpy's pairwise sum (at N = 12 both
+    # polynomials take the grid kernel's explicit tables), and the certified
     # search at |t| ~ T/2 scans with range-reduced anchor rows and real Taylor
     # products.
     src = str(Path(moments.__file__).resolve().parents[1])
     commands = [
         ["certify", "--n", "2000000", "--c", "3"],
         ["certify", "--n", "4", "--t", "1e4", "--x", "598741417.6", "--f", "steinhaus",
+         "--seed", "3"],
+        ["certify", "--n", "12", "--t", "1e4", "--x", "485165195.4097903", "--f", "steinhaus",
          "--seed", "3"],
         ["search", "--n", "500", "--t", "6.25e10", "--f", "steinhaus", "--seed", "3",
          "--window-lo", "3.125e10", "--window-hi", "3.125000001e10"],

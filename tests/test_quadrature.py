@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from rescert import quadrature
 from rescert.dirichlet import RESYNC_STRIDE, _grid_values
 from rescert.errors import QuadratureError
 from rescert.quadrature import (
@@ -51,8 +50,8 @@ def test_budget_exhaustion():
     def chirp(x):
         return np.exp(-1j * 1e4 * x)
 
-    def chirp_grid(origins, k0, step, count):
-        return chirp(origins[:, None] + step * np.arange(k0, k0 + count))
+    def chirp_grid(origins, step, out):
+        out[...] = chirp(origins[:, None] + step * np.arange(out.shape[-1]))
 
     # Levels of 3184 and 6368 panels, 10 nodes each: a cap of 100 refuses
     # the first before it runs, a cap of 50 000 the second; `needed` is
@@ -89,18 +88,16 @@ def _poly_abs2(t):
     return (vals * vals.conjugate()).real
 
 
-def _poly_abs2_grid(origins, k0, step, count):
-    out = np.empty((origins.size, count))
-    for start, vals in _grid_values(_COEFFS, _LOGS, origins, k0, count, step):
-        out[:, start : start + vals.shape[-1]] = (vals * vals.conjugate()).real
-    return out
+def _poly_abs2_grid(origins, step, out):
+    for start, vals in _grid_values(_COEFFS, _LOGS, origins, 0, out.shape[-1], step):
+        out.real[:, start : start + vals.shape[-1]] = (vals * vals.conjugate()).real
 
 
 @pytest.mark.parametrize(
     "panels", [8, RESYNC_STRIDE - 1, RESYNC_STRIDE + 1, 5 * RESYNC_STRIDE // 2]
 )
 def test_grid_rule_matches_composite_gl(panels):
-    # One, two and three chunks of panels, each one anchor block of the grid kernel.
+    # One, two and three anchor blocks of the grid kernel per node.
     a, b = 500.0, 1000.0
     dense = composite_gl(_poly_abs2, a, b, panels)
     grid = composite_gl_grid(_poly_abs2_grid, a, b, panels)
@@ -114,22 +111,27 @@ def test_grid_rule_adaptive_matches_default():
     assert abs(grid - dense) <= 1e-13 * abs(dense)
 
 
-@pytest.mark.parametrize("panels", [8, RESYNC_STRIDE + 1, 5 * RESYNC_STRIDE // 2])
-def test_grid_rule_calls_once_per_node_group_and_chunk(panels):
-    # Each call covers a group of nodes over one chunk of RESYNC_STRIDE panels; together the
-    # calls cover every node and panel once, at the abscissae composite_gl uses.
+@pytest.mark.parametrize(
+    "panels, per_scan",
+    [(8, 10), (4000, 10), (5000, 10), (5001, 9), (8000, 6), (RESYNC_STRIDE + 1, 5),
+     (5 * RESYNC_STRIDE // 2, 5)],
+)
+def test_grid_rule_calls_once_per_node_group(panels, per_scan):
+    # Each call covers a group of nodes over every panel of the level, in a zeroed view of
+    # the rule's buffer; together the calls cover every node once, at the abscissae
+    # composite_gl uses.  A group holds as many nodes as keep a kernel block over it within
+    # five blocks' points: all ten nodes up to 5000 panels, five from 10 000.
     calls = []
 
-    def recorded(origins, k0, step, count):
-        calls.append((origins.size, k0, count))
-        return origins[:, None] + step * np.arange(k0, k0 + count)
+    def recorded(origins, step, out):
+        calls.append((origins.size, out.shape))
+        assert not out.any()
+        out[...] = origins[:, None] + step * np.arange(out.shape[-1])
 
     a, b = 500.0, 1000.0
     grid = composite_gl_grid(recorded, a, b, panels)
-    chunks = [(k0, min(RESYNC_STRIDE, panels - k0)) for k0 in range(0, panels, RESYNC_STRIDE)]
-    per_scan = quadrature._NODES_PER_SCAN
     groups = [min(per_scan, GL_ORDER - j) for j in range(0, GL_ORDER, per_scan)]
-    assert calls == [(g, k0, count) for g in groups for k0, count in chunks]
+    assert calls == [(g, (g, panels)) for g in groups]
     dense = composite_gl(lambda t: t, a, b, panels)
     assert abs(grid - dense) <= 1e-14 * abs(dense)
 
