@@ -7,9 +7,15 @@ at most h * sqrt(N) * log(N) / 2.  One kernel, _grid_blocks, scans D_N and
 the resonator polynomial R in anchor blocks of RESYNC_STRIDE points.  Each
 block computes one direct exponential row at its anchor t0 and multiplies
 it into step tables that do not depend on t0, which a scan builds once per
-block shape and term slice.  The inner step table takes one of two forms,
-whichever costs fewer flops given h, L = max log n and the number of terms
-(_taylor_rank): the explicit table e^{i*j*h*log n}, or a rank-K Taylor
+block shape and term slice.  Consecutive blocks of one shape are computed
+in batches whose largest array holds at most 2^16 entries (6 blocks of the
+guided search or of the N = 500 search, one of the N = 5000 search): one
+_expi, one multiply and one stacked product per batch, the product the same
+BLAS call per block as a block alone, so no value moves a bit and the
+per-block overhead of numpy calls is paid once per batch.  The inner step
+table takes one of two forms, whichever costs fewer flops given h,
+L = max log n and the number of terms (_taylor_rank): the explicit table
+e^{i*j*h*log n}, or a rank-K Taylor
 factor over sub-blocks of r points with x = (r - 1)/2 * h * L <= 1 and
 x^K / K! <= u/4, so the search's step (h*L = 2e-3) costs K = 19 products per
 term and sub-block of 1001 points instead of 1001.  The factor's two tables
@@ -37,7 +43,8 @@ which grid point wins a near tie.
 
 The kernel hands each block over in its native layout, a (cols, rows) array
 in grid order that is a transposed view of either form's product, without
-copying it.  _grid_values flattens the blocks to grid order for grid_sup.
+copying it; the explicit form hands a batch over as one block, its products
+side by side.  _grid_values flattens the blocks to grid order for grid_sup.
 The quadrature moments (moments._window_integral) read the native blocks and
 square them in place on the product's float64 view.
 The guided search's peak finder (_guided_candidates) reads the native blocks:
@@ -82,6 +89,8 @@ _REDUCE_HI = 2.0**37 * _C1
 # complex, can split that sum by thread: (19, 5000) @ (5000, 20) gives other bits under 2
 # threads.
 _ONE_THREAD_MADDS = 2**18
+# Entries of a grid-kernel batch's largest array (_blocks_per_batch).
+_BATCH_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -222,12 +231,12 @@ def _taylor_steps(r: int, rank: int, h: float, max_log: float) -> np.ndarray:
     return np.ascontiguousarray(steps.T)
 
 
-def _sum_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sum_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for an (m, k) a and an (..., k, n) b, both real or both complex, the k-sum in
     chunks small enough for one BLAS thread, added in order: no BLAS thread count moves a
-    bit of it."""
+    bit of it.  The product goes into `out` where one is given."""
     step = max(1, _ONE_THREAD_MADDS // (a.shape[0] * b.shape[-1]))
-    out = a[:, :step] @ b[..., :step, :]
+    out = np.matmul(a[:, :step], b[..., :step, :], out=out)
     for i in range(step, a.shape[1], step):
         out += a[:, i : i + step] @ b[..., i : i + step, :]
     return out
@@ -243,6 +252,44 @@ def _grid_error_bound(l1: float, max_log: float, n_terms: int, t_abs: float, h: 
     return l1 * _U * (0.25 + math.e * (n_terms + 40) + 4.0 + phase)
 
 
+def _block_shape(size: int, r: int | None) -> tuple[int, int]:
+    """(rows, cols) of an anchor block of `size` points: r rows (the Taylor factor's
+    sub-blocks), or ceil(sqrt(size)) where r is None."""
+    rows = math.isqrt(size - 1) + 1 if r is None else r
+    return rows, -(-size // rows)
+
+
+def _blocks_per_batch(rows: int, cols: int, n_terms: int, n_origins: int) -> int:
+    """Anchor blocks of one (rows, cols) shape that _grid_blocks computes together: as many as
+    keep the batch's largest array within _BATCH_ENTRIES entries, and at least one.  Per block
+    and origin that array is the (rows, cols) product or the (n_terms, cols) operand, n_terms
+    the terms of the scan's first (largest) slice."""
+    return max(1, _BATCH_ENTRIES // (n_origins * cols * max(rows, n_terms)))
+
+
+def _anchor_batches(first: int, end: int, count: int, r: int | None, n_terms: int, n_origins: int):
+    """Batches (start, nb, rows, cols) of the anchor blocks first, first + RESYNC_STRIDE, ...
+    < end of a count-point scan: nb consecutive blocks of one shape from `start`.  Only the
+    scan's last block can be short; it joins the full blocks' run where its shape is theirs.
+    Each run is cut into batches of _blocks_per_batch blocks."""
+    n = -(-(end - first) // RESYNC_STRIDE)
+    last = first + (n - 1) * RESYNC_STRIDE
+    tail = _block_shape(min(RESYNC_STRIDE, count - last), r)
+    runs = [(first, n - 1, _block_shape(RESYNC_STRIDE, r)), (last, 1, tail)]
+    if n > 1 and runs[0][2] == tail:
+        runs = [(first, n, tail)]
+    batches = []
+    for start, n_run, (rows, cols) in runs:
+        # The explicit form yields a batch as one block, so its blocks must be unpadded.
+        if r is None and rows * cols != RESYNC_STRIDE:
+            per = 1
+        else:
+            per = _blocks_per_batch(rows, cols, n_terms, n_origins)
+        for i in range(0, n_run, per):
+            batches.append((start + i * RESYNC_STRIDE, min(per, n_run - i), rows, cols))
+    return batches
+
+
 def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
     """Yield (start, size, block): block[..., m, j] = sum_n c_n e^{i*t*log n} at point
     k = j + rows*m of the block, t = origin + (k0 + start + k)*h, for its first `size` points.
@@ -255,12 +302,13 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
     grid offsets; block then has one leading row per origin, and row i is bit for bit the
     scan of origin[i] alone.
 
-    A block of size <= RESYNC_STRIDE points starts at the anchor t0 = origin + (k0 + start)*h,
-    whose row c_n e^{i*t0*log n} is the one direct exponential of the block.  Its points come
-    from step tables that depend on neither t0 nor the origin, built once per scan for each
-    block shape (the full blocks, and a shorter last block) and term slice of RESYNC_STRIDE
-    terms; each block adds its slices' products in slice order.  The step tables take one of
-    two forms, whichever costs fewer flops (_taylor_rank, from h, L = max log n and S alone):
+    An anchor block of size <= RESYNC_STRIDE points starts at the anchor
+    t0 = origin + (k0 + start)*h, whose row c_n e^{i*t0*log n} is the one direct exponential
+    of the block.  Its points come from step tables that depend on neither t0 nor the origin,
+    built once per scan for each block shape (the full blocks, and a shorter last block) and
+    term slice of RESYNC_STRIDE terms; each block adds its slices' products in slice order.
+    The step tables take one of two forms, whichever costs fewer flops (_taylor_rank, from h,
+    L = max log n and S alone):
 
     * Explicit: with rows = ceil(sqrt(size)), point j + rows*m is the inner table
       e^{i*j*h*log n} times the anchor row times the outer table e^{i*rows*m*h*log n}, summed
@@ -269,7 +317,8 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
       over a group of consecutive blocks, so with several slices only one slice's tables are
       held.  A group of a scan of n origins has floor(201 / n) blocks (at least one), so its
       held block sums stay within the tables' bound of 201 * RESYNC_STRIDE entries.  The
-      quadrature moments (h*L >= 0.3, a dozen terms) take this form.
+      quadrature moments (h*L >= 0.3, a dozen terms) and the guided search (R has a few
+      terms) take this form.
     * Taylor-factored: the block splits into sub-blocks of r points centred at
       t_m = t0 + (m*r + (r - 1)/2)*h, with x = (r - 1)/2 * h * L <= 1, and
       e^{i*(t_m + delta_j)*log n} = e^{i*t_m*log n} * sum_{k<K} i^k*(delta_j*L)^k/k! * (log n/L)^k
@@ -284,11 +333,29 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
       product.  Held sums are (K, cols), so all blocks form one group.  The certified search
       (h*L = 2e-3: r = 1001, K = 19) takes this form.
 
-    A block is yielded as soon as its last slice is added, so a one-slice scan holds no block
-    sum but the current one.  Each block does one stacked matmul for all origins, so each
-    origin's product is the one a scalar scan computes.  The anchors stay at fixed grid
-    indices: at |t| ~ 6e10 each phase t*log n carries ~3e-5 rad of rounding, so moved anchors
-    shift grid values by ~1e-5 relative, enough to change which grid point wins a near tie.
+    Batches.  Within a group and slice, each run of consecutive blocks of one shape is
+    computed in batches of nb blocks (_anchor_batches), stacked on the axis after the
+    origins': one _expi over the (..., nb, slice) anchor phases, one multiply into the
+    operands and one stacked _sum_matmul.  A batch's largest array, per block the
+    (rows, cols) product or the (slice, cols) operand, holds at most _BATCH_ENTRIES = 2^16
+    entries (_blocks_per_batch, at least one block): the guided search computes 6 blocks a
+    batch and the N = 500 certified search 6, while the N = 5000 search and the quadrature
+    moments' multi-origin blocks keep one.  Numpy runs a stacked matmul as the same BLAS call
+    per block as a block alone, on the same operands, and every other step is elementwise,
+    so every value keeps its bits whatever the batch; the anchors stay at their grid indices.
+    The explicit form writes its products through `out=` side by side into one
+    (..., rows, nb*cols) buffer, and yields the batch as one (..., nb*cols, rows) block in
+    grid order: rows*cols = RESYNC_STRIDE (10^4 is a square), so only the scan's last block
+    has padding (a stride that is not a square batches no explicit blocks).  The Taylor
+    form, whose blocks carry padding (1001*10 > 10^4 points), yields block by block, and
+    takes the (r, K) product of each block as it yields it.
+
+    A batch is yielded as soon as its last slice is added, so a one-slice scan holds no block
+    sum but the current batch's, at most _BATCH_ENTRIES entries per array.  Each batch does
+    one stacked matmul for all origins, so each origin's product is the one a scalar scan
+    computes.  The anchors stay at fixed grid indices: at |t| ~ 6e10 each phase t*log n
+    carries ~3e-5 rad of rounding, so moved anchors shift grid values by ~1e-5 relative,
+    enough to change which grid point wins a near tie.
 
     Error.  With u = 2^-52 (a correctly rounded operation is within u/2 relative), every
     value is within rho of the exact sum (_grid_error_bound), with t_abs' = t_abs +
@@ -312,9 +379,11 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
     cuts = range(0, max(logs.size, 1), RESYNC_STRIDE)  # no terms: one empty slice, zero blocks
     max_log = float(logs.max(initial=0.0))
     factor = _taylor_rank(h, max_log, logs.size)
+    n_origins = math.prod(lead)
     if factor is None:
+        r = None
         # Points per group: 201 held block sums in all, the tables' bound.
-        span = max(1, 201 // math.prod(lead)) * RESYNC_STRIDE
+        span = max(1, 201 // n_origins) * RESYNC_STRIDE
     else:
         r, rank = factor
         steps = _taylor_steps(r, rank, h, max_log)
@@ -323,16 +392,14 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
     # and of the product; most scans stay below 2^27, and _expi then skips its range test.
     t_max = float(np.max(np.abs(origin), initial=0.0)) + max(abs(k0), abs(k0 + count)) * h
     anchor_bound = t_max * max_log * (1.0 + 1e-12)
+    n_terms = min(logs.size, RESYNC_STRIDE)
     key = tables = None
     for first in range(0, count, span):
-        starts = range(first, min(count, first + span), RESYNC_STRIDE)
+        batches = _anchor_batches(first, min(count, first + span), count, r, n_terms, n_origins)
         sums = {}
         for s in cuts:
             c, lg = coeffs[s : s + RESYNC_STRIDE], logs[s : s + RESYNC_STRIDE]
-            for start in starts:
-                size = min(RESYNC_STRIDE, count - start)
-                rows = math.isqrt(size - 1) + 1 if factor is None else r
-                cols = -(-size // rows)
+            for b, (start, nb, rows, cols) in enumerate(batches):
                 if key != (s, rows, cols):
                     tables = None  # free the old tables before building the new ones
                     key = (s, rows, cols)
@@ -340,29 +407,44 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
                         tables = _step_tables(rows, cols, h, lg)
                     else:
                         tables = _taylor_tables(rows, cols, h, lg, rank, max_log)
-                t0 = origin + (k0 + start) * h
+                # The batch's blocks stack on the axis after the origins': (*lead, nb, ...).
+                k = np.arange(k0 + start, k0 + start + nb * RESYNC_STRIDE, RESYNC_STRIDE)
+                t0 = np.add.outer(origin, k * h)
                 anchor = c * _expi(np.multiply.outer(t0, lg), anchor_bound)
                 if factor is None:
                     inner, outer = tables
-                    prod = _sum_matmul(inner, (outer * anchor[..., None, :]).swapaxes(-1, -2))
+                    operand = (outer * anchor[..., None, :]).swapaxes(-1, -2)
+                    if s == 0:
+                        buf = np.empty((*lead, rows, nb, cols), dtype=np.complex128)
+                        prod = _sum_matmul(inner, operand, buf.swapaxes(-3, -2))
+                    else:
+                        prod = _sum_matmul(inner, operand)
                 else:
                     # The complex operand on the right and C-contiguous: a real product
                     # on its float64 view, (K, slice) @ (slice, 2*cols).
                     outer, vander = tables
                     prod = _sum_matmul(vander, (anchor[..., :, None] * outer).view(np.float64))
                 if s == 0:
-                    sums[start] = prod
+                    sums[b] = prod
                 else:
-                    sums[start] += prod
-                if s == cuts[-1]:
-                    acc = sums.pop(start)
-                    if factor is None:
-                        yield start, size, acc.swapaxes(-1, -2)
-                    else:
-                        # The rest of i^k: the odd rows of the held sums times i, a swap and
-                        # a sign; then (r, K) @ (K, 2*cols) on their float64 view.
-                        acc.view(np.complex128)[..., 1::2, :] *= 1j
-                        yield start, size, (steps @ acc).view(np.complex128).swapaxes(-1, -2)
+                    sums[b] += prod
+                if s != cuts[-1]:
+                    continue
+                acc = sums.pop(b)
+                if factor is None:
+                    # The products side by side, (*lead, rows, nb*cols): one block in grid
+                    # order, padded only at the scan's end.
+                    merged = acc.swapaxes(-3, -2).reshape(*lead, rows, nb * cols)
+                    yield start, min(nb * RESYNC_STRIDE, count - start), merged.swapaxes(-1, -2)
+                    continue
+                # The rest of i^k: the odd rows of the held sums times i, a swap and a sign;
+                # then (r, K) @ (K, 2*cols) on their float64 view, a block at a time, so the
+                # (r, cols) product is still in cache when the caller reads it.
+                acc.view(np.complex128)[..., 1::2, :] *= 1j
+                for i in range(nb):
+                    at = start + i * RESYNC_STRIDE
+                    block = (steps @ acc[..., i, :, :]).view(np.complex128).swapaxes(-1, -2)
+                    yield at, min(RESYNC_STRIDE, count - at), block
 
 
 def _grid_values(coeffs, logs, origin, k0: int, count: int, h: float):
@@ -527,10 +609,13 @@ def grid_sup(
     with open(trace_path, "w") if tracing else contextlib.nullcontext() as trace_file:
         if tracing:
             trace_file.write("t,abs_dn\n")
-        # |D|^2 of a block, the imaginary parts' squares and the near-max mask, reused.
-        size = min(n_interior, RESYNC_STRIDE)
-        mag2_buf, imag2_buf, near_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+        # |D|^2 of a block, the imaginary parts' squares and the near-max mask, reused; sized
+        # by the largest block yielded so far (a batch of explicit blocks comes as one).
+        mag2_buf = imag2_buf = near_buf = np.empty(0)
         for start, vals in _grid_values(*terms, 0.0, k_lo, n_interior, step):
+            if mag2_buf.size < vals.size:
+                mag2_buf, imag2_buf = np.empty(vals.size), np.empty(vals.size)
+                near_buf = np.empty(vals.size, dtype=bool)
             mag2 = np.multiply(vals.real, vals.real, out=mag2_buf[: vals.size])
             mag2 += np.multiply(vals.imag, vals.imag, out=imag2_buf[: vals.size])
             # Only points within the tie tolerance of the block maximum can
@@ -557,12 +642,14 @@ def _guided_candidates(blocks, max_log: float, lo: float, step: float, top_k: in
     """Grid indices of the top-k local maxima of |R| over the blocks of R values that
     _grid_blocks yields: (start, size, block), block in (cols, rows) grid order.
 
-    The maxima are found block by block, reading each block in its native layout: np.abs on
-    it, one float copy of |R| into a reused grid-order buffer right after the last two |R|
-    values of the previous blocks (so every interior point is compared with both neighbours
-    once, and nothing is concatenated), and the two neighbour comparisons into reused bool
-    buffers.  With no interior maximum the first argmax stands in; it is taken only until
-    the first interior maximum is found, since after that it cannot be used.
+    The maxima are found a yielded block at a time (the explicit form yields a batch of
+    anchor blocks as one block: 6*10^4 points of the guided search's scan), reading each in
+    its native layout: np.abs on it, one float copy of |R| into a reused grid-order buffer,
+    sized by the largest block, right after the last two |R| values of the previous blocks
+    (so every interior point is compared with both neighbours once, and nothing is
+    concatenated), and the two neighbour comparisons into reused bool buffers.  With no
+    interior maximum the first argmax stands in; it is taken only until the first interior
+    maximum is found, since after that it cannot be used.
     """
     peaks, heights = [], []
     ext = np.empty(2)  # the carried |R| values in ext[2 - carry : 2], then the block's

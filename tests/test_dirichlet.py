@@ -214,18 +214,16 @@ def _explicit_only(monkeypatch):
 def _assert_same_blocks(coeffs, logs, origin, k0, count, h):
     """Bit equality with the per-block kernel where the explicit tables run.  Where the
     Taylor factor runs the two kernels still compute the same anchor rows, so they differ by
-    at most both kernels' error bounds with the anchor phase left out (t_abs = 0)."""
-    got = list(_grid_values(coeffs, logs, origin, k0, count, h))
-    want = list(_per_block_grid_values(coeffs, logs, origin, k0, count, h))
-    assert [start for start, _ in got] == [start for start, _ in want]
-    explicit = _taylor_rank(coeffs, logs, h) is None
-    tol = 2.0 * _error_bound(coeffs, logs, h, 0.0)
-    for (_, g), (_, w) in zip(got, want):
-        assert g.shape == w.shape
-        if explicit:
-            assert np.array_equal(g, w)
-        else:
-            assert np.max(np.abs(g - w)) <= tol
+    at most both kernels' error bounds with the anchor phase left out (t_abs = 0).  The
+    kernel yields a batch of explicit blocks as one block, so the scans are compared
+    joined."""
+    got = _scan(coeffs, logs, origin, k0, count, h)
+    want = np.concatenate([v for _, v in _per_block_grid_values(coeffs, logs, origin, k0, count, h)])
+    assert got.shape == want.shape == (count,)
+    if _taylor_rank(coeffs, logs, h) is None:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 2.0 * _error_bound(coeffs, logs, h, 0.0)
 
 
 def _dn_coeffs_logs(n, seed):
@@ -285,17 +283,21 @@ def test_grid_kernel_builds_step_tables_once_per_scan(monkeypatch):
     calls = _count_step_tables(monkeypatch)
     coeffs, logs = _dn_coeffs_logs(60, 1)
     # The Taylor factor: x <= 1 at h*L = 4.1e-4 gives sub-blocks of 4885 points, 3 per block.
+    # It yields block by block; the explicit tables, forced, yield a batch of up to 6 full
+    # blocks as one block.
     assert _taylor_rank(coeffs, logs, 1e-4) == (4885, 19)
-    shapes = [((4885, 3, 60), (4885, 1, 60)), ((100, 100, 60), (7, 6, 60))]
-    for i, (full, last) in enumerate(shapes):
+    shapes = [((4885, 3, 60), (4885, 1, 60), (5, 6)), ((100, 100, 60), (7, 6, 60), (1, 2))]
+    for i, (full, last, yields) in enumerate(shapes):
         if i:
             _explicit_only(monkeypatch)
         calls.clear()
-        assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * RESYNC_STRIDE, 1e-4))) == 5
+        blocks = list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * RESYNC_STRIDE, 1e-4))
+        assert len(blocks) == yields[0]
         assert calls == [full]
         # A partial last block has its own shape, so it gets its own tables.
         calls.clear()
-        assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * RESYNC_STRIDE + 37, 1e-4))) == 6
+        blocks = list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * RESYNC_STRIDE + 37, 1e-4))
+        assert len(blocks) == yields[1]
         assert calls == [full, last]
 
 
@@ -312,54 +314,132 @@ def test_grid_kernel_builds_step_tables_once_per_group_and_slice(monkeypatch):
             _explicit_only(monkeypatch)
         per_slice = [(*shape, 16), (*shape, 16), (*shape, 8)]
         calls.clear()
-        assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * 16, 1e-4))) == 5
+        # The Taylor factor yields block by block; the explicit tables yield a group's
+        # batch of full blocks as one block.
+        assert len(list(_grid_values(coeffs, logs, 0.0, 10**6, 5 * 16, 1e-4))) == (1 if i else 5)
         assert calls == per_slice
         for n_blocks, n_groups in zip((201, 202), groups):
             calls.clear()
             blocks = _grid_values(coeffs, logs, 0.0, 10**6, n_blocks * 16, 1e-4)
-            assert [start for start, _ in blocks] == list(range(0, n_blocks * 16, 16))
+            starts = range(0, n_blocks * 16, 201 * 16 if i else 16)
+            assert [start for start, _ in blocks] == list(starts)
             assert calls == per_slice * n_groups
 
 
 def test_grid_kernel_yields_one_slice_blocks_before_the_next_is_computed(monkeypatch):
-    # With one term slice no block sum is held back: each block is yielded
-    # before the next anchor row is computed, for one origin and for several,
-    # with the Taylor factor and with the explicit tables.  The spy wraps _expi,
-    # so it records the phases before _expi reduces them (origin 3e10: phases
-    # of ~1e11 rad).
+    # With one term slice no batch sum is held back: each batch is yielded before the next
+    # batch's anchor rows are computed, for one origin and for several, with the Taylor
+    # factor and with the explicit tables, and no batch array exceeds _BATCH_ENTRIES
+    # entries.  The spy wraps _expi, so it records the phases before _expi reduces them
+    # (origin 3e10: phases of ~1e11 rad).
     coeffs, logs = _dn_coeffs_logs(60, 1)
     expi = dirichlet._expi
-    h = 1e-4
+    h, k0, count = 1e-4, 10**6, 13 * RESYNC_STRIDE + 37
+    cap = dirichlet._BATCH_ENTRIES
     for explicit in (False, True):
         if explicit:
             _explicit_only(monkeypatch)
-        # Four origins: no step table (3 or 200 rows here) has the shape of an anchor row.
         for origin in (0.0, 3e10, np.array([0.0, 0.25, 0.5, 0.75])):
-            anchors = []
+            batches = []  # the block starts of each batch's anchors
 
             def recorded(x, *bound):
-                if x.shape[:-1] == np.shape(origin):  # an anchor row per origin
-                    anchors.append(x[..., 1] / logs[1])
+                if bound:  # the anchor rows, (..., nb, slice); step tables pass no bound
+                    assert x.size <= cap
+                    t0 = (x[..., 1] / logs[1]).reshape(-1, x.shape[-2])[0]
+                    k = (t0 - np.ravel(origin)[0]) / h - k0
+                    batches.append((np.rint(k / RESYNC_STRIDE) * RESYNC_STRIDE).astype(int))
                 return expi(x, *bound)
 
             monkeypatch.setattr(dirichlet, "_expi", recorded)
-            for start, _ in _grid_values(coeffs, logs, origin, 10**6, 3 * RESYNC_STRIDE, h):
-                assert len(anchors) == start // RESYNC_STRIDE + 1
-                assert anchors[-1] == pytest.approx(origin + (10**6 + start) * h, rel=1e-12)
+            products = [0]  # entries of the blocks yielded from each batch
+            for start, size, block in _grid_blocks(coeffs, logs, origin, k0, count, h):
+                covered = range(start, start + size, RESYNC_STRIDE)
+                assert set(covered) <= set(batches[-1].tolist())
+                if start == batches[-1][0]:
+                    products.append(0)
+                products[-1] += block.size
+            assert np.concatenate(batches).tolist() == list(range(0, count, RESYNC_STRIDE))
+            assert len(batches) > 3 and max(products) <= cap
+
+
+_CROSS_2_27 = 2.0**27 / math.log(60)  # t where the anchor row's top phase t*log 60 is 2^27
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize(
+    "n, stride, n_origins, cap_blocks, t",
+    [
+        (60, RESYNC_STRIDE, 1, None, 1e3),  # the module's cap: 6 blocks a batch in both forms
+        (60, RESYNC_STRIDE, 1, None, _CROSS_2_27),  # anchors across 2^27 rad inside a batch
+        (60, RESYNC_STRIDE, 4, 3, 1e3),  # four origins
+        (40, 16, 1, 3, 1e3),  # three term slices (16, 16 and 8 terms)
+        (40, 16, 4, 3, 1e3),  # both
+    ],
+)
+def test_grid_kernel_batches_pinned_to_per_block_scans(
+    monkeypatch, explicit, n, stride, n_origins, cap_blocks, t
+):
+    # A batch of anchor blocks computes every value bit for bit as the blocks one at a time
+    # (a cap of one entry: one block a batch), for runs of cap - 1, cap and cap + 1 full
+    # blocks followed by a short last block of another shape or of theirs (which joins their
+    # run).  The spy checks the batch schedule: the nb axis of each batch's anchor phases.
+    monkeypatch.setattr(dirichlet, "RESYNC_STRIDE", stride)
+    coeffs, logs = _dn_coeffs_logs(n, 5)
+    h = 2e-3 / math.log(n) if stride == RESYNC_STRIDE else 1e-4
+    if explicit:
+        _explicit_only(monkeypatch)
+    factor = _taylor_rank(coeffs, logs, h)
+    assert (factor is None) == explicit
+    r = None if explicit else factor[0]
+    n_terms = min(n, stride)
+    rows, cols = dirichlet._block_shape(stride, r)
+    assert rows * cols == stride or not explicit
+    if cap_blocks is not None:
+        monkeypatch.setattr(
+            dirichlet, "_BATCH_ENTRIES", cap_blocks * n_origins * cols * max(rows, n_terms)
+        )
+    nb = dirichlet._blocks_per_batch(rows, cols, n_terms, n_origins)
+    assert nb == (cap_blocks or 6) and nb >= 3
+    k0 = int(t / h) - 2 * stride
+    origin = 0.0 if n_origins == 1 else h * np.arange(n_origins) / n_origins
+    if t == _CROSS_2_27:
+        assert k0 * h * logs[-1] < 2.0**27 <= (k0 + (nb - 1) * stride) * h * logs[-1]
+    expi = dirichlet._expi
+    schedule = []
+
+    def recorded(x, *bound):
+        if bound:  # the anchor rows, (..., nb, slice)
+            schedule.append(x.shape[-2])
+        return expi(x, *bound)
+
+    monkeypatch.setattr(dirichlet, "_expi", recorded)
+    cap = dirichlet._BATCH_ENTRIES
+    n_slices = -(-n // stride)
+    for m in (nb - 1, nb, nb + 1):
+        for tail in (37, 9947) if stride == RESYNC_STRIDE else (5, 13):
+            count = m * stride + tail
+            schedule.clear()
+            got = _scan(coeffs, logs, origin, k0, count, h)
+            joins = dirichlet._block_shape(tail, r) == (rows, cols)
+            runs = [m + 1] if joins else [m, 1]
+            want = [b for run in runs for b in [nb] * (run // nb) + [run % nb] * (run % nb > 0)]
+            assert schedule == want * n_slices
+            monkeypatch.setattr(dirichlet, "_BATCH_ENTRIES", 1)
+            per_block = _scan(coeffs, logs, origin, k0, count, h)
+            monkeypatch.setattr(dirichlet, "_BATCH_ENTRIES", cap)
+            assert got.shape == per_block.shape and got.tobytes() == per_block.tobytes()
 
 
 _GL_ORIGINS = 1000.0 + 0.5 * 1e-3 * (1.0 + np.polynomial.legendre.leggauss(10)[0][:5])
 
 
 def _assert_origins_match_scalar_scans(coeffs, logs, origins, k0, count, h):
-    got = list(_grid_values(coeffs, logs, origins, k0, count, h))
-    assert [start for start, _ in got] == list(range(0, count, dirichlet.RESYNC_STRIDE))
+    # A scalar scan may batch more blocks than the scan of several origins: the scans are
+    # compared joined.
+    got = _scan(coeffs, logs, origins, k0, count, h)
+    assert got.shape == (origins.size, count)
     for i, origin in enumerate(origins):
-        want = list(_grid_values(coeffs, logs, float(origin), k0, count, h))
-        assert len(got) == len(want)
-        for (start, g), (start_1, w) in zip(got, want):
-            assert start == start_1 and g.shape == (origins.size, w.size)
-            assert np.array_equal(g[i], w)
+        assert np.array_equal(got[i], _scan(coeffs, logs, float(origin), k0, count, h))
 
 
 @pytest.mark.parametrize(
@@ -793,6 +873,22 @@ def test_grid_sup_trace(tmp_path):
         assert abs_dn == pytest.approx(abs(eval_DN(f, n, t, TABLE)), rel=1e-9)
 
 
+def test_grid_sup_explicit_batches_pinned_to_the_bit():
+    # At N = 16 the explicit tables run, and the kernel yields batches of 6 full blocks as
+    # one block of 6e4 points: 221 808 points are 4 batches and a short block.  grid_sup's
+    # reused buffers take the largest block; t_star, value and the refinement count are
+    # those of the scan block by block.
+    f, n, t_bound, eps = steinhaus_sample(8), 16, 1000.0, 0.05
+    step = 2.0 * eps / derivative_bound(n)
+    assert dirichlet._taylor_rank(step, math.log(n), n) is None
+    assert dirichlet._blocks_per_batch(100, 100, n, 1) == 6
+    assert 2 * t_bound / step > 3 * 6 * RESYNC_STRIDE
+    result = grid_sup(f, n, t_bound, eps, TABLE)
+    assert (result.t_star, result.value, result.refinement_iterations) == (
+        -432.0827220230687, 3.6308233448531424, 27
+    )
+
+
 def test_grid_sup_validation():
     one = constant_one()
     with pytest.raises(ValueError):
@@ -876,6 +972,8 @@ def test_guided_search_constant_one():
         (constant_one(), 25, 20.0, 0.2, -1.2328129298286758e-08, 5.000000000000002),
         # 24 567 coarse points: two full blocks and a partial third.
         (steinhaus_sample(3, TABLE.limit), 60, 60.0, None, -0.8108768215969929, 2.2050885840059404),
+        # 124 293 coarse points: 12 full blocks in batches of 6 and 6, then a short block.
+        (steinhaus_sample(3, TABLE.limit), 500, 200.0, None, -0.8109934669689506, 1.6224262129600089),
     ],
 )
 def test_guided_search_pinned_to_the_bit(f, n, t_bound, eps, t_star, value):
