@@ -315,8 +315,9 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
       over n: one (rows, slice) @ (slice, cols) product per block and slice, summed over the
       slice's terms in one-thread chunks (_sum_matmul).  The slices run in the outer loop
       over a group of consecutive blocks, so with several slices only one slice's tables are
-      held.  A group of a scan of n origins has floor(201 / n) blocks (at least one), so its
-      held block sums stay within the tables' bound of 201 * RESYNC_STRIDE entries.  The
+      held.  A group of a multi-slice scan of n origins has floor(201 / n) blocks (at least
+      one), so its held block sums stay within the tables' bound of 201 * RESYNC_STRIDE
+      entries; a one-slice scan holds no block sum (below) and forms one group.  The
       quadrature moments (h*L >= 0.3, a dozen terms) and the guided search (R has a few
       terms) take this form.
     * Taylor-factored: the block splits into sub-blocks of r points centred at
@@ -382,12 +383,15 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
     n_origins = math.prod(lead)
     if factor is None:
         r = None
-        # Points per group: 201 held block sums in all, the tables' bound.
-        span = max(1, 201 // n_origins) * RESYNC_STRIDE
     else:
         r, rank = factor
         steps = _taylor_steps(r, rank, h, max_log)
-        span = max(1, count)  # held sums are (K, cols) per block: one group
+    if factor is None and len(cuts) > 1:
+        # Points per group: 201 held block sums in all, the tables' bound.
+        span = max(1, 201 // n_origins) * RESYNC_STRIDE
+    else:
+        # One slice holds no block sum, the Taylor factor (K, cols) per block: one group.
+        span = max(1, count)
     # Every anchor phase |t0 * log n| is below this, with a margin for the roundings of t0
     # and of the product; most scans stay below 2^27, and _expi then skips its range test.
     t_max = float(np.max(np.abs(origin), initial=0.0)) + max(abs(k0), abs(k0 + count)) * h

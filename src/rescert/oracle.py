@@ -1,9 +1,10 @@
 """Independent brute-force checks for the moment machinery.
 
 Everything here recomputes quantities from their definitions with the
-dumbest method that terminates: full quadruple enumeration, dense
-product matching, fixed-panel Simpson quadrature.  Nothing is shared
-with the parametrized/adaptive code paths being checked, so agreement
+dumbest method that terminates: full quadruple enumeration (every
+(m, n, a) tested, in numpy arrays of bounded size rather than Python
+loops), dense product matching, fixed-panel Simpson quadrature.  Nothing
+is shared with the parametrized/adaptive code paths being checked, so agreement
 is evidence rather than tautology.  All functions cap their input sizes
 and raise ValueError beyond the cap instead of grinding.
 """
@@ -11,6 +12,7 @@ and raise ValueError beyond the cap instead of grinding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .ntcore import FactorTable
 from .resonator import Resonator, support_elements
 
 BRUTE_FORCE_CAP = 10_000  # max N * X any brute-force enumeration accepts
+_CHUNK_ENTRIES = 2**20  # (m, n, a) tests per array of the bijection check's enumeration
 
 
 @dataclass
@@ -144,6 +147,39 @@ def diagonal_sum_bruteforce(
     return float(per_product @ per_product)
 
 
+def _quadruples(n_max: int, x_int: int) -> np.ndarray:
+    """Every (m, n, a, b) with m, n <= N, a, b <= X and ma = nb, one per row, found by
+    testing each (m, n, a) for n | ma and ma / n <= X.  A chunk of consecutive m takes
+    its (m, n, a) tests as one array of at most about _CHUNK_ENTRIES entries."""
+    n = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
+    a = np.arange(1, x_int + 1, dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // (n_max * x_int))
+    found = []
+    for first in range(1, n_max + 1, step):
+        m = np.arange(first, min(n_max + 1, first + step), dtype=np.int64)
+        prod = (m[:, None] * a)[:, None, :]  # (m, 1, a) against (n, 1): (m, n, a)
+        mi, ni, ai = np.nonzero((prod % n == 0) & (prod <= n * x_int))
+        mm, nn, aa = m[mi], ni + 1, ai + 1
+        found.append(np.stack([mm, nn, aa, mm * aa // nn], axis=1))
+    return np.concatenate(found)
+
+
+def _mapped_parameters(n_max: int, x_int: int) -> np.ndarray:
+    """Every parameter tuple (a', b', g, h) with (a', b') = 1, a'g, b'g <= X and
+    h*max(a', b') <= N, mapped to (m, n, a, b) = (h b', h a', a' g, b' g), one per row."""
+    z = np.arange(1, min(n_max, x_int) + 1, dtype=np.int64)
+    ap, bp = np.nonzero(np.gcd.outer(z, z) == 1)
+    ap, bp = ap + 1, bp + 1
+    top = np.maximum(ap, bp)
+    h_count = n_max // top
+    per_pair = (x_int // top) * h_count  # the g's times the h's of each pair
+    pair = np.repeat(np.arange(ap.size), per_pair)
+    offset = np.arange(pair.size) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
+    g, h = np.divmod(offset, h_count[pair])
+    g, h, ap, bp = g + 1, h + 1, ap[pair], bp[pair]
+    return np.stack([h * bp, h * ap, ap * g, bp * g], axis=1)
+
+
 def parametrization_bijection_check(n_max: int, x_int: int) -> bool:
     """Verify the gcd parametrization of the diagonal is a bijection.
 
@@ -154,29 +190,25 @@ def parametrization_bijection_check(n_max: int, x_int: int) -> bool:
         (m, n, a, b) = (h b', h a', a' g, b' g)
 
     and requires the two sets to coincide with no parameter collisions.
+    Each tuple is compared as one key ((m(N+1) + n)(X+1) + a)(X+1) + b,
+    which is one-to-one on tuples with m, n <= N and a, b <= X; a tuple
+    outside that range is a mismatch.  N and X must be integers
+    (TypeError otherwise).
     """
     if n_max < 1 or x_int < 1:
         raise ValueError("N and X must be >= 1")
     if n_max * x_int > BRUTE_FORCE_CAP:
         raise ValueError(f"bijection check limited to N*X <= {BRUTE_FORCE_CAP}")
-    quadruples = set()
-    for m in range(1, n_max + 1):
-        for n in range(1, n_max + 1):
-            for a in range(1, x_int + 1):
-                prod = m * a
-                if prod % n == 0 and prod // n <= x_int:
-                    quadruples.add((m, n, a, prod // n))
-    mapped = []
-    z = min(n_max, x_int)
-    for ap in range(1, z + 1):
-        for bp in range(1, z + 1):
-            if math.gcd(ap, bp) != 1:
-                continue
-            mx = max(ap, bp)
-            for g in range(1, x_int // mx + 1):
-                for h in range(1, n_max // mx + 1):
-                    mapped.append((h * bp, h * ap, ap * g, bp * g))
-    return len(mapped) == len(set(mapped)) and set(mapped) == quadruples
+    n_max, x_int = operator.index(n_max), operator.index(x_int)
+    top = np.array([n_max, n_max, x_int, x_int])
+    keys = []
+    for tuples in (_quadruples(n_max, x_int), _mapped_parameters(n_max, x_int)):
+        if not ((tuples >= 1) & (tuples <= top)).all():
+            return False
+        m, n, a, b = tuples.T
+        keys.append(np.sort(((m * (n_max + 1) + n) * (x_int + 1) + a) * (x_int + 1) + b))
+    quadruples, mapped = keys
+    return bool((mapped[1:] != mapped[:-1]).all() and np.array_equal(mapped, quadruples))
 
 
 def m2_bruteforce_quadrature(

@@ -853,6 +853,25 @@ def test_guided_search_memory_bounded():
     assert peak < 8 * 2**20
 
 
+def test_guided_scan_batches_its_one_slice_as_one_group(monkeypatch):
+    # At the benchmark's guided config R has 2 terms, so the explicit scan of 6 214 609
+    # points has one slice and no held block sums: one group of 622 anchor blocks, 621 full
+    # ones in batches of 6 and a short last block of its own shape, 105 batches.  Groups of
+    # 201 blocks would cut the runs at 201, 402 and 603 blocks: 106 batches.
+    anchor_batches = dirichlet._anchor_batches
+    calls = []
+
+    def recorded(first, end, count, *rest):
+        batches = anchor_batches(first, end, count, *rest)
+        calls.append((first, end, count, len(batches)))
+        return batches
+
+    monkeypatch.setattr(dirichlet, "_anchor_batches", recorded)
+    res = build_resonator(4.85e8, TABLE)
+    resonance_guided_search(res, steinhaus_sample(2, TABLE.limit), 500, 1e4, None, TABLE)
+    assert calls == [(0, 6_214_609, 6_214_609, 105)]
+
+
 def test_grid_sup_trace(tmp_path):
     path = os.path.join(tmp_path, "trace.csv")
     f, n, eps, stride = steinhaus_sample(4), 40, 0.05, 997

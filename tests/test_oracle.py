@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import ast
 import math
+import re
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rescert import oracle
 from rescert.moments import m1_quadrature, m2_exact
 from rescert.multfn import constant_one, steinhaus_sample
 from rescert.ntcore import build_factor_table
@@ -119,6 +125,167 @@ def test_bijection_rejects_n_or_x_below_one():
     for n, x in ((3, -5), (3, 0), (0, 3)):
         with pytest.raises(ValueError, match=r"N and X must be >= 1"):
             parametrization_bijection_check(n, x)
+
+
+def _loop_quadruples(n_max, x_int):
+    """The quadruples (m, n, a, b), m, n <= N, a, b <= X, ma = nb, by plain loops."""
+    quadruples = []
+    for m in range(1, n_max + 1):
+        for n in range(1, n_max + 1):
+            for a in range(1, x_int + 1):
+                prod = m * a
+                if prod % n == 0 and prod // n <= x_int:
+                    quadruples.append((m, n, a, prod // n))
+    return quadruples
+
+
+def _loop_mapped(n_max, x_int):
+    """The parameter tuples (a', b', g, h) mapped to (h b', h a', a' g, b' g), by plain loops."""
+    mapped = []
+    z = min(n_max, x_int)
+    for ap in range(1, z + 1):
+        for bp in range(1, z + 1):
+            if math.gcd(ap, bp) != 1:
+                continue
+            mx = max(ap, bp)
+            for g in range(1, x_int // mx + 1):
+                for h in range(1, n_max // mx + 1):
+                    mapped.append((h * bp, h * ap, ap * g, bp * g))
+    return mapped
+
+
+def _loop_match(quadruples, mapped):
+    return len(mapped) == len(set(mapped)) and set(mapped) == set(quadruples)
+
+
+def _loop_bijection_check(n_max, x_int):
+    """The bijection check as plain loops over sets: the reference for the array oracle."""
+    if n_max < 1 or x_int < 1:
+        raise ValueError("N and X must be >= 1")
+    if n_max * x_int > BRUTE_FORCE_CAP:
+        raise ValueError(f"bijection check limited to N*X <= {BRUTE_FORCE_CAP}")
+    return _loop_match(_loop_quadruples(n_max, x_int), _loop_mapped(n_max, x_int))
+
+
+def _rows(array):
+    return [tuple(row) for row in array.tolist()]
+
+
+def _array(rows):
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def _assert_matches_loops(n, x):
+    quadruples, mapped = _loop_quadruples(n, x), _loop_mapped(n, x)
+    # Both enumerate the quadruples in (m, n, a) order; the tuples are compared sorted.
+    assert np.array_equal(oracle._quadruples(n, x), _array(quadruples))
+    got = oracle._mapped_parameters(n, x)
+    got = got[np.lexsort(got.T[::-1])]
+    assert np.array_equal(got, _array(sorted(mapped)))
+    assert parametrization_bijection_check(n, x) is _loop_match(quadruples, mapped) is True
+
+
+def test_bijection_matches_loop_reference_up_to_40():
+    for n in range(1, 41):
+        for x in range(1, 41):
+            _assert_matches_loops(n, x)
+
+
+@pytest.mark.parametrize("n, x", [(1, BRUTE_FORCE_CAP), (100, 100)])
+def test_bijection_matches_loop_reference_at_the_cap(n, x):
+    _assert_matches_loops(n, x)
+
+
+def test_bijection_at_x_one_bounded():
+    # The loops take N^2 = 10^8 steps here.  At X = 1, ma = nb forces a = b = 1 and m = n,
+    # which the only pair a' = b' = 1 gives with g = 1 and h = m.
+    n = BRUTE_FORCE_CAP
+    t0 = time.perf_counter()
+    assert parametrization_bijection_check(n, 1) is True
+    assert time.perf_counter() - t0 < 1.0
+    diagonal = [(m, m, 1, 1) for m in range(1, n + 1)]
+    assert _rows(oracle._quadruples(n, 1)) == diagonal
+    assert _rows(oracle._mapped_parameters(n, 1)) == diagonal
+
+
+@pytest.mark.parametrize("n, x", [(BRUTE_FORCE_CAP, 1), (100, 100)])
+def test_bijection_memory_bounded(n, x):
+    tracemalloc.start()
+    try:
+        parametrization_bijection_check(n, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize(
+    "n, x", [(0, 3), (3, 0), (3, -5), (101, 100), (1.5, 3), (3, 2.5), (2.0, 2), (2, 2.0), (1e5, 1)]
+)
+def test_bijection_raises_as_the_loop_reference(n, x):
+    with pytest.raises((ValueError, TypeError)) as want:
+        _loop_bijection_check(n, x)
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        parametrization_bijection_check(n, x)
+
+
+# Faults in one enumeration, as (enumeration, rows -> faulted rows), at N = X = 12.
+_FAULTS = {
+    "duplicated tuple": ("_mapped_parameters", lambda rows: rows + [(1, 1, 1, 1)]),
+    "dropped tuple": ("_mapped_parameters", lambda rows: [r for r in rows if r != (1, 1, 1, 1)]),
+    "altered tuple": (
+        "_mapped_parameters",
+        lambda rows: [(1, 1, 1, 2) if r == (1, 1, 1, 1) else r for r in rows],
+    ),
+    # a - 1 and b + X + 1 leave the tuple's key unchanged: only the range test catches it.
+    "altered tuple, same key": (
+        "_mapped_parameters",
+        lambda rows: [(2, 2, 1, 15) if r == (2, 2, 2, 2) else r for r in rows],
+    ),
+    "extra quadruple": ("_quadruples", lambda rows: rows + [(1, 1, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_bijection_catches_faults(monkeypatch, fault):
+    name, corrupt = _FAULTS[fault]
+    n = x = 12
+    loops = {"_quadruples": _loop_quadruples(n, x), "_mapped_parameters": _loop_mapped(n, x)}
+    assert corrupt(loops[name]) != loops[name]
+    loops[name] = corrupt(loops[name])
+    assert _loop_match(loops["_quadruples"], loops["_mapped_parameters"]) is False
+    honest = getattr(oracle, name)
+    monkeypatch.setattr(
+        oracle, name, lambda n_max, x_int: np.array(corrupt(_rows(honest(n_max, x_int))))
+    )
+    assert parametrization_bijection_check(n, x) is False
+
+
+def _rescert_imports(source):
+    """The rescert modules a source imports, at any depth, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module is None:  # from . import x
+                found |= {alias.name for alias in node.names}
+            elif node.level or (node.module or "").startswith("rescert."):
+                found.add(node.module.removeprefix("rescert.").split(".")[0])
+            elif node.module == "rescert":
+                found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("rescert."):
+                    found.add(alias.name.split(".")[1])
+    return found
+
+
+def test_oracle_imports_none_of_the_checked_layers():
+    # The oracles are evidence only while they share no code with what they check.
+    probe = "from .moments import a\nfrom . import bump\nimport rescert.dirichlet\n"
+    probe += "def f():\n    from rescert import quadrature\n"
+    assert _rescert_imports(probe) == {"moments", "bump", "dirichlet", "quadrature"}
+    imported = _rescert_imports(Path(oracle.__file__).read_text())
+    assert imported == {"multfn", "ntcore", "resonator"}
 
 
 def test_m2_bruteforce_matches_m1_at_n1():
