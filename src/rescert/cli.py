@@ -31,7 +31,7 @@ import math
 import sys
 import traceback
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -355,16 +355,20 @@ def cmd_oracle(cfg: RunConfig, op: str) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, n_list: list[int], seed_list: list[int]) -> int:
+    # Every row's configuration is validated as certify's is, before any row runs.
+    configs = [replace(cfg, n=n, seed=seed) for n in n_list for seed in seed_list]
+    for row_cfg in configs:
+        row_cfg.validate()
     rows = []
     reports = []
     header = None
-    for n in n_list:
-        for seed in seed_list:
-            report = _certify_report(RunConfig(**{**asdict(cfg), "n": n, "seed": seed}))
-            if header is None:
-                header = ["n", "seed"] + report.csv_header()
-            rows.append([n, seed] + report.csv_row())
-            reports.append({"n": n, "seed": seed, "report": report.to_dict()})
+    for row_cfg in configs:
+        report = _certify_report(row_cfg)
+        n, seed = row_cfg.n, row_cfg.seed
+        if header is None:
+            header = ["n", "seed"] + report.csv_header()
+        rows.append([n, seed] + report.csv_row())
+        reports.append({"n": n, "seed": seed, "report": report.to_dict()})
     payload = _envelope("sweep", cfg, reports)
     _emit(payload, cfg, csv_rows=(header or [], rows))
     return 0
@@ -374,9 +378,8 @@ def cmd_sweep(cfg: RunConfig, n_list: list[int], seed_list: list[int]) -> int:
 # Argument parsing.
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """The flags every subcommand takes, on a parent parser for `parents=`."""
-    p = argparse.ArgumentParser(add_help=False)
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """Add the flags every subcommand takes to its parser `p`."""
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--n", type=int)
     p.add_argument("--c", type=float)
@@ -400,7 +403,6 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--sieve-limit", type=int)
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"))
-    return p
 
 
 def _check_config_type(key: str, value, hint) -> None:
@@ -448,23 +450,37 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+# The subcommands, in the order the usage line lists them.
+_COMMANDS = ("certify", "search", "resonator", "sweep", "oracle")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process (parsing leaves it unchanged)."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and `command` (parsing leaves
+    it unchanged).
+
+    With `command`, one of _COMMANDS, the parser has that subcommand
+    alone, which is all an argv starting with it needs; main takes it for
+    such an argv, so a run builds one subparser, not five.  Its usage line
+    still names every subcommand, so an unrecognized argument prints the
+    same usage as the full parser.  Without, it has all five: --help,
+    --version and unknown commands need them.
+    """
     ap = _Parser(
         prog="rescert",
         description="resonance certificates for Dirichlet polynomial sups",
     )
     ap.add_argument("--version", action="version", version=f"rescert {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-    common = [_common_flags()]
-    for name in ("certify", "search", "resonator", "sweep"):
-        p = sub.add_parser(name, parents=common)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        p = sub.add_parser(name)
+        _add_common_flags(p)
         if name == "sweep":
             p.add_argument("--n-list", required=True)
             p.add_argument("--seed-list", default="0")
-    p = sub.add_parser("oracle", parents=common)
-    p.add_argument("op", choices=("diag", "bijection"))
+        elif name == "oracle":
+            p.add_argument("op", choices=("diag", "bijection"))
     return ap
 
 
@@ -489,8 +505,11 @@ def _fail(exc: Exception, line: str, code: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
+        args = parser.parse_args(argv)
         cfg = _merge_config(args)
         cfg.validate()
         if args.command == "certify":

@@ -19,12 +19,12 @@ to sums over coprime pairs (a', b') that this module evaluates exactly
 (correctly rounded sums) or brackets rigorously.
 
 For window resonators the support is held as sorted arrays of integers,
-weights and prime masks (resonator.SupportArrays).  The diagonal, its
-g-capped fallbacks, the main term and the alpha-shift tail stream the
-coprime pairs of the support <= min(N, X) as boolean tiles
-(SupportArrays.coprime_tiles; the diagonal's tiles are a column group by
-a row batch), so no pair list is held and their memory does not grow with
-the pair count.
+weights and prime masks (resonator.SupportArrays).  The diagonal and its
+g-capped fallbacks stream the coprime pairs of the support <= min(N, X)
+as boolean tiles (SupportArrays.coprime_tiles; the diagonal's tiles are a
+column group by a row batch), and the main term and the alpha-shift tail
+share one stream of them (_pair_sums), so no pair list is held and their
+memory does not grow with the pair count.
 The inner g-sums of the diagonal, sum of r(g)^2 over support
 g <= X/max(a',b') coprime to a'b', come from dense products over the same
 arrays: 0/1 coprimality tiles times r(g)^2 split into integer limbs,
@@ -336,23 +336,43 @@ def _exact_fsum(x: np.ndarray) -> float:
     return total.value()
 
 
-def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
-    """Correctly rounded sum of a symmetric term over ordered coprime pairs.
+class _PairSum(_ExactSum):
+    """An exact sum (_ExactSum) of a symmetric term over ordered coprime pairs.
 
-    vals yields the terms of the pairs (i, k), i <= k, in arrays, the
-    pair (0, 0) first; the sum does not depend on their order.  Each term
-    also stands for its mirror pair, so it is added twice, except the
-    first: the pair (0, 0) is (1, 1), its own mirror.  One exact
-    accumulator (_ExactSum) takes every array.
+    add() takes the terms of the pairs (i, k), i <= k, in arrays, the pair
+    (0, 0) first; the sum does not depend on their order.  Each term also
+    stands for its mirror pair, so it is added twice, except the first:
+    the pair (0, 0) is (1, 1), its own mirror.
     """
-    total = _ExactSum()
-    first = True
+
+    _first = True
+
+    def add(self, x: np.ndarray) -> None:
+        twice = 2.0 * x
+        if self._first and len(x):
+            twice[0], self._first = x[0], False
+        super().add(twice)
+
+
+def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
+    """Correctly rounded sum of a symmetric term over ordered coprime pairs,
+    vals yielding the terms as _PairSum.add takes them."""
+    total = _PairSum()
     for v in vals:
-        twice = 2.0 * v
-        if first and len(v):
-            twice[0], first = v[0], False
-        total.add(twice)
+        total.add(v)
     return total.value()
+
+
+def _pair_sums(sup: SupportArrays, *factors: tuple[np.ndarray, np.ndarray]) -> list[float]:
+    """For each (left, right) of factors, the correctly rounded sum over the
+    ordered coprime pairs of sup of the symmetric term whose value on a pair
+    (i, k), i <= k, is left[i] * right[k]; all from one walk of the
+    coprime tiles (SupportArrays.coprime_tiles)."""
+    totals = [_PairSum() for _ in factors]
+    for k, i, ok in sup.coprime_tiles():
+        for (left, right), total in zip(factors, totals):
+            total.add((left[None, i] * right[k, None])[ok])
+    return [total.value() for total in totals]
 
 
 def _dense_diagonal(toy, n_max: int, x: float, budget: int) -> float:
@@ -641,12 +661,11 @@ def _t_weights(res: Resonator, sup: SupportArrays) -> np.ndarray:
     return sup.r * np.exp(-log_plain)
 
 
-def _main_term(sup: SupportArrays, t: np.ndarray) -> float:
-    """sum over the ordered coprime pairs of sup of t(a') t(b') a'b' / max^3,
-    t = _t_weights on sup."""
+def _main_factors(sup: SupportArrays, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_pair_sums factors of the main term, the sum over the ordered coprime
+    pairs of sup of t(a') t(b') a'b' / max^3, t = _t_weights on sup."""
     w = t * sup.ns
-    w_over_cube = w / sup.ns.astype(np.float64) ** 3
-    return _pair_fsum((w[None, i] * w_over_cube[k, None])[ok] for k, i, ok in sup.coprime_tiles())
+    return w, w / sup.ns.astype(np.float64) ** 3
 
 
 def _balanced_pair_bound(sup: SupportArrays, t: np.ndarray, z: float) -> float:
@@ -655,8 +674,11 @@ def _balanced_pair_bound(sup: SupportArrays, t: np.ndarray, z: float) -> float:
     return _exact_fsum(t / np.sqrt(sup.ns)) ** 2 / math.log(z)
 
 
-def _alpha_tail(res: Resonator, sup: SupportArrays, x: float, alpha: float) -> float:
-    """alpha_shift_error_term over the coprime pairs of sup."""
+def _tail_factors(
+    res: Resonator, sup: SupportArrays, x: float, alpha: float
+) -> tuple[np.ndarray, float]:
+    """(u, scale): alpha_shift_error_term over the coprime pairs of sup is
+    scale times their _pair_sums sum with factors (u, u)."""
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
     log_shift = [math.log1p(res.r_p[p] ** 2 * p**alpha) for p in res.primes]
@@ -669,8 +691,7 @@ def _alpha_tail(res: Resonator, sup: SupportArrays, x: float, alpha: float) -> f
         * sup.ns.astype(np.float64) ** (alpha - 0.5)
         * np.exp(-sup.prime_factor_sums(log_shift))
     )
-    pair_sum = _pair_fsum((u[None, i] * u[k, None])[ok] for k, i, ok in sup.coprime_tiles())
-    return math.exp(log_full_shift - log_full_plain) * x ** (-alpha) * pair_sum
+    return u, math.exp(log_full_shift - log_full_plain) * x ** (-alpha)
 
 
 def moment_main_term(
@@ -685,7 +706,7 @@ def moment_main_term(
     for coprime a', b'.  Always at least 1 (the (1,1) term).
     """
     sup = support_arrays(res, min(float(n_max), x), budget)
-    return _main_term(sup, _t_weights(res, sup))
+    return _pair_sums(sup, _main_factors(sup, _t_weights(res, sup)))[0]
 
 
 def balanced_pair_bound_check(
@@ -703,7 +724,7 @@ def balanced_pair_bound_check(
         raise ValueError("z must exceed 1")
     sup = support_arrays(res, z, budget)
     t = _t_weights(res, sup)
-    return _main_term(sup, t), _balanced_pair_bound(sup, t, z)
+    return _pair_sums(sup, _main_factors(sup, t))[0], _balanced_pair_bound(sup, t, z)
 
 
 def alpha_shift_error_term(
@@ -722,7 +743,8 @@ def alpha_shift_error_term(
     Positive whenever the support is nonempty or trivially X^{-alpha}.
     """
     sup = support_arrays(res, min(float(n_max), x), budget)
-    return _alpha_tail(res, sup, x, alpha)
+    u, scale = _tail_factors(res, sup, x, alpha)
+    return scale * _pair_sums(sup, (u, u))[0]
 
 
 def tail_truncation_check(
@@ -1026,15 +1048,17 @@ def ratio_and_bounds(
         m2_q = m2_quadrature(f, n_max, t_bound, support, table)
         m2_e = m2_exact(f, n_max, t_bound, support, table)
 
+    # One walk of the coprime tiles sums the main term (the balanced pair
+    # sum too) and the tail's pairs.
+    t_z = _t_weights(res, sup_z)
+    factors = [_main_factors(sup_z, t_z)]
     alpha_eff = alpha if alpha is not None else res.alpha_default
     if alpha_eff is not None:
-        tail = _alpha_tail(res, sup_z, x, alpha_eff)
-    else:
-        # Degenerate resonator: no shift parameter to run the tail bound with.
-        tail = None
-
-    t_z = _t_weights(res, sup_z)
-    main = _main_term(sup_z, t_z)  # the balanced pair sum too
+        u, tail_scale = _tail_factors(res, sup_z, x, alpha_eff)
+        factors.append((u, u))
+    main, *tail_sum = _pair_sums(sup_z, *factors)
+    # None on a degenerate resonator: no shift parameter to run the tail bound with.
+    tail = tail_scale * tail_sum[0] if tail_sum else None
     if z > 1.0:
         pair_lhs, pair_rhs = main, _balanced_pair_bound(sup_z, t_z, z)
     else:

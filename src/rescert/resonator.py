@@ -283,8 +283,10 @@ def support_arrays(
     extends every element so far whose product with p stays <= cap, and
     the extensions are written in place after the elements so far (the
     arrays double when full).  The weights are thus multiplied up in
-    ascending prime order; one stable sort by n ends the build.  1 is
-    always included when cap >= 1; cap = inf gives the whole support.
+    ascending prime order; one sort by n ends the build.  The n are
+    distinct squarefree products, so any sort gives the same permutation,
+    and numpy's default one is the fastest.  1 is always included when
+    cap >= 1; cap = inf gives the whole support.
 
     Raises:
         ValueError: cap is NaN.
@@ -338,7 +340,7 @@ def support_arrays(
     # Permuted one at a time, so each unsorted buffer goes before the next
     # copy; masks first, as below 33 window primes they are the narrowest.
     del active
-    order = np.argsort(ns[:size], kind="stable")
+    order = np.argsort(ns[:size])
     masks = masks[order]
     ns = ns[order]
     r = r[order]

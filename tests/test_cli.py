@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -433,3 +434,62 @@ def test_every_subcommand_takes_the_common_flags(command):
     assert args.pop("command") == command
     assert args.pop("config") is None and args.pop("guided") is True
     assert {name: str(value).removesuffix(".0") for name, value in args.items()} == texts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "1000", "--c", "3"],
+        ["search", "--n", "4", "--t", "10", "--eps", "0.05"],
+        ["resonator", "--x", "4.85e8"],
+        ["sweep", "--n-list", "50,60", "--c", "3", "--format", "csv"],
+        ["oracle", "bijection", "--n", "5", "--x", "5"],
+        ["sweep", "--c", "3"],  # no --n-list
+        ["oracle", "--n", "2", "--x", "2"],  # no op
+        ["oracle", "bad", "--n", "2", "--x", "2"],
+        ["certify", "--n", "10", "--c", "3", "--exact", "bad"],
+        ["certify", "--n", "10", "--c", "3", "--format", "xml"],
+        ["certify", "--n", "10", "--c", "3", "--no-such-flag"],  # the top parser's usage
+        ["certify", "--c", "3", "--n"],  # a flag without its value
+        ["certify", "--help"],
+    ],
+)
+def test_one_subcommand_parser_runs_as_the_full_parser(argv, monkeypatch, capsys):
+    # main parses with the invoked subcommand's parser alone; the parser with all
+    # five must give the same Namespace, exit code, stdout and stderr.
+    def outcome():
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, re.sub(r'"generated_at": "[^"]*"', "", captured.out), captured.err
+
+    one = outcome()
+    full = build_parser()
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "build_parser", lambda command=None: full)
+        assert outcome() == one
+    if one[0] == 0 and "--help" not in argv:
+        assert build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "0"],
+        ["sweep", "--n-list", "0"],
+        ["sweep", "--n-list", "50,0"],  # refused before the first row runs
+    ],
+)
+@pytest.mark.parametrize("height", [["--c", "3"], ["--t", "100"]])
+def test_sweep_rows_are_validated_as_certify(argv, height, capsys):
+    assert main([*argv, *height]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err.splitlines()[-1])
+    assert error == {
+        "kind": "ValueError",
+        "message": "N must be a positive integer",
+        "layer": "rescert.cli",
+    }

@@ -557,6 +557,123 @@ def test_certify_c3_pinned(tmp_path, n_max):
     assert not report["flags"]["diag_sum_truncated"]
 
 
+# Every field of two certify reports, float.hex for floats, with nested
+# dicts flattened to dotted keys: the benchmark's op and a C = 4 run.  The
+# tolerance checks above and the benchmark's reference (ratio, diag_sum and
+# lower_bound) would miss a last-bit move in any other field.
+REPORT_PINS = {
+    "certify --n 2000000 --c 3 --f steinhaus --seed 0": {
+        "alpha": "0x1.54975d00895f6p-4",
+        "balanced_pair_bound": "0x1.cb90032b9e211p-4",
+        "balanced_pair_diag_ratio": "0x1.36a03077f732cp-7",
+        "balanced_pair_sum": "0x1.0ab02efff2fafp+0",
+        "c": "0x1.8000000000000p+1",
+        "delta": "0x1.0000000000000p-1",
+        "diag_sum": "0x1.bcdefbdf077aap+21",
+        "diagnostic_exponent_ratio": "0x1.38bf3ac39ea90p-6",
+        "feasibility.c_le_log_n_pow_gamma": True,
+        "feasibility.log_n_gt_3lam_loglog_lam": False,
+        "feasibility.log_x_gt_3lam_loglog_lam": True,
+        "feasibility.t_ge_n_pow_two_over_delta": False,
+        "flags.diag_sum_truncated": False,
+        "flags.r2_sum_truncated": False,
+        "gamma": "0x1.0000000000000p-1",
+        "growth_bound_n": "0x1.48920bf6abc9cp+3",
+        "growth_bound_t": "0x1.614bbf2440d7dp+3",
+        "lower_bound": "0x1.0c0243449d225p+0",
+        "lower_bound_bracket": "0x0.0p+0",
+        "m1_exact": None,
+        "m1_main": "0x1.14def11219c5dp+62",
+        "m1_quad": None,
+        "m2_diag_main": "0x1.2f74b4d1ab4fep+62",
+        "m2_exact": None,
+        "m2_quad": None,
+        "main_term": "0x1.0ab02efff2fafp+0",
+        "n": 2000000,
+        "offdiag_eps1": "0x1.34abfe7fe1a9fp-31",
+        "offdiag_eps2": "0x1.18bc4418cc18dp+11",
+        "ratio": "0x1.1894bcdcc7bf4p+0",
+        "ratio_bracket_hi": "0x1.33d419095f8acp+11",
+        "ratio_bracket_lo": "0x0.0p+0",
+        "resonator.alpha_default": "0x1.54975d00895f6p-4",
+        "resonator.euler_product": "0x1.a99da3362caa3p+0",
+        "resonator.is_empty": False,
+        "resonator.lam": "0x1.3c57b68aa13a7p+3",
+        "resonator.prime_count": 17,
+        "resonator.sum_r_squared": "0x1.a99d24363d275p+0",
+        "resonator.window_hi": "0x1.7cc9821b92292p+7",
+        "resonator.window_lo": "0x1.86e8a8b3d26b4p+6",
+        "resonator.x": "0x1.d1a94a200001ap+41",
+        "t": "0x1.bc16d674ec800p+62",
+        "tail_error": "0x1.dc93c96093331p-3",
+        "x": "0x1.d1a94a200001ap+41",
+    },
+    "certify --n 100000 --c 4": {
+        "alpha": "0x1.44d0995a81ff1p-4",
+        "balanced_pair_bound": "0x1.2edd5f6812134p-3",
+        "balanced_pair_diag_ratio": "0x1.6496ada8ed9d7p-7",
+        "balanced_pair_sum": "0x1.0c92212304807p+0",
+        "c": "0x1.0000000000000p+2",
+        "delta": "0x1.0000000000000p-1",
+        "diag_sum": "0x1.7b8b90b76541fp+17",
+        "diagnostic_exponent_ratio": "0x1.55780d44526afp-6",
+        "feasibility.c_le_log_n_pow_gamma": False,
+        "feasibility.log_n_gt_3lam_loglog_lam": False,
+        "feasibility.log_x_gt_3lam_loglog_lam": True,
+        "feasibility.t_ge_n_pow_two_over_delta": True,
+        "flags.diag_sum_truncated": False,
+        "flags.r2_sum_truncated": False,
+        "gamma": "0x1.0000000000000p-1",
+        "growth_bound_n": "0x1.885c8fa02192cp+3",
+        "growth_bound_t": "0x1.7392814072939p+3",
+        "lower_bound": "0x1.0d6c30ef0081ap+0",
+        "lower_bound_bracket": "0x0.0p+0",
+        "m1_exact": None,
+        "m1_main": "0x1.c886fe2620f9bp+65",
+        "m1_quad": None,
+        "m2_diag_main": "0x1.f9a7df710c769p+65",
+        "m2_exact": None,
+        "m2_quad": None,
+        "main_term": "0x1.0c92212304807p+0",
+        "n": 100000,
+        "offdiag_eps1": "0x1.ca79102c575ccp-34",
+        "offdiag_eps2": "0x1.0addc94bafe87p+0",
+        "ratio": "0x1.1b8c8c8f9a135p+0",
+        "ratio_bracket_hi": "0x1.21911ef42e893p+1",
+        "ratio_bracket_lo": "0x0.0p+0",
+        "resonator.alpha_default": "0x1.44d0995a81ff1p-4",
+        "resonator.euler_product": "0x1.c124f7a92bcc2p+0",
+        "resonator.is_empty": False,
+        "resonator.lam": "0x1.481aec331ba3cp+3",
+        "resonator.prime_count": 21,
+        "resonator.sum_r_squared": "0x1.c124c3268ca3cp+0",
+        "resonator.window_hi": "0x1.c2ba029f89549p+7",
+        "resonator.window_lo": "0x1.a4850017cb238p+6",
+        "resonator.x": "0x1.3982f24d75ee9p+44",
+        "t": "0x1.5af1d78b58c40p+66",
+        "tail_error": "0x1.f862db1a1edc6p-3",
+        "x": "0x1.3982f24d75ee9p+44",
+    },
+}
+
+
+def _report_fields(value, prefix=""):
+    """The report's leaves by dotted key, floats as float.hex."""
+    if isinstance(value, dict):
+        fields = {}
+        for key, item in value.items():
+            fields.update(_report_fields(item, f"{prefix}{key}."))
+        return fields
+    return {prefix[:-1]: value.hex() if isinstance(value, float) else value}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_PINS))
+def test_certify_reports_pinned_bit_for_bit(tmp_path, command):
+    out = tmp_path / "out.json"
+    assert cli_main([*command.split(), "--out", str(out)]) == 0
+    assert _report_fields(json.loads(out.read_text())["report"]) == REPORT_PINS[command]
+
+
 # `certify --n 1000000 --c 3` under three term budgets: the support <= X
 # over budget; the support within it but not the diagonal's coprime
 # pairs; everything within it.  (budget, support sums truncated, diagonal
