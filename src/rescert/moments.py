@@ -19,16 +19,17 @@ to sums over coprime pairs (a', b') that this module evaluates exactly
 (correctly rounded sums) or brackets rigorously.
 
 For window resonators the support is held as sorted arrays of integers,
-weights and prime masks (resonator.SupportArrays).  The diagonal and its
-g-capped fallbacks stream the coprime pairs of the support <= min(N, X)
-as boolean tiles (SupportArrays.coprime_tiles; the diagonal's tiles are a
-column group by a row batch), and the main term and the alpha-shift tail
-share one stream of them (_pair_sums), so no pair list is held and their
-memory does not grow with the pair count.
+weights and prime masks (resonator.SupportArrays).  A certificate first
+plans the diagonal, every budget check before any g-sum work
+(_diagonal_terms), then walks the coprime pairs of the support
+<= min(N, X) once, as boolean tiles (SupportArrays.coprime_tiles): the
+diagonal, the main term and the alpha-shift tail are terms of that one
+walk (_pair_sums), so no pair list is held and their memory does not grow
+with the pair count.
 The inner g-sums of the diagonal, sum of r(g)^2 over support
 g <= X/max(a',b') coprime to a'b', come from dense products over the same
 arrays: 0/1 coprimality tiles times r(g)^2 split into integer limbs,
-exact whatever the BLAS and the chunks of g (_window_diagonal).  Every
+exact whatever the BLAS and the chunks of g.  Every
 pair sum and every sum over a support array goes into one exact
 accumulator (_ExactSum), bit for bit math.fsum.  Every term the
 certificate adds is positive and no inclusion-exclusion subtraction is
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +51,8 @@ from .multfn import UnimodularCMF, values_up_to
 from .ntcore import FactorTable
 from .quadrature import adaptive_oscillatory, composite_gl_grid
 from .resonator import (
-    _SIDE,
+    _COLS,
+    _ROWS,
     Resonator,
     SupportArrays,
     SupportElement,
@@ -269,13 +271,13 @@ class _ExactSum:
     below 2^53 (2^27).  So the bins fold into one Python integer, in
     units of 2^-1126 = 2^(e_min - 53), before any bin could hold more.
     value() divides that integer by 2^1126, which Python rounds correctly.
-    Terms go through in chunks of _SIDE^2, so the temporaries stay small
-    whatever the array.
+    Terms go through in chunks of one coprime tile's pairs, so the
+    temporaries stay small whatever the array.
     """
 
     _E_MIN = -1073  # frexp's exponent of 2^-1074; finite terms have e <= 1024
     _BINS = 1024 - _E_MIN + 1
-    _CHUNK = _SIDE * _SIDE
+    _CHUNK = _COLS * _ROWS
     _FOLD = 1 << 26
 
     def __init__(self) -> None:
@@ -336,43 +338,29 @@ def _exact_fsum(x: np.ndarray) -> float:
     return total.value()
 
 
-class _PairSum(_ExactSum):
-    """An exact sum (_ExactSum) of a symmetric term over ordered coprime pairs.
+def _pair_sums(
+    sup: SupportArrays, *terms: Callable[[slice, slice, np.ndarray], np.ndarray]
+) -> list[float]:
+    """For each term, the correctly rounded sum of a symmetric term over
+    the ordered coprime pairs of sup, all from one walk of the coprime
+    tiles (SupportArrays.coprime_tiles).
 
-    add() takes the terms of the pairs (i, k), i <= k, in arrays, the pair
-    (0, 0) first; the sum does not depend on their order.  Each term also
-    stands for its mirror pair, so it is added twice, except the first:
-    the pair (0, 0) is (1, 1), its own mirror.
+    A term fn(k, i, ok) returns a new array of its values on the tile's
+    pairs i <= k in ok's order: all of them, or those of a prefix of sup's
+    elements.  Each value also stands for its mirror pair, except that of
+    the pair (0, 0), the pair (1, 1), first in the first tile.  So the sum
+    is twice the exact sum (_ExactSum) of the values with that one halved;
+    halving and doubling are exact away from the ends of the float range,
+    so it is the correctly rounded sum over the ordered pairs.
     """
-
-    _first = True
-
-    def add(self, x: np.ndarray) -> None:
-        twice = 2.0 * x
-        if self._first and len(x):
-            twice[0], self._first = x[0], False
-        super().add(twice)
-
-
-def _pair_fsum(vals: Iterable[np.ndarray]) -> float:
-    """Correctly rounded sum of a symmetric term over ordered coprime pairs,
-    vals yielding the terms as _PairSum.add takes them."""
-    total = _PairSum()
-    for v in vals:
-        total.add(v)
-    return total.value()
-
-
-def _pair_sums(sup: SupportArrays, *factors: tuple[np.ndarray, np.ndarray]) -> list[float]:
-    """For each (left, right) of factors, the correctly rounded sum over the
-    ordered coprime pairs of sup of the symmetric term whose value on a pair
-    (i, k), i <= k, is left[i] * right[k]; all from one walk of the
-    coprime tiles (SupportArrays.coprime_tiles)."""
-    totals = [_PairSum() for _ in factors]
+    totals = [_ExactSum() for _ in terms]
     for k, i, ok in sup.coprime_tiles():
-        for (left, right), total in zip(factors, totals):
-            total.add((left[None, i] * right[k, None])[ok])
-    return [total.value() for total in totals]
+        for term, total in zip(terms, totals):
+            vals = term(k, i, ok)
+            if k.start == i.start == 0:
+                vals[:1] *= 0.5
+            total.add(vals)
+    return [2.0 * total.value() for total in totals]
 
 
 def _dense_diagonal(toy, n_max: int, x: float, budget: int) -> float:
@@ -407,20 +395,18 @@ def _dense_diagonal(toy, n_max: int, x: float, budget: int) -> float:
     return total.value()
 
 
-# The diagonal kernel takes the support elements <= min(N, X) in column
-# groups of _GROUP and row batches of _ROWS, and holds arrays of at most
-# _TILE entries: a batch's coprimality tile against a chunk of the g-range
-# as wide as that allows, the group's limb products, and their int64 sums.
+# The diagonal kernel takes the support elements <= min(N, X) in the
+# coprime tiles (_COLS columns by _ROWS rows), and holds arrays of at most
+# _TILE entries: a tile's coprimality rows against a chunk of the g-range
+# as wide as that allows, its columns' limb products, and their int64 sums.
 # r(g)^2 enters as two integer-valued limbs of _LIMB bits, so the limb
 # sums over a chunk (at most _TILE g's) stay below 2^53 and are exact, and
 # their int64 sums over any g-range of fewer than 2^(63 - _LIMB) elements
 # are exact too.  _dense_diagonal's row blocks of the gcd matrix hold
 # about _BLOCK entries.
-_TILE = 2 * _SIDE * _SIDE
+_TILE = 2 * _COLS * _ROWS
 _BLOCK = 2 * _TILE
 _LIMB = 52 - (_TILE - 1).bit_length()
-_GROUP = 64
-_ROWS = _TILE // (2 * _GROUP)
 
 
 def _r2_limbs(r: np.ndarray, scale: float) -> np.ndarray:
@@ -441,42 +427,89 @@ def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def _diagonal_terms(
-    sup: SupportArrays, lens: np.ndarray, weight: np.ndarray, scale: float
-) -> Iterable[np.ndarray]:
-    """Yield the terms weight[k] * r[i] * INNER[k, i] of the coprime pairs
-    (i, k), i <= k < len(lens), of sup's elements, the pair (0, 0) first.
-    INNER[k, i] is the sum of r(g)^2 over the first lens[k] elements g of
-    sup coprime to elements i and k.
+    sup: SupportArrays, n_max: int, x: float, budget: int
+) -> Callable[[slice, slice, np.ndarray], np.ndarray]:
+    """Plan the diagonal over sup, a prefix of the support <= X, and return
+    its _pair_sums term: weight[k] * r[i] * INNER[k, i] on the coprime pairs
+    (i, k), i <= k, of sup's elements <= min(N, X), weight[k] = floor(N/n_k)
+    r(n_k), INNER[k, i] the sum of r(g)^2 over the first lens[k] elements g
+    of sup coprime to elements i and k.  Tile parts past these elements
+    give no values.
 
-    The pairs come from SupportArrays.coprime_tiles, in tiles of a column
-    group of _GROUP elements k by a row batch of _ROWS elements i <= k.
-    lens does not increase, so the columns in play at a chunk start are
-    those with lens[k] past it, and the rows in play are those up to the
-    last such column.  Per tile and chunk of g: F is the 0/1 coprimality
-    tile of the rows in play, keep that of the columns in play, cut at each
-    column's lens[k], and W stacks the hi and lo limbs (_r2_limbs) of
-    r(g)^2 times keep.  W @ F^T gives both limb sums of the chunk at once,
-    exact integers below 2^53, and they add into int64 sums, so these are
-    the exact limb sums whatever the chunks.  The group's last tile holds
-    the group's columns among its rows, so keep is a slice of its F there;
-    and its rows stop at the last column in play, so it skips most of the
-    pairs i > k.  A chunk is as wide as F and W allow within _TILE entries
-    each.  INNER is put together from the limb sums at the end.
+    Every check comes before any g-sum work: the ordered coprime pairs,
+    counted in a pass over the tiles, against the budget, and the longest
+    g-range, lens[0], against the 2^(63 - _LIMB) elements of exact int64
+    limb sums.  Then come lens, the limbs' power-of-two scale and the
+    buffers the term reuses.
+
+    Per tile and chunk of g: lens does not increase, so the columns in play
+    are those with lens[k] past the chunk start, and the rows in play those
+    up to the last such column.  F is the 0/1 coprimality tile of the rows
+    in play, keep that of the columns in play, cut at each column's
+    lens[k], and W stacks the hi and lo limbs (_r2_limbs) of r(g)^2 times
+    keep.  W @ F^T gives both limb sums of the chunk at once.  A block's
+    last tile holds its columns among its rows, so keep is a slice of F
+    there, and its rows stop at the last column in play, which skips most
+    pairs i > k.  A chunk is as wide as F and W allow within _TILE entries.
+
+    Memory: at most a dozen arrays of at most _TILE entries at once (3 MiB),
+    and a few with one entry per element <= min(N, X); none with an entry
+    per element of the g-ranges.
+
+    Precision: a chunk's limb sums are exact integers below 2^53 in any
+    order of the matrix product, and their int64 sums are the exact limb
+    sums H and L of the g-range, so no bit depends on the BLAS, its thread
+    count or the chunk width.  INNER = (H + L * 2^-_LIMB) / scale is within
+    gamma_2 relative (gamma_n = n*u/(1 - n*u), u = 2^-53; H and L convert
+    exactly while below 2^53, as on g-ranges under 2^16 elements), and the
+    limbs carry r^2 to within 2^-(2*_LIMB) * max r^2 each.  r(1) = 1 makes
+    INNER >= 1 and window weights have r^2 <= 1, so INNER is within
+    gamma_2 + |G| * 2^-(2*_LIMB) relative of its sum over |G| = lens[k] g's.
+
+    Raises:
+        ResourceLimitError: the pair count is over budget, or the longest
+            g-range is past the exact int64 limb sums.
     """
-    masks, r = sup.masks, sup.r
-    count = len(lens)
+    count = len(sup.upto(min(float(n_max), x)).ns)
+    pairs = sum(np.count_nonzero(ok) for _, _, ok in sup.coprime_tiles(count))
+    needed = 2 * pairs - 1 if count else 0
+    if needed > budget:
+        raise ResourceLimitError(
+            f"diagonal pair enumeration exceeded budget {budget}",
+            needed=needed,
+            budget=budget,
+        )
+    if not count:
+        return lambda k, i, ok: np.empty(0)
+    ns, masks, r = sup.ns, sup.masks, sup.r
+    cap = x / ns[:count]
+    lens = np.full(count, len(ns))
+    short = cap < ns[-1]
+    lens[short] = np.searchsorted(ns, np.floor(cap[short]).astype(np.int64), side="right")
+    if lens[0] >= 1 << (63 - _LIMB):
+        raise ResourceLimitError(
+            f"diagonal g-range of {lens[0]} elements beyond the int64 limb sums",
+            needed=int(lens[0]),
+            budget=(1 << (63 - _LIMB)) - 1,
+        )
+    # r^2 * scale < 2^_LIMB over every g-range, all within the first lens[0].
+    scale = math.ldexp(1.0, _LIMB - math.frexp(float(r[: lens[0]].max()) ** 2)[1])
+    weight = (n_max // ns[:count]) * r[:count]
     # F, W and a chunk's product go into these, reused by every chunk: F
     # and W have at most 2 * count * lens[0] entries, the product
     # 2 * count^2.
     tile = min(_TILE, 2 * count * int(lens[0]))
     fbuf, wbuf = np.empty(tile), np.empty(tile)
-    pbuf = np.empty(min(2 * _GROUP * _ROWS, 2 * count**2))
-    for k, i, ok in sup.coprime_tiles(count, _GROUP, _ROWS):
-        k0, k1, i0, i1 = k.start, k.stop, i.start, i.stop
+    pbuf = np.empty(min(2 * _COLS * _ROWS, 2 * count**2))
+
+    def term(k: slice, i: slice, ok: np.ndarray) -> np.ndarray:
+        k0, k1, i0, i1 = k.start, min(k.stop, count), i.start, min(i.stop, count)
+        if k0 >= k1:
+            return np.empty(0)
         acc = np.zeros((2, k1 - k0, i1 - i0), dtype=np.int64)
         c0, end = 0, int(lens[k0])
         while c0 < end:
-            kc = k0 + int(np.count_nonzero(lens[k] > c0))
+            kc = k0 + int(np.count_nonzero(lens[k0:k1] > c0))
             ic = min(i1, kc)
             c1 = min(end, c0 + _TILE // max(ic - i0, 2 * (kc - k0)))
             g = masks[None, c0:c1]
@@ -496,13 +529,15 @@ def _diagonal_terms(
             acc[:, : kc - k0, : ic - i0] += prod.reshape(2, kc - k0, ic - i0).astype(np.int64)
             c0 = c1
         inner = (acc[0] + acc[1] * 2.0**-_LIMB) / scale
-        yield (weight[k, None] * r[None, i] * inner)[ok]
+        return (weight[k0:k1, None] * r[None, i0:i1] * inner)[ok[: k1 - k0, : i1 - i0]]
+
+    return term
 
 
 def _window_diagonal(sup: SupportArrays, n_max: int, x: float, budget: int) -> float:
     """diagonal_sum for a window resonator over the support `sup`, a
-    prefix of the support <= X, and the coprime pairs of its elements
-    <= min(N, X).
+    prefix of the support <= X: the plan (_diagonal_terms), then one walk
+    of the coprime pairs of its elements <= min(N, X) (_pair_sums).
 
     r is multiplicative on squarefree support, so the term of a pair
     (a', b') with larger element b' = n_k is floor(N/n_k) r(b') r(a')
@@ -511,66 +546,11 @@ def _window_diagonal(sup: SupportArrays, n_max: int, x: float, budget: int) -> f
     and one searchsorted gives all of them.  With sup the support
     <= g_cap < X, this is the diagonal with every g-range and every pair
     element cut at g_cap, a lower bound of the full one (ratio_and_bounds'
-    fallback).
-
-    _diagonal_terms gives the terms floor(N/n_k) r(b') r(a') INNER of the
-    pairs, a column group and row batch at a time, with INNER from one
-    dense product of limbs per chunk of the g-range.  All terms go into
-    one exact accumulator (_pair_fsum), correctly rounded at the end, so
-    the result does not depend on the order of the groups or the chunks.
-
-    Memory: every array the kernel makes has at most _TILE entries, and it
-    holds at most a dozen at once (3 MiB), however large the support and
-    the pair count are; besides them it keeps a few arrays with one entry
-    per element <= min(N, X).  It holds nothing with an entry per element
-    of the g-ranges, the support <= X.
-
-    Precision: a chunk's limb sums are exact integers below 2^53, whatever
-    order the matrix product adds them in, and their int64 sums are the
-    exact limb sums H and L of the whole g-range, whatever the chunks.  So
-    the result does not depend on the BLAS, its thread count or the chunk
-    width.  INNER is (H + L * 2^-_LIMB) / scale, computed within gamma_2
-    relative (gamma_n = n*u/(1 - n*u), u = 2^-53; H and L convert to
-    float64 exactly while below 2^53, as on g-ranges of fewer than 2^16
-    elements); the limbs carry r^2 to within 2^-(2*_LIMB) * max r^2 each.
-    r(1) = 1 makes INNER >= 1, and the window weights have r^2 <= 1, so
-    the computed INNER is within gamma_2 + |G| * 2^-(2*_LIMB) relative of
-    the true sum over |G| = len_k elements.
-
-    The budget counts ordered coprime pairs, from a pass over the tiles
-    that only counts, before any g-sum work.
-
-    Raises:
-        ResourceLimitError: the pair count is over budget, or the longest
-            g-range has 2^(63 - _LIMB) elements or more, past the exact
-            int64 limb sums.
+    fallback).  The terms go into one exact sum, correctly rounded at the
+    end, so the result depends on no order of tiles or chunks.
     """
-    count = len(sup.upto(min(float(n_max), x)).ns)
-    pairs = sum(np.count_nonzero(ok) for _, _, ok in sup.coprime_tiles(count))
-    needed = 2 * pairs - 1 if count else 0
-    if needed > budget:
-        raise ResourceLimitError(
-            f"diagonal pair enumeration exceeded budget {budget}",
-            needed=needed,
-            budget=budget,
-        )
-    if not count:
-        return 0.0
-    ns = sup.ns
-    cap = x / ns[:count]
-    lens = np.full(count, len(ns))
-    short = cap < ns[-1]
-    lens[short] = np.searchsorted(ns, np.floor(cap[short]).astype(np.int64), side="right")
-    if lens[0] >= 1 << (63 - _LIMB):
-        raise ResourceLimitError(
-            f"diagonal g-range of {lens[0]} elements beyond the int64 limb sums",
-            needed=int(lens[0]),
-            budget=(1 << (63 - _LIMB)) - 1,
-        )
-    # r^2 * scale < 2^_LIMB over every g-range, all within the first lens[0].
-    scale = math.ldexp(1.0, _LIMB - math.frexp(float(sup.r[: lens[0]].max()) ** 2)[1])
-    weight = (n_max // ns[:count]) * sup.r[:count]
-    return _pair_fsum(_diagonal_terms(sup, lens, weight, scale))
+    term = _diagonal_terms(sup, n_max, x, budget)
+    return _pair_sums(sup.upto(min(float(n_max), x)), term)[0]
 
 
 def diagonal_sum(
@@ -594,11 +574,11 @@ def diagonal_sum(
     `diag_g_cap` flag).
 
     For a window resonator the support <= X is built once into arrays and
-    _window_diagonal sums the coprime pairs of its elements <= min(N, X);
-    for a test resonator _dense_diagonal sums the gcd matrix over its
-    support S <= X.  Each states its memory, precision and budget; both
-    results are correctly rounded sums of their terms, whatever the BLAS
-    thread count.
+    _window_diagonal sums the coprime pairs of its elements <= min(N, X)
+    (its plan, _diagonal_terms, states memory, precision and budget); for a
+    test resonator _dense_diagonal, which states its own, sums the gcd
+    matrix over its support S <= X.  Both results are correctly rounded
+    sums of their terms, whatever the BLAS thread count.
 
     Raises:
         ResourceLimitError: support enumeration, coprime-pair count or
@@ -661,11 +641,16 @@ def _t_weights(res: Resonator, sup: SupportArrays) -> np.ndarray:
     return sup.r * np.exp(-log_plain)
 
 
-def _main_factors(sup: SupportArrays, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_pair_sums factors of the main term, the sum over the ordered coprime
+def _outer_term(left: np.ndarray, right: np.ndarray) -> Callable:
+    """The _pair_sums term with value left[i] * right[k] on a pair (i, k)."""
+    return lambda k, i, ok: (left[None, i] * right[k, None])[ok]
+
+
+def _main_term(sup: SupportArrays, t: np.ndarray) -> Callable:
+    """_pair_sums term of the main term, the sum over the ordered coprime
     pairs of sup of t(a') t(b') a'b' / max^3, t = _t_weights on sup."""
     w = t * sup.ns
-    return w, w / sup.ns.astype(np.float64) ** 3
+    return _outer_term(w, w / sup.ns.astype(np.float64) ** 3)
 
 
 def _balanced_pair_bound(sup: SupportArrays, t: np.ndarray, z: float) -> float:
@@ -674,11 +659,11 @@ def _balanced_pair_bound(sup: SupportArrays, t: np.ndarray, z: float) -> float:
     return _exact_fsum(t / np.sqrt(sup.ns)) ** 2 / math.log(z)
 
 
-def _tail_factors(
+def _tail_term(
     res: Resonator, sup: SupportArrays, x: float, alpha: float
-) -> tuple[np.ndarray, float]:
-    """(u, scale): alpha_shift_error_term over the coprime pairs of sup is
-    scale times their _pair_sums sum with factors (u, u)."""
+) -> tuple[Callable, float]:
+    """(term, scale): alpha_shift_error_term over the coprime pairs of sup
+    is scale times their _pair_sums sum of term, u[i] * u[k]."""
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
     log_shift = [math.log1p(res.r_p[p] ** 2 * p**alpha) for p in res.primes]
@@ -691,7 +676,7 @@ def _tail_factors(
         * sup.ns.astype(np.float64) ** (alpha - 0.5)
         * np.exp(-sup.prime_factor_sums(log_shift))
     )
-    return u, math.exp(log_full_shift - log_full_plain) * x ** (-alpha)
+    return _outer_term(u, u), math.exp(log_full_shift - log_full_plain) * x ** (-alpha)
 
 
 def moment_main_term(
@@ -706,7 +691,7 @@ def moment_main_term(
     for coprime a', b'.  Always at least 1 (the (1,1) term).
     """
     sup = support_arrays(res, min(float(n_max), x), budget)
-    return _pair_sums(sup, _main_factors(sup, _t_weights(res, sup)))[0]
+    return _pair_sums(sup, _main_term(sup, _t_weights(res, sup)))[0]
 
 
 def balanced_pair_bound_check(
@@ -724,7 +709,7 @@ def balanced_pair_bound_check(
         raise ValueError("z must exceed 1")
     sup = support_arrays(res, z, budget)
     t = _t_weights(res, sup)
-    return _pair_sums(sup, _main_factors(sup, t))[0], _balanced_pair_bound(sup, t, z)
+    return _pair_sums(sup, _main_term(sup, t))[0], _balanced_pair_bound(sup, t, z)
 
 
 def alpha_shift_error_term(
@@ -743,8 +728,8 @@ def alpha_shift_error_term(
     Positive whenever the support is nonempty or trivially X^{-alpha}.
     """
     sup = support_arrays(res, min(float(n_max), x), budget)
-    u, scale = _tail_factors(res, sup, x, alpha)
-    return scale * _pair_sums(sup, (u, u))[0]
+    term, scale = _tail_term(res, sup, x, alpha)
+    return scale * _pair_sums(sup, term)[0]
 
 
 def tail_truncation_check(
@@ -930,7 +915,7 @@ def ratio_and_bounds(
         and a float product r(n) is within 15u of the exact one;
       - a diagonal term floor(N/b') r(b') r(a') INNER, a'g and b'g of at
         most 15 primes each, is within (2 * 15 + 8)u + gamma_2 +
-        |G| 2^-74 of its exact value (_window_diagonal; |G| < 2^26 there),
+        |G| 2^-74 of its exact value (_diagonal_terms; |G| < 2^26 there),
         and the sum of these positive terms is correctly rounded: within
         2^-46.8 in all;
       - sum r(n)^2 is within 32u; the Euler product exp(fsum(log1p(r(p)^2)))
@@ -967,8 +952,8 @@ def ratio_and_bounds(
     def support_upto(cap: float) -> SupportArrays:
         return sup.upto(cap) if sup is not None else support_arrays(res, cap, budget)
 
-    # Every pair sum below streams the coprime pairs of the support
-    # <= z = min(N, X) (g-capped fallbacks: of its prefixes) as tiles.
+    # Every pair sum below comes from one walk of the coprime pairs of the
+    # support <= z = min(N, X); a g-capped diagonal takes a prefix of them.
     z = min(float(n_max), x)
     sup_z = support_upto(z)
 
@@ -979,26 +964,26 @@ def ratio_and_bounds(
         r2 = None
         r2_denominator = euler_product_one_plus_r2(res)
 
-    diag = None
+    diag_term = None
     if sup is not None:
         try:
-            diag = _window_diagonal(sup, n_max, x, budget)
+            diag_term = _diagonal_terms(sup, n_max, x, budget)
         except ResourceLimitError:
             pass
-    flags["diag_sum_truncated"] = diag is None
-    if diag is None:
-        # The first g_cap = X/16^k, k >= 1, whose diagonal fits the budget.  A
-        # smaller cap shrinks the support and the pair count, so success is
-        # monotone in k and a bisection finds that k; k_max, the first k with
-        # g_cap < 1, is the last try, and its error propagates.
+    flags["diag_sum_truncated"] = diag_term is None
+    if diag_term is None:
+        # The first g_cap = X/16^k, k >= 1, whose diagonal plan fits the
+        # budget.  A smaller cap shrinks the support and the pair count, so
+        # success is monotone in k and a bisection finds that k; k_max, the
+        # first k with g_cap < 1, is the last try, and its error propagates.
         k_max = 1
         while math.ldexp(x, -4 * k_max) >= 1.0:
             k_max += 1
 
-        def diagonal_at(k: int) -> float | None:
+        def plan_at(k: int) -> Callable | None:
             g_cap = math.ldexp(x, -4 * k)
             try:
-                return _window_diagonal(support_upto(g_cap), n_max, x, budget)
+                return _diagonal_terms(support_upto(g_cap), n_max, x, budget)
             except ResourceLimitError:
                 if k == k_max:
                     raise
@@ -1007,30 +992,14 @@ def ratio_and_bounds(
         lo, hi = 0, k_max  # k = lo fails (or is 0); the first success is in (lo, hi]
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            found = diagonal_at(mid)
+            found = plan_at(mid)
             if found is None:
                 lo = mid
             else:
-                hi, diag = mid, found
-        if diag is None:
-            diag = diagonal_at(hi)
+                hi, diag_term = mid, found
+        if diag_term is None:
+            diag_term = plan_at(hi)
         flags["diag_g_cap"] = math.ldexp(x, -4 * hi)
-
-    ratio = diag / (n_max * r2_denominator)
-    lower_bound = math.sqrt(max(0.0, ratio))
-
-    m1_diag = t_bound * PHI_HAT_0 * r2_denominator
-    m2_diag = (t_bound / n_max) * PHI_HAT_0 * diag
-    eps2 = _offdiag_eps(n_max * x, t_bound)
-    eps1 = _offdiag_eps(x, t_bound)
-    bracket_lo = 0.0
-    if eps2 < 1.0:
-        bracket_lo = ratio * (1.0 - eps2) / (1.0 + eps1) * (1.0 - PROVEN_MARGIN)
-    lb_bracket = math.sqrt(bracket_lo) * (1.0 - PROVEN_MARGIN)
-    # The upper end needs the full sums (a truncated support truncates the diagonal too).
-    bracket_hi = None
-    if eps1 < 1.0 and not flags["diag_sum_truncated"]:
-        bracket_hi = ratio * (1.0 + eps2) / (1.0 - eps1) * (1.0 + PROVEN_MARGIN)
 
     # Exact moments need the whole support: under "always" an over-budget
     # support raises again here; "auto" takes tiny ones, N * |support| <= 64.
@@ -1048,17 +1017,34 @@ def ratio_and_bounds(
         m2_q = m2_quadrature(f, n_max, t_bound, support, table)
         m2_e = m2_exact(f, n_max, t_bound, support, table)
 
-    # One walk of the coprime tiles sums the main term (the balanced pair
-    # sum too) and the tail's pairs.
+    # One walk of the coprime tiles sums the diagonal, the main term (the
+    # balanced pair sum too) and the tail's pairs.
     t_z = _t_weights(res, sup_z)
-    factors = [_main_factors(sup_z, t_z)]
+    terms = [diag_term, _main_term(sup_z, t_z)]
     alpha_eff = alpha if alpha is not None else res.alpha_default
     if alpha_eff is not None:
-        u, tail_scale = _tail_factors(res, sup_z, x, alpha_eff)
-        factors.append((u, u))
-    main, *tail_sum = _pair_sums(sup_z, *factors)
+        tail_term, tail_scale = _tail_term(res, sup_z, x, alpha_eff)
+        terms.append(tail_term)
+    diag, main, *tail_sum = _pair_sums(sup_z, *terms)
     # None on a degenerate resonator: no shift parameter to run the tail bound with.
     tail = tail_scale * tail_sum[0] if tail_sum else None
+
+    ratio = diag / (n_max * r2_denominator)
+    lower_bound = math.sqrt(max(0.0, ratio))
+
+    m1_diag = t_bound * PHI_HAT_0 * r2_denominator
+    m2_diag = (t_bound / n_max) * PHI_HAT_0 * diag
+    eps2 = _offdiag_eps(n_max * x, t_bound)
+    eps1 = _offdiag_eps(x, t_bound)
+    bracket_lo = 0.0
+    if eps2 < 1.0:
+        bracket_lo = ratio * (1.0 - eps2) / (1.0 + eps1) * (1.0 - PROVEN_MARGIN)
+    lb_bracket = math.sqrt(bracket_lo) * (1.0 - PROVEN_MARGIN)
+    # The upper end needs the full sums (a truncated support truncates the diagonal too).
+    bracket_hi = None
+    if eps1 < 1.0 and not flags["diag_sum_truncated"]:
+        bracket_hi = ratio * (1.0 + eps2) / (1.0 - eps1) * (1.0 + PROVEN_MARGIN)
+
     if z > 1.0:
         pair_lhs, pair_rhs = main, _balanced_pair_bound(sup_z, t_z, z)
     else:

@@ -42,8 +42,10 @@ from .ntcore import FactorTable, primes_in
 MIN_X = math.exp(math.e)
 DEFAULT_ENUM_BUDGET = 10_000_000
 _INT64_MAX = (1 << 63) - 1
-# Elements per side of a SupportArrays.coprime_tiles tile.
-_SIDE = 128
+# A SupportArrays.coprime_tiles tile: a block of _COLS elements k by a
+# batch of _ROWS elements i, the diagonal kernel's shape (moments).
+_COLS = 64
+_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -237,22 +239,21 @@ class SupportArrays:
             out[(self.masks[:, word] & value) != 0] += v
         return out
 
-    def coprime_tiles(
-        self, count: int | None = None, cols: int = _SIDE, rows: int = _SIDE
-    ) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    def coprime_tiles(self, count: int | None = None) -> Iterator[tuple[slice, slice, np.ndarray]]:
         """Every coprime pair (i, k), i <= k, of the first `count` elements
         (default all) once, as tiles (k, i, ok): k is a slice of at most
-        `cols` elements, i one of at most `rows`, and ok[a, b] says whether
+        _COLS elements, i one of at most _ROWS, and ok[a, b] says whether
         elements k.start + a and i.start + b are coprime.  The tiles come by
         blocks k, then by i up to the block's end; on the tiles that reach
-        the block's own elements only i <= k is kept.  The first tile's first pair is (0, 0), the
-        pair (1, 1) and the only pair of an element with itself.
+        the block's own elements only i <= k is kept.  The first tile's first
+        pair is (0, 0), the pair (1, 1) and the only pair of an element with
+        itself.
         """
         n = len(self.ns) if count is None else count
-        for k0 in range(0, n, cols):
-            k = slice(k0, min(k0 + cols, n))
-            for i0 in range(0, k.stop, rows):
-                i = slice(i0, min(i0 + rows, k.stop))
+        for k0 in range(0, n, _COLS):
+            k = slice(k0, min(k0 + _COLS, n))
+            for i0 in range(0, k.stop, _ROWS):
+                i = slice(i0, min(i0 + _ROWS, k.stop))
                 ok = disjoint(self.masks[k, None], self.masks[None, i])
                 if i.stop > k.start:
                     ok &= np.arange(i.start, i.stop) <= np.arange(k.start, k.stop)[:, None]

@@ -54,6 +54,24 @@ def test_certify_deterministic_modulo_timestamp(tmp_path):
     assert a == b
 
 
+def test_sieve_limit_overrides_the_table(tmp_path, monkeypatch, capsys):
+    # The prime window of X = 4.85e8 ends at 65.9.  A limit below it cannot
+    # build the resonator (exit 3); one above it gives the default table's
+    # report (T = 1e6 needs no f(n), so that table stops at 1024).
+    argv = ["certify", "--n", "60", "--t", "1e6", "--x", "4.85e8"]
+    limits = []
+    real = cli.build_factor_table
+    monkeypatch.setattr(cli, "build_factor_table", lambda limit: limits.append(limit) or real(limit))
+    assert main([*argv, "--sieve-limit", "50"]) == 3
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["layer"] == "rescert.resonator"
+    assert error["needed"] == 66 and error["budget"] == 50
+    default = run(tmp_path, *argv, name="default.json")
+    over = run(tmp_path, *argv, "--sieve-limit", "100000", name="over.json")
+    assert limits == [50, 1024, 100000]
+    assert over["report"] == default["report"]
+
+
 def test_config_hash_ignores_output_routing(tmp_path):
     a = run(tmp_path, "certify", "--n", "1", "--t", "4", name="first.json")
     b = run(tmp_path, "certify", "--n", "1", "--t", "4", name="second.json")

@@ -557,10 +557,13 @@ def test_certify_c3_pinned(tmp_path, n_max):
     assert not report["flags"]["diag_sum_truncated"]
 
 
-# Every field of two certify reports, float.hex for floats, with nested
-# dicts flattened to dotted keys: the benchmark's op and a C = 4 run.  The
-# tolerance checks above and the benchmark's reference (ratio, diag_sum and
-# lower_bound) would miss a last-bit move in any other field.
+# Every field of six certify reports, float.hex for floats, with nested
+# dicts flattened to dotted keys: the benchmark's op, a C = 4 run, the
+# three budget regimes of BUDGET_REGIMES (the first two cut the diagonal's
+# g-ranges and pair elements at diag_g_cap < N) and the X = 1e40 bisection
+# of test_diag_g_cap_is_bisected (diag_g_cap > N).  The tolerance checks
+# and the benchmark's reference (ratio, diag_sum and lower_bound) would
+# miss a last-bit move in any other field.
 REPORT_PINS = {
     "certify --n 2000000 --c 3 --f steinhaus --seed 0": {
         "alpha": "0x1.54975d00895f6p-4",
@@ -654,6 +657,193 @@ REPORT_PINS = {
         "tail_error": "0x1.f862db1a1edc6p-3",
         "x": "0x1.3982f24d75ee9p+44",
     },
+    "certify --n 1000000 --c 3 --budget-terms 3000": {
+        "alpha": "0x1.632ce1742a995p-4",
+        "balanced_pair_bound": "0x1.c83d8f2078fb1p-4",
+        "balanced_pair_diag_ratio": "0x1.ff10df9cba5e2p-8",
+        "balanced_pair_sum": "0x1.089a6b4a73e73p+0",
+        "c": "0x1.8000000000000p+1",
+        "delta": "0x1.0000000000000p-1",
+        "diag_sum": "0x1.7ef3b8802d722p+20",
+        "diagnostic_exponent_ratio": "0x1.64eb86decb75ap-10",
+        "feasibility.c_le_log_n_pow_gamma": True,
+        "feasibility.log_n_gt_3lam_loglog_lam": False,
+        "feasibility.log_x_gt_3lam_loglog_lam": True,
+        "feasibility.t_ge_n_pow_two_over_delta": False,
+        "flags.diag_g_cap": "0x1.d1a94a2000019p+11",
+        "flags.diag_sum_truncated": True,
+        "flags.r2_sum_truncated": True,
+        "gamma": "0x1.0000000000000p-1",
+        "growth_bound_n": "0x1.3d328510e5368p+3",
+        "growth_bound_t": "0x1.528587d8eaea9p+3",
+        "lower_bound": "0x1.00d2d198f479cp+0",
+        "lower_bound_bracket": "0x0.0p+0",
+        "m1_exact": None,
+        "m1_main": "0x1.038c0f28e8630p+59",
+        "m1_quad": None,
+        "m2_diag_main": "0x1.053839f6fa5c6p+59",
+        "m2_exact": None,
+        "m2_quad": None,
+        "main_term": "0x1.089a6b4a73e73p+0",
+        "n": 1000000,
+        "offdiag_eps1": "0x1.34abfe7fe1fa8p-29",
+        "offdiag_eps2": "0x1.18bc4418cc18dp+11",
+        "ratio": "0x1.01a650ce737fbp+0",
+        "ratio_bracket_hi": None,
+        "ratio_bracket_lo": "0x0.0p+0",
+        "resonator.alpha_default": "0x1.632ce1742a995p-4",
+        "resonator.euler_product": "0x1.8efbb6850c83ep+0",
+        "resonator.is_empty": False,
+        "resonator.lam": "0x1.32711d9e2d5e0p+3",
+        "resonator.prime_count": 14,
+        "resonator.sum_r_squared": None,
+        "resonator.window_hi": "0x1.497d9eedcdf4ep+7",
+        "resonator.window_lo": "0x1.6ed29cc94d860p+6",
+        "resonator.x": "0x1.d1a94a2000019p+39",
+        "t": "0x1.bc16d674ec800p+59",
+        "tail_error": "0x1.b5b420beefb94p-3",
+        "x": "0x1.d1a94a2000019p+39",
+    },
+    "certify --n 1000000 --c 3 --budget-terms 8000": {
+        "alpha": "0x1.632ce1742a995p-4",
+        "balanced_pair_bound": "0x1.c83d8f2078fb1p-4",
+        "balanced_pair_diag_ratio": "0x1.ff10df9cba5e2p-8",
+        "balanced_pair_sum": "0x1.089a6b4a73e73p+0",
+        "c": "0x1.8000000000000p+1",
+        "delta": "0x1.0000000000000p-1",
+        "diag_sum": "0x1.7ef3b8802d722p+20",
+        "diagnostic_exponent_ratio": "0x1.650952201eb4fp-10",
+        "feasibility.c_le_log_n_pow_gamma": True,
+        "feasibility.log_n_gt_3lam_loglog_lam": False,
+        "feasibility.log_x_gt_3lam_loglog_lam": True,
+        "feasibility.t_ge_n_pow_two_over_delta": False,
+        "flags.diag_g_cap": "0x1.d1a94a2000019p+11",
+        "flags.diag_sum_truncated": True,
+        "flags.r2_sum_truncated": False,
+        "gamma": "0x1.0000000000000p-1",
+        "growth_bound_n": "0x1.3d328510e5368p+3",
+        "growth_bound_t": "0x1.528587d8eaea9p+3",
+        "lower_bound": "0x1.00d2e33951613p+0",
+        "lower_bound_bracket": "0x0.0p+0",
+        "m1_exact": None,
+        "m1_main": "0x1.038beb887d5bap+59",
+        "m1_quad": None,
+        "m2_diag_main": "0x1.053839f6fa5c6p+59",
+        "m2_exact": None,
+        "m2_quad": None,
+        "main_term": "0x1.089a6b4a73e73p+0",
+        "n": 1000000,
+        "offdiag_eps1": "0x1.34abfe7fe1fa8p-29",
+        "offdiag_eps2": "0x1.18bc4418cc18dp+11",
+        "ratio": "0x1.01a6742c367aap+0",
+        "ratio_bracket_hi": None,
+        "ratio_bracket_lo": "0x0.0p+0",
+        "resonator.alpha_default": "0x1.632ce1742a995p-4",
+        "resonator.euler_product": "0x1.8efbb6850c83ep+0",
+        "resonator.is_empty": False,
+        "resonator.lam": "0x1.32711d9e2d5e0p+3",
+        "resonator.prime_count": 14,
+        "resonator.sum_r_squared": "0x1.8efb7fc0e175ep+0",
+        "resonator.window_hi": "0x1.497d9eedcdf4ep+7",
+        "resonator.window_lo": "0x1.6ed29cc94d860p+6",
+        "resonator.x": "0x1.d1a94a2000019p+39",
+        "t": "0x1.bc16d674ec800p+59",
+        "tail_error": "0x1.b5b420beefb94p-3",
+        "x": "0x1.d1a94a2000019p+39",
+    },
+    "certify --n 1000000 --c 3 --budget-terms 20000": {
+        "alpha": "0x1.632ce1742a995p-4",
+        "balanced_pair_bound": "0x1.c83d8f2078fb1p-4",
+        "balanced_pair_diag_ratio": "0x1.ff10df9cba5e2p-8",
+        "balanced_pair_sum": "0x1.089a6b4a73e73p+0",
+        "c": "0x1.8000000000000p+1",
+        "delta": "0x1.0000000000000p-1",
+        "diag_sum": "0x1.9b5bdccbbc0d6p+20",
+        "diagnostic_exponent_ratio": "0x1.0ed20b04b5c79p-6",
+        "feasibility.c_le_log_n_pow_gamma": True,
+        "feasibility.log_n_gt_3lam_loglog_lam": False,
+        "feasibility.log_x_gt_3lam_loglog_lam": True,
+        "feasibility.t_ge_n_pow_two_over_delta": False,
+        "flags.diag_sum_truncated": False,
+        "flags.r2_sum_truncated": False,
+        "gamma": "0x1.0000000000000p-1",
+        "growth_bound_n": "0x1.3d328510e5368p+3",
+        "growth_bound_t": "0x1.528587d8eaea9p+3",
+        "lower_bound": "0x1.0a2dc5af6fdcep+0",
+        "lower_bound_bracket": "0x0.0p+0",
+        "m1_exact": None,
+        "m1_main": "0x1.038beb887d5bap+59",
+        "m1_quad": None,
+        "m2_diag_main": "0x1.1898b50d8ca4cp+59",
+        "m2_exact": None,
+        "m2_quad": None,
+        "main_term": "0x1.089a6b4a73e73p+0",
+        "n": 1000000,
+        "offdiag_eps1": "0x1.34abfe7fe1fa8p-29",
+        "offdiag_eps2": "0x1.18bc4418cc18dp+11",
+        "ratio": "0x1.14c326ffaccbcp+0",
+        "ratio_bracket_hi": "0x1.2fa39407401b5p+11",
+        "ratio_bracket_lo": "0x0.0p+0",
+        "resonator.alpha_default": "0x1.632ce1742a995p-4",
+        "resonator.euler_product": "0x1.8efbb6850c83ep+0",
+        "resonator.is_empty": False,
+        "resonator.lam": "0x1.32711d9e2d5e0p+3",
+        "resonator.prime_count": 14,
+        "resonator.sum_r_squared": "0x1.8efb7fc0e175ep+0",
+        "resonator.window_hi": "0x1.497d9eedcdf4ep+7",
+        "resonator.window_lo": "0x1.6ed29cc94d860p+6",
+        "resonator.x": "0x1.d1a94a2000019p+39",
+        "t": "0x1.bc16d674ec800p+59",
+        "tail_error": "0x1.b5b420beefb94p-3",
+        "x": "0x1.d1a94a2000019p+39",
+    },
+    "certify --n 10 --t 1e60 --budget-terms 100000": {
+        "alpha": "0x1.2a9818ce5868ap-5",
+        "balanced_pair_bound": "0x1.bcb7b1526e50dp-2",
+        "balanced_pair_diag_ratio": "0x0.0p+0",
+        "balanced_pair_sum": "0x1.0000000000000p+0",
+        "c": "0x1.dffffffffffffp+5",
+        "delta": "0x1.0000000000000p-1",
+        "diag_sum": "0x1.0d5e0119ca558p+6",
+        "diagnostic_exponent_ratio": "-0x1.57efe10822bdep-3",
+        "feasibility.c_le_log_n_pow_gamma": False,
+        "feasibility.log_n_gt_3lam_loglog_lam": False,
+        "feasibility.log_x_gt_3lam_loglog_lam": True,
+        "feasibility.t_ge_n_pow_two_over_delta": True,
+        "flags.diag_g_cap": "0x1.d6329f1c35cf9p+20",
+        "flags.diag_sum_truncated": True,
+        "flags.r2_sum_truncated": True,
+        "gamma": "0x1.0000000000000p-1",
+        "growth_bound_n": "0x1.a5c2448155ecfp+10",
+        "growth_bound_t": "0x1.5213d16e7358ep+5",
+        "lower_bound": "0x1.110873d61495cp-1",
+        "lower_bound_bracket": "0x1.110873d612fc3p-1",
+        "m1_exact": None,
+        "m1_main": "0x1.61ad3aa906ccbp+202",
+        "m1_quad": None,
+        "m2_diag_main": "0x1.924e69536c997p+200",
+        "m2_exact": None,
+        "m2_quad": None,
+        "main_term": "0x1.0000000000000p+0",
+        "n": 10,
+        "offdiag_eps1": "0x1.31b19c999adb1p-122",
+        "offdiag_eps2": "0x1.dda584b001f67p-116",
+        "ratio": "0x1.2333075609b2cp-2",
+        "ratio_bracket_hi": None,
+        "ratio_bracket_lo": "0x1.23330756088f9p-2",
+        "resonator.alpha_default": "0x1.2a9818ce5868ap-5",
+        "resonator.euler_product": "0x1.7ae418dcedee7p+4",
+        "resonator.is_empty": False,
+        "resonator.lam": "0x1.46901c521b4f4p+4",
+        "resonator.prime_count": 1029,
+        "resonator.sum_r_squared": None,
+        "resonator.window_hi": "0x1.16dd3c196688cp+13",
+        "resonator.window_lo": "0x1.a0935940fd0eap+8",
+        "resonator.x": "0x1.d6329f1c35cf9p+132",
+        "t": "0x1.3e9e4e4c2f344p+199",
+        "tail_error": "0x1.72953659ec292p-4",
+        "x": "0x1.d6329f1c35cf9p+132",
+    },
 }
 
 
@@ -735,7 +925,7 @@ def test_diag_g_cap_raises_the_last_caps_error(monkeypatch):
         tried.append(len(sup.ns))
         raise ResourceLimitError(f"support of {len(sup.ns)} elements", needed=1, budget=0)
 
-    monkeypatch.setattr(moments, "_window_diagonal", refuse)
+    monkeypatch.setattr(moments, "_diagonal_terms", refuse)
     with pytest.raises(ResourceLimitError) as info:
         ratio_and_bounds(RES20, None, 3, 1e4, 0.5, 0.5, TABLE, exact_mode="never")
     assert RES20.x / 16.0**7 >= 1.0 > RES20.x / 16.0**8
@@ -761,6 +951,24 @@ def test_report_builds_the_support_once(monkeypatch, res, n_max, t_bound):
     assert not any(report.flags.values())
     assert len(calls) == 1
     assert (report.m1_exact is not None) == (n_max == 3)
+
+
+def test_report_walks_the_coprime_pairs_twice(monkeypatch):
+    # With the support <= X within budget, the diagonal's pair count is one
+    # walk of the coprime tiles; the diagonal, the main term and the tail
+    # share the other.
+    walks = []
+    real = SupportArrays.coprime_tiles
+
+    def counted(self, *args):
+        walks.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(SupportArrays, "coprime_tiles", counted)
+    res = build_resonator(1e12, TABLE)
+    report = ratio_and_bounds(res, None, 10**6, 1e18, 0.5, 0.5, TABLE, exact_mode="never")
+    assert not any(report.flags.values()) and report.tail_error is not None
+    assert len(walks) == 2
 
 
 @pytest.mark.parametrize("n_max", [100_000, 1_000_000, 10_000_000])
@@ -894,7 +1102,9 @@ def _per_element_diagonal(sup: SupportArrays, n_max: int, x: float, g_cap=None) 
         g_ok = np.flatnonzero(disjoint(g.masks, sup.masks[k]))
         inner = disjoint(sup.masks[idx, None], g.masks[None, g_ok]) @ r2[g_ok]
         terms.append(((n_max // n_k) * float(sup.r[k])) * sup.r[idx] * inner)
-    return moments._pair_fsum(terms)
+    # The sum over ordered pairs: (0, 0) once, every pair i < k and its mirror.
+    values = [v for t in terms for v in t.tolist()]
+    return math.fsum([values[0], *values[1:], *values[1:]])
 
 
 @pytest.mark.parametrize("n_max, g_cap", [(1_000_000, None), (2_000_000, None), (2_000_000, 1e8)])
@@ -977,8 +1187,9 @@ _WIDE_FLOATS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(terms=st.lists(_WIDE_FLOATS, max_size=200), data=st.data())
 def test_exact_sum_is_fsum_property(terms, data):
-    # Streamed in uneven chunks, with small chunk and fold sizes so that the
-    # chunk loop and the folds into the integer run mid-stream.
+    # Streamed in uneven chunks, with small chunk sizes so that the chunk
+    # loop runs mid-stream.  These lists rarely hold more terms than _FOLD;
+    # test_exact_sum_folds_mid_stream_property makes the folds run.
     cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), max_size=6)))
     chunks = [terms[a:b] for a, b in zip([0, *cuts], [*cuts, len(terms)])]
     with pytest.MonkeyPatch.context() as mp:
@@ -986,6 +1197,27 @@ def test_exact_sum_is_fsum_property(terms, data):
         mp.setattr(moments._ExactSum, "_FOLD", data.draw(st.integers(64, 256)))
         got = _exact_sum(chunks)
     assert got.hex() == math.fsum(terms).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chunks=st.lists(st.lists(_WIDE_FLOATS, min_size=1, max_size=40), min_size=2, max_size=8),
+    data=st.data(),
+)
+def test_exact_sum_folds_mid_stream_property(chunks, data):
+    # _FOLD below the number of terms and _CHUNK at most _FOLD: the bins
+    # fold into the integer inside add() while they hold terms, not only in
+    # value().
+    folds = []
+    real = moments._ExactSum._fold
+    fold = data.draw(st.integers(1, min(8, sum(map(len, chunks)) - 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments._ExactSum, "_CHUNK", data.draw(st.integers(1, fold)))
+        mp.setattr(moments._ExactSum, "_FOLD", fold)
+        mp.setattr(moments._ExactSum, "_fold", lambda self: folds.append(1) or real(self))
+        got = _exact_sum(chunks)
+    assert len(folds) > 1
+    assert got.hex() == math.fsum(v for chunk in chunks for v in chunk).hex()
 
 
 @settings(max_examples=200, deadline=None)

@@ -168,13 +168,17 @@ def _resonator_on(primes) -> Resonator:
 
 def _assert_coprime_pairs(sup, count=None, tiles=()):
     """The tiles' pairs (k, i) are the gcd pairs i <= k < count, each once,
-    in tiles of at most `tiles` (cols, rows) elements, by default _SIDE by
-    _SIDE, and with the pair (0, 0) first."""
+    in tiles of at most `tiles` (cols, rows) elements, by default _COLS by
+    _ROWS, and with the pair (0, 0) first."""
     ns = sup.ns.tolist()[:count]
     want = [(k, i) for k in range(len(ns)) for i in range(k + 1) if math.gcd(ns[i], ns[k]) == 1]
-    most = tiles or (resonator._SIDE, resonator._SIDE)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in zip(("_COLS", "_ROWS"), tiles):
+            mp.setattr(resonator, name, value)
+        most = (resonator._COLS, resonator._ROWS)
+        walk = list(sup.coprime_tiles(count))
     got = []
-    for k, i, ok in sup.coprime_tiles(count, *tiles):
+    for k, i, ok in walk:
         assert ok.dtype == bool and ok.shape == (k.stop - k.start, i.stop - i.start)
         assert ok.shape[0] <= most[0] and ok.shape[1] <= most[1]
         rows, cols = np.nonzero(ok)
