@@ -2,10 +2,11 @@
 
 Everything here recomputes quantities from their definitions with the
 dumbest method that terminates: full quadruple enumeration (every
-(m, n, a) tested, in numpy arrays of bounded size rather than Python
-loops), dense product matching, fixed-panel Simpson quadrature.  Nothing
-is shared with the parametrized/adaptive code paths being checked, so agreement
-is evidence rather than tautology.  All functions cap their input sizes
+(m, n, a) tested, or every (m, a, b) where N is much larger than X, in
+numpy arrays of bounded size rather than Python loops), dense product
+matching, fixed-panel Simpson quadrature.  Nothing is shared with the
+parametrized/adaptive code paths being checked, so agreement is evidence
+rather than tautology.  All functions cap their input sizes
 and raise ValueError beyond the cap instead of grinding.
 """
 
@@ -148,19 +149,28 @@ def diagonal_sum_bruteforce(
 
 
 def _quadruples(n_max: int, x_int: int) -> np.ndarray:
-    """Every (m, n, a, b) with m, n <= N, a, b <= X and ma = nb, one per row, found by
-    testing each (m, n, a) for n | ma and ma / n <= X.  A chunk of consecutive m takes
-    its (m, n, a) tests as one array of at most about _CHUNK_ENTRIES entries."""
-    n = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
+    """Every (m, n, a, b) with m, n <= N, a, b <= X and ma = nb, one per row in (m, n, a)
+    order, found by testing each (m, n, a) for n | ma and ma / n <= X.  A chunk of
+    consecutive m takes its tests as one array of at most about _CHUNK_ENTRIES entries.
+    When the N^2 X tests fill more than one chunk, each (m, a, b) is tested for b | ma
+    and ma / b <= N instead, N X^2 tests (N X <= BRUTE_FORCE_CAP, so N is then the larger
+    side), and each chunk's rows are sorted back into (m, n, a) order."""
+    by_n = n_max * n_max * x_int <= _CHUNK_ENTRIES
     a = np.arange(1, x_int + 1, dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // (n_max * x_int))
+    d, d_max = (n_max, x_int) if by_n else (x_int, n_max)
+    div = np.arange(1, d + 1, dtype=np.int64)[:, None]  # the n, or the b
+    step = max(1, _CHUNK_ENTRIES // (d * x_int))
     found = []
     for first in range(1, n_max + 1, step):
         m = np.arange(first, min(n_max + 1, first + step), dtype=np.int64)
-        prod = (m[:, None] * a)[:, None, :]  # (m, 1, a) against (n, 1): (m, n, a)
-        mi, ni, ai = np.nonzero((prod % n == 0) & (prod <= n * x_int))
-        mm, nn, aa = m[mi], ni + 1, ai + 1
-        found.append(np.stack([mm, nn, aa, mm * aa // nn], axis=1))
+        prod = (m[:, None] * a)[:, None, :]  # (m, 1, a) against (d, 1): (m, d, a)
+        mi, di, ai = np.nonzero((prod % div == 0) & (prod <= div * d_max))
+        mm, dd, aa = m[mi], di + 1, ai + 1
+        rows = np.stack([mm, dd, aa, mm * aa // dd], axis=1)
+        if not by_n:  # rows of (m, b, a, n): put n second and sort by (m, n, a)
+            rows = rows[:, [0, 3, 2, 1]]
+            rows = rows[np.lexsort(rows[:, 2::-1].T)]
+        found.append(rows)
     return np.concatenate(found)
 
 

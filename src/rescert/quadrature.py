@@ -2,8 +2,13 @@
 
 The integrands in this package (windowed Dirichlet polynomial moments,
 bump transforms) are smooth but oscillate with a known top frequency, so
-a composite rule with a couple of panels per cycle converges fast and
-vectorizes cleanly.  Panel counts double until two successive refinements
+a composite rule with a fixed number of panels per cycle converges fast
+and vectorizes cleanly.  The caller picks that starting density: at p
+panels per cycle the Gauss-Legendre error term (Davis-Rabinowitz,
+Methods of Numerical Integration, 2.7) of a unit oscillation, per unit
+length, is about 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) (pi/p)^(2n) with
+n = GL_ORDER: 1e-14 at one panel per cycle, 1e-20 at two and 1e-8 at
+half a panel.  Panel counts double until two successive refinements
 agree to tolerance; the difference of the last two levels is reported as
 the error estimate.
 
@@ -127,6 +132,7 @@ def adaptive_oscillatory(
     *,
     max_freq: float,
     rule,
+    panels_per_cycle: float = 2.0,
     abs_tol: float = 0.0,
     rel_tol: float = 1e-9,
     max_evals: int = 40_000_000,
@@ -141,14 +147,19 @@ def adaptive_oscillatory(
             for composite_gl_grid; a (weight, freq) pair for
             composite_gl_phased.  A caller's own rule may read it as data.
         max_freq: largest angular frequency present in the integrand
-            (rad per unit); sets the initial panel count at roughly two
-            panels per cycle.
+            (rad per unit); with panels_per_cycle it sets the initial
+            panel count (at least 8).
         rule: the level rule `rule(fn, a, b, panels)`, one pass with
             `panels` equal panels of GL_ORDER nodes.
             The package's callers pass composite_gl_grid (the quadrature
             moments) or composite_gl_phased (bump's ramp integral);
             composite_gl, every abscissa in one array, is the reference
             rule the tests check those two against.
+        panels_per_cycle: panels per cycle of max_freq at the first
+            level.  Two (the default, bump's ramp integral) puts the
+            first level's error term near 1e-20; one (the quadrature
+            moments) near 1e-14, so the second level, at two per cycle,
+            confirms the first (module docstring).
         abs_tol / rel_tol: accept once the last refinement moved the
             value by no more than max(abs_tol, rel_tol * |value|).
         max_evals: budget on total integrand evaluations; a level that
@@ -165,7 +176,7 @@ def adaptive_oscillatory(
     if b <= a:
         return 0.0 + 0.0j, 0.0
     cycles = abs(max_freq) * (b - a) / (2.0 * np.pi)
-    panels = max(8, int(np.ceil(2.0 * cycles)))
+    panels = max(8, int(np.ceil(panels_per_cycle * cycles)))
     spent = 0
     prev = None
     err = float("inf")

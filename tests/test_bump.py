@@ -557,6 +557,28 @@ def test_transform_float_matches_transform_mp(xi):
     assert abs(Bump()._transform_float(xi) - FUSED_REFERENCE[xi]) <= 1e-14
 
 
+# float.hex of (re, im) of the float transform at transform-deep's float points
+# xi = 10 * 2^k, k = 0..7, whose rounding noise its decay-constant reference records.
+FLOAT_TRANSFORM_BITS = {
+    10.0: ("0x1.094567887f778p-4", "-0x1.66e9e520c49b6p-3"),
+    20.0: ("0x1.46acc99741eaep-5", "0x1.17a1b0b0a50b8p-5"),
+    40.0: ("0x1.4cbf6455ec21ap-8", "0x1.0a6b7acf4ae46p-5"),
+    80.0: ("-0x1.4b7597227cb38p-9", "0x1.a8524dedc0678p-11"),
+    160.0: ("0x1.b1754b54ad640p-12", "-0x1.351be79581fb0p-12"),
+    320.0: ("-0x1.db36983aba000p-22", "0x1.58c70119a4000p-20"),
+    640.0: ("0x1.e272fb3488000p-24", "0x1.7947f0a484000p-24"),
+    1280.0: ("0x1.c004387200000p-33", "0x1.c2f4bd2000000p-31"),
+}
+
+
+def test_transform_float_pinned_bits():
+    got = {}
+    for xi in FLOAT_TRANSFORM_BITS:
+        v = Bump()._transform_float(xi)
+        got[xi] = (v.real.hex(), v.imag.hex())
+    assert got == FLOAT_TRANSFORM_BITS
+
+
 def _two_ramp_float(b: Bump, w: float, xi: float) -> complex:
     """The float transform as two separate ramp integrals, one per ramp."""
     from rescert.quadrature import adaptive_oscillatory, composite_gl

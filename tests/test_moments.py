@@ -211,11 +211,19 @@ def test_quadrature_moments_match_dense_reference(idx):
 
 
 # m1_quadrature and m2_quadrature with each level's panel sums added by numpy's pairwise
-# sum, the same under any BLAS thread count: (N, T, log X, f, M1, M2).
+# sum, the same under any BLAS thread count: (N, T, log X, f, M1, M2), with the panel
+# doubling started at one panel per cycle.
 QUADRATURE_PINS = [
-    (3, 1e3, 20.0, constant_one(), 396.79546424213396, 396.7974271620906),
-    (4, 1e4, 20.2, steinhaus_sample(12345), 4174.399071895654, 4174.39907189667),
-    (12, 1e4, 20.0, archimedean_cmf(1.0), 3967.95464242134, 3967.954646773768),
+    (3, 1e3, 20.0, constant_one(), 396.795464242134, 396.79742716209074),
+    (4, 1e4, 20.2, steinhaus_sample(12345), 4174.3990718956475, 4174.399071896685),
+    (12, 1e4, 20.0, archimedean_cmf(1.0), 3967.9546424213395, 3967.95464677375),
+]
+# The same moments with the doubling started at two panels per cycle, on levels of twice the
+# panels; each pin above stays within 1e-13 relative of them.
+QUADRATURE_PINS_TWO_PER_CYCLE = [
+    (396.79546424213396, 396.7974271620906),
+    (4174.399071895654, 4174.39907189667),
+    (3967.95464242134, 3967.954646773768),
 ]
 
 
@@ -223,10 +231,36 @@ QUADRATURE_PINS = [
 def test_quadrature_moments_pinned(idx):
     # Scanning a group of nodes per chunk moves no float of either moment.
     n, t_bound, logx, f, m1, m2 = QUADRATURE_PINS[idx]
+    for pin, old in zip((m1, m2), QUADRATURE_PINS_TWO_PER_CYCLE[idx]):
+        assert pin == pytest.approx(old, rel=1e-13, abs=0.0)
     res = build_resonator(math.exp(logx), TABLE)
     supp = support_elements(res, res.x)
     assert m1_quadrature(f, t_bound, supp) == m1
     assert m2_quadrature(f, n, t_bound, supp, TABLE) == m2
+
+
+@pytest.mark.parametrize("idx", range(len(CRITERION3)))
+def test_quadrature_moments_converge_in_two_levels(idx, monkeypatch):
+    # One panel per cycle already meets the 1e-8 tolerance (its Gauss-Legendre error term is
+    # about 1e-14), so the second level, at two panels per cycle, confirms it and no third
+    # level runs, for M1 and for M2.
+    n, t_bound, logx = CRITERION3[idx]
+    f = CRITERION3_FS[idx % 3]
+    levels = []
+    rule = moments.composite_gl_grid
+
+    def recorded(fn, a, b, panels):
+        levels.append(panels)
+        return rule(fn, a, b, panels)
+
+    monkeypatch.setattr(moments, "composite_gl_grid", recorded)
+    res = build_resonator(math.exp(logx), TABLE)
+    supp = support_elements(res, res.x)
+    m1_quadrature(f, t_bound, supp)
+    assert len(levels) == 2 and levels[1] == 2 * levels[0]
+    levels.clear()
+    m2_quadrature(f, n, t_bound, supp, TABLE)
+    assert len(levels) == 2 and levels[1] == 2 * levels[0]
 
 
 # m1_exact and m2_exact on criterion 3's cells, f = CRITERION3_FS[idx % 3], each cell on a
@@ -326,7 +360,7 @@ def test_m2_quadrature_builds_step_tables_once_per_level_group_and_shape(monkeyp
     # Each node group scans a whole level with one grid-kernel pass per polynomial, so the
     # explicit step tables are built once per level, node group, polynomial and block shape:
     # a full block of RESYNC_STRIDE points and the short last block.  Scanning chunk by
-    # chunk built them once per chunk (four times per group and polynomial at 34 380 panels).
+    # chunk built them once per chunk (twice per group and polynomial at 17 190 panels).
     builds = []
     for name in ("_step_tables", "_taylor_tables"):
         build = getattr(dirichlet, name)
@@ -347,15 +381,16 @@ def test_m2_quadrature_builds_step_tables_once_per_level_group_and_shape(monkeyp
     res = build_resonator(math.exp(20.2), TABLE)
     supp = support_elements(res, res.x)
     m2_quadrature(steinhaus_sample(1), 12, 1e4, supp, TABLE)
-    assert levels == [17190, 34380] and RESYNC_STRIDE == 10_000
-    # Last blocks of 7190 and 4380 points; five nodes per group above 10 000 panels.
-    last = {17190: (85, 85), 34380: (67, 66)}
+    assert levels == [8595, 17190] and RESYNC_STRIDE == 10_000
+    # 8595 points fit one short block; 17 190 take a full block and a last one of 7190
+    # points.  Five nodes per group at both levels (5 * RESYNC_STRIDE // 8595 = 5).
+    shapes = {8595: [(93, 93)], 17190: [(100, 100), (85, 85)]}
     want = [
         ("_step_tables", *shape, terms)
         for panels in levels
         for _group in range(2)
         for terms in (len(supp), 12)
-        for shape in ((100, 100), last[panels])
+        for shape in shapes[panels]
     ]
     assert builds == want
 
@@ -429,6 +464,39 @@ def test_dense_diagonal_matches_bruteforce_property(values, data):
     unsigned = ToyResonator({n: abs(v) for n, v in toy.values.items()})
     size = diagonal_sum_bruteforce(unsigned, n_max, x)
     assert abs(fast - brute) <= 1e-12 * max(1.0, size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.dictionaries(
+        st.integers(2, 40),
+        st.one_of(
+            st.floats(-2.0, 2.0),
+            st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(470, 505)),
+        ),
+        max_size=20,
+    ),
+    n_max=st.integers(1, 250),
+    x=st.floats(1.0, 40.0),
+)
+def test_dense_diagonal_single_block_is_the_exact_sum_path_property(values, n_max, x):
+    # A one-block gcd matrix goes to math.fsum where no partial sum can overflow; with
+    # _BLOCK = 1 each row is a block of its own and goes to _ExactSum.  Both give the
+    # correctly rounded sum bit for bit, or raise the same error.  Weights up to 2^505 put
+    # the sums near the top of the float range, where the one-block matrix keeps _ExactSum
+    # unless its terms are bounded well below it.
+    toy = ToyResonator(values={1: 1.0, **values})
+    built = []
+    exact_sum = moments._ExactSum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_ExactSum", lambda: built.append(1) or exact_sum())
+        one_block = _bits_or_error(lambda: diagonal_sum(toy, n_max, x))
+    if all(abs(v) <= 2.0 for v in values.values()):
+        assert built == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_BLOCK", 1)
+        row_blocks = _bits_or_error(lambda: diagonal_sum(toy, n_max, x))
+    assert one_block == row_blocks
 
 
 def _loop_diagonal_sum(res, n_max, x):

@@ -196,6 +196,15 @@ def test_bijection_matches_loop_reference_at_the_cap(n, x):
     _assert_matches_loops(n, x)
 
 
+def test_bijection_over_b_matches_loop_reference(monkeypatch):
+    # With chunks of 50 tests, every N^2 X > 50 takes the (m, a, b) enumeration, whose rows
+    # must come back in the loops' (m, n, a) order, one chunk of m or several.
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 50)
+    for n in range(1, 26):
+        for x in range(1, 26):
+            _assert_matches_loops(n, x)
+
+
 def test_bijection_at_x_one_bounded():
     # The loops take N^2 = 10^8 steps here.  At X = 1, ma = nb forces a = b = 1 and m = n,
     # which the only pair a' = b' = 1 gives with g = 1 and h = m.
