@@ -40,10 +40,12 @@ product.  Since psi(1 - s) = 1 - psi(s) and the layout is symmetric
 about 1/2, piece P-1-k is
 e^{-i lam} conj(e^{-i lam s_k} sum_j (1 - psi_j) * factor_j) node for
 node, so each psi value (one exp) serves both pieces of a mirror pair.
-The node loop runs in Python-int fixed point at prec + 20 bits, with no
-mpf per node: offsets and factors are integers times 2^-(prec+20), psi
-comes from three floor divisions and mpmath.libmp's exp_fixed within a
-few units of 2^-(prec+20) (_psi_fixed), and the products sum exactly.
+The whole rule runs in Python-int fixed point at prec + 20 bits, with no
+mpf per node: offsets, factors and phases are integers times
+2^-(prec+20), their cosines and sines from mpmath.libmp's cos_sin_fixed,
+psi comes from three floor divisions and a table-driven exponential
+(_exp_fixed, Tang 1989) within a few units of 2^-(prec+20) (_psi_fixed),
+and the products sum exactly.
 Each pair climbs mpmath's Gauss-Legendre degrees (3 * 2^(m-1) nodes)
 until the GaussLegendre.estimate_error extrapolation is at most eps/8 for
 both pieces, mpmath.quad's stopping rule, and a pair that has not got
@@ -51,15 +53,15 @@ there at the top degree raises QuadratureError.  The climb stays in
 these exact integer sums: the estimate (_estimate_error) works on their
 exact differences, which the unimodular piece phase would not change,
 with its two logarithms in float and its test against eps/8 an integer
-comparison, and only a piece's last degree becomes an mpc times its
-phase.
+comparison.  A piece's last degree times its phase joins an exact integer
+sum, and C becomes one mpc at the end.
 
 mpmath serves only this 50-digit path, so it is imported on the first
 deep transform of a process, not with this module: importing rescert and
 every CLI command leave it unloaded.  The deep functions bind its names
-once per call, outside the node loop (_psi_fixed gets exp_fixed from its
-caller), and the Gauss-Legendre rule with its node cache is one instance,
-built on the first deep call and kept for the process (_gauss_legendre).
+once per call, outside the node loop, and two things are built on the
+first deep call and kept for the process: the Gauss-Legendre rule with its
+node cache (_gauss_legendre) and the exponential's tables (_exp_tables).
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ DECAY_A2 = 2 * 2 * 2.0 / RAMP_WIDTH
 # rounding noise of the O(1) integrand, not by the true value.
 DEEP_THRESHOLD = 1e-12
 DEEP_DPS = 50
+# Guard bits of _exp_fixed's tables and products over its prec.
+_EXP_GUARD = 12
 _LOG10_2 = math.log10(2)
 
 
@@ -114,25 +118,66 @@ def _gauss_legendre():
     return GaussLegendre(mpmath.mp)
 
 
-def _psi_fixed(s: int, prec: int, ln2: int, exp_fixed) -> int:
+@functools.cache
+def _exp_tables(prec: int):
+    """Tang's tables for _exp_fixed at prec bits, built once per precision and
+    kept for the process: ln 2, three levels e^{j 2^-8k} (j < 256, k = 1, 2, 3)
+    and the Horner coefficients 1/k! of e^r for r < 2^-24, every entry an
+    integer times 2^-(prec + _EXP_GUARD) within a few units, from mpmath.libmp.
+    """
+    from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
+
+    wp = prec + _EXP_GUARD
+    levels = tuple(
+        tuple(exp_fixed(j << (wp - 8 * k), wp) for j in range(256)) for k in (1, 2, 3)
+    )
+    # Taylor terms up to r^(n-1)/(n-1)!, the first n with r^n/n! below 2^-wp.
+    n = next(n for n in range(1, wp) if 24 * n + math.log2(math.factorial(n)) >= wp)
+    horner = tuple((1 << wp) // math.factorial(k) for k in reversed(range(n)))
+    return ln2_fixed(wp), levels, horner
+
+
+def _exp_fixed(x: int, prec: int) -> int:
+    """e^x for x an integer times 2^-prec, as an integer times 2^-prec.
+
+    Tang, ACM TOMS 15 (1989): x = n ln 2 + t with 0 <= t < ln 2, and
+    e^t = e^{j1 2^-8} e^{j2 2^-16} e^{j3 2^-24} e^r, the three factors looked
+    up by t's leading three bytes (_exp_tables) and e^r (r < 2^-24) by Horner's
+    rule, all at _EXP_GUARD bits more than prec.  Within a few units
+    relative of e^x, plus one unit of 2^-prec from the last shift.
+    """
+    ln2, (e8, e16, e24), horner = _exp_tables(prec)
+    wp = prec + _EXP_GUARD
+    n, t = divmod(x << _EXP_GUARD, ln2)
+    r = t & ((1 << (wp - 24)) - 1)
+    v = 0
+    for c in horner:
+        v = c + (v * r >> wp)
+    v = v * e8[t >> (wp - 8)] >> wp
+    v = v * e16[(t >> (wp - 16)) & 255] >> wp
+    v = v * e24[(t >> (wp - 24)) & 255] >> wp
+    n -= _EXP_GUARD
+    return v << n if n >= 0 else v >> -n
+
+
+def _psi_fixed(s: int, prec: int) -> int:
     """psi at s * 2^-prec in (0, 1), as an integer scaled by 2^prec.
 
     x = 1/s - 1/(1 - s) takes two floor divisions and psi = 1/(1 + e^x) a third,
-    with e^x from mpmath.libmp's exp_fixed, passed in (ln2 = ln2_fixed(prec)).
-    Past |x| > (prec + 8) ln 2, psi is within 2^-(prec+8) of 0 (x > 0) or 1
-    (x < 0) and returns that end.
-    Each floor costs under one unit of 2^-prec, exp_fixed a few units relative
+    with e^x from _exp_fixed.  Past |x| > (prec + 8) ln 2, psi is within
+    2^-(prec+8) of 0 (x > 0) or 1 (x < 0) and returns that end.
+    Each floor costs under one unit of 2^-prec, _exp_fixed a few units relative
     to e^x, and |d psi / d ln e^x| <= 1/4, so the result is within a few units
     of 2^-prec of psi at the represented s.
     """
     one = 1 << prec
     x = (one << prec) // s - (one << prec) // (one - s)
-    cut = (prec + 8) * ln2
+    cut = (prec + 8) * _exp_tables(prec)[0] >> _EXP_GUARD
     if x > cut:
         return 0
     if x < -cut:
         return one
-    return (one << prec) // (one + exp_fixed(x, prec, ln2))
+    return (one << prec) // (one + _exp_fixed(x, prec))
 
 
 def _estimate_error(results, prec, fixed):
@@ -169,93 +214,116 @@ def _estimate_error(results, prec, fixed):
 
 def _folded_ramp_mp(lam):
     """C = integral_0^1 psi(s) e^{-i lam s} ds by the 50-digit ramp rule
-    (module docstring), at the working precision plus 20 guard bits.
+    (module docstring), in Python-int fixed point at P = prec + 20 bits.
 
-    The nodes run in fixed point at P = prec + 20 bits: per degree, each
-    offset u_j and each factor h/2 * w_j * e^{-i lam u_j} is truncated once
-    to an integer times 2^-P, psi comes from _psi_fixed at the piece start
-    plus u_j, and sum_j psi_j * factor_j is an exact integer sum.  The mirror
-    piece's sum of (1 - psi_j) * factor_j is the exact integer
-    2^P * sum_j factor_j minus it.  A pair's whole degree climb stays in these
-    integers: the stopping estimate works on their exact differences
-    (_estimate_error), and only the last degree of each piece is turned into
-    an mpc and multiplied by its phase.
-    A node is within 2^(1-P) of its place, its factor within 2^-P per part,
-    and its psi within a few units of 2^-P (_psi_fixed); with |psi'| <= 2
-    and sum_j |factor_j| <= h, a piece of n nodes (n <= 3 * 2^(top-1)) is
-    off by about (n + 8) 2^-P per part, far below the eps/8 = 2^-(prec+2)
-    it is tested against.
+    Per degree, each Gauss-Legendre node x_j and weight w_j is truncated once
+    to an integer times 2^-P, and the offset u_j = h (1 + x_j) / 2 and the
+    factor h/2 * w_j * e^{-i lam u_j} follow by integer products and floor
+    divisions, the cosine and sine from mpmath.libmp's cos_sin_fixed.  psi
+    comes from _psi_fixed at the piece start plus u_j, and
+    sum_j psi_j * factor_j is an exact integer sum.  The mirror piece's sum of
+    (1 - psi_j) * factor_j is the exact integer 2^P * sum_j factor_j minus it.
+    A pair's whole degree climb stays in these integers: the stopping estimate
+    works on their exact differences (_estimate_error).  The last degree of a
+    piece is multiplied by its phase e^{-i lam k h}, and the mirror's conjugate
+    by e^{-i lam} conj(e^{-i lam k h}), both from cos_sin_fixed, into one exact
+    sum at scale 2^-(3P) that becomes an mpc at the end.
+    A node is within one unit of 2^-P of its place, and a factor, phase or psi
+    value within a few units (_psi_fixed).  With |psi'| <= 2 and
+    sum_j |factor_j| <= h, a piece of n nodes (n <= 3 * 2^(top-1)) is off by
+    about (n + 8) 2^-P per part, and its phase adds a few units more: far below
+    the eps/8 = 2^-(prec+2) a piece pair's estimate is tested against.
 
     Returns (C, worst): worst is the largest error estimate of a piece
     pair at its last degree, an mpf to be compared with eps/8 at the
     working precision.
     """
     import mpmath
-    from mpmath.libmp import to_fixed
-    from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
+    from mpmath.libmp import from_man_exp, to_fixed
+    from mpmath.libmp.libelefun import cos_sin_fixed, pi_fixed
 
     gauss_legendre = _gauss_legendre()
     prec = mpmath.mp.prec
     top = gauss_legendre.guess_degree(prec)
-    pieces = max(4, int(mpmath.ceil(abs(lam) / mpmath.pi)) + 1)
     fixed = prec + 20
-    ln2 = ln2_fixed(fixed)
+    one = 1 << fixed
+    lam = to_fixed(lam._mpf_, fixed)  # lam times 2^fixed from here on
+    pieces = max(4, -(-abs(lam) // pi_fixed(fixed)) + 1)
+    # cos_sin_fixed reduces its argument by pi/2 with an error of up to a unit
+    # per multiple of pi/2, so phases up to lam are taken at as many more bits
+    # as lam has integer bits, and each is within a unit of 2^-fixed before its
+    # own few units.
+    guard = (abs(lam) >> fixed).bit_length()
+
+    def expj(num, den):
+        # e^{-i lam num / den} as (re, im) times 2^fixed.
+        c, s = cos_sin_fixed((lam * num << guard) // den, fixed + guard)
+        return c >> guard, -s >> guard
+
     # _estimate_error's unit: E <= eps/8 = 2^-(prec+2) iff its value is <= stop.
     scale = 10 ** (2 * prec) << (4 * fixed)
     stop = scale >> (2 * prec + 4)
-    with mpmath.workprec(fixed):
-        h = mpmath.mpf(1) / pieces
-        degrees = {}
+    degrees = {}
 
-        def node_factors(degree):
-            # Offsets u_j in a piece and the parts of h/2 * w_j * e^{-i lam u_j},
-            # all times 2^fixed, with the sums of the parts (the rule applied
-            # to psi = 1) times 2^(2 fixed).
-            if degree not in degrees:
-                offsets, re, im = [], [], []
-                for x, weight in gauss_legendre.get_nodes(-1, 1, degree, prec):
-                    u = h * (1 + x) / 2
-                    factor = h / 2 * weight * mpmath.expj(-lam * u)
-                    offsets.append(to_fixed(u._mpf_, fixed))
-                    re.append(to_fixed(factor.real._mpf_, fixed))
-                    im.append(to_fixed(factor.imag._mpf_, fixed))
-                degrees[degree] = offsets, re, im, sum(re) << fixed, sum(im) << fixed
-            return degrees[degree]
+    def node_factors(degree):
+        # Offsets u_j in a piece and the parts of h/2 * w_j * e^{-i lam u_j},
+        # all times 2^fixed, with the sums of the parts (the rule applied to
+        # psi = 1) times 2^(2 fixed).
+        if degree not in degrees:
+            offsets, re, im = [], [], []
+            den = 2 * pieces << fixed
+            for x, weight in gauss_legendre.get_nodes(-1, 1, degree, prec):
+                span = one + to_fixed(x._mpf_, fixed)  # (1 + x_j) 2^fixed
+                weight = to_fixed(weight._mpf_, fixed)
+                c, s = expj(span, den)
+                offsets.append(span // (2 * pieces))
+                re.append(weight * c // den)
+                im.append(weight * s // den)
+            degrees[degree] = offsets, re, im, sum(re) << fixed, sum(im) << fixed
+        return degrees[degree]
 
-        def to_mpc(re, im):
-            return mpmath.mpc(mpmath.mpf((re, -2 * fixed)), mpmath.mpf((im, -2 * fixed)))
-
-        back = mpmath.expj(-lam)
-        total = mpmath.mpc(0)
-        worst = 0
-        for k in range((pieces + 1) // 2):
-            start = (k << fixed) // pieces
-            paired = 2 * k + 1 < pieces  # else the middle piece, its own mirror
-            here, mirror = [], []
-            err = math.inf
-            for degree in range(1, top + 1):
-                offsets, re, im, ones_re, ones_im = node_factors(degree)
-                dot_re = dot_im = 0
-                for u, a, b in zip(offsets, re, im):
-                    p = _psi_fixed(start + u, fixed, ln2, exp_fixed)
-                    dot_re += p * a
-                    dot_im += p * b
-                here.append((dot_re, dot_im))
-                if paired:
-                    mirror.append((ones_re - dot_re, ones_im - dot_im))
-                if degree > 1:
-                    err = _estimate_error(here, prec, fixed)
-                    # The mirror's estimate only matters once this one passes.
-                    if paired and err <= stop:
-                        err = max(err, _estimate_error(mirror, prec, fixed))
-                    if err <= stop:
-                        break
-            worst = max(worst, err)
-            phase = mpmath.expj(-lam * (k * h))
-            total += phase * to_mpc(*here[-1]) + (
-                back * mpmath.conj(phase * to_mpc(*mirror[-1])) if paired else 0
-            )
-        return total, mpmath.sqrt(mpmath.mpf(worst) / scale)
+    back_re, back_im = expj(1, 1)
+    total_re = total_im = 0
+    worst = 0
+    for k in range((pieces + 1) // 2):
+        start = (k << fixed) // pieces
+        paired = 2 * k + 1 < pieces  # else the middle piece, its own mirror
+        here, mirror = [], []
+        err = math.inf
+        for degree in range(1, top + 1):
+            offsets, re, im, ones_re, ones_im = node_factors(degree)
+            dot_re = dot_im = 0
+            for u, a, b in zip(offsets, re, im):
+                p = _psi_fixed(start + u, fixed)
+                dot_re += p * a
+                dot_im += p * b
+            here.append((dot_re, dot_im))
+            if paired:
+                mirror.append((ones_re - dot_re, ones_im - dot_im))
+            if degree > 1:
+                err = _estimate_error(here, prec, fixed)
+                # The mirror's estimate only matters once this one passes.
+                if paired and err <= stop:
+                    err = max(err, _estimate_error(mirror, prec, fixed))
+                if err <= stop:
+                    break
+        worst = max(worst, err)
+        # phase * here + e^{-i lam} conj(phase * mirror), the latter as
+        # (e^{-i lam} conj(phase)) * conj(mirror), at scale 2^(3 fixed).
+        phase_re, phase_im = expj(k, pieces)
+        re, im = here[-1]
+        total_re += phase_re * re - phase_im * im
+        total_im += phase_re * im + phase_im * re
+        if paired:
+            q_re = (back_re * phase_re + back_im * phase_im) >> fixed
+            q_im = (back_im * phase_re - back_re * phase_im) >> fixed
+            re, im = mirror[-1]
+            total_re += q_re * re + q_im * im
+            total_im += q_im * re - q_re * im
+    c = mpmath.mp.make_mpc(
+        (from_man_exp(total_re, -3 * fixed), from_man_exp(total_im, -3 * fixed))
+    )
+    return c, mpmath.sqrt(mpmath.mpf(worst) / scale)
 
 
 @dataclass

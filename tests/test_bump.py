@@ -13,6 +13,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 import rescert.bump as bump_mod
@@ -446,7 +448,6 @@ def test_psi_fixed_matches_50_digit_psi():
         prec = mpmath.mp.prec
     fixed = prec + 20
     one = 1 << fixed
-    ln2 = ln2_fixed(fixed)
     rng = np.random.default_rng(11)
     near_end = [int(d * one) for d in rng.uniform(1e-12, 1e-3, 40)] + [1, 2**40]
     # Around s = 0.0073, x = 1/s - 1/(1 - s) crosses the cut (fixed + 8) ln 2.
@@ -455,14 +456,88 @@ def test_psi_fixed_matches_50_digit_psi():
     points += near_end + [one - p for p in near_end] + near_cut + [one - p for p in near_cut]
     branches = {0: 0, one: 0}
     for s in points:
-        got = bump_mod._psi_fixed(s, fixed, ln2, exp_fixed)
+        got = bump_mod._psi_fixed(s, fixed)
         if got in branches:
             branches[got] += 1
         with mpmath.workprec(2 * fixed):
             err = abs(mpmath.mpf((got, -fixed)) - _psi_deep(mpmath.mpf((s, -fixed))))
         assert err <= mpmath.mpf(2) ** -prec, s
     assert branches[0] > 0 and branches[one] > 0
-    assert bump_mod._psi_fixed(one // 2, fixed, ln2, exp_fixed) == one // 2
+    assert bump_mod._psi_fixed(one // 2, fixed) == one // 2
+
+
+# The 50-digit rule's fixed-point precision, P = prec + 20 bits.
+with mpmath.workdps(bump_mod.DEEP_DPS):
+    DEEP_FIXED = mpmath.mp.prec + 20
+
+
+def _assert_exp_fixed_close(x: int) -> None:
+    # Against mpmath's exp_fixed at 2 * fixed bits: within 4 units of 2^-fixed
+    # relative to e^x, plus the one unit that the final shift truncates.
+    fixed = DEEP_FIXED
+    got = bump_mod._exp_fixed(x, fixed)
+    ref = exp_fixed(x << fixed, 2 * fixed)
+    assert abs((got << fixed) - ref) <= 4 * (ref >> fixed) + (1 << fixed), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(frac=st.fractions(-1, 1))
+def test_exp_fixed_matches_mpmath(frac):
+    # x over psi's whole range |x| <= (fixed + 8) ln 2, both signs.
+    cut = (DEEP_FIXED + 8) * ln2_fixed(DEEP_FIXED)
+    _assert_exp_fixed_close(int(frac * cut))
+
+
+def test_exp_fixed_at_reduction_and_table_edges():
+    # x at each multiple n ln 2 in range, and x whose reduced argument t lands on
+    # a boundary j 2^(-8k) of table level k (where the Taylor remainder is
+    # largest just below), each +-1 unit, in _exp_fixed's own ln 2.
+    guard = bump_mod._EXP_GUARD
+    wp = DEEP_FIXED + guard
+    ln2 = bump_mod._exp_tables(DEEP_FIXED)[0]
+    edges = [n * ln2 for n in range(-(DEEP_FIXED + 8), DEEP_FIXED + 9)]
+    edges += [
+        n * ln2 + (j << (wp - 8 * k))
+        for n in (-DEEP_FIXED, 0, DEEP_FIXED)
+        for k in (1, 2, 3)
+        for j in range(1, 256)
+        if j << (wp - 8 * k) < ln2
+    ]
+    for edge in edges:
+        for x in range((edge >> guard) - 1, (edge >> guard) + 2):
+            _assert_exp_fixed_close(x)
+
+
+# C = integral_0^1 psi(s) e^{-i lam s} ds at lam = xi w, as (re, im) to 60
+# digits: mpmath.quad (tanh-sinh) at 70 digits of psi(s) expj(-lam s) over
+# [0, 1] cut at the half-cycle points k pi / lam < 1, with psi as in _psi_mp
+# inside (0, 1), psi(0) = 0 and psi(1) = 1.
+FOLDED_RAMP_REFERENCE = {
+    3.3: (
+        "0.476554371920819282792982554055082067608552925248898178499934",
+        "-0.146532177750549377789624492035612006972332196020161955313179",
+    ),
+    320.0: (
+        "0.0186115534066342335924223629003840538259367914972249823809746",
+        "-0.0166807266572929492122229779413280739007511201409553767209436",
+    ),
+    2560.0: (
+        "-0.00133798571246250048364966375700116780616150436411159214333691",
+        "0.0028240784735680083537689536615578125289122437205226040831482",
+    ),
+}
+
+
+def test_folded_ramp_mp_matches_70_digit_quad():
+    # The 50-digit C itself, which the complex128 pins above cannot see below
+    # 10^-16: within the working eps relative.
+    for xi, (re, im) in FOLDED_RAMP_REFERENCE.items():
+        with mpmath.workdps(bump_mod.DEEP_DPS):
+            c, _ = bump_mod._folded_ramp_mp(mpmath.mpf(xi) * RAMP_WIDTH)
+            eps = +mpmath.eps
+        with mpmath.workdps(70):
+            ref = mpmath.mpc(re, im)
+            assert abs(c - ref) <= eps * abs(ref), xi
 
 
 def test_integer_estimate_makes_mpmath_stopping_decisions(monkeypatch):

@@ -1438,29 +1438,57 @@ def _expansion(c: np.ndarray, ks: np.ndarray, t_bound: float, scale: float) -> f
     return scale * math.fsum(terms)
 
 
+def _envelope_cases(n_max: int, x: int, t_bound: float, r: np.ndarray, f):
+    """M2 and then M1 of the toy resonator with weights r on {1, ..., X} at
+    (N, T) and f: yields (full, diag, eps, rounding), the full transform
+    expansion, its diagonal part, the report's eps, and the float allowance
+    beyond eps: the transform's absolute error TOLERANCE and a few roundings
+    per term, times (sum |c_k|)^2."""
+    b = np.zeros(n_max * x + 1)  # B_k = sum of r(a) over k = m*a, m <= N, a <= X
+    for m in range(1, n_max + 1):
+        b[m : m * x + 1 : m] += r
+    ks = np.flatnonzero(b)
+    fv = values_up_to(f, n_max * x, TABLE)
+    eps2, eps1 = _offdiag_eps(n_max * x, t_bound), _offdiag_eps(x, t_bound)
+    for c, k, scale, diag, eps in (
+        (fv[ks - 1] * b[ks], ks, t_bound / n_max, math.fsum(b * b), eps2),
+        (fv[:x] * r, np.arange(1, x + 1), t_bound, math.fsum(r * r), eps1),
+    ):
+        full = _expansion(c, k, t_bound, scale)
+        rounding = scale * (TOLERANCE + 2.0**-50) * math.fsum(np.abs(c)) ** 2
+        yield full, diag * (scale * PHI0), eps, rounding
+
+
 @pytest.mark.parametrize("n_max, x, t_bound", OFFDIAG_ROWS)
 def test_offdiag_eps_bounds_the_full_expansion(n_max, x, t_bound):
     # A toy resonator with random weights in [0, 1) on {1, ..., X} (the bound
     # holds for any r >= 0), f = 1 and five Steinhaus f: M2 and M1 by the full
     # transform expansion against their diagonal parts, which the report's eps
-    # must bound.  Allowed beyond eps: the transform's absolute error TOLERANCE
-    # and a few roundings per term, times (sum |c_k|)^2.
+    # must bound, up to the float allowance of _envelope_cases.
     r = np.random.default_rng([n_max, x, int(t_bound)]).random(x)
-    b = np.zeros(n_max * x + 1)  # B_k = sum of r(a) over k = m*a, m <= N, a <= X
-    for m in range(1, n_max + 1):
-        b[m : m * x + 1 : m] += r
-    ks = np.flatnonzero(b)
-    eps2, eps1 = _offdiag_eps(n_max * x, t_bound), _offdiag_eps(x, t_bound)
     for f in (constant_one(), *(steinhaus_sample(seed) for seed in range(5))):
-        fv = values_up_to(f, n_max * x, TABLE)
-        for c, k, scale, diag, eps in (
-            (fv[ks - 1] * b[ks], ks, t_bound / n_max, math.fsum(b * b), eps2),
-            (fv[:x] * r, np.arange(1, x + 1), t_bound, math.fsum(r * r), eps1),
-        ):
-            diag *= scale * PHI0
-            full = _expansion(c, k, t_bound, scale)
-            rounding = scale * (TOLERANCE + 2.0**-50) * math.fsum(np.abs(c)) ** 2
+        for full, diag, eps, rounding in _envelope_cases(n_max, x, t_bound, r, f):
             assert abs(full - diag) <= eps * diag + rounding
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    x=st.integers(1, 60),
+    data=st.data(),
+    ratio=st.floats(0.01, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+    f_seed=st.none() | st.integers(0, 2**32 - 1),
+)
+def test_offdiag_eps_bounds_random_toys(x, data, ratio, seed, f_seed):
+    # The same envelope on random toys: N * X <= 60, NX/T in [0.01, 0.1], where
+    # the off-diagonal part is not negligible, weights in [0, 1), and f = 1
+    # (f_seed None) or a Steinhaus f.  No slack beyond the float allowance.
+    n_max = data.draw(st.integers(1, 60 // x), label="n_max")
+    t_bound = n_max * x / ratio
+    r = np.random.default_rng(seed).random(x)
+    f = constant_one() if f_seed is None else steinhaus_sample(f_seed)
+    for full, diag, eps, rounding in _envelope_cases(n_max, x, t_bound, r, f):
+        assert abs(full - diag) <= eps * diag + rounding
 
 
 def test_t_weights_match_r_over_euler_factors():
