@@ -39,7 +39,6 @@ from .errors import QuadratureError, ResourceLimitError
 from .dirichlet import DEFAULT_EVAL_BUDGET, grid_sup, resonance_guided_search
 from .moments import (
     DEFAULT_TERM_BUDGET,
-    EXACT_AUTO_MAX_T,
     MomentReport,
     diagonal_sum,
     ratio_and_bounds,
@@ -61,7 +60,6 @@ from .resonator import (
     Resonator,
     build_resonator,
     degenerate_resonator,
-    window_bounds,
 )
 
 
@@ -86,7 +84,6 @@ class RunConfig:
     budget_points: int = DEFAULT_EVAL_BUDGET
     trace_stride: int = 0
     trace_out: str | None = None
-    sieve_limit: int | None = None
     out: str | None = None
     format: str = "json"
 
@@ -131,11 +128,11 @@ class RunConfig:
         return t ** (1.0 - 2.0 * self.delta / 3.0)
 
 
-def _parse_f(spec_str: str, seed: int, prime_limit: int) -> UnimodularCMF:
+def _parse_f(spec_str: str, seed: int) -> UnimodularCMF:
     if spec_str == "one":
         return constant_one()
     if spec_str == "steinhaus":
-        return steinhaus_sample(seed, prime_limit)
+        return steinhaus_sample(seed)
     if spec_str.startswith("arch:"):
         return archimedean_cmf(float(spec_str.split(":", 1)[1]))
     raise ValueError(f"unknown coefficient function {spec_str!r}")
@@ -152,28 +149,9 @@ def _parse_toy(text: str) -> ToyResonator:
     return ToyResonator(values=values)
 
 
-def _build_table(cfg: RunConfig, x: float, cover_n: bool = True):
-    """Factor table over the prime window of X, and up to N + 1 when
-    `cover_n` (coefficient values f(n), n <= N, are needed)."""
-    if cfg.sieve_limit is not None:
-        limit = cfg.sieve_limit
-    else:
-        limit = max(1024, cfg.n + 1) if cover_n else 1024
-        if x >= MIN_X:
-            _, hi = window_bounds(x)
-            limit = max(limit, math.ceil(hi) + 16)
-    return build_factor_table(limit)
-
-
-def _may_need_exact_moments(cfg: RunConfig, t: float) -> bool:
-    """Whether ratio_and_bounds can compute exact moments, the only part
-    of a certificate that evaluates f(n) for n <= N."""
-    return cfg.exact == "always" or (cfg.exact == "auto" and t <= EXACT_AUTO_MAX_T)
-
-
-def _resonator_for(x: float, table) -> Resonator:
+def _resonator_for(x: float) -> Resonator:
     if x >= MIN_X:
-        return build_resonator(x, table)
+        return build_resonator(x)
     return degenerate_resonator(x)
 
 
@@ -230,17 +208,13 @@ def _certify_report(cfg: RunConfig) -> MomentReport:
     """The certificate report for one configuration (certify and sweep)."""
     t = cfg.resolve_t()
     x = cfg.resolve_x(t)
-    table = _build_table(cfg, x, _may_need_exact_moments(cfg, t))
-    res = _resonator_for(x, table)
-    f = _parse_f(cfg.f, cfg.seed, table.limit)
     return ratio_and_bounds(
-        res,
-        f,
+        _resonator_for(x),
+        _parse_f(cfg.f, cfg.seed),
         cfg.n,
         t,
         cfg.delta,
         cfg.gamma,
-        table,
         alpha=cfg.alpha,
         budget=cfg.budget_terms,
         exact_mode=cfg.exact,
@@ -264,8 +238,8 @@ def cmd_search(cfg: RunConfig) -> int:
             "--trace-out writes every --trace-stride-th grid point; give --trace-stride > 0"
         )
     t = cfg.resolve_t()
-    table = _build_table(cfg, 1.0)
-    f = _parse_f(cfg.f, cfg.seed, table.limit)
+    table = build_factor_table(max(2, cfg.n))  # f(n) for the terms of D_N
+    f = _parse_f(cfg.f, cfg.seed)
     lo = cfg.window_lo if cfg.window_lo is not None else -t
     hi = cfg.window_hi if cfg.window_hi is not None else t
     trace_path = cfg.trace_out
@@ -273,9 +247,8 @@ def cmd_search(cfg: RunConfig) -> int:
         trace_path = "rescert_trace.csv"
     if cfg.guided:
         x = cfg.resolve_x(t)
-        res = _resonator_for(x, table)
         result = resonance_guided_search(
-            res,
+            _resonator_for(x),
             f,
             cfg.n,
             t,
@@ -307,9 +280,7 @@ def cmd_resonator(cfg: RunConfig) -> int:
         x = float(cfg.x)
     else:
         x = cfg.resolve_x(cfg.resolve_t())
-    # The summary evaluates no f(n): the table need only cover the prime window.
-    table = _build_table(cfg, x, cover_n=False)
-    res = _resonator_for(x, table)
+    res = _resonator_for(x)
     rep = res.summary()
     # is_degenerate keeps its csv column, just before alpha_default.
     alpha_default = rep.pop("alpha_default")
@@ -400,7 +371,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-points", type=int)
     p.add_argument("--trace-stride", type=int)
     p.add_argument("--trace-out")
-    p.add_argument("--sieve-limit", type=int)
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"))
 

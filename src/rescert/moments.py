@@ -48,7 +48,7 @@ from .bump import DECAY_A2, PHI_HAT_0, default_bump
 from .dirichlet import _dn_terms, _grid_blocks, _support_coeff_logs
 from .errors import ResourceLimitError
 from .multfn import UnimodularCMF, values_up_to
-from .ntcore import FactorTable
+from .ntcore import FactorTable, build_factor_table
 from .quadrature import adaptive_oscillatory, composite_gl_grid
 from .resonator import (
     _COLS,
@@ -67,7 +67,7 @@ DEFAULT_TERM_BUDGET = 50_000_000
 # direction (ratio_and_bounds derives it).
 PROVEN_MARGIN = 2.0**-40
 # Exact and quadrature moments are attempted in exact_mode="auto" only up
-# to this T (and only for tiny supports); they need a factor table to N.
+# to this T (and only for tiny supports); only they sieve up to N.
 EXACT_AUTO_MAX_T = 2.0e4
 
 
@@ -895,7 +895,6 @@ def ratio_and_bounds(
     t_bound: float,
     delta: float,
     gamma: float,
-    table: FactorTable,
     *,
     alpha: float | None = None,
     budget: int = DEFAULT_TERM_BUDGET,
@@ -939,7 +938,8 @@ def ratio_and_bounds(
     eps2 >= 1/2 and within u relative below), and the square root u/2.
     Each of these is far below the 2^-40 it is charged to.
 
-    `f` is only consulted for those exact/quadrature cross-checks.  Every
+    `f` is only consulted for those exact/quadrature cross-checks, and
+    only they read f(n), n <= N, from a sieve to N that they build.  Every
     moment uses the fixed window default_bump().
     """
     if exact_mode not in ("auto", "always", "never"):
@@ -1025,6 +1025,7 @@ def ratio_and_bounds(
     if support is not None:
         if f is None:
             raise ValueError("exact moments require a coefficient function")
+        table = build_factor_table(max(2, n_max))
         m1_q = m1_quadrature(f, t_bound, support)
         m1_e = m1_exact(f, t_bound, support)
         m2_q = m2_quadrature(f, n_max, t_bound, support, table)

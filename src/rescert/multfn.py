@@ -10,7 +10,8 @@ The Steinhaus draw must be reproducible across runs and platforms, so it
 is a keyed hash rather than a stateful RNG: u_p is the first 8 bytes of
 SHA-256(seed as big-endian uint64 || p as big-endian uint64), divided by
 2^64.  Distinct primes therefore get independent values and the order of
-evaluation never matters.
+evaluation never matters; a prime of 2^64 or more has no key and is
+refused.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ KIND_ONE = "one"
 KIND_ARCHIMEDEAN = "archimedean"
 KIND_STEINHAUS = "steinhaus"
 
-DEFAULT_PRIME_LIMIT = 1 << 62
-
 
 def _steinhaus_unit(seed: int, p: int) -> float:
+    if p >= 1 << 64:
+        raise ValueError(f"prime {p} does not fit the 8-byte Steinhaus key")
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big") + p.to_bytes(8, "big")
     digest = hashlib.sha256(key).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
@@ -44,20 +45,15 @@ class UnimodularCMF:
     kind: str
     alpha: float = 0.0
     seed: int = 0
-    prime_limit: int = DEFAULT_PRIME_LIMIT
     _cache: dict[int, complex] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind not in (KIND_ONE, KIND_ARCHIMEDEAN, KIND_STEINHAUS):
             raise ValueError(f"unknown coefficient family {self.kind!r}")
-        if self.prime_limit < 2:
-            raise ValueError("prime_limit must be at least 2")
         if self.kind == KIND_ARCHIMEDEAN and not math.isfinite(self.alpha):
             raise ValueError(f"archimedean alpha must be finite, got {self.alpha}")
 
     def prime_value(self, p: int) -> complex:
-        if p > self.prime_limit:
-            raise ValueError(f"prime {p} exceeds prime_limit {self.prime_limit}")
         if self.kind == KIND_ONE:
             return 1.0 + 0.0j
         if self.kind == KIND_ARCHIMEDEAN:
@@ -89,8 +85,8 @@ def archimedean_cmf(alpha: float) -> UnimodularCMF:
     return UnimodularCMF(kind=KIND_ARCHIMEDEAN, alpha=float(alpha))
 
 
-def steinhaus_sample(seed: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> UnimodularCMF:
-    return UnimodularCMF(kind=KIND_STEINHAUS, seed=int(seed), prime_limit=prime_limit)
+def steinhaus_sample(seed: int) -> UnimodularCMF:
+    return UnimodularCMF(kind=KIND_STEINHAUS, seed=int(seed))
 
 
 def values_up_to(f: UnimodularCMF, n_max: int, table: FactorTable) -> np.ndarray:

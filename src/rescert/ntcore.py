@@ -1,8 +1,8 @@
 """Smallest-prime-factor sieve and the integer helpers built on it.
 
-Everything downstream (coefficient functions, resonator supports, moment
-sums) factors integers through one shared FactorTable, so the table is
-built once per run and treated as immutable afterwards.
+Each layer sieves the range it reads: the resonator its prime window,
+the search and the exact/quadrature moments the integers up to N, for
+f(n).  A FactorTable is immutable once built.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ weight t(n) = r(n) / prod_{p | n}(1 + r(p)^2) is a function of r, and
 moments derives it where it reads it.  For small X the window is empty
 (the lower end exceeds the upper end); that is a legitimate degenerate
 state, flagged rather than rejected, in which r is supported on {1} alone.
+build_resonator sieves the window itself, up to its upper end.
 
 The support is the set of squarefree products of window primes up to a
 cap.  support_arrays is its one builder: sorted integers, prime masks
@@ -37,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ResourceLimitError
-from .ntcore import FactorTable, primes_in
+from .ntcore import FactorTable, build_factor_table, primes_in
 
 MIN_X = math.exp(math.e)
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -102,27 +103,23 @@ def window_bounds(x: float) -> tuple[float, float]:
     return lam * lam, math.exp(math.log(lam) ** 2)
 
 
-def build_resonator(x: float, table: FactorTable) -> Resonator:
-    """Construct the resonator for cutoff X.
+def build_resonator(x: float) -> Resonator:
+    """Construct the resonator for cutoff X, sieving its own prime window.
 
     Args:
         x: length cutoff, at least e^e so the lam formula is defined.
-        table: factor table covering the prime window.
 
     Raises:
         ValueError: x below e^e.
-        ResourceLimitError: window upper end exceeds the table.
+        ResourceLimitError: window upper end beyond the sieve's entry cap.
     """
     window_lo, window_hi = window_bounds(x)
     log_x = math.log(x)
     lam = math.sqrt(log_x * math.log(log_x))
-    if window_lo <= window_hi and window_hi > table.limit:
-        raise ResourceLimitError(
-            f"prime window extends to {window_hi:.1f} beyond table limit {table.limit}",
-            needed=int(window_hi) + 1,
-            budget=table.limit,
-        )
-    primes = tuple(primes_in(window_lo, window_hi, table)) if window_lo <= window_hi else ()
+    primes: tuple[int, ...] = ()
+    if window_lo <= window_hi:
+        table = build_factor_table(math.ceil(window_hi))
+        primes = tuple(primes_in(window_lo, window_hi, table))
     r_p = {p: lam / (math.sqrt(p) * math.log(p)) for p in primes}
     alpha_default = math.log(lam) ** -3 if lam > 1.0 else None
     if alpha_default is not None and alpha_default >= 0.5:

@@ -89,7 +89,7 @@ def test_criterion_03_moment_quadrature_matches_exact():
     with _criterion(3, "moment quadrature matches exact expansion"):
         cases = []
         for logx, n in ((20.0, 3), (20.0, 12), (20.2, 4)):
-            res = build_resonator(math.exp(logx), TABLE)
+            res = build_resonator(math.exp(logx))
             supp = support_elements(res, res.x)
             assert len(supp) <= 8
             cases.append((res, n, supp))
@@ -114,12 +114,12 @@ def test_criterion_04_certificate_sound_against_grid():
         n, delta = 500, 0.5
         t_bound = float(n) ** 4
         x = t_bound ** (1.0 - 2.0 * delta / 3.0)
-        res = build_resonator(x, TABLE)
+        res = build_resonator(x)
         eps = 1e-3 * math.sqrt(n)
         window = (t_bound / 2.0, t_bound / 2.0 + 48.3)
         for seed in range(10):
             f = steinhaus_sample(seed)
-            report = ratio_and_bounds(res, f, n, t_bound, delta, 1.0, TABLE)
+            report = ratio_and_bounds(res, f, n, t_bound, delta, 1.0)
             sr = grid_sup(f, n, t_bound, None, TABLE, window=window)
             assert sr.certified_slack <= eps + 1e-15
             assert sr.value + eps >= report.lower_bound
@@ -129,13 +129,13 @@ def test_criterion_05_report_free_of_coefficient_function():
     # One fixed resonator, twelve coefficient functions: every report
     # field is byte-identical (the certificate never depends on f).
     with _criterion(5, "report independent of coefficient function"):
-        res = build_resonator(math.exp(20.0), TABLE)
+        res = build_resonator(math.exp(20.0))
         fs = [steinhaus_sample(seed) for seed in range(10)]
         fs += [constant_one(), archimedean_cmf(1.0)]
         ratio_reprs = set()
         dumps = set()
         for f in fs:
-            report = ratio_and_bounds(res, f, 100, 1e6, 0.5, 1.0, TABLE)
+            report = ratio_and_bounds(res, f, 100, 1e6, 0.5, 1.0)
             d = report.to_dict()
             ratio_reprs.add(json.dumps(d["ratio"]))
             dumps.add(json.dumps(d, sort_keys=True))
@@ -147,7 +147,7 @@ def test_criterion_06_pair_bound_and_tail_truncation():
     with _criterion(6, "pair inequality and tail truncation hold"):
         t0 = time.monotonic()
         for logx in (20.0, 40.0, 100.0):
-            res = build_resonator(math.exp(logx), TABLE)
+            res = build_resonator(math.exp(logx))
             lo, _ = window_bounds(res.x)
             for z in (10.0, 100.0, 1000.0):
                 lhs, rhs = balanced_pair_bound_check(res, z)
@@ -161,7 +161,7 @@ def test_criterion_06_pair_bound_and_tail_truncation():
         rng = np.random.default_rng(42)
         for _ in range(100):
             logx = float(rng.uniform(19.0, 45.0))
-            res = build_resonator(math.exp(logx), TABLE)
+            res = build_resonator(math.exp(logx))
             cap_hi = min(math.exp(logx), 1e6)
             cap = float(math.exp(rng.uniform(0.0, math.log(cap_hi))))
             elems = [e.n for e in support_elements(res, min(res.x, 1e5))]

@@ -54,22 +54,30 @@ def test_certify_deterministic_modulo_timestamp(tmp_path):
     assert a == b
 
 
-def test_sieve_limit_overrides_the_table(tmp_path, monkeypatch, capsys):
-    # The prime window of X = 4.85e8 ends at 65.9.  A limit below it cannot
-    # build the resonator (exit 3); one above it gives the default table's
-    # report (T = 1e6 needs no f(n), so that table stops at 1024).
-    argv = ["certify", "--n", "60", "--t", "1e6", "--x", "4.85e8"]
-    limits = []
-    real = cli.build_factor_table
-    monkeypatch.setattr(cli, "build_factor_table", lambda limit: limits.append(limit) or real(limit))
-    assert main([*argv, "--sieve-limit", "50"]) == 3
+def test_certify_sieves_nothing_up_to_n(tmp_path, sieve_limits):
+    # At T = 1e4, exact="auto" could run the exact moments, but N * |support|
+    # is far too large for them, so N = 1e7 is never sieved (and the prime
+    # window of X = T^(2/3) is empty); the report is the one exact="never" gives.
+    argv = ["certify", "--n", "10000000", "--t", "1e4"]
+    auto = run(tmp_path, *argv, name="auto.json")
+    assert sieve_limits == []
+    assert auto["report"]["m2_exact"] is None
+    never = run(tmp_path, *argv, "--exact", "never", name="never.json")
+    assert never["report"] == auto["report"]
+
+
+def test_guided_search_names_the_support_budget(capsys, sieve_limits):
+    # The prime window of X = 1e30 ends at 3171; its support below X leaves
+    # the int64 range, and the error says so, from the resonator layer.
+    argv = ["search", "--guided", "--n", "25", "--t", "20", "--x", "1e30", "--eps", "0.2"]
+    assert main(argv) == 3
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert error["layer"] == "rescert.resonator"
-    assert error["needed"] == 66 and error["budget"] == 50
-    default = run(tmp_path, *argv, name="default.json")
-    over = run(tmp_path, *argv, "--sieve-limit", "100000", name="over.json")
-    assert limits == [50, 1024, 100000]
-    assert over["report"] == default["report"]
+    assert error["needed"] == 1000000000000000019884624838656
+    assert error["budget"] == 9223372036854775807
+    assert "int64" in error["message"]
+    _, hi = window_bounds(1e30)
+    assert sieve_limits == [("rescert.cli", 25), ("rescert.resonator", math.ceil(hi))]
 
 
 def test_config_hash_ignores_output_routing(tmp_path):
@@ -248,19 +256,11 @@ def test_oracle_diag_rejects_bad_toy_weights(capsys, toy, layer, message):
     assert error == {"kind": "ValueError", "message": message, "layer": layer}
 
 
-def test_oracle_diag_builds_no_factor_table(tmp_path, monkeypatch):
+def test_oracle_diag_builds_no_factor_table(tmp_path, sieve_limits):
     # Neither the brute force nor the parametrized sum of a toy reads a factor table.
-    limits = []
-    real = cli.build_factor_table
-
-    def recorded(limit):
-        limits.append(limit)
-        return real(limit)
-
-    monkeypatch.setattr(cli, "build_factor_table", recorded)
     payload = run(tmp_path, "oracle", "diag", "--n", "2", "--x", "2", "--toy", "1:1,2:1")
     assert payload["report"]["match"] is True
-    assert limits == []
+    assert sieve_limits == []
 
 
 def test_resonator_summary(tmp_path):
@@ -272,21 +272,13 @@ def test_resonator_summary(tmp_path):
     assert not report["is_degenerate"]
 
 
-def test_resonator_summary_sieves_only_the_prime_window(tmp_path, monkeypatch):
-    # The summary evaluates no f(n), so its factor table covers the prime window
-    # of X (at least 1024 entries), not the integers up to N = 1e8.
-    limits = []
-    real = cli.build_factor_table
-
-    def recorded(limit):
-        limits.append(limit)
-        return real(limit)
-
-    monkeypatch.setattr(cli, "build_factor_table", recorded)
+def test_resonator_summary_sieves_only_the_prime_window(tmp_path, sieve_limits):
+    # The summary evaluates no f(n): the resonator sieves its prime window
+    # of X, up to its upper end, and nothing sieves the integers up to N = 1e8.
     report = run(tmp_path, "resonator", "--n", "100000000", "--c", "3")["report"]
     _, hi = window_bounds(report["x"])
     assert report["window_hi"] == hi
-    assert limits == [max(1024, math.ceil(hi) + 16)]
+    assert sieve_limits == [("rescert.resonator", math.ceil(hi))]
 
 
 def test_config_file_merge_and_override(tmp_path):

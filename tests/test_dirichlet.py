@@ -33,7 +33,7 @@ from rescert.ntcore import build_factor_table
 from rescert.resonator import build_resonator, degenerate_resonator, support_elements
 
 TABLE = build_factor_table(20_000)
-RES20 = build_resonator(math.exp(20.0), TABLE)  # support {1, 61}
+RES20 = build_resonator(math.exp(20.0))  # support {1, 61}
 
 
 def test_eval_dn_at_zero():
@@ -164,7 +164,7 @@ def test_grid_kernel_matches_direct_across_term_slices():
     # N = 12 000 terms run in two slices of at most RESYNC_STRIDE.
     n = 12_000
     table = build_factor_table(n)
-    f = steinhaus_sample(9, table.limit)
+    f = steinhaus_sample(9)
     coeffs = values_up_to(f, n, table) / math.sqrt(n)
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
     h = 2e-3 / math.log(n)
@@ -228,7 +228,7 @@ def _assert_same_blocks(coeffs, logs, origin, k0, count, h):
 
 def _dn_coeffs_logs(n, seed):
     table = TABLE if n <= TABLE.limit else build_factor_table(n)
-    return dirichlet._dn_terms(steinhaus_sample(seed, table.limit), n, table)
+    return dirichlet._dn_terms(steinhaus_sample(seed), n, table)
 
 
 @pytest.mark.parametrize(
@@ -607,7 +607,7 @@ from rescert.ntcore import build_factor_table
 digest = hashlib.sha256()
 for n in (5000, 12000):
     table = build_factor_table(n + 1)
-    coeffs, logs = dirichlet._dn_terms(steinhaus_sample(0, table.limit), n, table)
+    coeffs, logs = dirichlet._dn_terms(steinhaus_sample(0), n, table)
     h = 2e-3 / math.log(n)
     assert dirichlet._taylor_rank(h, float(logs.max()), n) is not None
     for origin, k0 in ((0.0, int(4.5e10 / h)), (1e4 + np.arange(3) * 1e-4, 0)):
@@ -627,7 +627,7 @@ from rescert.ntcore import build_factor_table
 dirichlet._taylor_rank = lambda h, max_log, n_terms: None
 n = 500
 table = build_factor_table(n)
-coeffs, logs = dirichlet._dn_terms(steinhaus_sample(3, table.limit), n, table)
+coeffs, logs = dirichlet._dn_terms(steinhaus_sample(3), n, table)
 h = 2e-3 / math.log(n)
 digest = hashlib.sha256()
 for _, values in dirichlet._grid_values(coeffs, logs, 0.0, int(4.5e10 / h), 50_000, h):
@@ -843,10 +843,10 @@ def test_guided_candidates_on_kernel_blocks_match_full_array_selection(
 
 def test_guided_search_memory_bounded():
     # 6.2e6 coarse points: the whole |R| array alone would take 50 MB.
-    res = build_resonator(4.85e8, TABLE)
+    res = build_resonator(4.85e8)
     tracemalloc.start()
     try:
-        resonance_guided_search(res, steinhaus_sample(2, TABLE.limit), 500, 1e4, None, TABLE)
+        resonance_guided_search(res, steinhaus_sample(2), 500, 1e4, None, TABLE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -867,8 +867,8 @@ def test_guided_scan_batches_its_one_slice_as_one_group(monkeypatch):
         return batches
 
     monkeypatch.setattr(dirichlet, "_anchor_batches", recorded)
-    res = build_resonator(4.85e8, TABLE)
-    resonance_guided_search(res, steinhaus_sample(2, TABLE.limit), 500, 1e4, None, TABLE)
+    res = build_resonator(4.85e8)
+    resonance_guided_search(res, steinhaus_sample(2), 500, 1e4, None, TABLE)
     assert calls == [(0, 6_214_609, 6_214_609, 105)]
 
 
@@ -990,15 +990,15 @@ def test_guided_search_constant_one():
         # README's `search --guided --n 25 --t 20 --x 4.85e8 --eps 0.2`: one block.
         (constant_one(), 25, 20.0, 0.2, -1.2328129298286758e-08, 5.000000000000002),
         # 24 567 coarse points: two full blocks and a partial third.
-        (steinhaus_sample(3, TABLE.limit), 60, 60.0, None, -0.8108768215969929, 2.2050885840059404),
+        (steinhaus_sample(3), 60, 60.0, None, -0.8108768215969929, 2.2050885840059404),
         # 124 293 coarse points: 12 full blocks in batches of 6 and 6, then a short block.
-        (steinhaus_sample(3, TABLE.limit), 500, 200.0, None, -0.8109934669689506, 1.6224262129600089),
+        (steinhaus_sample(3), 500, 200.0, None, -0.8109934669689506, 1.6224262129600089),
     ],
 )
 def test_guided_search_pinned_to_the_bit(f, n, t_bound, eps, t_star, value):
     # The peaks of |R| set the refined neighbourhoods, so t_star and value pin the kernel's
     # |R| bits and the finder's candidates as well as the refinement.
-    result = resonance_guided_search(build_resonator(4.85e8, TABLE), f, n, t_bound, eps, TABLE)
+    result = resonance_guided_search(build_resonator(4.85e8), f, n, t_bound, eps, TABLE)
     assert (result.t_star, result.value) == (t_star, value)
 
 

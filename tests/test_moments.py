@@ -58,17 +58,17 @@ from rescert.resonator import (
 )
 
 TABLE = build_factor_table(20_000)
-RES20 = build_resonator(math.exp(20.0), TABLE)  # support {1, 61}
+RES20 = build_resonator(math.exp(20.0))  # support {1, 61}
 R61 = RES20.r_p[61]
 T61 = R61 / (1.0 + R61 * R61)
 SUPP20 = support_elements(RES20, RES20.x)
-EMPTY = build_resonator(math.exp(19.0), TABLE)  # window holds no prime
+EMPTY = build_resonator(math.exp(19.0))  # window holds no prime
 PHI0 = default_bump().transform(0.0).real
 
 
 def _m1_main(res, t_bound):
     """The report's m1_main field: T * phi_hat(0) * sum of r(n)^2 over the support <= X."""
-    return ratio_and_bounds(res, None, 1, t_bound, 0.5, 0.5, TABLE, exact_mode="never").m1_main
+    return ratio_and_bounds(res, None, 1, t_bound, 0.5, 0.5, exact_mode="never").m1_main
 
 
 # -- first moment -----------------------------------------------------------
@@ -197,7 +197,7 @@ def test_quadrature_moments_match_dense_reference(idx):
     n, t_bound, logx = CRITERION3[idx]
     f = CRITERION3_FS[idx % 3]
     b = default_bump()
-    res = build_resonator(math.exp(logx), TABLE)
+    res = build_resonator(math.exp(logx))
     supp = support_elements(res, res.x)
     r_poly = _support_coeff_logs(f, supp)
     d_poly = (
@@ -233,10 +233,23 @@ def test_quadrature_moments_pinned(idx):
     n, t_bound, logx, f, m1, m2 = QUADRATURE_PINS[idx]
     for pin, old in zip((m1, m2), QUADRATURE_PINS_TWO_PER_CYCLE[idx]):
         assert pin == pytest.approx(old, rel=1e-13, abs=0.0)
-    res = build_resonator(math.exp(logx), TABLE)
+    res = build_resonator(math.exp(logx))
     supp = support_elements(res, res.x)
     assert m1_quadrature(f, t_bound, supp) == m1
     assert m2_quadrature(f, n, t_bound, supp, TABLE) == m2
+
+
+def test_tiny_certify_sieves_n_inside_moments(tmp_path, sieve_limits):
+    # exact="auto" at T = 1e3: the resonator sieves its prime window (to 66)
+    # and only the exact/quadrature moments sieve the integers up to N; the
+    # report's quadrature moments are the pinned ones.
+    n, t_bound, logx, _, m1, m2 = QUADRATURE_PINS[0]
+    out = tmp_path / "out.json"
+    argv = ["certify", "--n", str(n), "--t", repr(t_bound), "--x", repr(math.exp(logx))]
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert (report["m1_quad"], report["m2_quad"]) == (m1, m2)
+    assert sieve_limits == [("rescert.resonator", 66), ("rescert.moments", n)]
 
 
 @pytest.mark.parametrize("idx", range(len(CRITERION3)))
@@ -254,7 +267,7 @@ def test_quadrature_moments_converge_in_two_levels(idx, monkeypatch):
         return rule(fn, a, b, panels)
 
     monkeypatch.setattr(moments, "composite_gl_grid", recorded)
-    res = build_resonator(math.exp(logx), TABLE)
+    res = build_resonator(math.exp(logx))
     supp = support_elements(res, res.x)
     m1_quadrature(f, t_bound, supp)
     assert len(levels) == 2 and levels[1] == 2 * levels[0]
@@ -288,7 +301,7 @@ def test_exact_moments_pinned(idx, monkeypatch):
     f = CRITERION3_FS[idx % 3]
     fresh = Bump()
     monkeypatch.setattr(moments, "default_bump", lambda: fresh)
-    res = build_resonator(math.exp(logx), TABLE)
+    res = build_resonator(math.exp(logx))
     supp = support_elements(res, res.x)
     got = (m1_exact(f, t_bound, supp).hex(), m2_exact(f, n, t_bound, supp, TABLE).hex())
     assert got == EXACT_PINS[idx]
@@ -321,7 +334,7 @@ def test_termwise_sum_matches_per_term_loop(monkeypatch, shape, term_block):
     f = steinhaus_sample(12345)
     t_bound = 1e3
     if shape == "m1":
-        res = build_resonator(math.exp(20.2), TABLE)
+        res = build_resonator(math.exp(20.2))
         coeffs, logs = _support_coeff_logs(f, support_elements(res, res.x))
     else:
         r_coeffs, _ = _support_coeff_logs(f, SUPP20)
@@ -344,7 +357,7 @@ def test_termwise_sum_matches_per_term_loop(monkeypatch, shape, term_block):
 def test_m2_quadrature_memory():
     # The dense integrand held every abscissa times every term (134.6 MiB
     # here); a group of nodes per chunk of panels, the grid kernel needs a few MiB.
-    res = build_resonator(math.exp(20.2), TABLE)
+    res = build_resonator(math.exp(20.2))
     supp = support_elements(res, res.x)
     f = steinhaus_sample(1)
     tracemalloc.start()
@@ -378,7 +391,7 @@ def test_m2_quadrature_builds_step_tables_once_per_level_group_and_shape(monkeyp
         return rule(fn, a, b, panels)
 
     monkeypatch.setattr(moments, "composite_gl_grid", recorded)
-    res = build_resonator(math.exp(20.2), TABLE)
+    res = build_resonator(math.exp(20.2))
     supp = support_elements(res, res.x)
     m2_quadrature(steinhaus_sample(1), 12, 1e4, supp, TABLE)
     assert levels == [8595, 17190] and RESYNC_STRIDE == 10_000
@@ -995,7 +1008,7 @@ def test_diag_g_cap_raises_the_last_caps_error(monkeypatch):
 
     monkeypatch.setattr(moments, "_diagonal_terms", refuse)
     with pytest.raises(ResourceLimitError) as info:
-        ratio_and_bounds(RES20, None, 3, 1e4, 0.5, 0.5, TABLE, exact_mode="never")
+        ratio_and_bounds(RES20, None, 3, 1e4, 0.5, 0.5, exact_mode="never")
     assert RES20.x / 16.0**7 >= 1.0 > RES20.x / 16.0**8
     assert str(info.value) == "support of 0 elements"
     assert tried.count(0) == 1
@@ -1005,7 +1018,7 @@ def test_diag_g_cap_raises_the_last_caps_error(monkeypatch):
 
 @pytest.mark.parametrize(
     "res, n_max, t_bound",
-    [(build_resonator(1e12, TABLE), 10_000, 1e12), (RES20, 3, 1e4)],  # the second is tiny
+    [(build_resonator(1e12), 10_000, 1e12), (RES20, 3, 1e4)],  # the second is tiny
 )
 def test_report_builds_the_support_once(monkeypatch, res, n_max, t_bound):
     calls = []
@@ -1015,7 +1028,7 @@ def test_report_builds_the_support_once(monkeypatch, res, n_max, t_bound):
         return support_arrays(*args, **kwargs)
 
     monkeypatch.setattr(moments, "support_arrays", counted)
-    report = ratio_and_bounds(res, constant_one(), n_max, t_bound, 0.5, 0.5, TABLE)
+    report = ratio_and_bounds(res, constant_one(), n_max, t_bound, 0.5, 0.5)
     assert not any(report.flags.values())
     assert len(calls) == 1
     assert (report.m1_exact is not None) == (n_max == 3)
@@ -1033,8 +1046,8 @@ def test_report_walks_the_coprime_pairs_twice(monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(SupportArrays, "coprime_tiles", counted)
-    res = build_resonator(1e12, TABLE)
-    report = ratio_and_bounds(res, None, 10**6, 1e18, 0.5, 0.5, TABLE, exact_mode="never")
+    res = build_resonator(1e12)
+    report = ratio_and_bounds(res, None, 10**6, 1e18, 0.5, 0.5, exact_mode="never")
     assert not any(report.flags.values()) and report.tail_error is not None
     assert len(walks) == 2
 
@@ -1045,7 +1058,7 @@ def test_pair_sums_memory_is_flat(n_max):
     # support <= N (C = 3, X = N^2) as tiles: their peak does not grow with
     # the pair count (2.6e6 ordered pairs at N = 1e7).
     x = float(n_max) ** 2
-    res = build_resonator(x, TABLE)
+    res = build_resonator(x)
     tracemalloc.start()
     try:
         moment_main_term(res, n_max, x)
@@ -1059,12 +1072,12 @@ def test_pair_sums_memory_is_flat(n_max):
 def test_report_over_budget_skips_auto_exact_moments():
     # The support <= X (4 elements, a tiny instance at N = 4) is over the
     # budget: "auto" leaves out the exact moments, "always" cannot.
-    res = build_resonator(1e9, TABLE)
-    report = ratio_and_bounds(res, constant_one(), 4, 1e4, 0.5, 0.5, TABLE, budget=2)
+    res = build_resonator(1e9)
+    report = ratio_and_bounds(res, constant_one(), 4, 1e4, 0.5, 0.5, budget=2)
     assert report.flags["r2_sum_truncated"] and report.flags["diag_sum_truncated"]
     assert report.m1_exact is None and report.m2_quad is None
     with pytest.raises(ResourceLimitError):
-        ratio_and_bounds(res, constant_one(), 4, 1e4, 0.5, 0.5, TABLE, budget=2,
+        ratio_and_bounds(res, constant_one(), 4, 1e4, 0.5, 0.5, budget=2,
                          exact_mode="always")
 
 
@@ -1078,7 +1091,7 @@ def _capped_diagonal(res: Resonator, n_max: int, x: float, g_cap: float) -> floa
 def test_diagonal_sum_g_cap_window_resonator():
     n_max = 100_000
     x = float(n_max) ** 2
-    res = build_resonator(x, TABLE)
+    res = build_resonator(x)
     full = diagonal_sum(res, n_max, x, TABLE)
     assert _capped_diagonal(res, n_max, x, 2.0 * x) == full
     previous = full
@@ -1093,7 +1106,7 @@ def test_diagonal_sum_g_cap_window_resonator():
 def test_diagonal_sum_sparse_budget_counts_coprime_pairs():
     n_max = 100_000
     x = float(n_max) ** 2
-    res = build_resonator(x, TABLE)
+    res = build_resonator(x)
     pairs = len(_coprime_pairs(res, n_max))
     assert len(support_elements(res, x)) < pairs - 1  # enumeration fits either budget
     with pytest.raises(ResourceLimitError) as info:
@@ -1181,7 +1194,7 @@ def test_window_diagonal_matches_per_element_kernel(n_max, g_cap):
     # elements are <= N: five column groups, the last with two row batches,
     # so batches off the group's own columns run too.
     x = float(n_max) ** 2
-    res = build_resonator(x, TABLE)
+    res = build_resonator(x)
     sup = support_arrays(res, x if g_cap is None else min(x, g_cap))
     tiled = moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET)
     assert tiled == pytest.approx(_per_element_diagonal(sup, n_max, x, g_cap), rel=1e-13)
@@ -1194,7 +1207,7 @@ def test_window_diagonal_independent_of_chunk_width(monkeypatch, n_max):
     # the same bits.  At N = 5e6 the g-ranges reach 93 186 elements, past
     # 2^16, beyond which the limb sums of a g-range could reach 2^53.
     x = float(n_max) ** 2
-    sup = support_arrays(build_resonator(x, TABLE), x)
+    sup = support_arrays(build_resonator(x), x)
     want = moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET)
     monkeypatch.setattr(moments, "_TILE", 5000)
     assert moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET) == want
@@ -1206,7 +1219,7 @@ def test_window_diagonal_refuses_g_ranges_past_exact_int64_sums(monkeypatch):
     # 10 504 of the support <= X at N = 2e6.
     n_max = 2_000_000
     x = float(n_max) ** 2
-    sup = support_arrays(build_resonator(x, TABLE), x)
+    sup = support_arrays(build_resonator(x), x)
     monkeypatch.setattr(moments, "_LIMB", 50)
     with pytest.raises(ResourceLimitError) as info:
         moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET)
@@ -1220,7 +1233,7 @@ def test_window_diagonal_memory_is_flat():
     bound = 12 * moments._TILE * 8
     for n_max in (100_000, 300_000, 1_000_000, 2_000_000, 10_000_000):
         x = float(n_max) ** 2
-        sup = support_arrays(build_resonator(x, TABLE), x)
+        sup = support_arrays(build_resonator(x), x)
         tracemalloc.start()
         try:
             moments._window_diagonal(sup, n_max, x, moments.DEFAULT_TERM_BUDGET)
@@ -1494,7 +1507,7 @@ def test_offdiag_eps_bounds_random_toys(x, data, ratio, seed, f_seed):
 def test_t_weights_match_r_over_euler_factors():
     # The main term's weight, derived from r, against the product taken per
     # element: 14 window primes, 3473 elements.
-    res = build_resonator(1e12, TABLE)
+    res = build_resonator(1e12)
     sup = support_arrays(res, 1e12)
     elems = sup.elements(res)
     assert len(res.primes) == 14 and len(elems) == 3473
@@ -1619,7 +1632,7 @@ def test_growth_bound_from_n():
 
 def test_report_n1_trivial():
     res = degenerate_resonator(2.0)
-    report = ratio_and_bounds(res, constant_one(), 1, 4.0, 0.5, 0.5, TABLE)
+    report = ratio_and_bounds(res, constant_one(), 1, 4.0, 0.5, 0.5)
     assert report.ratio == pytest.approx(1.0, rel=1e-14)
     assert report.lower_bound == pytest.approx(1.0, rel=1e-14)
 
@@ -1627,14 +1640,14 @@ def test_report_n1_trivial():
 def test_report_ratio_is_f_free():
     blobs = set()
     for f in (constant_one(), archimedean_cmf(1.0), steinhaus_sample(60)):
-        report = ratio_and_bounds(RES20, f, 100, 1e6, 0.5, 0.5, TABLE)
+        report = ratio_and_bounds(RES20, f, 100, 1e6, 0.5, 0.5)
         blobs.add(json.dumps(report.to_dict(), sort_keys=True))
     assert len(blobs) == 1
 
 
 def test_report_bracket_contains_ratio(tmp_path):
     # T well past N*X, so eps1 < 1 and both bracket ends exist.
-    report = ratio_and_bounds(RES20, constant_one(), 100, 1e13, 0.5, 0.5, TABLE)
+    report = ratio_and_bounds(RES20, constant_one(), 100, 1e13, 0.5, 0.5)
     assert not report.flags["r2_sum_truncated"]
     assert not report.flags["diag_sum_truncated"]
     assert report.ratio_bracket_lo <= report.ratio <= report.ratio_bracket_hi
@@ -1667,7 +1680,7 @@ def test_proven_bound_above_one(tmp_path, t_bound, x):
 
 
 def test_report_ratio_recomputes():
-    report = ratio_and_bounds(RES20, constant_one(), 100, 1e6, 0.5, 0.5, TABLE)
+    report = ratio_and_bounds(RES20, constant_one(), 100, 1e6, 0.5, 0.5)
     r2 = sum_r_squared(RES20, RES20.x)
     diag = diagonal_sum(RES20, 100, RES20.x, TABLE)
     assert report.ratio == pytest.approx(diag / (100 * r2), rel=1e-14)
@@ -1675,31 +1688,31 @@ def test_report_ratio_recomputes():
 
 
 def test_report_exact_fields_tiny_instance():
-    report = ratio_and_bounds(RES20, steinhaus_sample(5), 3, 1e4, 0.5, 0.5, TABLE)
+    report = ratio_and_bounds(RES20, steinhaus_sample(5), 3, 1e4, 0.5, 0.5)
     assert report.m1_exact is not None
     assert report.m1_quad == pytest.approx(report.m1_exact, rel=1e-6)
     assert report.m2_quad == pytest.approx(report.m2_exact, rel=1e-6)
 
 
 def test_report_exact_fields_skipped_for_large_t():
-    report = ratio_and_bounds(RES20, constant_one(), 100, 1e6, 0.5, 0.5, TABLE)
+    report = ratio_and_bounds(RES20, constant_one(), 100, 1e6, 0.5, 0.5)
     assert report.m1_exact is None and report.m2_exact is None
     assert report.m1_quad is None and report.m2_quad is None
 
 
 def test_report_exact_mode_flags():
     with pytest.raises(ValueError):
-        ratio_and_bounds(RES20, None, 3, 1e3, 0.5, 0.5, TABLE, exact_mode="always")
+        ratio_and_bounds(RES20, None, 3, 1e3, 0.5, 0.5, exact_mode="always")
     report = ratio_and_bounds(
-        RES20, None, 3, 1e3, 0.5, 0.5, TABLE, exact_mode="never"
+        RES20, None, 3, 1e3, 0.5, 0.5, exact_mode="never"
     )
     assert report.m1_exact is None
     with pytest.raises(ValueError):
-        ratio_and_bounds(RES20, None, 3, 1e3, 0.5, 0.5, TABLE, exact_mode="bogus")
+        ratio_and_bounds(RES20, None, 3, 1e3, 0.5, 0.5, exact_mode="bogus")
 
 
 def test_report_serialization_round_trip():
-    report = ratio_and_bounds(RES20, constant_one(), 100, 1e6, 0.5, 0.5, TABLE)
+    report = ratio_and_bounds(RES20, constant_one(), 100, 1e6, 0.5, 0.5)
     d = report.to_dict()
     json.dumps(d)  # must be JSON-clean
     assert len(report.csv_header()) == len(report.csv_row())

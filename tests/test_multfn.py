@@ -89,11 +89,10 @@ def test_validation():
 
     with pytest.raises(ValueError):
         UnimodularCMF(kind="bogus")
+    f = steinhaus_sample(1)
+    assert abs(f.prime_value((1 << 64) - 59)) == pytest.approx(1.0)  # largest prime < 2^64
     with pytest.raises(ValueError):
-        UnimodularCMF(kind="one", prime_limit=1)
-    f = steinhaus_sample(1, prime_limit=100)
-    with pytest.raises(ValueError):
-        f.prime_value(101)
+        f.prime_value(1 << 64)  # beyond the 8-byte key
     with pytest.raises(ValueError):
         values_up_to(constant_one(), 0, TABLE)
 

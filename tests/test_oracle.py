@@ -25,7 +25,7 @@ from rescert.oracle import (
 from rescert.resonator import build_resonator, support_elements
 
 TABLE = build_factor_table(20_000)
-RES20 = build_resonator(math.exp(20.0), TABLE)
+RES20 = build_resonator(math.exp(20.0))
 SUPP20 = support_elements(RES20, RES20.x)
 
 

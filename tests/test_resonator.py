@@ -28,7 +28,7 @@ from rescert.resonator import (
 TABLE = build_factor_table(20_000)
 
 X20 = math.exp(20.0)
-RES20 = build_resonator(X20, TABLE)  # window [59.91, 65.89], single prime 61
+RES20 = build_resonator(X20)  # window [59.91, 65.89], single prime 61
 R61 = 0.2410834668305234
 
 
@@ -36,7 +36,7 @@ def test_window_logx_100():
     lo, hi = window_bounds(math.exp(100.0))
     assert lo == pytest.approx(460.5170185988091, rel=1e-12)
     assert hi == pytest.approx(12105.661970176194, rel=1e-12)
-    res = build_resonator(math.exp(100.0), TABLE)
+    res = build_resonator(math.exp(100.0))
     assert res.lam == pytest.approx(21.459660262893472, rel=1e-12)
     assert res.primes[0] == 461
     assert res.primes[-1] <= hi
@@ -67,7 +67,7 @@ def test_r_value_off_support():
 def test_support_enumeration():
     assert [e.n for e in support_elements(RES20, 1.0)] == [1]
     assert [e.n for e in support_elements(RES20, X20)] == [1, 61]
-    res = build_resonator(math.exp(20.2), TABLE)  # window primes {61, 67}
+    res = build_resonator(math.exp(20.2))  # window primes {61, 67}
     assert [e.n for e in support_elements(res, 5000)] == [1, 61, 67, 4087]
     elems = support_elements(res, 5000)
     assert elems[3].primes == (61, 67)
@@ -75,14 +75,14 @@ def test_support_enumeration():
 
 
 def test_support_elements_one_first():
-    res = build_resonator(math.exp(20.2), TABLE)
+    res = build_resonator(math.exp(20.2))
     elems = support_elements(res, 5000)
     assert elems[0].n == 1 and elems[0].primes == ()
     assert [e.n for e in elems[1:]] == [61, 67, 4087]
 
 
 def test_enumeration_budget():
-    res = build_resonator(math.exp(100.0), TABLE)
+    res = build_resonator(math.exp(100.0))
     with pytest.raises(ResourceLimitError):
         support_elements(res, math.exp(100.0), budget=1000)
     # Streaming consumers hit the same guard.
@@ -106,7 +106,7 @@ def _support_by_subsets(res: Resonator, cap: float) -> list[tuple]:
 
 
 def test_support_arrays_match_support_elements():
-    res = build_resonator(1e12, TABLE)  # 14 window primes, 3473 elements
+    res = build_resonator(1e12)  # 14 window primes, 3473 elements
     want = _support_by_subsets(res, 1e12)
     assert len(want) == 3473
     arrays = support_arrays(res, 1e12)
@@ -128,7 +128,7 @@ def test_support_arrays_match_support_elements():
 
 
 def test_support_edge_caps():
-    res = build_resonator(math.exp(20.2), TABLE)  # window primes {61, 67}
+    res = build_resonator(math.exp(20.2))  # window primes {61, 67}
     # An infinite cap takes the whole support.
     assert [e.n for e in support_elements(res, math.inf)] == [1, 61, 67, 4087]
     assert sum_r_squared(res, math.inf) == euler_product_one_plus_r2(res)
@@ -140,7 +140,7 @@ def test_support_edge_caps():
 
 
 def test_support_arrays_budget_and_int64_range():
-    res = build_resonator(math.exp(100.0), TABLE)
+    res = build_resonator(math.exp(100.0))
     with pytest.raises(ResourceLimitError) as info:
         support_arrays(res, math.exp(100.0), budget=1000)
     assert info.value.needed > 1000
@@ -213,7 +213,7 @@ def test_coprime_pairs_match_gcd_pairs_property(primes, cap, tiles, data):
     "res, cap, count",
     [
         (_resonator_on(PRIMES_80[:70]), 1000.0, None),  # 70 primes: two words
-        (build_resonator(math.exp(19.0), TABLE), math.inf, 1),  # empty window: (1, 1)
+        (build_resonator(math.exp(19.0)), math.inf, 1),  # empty window: (1, 1)
         (RES20, 0.5, 0),  # cap < 1: no element, no pair
         (RES20, math.inf, 3),  # (1, 1), (1, 61), (61, 1)
     ],
@@ -232,7 +232,7 @@ def test_support_build_peak_memory():
     # below 2.5 times the arrays it returns, and below 16 MiB, which a
     # second per-element weight array (about 4 MiB more) would exceed.
     x = 1e14
-    res = build_resonator(x, TABLE)
+    res = build_resonator(x)
     tracemalloc.start()
     try:
         sup = support_arrays(res, x)
@@ -246,7 +246,7 @@ def test_support_build_peak_memory():
 
 
 def test_sums_on_empty_support():
-    res = build_resonator(math.exp(19.0), TABLE)  # window holds no prime
+    res = build_resonator(math.exp(19.0))  # window holds no prime
     assert res.is_empty
     assert not res.is_degenerate
     assert sum_r_squared(res, 1e6) == 1.0
@@ -263,20 +263,20 @@ def test_sum_r_squared_single_prime():
 
 
 def test_sum_r_squared_below_euler_product():
-    res = build_resonator(math.exp(100.0), TABLE)
+    res = build_resonator(math.exp(100.0))
     partial = sum_r_squared(res, 1e8)
     assert partial <= euler_product_one_plus_r2(res) * (1.0 + 1e-12)
 
 
 def test_euler_product_exclusions():
-    res = build_resonator(math.exp(20.2), TABLE)
+    res = build_resonator(math.exp(20.2))
     full = euler_product_one_plus_r2(res)
     without_61 = euler_product_one_plus_r2(res, exclude=(61,))
     assert full == pytest.approx(without_61 * (1.0 + res.r_p[61] ** 2), rel=1e-14)
 
 
 def test_lam_monotone_in_x():
-    lams = [build_resonator(math.exp(lx), TABLE).lam for lx in (19.0, 25.0, 50.0, 100.0)]
+    lams = [build_resonator(math.exp(lx)).lam for lx in (19.0, 25.0, 50.0, 100.0)]
     assert all(a < b for a, b in zip(lams, lams[1:]))
 
 
@@ -298,12 +298,6 @@ def test_degenerate_and_validation():
     assert [e.n for e in support_elements(res, 100.0)] == [1]
 
 
-def test_table_too_small():
-    small = build_factor_table(100)
-    with pytest.raises(ResourceLimitError):
-        build_resonator(math.exp(100.0), small)  # window reaches ~12105
-
-
 def test_alpha_default():
     assert RES20.alpha_default == pytest.approx(math.log(RES20.lam) ** -3, rel=1e-14)
     assert RES20.alpha_default == pytest.approx(0.11667825057681681, rel=1e-12)
@@ -312,5 +306,5 @@ def test_alpha_default():
 def test_alpha_default_tiny_window_unusable():
     # (log lam)^-3 lands at 0.56 here, past the 1/2 validity edge of the
     # shift bound, so no default is offered.
-    res = build_resonator(500.0, TABLE)
+    res = build_resonator(500.0)
     assert res.alpha_default is None
