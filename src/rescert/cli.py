@@ -49,7 +49,6 @@ from .multfn import (
     constant_one,
     steinhaus_sample,
 )
-from .ntcore import build_factor_table
 from .oracle import (
     ToyResonator,
     diagonal_sum_bruteforce,
@@ -238,7 +237,6 @@ def cmd_search(cfg: RunConfig) -> int:
             "--trace-out writes every --trace-stride-th grid point; give --trace-stride > 0"
         )
     t = cfg.resolve_t()
-    table = build_factor_table(max(2, cfg.n))  # f(n) for the terms of D_N
     f = _parse_f(cfg.f, cfg.seed)
     lo = cfg.window_lo if cfg.window_lo is not None else -t
     hi = cfg.window_hi if cfg.window_hi is not None else t
@@ -253,7 +251,6 @@ def cmd_search(cfg: RunConfig) -> int:
             cfg.n,
             t,
             cfg.eps,
-            table,
             window=(lo, hi),
             eval_budget=cfg.budget_points,
         )
@@ -263,7 +260,6 @@ def cmd_search(cfg: RunConfig) -> int:
             cfg.n,
             t,
             cfg.eps,
-            table,
             window=(lo, hi),
             eval_budget=cfg.budget_points,
             trace_path=trace_path,

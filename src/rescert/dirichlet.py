@@ -63,7 +63,6 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .multfn import UnimodularCMF, values_up_to
-from .ntcore import FactorTable
 from .resonator import Resonator, SupportElement, support_elements
 
 RESYNC_STRIDE = 10_000
@@ -111,9 +110,9 @@ def derivative_bound(n_max: int) -> float:
     return math.sqrt(n_max) * math.log(n_max) if n_max > 1 else 0.0
 
 
-def _dn_terms(f: UnimodularCMF, n_max: int, table: FactorTable) -> tuple[np.ndarray, np.ndarray]:
+def _dn_terms(f: UnimodularCMF, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients f(n) / sqrt(N) and log n of D_{f,N}."""
-    coeffs = values_up_to(f, n_max, table) / math.sqrt(n_max)
+    coeffs = values_up_to(f, n_max) / math.sqrt(n_max)
     logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
     return coeffs, logs
 
@@ -129,11 +128,11 @@ def _abs2(terms: tuple[np.ndarray, np.ndarray], t: float) -> float:
     return float(v.real * v.real + v.imag * v.imag)
 
 
-def eval_DN(f: UnimodularCMF, n_max: int, t: float, table: FactorTable) -> complex:
+def eval_DN(f: UnimodularCMF, n_max: int, t: float) -> complex:
     """D_{f,N}(t), summed in numpy's pairwise order."""
     if n_max < 1:
         raise ValueError("N must be >= 1")
-    return complex(_point_value(*_dn_terms(f, n_max, table), t))
+    return complex(_point_value(*_dn_terms(f, n_max), t))
 
 
 def _expi(x: np.ndarray, x_bound: float = math.inf) -> np.ndarray:
@@ -531,7 +530,6 @@ def grid_sup(
     n_max: int,
     t_bound: float,
     eps: float | None,
-    table: FactorTable,
     *,
     window: tuple[float, float] | None = None,
     eval_budget: int = DEFAULT_EVAL_BUDGET,
@@ -540,12 +538,13 @@ def grid_sup(
 ) -> SearchResult:
     """Grid search for sup |D_{f,N}| over `window` (default [-T, T]).
 
-    The step is 2*eps / (sqrt(N)*log N) so the certified slack
+    The step is 2*eps / (sqrt(N)*log N), so the certified slack
 
-        certified_slack = grid_step * sqrt(N) * log(N) / 2 <= eps
+        certified_slack = grid_step * sqrt(N) * log(N) / 2
 
-    bounds how far the true supremum over the window can sit above the
-    refined grid maximum.  Ties prefer smaller |t|, then smaller t.
+    is eps up to one rounding (it can land an ulp above eps) and bounds how
+    far the true supremum over the window can sit above the refined grid
+    maximum.  Ties prefer smaller |t|, then smaller t.
 
     Raises:
         ValueError: eps <= rho, the grid kernel's float error bound
@@ -593,7 +592,7 @@ def grid_sup(
             budget=eval_budget,
         )
 
-    terms = _dn_terms(f, n_max, table)
+    terms = _dn_terms(f, n_max)
 
     best_mag2 = -1.0
     best_t = lo
@@ -705,7 +704,6 @@ def resonance_guided_search(
     n_max: int,
     t_bound: float,
     coarse_eps: float | None,
-    table: FactorTable,
     *,
     window: tuple[float, float] | None = None,
     eval_budget: int = DEFAULT_EVAL_BUDGET,
@@ -719,9 +717,7 @@ def resonance_guided_search(
     coarse_eps, lo, hi = _search_args(n_max, t_bound, coarse_eps, window, eval_budget, 1e-2)
     support = support_elements(res, res.x)
     if len(support) <= 1:
-        return grid_sup(
-            f, n_max, t_bound, coarse_eps, table, window=window, eval_budget=eval_budget
-        )
+        return grid_sup(f, n_max, t_bound, coarse_eps, window=window, eval_budget=eval_budget)
     deriv = derivative_bound(n_max)
     step = 2.0 * coarse_eps / deriv if deriv > 0 else (hi - lo) or 1.0
     n_points = int(math.floor((hi - lo) / step)) + 1 if hi > lo else 1
@@ -734,13 +730,12 @@ def resonance_guided_search(
     if n_points > 1:
         step = (hi - lo) / (n_points - 1)
 
+    terms = _dn_terms(f, n_max)  # f(n) is refused past the sieve's cap before the R scan
     r_coeffs, r_logs = _support_coeff_logs(f, support)
     blocks = _grid_blocks(r_coeffs, r_logs, lo, 0, n_points, step)
     candidates = _guided_candidates(
         blocks, float(r_logs.max(initial=0.0)), lo, step, GUIDED_TOP_K
     )
-
-    terms = _dn_terms(f, n_max, table)
     # The first of the highest refined peaks wins.
     t_star, mag2, iters = max(
         (_refine_peak(terms, lo + step * int(idx), step, lo, hi) for idx in candidates),

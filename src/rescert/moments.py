@@ -48,7 +48,7 @@ from .bump import DECAY_A2, PHI_HAT_0, default_bump
 from .dirichlet import _dn_terms, _grid_blocks, _support_coeff_logs
 from .errors import ResourceLimitError
 from .multfn import UnimodularCMF, values_up_to
-from .ntcore import FactorTable, build_factor_table
+from .ntcore import FactorTable, check_sieve_cap
 from .quadrature import adaptive_oscillatory, composite_gl_grid
 from .resonator import (
     _COLS,
@@ -67,7 +67,7 @@ DEFAULT_TERM_BUDGET = 50_000_000
 # direction (ratio_and_bounds derives it).
 PROVEN_MARGIN = 2.0**-40
 # Exact and quadrature moments are attempted in exact_mode="auto" only up
-# to this T (and only for tiny supports); only they sieve up to N.
+# to this T (and only for tiny supports); only they read f(n) for n <= N.
 EXACT_AUTO_MAX_T = 2.0e4
 
 
@@ -158,7 +158,6 @@ def m2_quadrature(
     n_max: int,
     t_bound: float,
     support: list[SupportElement],
-    table: FactorTable,
 ) -> float:
     """M2 by adaptive quadrature over the window support [T/2, T].
 
@@ -167,7 +166,7 @@ def m2_quadrature(
     rule's buffer (oracle.m2_bruteforce_quadrature keeps a dense rule as the
     independent check).
     """
-    polys = [_support_coeff_logs(f, support), _dn_terms(f, n_max, table)]
+    polys = [_support_coeff_logs(f, support), _dn_terms(f, n_max)]
     return _window_integral(polys, t_bound)
 
 
@@ -237,7 +236,6 @@ def m2_exact(
     n_max: int,
     t_bound: float,
     support: list[SupportElement],
-    table: FactorTable,
 ) -> float:
     """M2 as the full quadruple transform expansion (tiny instances).
 
@@ -251,7 +249,7 @@ def m2_exact(
     a transform argument of exactly zero.
     """
     r_coeffs, _ = _support_coeff_logs(f, support)
-    coeffs = np.multiply.outer(r_coeffs, values_up_to(f, n_max, table)).ravel()
+    coeffs = np.multiply.outer(r_coeffs, values_up_to(f, n_max)).ravel()
     logs = [math.log(m * e.n) for e in support for m in range(1, n_max + 1)]
     return _termwise_sum(coeffs, logs, t_bound, t_bound / n_max)
 
@@ -939,8 +937,8 @@ def ratio_and_bounds(
     Each of these is far below the 2^-40 it is charged to.
 
     `f` is only consulted for those exact/quadrature cross-checks, and
-    only they read f(n), n <= N, from a sieve to N that they build.  Every
-    moment uses the fixed window default_bump().
+    only they read f(n), n <= N (multfn.values_up_to, which sieves to N for
+    a Steinhaus f alone).  Every moment uses the fixed window default_bump().
     """
     if exact_mode not in ("auto", "always", "never"):
         raise ValueError(f"unknown exact_mode {exact_mode!r}")
@@ -1025,11 +1023,11 @@ def ratio_and_bounds(
     if support is not None:
         if f is None:
             raise ValueError("exact moments require a coefficient function")
-        table = build_factor_table(max(2, n_max))
+        check_sieve_cap(n_max)  # M2 reads f(n) for n <= N: refuse N before the M1 work
         m1_q = m1_quadrature(f, t_bound, support)
         m1_e = m1_exact(f, t_bound, support)
-        m2_q = m2_quadrature(f, n_max, t_bound, support, table)
-        m2_e = m2_exact(f, n_max, t_bound, support, table)
+        m2_q = m2_quadrature(f, n_max, t_bound, support)
+        m2_e = m2_exact(f, n_max, t_bound, support)
 
     # One walk of the coprime tiles sums the diagonal, the main term (the
     # balanced pair sum too) and the tail's pairs.

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ntcore import FactorTable, factorize
+from .ntcore import FactorTable, build_factor_table, check_sieve_cap, factorize
 
 KIND_ONE = "one"
 KIND_ARCHIMEDEAN = "archimedean"
@@ -89,24 +89,26 @@ def steinhaus_sample(seed: int) -> UnimodularCMF:
     return UnimodularCMF(kind=KIND_STEINHAUS, seed=int(seed))
 
 
-def values_up_to(f: UnimodularCMF, n_max: int, table: FactorTable) -> np.ndarray:
+def values_up_to(f: UnimodularCMF, n_max: int) -> np.ndarray:
     """Vector [f(1), ..., f(n_max)] as complex128, index shifted by one.
 
-    Complete multiplicativity lets the sieve fill the range one Omega-layer
-    at a time: f(n) = f(n / spf(n)) * f(spf(n)), where n / spf(n) lies in
+    Every f is held to the sieve's cap on n_max.  Constant-one and n^{i*alpha}
+    have closed forms; a Steinhaus f sieves max(2, n_max) here, and complete
+    multiplicativity lets the sieve fill the range one Omega-layer at a
+    time: f(n) = f(n / spf(n)) * f(spf(n)), where n / spf(n) lies in
     the layer before n's.  The product is taken on the real and imaginary
     parts separately, in the order of Python's complex multiply, so every
     value equals the one the scalar recurrence gives.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    table._check_range(n_max)
-    idx = np.arange(1, n_max + 1)
+    check_sieve_cap(n_max)
     if f.kind == KIND_ONE:
         return np.ones(n_max, dtype=np.complex128)
+    idx = np.arange(1, n_max + 1)
     if f.kind == KIND_ARCHIMEDEAN:
         return np.exp(1j * f.alpha * np.log(idx.astype(np.float64)))
-    spf = table.spf[: n_max + 1].astype(np.int64)
+    spf = build_factor_table(max(2, n_max)).spf[: n_max + 1].astype(np.int64)
     cof = np.zeros(n_max + 1, dtype=np.int64)
     cof[2:] = idx[1:] // spf[2:]
     out = np.ones(n_max + 1, dtype=np.complex128)

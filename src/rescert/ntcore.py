@@ -1,8 +1,10 @@
 """Smallest-prime-factor sieve and the integer helpers built on it.
 
 Each layer sieves the range it reads: the resonator its prime window,
-the search and the exact/quadrature moments the integers up to N, for
-f(n).  A FactorTable is immutable once built.
+and multfn.values_up_to the integers up to N for a Steinhaus f(n) (the
+other families have closed forms).  A FactorTable is immutable once
+built.  check_sieve_cap holds every f(n) range to the sieve's cap, sieved
+or not.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ class FactorTable:
             raise ValueError(f"n={n} outside table range [1, {self.limit}]")
 
 
+def check_sieve_cap(limit: int) -> None:
+    """ResourceLimitError for a limit past the 32-bit entry cap, before any work."""
+    if limit > MAX_SIEVE_LIMIT:
+        raise ResourceLimitError(
+            f"sieve limit {limit} exceeds 32-bit entry cap {MAX_SIEVE_LIMIT}",
+            needed=limit,
+            budget=MAX_SIEVE_LIMIT,
+        )
+
+
 def build_factor_table(limit: int) -> FactorTable:
     """Sieve smallest prime factors up to and including `limit`.
 
@@ -46,12 +58,7 @@ def build_factor_table(limit: int) -> FactorTable:
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > MAX_SIEVE_LIMIT:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds 32-bit entry cap {MAX_SIEVE_LIMIT}",
-            needed=limit,
-            budget=MAX_SIEVE_LIMIT,
-        )
+    check_sieve_cap(limit)
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:

@@ -226,7 +226,6 @@ def m2_bruteforce_quadrature(
     f: UnimodularCMF,
     n_max: int,
     t_bound: float,
-    table: FactorTable,
     panels: int = 1_000_000,
 ) -> float:
     """M2 by composite Simpson with a fixed panel count.
@@ -243,7 +242,7 @@ def m2_bruteforce_quadrature(
         for p in e.primes:
             fa *= f.prime_value(p)
         supp_coeffs[i] = fa * e.r
-    d_coeffs = values_up_to(f, n_max, table) / math.sqrt(n_max)
+    d_coeffs = values_up_to(f, n_max) / math.sqrt(n_max)
     d_logs = np.log(np.arange(1, n_max + 1, dtype=np.float64))
 
     def window(y: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-import rescert.cli  # noqa: F401  (imports every module that binds build_factor_table)
+import rescert.cli  # noqa: F401  (loads multfn and resonator, which bind build_factor_table)
 from rescert import ntcore
 
 

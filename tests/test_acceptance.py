@@ -99,8 +99,8 @@ def test_criterion_03_moment_quadrature_matches_exact():
                 for t_bound in (1e3, 1e4):
                     q1 = m1_quadrature(f, t_bound, supp)
                     e1 = m1_exact(f, t_bound, supp)
-                    q2 = m2_quadrature(f, n, t_bound, supp, TABLE)
-                    e2 = m2_exact(f, n, t_bound, supp, TABLE)
+                    q2 = m2_quadrature(f, n, t_bound, supp)
+                    e2 = m2_exact(f, n, t_bound, supp)
                     assert q1 == pytest.approx(e1, rel=1e-6)
                     assert q2 == pytest.approx(e2, rel=1e-6)
 
@@ -120,7 +120,7 @@ def test_criterion_04_certificate_sound_against_grid():
         for seed in range(10):
             f = steinhaus_sample(seed)
             report = ratio_and_bounds(res, f, n, t_bound, delta, 1.0)
-            sr = grid_sup(f, n, t_bound, None, TABLE, window=window)
+            sr = grid_sup(f, n, t_bound, None, window=window)
             assert sr.certified_slack <= eps + 1e-15
             assert sr.value + eps >= report.lower_bound
 

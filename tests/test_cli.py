@@ -69,6 +69,7 @@ def test_certify_sieves_nothing_up_to_n(tmp_path, sieve_limits):
 def test_guided_search_names_the_support_budget(capsys, sieve_limits):
     # The prime window of X = 1e30 ends at 3171; its support below X leaves
     # the int64 range, and the error says so, from the resonator layer.
+    # The support fails before D_N's terms are built, so N is never sieved.
     argv = ["search", "--guided", "--n", "25", "--t", "20", "--x", "1e30", "--eps", "0.2"]
     assert main(argv) == 3
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
@@ -77,7 +78,40 @@ def test_guided_search_names_the_support_budget(capsys, sieve_limits):
     assert error["budget"] == 9223372036854775807
     assert "int64" in error["message"]
     _, hi = window_bounds(1e30)
-    assert sieve_limits == [("rescert.cli", 25), ("rescert.resonator", math.ceil(hi))]
+    assert sieve_limits == [("rescert.resonator", math.ceil(hi))]
+
+
+SEARCH_500 = ["search", "--n", "500", "--t", "1e4", "--window-lo", "10", "--window-hi", "11"]
+
+
+@pytest.mark.parametrize("f", ["one", "arch:1"])
+def test_closed_form_search_sieves_nothing(tmp_path, sieve_limits, f):
+    # f = one and n^{i*alpha} have closed forms: D_N's terms need no sieve.
+    run(tmp_path, *SEARCH_500, "--f", f)
+    assert sieve_limits == []
+
+
+def test_steinhaus_search_sieves_n_once(tmp_path, sieve_limits):
+    run(tmp_path, *SEARCH_500, "--f", "steinhaus")
+    assert sieve_limits == [("rescert.multfn", 500)]
+
+
+# The sieve's 32-bit cap holds N for every f, sieved or not, before any work.
+N_CAP_ERROR = (
+    '{"budget": 4294967295, "kind": "ResourceLimitError", "layer": "rescert.ntcore", '
+    '"message": "sieve limit 4294967296 exceeds 32-bit entry cap 4294967295", '
+    '"needed": 4294967296}'
+)
+
+
+@pytest.mark.parametrize(
+    "extra", [["--f", "one"], ["--f", "arch:1"], ["--f", "steinhaus"], ["--guided"]]
+)
+def test_search_refuses_n_past_the_sieve_cap(capsys, extra):
+    argv = ["search", "--n", "4294967296", "--t", "1e12", "--window-lo", "1e6",
+            "--window-hi", "1e6", *extra]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == N_CAP_ERROR
 
 
 def test_config_hash_ignores_output_routing(tmp_path):

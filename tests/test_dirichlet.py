@@ -29,18 +29,16 @@ from rescert.dirichlet import (
 )
 from rescert.errors import ResourceLimitError
 from rescert.multfn import archimedean_cmf, constant_one, steinhaus_sample, values_up_to
-from rescert.ntcore import build_factor_table
 from rescert.resonator import build_resonator, degenerate_resonator, support_elements
 
-TABLE = build_factor_table(20_000)
 RES20 = build_resonator(math.exp(20.0))  # support {1, 61}
 
 
 def test_eval_dn_at_zero():
     one = constant_one()
-    assert eval_DN(one, 4, 0.0, TABLE) == pytest.approx(2.0, rel=1e-14)
-    assert eval_DN(one, 2, 0.0, TABLE) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert eval_DN(one, 1, 1.7, TABLE) == pytest.approx(1.0, rel=1e-14)
+    assert eval_DN(one, 4, 0.0) == pytest.approx(2.0, rel=1e-14)
+    assert eval_DN(one, 2, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert eval_DN(one, 1, 1.7) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_eval_dn_triangle_bound():
@@ -49,15 +47,15 @@ def test_eval_dn_triangle_bound():
     for _ in range(20):
         t = float(rng.uniform(-100.0, 100.0))
         n = int(rng.integers(1, 300))
-        assert abs(eval_DN(f, n, t, TABLE)) <= math.sqrt(n) + 1e-9
+        assert abs(eval_DN(f, n, t)) <= math.sqrt(n) + 1e-9
 
 
 def test_eval_dn_conjugate_symmetry():
     # Real coefficients make D(-t) the conjugate of D(t).
     one = constant_one()
     for t in (0.3, 2.0, 55.5):
-        assert eval_DN(one, 50, -t, TABLE) == pytest.approx(
-            eval_DN(one, 50, t, TABLE).conjugate(), rel=1e-12
+        assert eval_DN(one, 50, -t) == pytest.approx(
+            eval_DN(one, 50, t).conjugate(), rel=1e-12
         )
 
 
@@ -67,8 +65,8 @@ def test_eval_dn_archimedean_shift_identity():
     arch = archimedean_cmf(alpha)
     one = constant_one()
     for t in (-3.0, 0.0, 1.2, 40.0):
-        assert eval_DN(arch, 80, t, TABLE) == pytest.approx(
-            eval_DN(one, 80, t + alpha, TABLE), abs=1e-12
+        assert eval_DN(arch, 80, t) == pytest.approx(
+            eval_DN(one, 80, t + alpha), abs=1e-12
         )
 
 
@@ -86,29 +84,29 @@ def test_eval_r():
 
 def test_grid_sup_constant_one_peaks_at_zero():
     for n in (1, 4, 16):
-        result = grid_sup(constant_one(), n, 10.0, 0.05, TABLE)
+        result = grid_sup(constant_one(), n, 10.0, 0.05)
         assert result.t_star == 0.0
         assert result.value == pytest.approx(math.sqrt(n), rel=1e-12)
 
 
 def test_grid_sup_n1_tie_breaks():
-    res = grid_sup(constant_one(), 1, 5.0, 0.1, TABLE)
+    res = grid_sup(constant_one(), 1, 5.0, 0.1)
     assert res.t_star == 0.0 and res.value == 1.0 and res.grid_step == 0.0
-    off = grid_sup(constant_one(), 1, 5.0, 0.1, TABLE, window=(2.0, 7.0))
+    off = grid_sup(constant_one(), 1, 5.0, 0.1, window=(2.0, 7.0))
     assert off.t_star == 2.0
 
 
 def test_grid_sup_refinement_finds_interior_peak():
     # f(n) = n^{-2i} translates the peak of the constant-one polynomial
     # to t = 2, which is generically off the grid.
-    result = grid_sup(archimedean_cmf(-2.0), 16, 10.0, 0.05, TABLE)
+    result = grid_sup(archimedean_cmf(-2.0), 16, 10.0, 0.05)
     assert result.t_star == pytest.approx(2.0, abs=1e-8)
     assert result.value == pytest.approx(4.0, rel=1e-12)
     assert result.refinement_iterations > 0
 
 
 def test_grid_sup_certified_slack():
-    result = grid_sup(constant_one(), 30, 10.0, 0.05, TABLE)
+    result = grid_sup(constant_one(), 30, 10.0, 0.05)
     assert result.certified_slack is not None
     assert result.certified_slack <= 0.05 + 1e-15
     assert result.grid_step == pytest.approx(
@@ -119,17 +117,17 @@ def test_grid_sup_certified_slack():
 def test_grid_sup_probe_property():
     # No window point may beat the reported value by more than the slack.
     f = steinhaus_sample(21)
-    result = grid_sup(f, 60, 50.0, 0.1, TABLE, window=(2.5, 9.0))
+    result = grid_sup(f, 60, 50.0, 0.1, window=(2.5, 9.0))
     rng = np.random.default_rng(0)
     for _ in range(200):
         t = float(rng.uniform(2.5, 9.0))
-        assert abs(eval_DN(f, 60, t, TABLE)) <= result.value + result.certified_slack + 1e-9
+        assert abs(eval_DN(f, 60, t)) <= result.value + result.certified_slack + 1e-9
 
 
 def test_grid_sup_degenerate_window():
-    result = grid_sup(constant_one(), 9, 10.0, 0.05, TABLE, window=(3.0, 3.0))
+    result = grid_sup(constant_one(), 9, 10.0, 0.05, window=(3.0, 3.0))
     assert result.t_star == 3.0
-    assert result.value == pytest.approx(abs(eval_DN(constant_one(), 9, 3.0, TABLE)), rel=1e-12)
+    assert result.value == pytest.approx(abs(eval_DN(constant_one(), 9, 3.0)), rel=1e-12)
 
 
 def _kernel_abs2(coeffs, logs, origin, k0, count, h):
@@ -147,7 +145,7 @@ def _direct_abs2(coeffs, logs, ts):
 def test_grid_kernel_matches_direct_across_anchor_blocks():
     # Three anchor blocks, the last one partial, at t ~ 1e3.
     n = 60
-    coeffs = values_up_to(steinhaus_sample(5), n, TABLE) / math.sqrt(n)
+    coeffs = values_up_to(steinhaus_sample(5), n) / math.sqrt(n)
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
     h = 2e-3 / math.log(n)
     k0, count = int(1000.0 / h), 2 * RESYNC_STRIDE + 37
@@ -163,9 +161,8 @@ def test_grid_kernel_matches_direct_across_anchor_blocks():
 def test_grid_kernel_matches_direct_across_term_slices():
     # N = 12 000 terms run in two slices of at most RESYNC_STRIDE.
     n = 12_000
-    table = build_factor_table(n)
     f = steinhaus_sample(9)
-    coeffs = values_up_to(f, n, table) / math.sqrt(n)
+    coeffs = values_up_to(f, n) / math.sqrt(n)
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
     h = 2e-3 / math.log(n)
     k0, count = int(777.0 / h), 150
@@ -227,8 +224,7 @@ def _assert_same_blocks(coeffs, logs, origin, k0, count, h):
 
 
 def _dn_coeffs_logs(n, seed):
-    table = TABLE if n <= TABLE.limit else build_factor_table(n)
-    return dirichlet._dn_terms(steinhaus_sample(seed), n, table)
+    return dirichlet._dn_terms(steinhaus_sample(seed), n)
 
 
 @pytest.mark.parametrize(
@@ -603,11 +599,9 @@ import hashlib, math, sys
 import numpy as np
 from rescert import dirichlet
 from rescert.multfn import steinhaus_sample
-from rescert.ntcore import build_factor_table
 digest = hashlib.sha256()
 for n in (5000, 12000):
-    table = build_factor_table(n + 1)
-    coeffs, logs = dirichlet._dn_terms(steinhaus_sample(0), n, table)
+    coeffs, logs = dirichlet._dn_terms(steinhaus_sample(0), n)
     h = 2e-3 / math.log(n)
     assert dirichlet._taylor_rank(h, float(logs.max()), n) is not None
     for origin, k0 in ((0.0, int(4.5e10 / h)), (1e4 + np.arange(3) * 1e-4, 0)):
@@ -623,11 +617,9 @@ import hashlib, math
 import numpy as np
 from rescert import dirichlet
 from rescert.multfn import steinhaus_sample
-from rescert.ntcore import build_factor_table
 dirichlet._taylor_rank = lambda h, max_log, n_terms: None
 n = 500
-table = build_factor_table(n)
-coeffs, logs = dirichlet._dn_terms(steinhaus_sample(3), n, table)
+coeffs, logs = dirichlet._dn_terms(steinhaus_sample(3), n)
 h = 2e-3 / math.log(n)
 digest = hashlib.sha256()
 for _, values in dirichlet._grid_values(coeffs, logs, 0.0, int(4.5e10 / h), 50_000, h):
@@ -846,7 +838,7 @@ def test_guided_search_memory_bounded():
     res = build_resonator(4.85e8)
     tracemalloc.start()
     try:
-        resonance_guided_search(res, steinhaus_sample(2), 500, 1e4, None, TABLE)
+        resonance_guided_search(res, steinhaus_sample(2), 500, 1e4, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -868,7 +860,7 @@ def test_guided_scan_batches_its_one_slice_as_one_group(monkeypatch):
 
     monkeypatch.setattr(dirichlet, "_anchor_batches", recorded)
     res = build_resonator(4.85e8)
-    resonance_guided_search(res, steinhaus_sample(2), 500, 1e4, None, TABLE)
+    resonance_guided_search(res, steinhaus_sample(2), 500, 1e4, None)
     assert calls == [(0, 6_214_609, 6_214_609, 105)]
 
 
@@ -876,7 +868,7 @@ def test_grid_sup_trace(tmp_path):
     path = os.path.join(tmp_path, "trace.csv")
     f, n, eps, stride = steinhaus_sample(4), 40, 0.05, 997
     window = (900.0, 960.0)
-    result = grid_sup(f, n, 1e3, eps, TABLE, window=window, trace_path=path, trace_stride=stride)
+    result = grid_sup(f, n, 1e3, eps, window=window, trace_path=path, trace_stride=stride)
     with open(path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "t,abs_dn"
@@ -889,7 +881,7 @@ def test_grid_sup_trace(tmp_path):
     assert len(rows) == len(range(0, k_hi - k_lo + 1, stride))
     for j, (t, abs_dn) in enumerate(rows):
         assert t == (k_lo + j * stride) * step
-        assert abs_dn == pytest.approx(abs(eval_DN(f, n, t, TABLE)), rel=1e-9)
+        assert abs_dn == pytest.approx(abs(eval_DN(f, n, t)), rel=1e-9)
 
 
 def test_grid_sup_explicit_batches_pinned_to_the_bit():
@@ -902,7 +894,7 @@ def test_grid_sup_explicit_batches_pinned_to_the_bit():
     assert dirichlet._taylor_rank(step, math.log(n), n) is None
     assert dirichlet._blocks_per_batch(100, 100, n, 1) == 6
     assert 2 * t_bound / step > 3 * 6 * RESYNC_STRIDE
-    result = grid_sup(f, n, t_bound, eps, TABLE)
+    result = grid_sup(f, n, t_bound, eps)
     assert (result.t_star, result.value, result.refinement_iterations) == (
         -432.0827220230687, 3.6308233448531424, 27
     )
@@ -911,15 +903,15 @@ def test_grid_sup_explicit_batches_pinned_to_the_bit():
 def test_grid_sup_validation():
     one = constant_one()
     with pytest.raises(ValueError):
-        grid_sup(one, 0, 10.0, 0.1, TABLE)
+        grid_sup(one, 0, 10.0, 0.1)
     with pytest.raises(ValueError):
-        grid_sup(one, 4, -1.0, 0.1, TABLE)
+        grid_sup(one, 4, -1.0, 0.1)
     with pytest.raises(ValueError):
-        grid_sup(one, 4, 10.0, 0.0, TABLE)
+        grid_sup(one, 4, 10.0, 0.0)
     with pytest.raises(ValueError):
-        grid_sup(one, 4, 10.0, 0.1, TABLE, window=(2.0, 1.0))
+        grid_sup(one, 4, 10.0, 0.1, window=(2.0, 1.0))
     with pytest.raises(ResourceLimitError):
-        grid_sup(one, 100, 1e6, 1e-6, TABLE, eval_budget=1000)
+        grid_sup(one, 100, 1e6, 1e-6, eval_budget=1000)
 
 
 def test_grid_sup_refuses_eps_within_float_error():
@@ -929,24 +921,23 @@ def test_grid_sup_refuses_eps_within_float_error():
     rho = dirichlet._grid_error_bound(math.sqrt(n), math.log(n), n, window[1], 0.0)
     assert 5e-3 < rho < 6e-3
     with pytest.raises(ValueError, match="float error bound"):
-        grid_sup(f, n, 1e11, rho, TABLE, window=window)
-    result = grid_sup(f, n, 1e11, rho * (1 + 1e-9), TABLE, window=window)
+        grid_sup(f, n, 1e11, rho, window=window)
+    result = grid_sup(f, n, 1e11, rho * (1 + 1e-9), window=window)
     assert result.certified_slack <= rho * (1 + 1e-9)
     # The default eps = 1e-3 sqrt(N) clears rho at the benchmark's T = 500^4.
     t_bound = 500.0**4
     for n in (500, 5000):
-        grid_sup(f, n, t_bound, None, TABLE, window=(t_bound - 0.01, t_bound))
+        grid_sup(f, n, t_bound, None, window=(t_bound - 0.01, t_bound))
 
 
 def test_grid_sup_memory_bounded_at_large_n():
     # The kernel's tables are sliced by terms: unsliced 100 x N tables
     # would need about 1 GB here.
     n = 200_000
-    table = build_factor_table(n)
     h = 2e-3 / math.log(n)
     tracemalloc.start()
     try:
-        grid_sup(constant_one(), n, 1e4, None, table, window=(1000.0, 1000.0 + 1000 * h))
+        grid_sup(constant_one(), n, 1e4, None, window=(1000.0, 1000.0 + 1000 * h))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -971,14 +962,14 @@ def test_search_argument_checks(kwargs):
     # Both searches share one check, with or without a resonator support.
     eps = kwargs.pop("eps", None)
     with pytest.raises(ValueError):
-        grid_sup(constant_one(), 25, 100.0, eps, TABLE, **kwargs)
+        grid_sup(constant_one(), 25, 100.0, eps, **kwargs)
     for res in (RES20, degenerate_resonator(3.0)):
         with pytest.raises(ValueError):
-            resonance_guided_search(res, constant_one(), 25, 100.0, eps, TABLE, **kwargs)
+            resonance_guided_search(res, constant_one(), 25, 100.0, eps, **kwargs)
 
 
 def test_guided_search_constant_one():
-    result = resonance_guided_search(RES20, constant_one(), 25, 20.0, None, TABLE)
+    result = resonance_guided_search(RES20, constant_one(), 25, 20.0, None)
     assert abs(result.t_star) <= 1e-6
     assert result.value == pytest.approx(5.0, rel=1e-9)
     assert result.certified_slack is None
@@ -998,13 +989,13 @@ def test_guided_search_constant_one():
 def test_guided_search_pinned_to_the_bit(f, n, t_bound, eps, t_star, value):
     # The peaks of |R| set the refined neighbourhoods, so t_star and value pin the kernel's
     # |R| bits and the finder's candidates as well as the refinement.
-    result = resonance_guided_search(build_resonator(4.85e8), f, n, t_bound, eps, TABLE)
+    result = resonance_guided_search(build_resonator(4.85e8), f, n, t_bound, eps)
     assert (result.t_star, result.value) == (t_star, value)
 
 
 def test_guided_search_empty_support_degenerates():
     res = degenerate_resonator(3.0)
-    result = resonance_guided_search(res, constant_one(), 16, 10.0, 0.05, TABLE)
+    result = resonance_guided_search(res, constant_one(), 16, 10.0, 0.05)
     assert result.t_star == 0.0
     assert result.value == pytest.approx(4.0, rel=1e-12)
     # Degenerate path is a plain grid search, so the certificate survives.
@@ -1014,8 +1005,8 @@ def test_guided_search_empty_support_degenerates():
 def test_guided_never_beats_certified_grid():
     for seed in (0, 1, 2):
         f = steinhaus_sample(seed)
-        grid = grid_sup(f, 120, 50.0, 0.5, TABLE)
-        guided = resonance_guided_search(RES20, f, 120, 50.0, None, TABLE)
+        grid = grid_sup(f, 120, 50.0, 0.5)
+        guided = resonance_guided_search(RES20, f, 120, 50.0, None)
         assert guided.value <= grid.value + grid.certified_slack + 1e-9
 
 

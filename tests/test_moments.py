@@ -127,7 +127,7 @@ def test_m1_positive():
 def test_m2_exact_reduces_to_m1_at_n1():
     t_bound = 1e3
     for f in (constant_one(), steinhaus_sample(31)):
-        m2 = m2_exact(f, 1, t_bound, SUPP20, TABLE)
+        m2 = m2_exact(f, 1, t_bound, SUPP20)
         m1 = m1_exact(f, t_bound, SUPP20)
         assert m2 == pytest.approx(m1, rel=1e-12)
 
@@ -135,7 +135,7 @@ def test_m2_exact_reduces_to_m1_at_n1():
 def test_m2_quadrature_reduces_to_m1_at_n1():
     t_bound = 1e3
     f = steinhaus_sample(4)
-    m2 = m2_quadrature(f, 1, t_bound, SUPP20, TABLE)
+    m2 = m2_quadrature(f, 1, t_bound, SUPP20)
     m1 = m1_quadrature(f, t_bound, SUPP20)
     assert m2 == pytest.approx(m1, rel=1e-8)
 
@@ -143,8 +143,8 @@ def test_m2_quadrature_reduces_to_m1_at_n1():
 def test_m2_exact_vs_quadrature_tiny():
     t_bound = 1e3
     for f in (constant_one(), steinhaus_sample(12345), archimedean_cmf(1.0)):
-        quad = m2_quadrature(f, 3, t_bound, SUPP20, TABLE)
-        exact = m2_exact(f, 3, t_bound, SUPP20, TABLE)
+        quad = m2_quadrature(f, 3, t_bound, SUPP20)
+        exact = m2_exact(f, 3, t_bound, SUPP20)
         assert quad == pytest.approx(exact, rel=1e-6)
 
 
@@ -153,7 +153,7 @@ def test_m2_exact_diagonal_is_f_free():
     # m*a = n*b terms carry no f dependence at all.
     t_bound = 1e4
     values = [
-        m2_exact(f, 3, t_bound, SUPP20, TABLE)
+        m2_exact(f, 3, t_bound, SUPP20)
         for f in (constant_one(), steinhaus_sample(7), archimedean_cmf(0.7))
     ]
     assert values[0] == pytest.approx(values[1], rel=1e-8)
@@ -164,7 +164,7 @@ def test_m2_bounded_by_n_m1():
     t_bound = 1e3
     f = constant_one()
     n_max = 3
-    m2 = m2_quadrature(f, n_max, t_bound, SUPP20, TABLE)
+    m2 = m2_quadrature(f, n_max, t_bound, SUPP20)
     m1 = m1_quadrature(f, t_bound, SUPP20)
     assert m2 <= n_max * m1 * (1.0 + 1e-8)
 
@@ -201,13 +201,13 @@ def test_quadrature_moments_match_dense_reference(idx):
     supp = support_elements(res, res.x)
     r_poly = _support_coeff_logs(f, supp)
     d_poly = (
-        values_up_to(f, n, TABLE) / math.sqrt(n),
+        values_up_to(f, n) / math.sqrt(n),
         np.log(np.arange(1, n + 1, dtype=np.float64)),
     )
     m1_ref = _dense_window_integral([r_poly], t_bound, b)
     m2_ref = _dense_window_integral([r_poly, d_poly], t_bound, b)
     assert m1_quadrature(f, t_bound, supp) == pytest.approx(m1_ref, rel=1e-12)
-    assert m2_quadrature(f, n, t_bound, supp, TABLE) == pytest.approx(m2_ref, rel=1e-12)
+    assert m2_quadrature(f, n, t_bound, supp) == pytest.approx(m2_ref, rel=1e-12)
 
 
 # m1_quadrature and m2_quadrature with each level's panel sums added by numpy's pairwise
@@ -236,20 +236,46 @@ def test_quadrature_moments_pinned(idx):
     res = build_resonator(math.exp(logx))
     supp = support_elements(res, res.x)
     assert m1_quadrature(f, t_bound, supp) == m1
-    assert m2_quadrature(f, n, t_bound, supp, TABLE) == m2
+    assert m2_quadrature(f, n, t_bound, supp) == m2
 
 
 def test_tiny_certify_sieves_n_inside_moments(tmp_path, sieve_limits):
-    # exact="auto" at T = 1e3: the resonator sieves its prime window (to 66)
-    # and only the exact/quadrature moments sieve the integers up to N; the
-    # report's quadrature moments are the pinned ones.
+    # exact="auto" at T = 1e3: the resonator sieves its prime window (to 66).
+    # The moments read f(n) for n <= N, but f = one has a closed form, so
+    # nothing sieves the integers up to N; the report's quadrature moments
+    # are the pinned ones.
     n, t_bound, logx, _, m1, m2 = QUADRATURE_PINS[0]
     out = tmp_path / "out.json"
     argv = ["certify", "--n", str(n), "--t", repr(t_bound), "--x", repr(math.exp(logx))]
     assert cli_main([*argv, "--out", str(out)]) == 0
     report = json.loads(out.read_text())["report"]
     assert (report["m1_quad"], report["m2_quad"]) == (m1, m2)
-    assert sieve_limits == [("rescert.resonator", 66), ("rescert.moments", n)]
+    assert sieve_limits == [("rescert.resonator", 66)]
+
+
+def test_tiny_steinhaus_certify_sieves_n_for_each_m2(tmp_path, sieve_limits):
+    # A Steinhaus f(n) needs factorizations: values_up_to sieves N once for
+    # M2 by quadrature and once for M2 exact, after the resonator's window.
+    out = tmp_path / "out.json"
+    argv = ["certify", "--n", "3", "--t", "1000.0", "--x", repr(math.exp(20.0)),
+            "--f", "steinhaus", "--seed", "3", "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert json.loads(out.read_text())["report"]["m2_exact"] is not None
+    assert sieve_limits == [
+        ("rescert.resonator", 66), ("rescert.multfn", 3), ("rescert.multfn", 3)
+    ]
+
+
+def test_exact_moments_refuse_n_past_the_sieve_cap_before_m1(monkeypatch, capsys):
+    # M2 reads f(n) for n <= N, so an N past the sieve's cap is refused before any M1 work.
+    def never(*args):
+        raise AssertionError("M1 computed before the N cap refusal")
+
+    monkeypatch.setattr(moments, "m1_quadrature", never)
+    argv = ["certify", "--n", "4294967296", "--t", "1e4", "--x", repr(math.exp(20.0)),
+            "--exact", "always", "--f", "steinhaus"]
+    assert cli_main(argv) == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["layer"] == "rescert.ntcore"
 
 
 @pytest.mark.parametrize("idx", range(len(CRITERION3)))
@@ -272,7 +298,7 @@ def test_quadrature_moments_converge_in_two_levels(idx, monkeypatch):
     m1_quadrature(f, t_bound, supp)
     assert len(levels) == 2 and levels[1] == 2 * levels[0]
     levels.clear()
-    m2_quadrature(f, n, t_bound, supp, TABLE)
+    m2_quadrature(f, n, t_bound, supp)
     assert len(levels) == 2 and levels[1] == 2 * levels[0]
 
 
@@ -303,7 +329,7 @@ def test_exact_moments_pinned(idx, monkeypatch):
     monkeypatch.setattr(moments, "default_bump", lambda: fresh)
     res = build_resonator(math.exp(logx))
     supp = support_elements(res, res.x)
-    got = (m1_exact(f, t_bound, supp).hex(), m2_exact(f, n, t_bound, supp, TABLE).hex())
+    got = (m1_exact(f, t_bound, supp).hex(), m2_exact(f, n, t_bound, supp).hex())
     assert got == EXACT_PINS[idx]
 
 
@@ -338,7 +364,7 @@ def test_termwise_sum_matches_per_term_loop(monkeypatch, shape, term_block):
         coeffs, logs = _support_coeff_logs(f, support_elements(res, res.x))
     else:
         r_coeffs, _ = _support_coeff_logs(f, SUPP20)
-        coeffs = np.multiply.outer(r_coeffs, values_up_to(f, 3, TABLE)).ravel()
+        coeffs = np.multiply.outer(r_coeffs, values_up_to(f, 3)).ravel()
         logs = [math.log(m * e.n) for e in SUPP20 for m in range(1, 4)]
     xi = {abs(t_bound * (lv - lu)) for lu in logs for lv in logs}
     keys = {f"{x:.12e}" for x in xi}
@@ -362,7 +388,7 @@ def test_m2_quadrature_memory():
     f = steinhaus_sample(1)
     tracemalloc.start()
     try:
-        m2_quadrature(f, 12, 1e4, supp, TABLE)
+        m2_quadrature(f, 12, 1e4, supp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -393,7 +419,7 @@ def test_m2_quadrature_builds_step_tables_once_per_level_group_and_shape(monkeyp
     monkeypatch.setattr(moments, "composite_gl_grid", recorded)
     res = build_resonator(math.exp(20.2))
     supp = support_elements(res, res.x)
-    m2_quadrature(steinhaus_sample(1), 12, 1e4, supp, TABLE)
+    m2_quadrature(steinhaus_sample(1), 12, 1e4, supp)
     assert levels == [8595, 17190] and RESYNC_STRIDE == 10_000
     # 8595 points fit one short block; 17 190 take a full block and a last one of 7190
     # points.  Five nodes per group at both levels (5 * RESYNC_STRIDE // 8595 = 5).
@@ -1461,7 +1487,7 @@ def _envelope_cases(n_max: int, x: int, t_bound: float, r: np.ndarray, f):
     for m in range(1, n_max + 1):
         b[m : m * x + 1 : m] += r
     ks = np.flatnonzero(b)
-    fv = values_up_to(f, n_max * x, TABLE)
+    fv = values_up_to(f, n_max * x)
     eps2, eps1 = _offdiag_eps(n_max * x, t_bound), _offdiag_eps(x, t_bound)
     for c, k, scale, diag, eps in (
         (fv[ks - 1] * b[ks], ks, t_bound / n_max, math.fsum(b * b), eps2),

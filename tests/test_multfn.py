@@ -73,13 +73,13 @@ def test_complete_multiplicativity_random_pairs():
 
 def test_unit_modulus_up_to_1e4():
     for f in (archimedean_cmf(0.3), steinhaus_sample(5)):
-        vals = values_up_to(f, 10_000, TABLE)
+        vals = values_up_to(f, 10_000)
         assert np.max(np.abs(np.abs(vals) - 1.0)) <= 1e-12
 
 
 def test_values_up_to_matches_pointwise():
     for f in (constant_one(), archimedean_cmf(1.1), steinhaus_sample(3)):
-        vals = values_up_to(f, 500, TABLE)
+        vals = values_up_to(f, 500)
         for n in (1, 2, 17, 128, 360, 499, 500):
             assert abs(vals[n - 1] - f.value(n, TABLE)) <= 1e-12
 
@@ -94,7 +94,7 @@ def test_validation():
     with pytest.raises(ValueError):
         f.prime_value(1 << 64)  # beyond the 8-byte key
     with pytest.raises(ValueError):
-        values_up_to(constant_one(), 0, TABLE)
+        values_up_to(constant_one(), 0)
 
 
 def _values_by_loop(f, n_max, table):
@@ -108,6 +108,6 @@ def _values_by_loop(f, n_max, table):
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 def test_values_up_to_matches_scalar_recurrence(seed):
     # The layered fill must reproduce the scalar complex products bit for bit.
-    got = values_up_to(steinhaus_sample(seed), 10_000, TABLE)
+    got = values_up_to(steinhaus_sample(seed), 10_000)
     want = _values_by_loop(steinhaus_sample(seed), 10_000, TABLE)
     assert np.array_equal(got, want)

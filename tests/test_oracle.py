@@ -301,7 +301,7 @@ def test_m2_bruteforce_matches_m1_at_n1():
     # |D_1| = 1, so the weighted moment collapses to the plain one.
     f = constant_one()
     t_bound = 1e3
-    brute = m2_bruteforce_quadrature(RES20, f, 1, t_bound, TABLE, panels=400_000)
+    brute = m2_bruteforce_quadrature(RES20, f, 1, t_bound, panels=400_000)
     m1 = m1_quadrature(f, t_bound, SUPP20)
     assert brute == pytest.approx(m1, rel=1e-5)
 
@@ -309,7 +309,7 @@ def test_m2_bruteforce_matches_m1_at_n1():
 def test_m2_bruteforce_matches_exact_expansion():
     t_bound = 1e3
     for f in (constant_one(), steinhaus_sample(12345)):
-        brute = m2_bruteforce_quadrature(RES20, f, 3, t_bound, TABLE, panels=400_000)
-        exact = m2_exact(f, 3, t_bound, SUPP20, TABLE)
+        brute = m2_bruteforce_quadrature(RES20, f, 3, t_bound, panels=400_000)
+        exact = m2_exact(f, 3, t_bound, SUPP20)
         assert brute == pytest.approx(exact, rel=1e-5)
     assert brute > 0.0

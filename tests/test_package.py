@@ -44,3 +44,25 @@ def test_every_parameter_is_read():
     unread = [name for path in sorted(src.glob("*.py")) for name in _unread_parameters(path)]
     assert sorted(set(unread) - UNREAD_ALLOWED) == []
     assert UNREAD_ALLOWED <= set(unread)  # an entry that is read again leaves the list
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """module.name for every name a module-level import of `path` binds that
+    the module never loads (a Name, or the head of an attribute chain)."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names
+                      if a.name != "annotations"]  # from __future__ import annotations
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return [f"{path.stem}.{name}" for name in bound if name not in loaded]
+
+
+def test_every_import_is_used():
+    # __init__ imports to re-export; every other module loads what it imports.
+    src = Path(rescert.__file__).parent
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    assert [name for path in paths for name in _unused_imports(path)] == []
