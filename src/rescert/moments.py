@@ -75,58 +75,63 @@ EXACT_AUTO_MAX_T = 2.0e4
 # Quadrature moments (tiny instances; the oracle-facing route).
 
 
-def _window_integral(polys, t_bound: float) -> float:
-    """Integral of Phi(t/T) * prod |P(t)|^2 over the window, P = sum c_n e^{i t log n},
-    to 1e-8 relative.
+def _window_integral(r_poly, t_bound: float, d_poly=None) -> complex:
+    """M1 + i*M2 with M1 = integral of Phi(t/T) |R(t)|^2 over the window and, given d_poly,
+    M2 = integral of Phi(t/T) |R(t)|^2 |D(t)|^2 (else 0), each to 1e-8 relative;
+    R = sum c_n e^{i t log n} over r_poly's (coeffs, logs), D over d_poly's.
 
-    `polys` lists (coeffs, logs) pairs.  The level rule composite_gl_grid hands over a group
-    of Gauss-Legendre nodes for a whole level at a time: per node an arithmetic progression
-    in t over every panel, and a view of the rule's buffer to fill.  Each polynomial scans
-    the group's progressions in one dirichlet._grid_blocks pass over the level, so its step
-    tables are built once per level, node group, polynomial and block shape.  Blocks are used
-    as they arrive and squared in place in their native layout (_times_abs2): the first
-    polynomial's block multiplies into Phi of its points, written to the buffer's real part
-    in one pass, and each later polynomial's block multiplies into the buffer, so every value
-    is (Phi * |P_1|^2) * |P_2|^2.
+    The level rule composite_gl_grid hands over a group of Gauss-Legendre nodes for a whole
+    level at a time: per node an arithmetic progression in t over every panel, and a view of
+    the rule's complex buffer to fill.  Each polynomial scans the group's progressions in one
+    dirichlet._grid_blocks pass over the level, so its step tables are built once per level,
+    node group, polynomial and block shape.  Blocks are used as they arrive and squared in
+    place in their native layout (_times_abs2): R's block times Phi of its points, computed
+    once, goes to the buffer's real part, and D's block times that real part goes to the
+    imaginary part, so every M2 value is (Phi * |R|^2) * |D|^2.  One reduction of
+    the buffer gives both moments, and adaptive_oscillatory holds each part to the tolerance
+    on its own.
 
-    The panel schedule starts at one panel per cycle of the summed top frequency, where the
-    Gauss-Legendre error term is about 1e-14 relative (quadrature module docstring), so the
-    second level, at two panels per cycle, confirms the first within the 1e-8 tolerance and
-    is the value returned.  Half a panel per cycle would put that term near 1e-8.
+    The panel schedule starts at one panel per cycle of the summed top frequency (R's alone
+    without d_poly), where the Gauss-Legendre error term is about 1e-14 relative (quadrature
+    module docstring), so the second level, at two panels per cycle, confirms the first
+    within the 1e-8 tolerance and is the value returned.  Half a panel per cycle would put
+    that term near 1e-8.  With d_poly, M1 is read off M2's nodes, a finer schedule than R's
+    own: within about 1e-14 relative of M1 on R's schedule (m1_quadrature).
     """
     b = default_bump()
     lo, hi = b.lo * t_bound, b.hi * t_bound
+    coeffs, logs = r_poly
 
     def integrand(origins: np.ndarray, step: float, out: np.ndarray) -> None:
-        vals = out.real
-        for i, (coeffs, logs) in enumerate(polys):
-            for start, size, block in _grid_blocks(coeffs, logs, origins, 0, vals.shape[-1], step):
-                dest = vals[:, start : start + size]
-                if i == 0:
-                    y = origins[:, None] + step * np.arange(start, start + size)
-                    y /= t_bound
-                    phi = b.phi_vec(y)
-                    _times_abs2(phi, block)
-                    dest[...] = phi
-                else:
-                    _times_abs2(dest, block)
+        m1, points = out.real, out.shape[-1]
+        for start, size, block in _grid_blocks(coeffs, logs, origins, 0, points, step):
+            y = origins[:, None] + step * np.arange(start, start + size)
+            y /= t_bound
+            _times_abs2(m1[:, start : start + size], block, b.phi_vec(y))
+        if d_poly is not None:
+            m2 = out.imag
+            for start, size, block in _grid_blocks(*d_poly, origins, 0, points, step):
+                span = slice(start, start + size)
+                _times_abs2(m2[:, span], block, m1[:, span])
 
-    max_freq = sum(float(logs.max(initial=0.0)) for _, logs in polys)
+    max_freq = float(logs.max(initial=0.0))
+    if d_poly is not None:
+        max_freq += float(d_poly[1].max(initial=0.0))
     value, _ = adaptive_oscillatory(
         integrand, lo, hi, max_freq=max_freq, rel_tol=1e-8, abs_tol=0.0,
         rule=composite_gl_grid, panels_per_cycle=1.0,
     )
-    return value.real
+    return value
 
 
-def _times_abs2(dest: np.ndarray, block: np.ndarray) -> None:
-    """dest *= |block|^2 pointwise, |v|^2 = re*re + im*im.
+def _times_abs2(dest: np.ndarray, block: np.ndarray, factor: np.ndarray) -> None:
+    """dest = factor * |block|^2 pointwise, |v|^2 = re*re + im*im.
 
     `block` is a dirichlet._grid_blocks block, (..., cols, rows) in grid order and a
-    transposed view of the kernel's C-contiguous product, and `dest` holds the grid-order
-    values of its first dest.shape[-1] points.  The product is squared in place on its
-    float64 view, in memory order, and dest takes it as whole rows of `rows` points plus a
-    short tail: no copy of the block and no temporary.
+    transposed view of the kernel's C-contiguous product, and `dest` and `factor`, of one
+    shape, hold the grid-order values of its first dest.shape[-1] points.  The product is
+    squared in place on its float64 view, in memory order, and dest takes it as whole rows
+    of `rows` points plus a short tail: no copy of the block and no temporary.
     """
     parts = block.swapaxes(-1, -2).view(np.float64)  # re, im interleaved along the last axis
     np.multiply(parts, parts, out=parts)
@@ -135,10 +140,14 @@ def _times_abs2(dest: np.ndarray, block: np.ndarray) -> None:
     abs2 = abs2.swapaxes(-1, -2)  # grid order, like block
     rows = abs2.shape[-1]
     full, tail = divmod(dest.shape[-1], rows)
-    head = dest[..., : full * rows].reshape(*dest.shape[:-1], full, rows)
-    head *= abs2[..., :full, :]
+
+    def head(a: np.ndarray) -> np.ndarray:
+        return a[..., : full * rows].reshape(*a.shape[:-1], full, rows)
+
+    np.multiply(head(factor), abs2[..., :full, :], out=head(dest))
     if tail:
-        dest[..., full * rows :] *= abs2[..., full, :tail]
+        rest = slice(full * rows, None)
+        np.multiply(factor[..., rest], abs2[..., full, :tail], out=dest[..., rest])
 
 
 def m1_quadrature(f: UnimodularCMF, t_bound: float, support: list[SupportElement]) -> float:
@@ -148,9 +157,10 @@ def m1_quadrature(f: UnimodularCMF, t_bound: float, support: list[SupportElement
     (quadrature.composite_gl_grid): each node's abscissae across the panels
     of a level form a uniform grid on which |R|^2 comes from one pass of the
     grid-scan kernel dirichlet._grid_blocks over the group's grids, its
-    blocks squared in place (_window_integral).
+    blocks squared in place (_window_integral, on R's own panel schedule; a
+    certificate reads its m1_quad off M2's nodes instead).
     """
-    return _window_integral([_support_coeff_logs(f, support)], t_bound)
+    return _window_integral(_support_coeff_logs(f, support), t_bound).real
 
 
 def m2_quadrature(
@@ -161,13 +171,14 @@ def m2_quadrature(
 ) -> float:
     """M2 by adaptive quadrature over the window support [T/2, T].
 
-    As m1_quadrature, with |R|^2 |D_N|^2 from one grid-kernel pass per
-    polynomial over each node group's grids, |D_N|^2 multiplied into the
-    rule's buffer (oracle.m2_bruteforce_quadrature keeps a dense rule as the
-    independent check).
+    The imaginary part of the shared scan (_window_integral), whose real part
+    is M1 on the same nodes: one grid-kernel pass per polynomial over each
+    node group's grids, |D_N|^2 times the real part's Phi |R|^2 written to
+    the imaginary part of the rule's buffer (oracle.m2_bruteforce_quadrature
+    keeps a dense rule as the independent check).
     """
-    polys = [_support_coeff_logs(f, support), _dn_terms(f, n_max)]
-    return _window_integral(polys, t_bound)
+    both = _window_integral(_support_coeff_logs(f, support), t_bound, _dn_terms(f, n_max))
+    return both.imag
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +390,14 @@ def _dense_diagonal(toy, n_max: int, x: float, budget: int) -> float:
     go into one exact accumulator (_ExactSum), correctly rounded at the end.
     A matrix of one block whose terms are all below 2^1020 / |S|^2 in size,
     so that no partial sum nears the float range, goes to math.fsum: the
-    same correctly rounded sum without _ExactSum's fixed cost.
+    same correctly rounded sum without _ExactSum's fixed cost.  The matrix
+    is symmetric, so that sum takes its diagonal, N r(a)^2, and each term
+    a < b of its strict upper triangle doubled, whose weight is
+    floor(N / (b // gcd(a, b))): the same exact sum, as doubling is exact
+    there, from half the gcds and terms.
     The budget counts the |S|^2 entries, before any work.
     """
-    sup = sorted(n for n, v in toy.values.items() if n <= x and v != 0.0)
+    sup = sorted((n, v) for n, v in toy.values.items() if n <= x and v != 0.0)
     needed = len(sup) ** 2
     if needed > budget:
         raise ResourceLimitError(
@@ -390,14 +405,17 @@ def _dense_diagonal(toy, n_max: int, x: float, budget: int) -> float:
             needed=needed,
             budget=budget,
         )
-    s = np.array(sup, dtype=np.int64)
-    r = np.array([float(toy.values[n]) for n in sup])
+    s = np.array([n for n, _ in sup], dtype=np.int64)
+    r = np.array([float(v) for _, v in sup])
     rows = max(1, _BLOCK // len(s))  # S holds 1, since r(1) = 1 and X >= 1
     r_max = float(np.abs(r).max())
     # Python floats overflow to inf here, and inf fails the test.
     if rows >= len(s) and n_max * r_max * r_max * needed < 2.0**1020:
-        weight = n_max // (np.maximum(s[:, None], s) // np.gcd(s[:, None], s))
-        return math.fsum((weight * (r[:, None] * r)).ravel().tolist())
+        i, j = np.nonzero(s[:, None] < s)  # s is sorted and distinct
+        b = s[j]
+        upper = (n_max // (b // np.gcd(s[i], b))) * (r[i] * r[j])
+        upper *= 2.0
+        return math.fsum(upper.tolist() + (n_max * (r * r)).tolist())
     total = _ExactSum()
     for i0 in range(0, len(s), rows):
         a = s[i0 : i0 + rows, None]
@@ -1023,10 +1041,11 @@ def ratio_and_bounds(
     if support is not None:
         if f is None:
             raise ValueError("exact moments require a coefficient function")
-        check_sieve_cap(n_max)  # M2 reads f(n) for n <= N: refuse N before the M1 work
-        m1_q = m1_quadrature(f, t_bound, support)
+        check_sieve_cap(n_max)  # M2 reads f(n) for n <= N: refuse N before any moment work
+        # One scan on M2's nodes gives both quadrature moments, M1 + i*M2.
+        both = _window_integral(_support_coeff_logs(f, support), t_bound, _dn_terms(f, n_max))
+        m1_q, m2_q = both.real, both.imag
         m1_e = m1_exact(f, t_bound, support)
-        m2_q = m2_quadrature(f, n_max, t_bound, support)
         m2_e = m2_exact(f, n_max, t_bound, support)
 
     # One walk of the coprime tiles sums the diagonal, the main term (the

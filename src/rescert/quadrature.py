@@ -26,16 +26,20 @@ array; no caller in the package uses it, and the tests keep it as the
 plain reference the other two rules are checked against.
 composite_gl_grid hands it a group of nodes at a time, each node
 a uniform grid given by its origin a + h*(1 + x_j)/2, over every panel of
-the level, with a view of the rule's buffer to fill (the moments scan a
-group's grids together, one pass of the grid kernel dirichlet._grid_blocks
-per polynomial and level), and adds the panel sums by numpy's pairwise sum
-rather than a BLAS dot, which splits its sum by thread.
+the level, with a view of the rule's complex buffer to fill (the moments
+scan a group's grids together, one pass of the grid kernel
+dirichlet._grid_blocks per polynomial and level, and write two real
+integrands into it, M1's values to the real part and M2's to the
+imaginary part), and adds the panel sums by numpy's pairwise sum rather
+than a BLAS dot, which splits its sum by thread.
 composite_gl_phased integrates a real weight times e^{-i freq s} with the
 factored phases (bump's float ramp integral).
 bump's 50-digit ramp rule lays out its mpmath nodes the same way on
 half-cycle pieces.  adaptive_oscillatory takes the rule from its caller,
 which may pass its own rule with the same signature; `fn` is then
-whatever that rule reads.
+whatever that rule reads.  Its relative tolerance holds the real and the
+imaginary part of a level each to itself, so two real integrals carried
+as one complex value converge each to its own size.
 """
 
 from __future__ import annotations
@@ -86,11 +90,13 @@ def composite_gl_grid(fn, a: float, b: float, panels: int) -> complex:
 
     `fn(origins, step, out)` fills the (len(origins), panels) array `out`, a view of the
     rule's complex buffer that holds zeros on entry: row i takes the integrand values (real
-    or complex) at origins[i] + k*step, k < panels.  A real integrand writes out.real.  The
-    step is h = (b - a) / panels, and `origins` holds the first abscissa of each node of a
-    group, so one call covers its nodes over every panel of the level.  A group takes
-    _GROUP_POINTS // min(panels, RESYNC_STRIDE) nodes (at most GL_ORDER): a grid-kernel
-    block over the group holds at most _GROUP_POINTS points.
+    or complex) at origins[i] + k*step, k < panels.  A real integrand writes out.real, and
+    two real integrands may share the buffer, one in out.real and one in out.imag: the pass
+    returns integral one + i * integral two, each part reduced in the same order as a lone
+    real integrand's.  The step is h = (b - a) / panels, and `origins` holds the first
+    abscissa of each node of a group, so one call covers its nodes over every panel of the
+    level.  A group takes _GROUP_POINTS // min(panels, RESYNC_STRIDE) nodes (at most
+    GL_ORDER): a grid-kernel block over the group holds at most _GROUP_POINTS points.
     """
     nodes, weights = _gl_nodes()
     h = (b - a) / panels
@@ -161,7 +167,13 @@ def adaptive_oscillatory(
             moments) near 1e-14, so the second level, at two per cycle,
             confirms the first (module docstring).
         abs_tol / rel_tol: accept once the last refinement moved the
-            value by no more than max(abs_tol, rel_tol * |value|).
+            value by no more than abs_tol, or moved its real part by no
+            more than rel_tol * |value.real| and its imaginary part by no
+            more than rel_tol * |value.imag|: two real integrals carried
+            as the parts of one value (the quadrature moments, M1 + i*M2)
+            each meet rel_tol on their own.  For a real integrand this is
+            max(abs_tol, rel_tol * |value|), and for rel_tol = 0 (bump's
+            ramp integral) the test on abs_tol alone.
         max_evals: budget on total integrand evaluations; a level that
             would pass it is refused before it is evaluated.
 
@@ -193,8 +205,12 @@ def adaptive_oscillatory(
         value = rule(fn, a, b, panels)
         spent += panels * GL_ORDER
         if prev is not None:
-            err = abs(value - prev)
-            if err <= max(abs_tol, rel_tol * abs(value)):
+            step = value - prev
+            err = abs(step)
+            if err <= abs_tol or (
+                abs(step.real) <= rel_tol * abs(value.real)
+                and abs(step.imag) <= rel_tol * abs(value.imag)
+            ):
                 return value, err
         prev = value
         panels *= 2

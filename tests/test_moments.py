@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from rescert import dirichlet, moments
 from rescert.bump import TOLERANCE, Bump, default_bump
 from rescert.cli import main as cli_main
-from rescert.dirichlet import RESYNC_STRIDE, _support_coeff_logs
+from rescert.dirichlet import RESYNC_STRIDE, _dn_terms, _support_coeff_logs
 from rescert.errors import ResourceLimitError
 from rescert.moments import (
     _offdiag_eps,
@@ -211,12 +211,15 @@ def test_quadrature_moments_match_dense_reference(idx):
 
 
 # m1_quadrature and m2_quadrature with each level's panel sums added by numpy's pairwise
-# sum, the same under any BLAS thread count: (N, T, log X, f, M1, M2), with the panel
-# doubling started at one panel per cycle.
+# sum, the same under any BLAS thread count, with the panel doubling started at one panel
+# per cycle, and the certificate's m1_quad, M1 read off M2's nodes by the one scan that
+# gives both moments: (N, T, log X, f, M1, M2, report M1).
 QUADRATURE_PINS = [
-    (3, 1e3, 20.0, constant_one(), 396.795464242134, 396.79742716209074),
-    (4, 1e4, 20.2, steinhaus_sample(12345), 4174.3990718956475, 4174.399071896685),
-    (12, 1e4, 20.0, archimedean_cmf(1.0), 3967.9546424213395, 3967.95464677375),
+    (3, 1e3, 20.0, constant_one(), 396.795464242134, 396.79742716209074, 396.79546424213396),
+    (4, 1e4, 20.2, steinhaus_sample(12345), 4174.3990718956475, 4174.399071896685,
+     4174.399071895654),
+    (12, 1e4, 20.0, archimedean_cmf(1.0), 3967.9546424213395, 3967.95464677375,
+     3967.9546424213395),
 ]
 # The same moments with the doubling started at two panels per cycle, on levels of twice the
 # panels; each pin above stays within 1e-13 relative of them.
@@ -229,27 +232,31 @@ QUADRATURE_PINS_TWO_PER_CYCLE = [
 
 @pytest.mark.parametrize("idx", range(len(QUADRATURE_PINS)))
 def test_quadrature_moments_pinned(idx):
-    # Scanning a group of nodes per chunk moves no float of either moment.
-    n, t_bound, logx, f, m1, m2 = QUADRATURE_PINS[idx]
+    # Scanning a group of nodes per chunk moves no float of either moment, and the one scan
+    # of a certificate gives M2's pin with M1 within 1e-13 relative of R's own schedule.
+    n, t_bound, logx, f, m1, m2, m1_report = QUADRATURE_PINS[idx]
     for pin, old in zip((m1, m2), QUADRATURE_PINS_TWO_PER_CYCLE[idx]):
         assert pin == pytest.approx(old, rel=1e-13, abs=0.0)
+    assert m1_report == pytest.approx(m1, rel=1e-13, abs=0.0)
     res = build_resonator(math.exp(logx))
     supp = support_elements(res, res.x)
     assert m1_quadrature(f, t_bound, supp) == m1
     assert m2_quadrature(f, n, t_bound, supp) == m2
+    both = moments._window_integral(_support_coeff_logs(f, supp), t_bound, _dn_terms(f, n))
+    assert (both.real, both.imag) == (m1_report, m2)
 
 
 def test_tiny_certify_sieves_n_inside_moments(tmp_path, sieve_limits):
     # exact="auto" at T = 1e3: the resonator sieves its prime window (to 66).
     # The moments read f(n) for n <= N, but f = one has a closed form, so
     # nothing sieves the integers up to N; the report's quadrature moments
-    # are the pinned ones.
-    n, t_bound, logx, _, m1, m2 = QUADRATURE_PINS[0]
+    # are the pinned ones, M1 read off M2's nodes.
+    n, t_bound, logx, _, _, m2, m1_report = QUADRATURE_PINS[0]
     out = tmp_path / "out.json"
     argv = ["certify", "--n", str(n), "--t", repr(t_bound), "--x", repr(math.exp(logx))]
     assert cli_main([*argv, "--out", str(out)]) == 0
     report = json.loads(out.read_text())["report"]
-    assert (report["m1_quad"], report["m2_quad"]) == (m1, m2)
+    assert (report["m1_quad"], report["m2_quad"]) == (m1_report, m2)
     assert sieve_limits == [("rescert.resonator", 66)]
 
 
@@ -267,11 +274,13 @@ def test_tiny_steinhaus_certify_sieves_n_for_each_m2(tmp_path, sieve_limits):
 
 
 def test_exact_moments_refuse_n_past_the_sieve_cap_before_m1(monkeypatch, capsys):
-    # M2 reads f(n) for n <= N, so an N past the sieve's cap is refused before any M1 work.
+    # M2 reads f(n) for n <= N, so an N past the sieve's cap is refused before any moment
+    # work: before the one quadrature scan that gives M1 and M2, and before M1 exact.
     def never(*args):
-        raise AssertionError("M1 computed before the N cap refusal")
+        raise AssertionError("moment computed before the N cap refusal")
 
-    monkeypatch.setattr(moments, "m1_quadrature", never)
+    monkeypatch.setattr(moments, "_window_integral", never)
+    monkeypatch.setattr(moments, "m1_exact", never)
     argv = ["certify", "--n", "4294967296", "--t", "1e4", "--x", repr(math.exp(20.0)),
             "--exact", "always", "--f", "steinhaus"]
     assert cli_main(argv) == 3
@@ -282,24 +291,57 @@ def test_exact_moments_refuse_n_past_the_sieve_cap_before_m1(monkeypatch, capsys
 def test_quadrature_moments_converge_in_two_levels(idx, monkeypatch):
     # One panel per cycle already meets the 1e-8 tolerance (its Gauss-Legendre error term is
     # about 1e-14), so the second level, at two panels per cycle, confirms it and no third
-    # level runs, for M1 and for M2.
+    # level runs, for M1 and for M2.  M2's scan carries M1 + i*M2 on M2's nodes, the
+    # certificate's one scan, and each part meets the tolerance there on its own.
     n, t_bound, logx = CRITERION3[idx]
     f = CRITERION3_FS[idx % 3]
     levels = []
     rule = moments.composite_gl_grid
 
     def recorded(fn, a, b, panels):
-        levels.append(panels)
-        return rule(fn, a, b, panels)
+        value = rule(fn, a, b, panels)
+        levels.append((panels, value))
+        return value
 
     monkeypatch.setattr(moments, "composite_gl_grid", recorded)
     res = build_resonator(math.exp(logx))
     supp = support_elements(res, res.x)
     m1_quadrature(f, t_bound, supp)
-    assert len(levels) == 2 and levels[1] == 2 * levels[0]
+    assert len(levels) == 2 and levels[1][0] == 2 * levels[0][0]
     levels.clear()
-    m2_quadrature(f, n, t_bound, supp)
-    assert len(levels) == 2 and levels[1] == 2 * levels[0]
+    m2 = m2_quadrature(f, n, t_bound, supp)
+    assert len(levels) == 2 and levels[1][0] == 2 * levels[0][0]
+    (_, first), (_, second) = levels
+    assert second.imag == m2 and second.real > 0.0
+    assert abs(second.real - first.real) <= 1e-8 * abs(second.real)
+    assert abs(second.imag - first.imag) <= 1e-8 * abs(second.imag)
+
+
+def test_tiny_certify_scans_r_once_per_quadrature_level(tmp_path, monkeypatch):
+    # One scan gives both quadrature moments: R's grid-kernel pass runs once per level (two
+    # levels of one node group each here, under 5000 panels), not once per level of M1 and
+    # again of M2, and D_N's pass once per level too.
+    n, t_bound, logx, *_ = QUADRATURE_PINS[0]
+    res = build_resonator(math.exp(logx))
+    support_size = len(support_elements(res, res.x))
+    assert support_size != n
+    scans, levels = [], []
+    grid_blocks, rule = moments._grid_blocks, moments.composite_gl_grid
+
+    def counted(coeffs, *args):
+        scans.append(coeffs.size)
+        return grid_blocks(coeffs, *args)
+
+    def recorded(fn, a, b, panels):
+        levels.append(panels)
+        return rule(fn, a, b, panels)
+
+    monkeypatch.setattr(moments, "_grid_blocks", counted)
+    monkeypatch.setattr(moments, "composite_gl_grid", recorded)
+    argv = ["certify", "--n", str(n), "--t", repr(t_bound), "--x", repr(math.exp(logx))]
+    assert cli_main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert len(levels) == 2 and max(levels) <= 5000
+    assert scans == [support_size, n, support_size, n]
 
 
 # m1_exact and m2_exact on criterion 3's cells, f = CRITERION3_FS[idx % 3], each cell on a

@@ -111,6 +111,47 @@ def test_grid_rule_adaptive_matches_default():
     assert abs(grid - dense) <= 1e-13 * abs(dense)
 
 
+@pytest.mark.parametrize("panels", [8, 4000, RESYNC_STRIDE + 1])
+def test_grid_rule_carries_two_real_integrands_bit_for_bit(panels):
+    # Two real integrands in the real and imaginary parts of one buffer come back as the
+    # parts of one value, each bit for bit the pass of that integrand alone.
+    def cos2(origins, step, dest):
+        dest[...] = np.cos(0.01 * (origins[:, None] + step * np.arange(dest.shape[-1]))) ** 2
+
+    def second(origins, step, out):
+        cos2(origins, step, out.real)
+
+    def both(origins, step, out):
+        _poly_abs2_grid(origins, step, out)
+        cos2(origins, step, out.imag)
+
+    a, b = 500.0, 1000.0
+    one = composite_gl_grid(_poly_abs2_grid, a, b, panels)
+    two = composite_gl_grid(second, a, b, panels)
+    pair = composite_gl_grid(both, a, b, panels)
+    assert one.imag == two.imag == 0.0
+    assert (pair.real.hex(), pair.imag.hex()) == (one.real.hex(), two.real.hex())
+
+
+def test_rel_tol_holds_each_part_to_itself():
+    # A level whose modulus moved by 1e-5 relative but whose small imaginary part moved by
+    # 1e-3 of itself is refined once more; rel_tol = 0 leaves the abs_tol test alone.
+    values = iter([100.0 + 1.0j, 100.0 + 1.001j, 100.0 + 1.001j])
+    levels = []
+
+    def rule(fn, a, b, panels):
+        levels.append(panels)
+        return next(values)
+
+    val, err = adaptive_oscillatory(None, 0.0, 1.0, max_freq=1.0, rule=rule, rel_tol=1e-4)
+    assert (val, err) == (100.0 + 1.001j, 0.0) and levels == [8, 16, 32]
+    values = iter([100.0 + 1.0j, 100.0 + 1.001j])
+    val, err = adaptive_oscillatory(
+        None, 0.0, 1.0, max_freq=1.0, rule=rule, rel_tol=0.0, abs_tol=1.5e-3
+    )
+    assert val == 100.0 + 1.001j and err == pytest.approx(1e-3)
+
+
 @pytest.mark.parametrize(
     "panels, per_scan",
     [(8, 10), (4000, 10), (5000, 10), (5001, 9), (8000, 6), (RESYNC_STRIDE + 1, 5),
