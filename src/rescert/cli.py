@@ -104,6 +104,8 @@ class RunConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if self.alpha is not None and not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 1/2)")
+        if self.exact not in ("auto", "always", "never"):
+            raise ValueError(f"unknown exact mode {self.exact!r}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
 

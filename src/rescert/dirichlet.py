@@ -24,7 +24,11 @@ view of the complex operand, half the multiplies of complex ones.  In both
 forms the sum over terms goes in chunks that OpenBLAS runs on one thread, so
 that no thread count moves a bit (_sum_matmul).  The factor i^k goes in exactly, as
 signs of the step powers and a swap of the held sums' odd rows.  The
-quadrature moments (h*L >= 0.3, a dozen terms) keep the explicit tables.
+quadrature moments (at most 64 terms, h*L of 0.08 to pi at T >= 50) keep the
+explicit tables.
+The anchors stay at fixed grid indices: at |t| ~ 6e10 each phase t*log n
+carries ~3e-5 rad of rounding, so moved anchors shift grid values by ~1e-5
+relative, enough to change which grid point wins a near tie.
 _expi reduces anchor phases with 2^27 <= |t*log n| < 2^37 * C1 (|t| ~ 1e10)
 modulo 2*pi by Cody-Waite's five-piece split of 2*pi before cos and sin,
 which would otherwise take libm's slow argument reduction; smaller and
@@ -33,20 +37,14 @@ Every value is within rho = sum|c_n| * u * (1/4 + e*(S + 40) + 4 + 3*L*|t|)
 (plus a block margin) of the exact sum, S terms, u = 2^-52, where the 4 is
 the reduction's (_grid_error_bound); grid_sup refuses an eps <= rho, where
 the certified slack would be below rounding.
-The kernel also scans several origins on the same grid offsets at once (the
-quadrature moments' Gauss-Legendre nodes): they share the step tables, each
-block does one stacked matmul for all of them, and each origin's values
-are bit for bit those of its own scan.  The anchors stay at fixed grid
-indices: at |t| ~ 6e10 each phase t*log n carries ~3e-5 rad of rounding,
-so moved anchors shift grid values by ~1e-5 relative, enough to change
-which grid point wins a near tie.
 
 The kernel hands each block over in its native layout, a (cols, rows) array
 in grid order that is a transposed view of either form's product, without
 copying it; the explicit form hands a batch over as one block, its products
 side by side.  _grid_values flattens the blocks to grid order for grid_sup.
-The quadrature moments (moments._window_integral) read the native blocks and
-square them in place on the product's float64 view.
+The quadrature moments (moments._window_integral) read the native blocks of
+one scan per level and polynomial, and square them in place on the product's
+float64 view.
 The guided search's peak finder (_guided_candidates) reads the native blocks:
 np.abs on the block, one float copy of |R| into a reused grid-order buffer
 behind the two values carried from the previous block, and the two neighbour
@@ -258,15 +256,15 @@ def _block_shape(size: int, r: int | None) -> tuple[int, int]:
     return rows, -(-size // rows)
 
 
-def _blocks_per_batch(rows: int, cols: int, n_terms: int, n_origins: int) -> int:
+def _blocks_per_batch(rows: int, cols: int, n_terms: int) -> int:
     """Anchor blocks of one (rows, cols) shape that _grid_blocks computes together: as many as
     keep the batch's largest array within _BATCH_ENTRIES entries, and at least one.  Per block
-    and origin that array is the (rows, cols) product or the (n_terms, cols) operand, n_terms
-    the terms of the scan's first (largest) slice."""
-    return max(1, _BATCH_ENTRIES // (n_origins * cols * max(rows, n_terms)))
+    that array is the (rows, cols) product or the (n_terms, cols) operand, n_terms the terms
+    of the scan's first (largest) slice."""
+    return max(1, _BATCH_ENTRIES // (cols * max(rows, n_terms)))
 
 
-def _anchor_batches(first: int, end: int, count: int, r: int | None, n_terms: int, n_origins: int):
+def _anchor_batches(first: int, end: int, count: int, r: int | None, n_terms: int):
     """Batches (start, nb, rows, cols) of the anchor blocks first, first + RESYNC_STRIDE, ...
     < end of a count-point scan: nb consecutive blocks of one shape from `start`.  Only the
     scan's last block can be short; it joins the full blocks' run where its shape is theirs.
@@ -283,29 +281,27 @@ def _anchor_batches(first: int, end: int, count: int, r: int | None, n_terms: in
         if r is None and rows * cols != RESYNC_STRIDE:
             per = 1
         else:
-            per = _blocks_per_batch(rows, cols, n_terms, n_origins)
+            per = _blocks_per_batch(rows, cols, n_terms)
         for i in range(0, n_run, per):
             batches.append((start + i * RESYNC_STRIDE, min(per, n_run - i), rows, cols))
     return batches
 
 
 def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
-    """Yield (start, size, block): block[..., m, j] = sum_n c_n e^{i*t*log n} at point
+    """Yield (start, size, block): block[m, j] = sum_n c_n e^{i*t*log n} at point
     k = j + rows*m of the block, t = origin + (k0 + start + k)*h, for its first `size` points.
 
     The block is the kernel's product in its native layout, handed over without a copy: a
     (cols, rows) array in grid order, which is a transposed view of the (rows, cols) product
     for the explicit tables and of the (r, cols) product for the Taylor factor.  Its
     points past `size` (the short last block's padding, up to rows - 1 of them) lie outside
-    the scan.  `origin` is a float, or a 1-d array of origins scanned together on the same
-    grid offsets; block then has one leading row per origin, and row i is bit for bit the
-    scan of origin[i] alone.
+    the scan.
 
     An anchor block of size <= RESYNC_STRIDE points starts at the anchor
     t0 = origin + (k0 + start)*h, whose row c_n e^{i*t0*log n} is the one direct exponential
-    of the block.  Its points come from step tables that depend on neither t0 nor the origin,
-    built once per scan for each block shape (the full blocks, and a shorter last block) and
-    term slice of RESYNC_STRIDE terms; each block adds its slices' products in slice order.
+    of the block.  Its points come from step tables that do not depend on t0, built once per
+    scan for each block shape (the full blocks, and a shorter last block) and term slice of
+    RESYNC_STRIDE terms; each block adds its slices' products in slice order.
     The step tables take one of two forms, whichever costs fewer flops (_taylor_rank, from h,
     L = max log n and S alone):
 
@@ -314,11 +310,11 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
       over n: one (rows, slice) @ (slice, cols) product per block and slice, summed over the
       slice's terms in one-thread chunks (_sum_matmul).  The slices run in the outer loop
       over a group of consecutive blocks, so with several slices only one slice's tables are
-      held.  A group of a multi-slice scan of n origins has floor(201 / n) blocks (at least
-      one), so its held block sums stay within the tables' bound of 201 * RESYNC_STRIDE
-      entries; a one-slice scan holds no block sum (below) and forms one group.  The
-      quadrature moments (h*L >= 0.3, a dozen terms) and the guided search (R has a few
-      terms) take this form.
+      held.  A group of a multi-slice scan has 201 blocks, so its held block sums stay
+      within the tables' bound of 201 * RESYNC_STRIDE entries; a one-slice scan holds no
+      block sum (below) and forms one group.  The quadrature moments (at most 64 terms,
+      h*L of 0.08 to pi at T >= 50) and the guided search (R has a few terms) take this
+      form.
     * Taylor-factored: the block splits into sub-blocks of r points centred at
       t_m = t0 + (m*r + (r - 1)/2)*h, with x = (r - 1)/2 * h * L <= 1, and
       e^{i*(t_m + delta_j)*log n} = e^{i*t_m*log n} * sum_{k<K} i^k*(delta_j*L)^k/k! * (log n/L)^k
@@ -334,28 +330,24 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
       (h*L = 2e-3: r = 1001, K = 19) takes this form.
 
     Batches.  Within a group and slice, each run of consecutive blocks of one shape is
-    computed in batches of nb blocks (_anchor_batches), stacked on the axis after the
-    origins': one _expi over the (..., nb, slice) anchor phases, one multiply into the
-    operands and one stacked _sum_matmul.  A batch's largest array, per block the
-    (rows, cols) product or the (slice, cols) operand, holds at most _BATCH_ENTRIES = 2^16
-    entries (_blocks_per_batch, at least one block): the guided search computes 6 blocks a
-    batch and the N = 500 certified search 6, while the N = 5000 search and the quadrature
-    moments' multi-origin blocks keep one.  Numpy runs a stacked matmul as the same BLAS call
-    per block as a block alone, on the same operands, and every other step is elementwise,
-    so every value keeps its bits whatever the batch; the anchors stay at their grid indices.
-    The explicit form writes its products through `out=` side by side into one
-    (..., rows, nb*cols) buffer, and yields the batch as one (..., nb*cols, rows) block in
-    grid order: rows*cols = RESYNC_STRIDE (10^4 is a square), so only the scan's last block
-    has padding (a stride that is not a square batches no explicit blocks).  The Taylor
-    form, whose blocks carry padding (1001*10 > 10^4 points), yields block by block, and
-    takes the (r, K) product of each block as it yields it.
+    computed in batches of nb blocks (_anchor_batches), stacked on a leading axis: one _expi
+    over the (nb, slice) anchor phases, one multiply into the operands and one stacked
+    _sum_matmul.  A batch's largest array, per block the (rows, cols) product or the
+    (slice, cols) operand, holds at most _BATCH_ENTRIES = 2^16 entries (_blocks_per_batch, at
+    least one block): the guided search, the N = 500 certified search and the quadrature
+    moments compute 6 blocks a batch, while the N = 5000 search keeps one.  Numpy runs a
+    stacked matmul as the same BLAS call per block as a block alone, on the same operands,
+    and every other step is elementwise, so every value keeps its bits whatever the batch;
+    the anchors stay at their grid indices.  The explicit form writes its products through
+    `out=` side by side into one (rows, nb*cols) buffer, and yields the batch as one
+    (nb*cols, rows) block in grid order: rows*cols = RESYNC_STRIDE (10^4 is a square), so
+    only the scan's last block has padding (a stride that is not a square batches no
+    explicit blocks).  The Taylor form, whose blocks carry padding (1001*10 > 10^4 points),
+    yields block by block, and takes the (r, K) product of each block as it yields it.
 
     A batch is yielded as soon as its last slice is added, so a one-slice scan holds no block
-    sum but the current batch's, at most _BATCH_ENTRIES entries per array.  Each batch does
-    one stacked matmul for all origins, so each origin's product is the one a scalar scan
-    computes.  The anchors stay at fixed grid indices: at |t| ~ 6e10 each phase t*log n
-    carries ~3e-5 rad of rounding, so moved anchors shift grid values by ~1e-5 relative,
-    enough to change which grid point wins a near tie.
+    sum but the current batch's, at most _BATCH_ENTRIES entries per array.  The anchors stay
+    at fixed grid indices (module docstring).
 
     Error.  With u = 2^-52 (a correctly rounded operation is within u/2 relative), every
     value is within rho of the exact sum (_grid_error_bound), with t_abs' = t_abs +
@@ -375,11 +367,9 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
       2*pi before cos and sin, within 4u each (its docstring), which adds 4*u*sum|c_n|.
     So rho = sum|c_n| * u * (1/4 + e*(S + 40) + 4 + 3*L*t_abs').
     """
-    lead = np.shape(origin)  # () for a scalar origin, (n,) for n origins
     cuts = range(0, max(logs.size, 1), RESYNC_STRIDE)  # no terms: one empty slice, zero blocks
     max_log = float(logs.max(initial=0.0))
     factor = _taylor_rank(h, max_log, logs.size)
-    n_origins = math.prod(lead)
     if factor is None:
         r = None
     else:
@@ -387,18 +377,18 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
         steps = _taylor_steps(r, rank, h, max_log)
     if factor is None and len(cuts) > 1:
         # Points per group: 201 held block sums in all, the tables' bound.
-        span = max(1, 201 // n_origins) * RESYNC_STRIDE
+        span = 201 * RESYNC_STRIDE
     else:
         # One slice holds no block sum, the Taylor factor (K, cols) per block: one group.
         span = max(1, count)
     # Every anchor phase |t0 * log n| is below this, with a margin for the roundings of t0
     # and of the product; most scans stay below 2^27, and _expi then skips its range test.
-    t_max = float(np.max(np.abs(origin), initial=0.0)) + max(abs(k0), abs(k0 + count)) * h
+    t_max = abs(origin) + max(abs(k0), abs(k0 + count)) * h
     anchor_bound = t_max * max_log * (1.0 + 1e-12)
     n_terms = min(logs.size, RESYNC_STRIDE)
     key = tables = None
     for first in range(0, count, span):
-        batches = _anchor_batches(first, min(count, first + span), count, r, n_terms, n_origins)
+        batches = _anchor_batches(first, min(count, first + span), count, r, n_terms)
         sums = {}
         for s in cuts:
             c, lg = coeffs[s : s + RESYNC_STRIDE], logs[s : s + RESYNC_STRIDE]
@@ -410,23 +400,23 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
                         tables = _step_tables(rows, cols, h, lg)
                     else:
                         tables = _taylor_tables(rows, cols, h, lg, rank, max_log)
-                # The batch's blocks stack on the axis after the origins': (*lead, nb, ...).
+                # The batch's blocks stack on a leading axis: (nb, ...).
                 k = np.arange(k0 + start, k0 + start + nb * RESYNC_STRIDE, RESYNC_STRIDE)
-                t0 = np.add.outer(origin, k * h)
+                t0 = origin + k * h
                 anchor = c * _expi(np.multiply.outer(t0, lg), anchor_bound)
                 if factor is None:
                     inner, outer = tables
-                    operand = (outer * anchor[..., None, :]).swapaxes(-1, -2)
+                    operand = (outer * anchor[:, None, :]).swapaxes(-1, -2)
                     if s == 0:
-                        buf = np.empty((*lead, rows, nb, cols), dtype=np.complex128)
-                        prod = _sum_matmul(inner, operand, buf.swapaxes(-3, -2))
+                        buf = np.empty((rows, nb, cols), dtype=np.complex128)
+                        prod = _sum_matmul(inner, operand, buf.swapaxes(0, 1))
                     else:
                         prod = _sum_matmul(inner, operand)
                 else:
                     # The complex operand on the right and C-contiguous: a real product
                     # on its float64 view, (K, slice) @ (slice, 2*cols).
                     outer, vander = tables
-                    prod = _sum_matmul(vander, (anchor[..., :, None] * outer).view(np.float64))
+                    prod = _sum_matmul(vander, (anchor[:, :, None] * outer).view(np.float64))
                 if s == 0:
                     sums[b] = prod
                 else:
@@ -435,18 +425,18 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
                     continue
                 acc = sums.pop(b)
                 if factor is None:
-                    # The products side by side, (*lead, rows, nb*cols): one block in grid
-                    # order, padded only at the scan's end.
-                    merged = acc.swapaxes(-3, -2).reshape(*lead, rows, nb * cols)
-                    yield start, min(nb * RESYNC_STRIDE, count - start), merged.swapaxes(-1, -2)
+                    # The products side by side, (rows, nb*cols): one block in grid order,
+                    # padded only at the scan's end.
+                    merged = acc.swapaxes(0, 1).reshape(rows, nb * cols)
+                    yield start, min(nb * RESYNC_STRIDE, count - start), merged.T
                     continue
                 # The rest of i^k: the odd rows of the held sums times i, a swap and a sign;
                 # then (r, K) @ (K, 2*cols) on their float64 view, a block at a time, so the
                 # (r, cols) product is still in cache when the caller reads it.
-                acc.view(np.complex128)[..., 1::2, :] *= 1j
+                acc.view(np.complex128)[:, 1::2, :] *= 1j
                 for i in range(nb):
                     at = start + i * RESYNC_STRIDE
-                    block = (steps @ acc[..., i, :, :]).view(np.complex128).swapaxes(-1, -2)
+                    block = (steps @ acc[i]).view(np.complex128).T
                     yield at, min(RESYNC_STRIDE, count - at), block
 
 
@@ -454,10 +444,10 @@ def _grid_values(coeffs, logs, origin, k0: int, count: int, h: float):
     """Yield (start, values): values[k] = sum_n c_n e^{i*t*log n}, t = origin + (k0 + start + k)*h.
 
     The blocks of _grid_blocks flattened to grid order and trimmed to their points in the
-    scan, a copy of each block.  With several origins values has one row per origin.
+    scan, a copy of each block.
     """
     for start, size, block in _grid_blocks(coeffs, logs, origin, k0, count, h):
-        yield start, block.reshape(*block.shape[:-2], -1)[..., :size]
+        yield start, block.reshape(-1)[:size]
 
 
 def _search_args(n_max: int, t_bound: float, eps, window, eval_budget: int, eps_scale: float):

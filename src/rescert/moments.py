@@ -49,7 +49,7 @@ from .dirichlet import _dn_terms, _grid_blocks, _support_coeff_logs
 from .errors import ResourceLimitError
 from .multfn import UnimodularCMF, values_up_to
 from .ntcore import FactorTable, check_sieve_cap
-from .quadrature import adaptive_oscillatory, composite_gl_grid
+from .quadrature import adaptive_oscillatory, trapezoid_grid
 from .resonator import (
     _COLS,
     _ROWS,
@@ -80,46 +80,47 @@ def _window_integral(r_poly, t_bound: float, d_poly=None) -> complex:
     M2 = integral of Phi(t/T) |R(t)|^2 |D(t)|^2 (else 0), each to 1e-8 relative;
     R = sum c_n e^{i t log n} over r_poly's (coeffs, logs), D over d_poly's.
 
-    The level rule composite_gl_grid hands over a group of Gauss-Legendre nodes for a whole
-    level at a time: per node an arithmetic progression in t over every panel, and a view of
-    the rule's complex buffer to fill.  Each polynomial scans the group's progressions in one
-    dirichlet._grid_blocks pass over the level, so its step tables are built once per level,
-    node group, polynomial and block shape.  Blocks are used as they arrive and squared in
-    place in their native layout (_times_abs2): R's block times Phi of its points, computed
-    once, goes to the buffer's real part, and D's block times that real part goes to the
-    imaginary part, so every M2 value is (Phi * |R|^2) * |D|^2.  One reduction of
-    the buffer gives both moments, and adaptive_oscillatory holds each part to the tolerance
-    on its own.
+    The level rule quadrature.trapezoid_grid hands over a level's interior points as one
+    progression in t and a zeroed complex buffer to fill.  Each polynomial scans the level in
+    one dirichlet._grid_blocks pass, so its step tables are built once per level,
+    polynomial and block shape.  Blocks are used as they arrive and squared in place in
+    their native layout (_times_abs2): R's block times Phi of its points, computed once,
+    goes to the buffer's real part, and D's block times that real part goes to the
+    imaginary part, so every M2 value is (Phi * |R|^2) * |D|^2.  One sum of the buffer
+    gives both moments, and adaptive_oscillatory holds each part to the tolerance on its
+    own.
 
-    The panel schedule starts at one panel per cycle of the summed top frequency (R's alone
-    without d_poly), where the Gauss-Legendre error term is about 1e-14 relative (quadrature
-    module docstring), so the second level, at two panels per cycle, confirms the first
-    within the 1e-8 tolerance and is the value returned.  Half a panel per cycle would put
-    that term near 1e-8.  With d_poly, M1 is read off M2's nodes, a finer schedule than R's
-    own: within about 1e-14 relative of M1 on R's schedule (m1_quadrature).
+    Phi vanishes with all its derivatives at both ends of the window, so the trapezoidal
+    rule converges spectrally: the integrand's frequencies are at most the summed top
+    frequency omega (R's alone without d_poly), and at step h the rule errs by Phi's
+    transform at the aliases of those frequencies, |omega'| >= 2*pi/h - omega.  The schedule
+    starts at two points per cycle of omega (0.2 panels of GL_ORDER steps), so the first
+    level errs by about |phi_hat(T*omega)| relative, and the second level, at four points
+    per cycle, confirms it within the 1e-8 tolerance and is the value returned.  With
+    d_poly, M1 is read off M2's grid, a finer schedule than R's own (m1_quadrature).
     """
     b = default_bump()
     lo, hi = b.lo * t_bound, b.hi * t_bound
     coeffs, logs = r_poly
 
-    def integrand(origins: np.ndarray, step: float, out: np.ndarray) -> None:
-        m1, points = out.real, out.shape[-1]
-        for start, size, block in _grid_blocks(coeffs, logs, origins, 0, points, step):
-            y = origins[:, None] + step * np.arange(start, start + size)
+    def integrand(origin: float, step: float, out: np.ndarray) -> None:
+        m1 = out.real
+        for start, size, block in _grid_blocks(coeffs, logs, origin, 1, out.size, step):
+            y = origin + step * np.arange(start + 1, start + 1 + size)
             y /= t_bound
-            _times_abs2(m1[:, start : start + size], block, b.phi_vec(y))
+            _times_abs2(m1[start : start + size], block, b.phi_vec(y))
         if d_poly is not None:
             m2 = out.imag
-            for start, size, block in _grid_blocks(*d_poly, origins, 0, points, step):
+            for start, size, block in _grid_blocks(*d_poly, origin, 1, out.size, step):
                 span = slice(start, start + size)
-                _times_abs2(m2[:, span], block, m1[:, span])
+                _times_abs2(m2[span], block, m1[span])
 
     max_freq = float(logs.max(initial=0.0))
     if d_poly is not None:
         max_freq += float(d_poly[1].max(initial=0.0))
     value, _ = adaptive_oscillatory(
         integrand, lo, hi, max_freq=max_freq, rel_tol=1e-8, abs_tol=0.0,
-        rule=composite_gl_grid, panels_per_cycle=1.0,
+        rule=trapezoid_grid, panels_per_cycle=0.2,
     )
     return value
 
@@ -127,38 +128,36 @@ def _window_integral(r_poly, t_bound: float, d_poly=None) -> complex:
 def _times_abs2(dest: np.ndarray, block: np.ndarray, factor: np.ndarray) -> None:
     """dest = factor * |block|^2 pointwise, |v|^2 = re*re + im*im.
 
-    `block` is a dirichlet._grid_blocks block, (..., cols, rows) in grid order and a
-    transposed view of the kernel's C-contiguous product, and `dest` and `factor`, of one
-    shape, hold the grid-order values of its first dest.shape[-1] points.  The product is
-    squared in place on its float64 view, in memory order, and dest takes it as whole rows
-    of `rows` points plus a short tail: no copy of the block and no temporary.
+    `block` is a dirichlet._grid_blocks block, (cols, rows) in grid order and a transposed
+    view of the kernel's C-contiguous product, and `dest` and `factor`, 1-d of one size,
+    hold the grid-order values of its first dest.size points.  The product is squared in
+    place on its float64 view, in memory order, and dest takes it as whole rows of `rows`
+    points plus a short tail: no copy of the block and no temporary.
     """
-    parts = block.swapaxes(-1, -2).view(np.float64)  # re, im interleaved along the last axis
+    parts = block.T.view(np.float64)  # re, im interleaved along the last axis
     np.multiply(parts, parts, out=parts)
-    abs2 = parts[..., ::2]
-    abs2 += parts[..., 1::2]
-    abs2 = abs2.swapaxes(-1, -2)  # grid order, like block
+    abs2 = parts[:, ::2]
+    abs2 += parts[:, 1::2]
+    abs2 = abs2.T  # grid order, like block
     rows = abs2.shape[-1]
-    full, tail = divmod(dest.shape[-1], rows)
+    full, tail = divmod(dest.size, rows)
 
     def head(a: np.ndarray) -> np.ndarray:
-        return a[..., : full * rows].reshape(*a.shape[:-1], full, rows)
+        return a[: full * rows].reshape(full, rows)
 
-    np.multiply(head(factor), abs2[..., :full, :], out=head(dest))
+    np.multiply(head(factor), abs2[:full], out=head(dest))
     if tail:
         rest = slice(full * rows, None)
-        np.multiply(factor[..., rest], abs2[..., full, :tail], out=dest[..., rest])
+        np.multiply(factor[rest], abs2[full, :tail], out=dest[rest])
 
 
 def m1_quadrature(f: UnimodularCMF, t_bound: float, support: list[SupportElement]) -> float:
     """M1 by adaptive quadrature over the window support [T/2, T].
 
-    Composite Gauss-Legendre a group of nodes at a time
-    (quadrature.composite_gl_grid): each node's abscissae across the panels
-    of a level form a uniform grid on which |R|^2 comes from one pass of the
-    grid-scan kernel dirichlet._grid_blocks over the group's grids, its
-    blocks squared in place (_window_integral, on R's own panel schedule; a
-    certificate reads its m1_quad off M2's nodes instead).
+    The trapezoidal rule on one uniform grid per level (quadrature.trapezoid_grid), on which
+    |R|^2 comes from one pass of the grid-scan kernel dirichlet._grid_blocks, its blocks
+    squared in place (_window_integral, on R's own schedule; a certificate reads its
+    m1_quad off M2's grid instead).
     """
     return _window_integral(_support_coeff_logs(f, support), t_bound).real
 
@@ -172,10 +171,10 @@ def m2_quadrature(
     """M2 by adaptive quadrature over the window support [T/2, T].
 
     The imaginary part of the shared scan (_window_integral), whose real part
-    is M1 on the same nodes: one grid-kernel pass per polynomial over each
-    node group's grids, |D_N|^2 times the real part's Phi |R|^2 written to
-    the imaginary part of the rule's buffer (oracle.m2_bruteforce_quadrature
-    keeps a dense rule as the independent check).
+    is M1 on the same grid: one grid-kernel pass per polynomial and level,
+    |D_N|^2 times the real part's Phi |R|^2 written to the imaginary part of
+    the rule's buffer (oracle.m2_bruteforce_quadrature keeps a dense rule as
+    the independent check).
     """
     both = _window_integral(_support_coeff_logs(f, support), t_bound, _dn_terms(f, n_max))
     return both.imag
@@ -1042,7 +1041,7 @@ def ratio_and_bounds(
         if f is None:
             raise ValueError("exact moments require a coefficient function")
         check_sieve_cap(n_max)  # M2 reads f(n) for n <= N: refuse N before any moment work
-        # One scan on M2's nodes gives both quadrature moments, M1 + i*M2.
+        # One scan on M2's grid gives both quadrature moments, M1 + i*M2.
         both = _window_integral(_support_coeff_logs(f, support), t_bound, _dn_terms(f, n_max))
         m1_q, m2_q = both.real, both.imag
         m1_e = m1_exact(f, t_bound, support)

@@ -1,45 +1,49 @@
-"""Composite Gauss-Legendre quadrature for smooth oscillatory integrands.
+"""Adaptive quadrature for smooth oscillatory integrands.
 
 The integrands in this package (windowed Dirichlet polynomial moments,
 bump transforms) are smooth but oscillate with a known top frequency, so
 a composite rule with a fixed number of panels per cycle converges fast
-and vectorizes cleanly.  The caller picks that starting density: at p
-panels per cycle the Gauss-Legendre error term (Davis-Rabinowitz,
-Methods of Numerical Integration, 2.7) of a unit oscillation, per unit
-length, is about 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) (pi/p)^(2n) with
-n = GL_ORDER: 1e-14 at one panel per cycle, 1e-20 at two and 1e-8 at
-half a panel.  Panel counts double until two successive refinements
-agree to tolerance; the difference of the last two levels is reported as
-the error estimate.
+and vectorizes cleanly.  The caller picks that starting density.  Panel
+counts double until two successive refinements agree to tolerance; the
+difference of the last two levels is reported as the error estimate.
 
-Every rule here splits [a, b] into P equal panels of width h and puts
-Gauss-Legendre node x_j (one of GL_ORDER) of panel k at
+Every rule here splits [a, b] into P equal panels of width h.  Two of them
+put Gauss-Legendre node x_j (one of GL_ORDER) of panel k at
 
     a + k*h + h*(1 + x_j)/2,
 
 so for fixed j the nodes of all panels form an arithmetic progression
 with step h, and a node's phase under e^{-i freq s} factors into a
 per-node part e^{-i freq h(1 + x_j)/2} and a per-panel part
-e^{-i freq (a + k*h)}.  The level rules differ in how they hand the
-nodes over.  composite_gl hands the integrand every abscissa in one
-array; no caller in the package uses it, and the tests keep it as the
-plain reference the other two rules are checked against.
-composite_gl_grid hands it a group of nodes at a time, each node
-a uniform grid given by its origin a + h*(1 + x_j)/2, over every panel of
-the level, with a view of the rule's complex buffer to fill (the moments
-scan a group's grids together, one pass of the grid kernel
-dirichlet._grid_blocks per polynomial and level, and write two real
-integrands into it, M1's values to the real part and M2's to the
-imaginary part), and adds the panel sums by numpy's pairwise sum rather
-than a BLAS dot, which splits its sum by thread.
+e^{-i freq (a + k*h)}.  At p panels per cycle the Gauss-Legendre error term
+(Davis-Rabinowitz, Methods of Numerical Integration, 2.7) of a unit
+oscillation, per unit length, is about
+2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) (pi/p)^(2n) with n = GL_ORDER: 1e-14 at
+one panel per cycle, 1e-20 at two.  composite_gl hands the integrand every
+abscissa in one array; no caller in the package uses it, and the tests keep
+it as the plain reference the other rules are checked against.
 composite_gl_phased integrates a real weight times e^{-i freq s} with the
-factored phases (bump's float ramp integral).
-bump's 50-digit ramp rule lays out its mpmath nodes the same way on
-half-cycle pieces.  adaptive_oscillatory takes the rule from its caller,
-which may pass its own rule with the same signature; `fn` is then
-whatever that rule reads.  Its relative tolerance holds the real and the
-imaginary part of a level each to itself, so two real integrals carried
-as one complex value converge each to its own size.
+factored phases (bump's float ramp integral).  bump's 50-digit ramp rule
+lays out its mpmath nodes the same way on half-cycle pieces.
+
+trapezoid_grid is the trapezoidal rule on one uniform grid of GL_ORDER steps
+a panel, for an integrand that vanishes with all its derivatives at both
+ends (the quadrature moments, whose bump window does).  There the endpoint
+terms drop out and the rule converges spectrally (Euler-Maclaurin;
+Trefethen and Weideman, The exponentially convergent trapezoidal rule, SIAM
+Review 56, 2014): for a window times e^{i omega t}, the rule at step s errs
+by the window's transform at the aliased frequencies omega + 2 pi k/s,
+k != 0.  It hands the integrand the grid's interior points as one
+progression and a zeroed complex buffer to fill, so two real integrands can
+share it, one in each part (the moments write M1's values to the real part
+and M2's to the imaginary part), and adds the buffer by numpy's pairwise sum
+rather than a BLAS dot, which splits its sum by thread.
+
+adaptive_oscillatory takes the rule from its caller, which may pass its own
+rule with the same signature; `fn` is then whatever that rule reads.  Its
+relative tolerance holds the real and the imaginary part of a level each to
+itself, so two real integrals carried as one complex value converge each to
+its own size.
 """
 
 from __future__ import annotations
@@ -48,22 +52,15 @@ import functools
 
 import numpy as np
 
-from .dirichlet import RESYNC_STRIDE
 from .errors import QuadratureError
 
 GL_ORDER = 10
 MAX_DOUBLINGS = 14
-# Points of one grid-kernel block over a composite_gl_grid node group: a group takes as many
-# nodes as keep min(panels, RESYNC_STRIDE) points per node within this, so five nodes from
-# 10 000 panels and all ten up to 5000.  Ten nodes in blocks of 10**4 points ran the tiny
-# quadrature moments slower than five, and five at small levels paid each scan's fixed
-# cost twice.
-_GROUP_POINTS = 5 * RESYNC_STRIDE
 
 
 @functools.cache
 def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1] of every level rule, built on first use: importing
+    """Nodes and weights on [-1, 1] of the Gauss-Legendre rules, built on first use: importing
     numpy.polynomial at package import would add about 6 ms to every CLI start."""
     return np.polynomial.legendre.leggauss(GL_ORDER)
 
@@ -83,32 +80,6 @@ def composite_gl(fn, a: float, b: float, panels: int) -> complex:
     vals = np.asarray(fn(x))
     vals = vals.reshape(panels, GL_ORDER)
     return complex((vals @ weights) @ half)
-
-
-def composite_gl_grid(fn, a: float, b: float, panels: int) -> complex:
-    """One composite Gauss-Legendre pass, evaluated a group of nodes at a time.
-
-    `fn(origins, step, out)` fills the (len(origins), panels) array `out`, a view of the
-    rule's complex buffer that holds zeros on entry: row i takes the integrand values (real
-    or complex) at origins[i] + k*step, k < panels.  A real integrand writes out.real, and
-    two real integrands may share the buffer, one in out.real and one in out.imag: the pass
-    returns integral one + i * integral two, each part reduced in the same order as a lone
-    real integrand's.  The step is h = (b - a) / panels, and `origins` holds the first
-    abscissa of each node of a group, so one call covers its nodes over every panel of the
-    level.  A group takes _GROUP_POINTS // min(panels, RESYNC_STRIDE) nodes (at most
-    GL_ORDER): a grid-kernel block over the group holds at most _GROUP_POINTS points.
-    """
-    nodes, weights = _gl_nodes()
-    h = (b - a) / panels
-    origins = a + 0.5 * h * (1.0 + nodes)
-    vals = np.zeros((panels, GL_ORDER), dtype=np.complex128)
-    per_scan = min(GL_ORDER, _GROUP_POINTS // min(panels, RESYNC_STRIDE))
-    for j in range(0, GL_ORDER, per_scan):
-        group = slice(j, j + per_scan)
-        fn(origins[group], h, vals[:, group].T)
-    # numpy's pairwise sum adds the panels in one fixed order; a BLAS dot splits its sum by
-    # thread.
-    return complex((vals @ weights).sum()) * (0.5 * h)
 
 
 def composite_gl_phased(fn, a: float, b: float, panels: int) -> complex:
@@ -131,6 +102,27 @@ def composite_gl_phased(fn, a: float, b: float, panels: int) -> complex:
     return 0.5 * h * complex(np.exp(-1j * freq * starts) @ per_panel)
 
 
+def trapezoid_grid(fn, a: float, b: float, panels: int) -> complex:
+    """The trapezoidal rule with panels * GL_ORDER equal steps, for an integrand that is 0 at
+    both ends: its endpoint terms drop out (module docstring).
+
+    `fn(origin, step, out)` fills the 1-d complex buffer `out`, zeros on entry, with the
+    integrand (real or complex) at the interior points: out[k] at origin + (k + 1)*step,
+    k < panels * GL_ORDER - 1, with origin = a.  A real integrand writes out.real, and two
+    real integrands may share the buffer, one in out.real and one in out.imag: the pass
+    returns integral one + i * integral two, each part added in the same order as a lone
+    real integrand's.  The level's panels * GL_ORDER evaluations are these interior points
+    and the two half-weight endpoints.
+    """
+    steps = panels * GL_ORDER
+    h = (b - a) / steps
+    vals = np.zeros(steps - 1, dtype=np.complex128)
+    fn(a, h, vals)
+    # numpy's pairwise sum adds the points in one fixed order; a BLAS dot splits its sum by
+    # thread.
+    return complex(vals.sum()) * h
+
+
 def adaptive_oscillatory(
     fn,
     a: float,
@@ -148,24 +140,24 @@ def adaptive_oscillatory(
     Args:
         fn: handed to `rule` unchanged; the integrand in the form the
             rule calls it: a numpy array of abscissae in, values out for
-            composite_gl; a group of node grids (origins, step) and
-            the view `out` to fill, one row per origin over every panel,
-            for composite_gl_grid; a (weight, freq) pair for
-            composite_gl_phased.  A caller's own rule may read it as data.
+            composite_gl; the grid (origin, step) and the buffer `out`
+            to fill at its interior points for trapezoid_grid; a
+            (weight, freq) pair for composite_gl_phased.  A caller's own
+            rule may read it as data.
         max_freq: largest angular frequency present in the integrand
             (rad per unit); with panels_per_cycle it sets the initial
             panel count (at least 8).
         rule: the level rule `rule(fn, a, b, panels)`, one pass with
-            `panels` equal panels of GL_ORDER nodes.
-            The package's callers pass composite_gl_grid (the quadrature
+            `panels` equal panels of GL_ORDER nodes or steps.
+            The package's callers pass trapezoid_grid (the quadrature
             moments) or composite_gl_phased (bump's ramp integral);
             composite_gl, every abscissa in one array, is the reference
             rule the tests check those two against.
         panels_per_cycle: panels per cycle of max_freq at the first
             level.  Two (the default, bump's ramp integral) puts the
-            first level's error term near 1e-20; one (the quadrature
-            moments) near 1e-14, so the second level, at two per cycle,
-            confirms the first (module docstring).
+            first level's Gauss-Legendre error term near 1e-20.  The
+            quadrature moments pass 0.2, two trapezoid points per cycle
+            (module docstring).
         abs_tol / rel_tol: accept once the last refinement moved the
             value by no more than abs_tol, or moved its real part by no
             more than rel_tol * |value.real| and its imaginary part by no

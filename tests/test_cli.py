@@ -345,6 +345,30 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert (error["kind"], error["layer"]) == ("JSONDecodeError", "rescert.cli")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "4", "--t", "100"],
+        ["search", "--n", "4", "--t", "100"],
+        ["resonator", "--x", "4.85e8"],
+        ["oracle", "bijection", "--n", "5", "--x", "5"],
+        ["sweep", "--n-list", "50", "--c", "3"],
+    ],
+)
+def test_config_exact_mode_is_validated(tmp_path, capsys, argv):
+    # A config file's "exact" takes the --exact choices only, as "format" takes --format's:
+    # anything else is a usage error of the CLI for every subcommand, before any work.
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"exact": "bogus"}, fh)
+    assert main([*argv, "--config", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err.splitlines()[-1])
+    assert (error["kind"], error["layer"]) == ("ValueError", "rescert.cli")
+    assert "bogus" in error["message"]
+
+
 def test_nu_is_gone(tmp_path, capsys):
     # The off-diagonal bound has a fixed decay exponent, 2; the flag and the
     # config key that chose a fitted one are usage errors now.

@@ -324,9 +324,8 @@ def test_grid_kernel_builds_step_tables_once_per_group_and_slice(monkeypatch):
 
 def test_grid_kernel_yields_one_slice_blocks_before_the_next_is_computed(monkeypatch):
     # With one term slice no batch sum is held back: each batch is yielded before the next
-    # batch's anchor rows are computed, for one origin and for several, with the Taylor
-    # factor and with the explicit tables, and no batch array exceeds _BATCH_ENTRIES
-    # entries.  The spy wraps _expi, so it records the phases before _expi reduces them
+    # batch's anchor rows are computed, at two origins, with the Taylor factor and with the
+    # explicit tables, and no batch array exceeds _BATCH_ENTRIES entries.  The spy wraps _expi, so it records the phases before _expi reduces them
     # (origin 3e10: phases of ~1e11 rad).
     coeffs, logs = _dn_coeffs_logs(60, 1)
     expi = dirichlet._expi
@@ -335,14 +334,13 @@ def test_grid_kernel_yields_one_slice_blocks_before_the_next_is_computed(monkeyp
     for explicit in (False, True):
         if explicit:
             _explicit_only(monkeypatch)
-        for origin in (0.0, 3e10, np.array([0.0, 0.25, 0.5, 0.75])):
+        for origin in (0.0, 3e10):
             batches = []  # the block starts of each batch's anchors
 
             def recorded(x, *bound):
-                if bound:  # the anchor rows, (..., nb, slice); step tables pass no bound
+                if bound:  # the anchor rows, (nb, slice); step tables pass no bound
                     assert x.size <= cap
-                    t0 = (x[..., 1] / logs[1]).reshape(-1, x.shape[-2])[0]
-                    k = (t0 - np.ravel(origin)[0]) / h - k0
+                    k = (x[:, 1] / logs[1] - origin) / h - k0
                     batches.append((np.rint(k / RESYNC_STRIDE) * RESYNC_STRIDE).astype(int))
                 return expi(x, *bound)
 
@@ -363,17 +361,15 @@ _CROSS_2_27 = 2.0**27 / math.log(60)  # t where the anchor row's top phase t*log
 
 @pytest.mark.parametrize("explicit", [False, True])
 @pytest.mark.parametrize(
-    "n, stride, n_origins, cap_blocks, t",
+    "n, stride, cap_blocks, t",
     [
-        (60, RESYNC_STRIDE, 1, None, 1e3),  # the module's cap: 6 blocks a batch in both forms
-        (60, RESYNC_STRIDE, 1, None, _CROSS_2_27),  # anchors across 2^27 rad inside a batch
-        (60, RESYNC_STRIDE, 4, 3, 1e3),  # four origins
-        (40, 16, 1, 3, 1e3),  # three term slices (16, 16 and 8 terms)
-        (40, 16, 4, 3, 1e3),  # both
+        (60, RESYNC_STRIDE, None, 1e3),  # the module's cap: 6 blocks a batch in both forms
+        (60, RESYNC_STRIDE, None, _CROSS_2_27),  # anchors across 2^27 rad inside a batch
+        (40, 16, 3, 1e3),  # three term slices (16, 16 and 8 terms)
     ],
 )
 def test_grid_kernel_batches_pinned_to_per_block_scans(
-    monkeypatch, explicit, n, stride, n_origins, cap_blocks, t
+    monkeypatch, explicit, n, stride, cap_blocks, t
 ):
     # A batch of anchor blocks computes every value bit for bit as the blocks one at a time
     # (a cap of one entry: one block a batch), for runs of cap - 1, cap and cap + 1 full
@@ -391,13 +387,10 @@ def test_grid_kernel_batches_pinned_to_per_block_scans(
     rows, cols = dirichlet._block_shape(stride, r)
     assert rows * cols == stride or not explicit
     if cap_blocks is not None:
-        monkeypatch.setattr(
-            dirichlet, "_BATCH_ENTRIES", cap_blocks * n_origins * cols * max(rows, n_terms)
-        )
-    nb = dirichlet._blocks_per_batch(rows, cols, n_terms, n_origins)
+        monkeypatch.setattr(dirichlet, "_BATCH_ENTRIES", cap_blocks * cols * max(rows, n_terms))
+    nb = dirichlet._blocks_per_batch(rows, cols, n_terms)
     assert nb == (cap_blocks or 6) and nb >= 3
     k0 = int(t / h) - 2 * stride
-    origin = 0.0 if n_origins == 1 else h * np.arange(n_origins) / n_origins
     if t == _CROSS_2_27:
         assert k0 * h * logs[-1] < 2.0**27 <= (k0 + (nb - 1) * stride) * h * logs[-1]
     expi = dirichlet._expi
@@ -415,68 +408,15 @@ def test_grid_kernel_batches_pinned_to_per_block_scans(
         for tail in (37, 9947) if stride == RESYNC_STRIDE else (5, 13):
             count = m * stride + tail
             schedule.clear()
-            got = _scan(coeffs, logs, origin, k0, count, h)
+            got = _scan(coeffs, logs, 0.0, k0, count, h)
             joins = dirichlet._block_shape(tail, r) == (rows, cols)
             runs = [m + 1] if joins else [m, 1]
             want = [b for run in runs for b in [nb] * (run // nb) + [run % nb] * (run % nb > 0)]
             assert schedule == want * n_slices
             monkeypatch.setattr(dirichlet, "_BATCH_ENTRIES", 1)
-            per_block = _scan(coeffs, logs, origin, k0, count, h)
+            per_block = _scan(coeffs, logs, 0.0, k0, count, h)
             monkeypatch.setattr(dirichlet, "_BATCH_ENTRIES", cap)
             assert got.shape == per_block.shape and got.tobytes() == per_block.tobytes()
-
-
-_GL_ORIGINS = 1000.0 + 0.5 * 1e-3 * (1.0 + np.polynomial.legendre.leggauss(10)[0][:5])
-
-
-def _assert_origins_match_scalar_scans(coeffs, logs, origins, k0, count, h):
-    # A scalar scan may batch more blocks than the scan of several origins: the scans are
-    # compared joined.
-    got = _scan(coeffs, logs, origins, k0, count, h)
-    assert got.shape == (origins.size, count)
-    for i, origin in enumerate(origins):
-        assert np.array_equal(got[i], _scan(coeffs, logs, float(origin), k0, count, h))
-
-
-@pytest.mark.parametrize(
-    "n, count",
-    [
-        (12, 300),  # one block, explicit tables
-        (60, 3 * RESYNC_STRIDE),  # several full blocks
-        (60, 2 * RESYNC_STRIDE + 37),  # a short last block
-        (12_000, RESYNC_STRIDE + 37),  # two term slices
-    ],
-)
-def test_grid_kernel_with_origin_vector_matches_scalar_scans(n, count):
-    # Several origins share one scan: the same tables, anchors and products per origin.
-    coeffs, logs = _dn_coeffs_logs(n, n)
-    assert (_taylor_rank(coeffs, logs, 1e-3) is None) == (n == 12)
-    _assert_origins_match_scalar_scans(coeffs, logs, _GL_ORIGINS, 30_000, count, 1e-3)
-
-
-@pytest.mark.parametrize("n_origins, count", [(5, 45 * 16 + 7), (201, 3 * 16), (300, 2 * 16 + 1)])
-def test_grid_kernel_with_origin_vector_over_block_groups(monkeypatch, n_origins, count):
-    # In a multi-slice scan of n origins the explicit tables hold floor(201 / n) blocks a
-    # group (at least one) and the Taylor factor all blocks in one group; each group builds
-    # each slice's tables once per block shape.
-    monkeypatch.setattr(dirichlet, "RESYNC_STRIDE", 16)
-    calls = _count_step_tables(monkeypatch)
-    coeffs, logs = _dn_coeffs_logs(40, 4)  # slices of 16, 16 and 8 terms
-    origins = 0.25 + np.arange(n_origins) * 1e-5
-    sizes = [min(16, count - start) for start in range(0, count, 16)]
-    r, _ = _taylor_rank(coeffs, logs, 1e-3)
-    for explicit in (False, True):
-        if explicit:
-            _explicit_only(monkeypatch)
-        calls.clear()
-        list(_grid_values(coeffs, logs, origins, 10**9, count, 1e-3))
-        rows = [math.isqrt(size - 1) + 1 if explicit else r for size in sizes]
-        shapes = [(a, -(-size // a)) for a, size in zip(rows, sizes)]
-        per_group = max(1, 201 // n_origins) if explicit else len(sizes)
-        groups = [shapes[g : g + per_group] for g in range(0, len(shapes), per_group)]
-        builds = sum(1 for *_, n_terms in calls if n_terms == 8)
-        assert builds == sum(len(set(g)) for g in groups)
-        _assert_origins_match_scalar_scans(coeffs, logs, origins, 10**9, count, 1e-3)
 
 
 def _scan(coeffs, logs, origin, k0, count, h):
@@ -604,7 +544,7 @@ for n in (5000, 12000):
     coeffs, logs = dirichlet._dn_terms(steinhaus_sample(0), n)
     h = 2e-3 / math.log(n)
     assert dirichlet._taylor_rank(h, float(logs.max()), n) is not None
-    for origin, k0 in ((0.0, int(4.5e10 / h)), (1e4 + np.arange(3) * 1e-4, 0)):
+    for origin, k0 in ((0.0, int(4.5e10 / h)), (1e4, 0)):
         for _, values in dirichlet._grid_values(coeffs, logs, origin, k0, 12_000, h):
             digest.update(np.ascontiguousarray(values).tobytes())
 print(digest.hexdigest())
@@ -645,8 +585,8 @@ def _digests_under_blas_threads(script: str) -> list[str]:
 def test_taylor_scan_independent_of_blas_threads():
     # The Taylor factor's first product sums over up to RESYNC_STRIDE terms; as one real
     # product it gave other bits under 2 BLAS threads at N = 5000.  Its sum is taken in
-    # one-thread chunks (_sum_matmul), so 1 and 2 threads scan the same bits, also with
-    # several origins and with two term slices (N = 12 000).
+    # one-thread chunks (_sum_matmul), so 1 and 2 threads scan the same bits, also at a
+    # nonzero origin and with two term slices (N = 12 000).
     digests = _digests_under_blas_threads(_SCAN_DIGEST)
     assert digests[0] == digests[1]
 
@@ -663,18 +603,18 @@ def test_explicit_scan_independent_of_blas_threads():
     n=st.integers(2, 1500),
     log_h=st.floats(-5.0, 0.0),
     count=st.integers(1, 30_000),
-    origins=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
+    origin=st.floats(-1e6, 1e6),
     k0=st.integers(-10**6, 10**6),
     stride=st.sampled_from([16, 257, RESYNC_STRIDE]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_grid_kernel_forms_agree_within_error_bound(n, log_h, count, origins, k0, stride, seed):
+def test_grid_kernel_forms_agree_within_error_bound(n, log_h, count, origin, k0, stride, seed):
     # The Taylor factor (forced wherever r > K + 1) against the explicit tables: both compute
     # the same anchor rows, so they agree within both error bounds without the anchor phase.
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
-    h, origin = 10.0**log_h, np.array(origins)
+    h = 10.0**log_h
     count = min(count, 3 * stride)
     rank = dirichlet._taylor_rank
     with pytest.MonkeyPatch.context() as mp:
@@ -684,7 +624,7 @@ def test_grid_kernel_forms_agree_within_error_bound(n, log_h, count, origins, k0
         mp.setattr(dirichlet, "_taylor_rank", lambda h, max_log, n_terms: None)
         explicit = _scan(coeffs, logs, origin, k0, count, h)
         tol = 2.0 * _error_bound(coeffs, logs, h, 0.0)
-    assert factored.shape == explicit.shape == (origin.size, count)
+    assert factored.shape == explicit.shape == (count,)
     assert np.max(np.abs(factored - explicit)) <= tol
 
 
@@ -892,7 +832,7 @@ def test_grid_sup_explicit_batches_pinned_to_the_bit():
     f, n, t_bound, eps = steinhaus_sample(8), 16, 1000.0, 0.05
     step = 2.0 * eps / derivative_bound(n)
     assert dirichlet._taylor_rank(step, math.log(n), n) is None
-    assert dirichlet._blocks_per_batch(100, 100, n, 1) == 6
+    assert dirichlet._blocks_per_batch(100, 100, n) == 6
     assert 2 * t_bound / step > 3 * 6 * RESYNC_STRIDE
     result = grid_sup(f, n, t_bound, eps)
     assert (result.t_star, result.value, result.refinement_iterations) == (

@@ -210,32 +210,33 @@ def test_quadrature_moments_match_dense_reference(idx):
     assert m2_quadrature(f, n, t_bound, supp) == pytest.approx(m2_ref, rel=1e-12)
 
 
-# m1_quadrature and m2_quadrature with each level's panel sums added by numpy's pairwise
-# sum, the same under any BLAS thread count, with the panel doubling started at one panel
-# per cycle, and the certificate's m1_quad, M1 read off M2's nodes by the one scan that
-# gives both moments: (N, T, log X, f, M1, M2, report M1).
+# m1_quadrature and m2_quadrature by the trapezoidal rule, each level's points added by
+# numpy's pairwise sum, the same under any BLAS thread count, with the doubling started at
+# two points per cycle, and the certificate's m1_quad, M1 read off M2's grid by the one scan
+# that gives both moments: (N, T, log X, f, M1, M2, report M1).
 QUADRATURE_PINS = [
-    (3, 1e3, 20.0, constant_one(), 396.795464242134, 396.79742716209074, 396.79546424213396),
-    (4, 1e4, 20.2, steinhaus_sample(12345), 4174.3990718956475, 4174.399071896685,
-     4174.399071895654),
-    (12, 1e4, 20.0, archimedean_cmf(1.0), 3967.9546424213395, 3967.95464677375,
-     3967.9546424213395),
+    (3, 1e3, 20.0, constant_one(), 396.795464242134, 396.79742716209074, 396.7954642421341),
+    (4, 1e4, 20.2, steinhaus_sample(12345), 4174.399071895655, 4174.399071896674,
+     4174.399071895644),
+    (12, 1e4, 20.0, archimedean_cmf(1.0), 3967.954642421341, 3967.9546467737287,
+     3967.954642421341),
 ]
-# The same moments with the doubling started at two panels per cycle, on levels of twice the
-# panels; each pin above stays within 1e-13 relative of them.
-QUADRATURE_PINS_TWO_PER_CYCLE = [
-    (396.79546424213396, 396.7974271620906),
-    (4174.399071895654, 4174.39907189667),
-    (3967.95464242134, 3967.954646773768),
+# The same moments by composite Gauss-Legendre node groups, the doubling started at one
+# panel per cycle: (M1, M2, report M1).  Each pin above stays within 1e-13 relative of them.
+QUADRATURE_PINS_GAUSS_LEGENDRE = [
+    (396.795464242134, 396.79742716209074, 396.79546424213396),
+    (4174.3990718956475, 4174.399071896685, 4174.399071895654),
+    (3967.9546424213395, 3967.95464677375, 3967.9546424213395),
 ]
 
 
 @pytest.mark.parametrize("idx", range(len(QUADRATURE_PINS)))
 def test_quadrature_moments_pinned(idx):
-    # Scanning a group of nodes per chunk moves no float of either moment, and the one scan
-    # of a certificate gives M2's pin with M1 within 1e-13 relative of R's own schedule.
+    # The trapezoidal rule stays within 1e-13 relative of the Gauss-Legendre moments, and
+    # the one scan of a certificate gives M2's pin with M1 within 1e-13 relative of R's own
+    # schedule.
     n, t_bound, logx, f, m1, m2, m1_report = QUADRATURE_PINS[idx]
-    for pin, old in zip((m1, m2), QUADRATURE_PINS_TWO_PER_CYCLE[idx]):
+    for pin, old in zip((m1, m2, m1_report), QUADRATURE_PINS_GAUSS_LEGENDRE[idx]):
         assert pin == pytest.approx(old, rel=1e-13, abs=0.0)
     assert m1_report == pytest.approx(m1, rel=1e-13, abs=0.0)
     res = build_resonator(math.exp(logx))
@@ -250,7 +251,7 @@ def test_tiny_certify_sieves_n_inside_moments(tmp_path, sieve_limits):
     # exact="auto" at T = 1e3: the resonator sieves its prime window (to 66).
     # The moments read f(n) for n <= N, but f = one has a closed form, so
     # nothing sieves the integers up to N; the report's quadrature moments
-    # are the pinned ones, M1 read off M2's nodes.
+    # are the pinned ones, M1 read off M2's grid.
     n, t_bound, logx, _, _, m2, m1_report = QUADRATURE_PINS[0]
     out = tmp_path / "out.json"
     argv = ["certify", "--n", str(n), "--t", repr(t_bound), "--x", repr(math.exp(logx))]
@@ -289,21 +290,21 @@ def test_exact_moments_refuse_n_past_the_sieve_cap_before_m1(monkeypatch, capsys
 
 @pytest.mark.parametrize("idx", range(len(CRITERION3)))
 def test_quadrature_moments_converge_in_two_levels(idx, monkeypatch):
-    # One panel per cycle already meets the 1e-8 tolerance (its Gauss-Legendre error term is
-    # about 1e-14), so the second level, at two panels per cycle, confirms it and no third
-    # level runs, for M1 and for M2.  M2's scan carries M1 + i*M2 on M2's nodes, the
-    # certificate's one scan, and each part meets the tolerance there on its own.
+    # Two trapezoid points per cycle already meet the 1e-8 tolerance (the aliasing error is
+    # about |phi_hat(T * omega)|), so the second level, at four points per cycle, confirms it
+    # and no third level runs, for M1 and for M2.  M2's scan carries M1 + i*M2 on M2's grid,
+    # the certificate's one scan, and each part meets the tolerance there on its own.
     n, t_bound, logx = CRITERION3[idx]
     f = CRITERION3_FS[idx % 3]
     levels = []
-    rule = moments.composite_gl_grid
+    rule = moments.trapezoid_grid
 
     def recorded(fn, a, b, panels):
         value = rule(fn, a, b, panels)
         levels.append((panels, value))
         return value
 
-    monkeypatch.setattr(moments, "composite_gl_grid", recorded)
+    monkeypatch.setattr(moments, "trapezoid_grid", recorded)
     res = build_resonator(math.exp(logx))
     supp = support_elements(res, res.x)
     m1_quadrature(f, t_bound, supp)
@@ -319,14 +320,14 @@ def test_quadrature_moments_converge_in_two_levels(idx, monkeypatch):
 
 def test_tiny_certify_scans_r_once_per_quadrature_level(tmp_path, monkeypatch):
     # One scan gives both quadrature moments: R's grid-kernel pass runs once per level (two
-    # levels of one node group each here, under 5000 panels), not once per level of M1 and
-    # again of M2, and D_N's pass once per level too.
+    # levels here), not once per level of M1 and again of M2, and D_N's pass once per level
+    # too.
     n, t_bound, logx, *_ = QUADRATURE_PINS[0]
     res = build_resonator(math.exp(logx))
     support_size = len(support_elements(res, res.x))
     assert support_size != n
     scans, levels = [], []
-    grid_blocks, rule = moments._grid_blocks, moments.composite_gl_grid
+    grid_blocks, rule = moments._grid_blocks, moments.trapezoid_grid
 
     def counted(coeffs, *args):
         scans.append(coeffs.size)
@@ -337,10 +338,10 @@ def test_tiny_certify_scans_r_once_per_quadrature_level(tmp_path, monkeypatch):
         return rule(fn, a, b, panels)
 
     monkeypatch.setattr(moments, "_grid_blocks", counted)
-    monkeypatch.setattr(moments, "composite_gl_grid", recorded)
+    monkeypatch.setattr(moments, "trapezoid_grid", recorded)
     argv = ["certify", "--n", str(n), "--t", repr(t_bound), "--x", repr(math.exp(logx))]
     assert cli_main([*argv, "--out", str(tmp_path / "out.json")]) == 0
-    assert len(levels) == 2 and max(levels) <= 5000
+    assert len(levels) == 2
     assert scans == [support_size, n, support_size, n]
 
 
@@ -424,7 +425,7 @@ def test_termwise_sum_matches_per_term_loop(monkeypatch, shape, term_block):
 
 def test_m2_quadrature_memory():
     # The dense integrand held every abscissa times every term (134.6 MiB
-    # here); a group of nodes per chunk of panels, the grid kernel needs a few MiB.
+    # here); a level's grid through the grid kernel needs a few MiB.
     res = build_resonator(math.exp(20.2))
     supp = support_elements(res, res.x)
     f = steinhaus_sample(1)
@@ -437,11 +438,10 @@ def test_m2_quadrature_memory():
     assert peak < 16 * 2**20
 
 
-def test_m2_quadrature_builds_step_tables_once_per_level_group_and_shape(monkeypatch):
-    # Each node group scans a whole level with one grid-kernel pass per polynomial, so the
-    # explicit step tables are built once per level, node group, polynomial and block shape:
-    # a full block of RESYNC_STRIDE points and the short last block.  Scanning chunk by
-    # chunk built them once per chunk (twice per group and polynomial at 17 190 panels).
+def test_m2_quadrature_builds_step_tables_once_per_level_polynomial_and_shape(monkeypatch):
+    # Each level scans its grid with one grid-kernel pass per polynomial, so the explicit
+    # step tables are built once per level, polynomial and block shape: a full block of
+    # RESYNC_STRIDE points and the short last block.
     builds = []
     for name in ("_step_tables", "_taylor_tables"):
         build = getattr(dirichlet, name)
@@ -452,24 +452,23 @@ def test_m2_quadrature_builds_step_tables_once_per_level_group_and_shape(monkeyp
 
         monkeypatch.setattr(dirichlet, name, counted)
     levels = []
-    rule = moments.composite_gl_grid
+    rule = moments.trapezoid_grid
 
     def recorded(fn, a, b, panels):
         levels.append(panels)
         return rule(fn, a, b, panels)
 
-    monkeypatch.setattr(moments, "composite_gl_grid", recorded)
+    monkeypatch.setattr(moments, "trapezoid_grid", recorded)
     res = build_resonator(math.exp(20.2))
     supp = support_elements(res, res.x)
     m2_quadrature(steinhaus_sample(1), 12, 1e4, supp)
-    assert levels == [8595, 17190] and RESYNC_STRIDE == 10_000
-    # 8595 points fit one short block; 17 190 take a full block and a last one of 7190
-    # points.  Five nodes per group at both levels (5 * RESYNC_STRIDE // 8595 = 5).
-    shapes = {8595: [(93, 93)], 17190: [(100, 100), (85, 85)]}
+    assert levels == [1719, 3438] and RESYNC_STRIDE == 10_000
+    # 17 189 interior points take a full block and a last one of 7189 points; 34 379 take
+    # three full blocks, batched as one, and a last one of 4379 points.
+    shapes = {1719: [(100, 100), (85, 85)], 3438: [(100, 100), (67, 66)]}
     want = [
         ("_step_tables", *shape, terms)
         for panels in levels
-        for _group in range(2)
         for terms in (len(supp), 12)
         for shape in shapes[panels]
     ]

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from rescert.bump import default_bump
 from rescert.dirichlet import RESYNC_STRIDE, _grid_values
 from rescert.errors import QuadratureError
 from rescert.quadrature import (
     GL_ORDER,
     adaptive_oscillatory,
     composite_gl,
-    composite_gl_grid,
     composite_gl_phased,
+    trapezoid_grid,
 )
 
 
@@ -50,19 +51,30 @@ def test_budget_exhaustion():
     def chirp(x):
         return np.exp(-1j * 1e4 * x)
 
-    def chirp_grid(origins, step, out):
-        out[...] = chirp(origins[:, None] + step * np.arange(out.shape[-1]))
+    evaluated = []
 
-    # Levels of 3184 and 6368 panels, 10 nodes each: a cap of 100 refuses
-    # the first before it runs, a cap of 50 000 the second; `needed` is
-    # the total the refused level would reach.
-    for budget, needed in ((100, 31_840), (50_000, 31_840 + 63_680)):
-        for fn, rule in ((chirp, composite_gl), (chirp_grid, composite_gl_grid)):
+    def counted(x):
+        evaluated.append(x.size)
+        return chirp(x)
+
+    def chirp_grid(origin, step, out):
+        # The interior points, plus the two half-weight endpoints the rule skips.
+        evaluated.append(out.size + 1)
+        out[...] = chirp(origin + step * np.arange(1, out.size + 1))
+
+    # Levels of 3184 and 6368 panels, 10 nodes or steps each: a cap of 100
+    # refuses the first before it runs, a cap of 50 000 the second; `needed`
+    # is the total the refused level would reach, the evaluations of the
+    # levels that ran and its own.
+    for budget, ran, needed in ((100, [], 31_840), (50_000, [31_840], 31_840 + 63_680)):
+        for fn, rule in ((counted, composite_gl), (chirp_grid, trapezoid_grid)):
+            evaluated.clear()
             with pytest.raises(QuadratureError) as info:
                 adaptive_oscillatory(
                     fn, 0.0, 1.0, max_freq=1e4, rel_tol=1e-15, max_evals=budget, rule=rule
                 )
             assert info.value.value is None or isinstance(info.value.value, complex)
+            assert evaluated == ran
             assert info.value.needed == needed
             assert info.value.budget == budget
 
@@ -88,47 +100,78 @@ def _poly_abs2(t):
     return (vals * vals.conjugate()).real
 
 
-def _poly_abs2_grid(origins, step, out):
-    for start, vals in _grid_values(_COEFFS, _LOGS, origins, 0, out.shape[-1], step):
-        out.real[:, start : start + vals.shape[-1]] = (vals * vals.conjugate()).real
+def _poly_abs2_grid(origin, step, out):
+    for start, vals in _grid_values(_COEFFS, _LOGS, origin, 1, out.size, step):
+        out.real[start : start + vals.size] = (vals * vals.conjugate()).real
 
 
-@pytest.mark.parametrize(
-    "panels", [8, RESYNC_STRIDE - 1, RESYNC_STRIDE + 1, 5 * RESYNC_STRIDE // 2]
-)
-def test_grid_rule_matches_composite_gl(panels):
-    # One, two and three anchor blocks of the grid kernel per node.
-    a, b = 500.0, 1000.0
-    dense = composite_gl(_poly_abs2, a, b, panels)
-    grid = composite_gl_grid(_poly_abs2_grid, a, b, panels)
+# Phi(t/T) |P|^2 on the window [T/2, T]: zero with all its derivatives at both ends.
+_T = 1000.0
+
+
+def _windowed_abs2(t):
+    return default_bump().phi_vec(t / _T) * _poly_abs2(t)
+
+
+def _windowed_abs2_grid(origin, step, out):
+    _poly_abs2_grid(origin, step, out)
+    out.real *= default_bump().phi_vec((origin + step * np.arange(1, out.size + 1)) / _T)
+
+
+@pytest.mark.parametrize("panels, blocks", [(100, 1), (1000, 1), (1001, 2), (2500, 3)])
+def test_grid_rule_matches_composite_gl(panels, blocks):
+    # The trapezoidal rule on GL_ORDER * panels - 1 interior points, one, two and three anchor
+    # blocks of the grid kernel, against dense Gauss-Legendre panels.
+    assert -(-(GL_ORDER * panels - 1) // RESYNC_STRIDE) == blocks
+    a, b = 0.5 * _T, _T
+    dense = composite_gl(_windowed_abs2, a, b, 2000)
+    grid = trapezoid_grid(_windowed_abs2_grid, a, b, panels)
     assert abs(grid - dense) <= 1e-13 * abs(dense)
 
 
 def test_grid_rule_adaptive_matches_default():
     kw = dict(max_freq=float(_LOGS.max()), rel_tol=1e-12)
-    dense, _ = adaptive_oscillatory(_poly_abs2, 500.0, 1000.0, rule=composite_gl, **kw)
-    grid, _ = adaptive_oscillatory(_poly_abs2_grid, 500.0, 1000.0, rule=composite_gl_grid, **kw)
+    a, b = 0.5 * _T, _T
+    dense, _ = adaptive_oscillatory(_windowed_abs2, a, b, rule=composite_gl, **kw)
+    grid, _ = adaptive_oscillatory(_windowed_abs2_grid, a, b, rule=trapezoid_grid, **kw)
     assert abs(grid - dense) <= 1e-13 * abs(dense)
+
+
+def test_trapezoid_rule_calls_once_on_the_interior_points():
+    # One call covers the level: origin a, step (b - a) / (GL_ORDER * panels) and a zeroed
+    # buffer of the interior points; the endpoints, where the integrand is 0, are never
+    # passed.
+    calls = []
+
+    def recorded(origin, step, out):
+        calls.append((origin, step, out.shape, out.dtype))
+        assert not out.any()
+        out.real[...] = 1.0
+
+    steps = GL_ORDER * 4
+    value = trapezoid_grid(recorded, 2.0, 7.0, 4)
+    assert calls == [(2.0, 5.0 / steps, (steps - 1,), np.complex128)]
+    assert value == (steps - 1) * (5.0 / steps)
 
 
 @pytest.mark.parametrize("panels", [8, 4000, RESYNC_STRIDE + 1])
 def test_grid_rule_carries_two_real_integrands_bit_for_bit(panels):
     # Two real integrands in the real and imaginary parts of one buffer come back as the
     # parts of one value, each bit for bit the pass of that integrand alone.
-    def cos2(origins, step, dest):
-        dest[...] = np.cos(0.01 * (origins[:, None] + step * np.arange(dest.shape[-1]))) ** 2
+    def cos2(origin, step, dest):
+        dest[...] = np.cos(0.01 * (origin + step * np.arange(1, dest.size + 1))) ** 2
 
-    def second(origins, step, out):
-        cos2(origins, step, out.real)
+    def second(origin, step, out):
+        cos2(origin, step, out.real)
 
-    def both(origins, step, out):
-        _poly_abs2_grid(origins, step, out)
-        cos2(origins, step, out.imag)
+    def both(origin, step, out):
+        _windowed_abs2_grid(origin, step, out)
+        cos2(origin, step, out.imag)
 
     a, b = 500.0, 1000.0
-    one = composite_gl_grid(_poly_abs2_grid, a, b, panels)
-    two = composite_gl_grid(second, a, b, panels)
-    pair = composite_gl_grid(both, a, b, panels)
+    one = trapezoid_grid(_windowed_abs2_grid, a, b, panels)
+    two = trapezoid_grid(second, a, b, panels)
+    pair = trapezoid_grid(both, a, b, panels)
     assert one.imag == two.imag == 0.0
     assert (pair.real.hex(), pair.imag.hex()) == (one.real.hex(), two.real.hex())
 
@@ -150,31 +193,6 @@ def test_rel_tol_holds_each_part_to_itself():
         None, 0.0, 1.0, max_freq=1.0, rule=rule, rel_tol=0.0, abs_tol=1.5e-3
     )
     assert val == 100.0 + 1.001j and err == pytest.approx(1e-3)
-
-
-@pytest.mark.parametrize(
-    "panels, per_scan",
-    [(8, 10), (4000, 10), (5000, 10), (5001, 9), (8000, 6), (RESYNC_STRIDE + 1, 5),
-     (5 * RESYNC_STRIDE // 2, 5)],
-)
-def test_grid_rule_calls_once_per_node_group(panels, per_scan):
-    # Each call covers a group of nodes over every panel of the level, in a zeroed view of
-    # the rule's buffer; together the calls cover every node once, at the abscissae
-    # composite_gl uses.  A group holds as many nodes as keep a kernel block over it within
-    # five blocks' points: all ten nodes up to 5000 panels, five from 10 000.
-    calls = []
-
-    def recorded(origins, step, out):
-        calls.append((origins.size, out.shape))
-        assert not out.any()
-        out[...] = origins[:, None] + step * np.arange(out.shape[-1])
-
-    a, b = 500.0, 1000.0
-    grid = composite_gl_grid(recorded, a, b, panels)
-    groups = [min(per_scan, GL_ORDER - j) for j in range(0, GL_ORDER, per_scan)]
-    assert calls == [(g, (g, panels)) for g in groups]
-    dense = composite_gl(lambda t: t, a, b, panels)
-    assert abs(grid - dense) <= 1e-14 * abs(dense)
 
 
 @pytest.mark.parametrize("panels", [1, 8, 37])
