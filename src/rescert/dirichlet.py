@@ -41,14 +41,11 @@ the certified slack would be below rounding.
 The kernel hands each block over in its native layout, a (cols, rows) array
 in grid order that is a transposed view of either form's product, without
 copying it; the explicit form hands a batch over as one block, its products
-side by side.  _grid_values flattens the blocks to grid order for grid_sup.
-The quadrature moments (moments._window_integral) read the native blocks of
-one scan per level and polynomial, and square them in place on the product's
-float64 view.
-The guided search's peak finder (_guided_candidates) reads the native blocks:
-np.abs on the block, one float copy of |R| into a reused grid-order buffer
-behind the two values carried from the previous block, and the two neighbour
-comparisons into reused bool buffers.
+side by side.  It has one reader, _grid_abs2, which squares each block in
+place on the product's float64 view and copies |P|^2 once, in grid order,
+into a reused buffer; grid_sup, the guided search's peak finder
+(_guided_candidates, on |R|^2) and the quadrature moments
+(moments._window_integral) all read |P|^2 from it.
 """
 
 from __future__ import annotations
@@ -240,7 +237,7 @@ def _sum_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
 
 
 def _grid_error_bound(l1: float, max_log: float, n_terms: int, t_abs: float, h: float) -> float:
-    """rho: a bound on |value - sum_n c_n e^{i*t*log n}| at every point of a _grid_values scan.
+    """rho: a bound on |value - sum_n c_n e^{i*t*log n}| at every point of a _grid_blocks scan.
 
     l1 = sum |c_n|, max_log = L, n_terms = S, and t_abs >= |origin| + |k0 + k|*h over the
     scan's points (for origin 0 simply max |t|); the derivation is _grid_blocks'.
@@ -440,14 +437,25 @@ def _grid_blocks(coeffs, logs, origin, k0: int, count: int, h: float):
                     yield at, min(RESYNC_STRIDE, count - at), block
 
 
-def _grid_values(coeffs, logs, origin, k0: int, count: int, h: float):
-    """Yield (start, values): values[k] = sum_n c_n e^{i*t*log n}, t = origin + (k0 + start + k)*h.
+def _grid_abs2(coeffs, logs, origin, k0: int, count: int, h: float):
+    """Yield (start, mag2): mag2[k] = |sum_n c_n e^{i*t*log n}|^2, t = origin + (k0 + start + k)*h,
+    over the points of one _grid_blocks block, in grid order.
 
-    The blocks of _grid_blocks flattened to grid order and trimmed to their points in the
-    scan, a copy of each block.
+    The one reader of _grid_blocks.  Each block is squared in place on the float64 view of
+    the kernel's C-contiguous product, re*re + im*im in memory order, and copied once, in
+    grid order, into one float buffer reused by every block (sized by the largest), so mag2
+    is valid until the next block is drawn.
     """
+    buf = np.empty(0)
     for start, size, block in _grid_blocks(coeffs, logs, origin, k0, count, h):
-        yield start, block.reshape(-1)[:size]
+        parts = block.T.view(np.float64)  # re, im interleaved along the last axis
+        np.multiply(parts, parts, out=parts)
+        abs2 = parts[:, ::2]
+        abs2 += parts[:, 1::2]
+        if buf.size < block.size:
+            buf = np.empty(block.size)
+        buf[: block.size].reshape(block.shape)[...] = abs2.T
+        yield start, buf[:size]
 
 
 def _search_args(n_max: int, t_bound: float, eps, window, eval_budget: int, eps_scale: float):
@@ -602,22 +610,19 @@ def grid_sup(
     with open(trace_path, "w") if tracing else contextlib.nullcontext() as trace_file:
         if tracing:
             trace_file.write("t,abs_dn\n")
-        # |D|^2 of a block, the imaginary parts' squares and the near-max mask, reused; sized
-        # by the largest block yielded so far (a batch of explicit blocks comes as one).
-        mag2_buf = imag2_buf = near_buf = np.empty(0)
-        for start, vals in _grid_values(*terms, 0.0, k_lo, n_interior, step):
-            if mag2_buf.size < vals.size:
-                mag2_buf, imag2_buf = np.empty(vals.size), np.empty(vals.size)
-                near_buf = np.empty(vals.size, dtype=bool)
-            mag2 = np.multiply(vals.real, vals.real, out=mag2_buf[: vals.size])
-            mag2 += np.multiply(vals.imag, vals.imag, out=imag2_buf[: vals.size])
+        # The near-max mask, reused; sized by the largest block yielded so far (a batch of
+        # explicit blocks comes as one).
+        near_buf = np.empty(0, dtype=bool)
+        for start, mag2 in _grid_abs2(*terms, 0.0, k_lo, n_interior, step):
+            if near_buf.size < mag2.size:
+                near_buf = np.empty(mag2.size, dtype=bool)
             # Only points within the tie tolerance of the block maximum can
             # win; they reach consider() in grid order.
-            near = np.greater_equal(mag2, mag2.max() - 1e-18, out=near_buf[: vals.size])
+            near = np.greater_equal(mag2, mag2.max() - 1e-18, out=near_buf[: mag2.size])
             for k in np.flatnonzero(near):
                 consider((k_lo + start + int(k)) * step, float(mag2[k]))
             if tracing:
-                for k in range(-start % trace_stride, vals.size, trace_stride):
+                for k in range(-start % trace_stride, mag2.size, trace_stride):
                     t_k = (k_lo + start + k) * step
                     trace_file.write(f"{t_k:.17g},{math.sqrt(mag2[k]):.17g}\n")
 
@@ -632,29 +637,29 @@ def grid_sup(
 
 
 def _guided_candidates(blocks, max_log: float, lo: float, step: float, top_k: int) -> np.ndarray:
-    """Grid indices of the top-k local maxima of |R| over the blocks of R values that
-    _grid_blocks yields: (start, size, block), block in (cols, rows) grid order.
+    """Grid indices of the top-k local maxima of |R| over the (start, mag2) blocks of |R|^2
+    that _grid_abs2 yields.
 
     The maxima are found a yielded block at a time (the explicit form yields a batch of
-    anchor blocks as one block: 6*10^4 points of the guided search's scan), reading each in
-    its native layout: np.abs on it, one float copy of |R| into a reused grid-order buffer,
-    sized by the largest block, right after the last two |R| values of the previous blocks
-    (so every interior point is compared with both neighbours once, and nothing is
+    anchor blocks as one block: 6*10^4 points of the guided search's scan), on |R|^2, whose
+    peaks and their order are those of |R|: one float copy of the block into a reused
+    buffer, sized by the largest block, right after the last two values of the previous
+    blocks (so every interior point is compared with both neighbours once, and nothing is
     concatenated), and the two neighbour comparisons into reused bool buffers.  With no
     interior maximum the first argmax stands in; it is taken only until the first interior
     maximum is found, since after that it cannot be used.
     """
     peaks, heights = [], []
-    ext = np.empty(2)  # the carried |R| values in ext[2 - carry : 2], then the block's
+    ext = np.empty(2)  # the carried |R|^2 values in ext[2 - carry : 2], then the block's
     ge_prev = ge_next = np.empty(0, dtype=bool)
     carry = 0
     top_idx, top = 0, -math.inf
-    for start, size, vals in blocks:
-        mag = np.abs(vals)
-        if ext.size < 2 + mag.size:
-            ext = np.concatenate((ext[:2], np.empty(mag.size)))
-            ge_prev, ge_next = np.empty(mag.size, dtype=bool), np.empty(mag.size, dtype=bool)
-        ext[2 : 2 + mag.size].reshape(mag.shape)[...] = mag
+    for start, mag2 in blocks:
+        size = mag2.size
+        if ext.size < 2 + size:
+            ext = np.concatenate((ext[:2], np.empty(size)))
+            ge_prev, ge_next = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        ext[2 : 2 + size] = mag2
         cur = ext[2 - carry : 2 + size]
         n = max(0, cur.size - 2)
         mid = cur[1:-1]
@@ -675,12 +680,13 @@ def _guided_candidates(blocks, max_log: float, lo: float, step: float, top_k: in
     else:
         peak_idx, heights = np.array([top_idx]), np.array([top])
     h_top = float(heights.max())
-    # Grid offset shifts a sampled peak height by O((omega*step)^2), so
+    # Grid offset shifts a sampled peak of |R| by O((omega*step)^2) relative, so
     # peaks within that band are indistinguishable at this resolution
     # (e.g. every peak of a single-prime |R|, which is periodic).  Scan
-    # the band smallest |t| first, matching the grid-search tie-break.
-    blur = h_top * (max_log * step) ** 2
-    in_band = heights >= h_top - blur
+    # the band smallest |t| first, matching the grid-search tie-break.  The
+    # band is |R| >= |R|_top * (1 - (L*step)^2) in squares; clipped at 0 it
+    # holds every peak where L*step >= 1, as the unsquared band does.
+    in_band = heights >= h_top * max(0.0, 1.0 - (max_log * step) ** 2) ** 2
     band = peak_idx[in_band]
     band = band[np.argsort(np.abs(lo + step * band), kind="stable")]
     rest = peak_idx[~in_band]
@@ -722,7 +728,7 @@ def resonance_guided_search(
 
     terms = _dn_terms(f, n_max)  # f(n) is refused past the sieve's cap before the R scan
     r_coeffs, r_logs = _support_coeff_logs(f, support)
-    blocks = _grid_blocks(r_coeffs, r_logs, lo, 0, n_points, step)
+    blocks = _grid_abs2(r_coeffs, r_logs, lo, 0, n_points, step)
     candidates = _guided_candidates(
         blocks, float(r_logs.max(initial=0.0)), lo, step, GUIDED_TOP_K
     )

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .bump import DECAY_A2, PHI_HAT_0, default_bump
-from .dirichlet import _dn_terms, _grid_blocks, _support_coeff_logs
+from .dirichlet import _dn_terms, _grid_abs2, _support_coeff_logs
 from .errors import ResourceLimitError
 from .multfn import UnimodularCMF, values_up_to
 from .ntcore import FactorTable, check_sieve_cap
@@ -82,10 +82,9 @@ def _window_integral(r_poly, t_bound: float, d_poly=None) -> complex:
 
     The level rule quadrature.trapezoid_grid hands over a level's interior points as one
     progression in t and a zeroed complex buffer to fill.  Each polynomial scans the level in
-    one dirichlet._grid_blocks pass, so its step tables are built once per level,
-    polynomial and block shape.  Blocks are used as they arrive and squared in place in
-    their native layout (_times_abs2): R's block times Phi of its points, computed once,
-    goes to the buffer's real part, and D's block times that real part goes to the
+    one dirichlet._grid_abs2 pass, so its step tables are built once per level, polynomial
+    and block shape.  Blocks of |P|^2 are used as they arrive: R's times Phi of its points,
+    computed once, goes to the buffer's real part, and D's times that real part goes to the
     imaginary part, so every M2 value is (Phi * |R|^2) * |D|^2.  One sum of the buffer
     gives both moments, and adaptive_oscillatory holds each part to the tolerance on its
     own.
@@ -105,15 +104,16 @@ def _window_integral(r_poly, t_bound: float, d_poly=None) -> complex:
 
     def integrand(origin: float, step: float, out: np.ndarray) -> None:
         m1 = out.real
-        for start, size, block in _grid_blocks(coeffs, logs, origin, 1, out.size, step):
-            y = origin + step * np.arange(start + 1, start + 1 + size)
+        for start, mag2 in _grid_abs2(coeffs, logs, origin, 1, out.size, step):
+            span = slice(start, start + mag2.size)
+            y = origin + step * np.arange(start + 1, start + 1 + mag2.size)
             y /= t_bound
-            _times_abs2(m1[start : start + size], block, b.phi_vec(y))
+            np.multiply(b.phi_vec(y), mag2, out=m1[span])
         if d_poly is not None:
             m2 = out.imag
-            for start, size, block in _grid_blocks(*d_poly, origin, 1, out.size, step):
-                span = slice(start, start + size)
-                _times_abs2(m2[span], block, m1[span])
+            for start, mag2 in _grid_abs2(*d_poly, origin, 1, out.size, step):
+                span = slice(start, start + mag2.size)
+                np.multiply(m1[span], mag2, out=m2[span])
 
     max_freq = float(logs.max(initial=0.0))
     if d_poly is not None:
@@ -125,39 +125,13 @@ def _window_integral(r_poly, t_bound: float, d_poly=None) -> complex:
     return value
 
 
-def _times_abs2(dest: np.ndarray, block: np.ndarray, factor: np.ndarray) -> None:
-    """dest = factor * |block|^2 pointwise, |v|^2 = re*re + im*im.
-
-    `block` is a dirichlet._grid_blocks block, (cols, rows) in grid order and a transposed
-    view of the kernel's C-contiguous product, and `dest` and `factor`, 1-d of one size,
-    hold the grid-order values of its first dest.size points.  The product is squared in
-    place on its float64 view, in memory order, and dest takes it as whole rows of `rows`
-    points plus a short tail: no copy of the block and no temporary.
-    """
-    parts = block.T.view(np.float64)  # re, im interleaved along the last axis
-    np.multiply(parts, parts, out=parts)
-    abs2 = parts[:, ::2]
-    abs2 += parts[:, 1::2]
-    abs2 = abs2.T  # grid order, like block
-    rows = abs2.shape[-1]
-    full, tail = divmod(dest.size, rows)
-
-    def head(a: np.ndarray) -> np.ndarray:
-        return a[: full * rows].reshape(full, rows)
-
-    np.multiply(head(factor), abs2[:full], out=head(dest))
-    if tail:
-        rest = slice(full * rows, None)
-        np.multiply(factor[rest], abs2[full, :tail], out=dest[rest])
-
-
 def m1_quadrature(f: UnimodularCMF, t_bound: float, support: list[SupportElement]) -> float:
     """M1 by adaptive quadrature over the window support [T/2, T].
 
     The trapezoidal rule on one uniform grid per level (quadrature.trapezoid_grid), on which
-    |R|^2 comes from one pass of the grid-scan kernel dirichlet._grid_blocks, its blocks
-    squared in place (_window_integral, on R's own schedule; a certificate reads its
-    m1_quad off M2's grid instead).
+    |R|^2 comes from one pass of the grid-scan kernel's reader dirichlet._grid_abs2
+    (_window_integral, on R's own schedule; a certificate reads its m1_quad off M2's grid
+    instead).
     """
     return _window_integral(_support_coeff_logs(f, support), t_bound).real
 
@@ -581,6 +555,14 @@ def _window_diagonal(sup: SupportArrays, n_max: int, x: float, budget: int) -> f
     return _pair_sums(sup.upto(min(float(n_max), x)), term)[0]
 
 
+def _check_n(n_max: int) -> None:
+    """Refuse an N outside [1, 2^63): the diagonal's weights floor(N / b') are int64."""
+    if n_max < 1:
+        raise ValueError("N must be >= 1")
+    if n_max >= 2**63:
+        raise ValueError(f"N = {n_max} is not below 2^63, the range of the int64 diagonal weights")
+
+
 def diagonal_sum(
     res,
     n_max: int,
@@ -609,11 +591,11 @@ def diagonal_sum(
     sums of their terms, whatever the BLAS thread count.
 
     Raises:
+        ValueError: N outside [1, 2^63) (_check_n) or X < 1.
         ResourceLimitError: support enumeration, coprime-pair count or
             gcd-matrix entry count over budget; `needed` is the exact count.
     """
-    if n_max < 1:
-        raise ValueError("N must be >= 1")
+    _check_n(n_max)
     if x < 1.0:
         raise ValueError("X must be >= 1")
     if isinstance(res, Resonator):
@@ -959,8 +941,7 @@ def ratio_and_bounds(
     """
     if exact_mode not in ("auto", "always", "never"):
         raise ValueError(f"unknown exact_mode {exact_mode!r}")
-    if n_max < 1:
-        raise ValueError("N must be >= 1")
+    _check_n(n_max)
     x = res.x
     c = math.log(t_bound) / math.log(n_max) if n_max > 1 and t_bound > 1 else None
 

@@ -561,3 +561,17 @@ def test_sweep_rows_are_validated_as_certify(argv, height, capsys):
         "message": "N must be a positive integer",
         "layer": "rescert.cli",
     }
+
+
+@pytest.mark.parametrize(
+    "argv", [["certify", "--n", str(2**63)], ["sweep", "--n-list", str(2**63)]]
+)
+def test_n_past_int64_exits_2_from_moments(argv, capsys):
+    # The diagonal's int64 weights floor(N / b') hold N < 2^63; past that the certificate
+    # layer refuses N with the structured error, not a traceback.
+    assert main([*argv, "--t", "1e30", "--x", "1e5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err.splitlines()[-1])
+    assert (error["kind"], error["layer"]) == ("ValueError", "rescert.moments")
+    assert "2^63" in error["message"]

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from rescert import dirichlet
 from rescert.dirichlet import (
     RESYNC_STRIDE,
+    _grid_abs2,
     _grid_blocks,
-    _grid_values,
     _guided_candidates,
     derivative_bound,
     eval_DN,
@@ -128,6 +128,14 @@ def test_grid_sup_degenerate_window():
     result = grid_sup(constant_one(), 9, 10.0, 0.05, window=(3.0, 3.0))
     assert result.t_star == 3.0
     assert result.value == pytest.approx(abs(eval_DN(constant_one(), 9, 3.0)), rel=1e-12)
+
+
+def _grid_values(coeffs, logs, origin, k0, count, h):
+    """Yield (start, values): the blocks of _grid_blocks flattened to grid order and trimmed
+    to their points in the scan, values[k] = sum_n c_n e^{i*t*log n} at
+    t = origin + (k0 + start + k)*h."""
+    for start, size, block in _grid_blocks(coeffs, logs, origin, k0, count, h):
+        yield start, block.reshape(-1)[:size]
 
 
 def _kernel_abs2(coeffs, logs, origin, k0, count, h):
@@ -535,8 +543,7 @@ def test_expi_leaves_phases_outside_the_reduced_range_to_cos_and_sin():
 
 
 _SCAN_DIGEST = """
-import hashlib, math, sys
-import numpy as np
+import hashlib, math
 from rescert import dirichlet
 from rescert.multfn import steinhaus_sample
 digest = hashlib.sha256()
@@ -545,8 +552,8 @@ for n in (5000, 12000):
     h = 2e-3 / math.log(n)
     assert dirichlet._taylor_rank(h, float(logs.max()), n) is not None
     for origin, k0 in ((0.0, int(4.5e10 / h)), (1e4, 0)):
-        for _, values in dirichlet._grid_values(coeffs, logs, origin, k0, 12_000, h):
-            digest.update(np.ascontiguousarray(values).tobytes())
+        for _, size, block in dirichlet._grid_blocks(coeffs, logs, origin, k0, 12_000, h):
+            digest.update(block.reshape(-1)[:size].tobytes())
 print(digest.hexdigest())
 """
 
@@ -554,7 +561,6 @@ print(digest.hexdigest())
 # The explicit tables forced on the search's step at N = 500, t ~ 4.5e10: a 5e4-point scan.
 _EXPLICIT_SCAN_DIGEST = """
 import hashlib, math
-import numpy as np
 from rescert import dirichlet
 from rescert.multfn import steinhaus_sample
 dirichlet._taylor_rank = lambda h, max_log, n_terms: None
@@ -562,8 +568,8 @@ n = 500
 coeffs, logs = dirichlet._dn_terms(steinhaus_sample(3), n)
 h = 2e-3 / math.log(n)
 digest = hashlib.sha256()
-for _, values in dirichlet._grid_values(coeffs, logs, 0.0, int(4.5e10 / h), 50_000, h):
-    digest.update(np.ascontiguousarray(values).tobytes())
+for _, size, block in dirichlet._grid_blocks(coeffs, logs, 0.0, int(4.5e10 / h), 50_000, h):
+    digest.update(block.reshape(-1)[:size].tobytes())
 print(digest.hexdigest())
 """
 
@@ -628,15 +634,15 @@ def test_grid_kernel_forms_agree_within_error_bound(n, log_h, count, origin, k0,
     assert np.max(np.abs(factored - explicit)) <= tol
 
 
-def _full_array_candidates(r_mag, max_log, lo, step, top_k):
-    """The guided search's selection as it was when it held the whole |R| array."""
-    peak_idx = 1 + np.flatnonzero((r_mag[1:-1] >= r_mag[:-2]) & (r_mag[1:-1] >= r_mag[2:]))
+def _full_array_candidates(r_mag2, max_log, lo, step, top_k):
+    """The guided search's selection as it was when it held the whole |R| array, on |R|^2:
+    the band |R| >= |R|_top * (1 - (L*step)^2) in squares, clipped at 0."""
+    peak_idx = 1 + np.flatnonzero((r_mag2[1:-1] >= r_mag2[:-2]) & (r_mag2[1:-1] >= r_mag2[2:]))
     if peak_idx.size == 0:
-        peak_idx = np.array([int(np.argmax(r_mag))])
-    heights = r_mag[peak_idx]
+        peak_idx = np.array([int(np.argmax(r_mag2))])
+    heights = r_mag2[peak_idx]
     h_top = float(heights.max())
-    blur = h_top * (max_log * step) ** 2
-    in_band = heights >= h_top - blur
+    in_band = heights >= h_top * max(0.0, 1.0 - (max_log * step) ** 2) ** 2
     band = peak_idx[in_band]
     band = band[np.argsort(np.abs(lo + step * band), kind="stable")]
     rest = peak_idx[~in_band]
@@ -644,22 +650,43 @@ def _full_array_candidates(r_mag, max_log, lo, step, top_k):
     return np.concatenate([band, rest])[:top_k]
 
 
-def _as_blocks(r_mag, sizes):
-    """Blocks of the given sizes as _grid_blocks yields them from the explicit tables: |R| as
-    complex values with a phase, (cols, rows) in grid order as the transposed view of a
-    (rows, cols) array.  The padding past each block's size would be the highest peak if it
-    were read."""
+def _as_blocks(r_mag2, sizes):
+    """Blocks of the given sizes as _grid_abs2 yields them: (start, mag2), mag2 a view of one
+    reused buffer that holds the highest value once the next block is drawn, so a finder
+    that kept a view past its block would read it."""
     bounds = np.cumsum([0, *sizes])
-    assert bounds[-1] == r_mag.size
-    blocks = []
+    assert bounds[-1] == r_mag2.size
+    buf = np.empty(max(sizes))
     for a, b in zip(bounds[:-1], bounds[1:]):
-        size = int(b - a)
-        rows = math.isqrt(size - 1) + 1
-        cols = -(-size // rows)
-        vals = np.full(rows * cols, 1e300, dtype=np.complex128)
-        vals[:size] = r_mag[a:b] * np.exp(0.3j)
-        blocks.append((int(a), size, np.ascontiguousarray(vals.reshape(cols, rows).T).T))
-    return blocks
+        buf[: b - a] = r_mag2[a:b]
+        yield int(a), buf[: b - a]
+        buf[...] = 1e300
+
+
+def _scan_abs2(coeffs, logs, origin, k0, count, h):
+    """|P|^2 of a scan, re*re + im*im of the flattened _grid_blocks values."""
+    vals = _scan(coeffs, logs, origin, k0, count, h)
+    return vals.real * vals.real + vals.imag * vals.imag
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_grid_abs2_is_the_squared_flattened_blocks(monkeypatch, explicit):
+    # Bit for bit re*re + im*im of the complex values, with the blocks' starts and sizes: 7
+    # full blocks and a short last one, which the explicit tables yield as a batch of 6
+    # blocks, one block and the short block, and the Taylor factor block by block.
+    coeffs, logs = _dn_coeffs_logs(60, 4)
+    h = 2e-3 / math.log(60)
+    if explicit:
+        _explicit_only(monkeypatch)
+    assert (_taylor_rank(coeffs, logs, h) is None) == explicit
+    args = (coeffs, logs, 0.25, 10**5, 7 * RESYNC_STRIDE + 37, h)
+    got = [(start, mag2.copy()) for start, mag2 in _grid_abs2(*args)]
+    sizes = [6 * RESYNC_STRIDE, RESYNC_STRIDE, 37] if explicit else [RESYNC_STRIDE] * 7 + [37]
+    assert [mag2.size for _, mag2 in got] == sizes
+    assert [start for start, _ in got] == [int(s) for s in np.cumsum([0, *sizes[:-1]])]
+    for (start, mag2), (want_start, vals) in zip(got, _grid_values(*args), strict=True):
+        assert start == want_start
+        assert mag2.tobytes() == (vals.real * vals.real + vals.imag * vals.imag).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -681,9 +708,9 @@ def _as_blocks(r_mag, sizes):
 )
 @pytest.mark.parametrize("top_k", [1, 5, 100])
 def test_guided_candidates_match_full_array_selection(r_mag, sizes, top_k):
-    r_mag = np.abs(np.asarray(r_mag) * np.exp(0.3j))  # the rounding of np.abs on both sides
-    want = _full_array_candidates(r_mag, 3.0, -2.0, 0.5, top_k)
-    got = _guided_candidates(_as_blocks(r_mag, sizes), 3.0, -2.0, 0.5, top_k)
+    r_mag2 = np.square(r_mag)
+    want = _full_array_candidates(r_mag2, 3.0, -2.0, 0.5, top_k)
+    got = _guided_candidates(_as_blocks(r_mag2, sizes), 3.0, -2.0, 0.5, top_k)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -692,13 +719,33 @@ def test_guided_candidates_match_full_array_selection_random():
     for _ in range(200):
         n = int(rng.integers(1, 60))
         # Few distinct levels, so plateaus and ties are common.
-        r_mag = np.abs(rng.integers(0, 4, n) * np.exp(0.3j))
+        r_mag2 = np.square(rng.integers(0, 4, n).astype(np.float64))
         cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
         sizes = np.diff([0, *cuts, n])
         lo, step = float(rng.uniform(-5.0, 1.0)), 0.1
-        want = _full_array_candidates(r_mag, 1.0, lo, step, 7)
-        got = _guided_candidates(_as_blocks(r_mag, sizes), 1.0, lo, step, 7)
+        want = _full_array_candidates(r_mag2, 1.0, lo, step, 7)
+        got = _guided_candidates(_as_blocks(r_mag2, sizes), 1.0, lo, step, 7)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "l_step, want",
+    [
+        (0.5, [3, 9, 5, 1, 7]),  # |R| >= 0.75 |R|_top: |R|^2 of 9 and 16, then by height
+        (1.0, [5, 3, 7, 1, 9]),
+        (1.2, [5, 3, 7, 1, 9]),
+        (1.5, [5, 3, 7, 1, 9]),  # past sqrt(2), where the unclipped band would be empty
+        (3.0, [5, 3, 7, 1, 9]),
+    ],
+)
+def test_guided_candidates_band_holds_every_peak_from_unit_l_step(l_step, want):
+    # From L*step = 1 on, the band |R| >= |R|_top * max(0, 1 - (L*step)^2) holds every peak,
+    # whatever its height, and the peaks come smallest |t| first (t = -4, -2, 0, 2, 4 here).
+    r_mag2 = np.array([0.0, 1.0, 0.0, 9.0, 0.0, 4.0, 0.0, 0.25, 0.0, 16.0, 0.0])
+    lo, step = -5.0, 1.0
+    got = _guided_candidates(_as_blocks(r_mag2, [4, 7]), l_step, lo, step, 100)
+    assert got.tolist() == want
+    assert np.array_equal(got, _full_array_candidates(r_mag2, l_step, lo, step, 100))
 
 
 def test_guided_candidates_periodic_one_prime_resonator():
@@ -709,10 +756,10 @@ def test_guided_candidates_periodic_one_prime_resonator():
     )
     lo, count = -250.0, 2 * RESYNC_STRIDE + 37
     step = 500.0 / (count - 1)
-    r_mag = np.concatenate([np.abs(v) for _, v in _grid_values(coeffs, logs, lo, 0, count, step)])
+    r_mag2 = _scan_abs2(coeffs, logs, lo, 0, count, step)
     for top_k in (5, 10**6):
-        want = _full_array_candidates(r_mag, float(logs.max()), lo, step, top_k)
-        got = _guided_candidates(_grid_blocks(coeffs, logs, lo, 0, count, step),
+        want = _full_array_candidates(r_mag2, float(logs.max()), lo, step, top_k)
+        got = _guided_candidates(_grid_abs2(coeffs, logs, lo, 0, count, step),
                                  float(logs.max()), lo, step, top_k)
         assert np.array_equal(got, want)
     assert want.size > 100  # one peak per period 2*pi / log 61 ~ 1.5
@@ -750,8 +797,8 @@ def _kernel_scan_case(shape, count, frac, seed):
 def test_guided_candidates_on_kernel_blocks_match_full_array_selection(
     shape, explicit, count, frac, seed, top_k
 ):
-    # The finder reads the kernel's native blocks (1 to 3 of 16 points, the last one short)
-    # and selects what the full-array selection selects from the concatenated |R|.
+    # The finder reads _grid_abs2's blocks (1 to 3 of 16 points, the last one short) and
+    # selects what the full-array selection selects from the concatenated |R|^2.
     coeffs, logs, lo, h = _kernel_scan_case(shape, count, frac, seed)
     max_log = float(logs.max())
     rank = dirichlet._taylor_rank
@@ -765,9 +812,9 @@ def test_guided_candidates_on_kernel_blocks_match_full_array_selection(
         assert (dirichlet._taylor_rank(h, max_log, logs.size) is None) == (
             explicit or shape == "flat"
         )
-        r_mag = np.abs(np.concatenate([v for _, v in _grid_values(coeffs, logs, lo, 0, count, h)]))
-        got = _guided_candidates(_grid_blocks(coeffs, logs, lo, 0, count, h), max_log, lo, h, top_k)
-    want = _full_array_candidates(r_mag, max_log, lo, h, top_k)
+        r_mag2 = _scan_abs2(coeffs, logs, lo, 0, count, h)
+        got = _guided_candidates(_grid_abs2(coeffs, logs, lo, 0, count, h), max_log, lo, h, top_k)
+    want = _full_array_candidates(r_mag2, max_log, lo, h, top_k)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     if shape in ("falling", "rising"):
         assert want.tolist() == [0 if shape == "falling" else count - 1]

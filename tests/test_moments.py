@@ -327,17 +327,17 @@ def test_tiny_certify_scans_r_once_per_quadrature_level(tmp_path, monkeypatch):
     support_size = len(support_elements(res, res.x))
     assert support_size != n
     scans, levels = [], []
-    grid_blocks, rule = moments._grid_blocks, moments.trapezoid_grid
+    grid_abs2, rule = moments._grid_abs2, moments.trapezoid_grid
 
     def counted(coeffs, *args):
         scans.append(coeffs.size)
-        return grid_blocks(coeffs, *args)
+        return grid_abs2(coeffs, *args)
 
     def recorded(fn, a, b, panels):
         levels.append(panels)
         return rule(fn, a, b, panels)
 
-    monkeypatch.setattr(moments, "_grid_blocks", counted)
+    monkeypatch.setattr(moments, "_grid_abs2", counted)
     monkeypatch.setattr(moments, "trapezoid_grid", recorded)
     argv = ["certify", "--n", str(n), "--t", repr(t_bound), "--x", repr(math.exp(logx))]
     assert cli_main([*argv, "--out", str(tmp_path / "out.json")]) == 0
@@ -488,6 +488,20 @@ def test_diagonal_sum_toy_example():
     toy = ToyResonator(values={1: 1.0, 2: 1.0})
     assert diagonal_sum(toy, 2, 2.0, TABLE) == pytest.approx(6.0, rel=1e-14)
     assert diagonal_sum_bruteforce(toy, 2, 2.0) == pytest.approx(6.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_max", [2**63, 2**64 + 5])
+def test_n_past_int64_refused(n_max):
+    # The diagonal's weights floor(N / b') are int64: an N from 2^63 on is refused, for a
+    # window resonator and a test resonator alike, before any work.
+    toy = ToyResonator(values={1: 1.0, 2: 1.0})
+    for res, x in ((RES20, RES20.x), (toy, 2.0)):
+        with pytest.raises(ValueError, match="2\\^63"):
+            diagonal_sum(res, n_max, x)
+    with pytest.raises(ValueError, match="2\\^63"):
+        ratio_and_bounds(RES20, None, n_max, 1e30, 0.5, 0.5)
+    # Just below the range both still run.
+    assert diagonal_sum(toy, 2**63 - 1, 2.0) > 0.0
 
 
 def test_diagonal_sum_matches_bruteforce_random():

@@ -66,3 +66,11 @@ def test_every_import_is_used():
     src = Path(rescert.__file__).parent
     paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
     assert [name for path in paths for name in _unused_imports(path)] == []
+
+
+def test_only_dirichlet_names_the_grid_kernel():
+    # The grid kernel's native (cols, rows) blocks are read in one place, dirichlet._grid_abs2;
+    # every other module takes |P|^2 in grid order from it.
+    src = Path(rescert.__file__).parent
+    naming = [p.stem for p in sorted(src.glob("*.py")) if "_grid_blocks" in p.read_text()]
+    assert naming == ["dirichlet"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rescert.bump import default_bump
-from rescert.dirichlet import RESYNC_STRIDE, _grid_values
+from rescert.dirichlet import RESYNC_STRIDE, _grid_blocks
 from rescert.errors import QuadratureError
 from rescert.quadrature import (
     GL_ORDER,
@@ -101,8 +101,9 @@ def _poly_abs2(t):
 
 
 def _poly_abs2_grid(origin, step, out):
-    for start, vals in _grid_values(_COEFFS, _LOGS, origin, 1, out.size, step):
-        out.real[start : start + vals.size] = (vals * vals.conjugate()).real
+    for start, size, block in _grid_blocks(_COEFFS, _LOGS, origin, 1, out.size, step):
+        vals = block.reshape(-1)[:size]  # grid order
+        out.real[start : start + size] = (vals * vals.conjugate()).real
 
 
 # Phi(t/T) |P|^2 on the window [T/2, T]: zero with all its derivatives at both ends.
