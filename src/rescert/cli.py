@@ -314,7 +314,10 @@ def cmd_oracle(cfg: RunConfig, op: str) -> int:
             "x": x_int,
             "bruteforce": brute,
             "parametrized": param,
-            "match": bool(math.isclose(brute, param, rel_tol=1e-12, abs_tol=1e-12)),
+            # Two overflows agree as inf == inf, which is no evidence: only finite sums match.
+            "match": math.isfinite(brute)
+            and math.isfinite(param)
+            and math.isclose(brute, param, rel_tol=1e-12, abs_tol=1e-12),
         }
     else:
         raise ValueError(f"unknown oracle op {op!r}")

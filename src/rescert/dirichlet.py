@@ -553,9 +553,14 @@ def grid_sup(
     """
     eps, lo, hi = _search_args(n_max, t_bound, eps, window, eval_budget, 1e-3)
 
+    tracing = bool(trace_path) and trace_stride > 0
     deriv = derivative_bound(n_max)
     if deriv == 0.0:
-        # N = 1: |D| = 1 everywhere; pick the tie-break point directly.
+        # N = 1: |D| = 1 everywhere; pick the tie-break point directly.  There is no
+        # grid, so a trace is its header alone, as for an empty grid.
+        if tracing:
+            with open(trace_path, "w") as trace_file:
+                trace_file.write("t,abs_dn\n")
         t_star = 0.0 if lo <= 0.0 <= hi else (lo if abs(lo) <= abs(hi) else hi)
         return SearchResult(t_star, 1.0, 0.0, 0, 0.0, (lo, hi))
 
@@ -606,20 +611,13 @@ def grid_sup(
 
     consider(lo, _abs2(terms, lo))
     consider(hi, _abs2(terms, hi))
-    tracing = bool(trace_path) and trace_stride > 0
     with open(trace_path, "w") if tracing else contextlib.nullcontext() as trace_file:
         if tracing:
             trace_file.write("t,abs_dn\n")
-        # The near-max mask, reused; sized by the largest block yielded so far (a batch of
-        # explicit blocks comes as one).
-        near_buf = np.empty(0, dtype=bool)
         for start, mag2 in _grid_abs2(*terms, 0.0, k_lo, n_interior, step):
-            if near_buf.size < mag2.size:
-                near_buf = np.empty(mag2.size, dtype=bool)
-            # Only points within the tie tolerance of the block maximum can
-            # win; they reach consider() in grid order.
-            near = np.greater_equal(mag2, mag2.max() - 1e-18, out=near_buf[: mag2.size])
-            for k in np.flatnonzero(near):
+            # Only points within the tie tolerance of the block maximum can win; one
+            # bool mask per block sends them to consider() in grid order.
+            for k in np.flatnonzero(mag2 >= mag2.max() - 1e-18):
                 consider((k_lo + start + int(k)) * step, float(mag2[k]))
             if tracing:
                 for k in range(-start % trace_stride, mag2.size, trace_stride):
@@ -640,45 +638,31 @@ def _guided_candidates(blocks, max_log: float, lo: float, step: float, top_k: in
     """Grid indices of the top-k local maxima of |R| over the (start, mag2) blocks of |R|^2
     that _grid_abs2 yields.
 
-    The maxima are found a yielded block at a time (the explicit form yields a batch of
-    anchor blocks as one block: 6*10^4 points of the guided search's scan), on |R|^2, whose
-    peaks and their order are those of |R|: one float copy of the block into a reused
-    buffer, sized by the largest block, right after the last two values of the previous
-    blocks (so every interior point is compared with both neighbours once, and nothing is
-    concatenated), and the two neighbour comparisons into reused bool buffers.  With no
-    interior maximum the first argmax stands in; it is taken only until the first interior
-    maximum is found, since after that it cannot be used.
+    The maxima are found on |R|^2, whose peaks and their order are those of |R|, in each
+    block where it is handed over: no buffer is held and no block is copied, only its last
+    two values are carried to the next.  Point j is decided in the block that holds j + 1:
+    inside mag2 when both its neighbours are there, else on a four-value array, the two
+    carried values followed by the block's first two.  With no interior maximum the scan
+    falls, then rises, so its first argmax is an end: the first point unless the last is
+    higher.
     """
     peaks, heights = [], []
-    ext = np.empty(2)  # the carried |R|^2 values in ext[2 - carry : 2], then the block's
-    ge_prev = ge_next = np.empty(0, dtype=bool)
-    carry = 0
-    top_idx, top = 0, -math.inf
+    tail = np.empty(0)  # the last two |R|^2 values of the earlier blocks (fewer at the start)
     for start, mag2 in blocks:
-        size = mag2.size
-        if ext.size < 2 + size:
-            ext = np.concatenate((ext[:2], np.empty(size)))
-            ge_prev, ge_next = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-        ext[2 : 2 + size] = mag2
-        cur = ext[2 - carry : 2 + size]
-        n = max(0, cur.size - 2)
-        mid = cur[1:-1]
-        is_peak = np.greater_equal(mid, cur[:-2], out=ge_prev[:n])
-        is_peak &= np.greater_equal(mid, cur[2:], out=ge_next[:n])
-        (idx,) = is_peak.nonzero()  # mid[i] is cur[i + 1], the grid point start - carry + i + 1
-        if idx.size:
-            peaks.append(idx + (start - carry + 1))
+        if not tail.size:
+            first = mag2[0]
+        edge = np.concatenate((tail, mag2[:2]))
+        for v, k in ((edge, start - tail.size), (mag2, start)):  # v[0] is grid point k
+            mid = v[1:-1]
+            (idx,) = ((mid >= v[:-2]) & (mid >= v[2:])).nonzero()
+            peaks.append(idx + (k + 1))
             heights.append(mid[idx])
-        elif not peaks:
-            k = int(np.argmax(ext[2 : 2 + size]))
-            if ext[2 + k] > top:
-                top_idx, top = start + k, ext[2 + k]
-        carry = min(2, carry + size)
-        ext[2 - carry : 2] = cur[cur.size - carry :]
-    if peaks:
-        peak_idx, heights = np.concatenate(peaks), np.concatenate(heights)
-    else:
-        peak_idx, heights = np.array([top_idx]), np.array([top])
+        tail = np.concatenate((edge, mag2[2:][-2:]))[-2:]
+    peak_idx, heights = np.concatenate(peaks), np.concatenate(heights)
+    if not peak_idx.size:
+        last = tail[-1]
+        peak_idx = np.array([0 if first >= last else start + mag2.size - 1])
+        heights = np.array([max(first, last)])
     h_top = float(heights.max())
     # Grid offset shifts a sampled peak of |R| by O((omega*step)^2) relative, so
     # peaks within that band are indistinguishable at this resolution
@@ -736,6 +720,5 @@ def resonance_guided_search(
     t_star, mag2, iters = max(
         (_refine_peak(terms, lo + step * int(idx), step, lo, hi) for idx in candidates),
         key=lambda peak: peak[1],
-        default=(lo, _abs2(terms, lo), 0),
     )
     return SearchResult(t_star, math.sqrt(mag2), step, iters, None, (lo, hi))

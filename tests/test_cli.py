@@ -152,6 +152,19 @@ def test_search_guided(tmp_path):
     assert report["certified_slack"] is None
 
 
+def test_search_n1_writes_the_trace_header(tmp_path):
+    # N = 1 has no grid, so its trace is the header alone, as an empty grid's is; the report
+    # is the one the search gives without a trace.
+    path = os.path.join(tmp_path, "t.csv")
+    for args in (["--n", "1", "--t", "10"],
+                 ["--n", "30", "--t", "1e4", "--window-lo", "5", "--window-hi", "5"]):
+        traced = run(tmp_path, "search", *args, "--trace-stride", "2", "--trace-out", path)
+        assert traced["report"] == run(tmp_path, "search", *args, name="plain.json")["report"]
+        with open(path) as fh:
+            assert fh.read() == "t,abs_dn\n"
+        os.remove(path)
+
+
 @pytest.mark.parametrize(
     "trace_args, file_cfg",
     [
@@ -257,6 +270,15 @@ def test_oracle_diag(tmp_path):
     assert report["bruteforce"] == pytest.approx(6.0)
     assert report["parametrized"] == pytest.approx(6.0)
     assert report["match"] is True
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_oracle_diag_overflow_is_no_match(tmp_path):
+    # Both sums overflow to inf, and inf == inf is no evidence that they agree.
+    payload = run(tmp_path, "oracle", "diag", "--n", "2", "--x", "2", "--toy", "1:1,2:1e200")
+    report = payload["report"]
+    assert report["bruteforce"] == report["parametrized"] == math.inf
+    assert report["match"] is False
 
 
 def test_oracle_bijection(tmp_path):

@@ -704,6 +704,14 @@ def test_grid_abs2_is_the_squared_flattened_blocks(monkeypatch, explicit):
         ([4.0, 3.0, 4.0], [2, 1]),
         ([7.0], [1]),
         ([2.0, 7.0], [1, 1]),
+        # No interior maximum, so the highest point is an end: a strictly falling scan, a V
+        # whose last point is highest, and a V with a short last block of two points.
+        ([5.0, 4.0, 3.0, 2.0, 1.0], [2, 2, 1]),
+        ([3.0, 1.0, 2.0, 5.0], [1, 3]),
+        ([3.0, 1.0, 2.0, 5.0], [3, 1]),
+        ([5.0, 4.0, 3.0, 1.0, 6.0], [3, 2]),
+        # A short last block of two points, whose edge decides the peak just before it.
+        ([1.0, 2.0, 1.0, 5.0, 4.0, 3.0], [4, 2]),
     ],
 )
 @pytest.mark.parametrize("top_k", [1, 5, 100])
