@@ -306,6 +306,11 @@ def cmd_oracle(cfg: RunConfig, op: str) -> int:
         if cfg.toy is None:
             raise ValueError("oracle diag needs --toy (e.g. '1:1,2:1')")
         toy = _parse_toy(cfg.toy)
+        held = [abs(v) for n, v in toy.values.items() if n <= x_int and v != 0.0]
+        r_max = max(held, default=0.0)  # Python floats: r_max * r_max overflows to inf quietly
+        size = r_max * r_max * len(held) ** 2  # N times this: moments._dense_diagonal's bound
+        if size and cfg.n >= 2.0**1020 / size:  # an int N may be past the float range
+            raise ValueError("toy weights can overflow the diagonal: N max r^2 |S|^2 >= 2^1020")
         brute = diagonal_sum_bruteforce(toy, cfg.n, float(x_int))
         param = diagonal_sum(toy, cfg.n, float(x_int), budget=cfg.budget_terms)
         rep = {
@@ -314,10 +319,7 @@ def cmd_oracle(cfg: RunConfig, op: str) -> int:
             "x": x_int,
             "bruteforce": brute,
             "parametrized": param,
-            # Two overflows agree as inf == inf, which is no evidence: only finite sums match.
-            "match": math.isfinite(brute)
-            and math.isfinite(param)
-            and math.isclose(brute, param, rel_tol=1e-12, abs_tol=1e-12),
+            "match": math.isclose(brute, param, rel_tol=1e-12, abs_tol=1e-12),
         }
     else:
         raise ValueError(f"unknown oracle op {op!r}")

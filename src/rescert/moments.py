@@ -19,21 +19,18 @@ to sums over coprime pairs (a', b') that this module evaluates exactly
 (correctly rounded sums) or brackets rigorously.
 
 For window resonators the support is held as sorted arrays of integers,
-weights and prime masks (resonator.SupportArrays).  A certificate first
-plans the diagonal, every budget check before any g-sum work
-(_diagonal_terms), then walks the coprime pairs of the support
-<= min(N, X) once, as boolean tiles (SupportArrays.coprime_tiles): the
-diagonal, the main term and the alpha-shift tail are terms of that one
-walk (_pair_sums), so no pair list is held and their memory does not grow
-with the pair count.
-The inner g-sums of the diagonal, sum of r(g)^2 over support
-g <= X/max(a',b') coprime to a'b', come from dense products over the same
-arrays: 0/1 coprimality tiles times r(g)^2 split into integer limbs,
-exact whatever the BLAS and the chunks of g.  Every
-pair sum and every sum over a support array goes into one exact
-accumulator (_ExactSum), bit for bit math.fsum.  Every term the
-certificate adds is positive and no inclusion-exclusion subtraction is
-left.  This module never reads the mask bits itself.
+weights and prime masks (resonator.SupportArrays), whose bits this module
+never reads.  A certificate plans the diagonal, every budget check before
+any g-sum work (_diagonal_terms), then walks the coprime pairs of the
+support <= min(N, X) once, as boolean tiles (SupportArrays.coprime_tiles):
+the diagonal, the main term and the alpha-shift tail are terms of that one
+walk (_pair_sums), so no pair list is held.  The diagonal's inner g-sums,
+sum of r(g)^2 over support g <= X/max(a',b') coprime to a'b', are exact
+limb sums of 0/1 coprimality tiles times r(g)^2, whatever the BLAS and the
+chunks of g; over budget, Rankin's lower bound from two Euler products
+stands in for each (_rankin_terms).  Every pair sum and every sum over a
+support array goes into one exact accumulator (_ExactSum), bit for bit
+math.fsum, and every term is >= 0: no inclusion-exclusion is left.
 """
 
 from __future__ import annotations
@@ -432,11 +429,10 @@ def _diagonal_terms(
     sup: SupportArrays, n_max: int, x: float, budget: int
 ) -> Callable[[slice, slice, np.ndarray], np.ndarray]:
     """Plan the diagonal over sup, a prefix of the support <= X, and return
-    its _pair_sums term: weight[k] * r[i] * INNER[k, i] on the coprime pairs
-    (i, k), i <= k, of sup's elements <= min(N, X), weight[k] = floor(N/n_k)
-    r(n_k), INNER[k, i] the sum of r(g)^2 over the first lens[k] elements g
-    of sup coprime to elements i and k.  Tile parts past these elements
-    give no values.
+    its _pair_sums term for the walk of sup.upto(min(N, X)): weight[k] *
+    r[i] * INNER[k, i] on the coprime pairs (i, k), i <= k, weight[k] =
+    floor(N/n_k) r(n_k), INNER[k, i] the sum of r(g)^2 over the first
+    lens[k] elements g of sup coprime to elements i and k.
 
     Every check comes before any g-sum work: the ordered coprime pairs,
     counted in a pass over the tiles, against the budget, and the longest
@@ -465,8 +461,8 @@ def _diagonal_terms(
     gamma_2 relative (gamma_n = n*u/(1 - n*u), u = 2^-53; H and L convert
     exactly while below 2^53, as on g-ranges under 2^16 elements), and the
     limbs carry r^2 to within 2^-(2*_LIMB) * max r^2 each.  r(1) = 1 makes
-    INNER >= 1 and window weights have r^2 <= 1, so INNER is within
-    gamma_2 + |G| * 2^-(2*_LIMB) relative of its sum over |G| = lens[k] g's.
+    INNER >= 1, so INNER is within gamma_2 + |G| * 2^-(2*_LIMB) * max r^2
+    relative of its sum over |G| = lens[k] g's; window r(p) are <= 1/4.
 
     Raises:
         ResourceLimitError: the pair count is over budget, or the longest
@@ -474,15 +470,13 @@ def _diagonal_terms(
     """
     count = len(sup.upto(min(float(n_max), x)).ns)
     pairs = sum(np.count_nonzero(ok) for _, _, ok in sup.coprime_tiles(count))
-    needed = 2 * pairs - 1 if count else 0
+    needed = 2 * pairs - 1
     if needed > budget:
         raise ResourceLimitError(
             f"diagonal pair enumeration exceeded budget {budget}",
             needed=needed,
             budget=budget,
         )
-    if not count:
-        return lambda k, i, ok: np.empty(0)
     ns, masks, r = sup.ns, sup.masks, sup.r
     cap = x / ns[:count]
     lens = np.full(count, len(ns))
@@ -505,9 +499,7 @@ def _diagonal_terms(
     pbuf = np.empty(min(2 * _COLS * _ROWS, 2 * count**2))
 
     def term(k: slice, i: slice, ok: np.ndarray) -> np.ndarray:
-        k0, k1, i0, i1 = k.start, min(k.stop, count), i.start, min(i.stop, count)
-        if k0 >= k1:
-            return np.empty(0)
+        k0, k1, i0, i1 = k.start, k.stop, i.start, i.stop
         acc = np.zeros((2, k1 - k0, i1 - i0), dtype=np.int64)
         c0, end = 0, int(lens[k0])
         while c0 < end:
@@ -531,7 +523,7 @@ def _diagonal_terms(
             acc[:, : kc - k0, : ic - i0] += prod.reshape(2, kc - k0, ic - i0).astype(np.int64)
             c0 = c1
         inner = (acc[0] + acc[1] * 2.0**-_LIMB) / scale
-        return (weight[k0:k1, None] * r[None, i0:i1] * inner)[ok[: k1 - k0, : i1 - i0]]
+        return (weight[k0:k1, None] * r[None, i0:i1] * inner)[ok]
 
     return term
 
@@ -545,11 +537,9 @@ def _window_diagonal(sup: SupportArrays, n_max: int, x: float, budget: int) -> f
     (a', b') with larger element b' = n_k is floor(N/n_k) r(b') r(a')
     times INNER, the sum of r(g)^2 over the first len_k elements g of sup
     (those <= X/n_k) coprime to a'b'.  len_k does not increase with k,
-    and one searchsorted gives all of them.  With sup the support
-    <= g_cap < X, this is the diagonal with every g-range and every pair
-    element cut at g_cap, a lower bound of the full one (ratio_and_bounds'
-    fallback).  The terms go into one exact sum, correctly rounded at the
-    end, so the result depends on no order of tiles or chunks.
+    and one searchsorted gives all of them.  The terms go into one exact
+    sum, correctly rounded at the end, so the result depends on no order
+    of tiles or chunks.
     """
     term = _diagonal_terms(sup, n_max, x, budget)
     return _pair_sums(sup.upto(min(float(n_max), x)), term)[0]
@@ -579,9 +569,8 @@ def diagonal_sum(
     Accepts either a window resonator or a test resonator
     (oracle.ToyResonator: a `values` map n -> r(n)).  `table` is not
     read; it keeps its place because perfbench passes it positionally.
-    The sum is always the full one; the g-capped lower bound that a
-    certificate falls back to over budget is ratio_and_bounds' own (its
-    `diag_g_cap` flag).
+    The sum is always the full one; the Rankin lower bound of an
+    over-budget certificate is ratio_and_bounds' own (`diag_rankin_cut`).
 
     For a window resonator the support <= X is built once into arrays and
     _window_diagonal sums the coprime pairs of its elements <= min(N, X)
@@ -645,10 +634,16 @@ def _offdiag_eps(k_max: float, t_bound: float) -> float:
 # Main-term and tail-bound sums over coprime support pairs.
 
 
+def _shift_factors(res: Resonator, sup: SupportArrays, alpha: float) -> tuple[np.ndarray, float]:
+    """(1 / prod_{p | n}(1 + r(p)^2 p^alpha) on every element n of sup, log E_alpha),
+    E_alpha = prod_p (1 + r(p)^2 p^alpha) over the window primes (E_0 at alpha = 0)."""
+    log_shift = [math.log1p(res.r_p[p] ** 2 * p**alpha) for p in res.primes]
+    return np.exp(-sup.prime_factor_sums(log_shift)), math.fsum(log_shift)
+
+
 def _t_weights(res: Resonator, sup: SupportArrays) -> np.ndarray:
     """t(n) = r(n) / prod_{p | n}(1 + r(p)^2) on every element of sup."""
-    log_plain = sup.prime_factor_sums([math.log1p(res.r_p[p] ** 2) for p in res.primes])
-    return sup.r * np.exp(-log_plain)
+    return sup.r * _shift_factors(res, sup, 0.0)[0]
 
 
 def _outer_term(left: np.ndarray, right: np.ndarray) -> Callable:
@@ -676,17 +671,56 @@ def _tail_term(
     is scale times their _pair_sums sum of term, u[i] * u[k]."""
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
-    log_shift = [math.log1p(res.r_p[p] ** 2 * p**alpha) for p in res.primes]
+    shift, log_full_shift = _shift_factors(res, sup, alpha)
     log_full_plain = math.fsum(math.log1p(res.r_p[p] ** 2) for p in res.primes)
-    log_full_shift = math.fsum(log_shift)
     # Coprime a', b' split prod_{p not | a'b'} into the full product over
     # the per-element products of the primes each one drops.
-    u = (
-        sup.r
-        * sup.ns.astype(np.float64) ** (alpha - 0.5)
-        * np.exp(-sup.prime_factor_sums(log_shift))
-    )
+    u = sup.r * sup.ns.astype(np.float64) ** (alpha - 0.5) * shift
     return _outer_term(u, u), math.exp(log_full_shift - log_full_plain) * x ** (-alpha)
+
+
+def _rankin_terms(
+    res: Resonator, sup: SupportArrays, n_max: int, x: float, alpha: float, budget: int
+) -> tuple[Callable, int]:
+    """(term, z'): the _pair_sums term over sup, the support <= min(N, X), of
+    Rankin's lower bound of the diagonal over the pairs b' <= z'; alpha >= 0.
+
+    For r >= 0, every g > Y = X/b' has (g/Y)^alpha >= 1, so the inner sum of
+    the pair (a', b'), b' the larger, is at least E_0(Q) - Y^-alpha E_alpha(Q),
+    Euler products over the primes not dividing a'b'.  Split off those primes:
+    floor(N/b') max(0, E_0 t(a')t(b') - (b'/X)^alpha E_alpha v(a')v(b')) is the
+    term, t = _t_weights and v = r / prod_{p | n}(1 + r(p)^2 p^alpha).  Terms are
+    >= 0 (0 at alpha = 0), so the walk takes the longest prefix whose ordered
+    pairs, 2 pairs - 1, fit the budget: one count pass, to the first block past it.
+
+    Rounding: m = 2^-47 (1 + log E_alpha) lowers the positive part and raises
+    the subtracted part before the clip.  With u = 2^-53 and libm within 2u, an
+    element's sum s of at most 15 log1p(r(p)^2 p^alpha), each within 7u, is within
+    21u s; so v is within 18u + 21u s (r(n) within 15u, exp 2u), t within 18u +
+    18u s, E_alpha within 8u log E_alpha + 2u, E_0 within 5u log E_0 + 2u, and as
+    s(a') + s(b') <= log E <= log E_alpha, the subtracted part (n^alpha / X^alpha
+    6u, five roundings) is within 49u + 29u log E_alpha and the positive part
+    (four) within 43u + 23u log E_0, both below m.  The clip, the weight and the
+    sum add 4u: the result is at most 1 + 4u times a lower bound of the diagonal.
+    """
+    counts = np.zeros(len(sup.ns), dtype=np.int64)
+    for k, i, ok in sup.coprime_tiles():
+        if i.start == 0 and 2 * counts.sum() - 1 > budget:
+            break  # the blocks before k are counted, and over budget
+        counts[k] += np.count_nonzero(ok, axis=1)
+    cut = int(np.searchsorted(2 * np.cumsum(counts) - 1, budget, side="right"))
+    shift, log_e_alpha = _shift_factors(res, sup, alpha)
+    margin = 2.0**-47 * (1.0 + log_e_alpha)
+    ns, t, v = sup.ns[:cut], _t_weights(res, sup)[:cut], (sup.r * shift)[:cut]
+    weight = n_max // ns
+    plus = euler_product_one_plus_r2(res) * (1.0 - margin) * t
+    minus = ns**alpha / x**alpha * (math.exp(log_e_alpha) * (1.0 + margin)) * v
+
+    def term(k: slice, i: slice, ok: np.ndarray) -> np.ndarray:
+        vals = weight[k, None] * np.maximum(plus[k, None] * t[i] - minus[k, None] * v[i], 0.0)
+        return vals[ok[: vals.shape[0], : vals.shape[1]]]
+
+    return term, int(ns[-1]) if cut else 0
 
 
 def moment_main_term(
@@ -909,10 +943,12 @@ def ratio_and_bounds(
 
     ratio_bracket_lo is the left side (0 when eps2 >= 1) and
     lower_bound_bracket its square root, a lower bound of sup |D_N|.  The
-    g-capped diagonal and the Euler product keep the left side a lower
-    bound; ratio_bracket_hi is given only without these fallbacks and while
-    eps1 < 1.  Exact and quadrature moments are filled in for tiny instances
-    (exact_mode="auto") or on demand ("always"); either may be None.
+    Euler product for sum r(n)^2 and Rankin's diagonal over the pairs b' <= z'
+    (_rankin_terms, alpha = 4 alpha_default or 0 without it, flag
+    diag_rankin_cut = z') keep it so over budget; ratio_bracket_hi is given
+    only without them and while eps1 < 1.  Exact and quadrature moments are
+    filled in for tiny instances (exact_mode="auto") or on demand ("always");
+    either may be None.
 
     Rounding: eps1 and eps2 are raised, ratio_bracket_lo and
     lower_bound_bracket lowered, and ratio_bracket_hi raised, by the
@@ -924,9 +960,10 @@ def ratio_and_bounds(
         and a float product r(n) is within 15u of the exact one;
       - a diagonal term floor(N/b') r(b') r(a') INNER, a'g and b'g of at
         most 15 primes each, is within (2 * 15 + 8)u + gamma_2 +
-        |G| 2^-74 of its exact value (_diagonal_terms; |G| < 2^26 there),
-        and the sum of these positive terms is correctly rounded: within
-        2^-46.8 in all;
+        |G| 2^-74 of its exact value (_diagonal_terms; |G| < 2^26 and
+        max r^2 <= 1 there), and the sum of these positive terms is
+        correctly rounded: within 2^-46.8 in all (Rankin's diagonal is at
+        most 1 + 4u times a lower bound of it);
       - sum r(n)^2 is within 32u; the Euler product exp(fsum(log1p(r(p)^2)))
         is within 3u log E + u of E < 2^1024, so within 2^-41.9;
       - N * denominator and the quotient add 3u.
@@ -947,31 +984,22 @@ def ratio_and_bounds(
 
     flags: dict = {}
 
-    # Every support sum below runs over prefixes of one build of the
-    # support <= X.  When that build is over budget, prefixes are built
-    # on their own, and the sums over the whole support fall back as
-    # flagged: sum r(n)^2 to the Euler-product upper bound (which keeps
-    # the ratio a lower bound of the diagonal ratio), the diagonal to
-    # g-ranges cut at g_cap.
+    # Every support sum below runs over prefixes of one build of the support
+    # <= X, and every pair sum comes from one walk of the coprime pairs of the
+    # support <= z = min(N, X).  Over budget, the support <= z is built on its
+    # own and sum r(n)^2 falls back to its Euler-product upper bound (flagged).
     try:
         sup = support_arrays(res, x, budget)
     except ResourceLimitError:
         sup = None
-
-    def support_upto(cap: float) -> SupportArrays:
-        return sup.upto(cap) if sup is not None else support_arrays(res, cap, budget)
-
-    # Every pair sum below comes from one walk of the coprime pairs of the
-    # support <= z = min(N, X); a g-capped diagonal takes a prefix of them.
     z = min(float(n_max), x)
-    sup_z = support_upto(z)
+    sup_z = sup.upto(z) if sup is not None else support_arrays(res, z, budget)
+    t_z = _t_weights(res, sup_z)
 
     flags["r2_sum_truncated"] = sup is None
-    if sup is not None:
-        r2 = r2_denominator = _exact_fsum(sup.r * sup.r)
-    else:
-        r2 = None
-        r2_denominator = euler_product_one_plus_r2(res)
+    euler = euler_product_one_plus_r2(res)
+    r2 = _exact_fsum(sup.r * sup.r) if sup is not None else None
+    r2_denominator = r2 if r2 is not None else euler
 
     diag_term = None
     if sup is not None:
@@ -980,42 +1008,16 @@ def ratio_and_bounds(
         except ResourceLimitError:
             pass
     flags["diag_sum_truncated"] = diag_term is None
-    if diag_term is None:
-        # The first g_cap = X/16^k, k >= 1, whose diagonal plan fits the
-        # budget.  A smaller cap shrinks the support and the pair count, so
-        # success is monotone in k and a bisection finds that k; k_max, the
-        # first k with g_cap < 1, is the last try, and its error propagates.
-        k_max = 1
-        while math.ldexp(x, -4 * k_max) >= 1.0:
-            k_max += 1
-
-        def plan_at(k: int) -> Callable | None:
-            g_cap = math.ldexp(x, -4 * k)
-            try:
-                return _diagonal_terms(support_upto(g_cap), n_max, x, budget)
-            except ResourceLimitError:
-                if k == k_max:
-                    raise
-                return None
-
-        lo, hi = 0, k_max  # k = lo fails (or is 0); the first success is in (lo, hi]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            found = plan_at(mid)
-            if found is None:
-                lo = mid
-            else:
-                hi, diag_term = mid, found
-        if diag_term is None:
-            diag_term = plan_at(hi)
-        flags["diag_g_cap"] = math.ldexp(x, -4 * hi)
+    if diag_term is None:  # Rankin's lower bound over the pairs b' <= z' (flagged)
+        rankin = _rankin_terms(res, sup_z, n_max, x, 4.0 * (res.alpha_default or 0.0), budget)
+        diag_term, flags["diag_rankin_cut"] = rankin
 
     # Exact moments need the whole support: under "always" an over-budget
     # support raises again here; "auto" takes tiny ones, N * |support| <= 64.
     support = None
     m1_q = m1_e = m2_q = m2_e = None
     if exact_mode == "always":
-        support = support_upto(x).elements(res)
+        support = (sup if sup is not None else support_arrays(res, x, budget)).elements(res)
     elif exact_mode == "auto" and t_bound <= EXACT_AUTO_MAX_T and sup is not None:
         support = sup.elements(res) if n_max * len(sup.ns) <= 64 else None
     if support is not None:
@@ -1030,7 +1032,6 @@ def ratio_and_bounds(
 
     # One walk of the coprime tiles sums the diagonal, the main term (the
     # balanced pair sum too) and the tail's pairs.
-    t_z = _t_weights(res, sup_z)
     terms = [diag_term, _main_term(sup_z, t_z)]
     alpha_eff = alpha if alpha is not None else res.alpha_default
     if alpha_eff is not None:
@@ -1075,11 +1076,7 @@ def ratio_and_bounds(
             (1.0 - delta) * log_t / math.log(log_t)
         )
 
-    res_summary = {
-        **res.summary(),
-        "sum_r_squared": r2,
-        "euler_product": euler_product_one_plus_r2(res),
-    }
+    res_summary = {**res.summary(), "sum_r_squared": r2, "euler_product": euler}
 
     return MomentReport(
         n=n_max,

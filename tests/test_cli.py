@@ -272,13 +272,24 @@ def test_oracle_diag(tmp_path):
     assert report["match"] is True
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_oracle_diag_overflow_is_no_match(tmp_path):
-    # Both sums overflow to inf, and inf == inf is no evidence that they agree.
-    payload = run(tmp_path, "oracle", "diag", "--n", "2", "--x", "2", "--toy", "1:1,2:1e200")
-    report = payload["report"]
-    assert report["bruteforce"] == report["parametrized"] == math.inf
-    assert report["match"] is False
+def test_oracle_diag_overflow_is_no_match(capsys):
+    # Both sums would overflow to inf, and inf == inf is no evidence that they agree: a toy
+    # with N max r^2 |S|^2 >= 2^1020 over its support S <= X is refused before either sum
+    # (exit 2), so numpy warns of no overflow.  At 1e154, N max r^2 is finite and the
+    # factor |S|^2 = 4 passes the float range.
+    for weight in ("1e200", "1e154"):
+        assert main(["oracle", "diag", "--n", "1", "--x", "2", "--toy", f"1:1,2:{weight}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.splitlines()[-1])
+        assert error == {
+            "kind": "ValueError",
+            "message": "toy weights can overflow the diagonal: N max r^2 |S|^2 >= 2^1020",
+            "layer": "rescert.cli",
+        }
+    # The weight above X is outside S, and the sums are in range.
+    assert main(["oracle", "diag", "--n", "2", "--x", "1", "--toy", "1:1,2:1e200"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["match"] is True
 
 
 def test_oracle_bijection(tmp_path):
